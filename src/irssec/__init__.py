@@ -13,7 +13,7 @@ from .channel import (ChannelSet, ScenarioConfig, ScenarioError, draw_rician,
                       parse_power_w, path_loss_db, scenario_from_dict,
                       scenario_to_dict, two_user_scenario, upa_response)
 from .model import (Feasibility, PowerSplit, alpha_opt_closed_form,
-                    alpha_opt_for_pattern, build_tk, build_tks,
+                    alpha_opt_for_pattern, build_tk, lift_vectors,
                     effective_gain, effective_gains, feasibility_check,
                     multicast_rate, positive_secrecy_condition, secrecy_rate)
 from .sdp import (SdpProblem, SdpSolution, SdpSolverError, SdpStatus,

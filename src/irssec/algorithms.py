@@ -72,64 +72,73 @@ class SweepParams:
 
 
 class _Lifted:
-    """Gain-normalized lifted problem data shared by the SDP builders."""
+    """Gain-normalized lifted problem data shared by the SDP builders. Every
+    matrix the programs use is a weight vector over the basis [I, u_1 ... u_K]
+    of unit vectors and user lifts T_k = u_k u_k^H; no T_k is formed densely."""
 
     def __init__(self, ch: ChannelSet, p: float):
         self.ch = ch
         self.p = float(p)
         self.n = ch.n
         self.k = ch.k
-        scale = float(np.max(model.aligned_gains(ch)) ** 2)
+        self.aligned2_raw = model.aligned_gains(ch) ** 2
+        scale = float(np.max(self.aligned2_raw))
         self.gain_scale = scale if scale > 0 else 1.0
-        self.tks = [t / self.gain_scale for t in model.build_tks(ch)]
+        lifts = model.lift_vectors(ch) / math.sqrt(self.gain_scale)
+        self.basis = np.hstack([np.eye(self.n + 1), lifts])
         self.sigma2 = ch.sigma2 / self.gain_scale
-        self.aligned2 = (model.aligned_gains(ch) ** 2) / self.gain_scale
-        self.traces = np.array([float(np.trace(t).real) for t in self.tks])
+        self.aligned2 = self.aligned2_raw / self.gain_scale
+        self.traces = (np.abs(lifts) ** 2).sum(axis=0)
+        self.n_solves = 0
+
+    def weights(self, eye: float = 0.0, k: int | None = None, t_coef: float = 0.0):
+        """Weight vector of eye*I + t_coef*T_k over the basis."""
+        w = np.zeros(self.n + 1 + self.k)
+        w[:self.n + 1] = eye
+        if k is not None:
+            w[self.n + 1 + k] = t_coef
+        return w
 
     def diag_tie_rows(self):
-        n1 = self.n + 1
-        rows = []
-        for i in range(self.n):
-            e = np.zeros((n1, n1))
-            e[i, i] = 1.0
-            e[n1 - 1, n1 - 1] = -1.0
-            rows.append((e, "==", 0.0))
-        return rows
+        ties = np.eye(self.n, self.n + 1 + self.k)
+        ties[:, self.n] = -1.0
+        return [(w, "==", 0.0) for w in ties]
 
     def unit_diag_rows(self):
-        n1 = self.n + 1
-        rows = []
-        for i in range(n1):
-            e = np.zeros((n1, n1))
-            e[i, i] = 1.0
-            rows.append((e, "==", 1.0))
-        return rows
+        return [(w, "==", 1.0) for w in np.eye(self.n + 1, self.n + 1 + self.k)]
+
+    def solve(self, objective, cons, cfg: SolverConfig | None, **scalars):
+        """Solve one lifted program over the basis; returns (solution, problem)."""
+        prob = SdpProblem(dim=self.n + 1, objective=objective, constraints=cons,
+                          basis=self.basis, **scalars)
+        self.n_solves += 1
+        return solve(prob, cfg), prob
 
 
 def _solution_usable(sol) -> bool:
     if sol.status == SdpStatus.OPTIMAL:
         return True
-    return (sol.status == SdpStatus.MAX_ITERATIONS
+    return (sol.status in (SdpStatus.MAX_ITERATIONS, SdpStatus.BREAKDOWN)
             and sol.duality_gap <= _ACCEPT_GAP and sol.residuals <= _ACCEPT_GAP)
 
 
-def _dual_slack(sol, objective: np.ndarray, cons: list):
-    """Dual slack A*(y) - C of a max program at the solver's multipliers.
+def _dual_slack(sol, prob: SdpProblem):
+    """Dual slack A*(y) - C of a factored max program at the solver's
+    multipliers.
 
     Each multiplier is first clipped to the sign its relation allows (">="
     rows nonpositive, "<=" rows nonnegative). Returns (slack, y_clipped);
     weak duality then needs only the slack's smallest eigenvalue.
     """
-    slack = -np.asarray(objective, dtype=complex)
-    ys = np.empty(len(cons))
-    for i, (y, (mat, rel, *_)) in enumerate(zip(sol.dual, cons)):
+    ys = np.empty(len(prob.constraints))
+    for i, (y, (_, rel, *_)) in enumerate(zip(sol.dual, prob.constraints)):
         if rel == "<=":
             y = max(y, 0.0)
         elif rel == ">=":
             y = min(y, 0.0)
         ys[i] = y
-        slack = slack + y * mat
-    return slack, ys
+    w = np.array([con[0] for con in prob.constraints]).T @ ys - prob.objective
+    return (prob.basis * w) @ prob.basis.conj().T, ys
 
 
 def _psd_shift(mat: np.ndarray) -> float:
@@ -158,15 +167,13 @@ def multicast_upper_bound(ch: ChannelSet, p: float, cfg: SolverConfig | None = N
     ctx = _Lifted(ch, p)
     n1 = ctx.n + 1
     s_scale = max(float(np.max(ctx.p / ctx.sigma2 * np.maximum(ctx.traces, 0.0))), 1e-30)
-    cons = [((ctx.p / ctx.sigma2[k]) * ctx.tks[k], ">=", 0.0, [-s_scale])
+    cons = [(ctx.weights(k=k, t_coef=ctx.p / ctx.sigma2[k]), ">=", 0.0, [-s_scale])
             for k in range(ctx.k)]
     cons += [c + (np.zeros(1),) for c in ctx.unit_diag_rows()]
-    prob = SdpProblem(dim=n1, objective=np.zeros((n1, n1)), constraints=cons,
-                      n_scalars=1, scalar_objective=[s_scale])
-    sol = solve(prob, cfg)
+    sol, prob = ctx.solve(ctx.weights(), cons, cfg, n_scalars=1, scalar_objective=[s_scale])
     if not _solution_usable(sol):
         raise SdpSolverError(f"multicast bound solve failed: {sol.status.value}")
-    slack, y = _dual_slack(sol, prob.objective, cons)
+    slack, y = _dual_slack(sol, prob)
     mu_sum = -float(y[:ctx.k].sum())
     dual_snr = math.inf
     if mu_sum > 0:
@@ -196,13 +203,10 @@ def _qoms_margin_feasible(ctx: _Lifted, r_m: float, alpha: float,
         return True                                  # Z = I certifies feasibility
     if np.any(ctx.traces[eav] <= 0):
         return False
-    n1 = ctx.n + 1
-    cons = [(ctx.tks[k], ">=", 0.0, [-need[k]]) for k in range(1, ctx.k)]
-    cons.append((np.zeros((n1, n1)), "<=", 2.0, [1.0]))   # cap: only s >= 1 matters
+    cons = [(ctx.weights(k=k, t_coef=1.0), ">=", 0.0, [-need[k]]) for k in range(1, ctx.k)]
+    cons.append((ctx.weights(), "<=", 2.0, [1.0]))   # cap: only s >= 1 matters
     cons += [c_ + (np.zeros(1),) for c_ in ctx.unit_diag_rows()]
-    prob = SdpProblem(dim=n1, objective=np.zeros((n1, n1)), constraints=cons,
-                      n_scalars=1, scalar_objective=[1.0])
-    sol = solve(prob, cfg)
+    sol, _ = ctx.solve(ctx.weights(), cons, cfg, n_scalars=1, scalar_objective=[1.0])
     if not _solution_usable(sol):
         return False
     return float(sol.objective_value) >= 1.0 - 1e-7
@@ -223,21 +227,17 @@ def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, cfg: SolverConfig | None)
         return None
     n1 = ctx.n + 1
     s1 = ctx.sigma2[0]
-    eye = np.eye(n1)
-    objective = (s1 / n1) * eye + alpha * ctx.tks[0]
-    norm_mats = [(s1 / n1) * eye + (s1 / ctx.sigma2[k]) * alpha * ctx.tks[k]
-                 for k in range(1, ctx.k)]
+    coefs = (s1 / ctx.sigma2) * alpha
     # Re-bound the normalization so the matrix iterate stays order one.
-    beta0 = max(float(np.trace(bm).real) for bm in norm_mats)
-    beta0 = max(beta0, 1e-30)
-    cons = [(bm, "<=", beta0) for bm in norm_mats]
+    beta0 = max(max(s1 + coefs[k] * ctx.traces[k] for k in range(1, ctx.k)), 1e-30)
+    cons = [(ctx.weights(s1 / n1, k, coefs[k]), "<=", beta0) for k in range(1, ctx.k)]
     if r_m > 0:
         c = 2.0 ** r_m
         for k in range(1, ctx.k):
-            q = (ctx.p - alpha * c) * ctx.tks[k] - ((c - 1.0) * ctx.sigma2[k] / n1) * eye
-            cons.append((q, ">=", 0.0))
+            cons.append((ctx.weights(-(c - 1.0) * ctx.sigma2[k] / n1, k, ctx.p - alpha * c),
+                         ">=", 0.0))
     cons += ctx.diag_tie_rows()
-    sol = solve(SdpProblem(dim=n1, objective=objective, constraints=cons), cfg)
+    sol, prob = ctx.solve(ctx.weights(s1 / n1, 0, alpha), cons, cfg)
     if sol.status == SdpStatus.INFEASIBLE:
         return None
     if not _solution_usable(sol):
@@ -248,8 +248,8 @@ def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, cfg: SolverConfig | None)
     if xi <= _XI_FLOOR:
         return None
     z = y / xi
-    slack, mult = _dual_slack(sol, objective, cons)
-    c_value = float(mult[:len(norm_mats)].sum()) + _psd_shift(slack) * n1 / s1
+    slack, mult = _dual_slack(sol, prob)
+    c_value = float(mult[:ctx.k - 1].sum()) + _psd_shift(slack) * n1 / s1
     return c_value, y, xi, z, beta0
 
 
@@ -368,8 +368,7 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
         # The supportable power window [0, edge] can fall between grid samples
         # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
         # closed form, so refine there instead of losing the window.
-        aligned2 = model.aligned_gains(ch) ** 2
-        edge = min(model.alpha_opt_closed_form(aligned2[k], ch.sigma2[k], p, r_m)
+        edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], p, r_m)
                    for k in range(1, ch.k))
         floor_alpha = state["max_feasible"]
         for frac in (0.98, 0.75, 0.5, 0.25):
@@ -377,14 +376,17 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
             if floor_alpha + 1e-12 < alpha_x < p:
                 run_step(alpha_x)
 
+    last_error = state["last_error"]
+    diagnostics = {"n_solves": ctx.n_solves, "n_failed_alpha": state["n_failed"],
+                   "last_error": None if last_error is None else repr(last_error)}
     if state["best"] is None:
-        if state["n_failed"] == state["n_steps"] and state["last_error"] is not None:
-            raise state["last_error"]
-        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct")
+        if state["n_failed"] == state["n_steps"] and last_error is not None:
+            raise last_error
+        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct",
+                             diagnostics=diagnostics)
     r_c, alpha, v, bound, alpha_grid, unrepaired = state["best"]
-    return BoundaryPoint(r_m, r_c, alpha, v, bound, True, "cct",
-                         diagnostics={"alpha_grid": alpha_grid,
-                                      "r_c_unrepaired": unrepaired})
+    diagnostics.update(alpha_grid=alpha_grid, r_c_unrepaired=unrepaired)
+    return BoundaryPoint(r_m, r_c, alpha, v, bound, True, "cct", diagnostics=diagnostics)
 
 
 def secrecy_covariance(ch: ChannelSet, p: float, cfg: SolverConfig | None = None) -> np.ndarray:

@@ -66,8 +66,9 @@ def build_tk(m_k: np.ndarray, g: np.ndarray, h_k: complex) -> np.ndarray:
     return np.outer(u, np.conj(u))
 
 
-def build_tks(ch: ChannelSet) -> list:
-    return [build_tk(ch.m[k], ch.g, ch.h[k]) for k in range(ch.k)]
+def lift_vectors(ch: ChannelSet) -> np.ndarray:
+    """Columns u_k of every user's lift T_k = u_k u_k^H (see build_tk), (N+1, K)."""
+    return np.concatenate([(np.conj(ch.m) * ch.g).T, ch.h[None, :]])
 
 
 def effective_gain(v: np.ndarray, m_k: np.ndarray, g: np.ndarray, h_k: complex) -> float:

@@ -1,4 +1,4 @@
-"""Dense Hermitian trace-form SDP solver and randomized phase rounding.
+"""Hermitian trace-form SDP solver and randomized phase rounding.
 
 Solves small problems of the form
 
@@ -6,12 +6,13 @@ Solves small problems of the form
     s.t.     Tr(A_i X) + a_i.u  {<=,==,>=}  b_i,   X >= 0 (PSD),  u >= 0,
 
 where X is a Hermitian matrix variable and u an optional vector of
-nonnegative scalars (used for epigraph/margin variables). Complex Hermitian
-data is realified into a symmetric real program of doubled dimension before
-the interior-point core, so a single real PSD cone implementation suffices.
-The core is an infeasible-start primal-dual path-following method with the
-XZ (HKM) scaling direction, Mehrotra predictor-corrector, and one
-fraction-to-boundary step length shared by the primal and dual iterates.
+nonnegative scalars (used for epigraph/margin variables). Each data matrix is
+factored as F diag(w_i) F^H over one shared column basis F. The core is an
+infeasible-start primal-dual path-following method on the complex iterate
+with the XZ (HKM) scaling direction, Mehrotra predictor-corrector, and one
+fraction-to-boundary step length shared by the primal and dual iterates. Its
+Schur complement comes from the factors, M = 1/2 W^T Re(P o Q^T) W with
+P = F^H X F, Q = F^H S^-1 F and W the row weights, never from row pairs.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ class SdpStatus(enum.Enum):
     INFEASIBLE = "Infeasible"
     UNBOUNDED = "Unbounded"
     MAX_ITERATIONS = "MaxIterations"
+    BREAKDOWN = "Breakdown"
 
 
 class SdpSolverError(RuntimeError):
@@ -50,10 +52,13 @@ class SolverConfig:
 class SdpProblem:
     """Max-trace program over one Hermitian PSD block.
 
-    constraints: list of (matrix, relation, bound) or
-    (matrix, relation, bound, scalar_coeffs) tuples with relation one of
+    constraints: list of (data, relation, bound) or
+    (data, relation, bound, scalar_coeffs) tuples with relation one of
     "<=", "==", ">=". scalar_coeffs (length n_scalars) couples the optional
     nonnegative scalar variables into the row.
+
+    The objective and each row's data are a dim x dim Hermitian matrix or a
+    length-R real weight vector w standing for F diag(w) F^H, F = ``basis``.
     """
 
     dim: int
@@ -62,6 +67,7 @@ class SdpProblem:
     maximize: bool = True
     n_scalars: int = 0
     scalar_objective: np.ndarray | None = None
+    basis: np.ndarray | None = None
 
 
 @dataclass
@@ -76,74 +82,54 @@ class SdpSolution:
     dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-_RELATIONS = ("<=", "==", ">=")
-
-
-def _check_hermitian(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
+def _factor(data, basis, dim: int, what: str):
+    """(columns, weights) of one data entry: a weight vector over the shared
+    basis (columns None), or the eigenpairs of a dense Hermitian matrix with
+    its numerically zero eigenvalues dropped."""
+    if np.ndim(data) == 1:
+        w = np.asarray(data, dtype=float)
+        if basis is None or w.shape != (basis.shape[1],):
+            raise ValueError(f"{what}: a weight vector needs a basis with {w.size} columns")
+        return None, w
+    mat = np.asarray(data, dtype=complex)
     if mat.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.conj().T).max() > 1e-12 * scale:
+    if np.abs(mat - mat.conj().T).max() > 1e-12 * max(1.0, float(np.abs(mat).max())):
         raise ValueError(f"{what} is not Hermitian")
-    return 0.5 * (mat + mat.conj().T)
+    lam, vec = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    keep = np.abs(lam) > 1e-14 * np.abs(lam).max(initial=0.0)
+    return vec[:, keep], lam[keep]
 
 
-def _realify(mat: np.ndarray) -> np.ndarray:
-    """Map Hermitian M to the symmetric real block form 0.5*[[Re,-Im],[Im,Re]],
-    chosen so that <realify(M), realify(X)> = Tr(M X) for Hermitian M, X."""
-    re, im = mat.real, mat.imag
-    return 0.5 * np.block([[re, -im], [im, re]])
+def _embedded_norms(gram2, w, vecs) -> np.ndarray:
+    """Frobenius norms of rows F diag(w_i) F^H (+ a_i) in the real symmetric
+    embedding 1/2 [[Re, -Im], [Im, Re]]: sqrt(|A_i|_F^2 / 2 + |a_i|^2)."""
+    frob2 = np.maximum((w * (gram2 @ w)).sum(axis=0), 0.0)
+    return np.sqrt(0.5 * frob2 + (vecs ** 2).sum(axis=1))
 
 
-def _derealify(mat_r: np.ndarray, n: int) -> np.ndarray:
-    """Average a real symmetric iterate back to a Hermitian matrix."""
-    p, q = mat_r[:n, :n], mat_r[:n, n:]
-    r, s = mat_r[n:, :n], mat_r[n:, n:]
-    out = 0.5 * (p + s) + 0.5j * (r - q)
-    return 0.5 * (out + out.conj().T)
-
-
-def _sym_inv(mat: np.ndarray) -> np.ndarray:
-    try:
-        low = np.linalg.cholesky(mat)
-        eye = np.eye(mat.shape[0])
-        return np.linalg.solve(low.T, np.linalg.solve(low, eye))
-    except np.linalg.LinAlgError:
-        lam, vec = np.linalg.eigh(mat)
-        lam = np.clip(lam, 1e-300, None)
-        return (vec / lam) @ vec.T
-
-
-def _chol_solver(mat: np.ndarray):
-    scale = max(float(np.abs(mat).max()), 1e-300)
+def _inv_factor(mat: np.ndarray) -> np.ndarray:
+    """R with R mat R^H = I for a Hermitian positive definite mat: the
+    inverse of its Cholesky factor. A failed factorization is retried with
+    growing diagonal jitter; past that, the eigendecomposition gives the
+    factor of the pseudo-inverse."""
+    eye = np.eye(mat.shape[0])
+    scale = max(float(np.abs(mat).max(initial=0.0)), 1e-300)
     for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
         try:
-            low = np.linalg.cholesky(mat + jitter * scale * np.eye(mat.shape[0]))
-            return lambda r: np.linalg.solve(low.T, np.linalg.solve(low, r))
+            return np.linalg.inv(np.linalg.cholesky(mat + jitter * scale * eye))
         except np.linalg.LinAlgError:
             continue
-    return lambda r: np.linalg.lstsq(mat, r, rcond=None)[0]
+    lam, vec = np.linalg.eigh(mat)
+    keep = lam > np.finfo(float).eps * mat.shape[0] * max(float(lam[-1]), 0.0)
+    return (vec[:, keep] / np.sqrt(lam[keep])).conj().T
 
 
-def _max_step_psd(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest t with x + t*dx PSD (x assumed PD)."""
-    try:
-        low = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        lam, vec = np.linalg.eigh(x)
-        lam = np.clip(lam, 1e-300, None)
-        low = vec * np.sqrt(lam)
-    w = np.linalg.solve(low, dx)
-    w = np.linalg.solve(low, w.T).T
-    lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T)).min())
-    if lam_min >= -1e-13:
-        return np.inf
-    return -1.0 / lam_min
-
-
-def _max_step(xs, dxs, xd, dxd) -> float:
-    t = _max_step_psd(xs, dxs)
+def _max_step(r, d, xd, dxd) -> float:
+    """Largest t with x + t*d PSD and xd + t*dxd >= 0, given r = _inv_factor(x)."""
+    w = r @ d @ r.conj().T
+    lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.conj().T)).min())
+    t = np.inf if lam_min >= -1e-13 else -1.0 / lam_min
     if xd.size:
         neg = dxd < 0
         if neg.any():
@@ -151,60 +137,71 @@ def _max_step(xs, dxs, xd, dxd) -> float:
     return t
 
 
-def _ipm(mats, vecs, b, c_mat, c_vec, cfg: SolverConfig):
-    """Infeasible-start HKM predictor-corrector on real symmetric data.
+def _ipm(f, w, vecs, b, c_w, c_vec, cfg: SolverConfig):
+    """Infeasible-start HKM predictor-corrector on factored complex data.
 
-    Primal: max <C,X> + c.u s.t. <A_i,X> + a_i.u = b_i, X PSD, u >= 0.
-    Returns a dict with the final iterate and convergence diagnostics.
+    Primal: max Tr(C X) + c.u s.t. Tr(A_i X) + a_i.u = b_i, X PSD, u >= 0,
+    with A_i = F diag(w[:, i]) F^H and C = F diag(c_w) F^H. The dual slack
+    is kept halved, S = (A*(y) - C)/2, and mu is the gap 2 Re Tr(XS) + xd.sd
+    over nu = 2n + nd: the scaling of the program's real symmetric
+    embedding, whose HKM iterates these are.
     Primal and dual take one common step, the smaller of their two
     fraction-to-boundary lengths, so both residuals shrink by the same
     factor. With separate lengths the dual can run ahead while the primal
     step collapses, and the primal residual then never closes. A numerical
-    breakdown (non-finite iterate, failed factorization or a step below
-    1e-10) ends the loop with MAX_ITERATIONS.
+    breakdown (non-finite or overflowing iterate, failed factorization or a
+    step below 1e-10) ends the loop with BREAKDOWN.
     """
-    m, ns = mats.shape[0], mats.shape[1]
+    n, m = f.shape[0], w.shape[1]
     nd = vecs.shape[1]
-    nu = ns + nd
-    eye = np.eye(ns)
+    nu = 2 * n + nd
+    eye = np.eye(n)
+    fh = f.conj().T
     tol = cfg.tolerance
 
-    a_norms = np.sqrt((mats ** 2).sum(axis=(1, 2)) + (vecs ** 2).sum(axis=1))
-    norm_b = float(np.linalg.norm(b))
-    norm_c = math.sqrt(float((c_mat ** 2).sum() + (c_vec ** 2).sum()))
+    def a_op(g):  # Re Tr(A_i G) for every row
+        return w.T @ (f.conj() * (g @ f)).sum(axis=0).real
 
-    xi = max(10.0, math.sqrt(ns),
-             float((ns * (1.0 + np.abs(b)) / (1.0 + a_norms)).max()))
-    eta = max(10.0, math.sqrt(ns), float(a_norms.max()), norm_c)
-    xs = xi * eye.copy()
+    def a_adj(v):  # sum_i v_i A_i
+        return (f * (w @ v)) @ fh
+
+    half_c = 0.5 * ((f * c_w) @ fh)
+    gram2 = np.abs(fh @ f) ** 2
+    a_norms = _embedded_norms(gram2, w, vecs)
+    norm_b = float(np.linalg.norm(b))
+    norm_c = float(_embedded_norms(gram2, c_w[:, None], c_vec[None, :])[0])
+
+    xi = max(10.0, math.sqrt(2 * n),
+             float((2 * n * (1.0 + np.abs(b)) / (1.0 + a_norms)).max(initial=0.0)))
+    eta = max(10.0, math.sqrt(2 * n), float(a_norms.max(initial=0.0)), norm_c)
+    x = xi * eye.astype(complex)
     xd = xi * np.ones(nd)
-    ss = eta * eye.copy()
+    s = eta * eye.astype(complex)
     sd = eta * np.ones(nd)
     y = np.zeros(m)
 
-    status = SdpStatus.MAX_ITERATIONS
+    status = SdpStatus.BREAKDOWN            # for every break that sets nothing
     relgap = np.inf
     resid = np.inf
     it = 0
     for it in range(1, cfg.max_iterations + 1):
-        if not (np.isfinite(xs).all() and np.isfinite(ss).all()
-                and np.isfinite(y).all() and np.isfinite(xd).all()
-                and np.isfinite(sd).all()):
+        if not all(np.isfinite(v).all() for v in (x, s, y, xd, sd)):
             relgap = resid = np.inf
             break
-        ax = np.einsum("iab,ab->i", mats, xs) + vecs @ xd
+        ax = a_op(x) + vecs @ xd
         rp = b - ax
-        ys_mat = np.tensordot(y, mats, axes=1)
+        ys_mat = 0.5 * a_adj(y)
         ys_vec = vecs.T @ y
-        rd_mat = ys_mat - ss - c_mat
+        rd_mat = ys_mat - s - half_c
         rd_vec = ys_vec - sd - c_vec
 
-        gap = float((xs * ss).sum() + xd @ sd)
-        pobj = float((c_mat * xs).sum() + c_vec @ xd)
+        gap = 2.0 * float(np.vdot(x, s).real) + float(xd @ sd)
+        pobj = 2.0 * float(np.vdot(half_c, x).real) + float(c_vec @ xd)
         dobj = float(b @ y)
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         pres = float(np.linalg.norm(rp)) / (1.0 + norm_b)
-        dres = math.sqrt(float((rd_mat ** 2).sum() + (rd_vec ** 2).sum())) / (1.0 + norm_c)
+        dres = math.sqrt(2.0 * float(np.vdot(rd_mat, rd_mat).real)
+                         + float(rd_vec @ rd_vec)) / (1.0 + norm_c)
         resid = max(pres, dres)
         if resid <= tol and relgap <= tol:
             status = SdpStatus.OPTIMAL
@@ -221,119 +218,121 @@ def _ipm(mats, vecs, b, c_mat, c_vec, cfg: SolverConfig):
             if lam >= -1e-9:
                 status = SdpStatus.INFEASIBLE
                 break
-        if pobj > 1e12 * max(1.0, norm_b, norm_c) and pres <= max(tol, 1e-6):
+        if pobj > 1e12 * max(1.0, norm_b, norm_c) and (
+                pres <= max(tol, 1e-6) or float(np.linalg.norm(ax)) <= tol * pobj):
+            # A huge iterate that nearly solves A(X) = 0 per unit of objective
+            # is an improving ray: the dual is infeasible.
             status = SdpStatus.UNBOUNDED
             break
 
-        mu = gap / nu
-        try:
-            ss_inv = _sym_inv(ss)
-        except np.linalg.LinAlgError:
-            break
-        sd_inv = 1.0 / sd
-        t1 = np.einsum("jab,bc->jac", mats, ss_inv)
-        bmat = np.einsum("ab,jbc->jac", xs, t1)
-        big_m = np.einsum("iab,jba->ij", mats, bmat)
-        if nd:
-            big_m += (vecs * (xd * sd_inv)) @ vecs.T
-        big_m = 0.5 * (big_m + big_m.T)
-        solve_m = _chol_solver(big_m)
-        x_rd = xs @ rd_mat
-
         def direction(taumu, h_mat, h_vec):
-            g_mat = (taumu * eye - h_mat - x_rd) @ ss_inv
+            g_mat = (taumu * eye - h_mat - x_rd) @ s_inv
             g_vec = (taumu - h_vec - xd * rd_vec) * sd_inv
-            rhs = np.einsum("iab,ba->i", mats, g_mat) - b
+            rhs = a_op(g_mat) - b
             if nd:
                 rhs = rhs + vecs @ g_vec
-            dy = solve_m(rhs)
-            ds_mat = np.tensordot(dy, mats, axes=1) + rd_mat
+            dy = r_m.T @ (r_m @ rhs)
+            ds_mat = 0.5 * a_adj(dy) + rd_mat
             ds_vec = vecs.T @ dy + rd_vec
-            dx_raw = taumu * ss_inv - xs - (h_mat + xs @ ds_mat) @ ss_inv
-            dx_mat = 0.5 * (dx_raw + dx_raw.T)
+            dx_raw = taumu * s_inv - x - (h_mat + x @ ds_mat) @ s_inv
+            dx_mat = 0.5 * (dx_raw + dx_raw.conj().T)
             dx_vec = (taumu - h_vec - xd * ds_vec) * sd_inv - xd
             return dx_mat, dx_vec, dy, ds_mat, ds_vec
 
-        zadj = np.zeros(nd)
+        mu = gap / nu
         try:
-            dxa, dxda, dya, dsa, dsda = direction(0.0, np.zeros((ns, ns)), zadj)
-            ap_a = min(1.0, _max_step(xs, dxa, xd, dxda))
-            ad_a = min(1.0, _max_step(ss, dsa, sd, dsda))
-            mu_aff = (float(((xs + ap_a * dxa) * (ss + ad_a * dsa)).sum())
+            r_x, r_s = _inv_factor(x), _inv_factor(s)
+            s_inv = r_s.conj().T @ r_s
+            sd_inv = 1.0 / sd
+            big_m = 0.5 * (w.T @ ((fh @ x @ f) * (fh @ s_inv @ f).T).real @ w)
+            if nd:
+                big_m += (vecs * (xd * sd_inv)) @ vecs.T
+            r_m = _inv_factor(0.5 * (big_m + big_m.T))
+            x_rd = x @ rd_mat
+
+            dxa, dxda, dya, dsa, dsda = direction(0.0, np.zeros((n, n)), np.zeros(nd))
+            ap_a = min(1.0, _max_step(r_x, dxa, xd, dxda))
+            ad_a = min(1.0, _max_step(r_s, dsa, sd, dsda))
+            mu_aff = (2.0 * float(np.vdot(x + ap_a * dxa, s + ad_a * dsa).real)
                       + float((xd + ap_a * dxda) @ (sd + ad_a * dsda))) / nu
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             dx, dxd_, dy, ds, dsd_ = direction(sigma * mu, dxa @ dsa, dxda * dsda)
-            step = min(1.0, cfg.step_fraction * min(_max_step(xs, dx, xd, dxd_),
-                                                    _max_step(ss, ds, sd, dsd_)))
+            step = min(1.0, cfg.step_fraction * min(_max_step(r_x, dx, xd, dxd_),
+                                                    _max_step(r_s, ds, sd, dsd_)))
         except (np.linalg.LinAlgError, FloatingPointError):
             break
         if not (np.isfinite(dx).all() and np.isfinite(ds).all()
-                and np.isfinite(dy).all()):
+                and np.isfinite(dy).all()) or step < 1e-10:
             break
-        if step < 1e-10:
-            break
-        xs = 0.5 * ((xs + step * dx) + (xs + step * dx).T)
+        x = 0.5 * ((x + step * dx) + (x + step * dx).conj().T)
         xd = xd + step * dxd_
         y = y + step * dy
-        ss = 0.5 * ((ss + step * ds) + (ss + step * ds).T)
+        s = 0.5 * ((s + step * ds) + (s + step * ds).conj().T)
         sd = sd + step * dsd_
+    else:
+        status = SdpStatus.MAX_ITERATIONS
 
-    pobj = float((c_mat * xs).sum() + c_vec @ xd)
-    return {
-        "xs": xs, "xd": xd, "y": y, "ss": ss, "sd": sd,
-        "status": status, "iterations": it,
-        "relgap": relgap, "resid": resid, "pobj": pobj,
-    }
+    pobj = 2.0 * float(np.vdot(half_c, x).real) + float(c_vec @ xd)
+    return x, xd, y, status, it, relgap, resid, pobj
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
-    """Solve a trace-form Hermitian SDP.
+    """Solve a trace-form Hermitian SDP by native complex HKM on factored rows.
 
-    On OPTIMAL the reported duality gap and residuals are below the configured
-    tolerance. MAX_ITERATIONS is reported as such, never as OPTIMAL.
+    Weight-vector data shares the columns of ``problem.basis``; each dense
+    matrix adds its eigenvectors as further columns, so every program takes
+    the same factored path. On OPTIMAL the reported duality gap and residuals
+    are below the configured tolerance. MAX_ITERATIONS (the iteration cap)
+    and BREAKDOWN (a numerical failure before it) are never reported as
+    OPTIMAL.
     """
     cfg = config or SolverConfig()
     n = problem.dim
     p = problem.n_scalars
     sign = 1.0 if problem.maximize else -1.0
+    basis = None if problem.basis is None else np.asarray(problem.basis, dtype=complex)
+    if basis is not None and (basis.ndim != 2 or basis.shape[0] != n):
+        raise ValueError(f"basis must have {n} rows, got shape {basis.shape}")
 
-    c_complex = _check_hermitian(problem.objective, n, "objective")
     c_scal = np.zeros(p)
     if problem.scalar_objective is not None:
         c_scal = np.asarray(problem.scalar_objective, dtype=float).reshape(p)
 
+    entries = [_factor(problem.objective, basis, n, "objective")]
     rows = []
     for idx, con in enumerate(problem.constraints):
         if len(con) == 3:
-            mat, rel, bound = con
+            data, rel, bound = con
             coeffs = np.zeros(p)
         else:
-            mat, rel, bound, coeffs = con
+            data, rel, bound, coeffs = con
             coeffs = np.asarray(coeffs, dtype=float).reshape(p)
-        if rel not in _RELATIONS:
+        if rel not in ("<=", "==", ">="):
             raise ValueError(f"constraint {idx}: unknown relation {rel!r}")
-        rows.append((_check_hermitian(mat, n, f"constraint {idx}"), rel, float(bound), coeffs))
+        entries.append(_factor(data, basis, n, f"constraint {idx}"))
+        rows.append((rel, float(bound), coeffs))
 
-    n_slack = sum(1 for _, rel, _, _ in rows if rel != "==")
+    # One shared basis: the problem's columns, then each dense entry's eigenvectors.
+    cols = [np.zeros((n, 0), dtype=complex) if basis is None else basis]
+    placed = []                                  # (first column, weights) per entry
+    for vec, wts in entries:
+        placed.append((0 if vec is None else sum(c.shape[1] for c in cols), wts))
+        cols += [] if vec is None else [vec]
+    f = np.hstack(cols)
+    w = np.zeros((f.shape[1], len(entries)))
+    for j, (at, wts) in enumerate(placed):
+        w[at:at + wts.size, j] = wts
+    c_w, w = sign * w[:, 0], w[:, 1:]
+
+    n_slack = sum(1 for rel, _, _ in rows if rel != "==")
     nd = p + n_slack
-    ns = 2 * n
     m = len(rows)
 
-    if m == 0:
-        lam_max = float(np.linalg.eigvalsh(c_complex).max()) if n else 0.0
-        unbounded = (sign * lam_max > cfg.tolerance) or bool((sign * c_scal > cfg.tolerance).any())
-        status = SdpStatus.UNBOUNDED if unbounded else SdpStatus.OPTIMAL
-        return SdpSolution(matrix=np.zeros((n, n), dtype=complex), objective_value=0.0,
-                           status=status, duality_gap=0.0, residuals=0.0, iterations=0,
-                           scalars=np.zeros(p))
-
-    mats = np.empty((m, ns, ns))
     vecs = np.zeros((m, nd))
     b = np.empty(m)
     slack_at = p
-    for i, (mat, rel, bound, coeffs) in enumerate(rows):
-        mats[i] = _realify(mat)
+    for i, (rel, bound, coeffs) in enumerate(rows):
         vecs[i, :p] = coeffs
         if rel == "<=":
             vecs[i, slack_at] = 1.0
@@ -344,35 +343,32 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         b[i] = bound
 
     # Row equilibration plus objective normalization for conditioning.
-    row_scale = np.maximum(np.sqrt((mats ** 2).sum(axis=(1, 2)) + (vecs ** 2).sum(axis=1)), 1e-300)
-    mats /= row_scale[:, None, None]
+    gram2 = np.abs(f.conj().T @ f) ** 2
+    row_scale = np.maximum(_embedded_norms(gram2, w, vecs), 1e-300)
+    w = w / row_scale
     vecs /= row_scale[:, None]
     b = b / row_scale
 
-    c_mat = sign * _realify(c_complex)
     c_vec = np.zeros(nd)
     c_vec[:p] = sign * c_scal
-    c_scale = max(math.sqrt(float((c_mat ** 2).sum() + (c_vec ** 2).sum())), 1e-30)
+    c_scale = max(float(_embedded_norms(gram2, c_w[:, None], c_vec[None, :])[0]), 1e-30)
     if c_scale < 1e-18:
         c_scale = 1.0
-    c_mat = c_mat / c_scale
+    c_w = c_w / c_scale
     c_vec = c_vec / c_scale
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        res = _ipm(mats, vecs, b, c_mat, c_vec, cfg)
+        x, xd, y, status, it, relgap, resid, pobj = _ipm(f, w, vecs, b, c_w, c_vec, cfg)
 
-    x_complex = _derealify(res["xs"], n)
-    value = sign * res["pobj"] * c_scale
-    y = res["y"] * c_scale / row_scale
     return SdpSolution(
-        matrix=x_complex,
-        objective_value=value,
-        status=res["status"],
-        duality_gap=res["relgap"],
-        residuals=res["resid"],
-        iterations=res["iterations"],
-        scalars=res["xd"][:p].copy(),
-        dual=sign * y,
+        matrix=x,
+        objective_value=sign * pobj * c_scale,
+        status=status,
+        duality_gap=relgap,
+        residuals=resid,
+        iterations=it,
+        scalars=xd[:p].copy(),
+        dual=sign * y * c_scale / row_scale,
     )
 
 

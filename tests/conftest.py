@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from irssec.channel import ChannelSet
+
+
+def pytest_configure(config):
+    """Child processes (the console entry point test) import the package from
+    src/ too, as the `pythonpath` setting in pyproject.toml does in-process."""
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
 def rand_channelset(rng, n=2, k=2, sigma2=None):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,32 @@ def test_algorithm1_respects_multicast_floor(rng):
     got = model.multicast_rate(ch, pt.phase_vector,
                                model.PowerSplit(pt.alpha, P - pt.alpha))
     assert got >= r_m - 1e-9
+
+
+def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    pt = algorithm1_cct(ch, P, 0.0, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
+    # no floor: no margin programs, one Charnes-Cooper solve per power sample
+    assert pt.diagnostics["n_solves"] == 4
+    assert pt.diagnostics["n_failed_alpha"] == 0
+    assert pt.diagnostics["last_error"] is None
+
+    real_solve = algorithms.solve
+    calls = []
+
+    def failing_second_solve(problem, config=None):
+        calls.append(problem)
+        sol = real_solve(problem, config)
+        if len(calls) == 2:
+            sol = replace(sol, status=SdpStatus.BREAKDOWN, duality_gap=1.0)
+        return sol
+
+    monkeypatch.setattr(algorithms, "solve", failing_second_solve)
+    pt = algorithm1_cct(ch, P, 0.0, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
+    assert pt.feasible
+    assert pt.diagnostics["n_solves"] == 4
+    assert pt.diagnostics["n_failed_alpha"] == 1
+    assert "fractional SDP failed: Breakdown" in pt.diagnostics["last_error"]
 
 
 def test_secrecy_covariance_unit_diagonal_no_reflection():
