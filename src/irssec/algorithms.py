@@ -90,6 +90,7 @@ class _Lifted:
         self.aligned2 = self.aligned2_raw / self.gain_scale
         self.traces = (np.abs(lifts) ** 2).sum(axis=0)
         self.n_solves = 0
+        self.eav_snr = None       # set by _qoms_margin_feasible on first use
 
     def weights(self, eye: float = 0.0, k: int | None = None, t_coef: float = 0.0):
         """Weight vector of eye*I + t_coef*T_k over the basis."""
@@ -146,70 +147,70 @@ def _psd_shift(mat: np.ndarray) -> float:
     return max(0.0, -float(np.linalg.eigvalsh(mat)[0]))
 
 
-def multicast_upper_bound(ch: ChannelSet, p: float, cfg: SolverConfig | None = None):
-    """Certified upper bound on the largest supportable multicast floor.
+def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray,
+                 cfg: SolverConfig | None):
+    """Max over unit-diagonal PSD Z of min over `users` of weights_k Tr(Z T_k)
+    in ctx units, as (value, Z): Z is the primal and value the smaller of two
+    certified upper bounds, so it never lies below the relaxed maximum.
 
-    Solves the max-min SNR relaxation over unit-diagonal PSD covariances
-    (all transmit power on the multicast stream) and returns (r_m_up, Z), where
-    Z is the primal covariance and r_m_up is log2(1 + s) with s the smaller of
-    two bounds on the max-min SNR:
+    * the dual objective: multipliers mu_k >= 0 on the users and w on the
+      unit diagonal bound the value by (sum(w) + (N+1) t) / sum(mu), with t
+      lifting diag(w) - sum_k mu_k weights_k T_k to PSD;
+    * the closed form min_k weights_k |aligned gain_k|^2, since Tr(Z T_k)
+      never exceeds it. It is exact whenever one user's aligned gain binds,
+      as with a single user or no reflection.
 
-    * the dual objective: weights mu_k >= 0 on the users and multipliers w on
-      the unit diagonal give min_k SNR_k <= (sum(w) + (N+1) t) / sum(mu) for
-      every unit-diagonal Z, with t lifting diag(w) - sum_k mu_k A_k to PSD;
-    * the aligned-gain closed form min_k P |aligned gain_k|^2 / sigma_k^2,
-      since Tr(Z T_k) never exceeds the aligned gain squared. It is exact
-      whenever one user's aligned gain binds, as without reflection.
-
-    The bound can exceed the true maximum, because the lifted covariance
-    need not be rank one, but never lies below it.
+    A failed solve raises SdpSolverError.
     """
-    ctx = _Lifted(ch, p)
     n1 = ctx.n + 1
-    s_scale = max(float(np.max(ctx.p / ctx.sigma2 * np.maximum(ctx.traces, 0.0))), 1e-30)
-    cons = [(ctx.weights(k=k, t_coef=ctx.p / ctx.sigma2[k]), ">=", 0.0, [-s_scale])
-            for k in range(ctx.k)]
+    s_scale = max(float(np.max(weights * np.maximum(ctx.traces[users], 0.0))), 1e-30)
+    cons = [(ctx.weights(k=k, t_coef=wk), ">=", 0.0, [-s_scale])
+            for k, wk in zip(users, weights)]
     cons += [c + (np.zeros(1),) for c in ctx.unit_diag_rows()]
     sol, prob = ctx.solve(ctx.weights(), cons, cfg, n_scalars=1, scalar_objective=[s_scale])
     if not _solution_usable(sol):
-        raise SdpSolverError(f"multicast bound solve failed: {sol.status.value}")
+        raise SdpSolverError(f"max-min SNR solve failed: {sol.status.value}")
     slack, y = _dual_slack(sol, prob)
-    mu_sum = -float(y[:ctx.k].sum())
+    mu_sum = -float(y[:len(users)].sum())
     dual_snr = math.inf
     if mu_sum > 0:
-        dual_snr = (float(y[ctx.k:].sum()) + n1 * _psd_shift(slack)) / mu_sum
-    aligned_snr = float(np.min(ctx.p * ctx.aligned2 / ctx.sigma2))
-    s = max(min(dual_snr, aligned_snr), 0.0)
-    return math.log2(1.0 + s), sol.matrix
+        dual_snr = (float(y[len(users):].sum()) + n1 * _psd_shift(slack)) / mu_sum
+    aligned_snr = float(np.min(weights * ctx.aligned2[users]))
+    return max(min(dual_snr, aligned_snr), 0.0), sol.matrix
+
+
+def multicast_upper_bound(ch: ChannelSet, p: float, cfg: SolverConfig | None = None):
+    """Certified upper bound on the largest supportable multicast floor, all
+    power on the multicast stream: (log2(1 + s), Z) with (s, Z) the
+    `_max_min_snr` of every user under weights P / sigma_k^2."""
+    ctx = _Lifted(ch, p)
+    s, z = _max_min_snr(ctx, np.arange(ctx.k), ctx.p / ctx.sigma2, cfg)
+    return math.log2(1.0 + s), z
 
 
 def _qoms_margin_feasible(ctx: _Lifted, r_m: float, alpha: float,
                           cfg: SolverConfig | None) -> bool:
-    """Can any unit-diagonal lifted covariance meet the multicast floor at
-    this power split? Decided by a capped margin SDP after cheap certificates."""
+    """Can any unit-diagonal lifted covariance meet the eavesdroppers'
+    multicast floors (the Charnes-Cooper rows) at this power split?
+
+    Eavesdropper k needs Tr(Z T_k) / sigma_k^2 >= (c - 1) / (P - alpha c),
+    c = 2^r_m, so one constant decides every (r_m, alpha): M_eav, the
+    `_max_min_snr` of the eavesdroppers under weights 1 / sigma_k^2. It is
+    solved once per ctx; a failed solve is kept and raised for every sample,
+    never read as infeasible.
+    """
     if r_m <= 0:
         return True
+    if ctx.eav_snr is None:
+        eav = np.arange(1, ctx.k)
+        try:
+            ctx.eav_snr = _max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav], cfg)[0]
+        except SdpSolverError as exc:
+            ctx.eav_snr = exc
+    if isinstance(ctx.eav_snr, SdpSolverError):
+        raise ctx.eav_snr
     c = 2.0 ** r_m
-    budget = ctx.p - alpha * c
-    if budget <= 0:
-        return False
-    need = (c - 1.0) * ctx.sigma2 / budget          # required Tr(Z T_k), all users
-    eav = slice(1, ctx.k)
-    # max of Tr(Z T_k) over unit-diagonal PSD Z is exactly the aligned gain
-    # squared (entries of Z are bounded by one in modulus), so this is sharp.
-    if np.any(ctx.aligned2[eav] < need[eav] * (1.0 - 1e-12)):
-        return False
-    if np.all(ctx.traces[eav] >= need[eav]):
-        return True                                  # Z = I certifies feasibility
-    if np.any(ctx.traces[eav] <= 0):
-        return False
-    cons = [(ctx.weights(k=k, t_coef=1.0), ">=", 0.0, [-need[k]]) for k in range(1, ctx.k)]
-    cons.append((ctx.weights(), "<=", 2.0, [1.0]))   # cap: only s >= 1 matters
-    cons += [c_ + (np.zeros(1),) for c_ in ctx.unit_diag_rows()]
-    sol, _ = ctx.solve(ctx.weights(), cons, cfg, n_scalars=1, scalar_objective=[1.0])
-    if not _solution_usable(sol):
-        return False
-    return float(sol.objective_value) >= 1.0 - 1e-7
+    return (ctx.p - alpha * c) * ctx.eav_snr >= (c - 1.0) * (1.0 - 1e-12)
 
 
 def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, cfg: SolverConfig | None):
@@ -327,6 +328,10 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     (patterns that cannot carry the multicast floor are discarded so every
     reported point is floor-certified). Records the relaxation bound at the
     winning grid power.
+
+    diagnostics: n_solves counts every SDP run, one Charnes-Cooper solve per
+    sample inside the supportable window plus, when r_m > 0, the eavesdropper
+    max-min solve; n_failed_alpha counts samples whose solve raised.
     """
     if t_alpha < 2:
         raise ValueError("need at least two power samples")

@@ -37,15 +37,6 @@ class PowerSplit:
         self.beta = max(float(self.beta), 0.0)
 
 
-def check_phase_vector(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate that every entry of v has unit modulus (within tol)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    err = np.abs(np.abs(v) - 1.0).max() if v.size else 0.0
-    if err > tol:
-        raise ValueError(f"phase vector entries deviate from unit modulus by {err:.3e}")
-    return v
-
-
 def lift_vector(v: np.ndarray) -> np.ndarray:
     """Homogenization z = [v; 1] used by the trace reformulation."""
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -154,12 +145,11 @@ def feasibility_check(ch: ChannelSet) -> Feasibility:
     Infeasible: some eavesdropper's direct path alone already beats user 1's
     aligned gain, so no pattern can help. Otherwise undetermined.
     """
+    if infeasibility_witness(ch) is not None:
+        return Feasibility.INFEASIBLE
     a = aligned_gains(ch)
     s = ch.sigma2
-    lead = a[0] ** 2
-    if any(lead <= (s[0] * abs(ch.h[k]) ** 2) / s[k] for k in range(1, ch.k)):
-        return Feasibility.INFEASIBLE
-    if lead >= max((s[0] / s[k]) * a[k] ** 2 for k in range(1, ch.k)):
+    if a[0] ** 2 >= max((s[0] / s[k]) * a[k] ** 2 for k in range(1, ch.k)):
         return Feasibility.FEASIBLE
     return Feasibility.UNDETERMINED
 
@@ -196,13 +186,6 @@ def alpha_opt_closed_form(x_min: float, sigma2_min: float, p: float, r_m: float)
     c = 2.0 ** r_m
     alpha = (p * x_min - (c - 1.0) * sigma2_min) / (c * x_min)
     return float(min(p, max(alpha, 0.0)))
-
-
-def alpha_opt_for_pattern(ch: ChannelSet, v: np.ndarray, p: float, r_m: float) -> float:
-    """Closed-form optimal confidential power for a fixed pattern v."""
-    x = effective_gains(ch, v)
-    tau = bottleneck_user(x, ch.sigma2)
-    return alpha_opt_closed_form(x[tau], ch.sigma2[tau], p, r_m)
 
 
 def multicast_capacity_from_gains(x: np.ndarray, sigma2: np.ndarray, p) -> np.ndarray:

@@ -6,7 +6,7 @@ Solves small problems of the form
     s.t.     Tr(A_i X) + a_i.u  {<=,==,>=}  b_i,   X >= 0 (PSD),  u >= 0,
 
 where X is a Hermitian matrix variable and u an optional vector of
-nonnegative scalars (used for epigraph/margin variables). Each data matrix is
+nonnegative scalars (used for epigraph variables). Each data matrix is
 factored as F diag(w_i) F^H over one shared column basis F. The core is an
 infeasible-start primal-dual path-following method on the complex iterate
 with the XZ (HKM) scaling direction, Mehrotra predictor-corrector, and one
@@ -137,12 +137,13 @@ def _max_step(r, d, xd, dxd) -> float:
     return t
 
 
-def _ipm(f, w, vecs, b, c_w, c_vec, cfg: SolverConfig):
+def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig):
     """Infeasible-start HKM predictor-corrector on factored complex data.
 
     Primal: max Tr(C X) + c.u s.t. Tr(A_i X) + a_i.u = b_i, X PSD, u >= 0,
-    with A_i = F diag(w[:, i]) F^H and C = F diag(c_w) F^H. The dual slack
-    is kept halved, S = (A*(y) - C)/2, and mu is the gap 2 Re Tr(XS) + xd.sd
+    with A_i = F diag(w[:, i]) F^H, C = F diag(c_w) F^H and gram2 the
+    elementwise |F^H F|^2 that solve() already formed. The dual slack is
+    kept halved, S = (A*(y) - C)/2, and mu is the gap 2 Re Tr(XS) + xd.sd
     over nu = 2n + nd: the scaling of the program's real symmetric
     embedding, whose HKM iterates these are.
     Primal and dual take one common step, the smaller of their two
@@ -166,7 +167,6 @@ def _ipm(f, w, vecs, b, c_w, c_vec, cfg: SolverConfig):
         return (f * (w @ v)) @ fh
 
     half_c = 0.5 * ((f * c_w) @ fh)
-    gram2 = np.abs(fh @ f) ** 2
     a_norms = _embedded_norms(gram2, w, vecs)
     norm_b = float(np.linalg.norm(b))
     norm_c = float(_embedded_norms(gram2, c_w[:, None], c_vec[None, :])[0])
@@ -351,14 +351,14 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     c_vec = np.zeros(nd)
     c_vec[:p] = sign * c_scal
-    c_scale = max(float(_embedded_norms(gram2, c_w[:, None], c_vec[None, :])[0]), 1e-30)
+    c_scale = float(_embedded_norms(gram2, c_w[:, None], c_vec[None, :])[0])
     if c_scale < 1e-18:
         c_scale = 1.0
     c_w = c_w / c_scale
     c_vec = c_vec / c_scale
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, xd, y, status, it, relgap, resid, pobj = _ipm(f, w, vecs, b, c_w, c_vec, cfg)
+        x, xd, y, status, it, relgap, resid, pobj = _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg)
 
     return SdpSolution(
         matrix=x,

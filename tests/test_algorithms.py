@@ -11,7 +11,7 @@ from irssec.algorithms import (SweepParams, algorithm1_cct, algorithm2_wscm,
                                multicast_upper_bound, pareto_filter,
                                secrecy_covariance, sweep_region)
 from irssec.analysis import brute_force_oracle
-from irssec.sdp import SdpStatus
+from irssec.sdp import SdpSolverError, SdpStatus
 from irssec.channel import ChannelSet, generate_channels, multi_user_scenario
 from irssec.model import effective_gains, multicast_capacity_from_gains
 
@@ -149,7 +149,7 @@ def test_algorithm1_respects_multicast_floor(rng):
 def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     pt = algorithm1_cct(ch, P, 0.0, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
-    # no floor: no margin programs, one Charnes-Cooper solve per power sample
+    # no floor: no eavesdropper program, one Charnes-Cooper solve per power sample
     assert pt.diagnostics["n_solves"] == 4
     assert pt.diagnostics["n_failed_alpha"] == 0
     assert pt.diagnostics["last_error"] is None
@@ -170,6 +170,67 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     assert pt.diagnostics["n_solves"] == 4
     assert pt.diagnostics["n_failed_alpha"] == 1
     assert "fractional SDP failed: Breakdown" in pt.diagnostics["last_error"]
+
+
+def eavesdropper_snr(ch):
+    ctx = algorithms._Lifted(ch, P)
+    eav = np.arange(1, ch.k)
+    value, _ = algorithms._max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav], None)
+    return value
+
+
+def test_algorithm1_floor_solves_one_eavesdropper_program(monkeypatch):
+    ch = rand_channelset(np.random.default_rng(7), n=3, k=3)
+    r_m = 0.9 * multicast_upper_bound(ch, P)[0]
+    real_solve = algorithms.solve
+    scalar_progs = []
+
+    def recording_solve(problem, config=None):
+        sol = real_solve(problem, config)
+        if problem.n_scalars:
+            scalar_progs.append(problem)
+        return sol
+
+    monkeypatch.setattr(algorithms, "solve", recording_solve)
+    pt = algorithm1_cct(ch, P, r_m, t_alpha=30, t_g=100, rng=np.random.default_rng(0))
+    assert len(scalar_progs) == 1
+    assert pt.diagnostics["n_failed_alpha"] == 0
+
+    # a failed eavesdropper solve fails every sample, solved once, never
+    # read as an unsupportable floor
+    def failing_scalar_solve(problem, config=None):
+        sol = recording_solve(problem, config)
+        if problem.n_scalars:
+            sol = replace(sol, status=SdpStatus.BREAKDOWN, duality_gap=1.0)
+        return sol
+
+    scalar_progs.clear()
+    monkeypatch.setattr(algorithms, "solve", failing_scalar_solve)
+    with pytest.raises(SdpSolverError, match="max-min SNR solve failed"):
+        algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
+    assert len(scalar_progs) == 1
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_eavesdropper_snr_bounds_phase_grid(seed):
+    ch = rand_channelset(np.random.default_rng(seed), n=3, k=3)
+    y = effective_gains(ch, phase_grid(ch.n, 32)) / ch.sigma2
+    assert eavesdropper_snr(ch) >= float(y[:, 1:].min(axis=1).max())
+    # one eavesdropper: the aligned closed form is exact
+    one = rand_channelset(np.random.default_rng(seed), n=3, k=2)
+    exact = model.aligned_gain(one.m[1], one.g, one.h[1]) ** 2 / one.sigma2[1]
+    assert eavesdropper_snr(one) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_cct_fixed_alpha_floor_window_top(seed):
+    ch = rand_channelset(np.random.default_rng(seed), n=3, k=3)
+    r_m = 0.5 * multicast_upper_bound(ch, P)[0]
+    c = 2.0 ** r_m
+    alpha_top = (P - (c - 1.0) / eavesdropper_snr(ch)) / c
+    assert 0.0 < alpha_top < P / 1.01
+    assert cct_fixed_alpha(ch, P, r_m, 0.99 * alpha_top) is not None
+    assert cct_fixed_alpha(ch, P, r_m, 1.01 * alpha_top) is None
 
 
 def test_secrecy_covariance_unit_diagonal_no_reflection():

@@ -48,8 +48,11 @@ def two_user_runs(ch):
 
 
 def four_user_runs(ch):
-    algorithms.multicast_upper_bound(ch, P)
+    r_up, _ = algorithms.multicast_upper_bound(ch, P)
     algorithms.cct_fixed_alpha(ch, P, 0.0, P)
+    algorithms.cct_fixed_alpha(ch, P, 0.5 * r_up, 0.1 * P)
+    # inside the floor's window, whose top is near 0.066 P: three floor rows
+    algorithms.cct_fixed_alpha(ch, P, 0.5 * r_up, 0.05 * P)
 
 
 @pytest.mark.parametrize("config, runs", [
