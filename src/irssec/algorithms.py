@@ -31,8 +31,7 @@ import numpy as np
 
 from . import model
 from .channel import ChannelSet
-from .sdp import (SdpProblem, SdpSolverError, SdpStatus, SolverConfig,
-                  grp_round, solve, substream)
+from .sdp import SdpProblem, SdpSolverError, SdpStatus, grp_round, solve, substream
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
 
@@ -62,13 +61,11 @@ class RegionBoundary:
 
 @dataclass
 class SweepParams:
+    """Sample counts of one sweep; every SDP runs at the solver's defaults."""
     t_alpha: int = 80
     t_lambda: int = 80
     t_g: int = 1000
     pareto_filter: bool = True
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    oracle_phase_levels: int = 64
-    oracle_alpha_points: int = 201
 
 
 class _Lifted:
@@ -90,7 +87,6 @@ class _Lifted:
         self.aligned2 = self.aligned2_raw / self.gain_scale
         self.traces = (np.abs(lifts) ** 2).sum(axis=0)
         self.n_solves = 0
-        self.eav_snr = None       # set by _qoms_margin_feasible on first use
 
     def weights(self, eye: float = 0.0, k: int | None = None, t_coef: float = 0.0):
         """Weight vector of eye*I + t_coef*T_k over the basis."""
@@ -108,12 +104,12 @@ class _Lifted:
     def unit_diag_rows(self):
         return [(w, "==", 1.0) for w in np.eye(self.n + 1, self.n + 1 + self.k)]
 
-    def solve(self, objective, cons, cfg: SolverConfig | None, **scalars):
+    def solve(self, objective, cons, **scalars):
         """Solve one lifted program over the basis; returns (solution, problem)."""
         prob = SdpProblem(dim=self.n + 1, objective=objective, constraints=cons,
                           basis=self.basis, **scalars)
         self.n_solves += 1
-        return solve(prob, cfg), prob
+        return solve(prob), prob
 
 
 def _solution_usable(sol) -> bool:
@@ -147,8 +143,7 @@ def _psd_shift(mat: np.ndarray) -> float:
     return max(0.0, -float(np.linalg.eigvalsh(mat)[0]))
 
 
-def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray,
-                 cfg: SolverConfig | None):
+def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     """Max over unit-diagonal PSD Z of min over `users` of weights_k Tr(Z T_k)
     in ctx units, as (value, Z): Z is the primal and value the smaller of two
     certified upper bounds, so it never lies below the relaxed maximum.
@@ -167,7 +162,7 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray,
     cons = [(ctx.weights(k=k, t_coef=wk), ">=", 0.0, [-s_scale])
             for k, wk in zip(users, weights)]
     cons += [c + (np.zeros(1),) for c in ctx.unit_diag_rows()]
-    sol, prob = ctx.solve(ctx.weights(), cons, cfg, n_scalars=1, scalar_objective=[s_scale])
+    sol, prob = ctx.solve(ctx.weights(), cons, n_scalars=1, scalar_objective=[s_scale])
     if not _solution_usable(sol):
         raise SdpSolverError(f"max-min SNR solve failed: {sol.status.value}")
     slack, y = _dual_slack(sol, prob)
@@ -179,53 +174,38 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray,
     return max(min(dual_snr, aligned_snr), 0.0), sol.matrix
 
 
-def multicast_upper_bound(ch: ChannelSet, p: float, cfg: SolverConfig | None = None):
+def multicast_upper_bound(ch: ChannelSet, p: float):
     """Certified upper bound on the largest supportable multicast floor, all
     power on the multicast stream: (log2(1 + s), Z) with (s, Z) the
     `_max_min_snr` of every user under weights P / sigma_k^2."""
     ctx = _Lifted(ch, p)
-    s, z = _max_min_snr(ctx, np.arange(ctx.k), ctx.p / ctx.sigma2, cfg)
+    s, z = _max_min_snr(ctx, np.arange(ctx.k), ctx.p / ctx.sigma2)
     return math.log2(1.0 + s), z
 
 
-def _qoms_margin_feasible(ctx: _Lifted, r_m: float, alpha: float,
-                          cfg: SolverConfig | None) -> bool:
-    """Can any unit-diagonal lifted covariance meet the eavesdroppers'
-    multicast floors (the Charnes-Cooper rows) at this power split?
-
-    Eavesdropper k needs Tr(Z T_k) / sigma_k^2 >= (c - 1) / (P - alpha c),
-    c = 2^r_m, so one constant decides every (r_m, alpha): M_eav, the
-    `_max_min_snr` of the eavesdroppers under weights 1 / sigma_k^2. It is
-    solved once per ctx; a failed solve is kept and raised for every sample,
-    never read as infeasible.
-    """
+def _eavesdropper_snr(ctx: _Lifted, r_m: float) -> float:
+    """M_eav, the `_max_min_snr` of the eavesdroppers under weights
+    1 / sigma_k^2 (inf without a floor). Eavesdropper k needs Tr(Z T_k) /
+    sigma_k^2 >= (c - 1) / (P - alpha c), c = 2^r_m, so this one constant
+    decides every (r_m, alpha). A failed solve raises SdpSolverError."""
     if r_m <= 0:
-        return True
-    if ctx.eav_snr is None:
-        eav = np.arange(1, ctx.k)
-        try:
-            ctx.eav_snr = _max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav], cfg)[0]
-        except SdpSolverError as exc:
-            ctx.eav_snr = exc
-    if isinstance(ctx.eav_snr, SdpSolverError):
-        raise ctx.eav_snr
-    c = 2.0 ** r_m
-    return (ctx.p - alpha * c) * ctx.eav_snr >= (c - 1.0) * (1.0 - 1e-12)
+        return math.inf
+    eav = np.arange(1, ctx.k)
+    return _max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav])[0]
 
 
-def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, cfg: SolverConfig | None):
+def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, eav_snr: float):
     """Charnes-Cooper SDP at a fixed confidential power.
 
     Returns (c_value, y, xi, z, beta0) in the normalized units of ctx, or
     None when no lifted covariance supports the multicast floor at this
-    power split. beta0 is the rescaled normalization bound. c_value bounds
+    power split, as when (P - alpha c) eav_snr < c - 1 (`_eavesdropper_snr`).
+    beta0 is the rescaled normalization bound. c_value bounds
     the relaxation from above: it is the dual objective divided by beta0, the
     sum of the normalization-row multipliers. A dual slack with smallest
     eigenvalue -t is made PSD by adding t (N+1)/sigma_1^2 to one of them,
     since every normalization matrix dominates (sigma_1^2/(N+1)) I.
     """
-    if not _qoms_margin_feasible(ctx, r_m, alpha, cfg):
-        return None
     n1 = ctx.n + 1
     s1 = ctx.sigma2[0]
     coefs = (s1 / ctx.sigma2) * alpha
@@ -234,11 +214,13 @@ def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, cfg: SolverConfig | None)
     cons = [(ctx.weights(s1 / n1, k, coefs[k]), "<=", beta0) for k in range(1, ctx.k)]
     if r_m > 0:
         c = 2.0 ** r_m
+        if not (ctx.p - alpha * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12):
+            return None
         for k in range(1, ctx.k):
             cons.append((ctx.weights(-(c - 1.0) * ctx.sigma2[k] / n1, k, ctx.p - alpha * c),
                          ">=", 0.0))
     cons += ctx.diag_tie_rows()
-    sol, prob = ctx.solve(ctx.weights(s1 / n1, 0, alpha), cons, cfg)
+    sol, prob = ctx.solve(ctx.weights(s1 / n1, 0, alpha), cons)
     if sol.status == SdpStatus.INFEASIBLE:
         return None
     if not _solution_usable(sol):
@@ -254,8 +236,7 @@ def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, cfg: SolverConfig | None)
     return c_value, y, xi, z, beta0
 
 
-def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float,
-                    cfg: SolverConfig | None = None):
+def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     """Secrecy-objective relaxation bound at a fixed confidential power.
 
     Returns (c_value, y, xi) with log2(c_value) an upper bound on the secrecy
@@ -266,7 +247,7 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float,
     if not (-1e-12 <= alpha <= p + 1e-12):
         raise ValueError("confidential power must lie in [0, P]")
     ctx = _Lifted(ch, p)
-    res = _cct_solve(ctx, r_m, min(max(alpha, 0.0), p), cfg)
+    res = _cct_solve(ctx, r_m, min(max(alpha, 0.0), p), _eavesdropper_snr(ctx, r_m))
     if res is None:
         return None
     c_value, y, xi, _, beta0 = res
@@ -319,8 +300,7 @@ def _repaired_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray,
 
 
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
-                   t_g: int = 1000, rng: np.random.Generator | None = None,
-                   cfg: SolverConfig | None = None) -> BoundaryPoint:
+                   t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
     """Fractional-programming sweep over the confidential power grid.
 
     At each grid power the Charnes-Cooper SDP is solved, candidates are drawn
@@ -331,20 +311,22 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
 
     diagnostics: n_solves counts every SDP run, one Charnes-Cooper solve per
     sample inside the supportable window plus, when r_m > 0, the eavesdropper
-    max-min solve; n_failed_alpha counts samples whose solve raised.
+    max-min solve; n_failed_alpha counts samples whose solve raised. A failed
+    eavesdropper solve raises, since it would fail every sample.
     """
     if t_alpha < 2:
         raise ValueError("need at least two power samples")
     if rng is None:
         rng = np.random.default_rng(0)
     ctx = _Lifted(ch, p)
+    eav_snr = _eavesdropper_snr(ctx, r_m)
     state = {"best": None, "n_failed": 0, "n_steps": 0, "last_error": None,
              "max_feasible": -1.0}
 
     def run_step(alpha_t):
         state["n_steps"] += 1
         try:
-            res = _cct_solve(ctx, r_m, alpha_t, cfg)
+            res = _cct_solve(ctx, r_m, alpha_t, eav_snr)
         except SdpSolverError as exc:
             # Powers at the exact feasibility edge lose strict interiority;
             # skip the sample unless every sample fails.
@@ -394,12 +376,12 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     return BoundaryPoint(r_m, r_c, alpha, v, bound, True, "cct", diagnostics=diagnostics)
 
 
-def secrecy_covariance(ch: ChannelSet, p: float, cfg: SolverConfig | None = None) -> np.ndarray:
+def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
     """Secrecy-optimal lifted covariance: the Charnes-Cooper program with all
     power on the confidential stream and no multicast floor; returns the
     unit-diagonal Z."""
     ctx = _Lifted(ch, p)
-    res = _cct_solve(ctx, 0.0, p, cfg)
+    res = _cct_solve(ctx, 0.0, p, math.inf)
     if res is None:
         raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
     return res[3]
@@ -407,7 +389,6 @@ def secrecy_covariance(ch: ChannelSet, p: float, cfg: SolverConfig | None = None
 
 def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
                     t_g: int = 1000, rng: np.random.Generator | None = None,
-                    cfg: SolverConfig | None = None,
                     z_m: np.ndarray | None = None,
                     z_c: np.ndarray | None = None) -> BoundaryPoint:
     """Weighted-covariance-blend heuristic.
@@ -422,9 +403,9 @@ def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
     if rng is None:
         rng = np.random.default_rng(0)
     if z_m is None:
-        _, z_m = multicast_upper_bound(ch, p, cfg)
+        _, z_m = multicast_upper_bound(ch, p)
     if z_c is None:
-        z_c = secrecy_covariance(ch, p, cfg)
+        z_c = secrecy_covariance(ch, p)
     score = _masked_alpha_scores(ch, p, r_m, None)
     best = None
     for t in range(t_lambda):
@@ -482,9 +463,9 @@ def baseline_tdma(ch: ChannelSet, p: float, grid_points: int,
     rounding of the multicast-optimal covariance; the region is the segment
     between them.
     """
-    head = algorithm1_cct(ch, p, 0.0, params.t_alpha, params.t_g, rng, params.solver)
+    head = algorithm1_cct(ch, p, 0.0, params.t_alpha, params.t_g, rng)
     r_c_max = head.r_c_achieved
-    _, z_m = multicast_upper_bound(ch, p, params.solver)
+    _, z_m = multicast_upper_bound(ch, p)
     v_m, r_m_max = grp_round(z_m, params.t_g, _multicast_score(ch, p), rng)
     points = []
     for t in np.linspace(0.0, 1.0, grid_points):
@@ -530,10 +511,10 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
                  params: SweepParams | None = None, seed: int = 0) -> RegionBoundary:
     """Evaluate one scheme on uniform multicast targets over [0, r_m_up].
 
-    Targets beyond the supportable maximum are reported with feasible=False
-    rather than dropped. Each grid point draws from its own child generator
-    derived from (seed, index), so results are independent of worker count
-    and scheduling. Set IRSSEC_THREADS to bound the thread pool.
+    Targets beyond the supportable maximum are reported with feasible=False.
+    Grid point i draws from the child generator (seed, i), so results do not
+    depend on worker count or scheduling; IRSSEC_THREADS bounds the thread
+    pool. The oracle enumerates 64 phase levels and 201 power samples.
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")
@@ -545,7 +526,7 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         region = baseline_tdma(ch, p, grid_points, params, substream(seed, 0))
         return pareto_filter(region) if params.pareto_filter else region
 
-    r_m_up, z_m = multicast_upper_bound(ch, p, params.solver)
+    r_m_up, z_m = multicast_upper_bound(ch, p)
     targets = np.linspace(0.0, r_m_up, grid_points)
 
     if model.feasibility_check(ch) is model.Feasibility.INFEASIBLE:
@@ -561,27 +542,26 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         region = RegionBoundary(pts)
         return pareto_filter(region) if params.pareto_filter else region
 
-    z_c = secrecy_covariance(ch, p, params.solver) if scheme == "wscm" else None
+    z_c = secrecy_covariance(ch, p) if scheme == "wscm" else None
 
     def eval_point(idx: int) -> BoundaryPoint:
         rm = float(targets[idx])
         rng = substream(seed, idx)
         if scheme == "cct":
-            return algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng, params.solver)
+            return algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng)
         if scheme == "wscm":
             return algorithm2_wscm(ch, p, rm, params.t_lambda, params.t_g, rng,
-                                   params.solver, z_m=z_m, z_c=z_c)
+                                   z_m=z_m, z_c=z_c)
         if scheme == "random-irs":
             return baseline_random_irs(ch, p, rm, rng)
         if scheme == "no-irs":
             return baseline_no_irs(ch, p, rm)
         if scheme == "upper-bound":
-            pt = algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng, params.solver)
+            pt = algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng)
             value = pt.upper_bound if pt.feasible else 0.0
             return replace(pt, r_c_achieved=value, scheme="upper-bound")
         from .analysis import brute_force_oracle
-        r_c, v, alpha = brute_force_oracle(ch, p, rm, params.oracle_phase_levels,
-                                           params.oracle_alpha_points)
+        r_c, v, alpha = brute_force_oracle(ch, p, rm, 64, 201)
         return BoundaryPoint(rm, r_c, alpha, v, math.nan, v is not None, "oracle")
 
     workers = _sweep_workers()

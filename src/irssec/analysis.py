@@ -12,6 +12,8 @@ import numpy as np
 from . import model
 from .channel import ChannelSet
 
+_ORACLE_MAX_CELLS = 60_000_000   # largest phase/power grid brute_force_oracle enumerates
+
 
 class IrsEffect(enum.Enum):
     IMPROVES = "Improves"
@@ -169,8 +171,7 @@ def grp_complexity(n: int, t_g: int) -> float:
 
 
 def brute_force_oracle(ch: ChannelSet, p: float, r_m: float, phase_levels: int,
-                       alpha_points: int, grid_offset: float = 0.0,
-                       max_cells: int = 60_000_000):
+                       alpha_points: int, grid_offset: float = 0.0):
     """Exhaustive reference: enumerate phases on a uniform grid and the
     confidential power on a uniform [0, P] grid; return the best
     floor-feasible secrecy rate as (r_c, v, alpha), with v None when no grid
@@ -180,7 +181,7 @@ def brute_force_oracle(ch: ChannelSet, p: float, r_m: float, phase_levels: int,
     """
     n = ch.n
     cells = phase_levels ** n * alpha_points
-    if n > 3 or cells > max_cells:
+    if n > 3 or cells > _ORACLE_MAX_CELLS:
         raise ValueError(f"oracle grid too large: {phase_levels}^{n} x {alpha_points} "
                          f"= {cells:.3g} cells")
     thetas = grid_offset + 2.0 * np.pi * np.arange(phase_levels) / phase_levels

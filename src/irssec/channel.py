@@ -30,13 +30,16 @@ def parse_power_w(value) -> float:
         return float(value)
     if isinstance(value, str):
         text = value.strip().lower().replace(" ", "")
-        if text.endswith("dbm"):
-            return 10.0 ** ((float(text[:-3]) - 30.0) / 10.0)
-        if text.endswith("dbw"):
-            return 10.0 ** (float(text[:-3]) / 10.0)
-        if text.endswith("db"):
-            return 10.0 ** (float(text[:-2]) / 10.0)
-        return float(text)
+        try:
+            if text.endswith("dbm"):
+                return 10.0 ** ((float(text[:-3]) - 30.0) / 10.0)
+            if text.endswith("dbw"):
+                return 10.0 ** (float(text[:-3]) / 10.0)
+            if text.endswith("db"):
+                return 10.0 ** (float(text[:-2]) / 10.0)
+            return float(text)
+        except ValueError:
+            pass
     raise ScenarioError(f"cannot parse power value {value!r}")
 
 
@@ -187,11 +190,17 @@ class ChannelSet:
                           self.h[order].copy(), self.sigma2[order].copy())
 
 
-def _angles_towards(origin: np.ndarray, target: np.ndarray):
-    """Azimuth/elevation of the ray from origin to target in the global frame.
+def _link_angles(override: dict, origin: np.ndarray, target: np.ndarray):
+    """Azimuth/elevation of the ray from origin to target in the global frame,
+    unless the override entry gives both angles (one alone is an error).
 
     Elevation is measured from the +z axis; azimuth in the xy-plane from +x.
     """
+    given = [key for key in ("azimuth_rad", "elevation_rad") if key in override]
+    if len(given) == 2:
+        return float(override["azimuth_rad"]), float(override["elevation_rad"])
+    if given:
+        raise ScenarioError(f"angle override {override} gives {given[0]} without the other angle")
     u = target - origin
     d = float(np.linalg.norm(u))
     if d <= 0:
@@ -211,10 +220,7 @@ def _link_geometry(config: ScenarioConfig) -> dict:
     d_ai = ap_irs.get("distance_m")
     if d_ai is None:
         d_ai = float(np.linalg.norm(config.irs_position - config.ap_position))
-    if "azimuth_rad" in ap_irs:
-        phi_ai, omega_ai = float(ap_irs["azimuth_rad"]), float(ap_irs["elevation_rad"])
-    else:
-        phi_ai, omega_ai = _angles_towards(config.irs_position, config.ap_position)
+    phi_ai, omega_ai = _link_angles(ap_irs, config.irs_position, config.ap_position)
     out["ap_irs"] = (float(d_ai), phi_ai, omega_ai)
 
     ap_user = ov.get("ap_user_m", [None] * config.n_users)
@@ -232,10 +238,7 @@ def _link_geometry(config: ScenarioConfig) -> dict:
         d_iu = entry.get("distance_m")
         if d_iu is None:
             d_iu = float(np.linalg.norm(config.user_positions[k] - config.irs_position))
-        if "azimuth_rad" in entry:
-            phi, omega = float(entry["azimuth_rad"]), float(entry["elevation_rad"])
-        else:
-            phi, omega = _angles_towards(config.irs_position, config.user_positions[k])
+        phi, omega = _link_angles(entry, config.irs_position, config.user_positions[k])
         out["irs_user"].append((float(d_iu), phi, omega))
 
     for name, d in [("ap_irs", out["ap_irs"][0])] + [(f"ap_user{k}", out["ap_user"][k]) for k in range(config.n_users)] \

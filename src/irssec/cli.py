@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algorithms, analysis, model
 from .channel import ScenarioError, generate_channels, load_scenario
-from .sdp import SdpSolverError, SolverConfig, grp_round, substream
+from .sdp import SdpSolverError, grp_round, substream
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -50,8 +50,10 @@ class RunSpec:
     pareto_filter: bool = True
 
     def __post_init__(self):
-        if self.grid_points < 2:
-            raise CliError("--grid must be at least 2")
+        for flag, value, least in (("--grid", self.grid_points, 2), ("--t-alpha", self.t_alpha, 2),
+                                   ("--t-lambda", self.t_lambda, 2), ("--t-g", self.t_g, 1)):
+            if value < least:
+                raise CliError(f"{flag} must be at least {least}")
         if self.scheme not in algorithms.SCHEMES:
             raise CliError(f"unknown scheme {self.scheme!r}; pick from {algorithms.SCHEMES}")
 

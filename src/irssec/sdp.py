@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_RANK_TOL = 1e-7          # grp_round: rank one below this eigenvalue/trace share
+
 
 class SdpStatus(enum.Enum):
     OPTIMAL = "Optimal"
@@ -378,8 +380,7 @@ def _unit_phase(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Generator,
-              rank_tol: float = 1e-7):
+def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Generator):
     """Gaussian randomization of a lifted covariance into a phase vector.
 
     Draws ``candidates`` vectors zt = U sqrt(Sigma) r with r ~ CN(0, I) from
@@ -387,8 +388,9 @@ def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Gener
     via entrywise zt(i)/zt(N+1), and returns the candidate maximizing the
     caller's score. ``score`` receives a (batch, N) complex array and returns
     a (batch,) float array. If the input is rank one (second eigenvalue below
-    rank_tol times the trace) the deterministic eigenvector extraction is
-    used instead of randomization.
+    _RANK_TOL times the trace) the deterministic eigenvector extraction is
+    used instead of randomization. A covariance that gives the lifted
+    coordinate N+1 no variance raises ValueError: no draw can be normalized.
     """
     if candidates < 1:
         raise ValueError("need at least one candidate")
@@ -402,7 +404,7 @@ def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Gener
     if trace <= 0:
         raise ValueError("input covariance has nonpositive trace")
 
-    if size > 1 and float(lam[:-1].max()) <= rank_tol * trace:
+    if size > 1 and float(lam[:-1].max()) <= _RANK_TOL * trace:
         vec = u[:, -1] * math.sqrt(lam[-1])
         if abs(vec[-1]) > 1e-9 * math.sqrt(trace):
             v = _unit_phase(vec[:n_phase] / vec[n_phase])
@@ -419,7 +421,7 @@ def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Gener
         denom = zt[n_phase, :]
         keep = np.abs(denom) > 1e-300
         if not keep.any():
-            continue
+            raise ValueError("input covariance gives the lifted coordinate no variance")
         ratios = zt[:n_phase, keep] / denom[keep]
         batch = _unit_phase(ratios.T)
         scores = np.asarray(score(batch), dtype=float).reshape(-1)

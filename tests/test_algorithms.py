@@ -175,7 +175,7 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
 def eavesdropper_snr(ch):
     ctx = algorithms._Lifted(ch, P)
     eav = np.arange(1, ch.k)
-    value, _ = algorithms._max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav], None)
+    value, _ = algorithms._max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav])
     return value
 
 

@@ -176,6 +176,27 @@ def test_scenario_rejects_unknown_fields():
         scenario_from_dict(data)
 
 
+def test_malformed_scenario_values_raise_scenario_error():
+    with pytest.raises(ScenarioError, match="cannot parse power"):
+        parse_power_w("abc")
+    with pytest.raises(ScenarioError, match="cannot parse power"):
+        parse_power_w("x dBm")
+    data = scenario_to_dict(two_user_scenario())
+    data["total_power_w"] = "abc"
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(data)
+    # an angle override gives both angles or neither
+    for link in ("ap_irs", "irs_user"):
+        for angle in ("elevation_rad", "azimuth_rad"):
+            data = scenario_to_dict(two_user_scenario())
+            ov = data["distance_overrides"]
+            entry = ov["ap_irs"] if link == "ap_irs" else ov["irs_user"][1]
+            del entry[angle]
+            config = scenario_from_dict(data)
+            with pytest.raises(ScenarioError, match="without the other angle"):
+                generate_channels(config)
+
+
 def test_scenario_requires_two_users():
     data = scenario_to_dict(two_user_scenario())
     data["user_positions"] = data["user_positions"][:1]

@@ -87,7 +87,7 @@ def test_region_exit_2_for_infeasible_scenario(tmp_path, capsys):
     assert "user 2" in err
 
 
-def test_region_exit_1_for_bad_config(tmp_path):
+def test_region_exit_1_for_bad_config(tmp_path, capsys):
     assert main(["region", "--scenario", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     scn = write_scenario(tmp_path)
@@ -95,6 +95,26 @@ def test_region_exit_1_for_bad_config(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     assert main(["region", "--scenario", scn, "--scheme", "bogus",
                  "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    capsys.readouterr()
+    for bad in (["--t-alpha", "1"], ["--t-g", "0"], ["--scheme", "wscm", "--t-lambda", "1"]):
+        assert main(["region", "--scenario", scn, "--out", str(tmp_path / "x.csv")]
+                    + bad) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: --t-")
+    assert main(["analyze", "--scenario", scn, "--t-alpha", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --t-alpha")
+
+
+def test_region_exit_1_for_malformed_scenario_values(tmp_path, capsys):
+    data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
+    bad_power = dict(data, total_power_w="abc")
+    half_angle = json.loads(json.dumps(data))
+    del half_angle["distance_overrides"]["irs_user"][0]["elevation_rad"]
+    for i, bad in enumerate((bad_power, half_angle)):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["region", "--scenario", str(path),
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("scenario error: ")
 
 
 def test_oracle_scheme_dominates_cct_run(tmp_path):

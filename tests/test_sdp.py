@@ -174,6 +174,13 @@ def test_grp_deterministic_given_seed(rng):
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
+def test_grp_rejects_covariance_without_lifted_variance():
+    # every draw's lifted coordinate is zero, so no candidate can be normalized
+    score = lambda vb: np.zeros(vb.shape[0])
+    with pytest.raises(ValueError, match="no variance"):
+        grp_round(np.diag([1.0, 0.0]), 10, score, np.random.default_rng(0))
+
+
 def test_grp_unit_modulus_and_relaxation_dominance():
     n = 4
     rng = np.random.default_rng(5)
