@@ -7,8 +7,8 @@ Two optimized schemes plus benchmarks:
                  secrecy objective and Gaussian randomization extracts a
                  feasible reflection pattern.
 * ``wscm``       blends the multicast-optimal and secrecy-optimal lifted
-                 covariances and picks the best rounding over the blend grid,
-                 with the confidential power set in closed form.
+                 covariances; each blend's rounding draws serve every floor
+                 of a region, with the confidential power set in closed form.
 * ``random-irs`` uniform random phases with closed-form power split.
 * ``no-irs``     direct channels only.
 * ``tdma``       orthogonal time sharing between the two services.
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import model
 from .channel import ChannelSet
-from .sdp import SdpProblem, SdpSolverError, SdpStatus, grp_round, solve, substream
+from .sdp import SdpProblem, SdpSolverError, SdpStatus, grp_draw, grp_round, solve, substream
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
 
@@ -255,41 +255,41 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     return c_value, y / scale, xi / scale
 
 
-def _masked_alpha_scores(ch: ChannelSet, p: float, r_m: float, alpha_cap: float | None):
-    """Score callback factory: per-candidate secrecy at the repaired power.
+def _masked_alpha_scores(ch: ChannelSet, p: float, floors, alpha_cap: float | None):
+    """Score callback factory: per-candidate secrecy at the repaired power,
+    one column per multicast floor in `floors` (a scalar is one floor).
 
-    Candidates that cannot meet the multicast floor at any power score -inf.
-    With alpha_cap set, the power is min(alpha_cap, closed-form optimum).
+    score(vbatch) computes the batch's gains once and returns a (B, F) array.
+    Candidates that cannot meet a floor at any power score -inf there. With
+    alpha_cap set, the power is min(alpha_cap, closed-form optimum).
     """
     sigma2 = ch.sigma2
-    c = 2.0 ** r_m
+    r_m = np.atleast_1d(np.asarray(floors, dtype=float))
+    c = np.array([2.0 ** float(r) for r in r_m])     # the float pow of the repair's closed form
+    floored = r_m > 0
 
     def score(vbatch):
         x = model.effective_gains(ch, vbatch)
         y = x / sigma2
         tau = np.argmin(y, axis=-1)
-        x_tau = np.take_along_axis(x, tau[:, None], axis=-1)[:, 0]
-        s_tau = sigma2[tau]
-        if r_m > 0:
-            ok = np.log2(1.0 + p * y.min(axis=-1)) >= r_m - _RM_SLACK
-            with np.errstate(divide="ignore", invalid="ignore"):
-                a = (p * x_tau - (c - 1.0) * s_tau) / (c * x_tau)
-            a = np.where(x_tau > 0, np.clip(a, 0.0, p), 0.0)
-        else:
-            ok = np.ones(x.shape[0], dtype=bool)
-            a = np.full(x.shape[0], p)
+        x_tau = np.take_along_axis(x, tau[:, None], axis=-1)
+        s_tau = sigma2[tau][:, None]
+        ok = (np.log2(1.0 + p * y.min(axis=-1))[:, None] >= r_m - _RM_SLACK) | ~floored
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (p * x_tau - (c - 1.0) * s_tau) / (c * x_tau)
+        a = np.where(floored, np.where(x_tau > 0, np.clip(a, 0.0, p), 0.0), p)
         if alpha_cap is not None:
             a = np.minimum(a, alpha_cap)
-        r = model.secrecy_rate_from_gains(x, sigma2, a)
+        r = model.secrecy_rate_from_gains(x[:, None, :], sigma2, a)
         return np.where(ok, r, -np.inf)
 
     return score
 
 
-def _repaired_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray,
+def _repaired_point(ch: ChannelSet, p: float, r_m: float, x: np.ndarray,
                     alpha_cap: float | None):
-    """Evaluate one pattern: bottleneck power repair plus feasibility check."""
-    x = model.effective_gains(ch, v)
+    """Evaluate one pattern by its gains x: bottleneck power repair plus
+    feasibility check."""
     tau = model.bottleneck_user(x, ch.sigma2)
     alpha = model.alpha_opt_closed_form(x[tau], ch.sigma2[tau], p, r_m)
     if alpha_cap is not None:
@@ -297,6 +297,17 @@ def _repaired_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray,
     feasible = model.multicast_capacity_from_gains(x, ch.sigma2, p) >= r_m - _RM_SLACK
     r_c = float(model.secrecy_rate_from_gains(x, ch.sigma2, alpha))
     return r_c, float(alpha), bool(feasible)
+
+
+def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
+                   scheme: str, diagnostics: dict | None = None) -> BoundaryPoint:
+    """Boundary point of pattern v at its repaired power split; infeasible
+    when v is None or cannot carry the multicast floor r_m."""
+    if v is not None:
+        r_c, alpha, feas = _repaired_point(ch, p, r_m, model.effective_gains(ch, v), None)
+        if feas:
+            return BoundaryPoint(r_m, r_c, alpha, v, math.nan, True, scheme, diagnostics or {})
+    return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, scheme)
 
 
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
@@ -340,7 +351,7 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
         v, sc = grp_round(z, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
         if not np.isfinite(sc):
             return
-        r_c, alpha_fix, feas = _repaired_point(ch, p, r_m, v, alpha_t)
+        r_c, alpha_fix, feas = _repaired_point(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
         if not feas:
             return
         bound = max(0.0, math.log2(max(c_value, 1e-300)))
@@ -387,64 +398,54 @@ def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
     return res[3]
 
 
-def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
-                    t_g: int = 1000, rng: np.random.Generator | None = None,
-                    z_m: np.ndarray | None = None,
-                    z_c: np.ndarray | None = None) -> BoundaryPoint:
-    """Weighted-covariance-blend heuristic.
+def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
+                 rng: np.random.Generator | None, z_m: np.ndarray | None,
+                 z_c: np.ndarray | None) -> list:
+    """Weighted-covariance-blend heuristic at every multicast floor in `floors`.
 
-    Blends the secrecy-optimal and multicast-optimal lifted covariances over
-    a uniform weight grid, rounds each blend, sets the confidential power by
-    the bottleneck closed form, and keeps the best rounded pattern. z_m / z_c
-    may be precomputed once per channel set and shared across floors.
+    Each blend lam z_c + (1 - lam) z_m of a uniform weight grid draws its T_g
+    candidates once from rng, scored against every floor. Each floor keeps
+    its best candidate (ties go to the first blend) and sets the confidential
+    power by the bottleneck closed form. z_m / z_c may be shared across calls.
     """
     if t_lambda < 2:
         raise ValueError("need at least two blend samples")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if z_m is None:
-        _, z_m = multicast_upper_bound(ch, p)
-    if z_c is None:
-        z_c = secrecy_covariance(ch, p)
-    score = _masked_alpha_scores(ch, p, r_m, None)
-    best = None
+    rng = np.random.default_rng(0) if rng is None else rng
+    z_m = multicast_upper_bound(ch, p)[1] if z_m is None else z_m
+    z_c = secrecy_covariance(ch, p) if z_c is None else z_c
+    floors = np.asarray(floors, dtype=float)
+    score = _masked_alpha_scores(ch, p, floors, None)
+    best = np.full(floors.size, -np.inf)
+    best_v, best_lam = [None] * floors.size, [None] * floors.size
     for t in range(t_lambda):
         lam = t / (t_lambda - 1)
-        blend = lam * z_c + (1.0 - lam) * z_m
-        v, sc = grp_round(blend, t_g, score, rng)
-        if not np.isfinite(sc):
-            continue
-        r_c, alpha, feas = _repaired_point(ch, p, r_m, v, None)
-        if not feas:
-            continue
-        if best is None or r_c > best[0]:
-            best = (r_c, alpha, v, lam)
-    if best is None:
-        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "wscm")
-    r_c, alpha, v, lam = best
-    return BoundaryPoint(r_m, r_c, alpha, v, math.nan, True, "wscm",
-                         diagnostics={"lambda": lam})
+        batch = grp_draw(lam * z_c + (1.0 - lam) * z_m, t_g, rng)
+        scores = score(batch)
+        top = np.argmax(scores, axis=0)
+        for f in np.flatnonzero(scores[top, np.arange(floors.size)] > best):
+            best[f], best_v[f], best_lam[f] = scores[top[f], f], batch[top[f]].copy(), lam
+    return [_rounded_point(ch, p, r_m, v, "wscm", {"lambda": lam})
+            for r_m, v, lam in zip(floors.tolist(), best_v, best_lam)]
+
+
+def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
+                    t_g: int = 1000, rng: np.random.Generator | None = None,
+                    z_m: np.ndarray | None = None, z_c: np.ndarray | None = None) -> BoundaryPoint:
+    """`_wscm_points` at the single floor r_m."""
+    return _wscm_points(ch, p, [r_m], t_lambda, t_g, rng, z_m, z_c)[0]
 
 
 def baseline_random_irs(ch: ChannelSet, p: float, r_m: float,
                         rng: np.random.Generator) -> BoundaryPoint:
     """Uniform random phases with the closed-form power split."""
-    v = np.exp(2j * np.pi * rng.random(ch.n))
-    r_c, alpha, feas = _repaired_point(ch, p, r_m, v, None)
-    if not feas:
-        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "random-irs")
-    return BoundaryPoint(r_m, r_c, alpha, v, math.nan, True, "random-irs")
+    return _rounded_point(ch, p, r_m, np.exp(2j * np.pi * rng.random(ch.n)), "random-irs")
 
 
 def baseline_no_irs(ch: ChannelSet, p: float, r_m: float) -> BoundaryPoint:
     """Direct channels only; power split from the bottleneck closed form."""
-    x = np.abs(ch.h) ** 2
-    tau = model.bottleneck_user(x, ch.sigma2)
-    alpha = model.alpha_opt_closed_form(x[tau], ch.sigma2[tau], p, r_m)
-    feasible = bool(model.multicast_capacity_from_gains(x, ch.sigma2, p) >= r_m - _RM_SLACK)
-    if not feasible:
+    r_c, alpha, feas = _repaired_point(ch, p, r_m, np.abs(ch.h) ** 2, None)
+    if not feas:
         return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "no-irs")
-    r_c = float(model.secrecy_rate_from_gains(x, ch.sigma2, alpha))
     return BoundaryPoint(r_m, r_c, alpha, None, math.nan, True, "no-irs")
 
 
@@ -512,9 +513,10 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     """Evaluate one scheme on uniform multicast targets over [0, r_m_up].
 
     Targets beyond the supportable maximum are reported with feasible=False.
-    Grid point i draws from the child generator (seed, i), so results do not
-    depend on worker count or scheduling; IRSSEC_THREADS bounds the thread
-    pool. The oracle enumerates 64 phase levels and 201 power samples.
+    Grid point i draws from the child generator (seed, i); the wscm floors
+    share one, (seed, 0), in a single pass. Results do not depend on worker
+    count or scheduling; IRSSEC_THREADS bounds the thread pool. The oracle
+    enumerates 64 phase levels and 201 power samples.
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")
@@ -542,16 +544,11 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         region = RegionBoundary(pts)
         return pareto_filter(region) if params.pareto_filter else region
 
-    z_c = secrecy_covariance(ch, p) if scheme == "wscm" else None
-
     def eval_point(idx: int) -> BoundaryPoint:
         rm = float(targets[idx])
         rng = substream(seed, idx)
         if scheme == "cct":
             return algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng)
-        if scheme == "wscm":
-            return algorithm2_wscm(ch, p, rm, params.t_lambda, params.t_g, rng,
-                                   z_m=z_m, z_c=z_c)
         if scheme == "random-irs":
             return baseline_random_irs(ch, p, rm, rng)
         if scheme == "no-irs":
@@ -564,8 +561,10 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         r_c, v, alpha = brute_force_oracle(ch, p, rm, 64, 201)
         return BoundaryPoint(rm, r_c, alpha, v, math.nan, v is not None, "oracle")
 
-    workers = _sweep_workers()
-    if workers == 1 or grid_points == 2:
+    if scheme == "wscm":
+        points = _wscm_points(ch, p, targets, params.t_lambda, params.t_g, substream(seed, 0),
+                              z_m, secrecy_covariance(ch, p))
+    elif (workers := _sweep_workers()) == 1 or grid_points == 2:
         points = [eval_point(i) for i in range(grid_points)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

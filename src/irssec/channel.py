@@ -126,11 +126,11 @@ class ScenarioConfig:
         self.noise_powers_w = [parse_power_w(p) for p in self.noise_powers_w]
         if len(self.noise_powers_w) != len(self.user_positions):
             raise ScenarioError("one noise power per user is required")
-        if any(s <= 0 for s in self.noise_powers_w):
-            raise ScenarioError("noise powers must be positive")
+        if not all(0 < s < math.inf for s in self.noise_powers_w):
+            raise ScenarioError("noise powers must be finite and positive")
         self.total_power_w = parse_power_w(self.total_power_w)
-        if self.total_power_w <= 0:
-            raise ScenarioError("total power must be positive")
+        if not 0 < self.total_power_w < math.inf:
+            raise ScenarioError("total power must be finite and positive")
         if self.n_y < 1 or self.n_z < 1:
             raise ScenarioError("IRS grid dimensions must be >= 1")
         if self.rician_kappa < 0:
@@ -190,56 +190,56 @@ class ChannelSet:
                           self.h[order].copy(), self.sigma2[order].copy())
 
 
-def _link_angles(override: dict, origin: np.ndarray, target: np.ndarray):
-    """Azimuth/elevation of the ray from origin to target in the global frame,
-    unless the override entry gives both angles (one alone is an error).
+def _override_float(value, name: str) -> float:
+    """An override value as a finite float; ScenarioError naming the field
+    otherwise."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ScenarioError(f"override {name} must be a finite number, got {value!r}")
+    return out
+
+
+def _link(entry: dict, name: str, origin: np.ndarray, target: np.ndarray):
+    """(distance, azimuth, elevation) of the ray from origin to target in the
+    global frame, unless the override entry gives the distance or both angles
+    (one angle alone is an error).
 
     Elevation is measured from the +z axis; azimuth in the xy-plane from +x.
     """
-    given = [key for key in ("azimuth_rad", "elevation_rad") if key in override]
-    if len(given) == 2:
-        return float(override["azimuth_rad"]), float(override["elevation_rad"])
-    if given:
-        raise ScenarioError(f"angle override {override} gives {given[0]} without the other angle")
+    given = [key for key in ("azimuth_rad", "elevation_rad") if key in entry]
+    if len(given) == 1:
+        raise ScenarioError(f"angle override {entry} gives {given[0]} without the other angle")
     u = target - origin
     d = float(np.linalg.norm(u))
-    if d <= 0:
+    if given:
+        angles = tuple(_override_float(entry[key], f"{name}.{key}") for key in given)
+    elif d > 0:
+        u = u / d
+        angles = (math.atan2(u[1], u[0]), math.acos(np.clip(u[2], -1.0, 1.0)))
+    else:
         raise ScenarioError("coincident terminals give an undefined ray")
-    u = u / d
-    omega = math.acos(np.clip(u[2], -1.0, 1.0))
-    phi = math.atan2(u[1], u[0])
-    return phi, omega
+    if entry.get("distance_m") is not None:
+        d = _override_float(entry["distance_m"], f"{name}.distance_m")
+    return (d,) + angles
 
 
 def _link_geometry(config: ScenarioConfig) -> dict:
     """Distances and LoS angles for every link, honoring overrides."""
     ov = config.distance_overrides or {}
-    out = {}
-
-    ap_irs = ov.get("ap_irs", {})
-    d_ai = ap_irs.get("distance_m")
-    if d_ai is None:
-        d_ai = float(np.linalg.norm(config.irs_position - config.ap_position))
-    phi_ai, omega_ai = _link_angles(ap_irs, config.irs_position, config.ap_position)
-    out["ap_irs"] = (float(d_ai), phi_ai, omega_ai)
-
-    ap_user = ov.get("ap_user_m", [None] * config.n_users)
-    irs_user = ov.get("irs_user", [None] * config.n_users)
-    out["ap_user"] = []
-    out["irs_user"] = []
-    for k in range(config.n_users):
-        d = ap_user[k] if k < len(ap_user) and ap_user[k] is not None else None
-        if d is None:
-            d = float(np.linalg.norm(config.user_positions[k] - config.ap_position))
-        out["ap_user"].append(float(d))
-
-        entry = irs_user[k] if k < len(irs_user) else None
-        entry = entry or {}
-        d_iu = entry.get("distance_m")
-        if d_iu is None:
-            d_iu = float(np.linalg.norm(config.user_positions[k] - config.irs_position))
-        phi, omega = _link_angles(entry, config.irs_position, config.user_positions[k])
-        out["irs_user"].append((float(d_iu), phi, omega))
+    ap_user = ov.get("ap_user_m") or []
+    irs_user = ov.get("irs_user") or []
+    out = {"ap_irs": _link(ov.get("ap_irs") or {}, "ap_irs",
+                           config.irs_position, config.ap_position),
+           "ap_user": [], "irs_user": []}
+    for k, pos in enumerate(config.user_positions):
+        d = ap_user[k] if k < len(ap_user) else None
+        out["ap_user"].append(float(np.linalg.norm(pos - config.ap_position)) if d is None
+                              else _override_float(d, f"ap_user_m[{k}]"))
+        entry = (irs_user[k] if k < len(irs_user) else None) or {}
+        out["irs_user"].append(_link(entry, f"irs_user[{k}]", config.irs_position, pos))
 
     for name, d in [("ap_irs", out["ap_irs"][0])] + [(f"ap_user{k}", out["ap_user"][k]) for k in range(config.n_users)] \
             + [(f"irs_user{k}", out["irs_user"][k][0]) for k in range(config.n_users)]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_RANK_TOL = 1e-7          # grp_round: rank one below this eigenvalue/trace share
+_RANK_TOL = 1e-7          # grp_draw: rank one below this eigenvalue/trace share
 
 
 class SdpStatus(enum.Enum):
@@ -380,17 +380,16 @@ def _unit_phase(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Generator):
-    """Gaussian randomization of a lifted covariance into a phase vector.
+def grp_draw(z_matrix: np.ndarray, candidates: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian randomization of a lifted covariance into phase vectors.
 
     Draws ``candidates`` vectors zt = U sqrt(Sigma) r with r ~ CN(0, I) from
-    the eigendecomposition of z_matrix, maps each to a unit-modulus pattern
-    via entrywise zt(i)/zt(N+1), and returns the candidate maximizing the
-    caller's score. ``score`` receives a (batch, N) complex array and returns
-    a (batch,) float array. If the input is rank one (second eigenvalue below
-    _RANK_TOL times the trace) the deterministic eigenvector extraction is
-    used instead of randomization. A covariance that gives the lifted
-    coordinate N+1 no variance raises ValueError: no draw can be normalized.
+    the eigendecomposition of z_matrix and maps each to a unit-modulus pattern
+    via entrywise zt(i)/zt(N+1); returns them as a (batch, N) complex array.
+    If the input is rank one (second eigenvalue below _RANK_TOL times the
+    trace) the batch is the single deterministic eigenvector extraction and
+    no randomness is consumed. A covariance that gives the lifted coordinate
+    N+1 no variance raises ValueError: no draw can be normalized.
     """
     if candidates < 1:
         raise ValueError("need at least one candidate")
@@ -407,13 +406,10 @@ def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Gener
     if size > 1 and float(lam[:-1].max()) <= _RANK_TOL * trace:
         vec = u[:, -1] * math.sqrt(lam[-1])
         if abs(vec[-1]) > 1e-9 * math.sqrt(trace):
-            v = _unit_phase(vec[:n_phase] / vec[n_phase])
-            return v, float(np.asarray(score(v[None, :])).reshape(-1)[0])
+            return _unit_phase(vec[:n_phase] / vec[n_phase])[None, :]
 
     factor = u * np.sqrt(lam)
-    best_v = None
-    best_score = -np.inf
-    remaining = candidates
+    batches, remaining = [], candidates
     while remaining > 0:
         draw = (rng.standard_normal((size, remaining))
                 + 1j * rng.standard_normal((size, remaining))) / math.sqrt(2.0)
@@ -422,15 +418,19 @@ def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Gener
         keep = np.abs(denom) > 1e-300
         if not keep.any():
             raise ValueError("input covariance gives the lifted coordinate no variance")
-        ratios = zt[:n_phase, keep] / denom[keep]
-        batch = _unit_phase(ratios.T)
-        scores = np.asarray(score(batch), dtype=float).reshape(-1)
-        i = int(np.argmax(scores))
-        if scores[i] > best_score or best_v is None:
-            best_score = float(scores[i])
-            best_v = batch[i].copy()
+        batches.append(_unit_phase((zt[:n_phase, keep] / denom[keep]).T))
         remaining -= int(keep.sum())
-    return best_v, best_score
+    return batches[0] if len(batches) == 1 else np.vstack(batches)
+
+
+def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Generator):
+    """The `grp_draw` candidate maximizing the caller's score, as (v, score).
+    ``score`` maps a (batch, N) complex array to one float per candidate;
+    ties go to the first candidate drawn."""
+    batch = grp_draw(z_matrix, candidates, rng)
+    scores = np.asarray(score(batch), dtype=float).reshape(-1)
+    i = int(np.argmax(scores))
+    return batch[i].copy(), float(scores[i])
 
 
 def substream(seed: int, *key) -> np.random.Generator:

@@ -11,8 +11,9 @@ from irssec.algorithms import (SweepParams, algorithm1_cct, algorithm2_wscm,
                                multicast_upper_bound, pareto_filter,
                                secrecy_covariance, sweep_region)
 from irssec.analysis import brute_force_oracle
-from irssec.sdp import SdpSolverError, SdpStatus
-from irssec.channel import ChannelSet, generate_channels, multi_user_scenario
+from irssec.sdp import SdpSolverError, SdpStatus, substream
+from irssec.channel import (ChannelSet, generate_channels, multi_user_scenario,
+                            two_user_scenario)
 from irssec.model import effective_gains, multicast_capacity_from_gains
 
 from conftest import phase_grid, rand_channelset
@@ -379,6 +380,28 @@ def test_sweep_deterministic_across_worker_counts(monkeypatch, rng):
     monkeypatch.setenv("IRSSEC_THREADS", "4")
     threaded = run()
     assert serial == threaded
+
+
+def test_sweep_wscm_floors_share_one_stream():
+    # Every floor scores the same draws, so each point of a wscm region is the
+    # single-floor run on the region's stream (seed, 0).
+    config = two_user_scenario(d1=20, n_y=5, n_z=2, seed=1)
+    ch, p = generate_channels(config), config.total_power_w
+    params = SweepParams(t_lambda=10, t_g=200, pareto_filter=False)
+    region = sweep_region(ch, p, "wscm", 6, params, seed=4)
+    r_up, z_m = multicast_upper_bound(ch, p)
+    z_c = secrecy_covariance(ch, p)
+    assert sum(pt.feasible for pt in region.points) >= 3
+    for pt, r_m in zip(region.points, np.linspace(0.0, r_up, 6)):
+        ref = algorithm2_wscm(ch, p, r_m, params.t_lambda, params.t_g,
+                              rng=substream(4, 0), z_m=z_m, z_c=z_c)
+        assert pt.r_m_target == ref.r_m_target and pt.feasible == ref.feasible
+        assert pt.r_c_achieved == ref.r_c_achieved and pt.alpha == ref.alpha
+        if ref.phase_vector is None:
+            assert pt.phase_vector is None
+        else:
+            assert np.array_equal(pt.phase_vector, ref.phase_vector)
+        assert pt.diagnostics.get("lambda") == ref.diagnostics.get("lambda")
 
 
 def test_sweep_degenerate_scenario_reports_multicast_axis():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,38 @@ def test_malformed_scenario_values_raise_scenario_error():
             config = scenario_from_dict(data)
             with pytest.raises(ScenarioError, match="without the other angle"):
                 generate_channels(config)
+
+
+def test_non_finite_powers_raise_scenario_error():
+    cases = (("total_power_w", "nan"), ("total_power_w", math.nan),
+             ("total_power_w", "inf"), ("noise_powers_w", ["-80 dBm", "nan"]),
+             ("noise_powers_w", [math.nan, 1e-11]))
+    for field, value in cases:
+        data = scenario_to_dict(two_user_scenario())
+        data[field] = value
+        with pytest.raises(ScenarioError, match="finite and positive"):
+            scenario_from_dict(data)
+
+
+def test_non_numeric_overrides_raise_scenario_error_naming_the_field():
+    cases = {
+        "ap_irs.distance_m": lambda ov: ov["ap_irs"].update(distance_m="abc"),
+        "ap_irs.azimuth_rad": lambda ov: ov["ap_irs"].update(azimuth_rad=None),
+        "ap_user_m[1]": lambda ov: ov["ap_user_m"].__setitem__(1, "abc"),
+        "irs_user[0].distance_m": lambda ov: ov["irs_user"][0].update(distance_m="nan"),
+        "irs_user[1].elevation_rad": lambda ov: ov["irs_user"][1].update(elevation_rad=[1.0]),
+    }
+    for name, edit in cases.items():
+        data = scenario_to_dict(two_user_scenario())
+        edit(data["distance_overrides"])
+        config = scenario_from_dict(data)
+        with pytest.raises(ScenarioError, match=re.escape(name)):
+            generate_channels(config)
+    # numeric strings are numbers
+    data = scenario_to_dict(two_user_scenario())
+    data["distance_overrides"]["ap_user_m"][1] = "50"
+    assert np.array_equal(generate_channels(scenario_from_dict(data)).h,
+                          generate_channels(two_user_scenario()).h)
 
 
 def test_scenario_requires_two_users():

@@ -59,6 +59,20 @@ def test_region_byte_identical_across_thread_counts(tmp_path, monkeypatch):
             == open(out_b + ".phases.json", "rb").read())
 
 
+def test_region_wscm_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+    scn = write_scenario(tmp_path)
+    base = ["region", "--scenario", scn, "--scheme", "wscm", "--grid", "4",
+            "--t-lambda", "8", "--t-g", "60", "--seed", "5"]
+    out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    monkeypatch.setenv("IRSSEC_THREADS", "1")
+    assert main(base + ["--out", out_a]) == EXIT_OK
+    monkeypatch.setenv("IRSSEC_THREADS", "3")
+    assert main(base + ["--out", out_b]) == EXIT_OK
+    assert open(out_a, "rb").read() == open(out_b, "rb").read()
+    assert (open(out_a + ".phases.json", "rb").read()
+            == open(out_b + ".phases.json", "rb").read())
+
+
 def test_region_closed_loop_qoms_recheck(tmp_path):
     scn = write_scenario(tmp_path)
     out = str(tmp_path / "r.csv")
@@ -115,6 +129,22 @@ def test_region_exit_1_for_malformed_scenario_values(tmp_path, capsys):
         assert main(["region", "--scenario", str(path),
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("scenario error: ")
+
+
+def test_region_exit_1_for_nan_powers_and_non_numeric_overrides(tmp_path, capsys):
+    data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
+    nan_power = dict(data, total_power_w="nan")
+    nan_noise = dict(data, noise_powers_w=[data["noise_powers_w"][0], "nan"])
+    bad_distance = json.loads(json.dumps(data))
+    bad_distance["distance_overrides"]["irs_user"][1]["distance_m"] = "abc"
+    expect = ("total power", "noise powers", "irs_user[1].distance_m")
+    for i, (bad, text) in enumerate(zip((nan_power, nan_noise, bad_distance), expect)):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["region", "--scenario", str(path),
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and text in err
 
 
 def test_oracle_scheme_dominates_cct_run(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from irssec.sdp import (SdpProblem, SdpSolverError, SdpStatus, SolverConfig,
-                        grp_round, solve, substream)
+                        grp_draw, grp_round, solve, substream)
 
 TIGHT = SolverConfig(tolerance=1e-12)
 
@@ -172,6 +172,26 @@ def test_grp_deterministic_given_seed(rng):
     a = grp_round(z, 25, score, np.random.default_rng(7))
     b = grp_round(z, 25, score, np.random.default_rng(7))
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
+def test_grp_round_is_argmax_of_grp_draw(rng):
+    z = random_hermitian(rng, 4)
+    z = z @ z.conj().T + np.eye(4)
+    score = lambda vb: np.abs(vb.sum(axis=1))
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    batch = grp_draw(z, 40, rng_a)
+    v, s = grp_round(z, 40, score, rng_b)
+    assert batch.shape == (40, 3)
+    assert np.allclose(np.abs(batch), 1.0, atol=1e-12)
+    i = int(np.argmax(score(batch)))
+    assert np.array_equal(v, batch[i]) and s == score(batch)[i]
+    assert rng_a.random() == rng_b.random()      # both consumed the same draws
+    # a rank-one input gives its eigenvector pattern alone and draws nothing
+    lifted = np.append(batch[0], 1.0)
+    rng_c = np.random.default_rng(3)
+    one = grp_draw(np.outer(lifted, lifted.conj()), 40, rng_c)
+    assert one.shape == (1, 3) and np.allclose(one[0], batch[0], atol=1e-9)
+    assert rng_c.random() == np.random.default_rng(3).random()
 
 
 def test_grp_rejects_covariance_without_lifted_variance():
