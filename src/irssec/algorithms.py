@@ -23,8 +23,6 @@ patterns are unaffected by the rescaling.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -501,22 +499,15 @@ def pareto_filter(region: RegionBoundary) -> RegionBoundary:
     return RegionBoundary(out, pareto_filtered=True)
 
 
-def _sweep_workers() -> int:
-    env = os.environ.get("IRSSEC_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
 def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
                  params: SweepParams | None = None, seed: int = 0) -> RegionBoundary:
     """Evaluate one scheme on uniform multicast targets over [0, r_m_up].
 
     Targets beyond the supportable maximum are reported with feasible=False.
-    Grid point i draws from the child generator (seed, i); the wscm floors
-    share one, (seed, 0), in a single pass. Results do not depend on worker
-    count or scheduling; IRSSEC_THREADS bounds the thread pool. The oracle
-    enumerates 64 phase levels and 201 power samples.
+    Points are evaluated in grid order. Grid point i draws from the child
+    generator (seed, i); the wscm floors share one, (seed, 0), in a single
+    pass. Results depend only on the seed. The oracle enumerates 64 phase
+    levels and 201 power samples.
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")
@@ -564,10 +555,7 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     if scheme == "wscm":
         points = _wscm_points(ch, p, targets, params.t_lambda, params.t_g, substream(seed, 0),
                               z_m, secrecy_covariance(ch, p))
-    elif (workers := _sweep_workers()) == 1 or grid_points == 2:
-        points = [eval_point(i) for i in range(grid_points)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(eval_point, range(grid_points)))
+        points = [eval_point(i) for i in range(grid_points)]
     region = RegionBoundary(points)
     return pareto_filter(region) if params.pareto_filter else region

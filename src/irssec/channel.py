@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,10 +133,14 @@ class ScenarioConfig:
             raise ScenarioError("total power must be finite and positive")
         if self.n_y < 1 or self.n_z < 1:
             raise ScenarioError("IRS grid dimensions must be >= 1")
-        if self.rician_kappa < 0:
-            raise ScenarioError("Rician factor must be nonnegative")
-        if self.element_spacing_over_wavelength <= 0:
-            raise ScenarioError("element spacing ratio must be positive")
+        if not self.rician_kappa >= 0:  # NaN fails too; inf is the pure LoS channel
+            raise ScenarioError("rician_kappa must be nonnegative")
+        for name in ("element_spacing_over_wavelength", "reference_distance_m"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ScenarioError(f"{name} must be finite and positive")
+        for name in ("pathloss_exponent_direct", "pathloss_exponent_irs", "reference_loss_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite")
         self.seed = int(self.seed)
 
     @property

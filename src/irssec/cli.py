@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import algorithms, analysis, model
 from .channel import ScenarioError, generate_channels, load_scenario
-from .sdp import SdpSolverError, grp_round, substream
+from .sdp import SdpSolverError, substream
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

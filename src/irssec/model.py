@@ -8,7 +8,6 @@ user k is ``m_k^H diag(conj(v)) g + h_k``.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,23 @@ def test_sweep_deterministic_across_worker_counts(monkeypatch, rng):
     monkeypatch.setenv("IRSSEC_THREADS", "4")
     threaded = run()
     assert serial == threaded
+
+
+def test_sweep_runs_on_the_calling_thread(monkeypatch):
+    # A leftover IRSSEC_THREADS setting starts no pool: every solve of the
+    # sweep runs on the thread that called sweep_region.
+    monkeypatch.setenv("IRSSEC_THREADS", "3")
+    idents = []
+    inner = algorithms.solve
+
+    def recording_solve(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "solve", recording_solve)
+    ch = rand_channelset(np.random.default_rng(18), n=2, k=2)
+    sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=3)
+    assert idents and set(idents) == {threading.get_ident()}
 
 
 def test_sweep_wscm_floors_share_one_stream():

@@ -209,6 +209,29 @@ def test_non_finite_powers_raise_scenario_error():
             scenario_from_dict(data)
 
 
+def test_unusable_scenario_scalars_raise_scenario_error_naming_the_field():
+    nan, inf = math.nan, math.inf
+    cases = {
+        "rician_kappa": (nan, -1.0),
+        "element_spacing_over_wavelength": (nan, inf, 0.0, -0.5),
+        "pathloss_exponent_direct": (nan, inf, -inf),
+        "pathloss_exponent_irs": (nan, inf, -inf),
+        "reference_loss_db": (nan, inf, -inf),
+        "reference_distance_m": (nan, inf, 0.0, -1.0),
+    }
+    for name, values in cases.items():
+        for value in values:
+            data = scenario_to_dict(two_user_scenario())
+            data[name] = value
+            with pytest.raises(ScenarioError, match=name):
+                scenario_from_dict(data)
+    # an infinite Rician factor is the pure LoS channel
+    data = scenario_to_dict(two_user_scenario())
+    data["rician_kappa"] = inf
+    los = generate_channels(scenario_from_dict(data))
+    assert np.array_equal(los.m, generate_channels(two_user_scenario(rician_kappa=1e12)).m)
+
+
 def test_non_numeric_overrides_raise_scenario_error_naming_the_field():
     cases = {
         "ap_irs.distance_m": lambda ov: ov["ap_irs"].update(distance_m="abc"),

@@ -73,6 +73,17 @@ def test_region_wscm_byte_identical_across_thread_counts(tmp_path, monkeypatch):
             == open(out_b + ".phases.json", "rb").read())
 
 
+def test_region_ignores_a_non_numeric_thread_setting(tmp_path, monkeypatch):
+    scn = write_scenario(tmp_path)
+    base = ["region", "--scenario", scn, "--scheme", "no-irs", "--grid", "5", "--seed", "7"]
+    out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    monkeypatch.delenv("IRSSEC_THREADS", raising=False)
+    assert main(base + ["--out", out_a]) == EXIT_OK
+    monkeypatch.setenv("IRSSEC_THREADS", "two")
+    assert main(base + ["--out", out_b]) == EXIT_OK
+    assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+
 def test_region_closed_loop_qoms_recheck(tmp_path):
     scn = write_scenario(tmp_path)
     out = str(tmp_path / "r.csv")
@@ -145,6 +156,20 @@ def test_region_exit_1_for_nan_powers_and_non_numeric_overrides(tmp_path, capsys
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and text in err
+
+
+def test_region_exit_1_for_unusable_scenario_scalars(tmp_path, capsys):
+    data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
+    cases = (("rician_kappa", float("nan")), ("pathloss_exponent_irs", float("nan")),
+             ("element_spacing_over_wavelength", float("nan")),
+             ("reference_distance_m", -1.0), ("reference_distance_m", 0.0))
+    for i, (name, value) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(dict(data, **{name: value})))
+        assert main(["region", "--scenario", str(path),
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and name in err
 
 
 def test_oracle_scheme_dominates_cct_run(tmp_path):
