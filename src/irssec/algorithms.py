@@ -29,7 +29,8 @@ import numpy as np
 
 from . import model
 from .channel import ChannelSet
-from .sdp import SdpProblem, SdpSolverError, SdpStatus, grp_draw, grp_round, solve, substream
+from .sdp import (SdpProblem, SdpSolverError, SdpStatus, grp_draw, grp_round, solve, solve_many,
+                  substream)
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
 
@@ -84,7 +85,6 @@ class _Lifted:
         self.sigma2 = ch.sigma2 / self.gain_scale
         self.aligned2 = self.aligned2_raw / self.gain_scale
         self.traces = (np.abs(lifts) ** 2).sum(axis=0)
-        self.n_solves = 0
 
     def weights(self, eye: float = 0.0, k: int | None = None, t_coef: float = 0.0):
         """Weight vector of eye*I + t_coef*T_k over the basis."""
@@ -102,12 +102,10 @@ class _Lifted:
     def unit_diag_rows(self):
         return [(w, "==", 1.0) for w in np.eye(self.n + 1, self.n + 1 + self.k)]
 
-    def solve(self, objective, cons, **scalars):
-        """Solve one lifted program over the basis; returns (solution, problem)."""
-        prob = SdpProblem(dim=self.n + 1, objective=objective, constraints=cons,
+    def program(self, objective, cons, **scalars) -> SdpProblem:
+        """One lifted program over the basis."""
+        return SdpProblem(dim=self.n + 1, objective=objective, constraints=cons,
                           basis=self.basis, **scalars)
-        self.n_solves += 1
-        return solve(prob), prob
 
 
 def _solution_usable(sol) -> bool:
@@ -160,7 +158,8 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     cons = [(ctx.weights(k=k, t_coef=wk), ">=", 0.0, [-s_scale])
             for k, wk in zip(users, weights)]
     cons += [c + (np.zeros(1),) for c in ctx.unit_diag_rows()]
-    sol, prob = ctx.solve(ctx.weights(), cons, n_scalars=1, scalar_objective=[s_scale])
+    prob = ctx.program(ctx.weights(), cons, n_scalars=1, scalar_objective=[s_scale])
+    sol = solve(prob)
     if not _solution_usable(sol):
         raise SdpSolverError(f"max-min SNR solve failed: {sol.status.value}")
     slack, y = _dual_slack(sol, prob)
@@ -181,28 +180,20 @@ def multicast_upper_bound(ch: ChannelSet, p: float):
     return math.log2(1.0 + s), z
 
 
-def _eavesdropper_snr(ctx: _Lifted, r_m: float) -> float:
+def _eavesdropper_snr(ctx: _Lifted) -> float:
     """M_eav, the `_max_min_snr` of the eavesdroppers under weights
-    1 / sigma_k^2 (inf without a floor). Eavesdropper k needs Tr(Z T_k) /
-    sigma_k^2 >= (c - 1) / (P - alpha c), c = 2^r_m, so this one constant
-    decides every (r_m, alpha). A failed solve raises SdpSolverError."""
-    if r_m <= 0:
-        return math.inf
+    1 / sigma_k^2. Eavesdropper k needs Tr(Z T_k) / sigma_k^2 >=
+    (c - 1) / (P - alpha c), c = 2^r_m, so this one constant decides every
+    (r_m, alpha) of a channel. A failed solve raises SdpSolverError."""
     eav = np.arange(1, ctx.k)
     return _max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav])[0]
 
 
-def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, eav_snr: float):
-    """Charnes-Cooper SDP at a fixed confidential power.
-
-    Returns (c_value, y, xi, z, beta0) in the normalized units of ctx, or
-    None when no lifted covariance supports the multicast floor at this
+def _cct_program(ctx: _Lifted, r_m: float, alpha: float, eav_snr: float):
+    """Charnes-Cooper SDP at a fixed confidential power, as (problem, beta0)
+    in the normalized units of ctx (beta0 the rescaled normalization bound),
+    or None when no lifted covariance supports the multicast floor at this
     power split, as when (P - alpha c) eav_snr < c - 1 (`_eavesdropper_snr`).
-    beta0 is the rescaled normalization bound. c_value bounds
-    the relaxation from above: it is the dual objective divided by beta0, the
-    sum of the normalization-row multipliers. A dual slack with smallest
-    eigenvalue -t is made PSD by adding t (N+1)/sigma_1^2 to one of them,
-    since every normalization matrix dominates (sigma_1^2/(N+1)) I.
     """
     n1 = ctx.n + 1
     s1 = ctx.sigma2[0]
@@ -218,7 +209,17 @@ def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, eav_snr: float):
             cons.append((ctx.weights(-(c - 1.0) * ctx.sigma2[k] / n1, k, ctx.p - alpha * c),
                          ">=", 0.0))
     cons += ctx.diag_tie_rows()
-    sol, prob = ctx.solve(ctx.weights(s1 / n1, 0, alpha), cons)
+    return ctx.program(ctx.weights(s1 / n1, 0, alpha), cons), beta0
+
+
+def _cct_value(ctx: _Lifted, sol, prob: SdpProblem, beta0: float):
+    """(c_value, y, xi, z, beta0) of a solved `_cct_program`, or None when it
+    is infeasible; an unusable solution raises SdpSolverError. c_value bounds
+    the relaxation from above: it is the dual objective divided by beta0, the
+    sum of the normalization-row multipliers. A dual slack with smallest
+    eigenvalue -t is made PSD by adding t (N+1)/sigma_1^2 to one of them,
+    since every normalization matrix dominates (sigma_1^2/(N+1)) I.
+    """
     if sol.status == SdpStatus.INFEASIBLE:
         return None
     if not _solution_usable(sol):
@@ -230,7 +231,7 @@ def _cct_solve(ctx: _Lifted, r_m: float, alpha: float, eav_snr: float):
         return None
     z = y / xi
     slack, mult = _dual_slack(sol, prob)
-    c_value = float(mult[:ctx.k - 1].sum()) + _psd_shift(slack) * n1 / s1
+    c_value = float(mult[:ctx.k - 1].sum()) + _psd_shift(slack) * (ctx.n + 1) / ctx.sigma2[0]
     return c_value, y, xi, z, beta0
 
 
@@ -245,7 +246,9 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     if not (-1e-12 <= alpha <= p + 1e-12):
         raise ValueError("confidential power must lie in [0, P]")
     ctx = _Lifted(ch, p)
-    res = _cct_solve(ctx, r_m, min(max(alpha, 0.0), p), _eavesdropper_snr(ctx, r_m))
+    eav_snr = _eavesdropper_snr(ctx) if r_m > 0 else math.inf
+    prog = _cct_program(ctx, r_m, min(max(alpha, 0.0), p), eav_snr)
+    res = None if prog is None else _cct_value(ctx, solve(prog[0]), *prog)
     if res is None:
         return None
     c_value, y, xi, _, beta0 = res
@@ -309,18 +312,22 @@ def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
 
 
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
-                   t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
+                   t_g: int = 1000, rng: np.random.Generator | None = None,
+                   eav_snr: float | None = None) -> BoundaryPoint:
     """Fractional-programming sweep over the confidential power grid.
 
-    At each grid power the Charnes-Cooper SDP is solved, candidates are drawn
-    by Gaussian randomization and scored by their repaired secrecy rate
-    (patterns that cannot carry the multicast floor are discarded so every
-    reported point is floor-certified). Records the relaxation bound at the
-    winning grid power.
+    The Charnes-Cooper SDPs of the grid powers inside the supportable window
+    are solved as lanes of one `solve_many` call. In grid order, candidates
+    are drawn from each solution by Gaussian randomization and scored by
+    their repaired secrecy rate (patterns that cannot carry the multicast
+    floor are discarded so every reported point is floor-certified). Records
+    the relaxation bound at the winning grid power. eav_snr is the
+    `_eavesdropper_snr` of (ch, p) if the caller has it; solved here if not.
 
-    diagnostics: n_solves counts every SDP run, one Charnes-Cooper solve per
-    sample inside the supportable window plus, when r_m > 0, the eavesdropper
-    max-min solve; n_failed_alpha counts samples whose solve raised. A failed
+    diagnostics: n_solves counts every SDP run here, one Charnes-Cooper lane
+    per sample inside the window plus any eavesdropper max-min solve;
+    n_iterations and statuses sum the lanes' IPM iterations and count them
+    by SdpStatus; n_failed_alpha counts samples whose solve failed. A failed
     eavesdropper solve raises, since it would fail every sample.
     """
     if t_alpha < 2:
@@ -328,37 +335,49 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     if rng is None:
         rng = np.random.default_rng(0)
     ctx = _Lifted(ch, p)
-    eav_snr = _eavesdropper_snr(ctx, r_m)
+    n_solves = 0
+    if r_m <= 0:
+        eav_snr = math.inf
+    elif eav_snr is None:
+        eav_snr = _eavesdropper_snr(ctx)
+        n_solves = 1
     state = {"best": None, "n_failed": 0, "n_steps": 0, "last_error": None,
-             "max_feasible": -1.0}
+             "max_feasible": -1.0, "lanes": []}
 
-    def run_step(alpha_t):
-        state["n_steps"] += 1
-        try:
-            res = _cct_solve(ctx, r_m, alpha_t, eav_snr)
-        except SdpSolverError as exc:
-            # Powers at the exact feasibility edge lose strict interiority;
-            # skip the sample unless every sample fails.
-            state["n_failed"] += 1
-            state["last_error"] = exc
-            return
-        if res is None:
-            return
-        state["max_feasible"] = max(state["max_feasible"], alpha_t)
-        c_value, _, _, z, _ = res
-        v, sc = grp_round(z, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
-        if not np.isfinite(sc):
-            return
-        r_c, alpha_fix, feas = _repaired_point(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
-        if not feas:
-            return
-        bound = max(0.0, math.log2(max(c_value, 1e-300)))
-        unrepaired = model.secrecy_rate(ch, v, alpha_t)
-        if state["best"] is None or r_c > state["best"][0]:
-            state["best"] = (r_c, alpha_fix, v, bound, alpha_t, unrepaired)
+    def run_steps(alphas):
+        progs = [_cct_program(ctx, r_m, alpha_t, eav_snr) for alpha_t in alphas]
+        sols = iter(solve_many([prog[0] for prog in progs if prog is not None]))
+        for alpha_t, prog in zip(alphas, progs):
+            state["n_steps"] += 1
+            if prog is None:
+                continue
+            sol = next(sols)
+            state["lanes"].append(sol)
+            try:
+                res = _cct_value(ctx, sol, *prog)
+            except SdpSolverError as exc:
+                # Powers at the exact feasibility edge lose strict interiority;
+                # skip the sample unless every sample fails.
+                state["n_failed"] += 1
+                state["last_error"] = exc
+                continue
+            if res is None:
+                continue
+            state["max_feasible"] = max(state["max_feasible"], alpha_t)
+            c_value, _, _, z, _ = res
+            v, sc = grp_round(z, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
+            if not np.isfinite(sc):
+                continue
+            r_c, alpha_fix, feas = _repaired_point(ch, p, r_m, model.effective_gains(ch, v),
+                                                   alpha_t)
+            if not feas:
+                continue
+            bound = max(0.0, math.log2(max(c_value, 1e-300)))
+            unrepaired = model.secrecy_rate(ch, v, alpha_t)
+            if state["best"] is None or r_c > state["best"][0]:
+                state["best"] = (r_c, alpha_fix, v, bound, alpha_t, unrepaired)
 
-    for t in range(t_alpha):
-        run_step(p * t / (t_alpha - 1))
+    run_steps([p * t / (t_alpha - 1) for t in range(t_alpha)])
 
     if r_m > 0:
         # The supportable power window [0, edge] can fall between grid samples
@@ -367,14 +386,15 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
         edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], p, r_m)
                    for k in range(1, ch.k))
         floor_alpha = state["max_feasible"]
-        for frac in (0.98, 0.75, 0.5, 0.25):
-            alpha_x = frac * edge
-            if floor_alpha + 1e-12 < alpha_x < p:
-                run_step(alpha_x)
+        run_steps([frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
+                   if floor_alpha + 1e-12 < frac * edge < p])
 
-    last_error = state["last_error"]
-    diagnostics = {"n_solves": ctx.n_solves, "n_failed_alpha": state["n_failed"],
-                   "last_error": None if last_error is None else repr(last_error)}
+    last_error, lanes = state["last_error"], state["lanes"]
+    diagnostics = {"n_solves": n_solves + len(lanes), "n_failed_alpha": state["n_failed"],
+                   "last_error": None if last_error is None else repr(last_error),
+                   "n_iterations": sum(sol.iterations for sol in lanes),
+                   "statuses": {stat.value: sum(sol.status is stat for sol in lanes)
+                                for stat in SdpStatus}}
     if state["best"] is None:
         if state["n_failed"] == state["n_steps"] and last_error is not None:
             raise last_error
@@ -390,7 +410,8 @@ def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
     power on the confidential stream and no multicast floor; returns the
     unit-diagonal Z."""
     ctx = _Lifted(ch, p)
-    res = _cct_solve(ctx, 0.0, p, math.inf)
+    prob, beta0 = _cct_program(ctx, 0.0, p, math.inf)
+    res = _cct_value(ctx, solve(prob), prob, beta0)
     if res is None:
         raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
     return res[3]
@@ -506,8 +527,10 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     Targets beyond the supportable maximum are reported with feasible=False.
     Points are evaluated in grid order. Grid point i draws from the child
     generator (seed, i); the wscm floors share one, (seed, 0), in a single
-    pass. Results depend only on the seed. The oracle enumerates 64 phase
-    levels and 201 power samples.
+    pass. Results depend only on the seed. The cct and upper-bound points
+    share one eavesdropper max-min solve, counted in the n_solves of the
+    first floored point. The oracle enumerates 64 phase levels and 201 power
+    samples.
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")
@@ -535,19 +558,26 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         region = RegionBoundary(pts)
         return pareto_filter(region) if params.pareto_filter else region
 
+    floored = np.flatnonzero(targets > 0)
+    eav_snr = None
+    if scheme in ("cct", "upper-bound") and floored.size:
+        eav_snr = _eavesdropper_snr(_Lifted(ch, p))
+
     def eval_point(idx: int) -> BoundaryPoint:
         rm = float(targets[idx])
         rng = substream(seed, idx)
-        if scheme == "cct":
-            return algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng)
+        if scheme in ("cct", "upper-bound"):
+            pt = algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng, eav_snr)
+            if eav_snr is not None and idx == floored[0]:
+                pt.diagnostics["n_solves"] += 1      # the shared eavesdropper solve
+            if scheme == "cct":
+                return pt
+            value = pt.upper_bound if pt.feasible else 0.0
+            return replace(pt, r_c_achieved=value, scheme="upper-bound")
         if scheme == "random-irs":
             return baseline_random_irs(ch, p, rm, rng)
         if scheme == "no-irs":
             return baseline_no_irs(ch, p, rm)
-        if scheme == "upper-bound":
-            pt = algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng)
-            value = pt.upper_bound if pt.feasible else 0.0
-            return replace(pt, r_c_achieved=value, scheme="upper-bound")
         from .analysis import brute_force_oracle
         r_c, v, alpha = brute_force_oracle(ch, p, rm, 64, 201)
         return BoundaryPoint(rm, r_c, alpha, v, math.nan, v is not None, "oracle")

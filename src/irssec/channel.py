@@ -131,8 +131,13 @@ class ScenarioConfig:
         self.total_power_w = parse_power_w(self.total_power_w)
         if not 0 < self.total_power_w < math.inf:
             raise ScenarioError("total power must be finite and positive")
+        for name in ("n_y", "n_z", "seed"):
+            setattr(self, name, _integer(getattr(self, name), name))
         if self.n_y < 1 or self.n_z < 1:
             raise ScenarioError("IRS grid dimensions must be >= 1")
+        for name in ("element_spacing_over_wavelength", "rician_kappa", "pathloss_exponent_direct",
+                     "pathloss_exponent_irs", "reference_loss_db", "reference_distance_m"):
+            setattr(self, name, _number(getattr(self, name), name))
         if not self.rician_kappa >= 0:  # NaN fails too; inf is the pure LoS channel
             raise ScenarioError("rician_kappa must be nonnegative")
         for name in ("element_spacing_over_wavelength", "reference_distance_m"):
@@ -141,7 +146,6 @@ class ScenarioConfig:
         for name in ("pathloss_exponent_direct", "pathloss_exponent_irs", "reference_loss_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite")
-        self.seed = int(self.seed)
 
     @property
     def n_elements(self) -> int:
@@ -194,13 +198,32 @@ class ChannelSet:
                           self.h[order].copy(), self.sigma2[order].copy())
 
 
+def _number(value, name: str) -> float:
+    """A scenario number as a float, numeric strings included (booleans are
+    not numbers); ScenarioError naming the field otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """A scenario integer: an int, or a number or numeric string with an
+    integral value; ScenarioError naming the field otherwise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    out = _number(value, name)
+    if not out.is_integer():
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return int(out)
+
+
 def _override_float(value, name: str) -> float:
     """An override value as a finite float; ScenarioError naming the field
     otherwise."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        out = math.nan
+    out = _number(value, f"override {name}")
     if not math.isfinite(out):
         raise ScenarioError(f"override {name} must be a finite number, got {value!r}")
     return out

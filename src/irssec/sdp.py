@@ -13,6 +13,12 @@ with the XZ (HKM) scaling direction, Mehrotra predictor-corrector, and one
 fraction-to-boundary step length shared by the primal and dual iterates. Its
 Schur complement comes from the factors, M = 1/2 W^T Re(P o Q^T) W with
 P = F^H X F, Q = F^H S^-1 F and W the row weights, never from row pairs.
+
+The core runs a stack of programs of one shape (same basis, relations and
+scalar count) in lockstep along a leading lane axis: `solve_many`. Each lane
+keeps its own step lengths, stopping tests and factorization fallbacks, and
+a lane that stops is frozen and leaves the stack, so every lane follows
+bitwise the iterates it follows alone. `solve` is the one-lane case.
 """
 from __future__ import annotations
 
@@ -23,6 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _RANK_TOL = 1e-7          # grp_draw: rank one below this eigenvalue/trace share
+# Lanes per _ipm call. At n = 11 the cost per lane-iteration stops falling
+# near 16 lanes, while every lane adds ~60 kB of stacked temporaries.
+_LANE_BLOCK = 16
 
 
 class SdpStatus(enum.Enum):
@@ -105,191 +114,258 @@ def _factor(data, basis, dim: int, what: str):
 
 def _embedded_norms(gram2, w, vecs) -> np.ndarray:
     """Frobenius norms of rows F diag(w_i) F^H (+ a_i) in the real symmetric
-    embedding 1/2 [[Re, -Im], [Im, Re]]: sqrt(|A_i|_F^2 / 2 + |a_i|^2)."""
-    frob2 = np.maximum((w * (gram2 @ w)).sum(axis=0), 0.0)
-    return np.sqrt(0.5 * frob2 + (vecs ** 2).sum(axis=1))
+    embedding 1/2 [[Re, -Im], [Im, Re]]: sqrt(|A_i|_F^2 / 2 + |a_i|^2).
+    Leading axes of w and vecs are lanes."""
+    frob2 = np.maximum((w * (gram2 @ w)).sum(axis=-2), 0.0)
+    return np.sqrt(0.5 * frob2 + (vecs ** 2).sum(axis=-1))
+
+
+def _dot(a, b) -> np.ndarray:
+    """Re sum(conj(a) b) per lane over the other axes, by one BLAS dot per
+    lane: bitwise np.vdot of the lane alone (as np.vecdot is for vectors)."""
+    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real
 
 
 def _inv_factor(mat: np.ndarray) -> np.ndarray:
-    """R with R mat R^H = I for a Hermitian positive definite mat: the
-    inverse of its Cholesky factor. A failed factorization is retried with
-    growing diagonal jitter; past that, the eigendecomposition gives the
-    factor of the pseudo-inverse."""
-    eye = np.eye(mat.shape[0])
-    scale = max(float(np.abs(mat).max(initial=0.0)), 1e-300)
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+    """R with R mat R^H = I for each Hermitian positive definite matrix of a
+    lane stack: the inverse of its Cholesky factor. A lane whose
+    factorization fails is retried alone with growing diagonal jitter; past
+    that, its eigendecomposition gives the factor of the pseudo-inverse,
+    padded with zero rows."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(mat))
+    except np.linalg.LinAlgError:
+        if len(mat) > 1:
+            return np.concatenate([_inv_factor(lane[None]) for lane in mat])
+    one = mat[0]
+    eye = np.eye(one.shape[0])
+    scale = max(float(np.abs(one).max(initial=0.0)), 1e-300)
+    for jitter in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
         try:
             return np.linalg.inv(np.linalg.cholesky(mat + jitter * scale * eye))
         except np.linalg.LinAlgError:
             continue
-    lam, vec = np.linalg.eigh(mat)
-    keep = lam > np.finfo(float).eps * mat.shape[0] * max(float(lam[-1]), 0.0)
-    return (vec[:, keep] / np.sqrt(lam[keep])).conj().T
+    lam, vec = np.linalg.eigh(one)
+    keep = lam > np.finfo(float).eps * one.shape[0] * max(float(lam[-1]), 0.0)
+    out = np.zeros_like(mat)
+    out[0, :keep.sum()] = (vec[:, keep] / np.sqrt(lam[keep])).conj().T
+    return out
 
 
-def _max_step(r, d, xd, dxd) -> float:
-    """Largest t with x + t*d PSD and xd + t*dxd >= 0, given r = _inv_factor(x)."""
-    w = r @ d @ r.conj().T
-    lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.conj().T)).min())
-    t = np.inf if lam_min >= -1e-13 else -1.0 / lam_min
-    if xd.size:
-        neg = dxd < 0
-        if neg.any():
-            t = min(t, float((-xd[neg] / dxd[neg]).min()))
-    return t
+def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
+    """Infeasible-start HKM predictor-corrector on factored complex data, in
+    lockstep over a leading lane axis.
 
+    Lane l solves max Tr(C X) + c.u s.t. Tr(A_i X) + a_i.u = b_i, X PSD,
+    u >= 0, with A_i = F diag(w[l, :, i]) F^H, C = F diag(c_w[l]) F^H,
+    a_i = vecs[l, i], b = b[l] and c = c_vec[l]; F and gram2 = |F^H F|^2 are
+    shared. The dual slack is kept halved, S = (A*(y) - C)/2, and mu is the
+    gap 2 Re Tr(XS) + xd.sd over nu = 2n + nd: the scaling of the program's
+    real symmetric embedding, whose HKM iterates these are. Primal and dual
+    take one common step, the smaller of their two fraction-to-boundary
+    lengths, so both residuals shrink by the same factor (with separate
+    lengths the dual can run ahead while the primal residual never closes).
 
-def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig):
-    """Infeasible-start HKM predictor-corrector on factored complex data.
-
-    Primal: max Tr(C X) + c.u s.t. Tr(A_i X) + a_i.u = b_i, X PSD, u >= 0,
-    with A_i = F diag(w[:, i]) F^H, C = F diag(c_w) F^H and gram2 the
-    elementwise |F^H F|^2 that solve() already formed. The dual slack is
-    kept halved, S = (A*(y) - C)/2, and mu is the gap 2 Re Tr(XS) + xd.sd
-    over nu = 2n + nd: the scaling of the program's real symmetric
-    embedding, whose HKM iterates these are.
-    Primal and dual take one common step, the smaller of their two
-    fraction-to-boundary lengths, so both residuals shrink by the same
-    factor. With separate lengths the dual can run ahead while the primal
-    step collapses, and the primal residual then never closes. A numerical
-    breakdown (non-finite or overflowing iterate, failed factorization or a
-    step below 1e-10) ends the loop with BREAKDOWN.
+    Each lane has its own step length, stopping tests (on its own Python
+    floats) and `_inv_factor` fallbacks. A lane that stops is frozen and
+    leaves the active set. Every stacked product, BLAS dot and LAPACK call
+    acts on each lane alone, so a lane follows bitwise the iterates it
+    follows when solved alone; if one lane's failure aborts a stacked call,
+    that step is taken lane by lane. A numerical breakdown (non-finite or
+    overflowing iterate, failed factorization or a step below 1e-10) ends a
+    lane with BREAKDOWN. Returns per lane (x, xd, y, status, iterations,
+    relative gap, residual, primal objective).
     """
-    n, m = f.shape[0], w.shape[1]
-    nd = vecs.shape[1]
+    lanes, m = b.shape
+    n, nd = f.shape[0], vecs.shape[-1]
     nu = 2 * n + nd
     eye = np.eye(n)
-    fh = f.conj().T
+    fc, fh = f.conj(), f.conj().T
     tol = cfg.tolerance
 
-    def a_op(g):  # Re Tr(A_i G) for every row
-        return w.T @ (f.conj() * (g @ f)).sum(axis=0).real
+    def a_op(w, g):  # Re Tr(A_i G) for every lane and row
+        return np.matvec(w.swapaxes(-1, -2), (fc * (g @ f)).sum(axis=-2).real)
 
-    def a_adj(v):  # sum_i v_i A_i
-        return (f * (w @ v)) @ fh
+    def a_adj(w, v):  # sum_i v_i A_i for every lane
+        return (f * np.matvec(w, v)[:, None, :]) @ fh
 
-    half_c = 0.5 * ((f * c_w) @ fh)
     a_norms = _embedded_norms(gram2, w, vecs)
-    norm_b = float(np.linalg.norm(b))
-    norm_c = float(_embedded_norms(gram2, c_w[:, None], c_vec[None, :])[0])
+    norm_c = _embedded_norms(gram2, c_w[..., None], c_vec[:, None, :])[:, 0]
+    least = max(10.0, math.sqrt(2 * n))
+    xi = np.maximum(least, (2 * n * (1.0 + np.abs(b)) / (1.0 + a_norms)).max(axis=-1, initial=0.0))
+    eta = np.maximum(least, np.maximum(a_norms.max(axis=-1, initial=0.0), norm_c))
+    start = np.array((xi, eta)).T
+    # The active lanes' state; each keeps (X, S) and (xd, sd) as one pair, so
+    # that both factorizations and both step searches are one stacked call.
+    st = {"xs": start[:, :, None, None] * eye.astype(complex),
+          "xsd": start[:, :, None] * np.ones(nd), "y": np.zeros((lanes, m)), "w": w,
+          "vecs": vecs, "b": b, "half_c": 0.5 * ((f * c_w[:, None, :]) @ fh), "c_vec": c_vec,
+          "norm_b": np.sqrt(np.vecdot(b, b)), "norm_c": norm_c,
+          "relgap": np.full(lanes, np.inf), "resid": np.full(lanes, np.inf)}
+    live, done = np.arange(lanes), [None] * lanes
 
-    xi = max(10.0, math.sqrt(2 * n),
-             float((2 * n * (1.0 + np.abs(b)) / (1.0 + a_norms)).max(initial=0.0)))
-    eta = max(10.0, math.sqrt(2 * n), float(a_norms.max(initial=0.0)), norm_c)
-    x = xi * eye.astype(complex)
-    xd = xi * np.ones(nd)
-    s = eta * eye.astype(complex)
-    sd = eta * np.ones(nd)
-    y = np.zeros(m)
+    def freeze(why, it):
+        """Record the active lanes given a status in why and drop them."""
+        nonlocal st, live
+        stop = np.array([stat is not None for stat in why], dtype=bool)
+        x, xd = st["xs"][stop, 0], st["xsd"][stop, 0]
+        pobj = 2.0 * _dot(st["half_c"][stop], x) + np.vecdot(st["c_vec"][stop], xd)
+        stats = zip(x, xd, st["y"][stop], [stat for stat in why if stat is not None],
+                    st["relgap"][stop].tolist(), st["resid"][stop].tolist(), pobj.tolist())
+        for lane, (x_l, xd_l, y_l, stat, relgap, resid, pobj_l) in zip(live[stop].tolist(), stats):
+            done[lane] = (x_l, xd_l, y_l, stat, it, relgap, resid, pobj_l)
+        live = live[~stop]
+        if live.size:
+            st = {key: val[~stop] for key, val in st.items()}
 
-    status = SdpStatus.BREAKDOWN            # for every break that sets nothing
-    relgap = np.inf
-    resid = np.inf
-    it = 0
-    for it in range(1, cfg.max_iterations + 1):
-        if not all(np.isfinite(v).all() for v in (x, s, y, xd, sd)):
-            relgap = resid = np.inf
-            break
-        ax = a_op(x) + vecs @ xd
-        rp = b - ax
-        ys_mat = 0.5 * a_adj(y)
-        ys_vec = vecs.T @ y
-        rd_mat = ys_mat - s - half_c
-        rd_vec = ys_vec - sd - c_vec
-
-        gap = 2.0 * float(np.vdot(x, s).real) + float(xd @ sd)
-        pobj = 2.0 * float(np.vdot(half_c, x).real) + float(c_vec @ xd)
-        dobj = float(b @ y)
-        relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-        pres = float(np.linalg.norm(rp)) / (1.0 + norm_b)
-        dres = math.sqrt(2.0 * float(np.vdot(rd_mat, rd_mat).real)
-                         + float(rd_vec @ rd_vec)) / (1.0 + norm_c)
-        resid = max(pres, dres)
-        if resid <= tol and relgap <= tol:
-            status = SdpStatus.OPTIMAL
-            break
-        if gap > 1e100 or abs(pobj) > 1e100:
-            break
-
-        ny = float(np.linalg.norm(y))
-        if ny > 1e-12 and dobj / ny < -1e-6:
-            # Farkas test: A*(y) >= 0 with b.y < 0 certifies primal infeasibility.
-            lam = float(np.linalg.eigvalsh(ys_mat).min()) / ny
-            if nd:
-                lam = min(lam, float(ys_vec.min()) / ny)
-            if lam >= -1e-9:
-                status = SdpStatus.INFEASIBLE
-                break
-        if pobj > 1e12 * max(1.0, norm_b, norm_c) and (
-                pres <= max(tol, 1e-6) or float(np.linalg.norm(ax)) <= tol * pobj):
-            # A huge iterate that nearly solves A(X) = 0 per unit of objective
-            # is an improving ray: the dual is infeasible.
-            status = SdpStatus.UNBOUNDED
-            break
+    def newton(sel):
+        """Predictor-corrector step (dxs, dxsd, dy, step) of the lanes sel."""
+        xs, xsd, w, vecs = st["xs"][sel], st["xsd"][sel], st["w"][sel], st["vecs"][sel]
+        rd_mat, rd_vec, mu = st["rd_mat"][sel], st["rd_vec"][sel], st["mu"][sel]
+        x, xd, sd = xs[:, 0], xsd[:, 0], xsd[:, 1]
+        r_xs = _inv_factor(xs.reshape(-1, n, n))      # X and S factors, interleaved
+        r_xs_h = r_xs.conj().swapaxes(-1, -2)
+        s_inv = r_xs_h[1::2] @ r_xs[1::2]
+        sd_inv = 1.0 / sd
+        big_m = 0.5 * (w.swapaxes(-1, -2)
+                       @ ((fh @ x @ f) * (fh @ s_inv @ f).swapaxes(-1, -2)).real @ w)
+        if nd:
+            big_m += (vecs * (xd * sd_inv)[:, None, :]) @ vecs.swapaxes(-1, -2)
+        r_m = _inv_factor(0.5 * (big_m + big_m.swapaxes(-1, -2)))
+        x_rd = x @ rd_mat
 
         def direction(taumu, h_mat, h_vec):
-            g_mat = (taumu * eye - h_mat - x_rd) @ s_inv
-            g_vec = (taumu - h_vec - xd * rd_vec) * sd_inv
-            rhs = a_op(g_mat) - b
+            tm_mat, tm_vec = taumu[:, None, None], taumu[:, None]
+            g_mat = (tm_mat * eye - h_mat - x_rd) @ s_inv
+            g_vec = (tm_vec - h_vec - xd * rd_vec) * sd_inv
+            rhs = a_op(w, g_mat) - st["b"][sel]
             if nd:
-                rhs = rhs + vecs @ g_vec
-            dy = r_m.T @ (r_m @ rhs)
-            ds_mat = 0.5 * a_adj(dy) + rd_mat
-            ds_vec = vecs.T @ dy + rd_vec
-            dx_raw = taumu * s_inv - x - (h_mat + x @ ds_mat) @ s_inv
-            dx_mat = 0.5 * (dx_raw + dx_raw.conj().T)
-            dx_vec = (taumu - h_vec - xd * ds_vec) * sd_inv - xd
-            return dx_mat, dx_vec, dy, ds_mat, ds_vec
+                rhs = rhs + np.matvec(vecs, g_vec)
+            dy = np.matvec(r_m.swapaxes(-1, -2), np.matvec(r_m, rhs))
+            d_mat, d_vec = np.empty_like(xs), np.empty_like(xsd)
+            ds_mat = np.add(0.5 * a_adj(w, dy), rd_mat, out=d_mat[:, 1])
+            ds_vec = np.add(np.matvec(vecs.swapaxes(-1, -2), dy), rd_vec, out=d_vec[:, 1])
+            dx_raw = tm_mat * s_inv - x - (h_mat + x @ ds_mat) @ s_inv
+            np.multiply(0.5, dx_raw + dx_raw.conj().swapaxes(-1, -2), out=d_mat[:, 0])
+            np.subtract((tm_vec - h_vec - xd * ds_vec) * sd_inv, xd, out=d_vec[:, 0])
+            return d_mat, d_vec, dy
 
-        mu = gap / nu
+        def max_steps(d_mat, d_vec):  # per lane, the (X, S) fraction-to-boundary lengths
+            w_d = r_xs @ d_mat.reshape(-1, n, n) @ r_xs_h
+            lam = np.linalg.eigvalsh(0.5 * (w_d + w_d.conj().swapaxes(-1, -2))).min(axis=-1)
+            dv = d_vec.reshape(len(r_xs), nd)
+            ratio = np.where(dv < 0, -xsd.reshape(len(r_xs), nd) / dv, np.inf)
+            t = [min(math.inf if lam_i >= -1e-13 else -1.0 / lam_i, r) for lam_i, r
+                 in zip(lam.tolist(), ratio.min(axis=-1, initial=np.inf).tolist())]
+            return zip(t[0::2], t[1::2])
+
+        da_mat, da_vec, _ = direction(np.zeros(len(mu)), 0.0, 0.0)
+        aff = np.array([(min(1.0, t_p), min(1.0, t_d)) for t_p, t_d in max_steps(da_mat, da_vec)])
+        trial, trial_d = xs + aff[:, :, None, None] * da_mat, xsd + aff[:, :, None] * da_vec
+        mu_aff = (2.0 * _dot(trial[:, 0], trial[:, 1])
+                  + np.vecdot(trial_d[:, 0], trial_d[:, 1])) / nu
+        # Python's float power, so that a lane matches its scalar history
+        sigma = np.array([min(1.0, max(0.0, r ** 3)) for r in (mu_aff / mu).tolist()])
+        d_mat, d_vec, dy = direction(sigma * mu, da_mat[:, 0] @ da_mat[:, 1],
+                                     da_vec[:, 0] * da_vec[:, 1])
+        step = [min(1.0, cfg.step_fraction * min(t_p, t_d)) for t_p, t_d in max_steps(d_mat, d_vec)]
+        return d_mat, d_vec, dy, np.array(step)
+
+    it = 0
+    for it in range(1, cfg.max_iterations + 1):
+        xs, xsd, y, w, vecs, b = (st[key] for key in ("xs", "xsd", "y", "w", "vecs", "b"))
+        x, s, xd, sd = xs[:, 0], xs[:, 1], xsd[:, 0], xsd[:, 1]
+        gap = 2.0 * _dot(x, s) + np.vecdot(xd, sd)
+        ny = np.sqrt(np.vecdot(y, y))
+        finite = np.isfinite(gap) & np.isfinite(ny)   # false for any non-finite entry
+        if not finite.all():
+            finite = (np.isfinite(xs).all(axis=(1, 2, 3)) & np.isfinite(xsd).all(axis=(1, 2))
+                      & np.isfinite(y).all(axis=1))
+        ax = a_op(w, x) + np.matvec(vecs, xd)
+        rp = b - ax
+        ys_mat = 0.5 * a_adj(w, y)
+        ys_vec = np.matvec(vecs.swapaxes(-1, -2), y)
+        rd_mat = ys_mat - s - st["half_c"]
+        rd_vec = ys_vec - sd - st["c_vec"]
+        pobj = 2.0 * _dot(st["half_c"], x) + np.vecdot(st["c_vec"], xd)
+        dobj = np.vecdot(b, y)
+        pres = np.sqrt(np.vecdot(rp, rp)) / (1.0 + st["norm_b"])
+        dres = (np.sqrt(2.0 * _dot(rd_mat, rd_mat) + np.vecdot(rd_vec, rd_vec))
+                / (1.0 + st["norm_c"]))
+
+        why, farkas, rays = [None] * live.size, [], []
+        relgap, resid = np.full(live.size, np.inf), np.full(live.size, np.inf)
+        for i, (ok, g, po, do, pr, dr, n_y, nb, nc) in enumerate(zip(*(arr.tolist() for arr in (
+                finite, gap, pobj, dobj, pres, dres, ny, st["norm_b"], st["norm_c"])))):
+            if not ok:
+                why[i] = SdpStatus.BREAKDOWN
+                continue
+            relgap[i] = rel = g / (1.0 + abs(po) + abs(do))
+            resid[i] = res = max(pr, dr)
+            if res <= tol and rel <= tol:
+                why[i] = SdpStatus.OPTIMAL
+            elif g > 1e100 or abs(po) > 1e100:
+                why[i] = SdpStatus.BREAKDOWN
+            else:
+                if n_y > 1e-12 and do / n_y < -1e-6:
+                    farkas.append(i)
+                if po > 1e12 * max(1.0, nb, nc):
+                    rays.append(i)
+        if farkas:
+            # Farkas test: A*(y) >= 0 with b.y < 0 certifies primal infeasibility.
+            lam = (np.linalg.eigvalsh(ys_mat[farkas]).min(axis=-1) / ny[farkas]).tolist()
+            low = (ys_vec[farkas].min(axis=-1) / ny[farkas]).tolist() if nd else lam
+            for i, lam_i, low_i in zip(farkas, lam, low):
+                why[i] = SdpStatus.INFEASIBLE if min(lam_i, low_i) >= -1e-9 else None
+        for i in rays:
+            # A huge iterate that nearly solves A(X) = 0 per unit of objective
+            # is an improving ray: the dual is infeasible.
+            if why[i] is None and (pres[i] <= max(tol, 1e-6)
+                                   or float(np.linalg.norm(ax[i])) <= tol * pobj[i]):
+                why[i] = SdpStatus.UNBOUNDED
+        st.update(rd_mat=rd_mat, rd_vec=rd_vec, mu=gap / nu, relgap=relgap, resid=resid)
+        if any(stat is not None for stat in why):
+            freeze(why, it)
+            if not live.size:
+                break
+
         try:
-            r_x, r_s = _inv_factor(x), _inv_factor(s)
-            s_inv = r_s.conj().T @ r_s
-            sd_inv = 1.0 / sd
-            big_m = 0.5 * (w.T @ ((fh @ x @ f) * (fh @ s_inv @ f).T).real @ w)
-            if nd:
-                big_m += (vecs * (xd * sd_inv)) @ vecs.T
-            r_m = _inv_factor(0.5 * (big_m + big_m.T))
-            x_rd = x @ rd_mat
-
-            dxa, dxda, dya, dsa, dsda = direction(0.0, np.zeros((n, n)), np.zeros(nd))
-            ap_a = min(1.0, _max_step(r_x, dxa, xd, dxda))
-            ad_a = min(1.0, _max_step(r_s, dsa, sd, dsda))
-            mu_aff = (2.0 * float(np.vdot(x + ap_a * dxa, s + ad_a * dsa).real)
-                      + float((xd + ap_a * dxda) @ (sd + ad_a * dsda))) / nu
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
-
-            dx, dxd_, dy, ds, dsd_ = direction(sigma * mu, dxa @ dsa, dxda * dsda)
-            step = min(1.0, cfg.step_fraction * min(_max_step(r_x, dx, xd, dxd_),
-                                                    _max_step(r_s, ds, sd, dsd_)))
-        except (np.linalg.LinAlgError, FloatingPointError):
-            break
-        if not (np.isfinite(dx).all() and np.isfinite(ds).all()
-                and np.isfinite(dy).all()) or step < 1e-10:
-            break
-        x = 0.5 * ((x + step * dx) + (x + step * dx).conj().T)
-        xd = xd + step * dxd_
-        y = y + step * dy
-        s = 0.5 * ((s + step * ds) + (s + step * ds).conj().T)
-        sd = sd + step * dsd_
-    else:
-        status = SdpStatus.MAX_ITERATIONS
-
-    pobj = 2.0 * float(np.vdot(half_c, x).real) + float(c_vec @ xd)
-    return x, xd, y, status, it, relgap, resid, pobj
+            out = newton(slice(None))
+        except np.linalg.LinAlgError:
+            parts, why = [], []
+            for i in range(live.size):
+                try:
+                    parts.append(newton(slice(i, i + 1)))
+                    why.append(None)
+                except np.linalg.LinAlgError:
+                    why.append(SdpStatus.BREAKDOWN)
+            if any(stat is not None for stat in why):
+                freeze(why, it)
+            if not live.size:
+                break
+            out = [np.concatenate(col) for col in zip(*parts)]
+        usable = (np.isfinite(out[0]).all(axis=(1, 2, 3)) & np.isfinite(out[2]).all(axis=1)
+                  & ~(out[3] < 1e-10))
+        if not usable.all():
+            freeze([None if ok else SdpStatus.BREAKDOWN for ok in usable.tolist()], it)
+            if not live.size:
+                break
+            out = [val[usable] for val in out]
+        d_mat, d_vec, dy, step = out
+        t = st["xs"] + step[:, None, None, None] * d_mat
+        st["xs"] = 0.5 * (t + t.conj().swapaxes(-1, -2))
+        st["xsd"] = st["xsd"] + step[:, None, None] * d_vec
+        st["y"] = st["y"] + step[:, None] * dy
+    if live.size:
+        freeze([SdpStatus.MAX_ITERATIONS] * live.size, it)
+    return done
 
 
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
-    """Solve a trace-form Hermitian SDP by native complex HKM on factored rows.
-
-    Weight-vector data shares the columns of ``problem.basis``; each dense
-    matrix adds its eigenvectors as further columns, so every program takes
-    the same factored path. On OPTIMAL the reported duality gap and residuals
-    are below the configured tolerance. MAX_ITERATIONS (the iteration cap)
-    and BREAKDOWN (a numerical failure before it) are never reported as
-    OPTIMAL.
-    """
-    cfg = config or SolverConfig()
+def _assemble(problem: SdpProblem):
+    """One program as lane data (f, gram2, w, vecs, b, c_w, c_vec, row_scale,
+    c_scale), rows equilibrated and the objective normalized. Weight-vector
+    data shares the columns of ``problem.basis``; each dense matrix adds its
+    eigenvectors as further columns, so every program takes one path."""
     n = problem.dim
     p = problem.n_scalars
     sign = 1.0 if problem.maximize else -1.0
@@ -356,22 +432,52 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     c_scale = float(_embedded_norms(gram2, c_w[:, None], c_vec[None, :])[0])
     if c_scale < 1e-18:
         c_scale = 1.0
-    c_w = c_w / c_scale
-    c_vec = c_vec / c_scale
+    return f, gram2, w, vecs, b, c_w / c_scale, c_vec / c_scale, row_scale, c_scale
 
+
+def solve_many(problems, config: SolverConfig | None = None) -> list:
+    """The SdpSolution of every problem, solved as the lanes of lockstep
+    `_ipm` calls (up to _LANE_BLOCK lanes each); each is bitwise the one
+    `solve` gives alone. The lanes must share dim, relations, scalar count
+    and (dense eigenvectors included) basis; ValueError otherwise. OPTIMAL
+    means gap and residuals below the tolerance; MAX_ITERATIONS (the
+    iteration cap) and BREAKDOWN (a numerical failure before it) are never
+    reported as OPTIMAL."""
+    cfg = config or SolverConfig()
+    problems = list(problems)
+    if not problems:
+        return []
+
+    def shape(prob):
+        return prob.dim, prob.n_scalars, [con[1] for con in prob.constraints]
+
+    if any(shape(prob) != shape(problems[0]) for prob in problems[1:]):
+        raise ValueError("lanes need the same dim, relations and scalar count")
+    lanes = [_assemble(prob) for prob in problems]
+    f, gram2 = lanes[0][:2]
+    if any(not np.array_equal(lane[0], f) for lane in lanes[1:]):
+        raise ValueError("lanes need one shared basis")
+    w, vecs, b, c_w, c_vec = (np.array(col) for col in list(zip(*lanes))[2:7])
+
+    done = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, xd, y, status, it, relgap, resid, pobj = _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg)
+        for at in range(0, len(lanes), _LANE_BLOCK):
+            block = slice(at, at + _LANE_BLOCK)
+            done += _ipm(f, gram2, w[block], vecs[block], b[block], c_w[block], c_vec[block], cfg)
+    out = []
+    for prob, lane, (x, xd, y, status, iters, relgap, resid, pobj) in zip(problems, lanes, done):
+        sign, (row_scale, c_scale) = 1.0 if prob.maximize else -1.0, lane[7:]
+        out.append(SdpSolution(matrix=x, objective_value=sign * pobj * c_scale, status=status,
+                               duality_gap=relgap, residuals=resid, iterations=iters,
+                               scalars=xd[:prob.n_scalars].copy(),
+                               dual=sign * y * c_scale / row_scale))
+    return out
 
-    return SdpSolution(
-        matrix=x,
-        objective_value=sign * pobj * c_scale,
-        status=status,
-        duality_gap=relgap,
-        residuals=resid,
-        iterations=it,
-        scalars=xd[:p].copy(),
-        dual=sign * y * c_scale / row_scale,
-    )
+
+def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+    """Solve a trace-form Hermitian SDP by native complex HKM on factored
+    rows: the one-lane case of `solve_many`."""
+    return solve_many([problem], config)[0]
 
 
 def _unit_phase(z: np.ndarray) -> np.ndarray:

@@ -156,17 +156,19 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     assert pt.diagnostics["n_failed_alpha"] == 0
     assert pt.diagnostics["last_error"] is None
 
-    real_solve = algorithms.solve
+    # the Charnes-Cooper samples solve as lanes of one call
+    real_solve_many = algorithms.solve_many
     calls = []
 
-    def failing_second_solve(problem, config=None):
-        calls.append(problem)
-        sol = real_solve(problem, config)
-        if len(calls) == 2:
-            sol = replace(sol, status=SdpStatus.BREAKDOWN, duality_gap=1.0)
-        return sol
+    def failing_second_solve(problems, config=None):
+        sols = real_solve_many(problems, config)
+        for i, problem in enumerate(problems):
+            calls.append(problem)
+            if len(calls) == 2:
+                sols[i] = replace(sols[i], status=SdpStatus.BREAKDOWN, duality_gap=1.0)
+        return sols
 
-    monkeypatch.setattr(algorithms, "solve", failing_second_solve)
+    monkeypatch.setattr(algorithms, "solve_many", failing_second_solve)
     pt = algorithm1_cct(ch, P, 0.0, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
     assert pt.feasible
     assert pt.diagnostics["n_solves"] == 4
@@ -359,6 +361,50 @@ def test_sweep_two_points_hits_endpoints(rng):
     assert region.points[1].r_m_target == pytest.approx(r_up)
 
 
+def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
+    # every floored cct point reads the same M_eav: the sweep solves it once,
+    # charges it to the first floored point, and each point equals the
+    # point computed alone with its own eavesdropper solve
+    ch = rand_channelset(np.random.default_rng(7), n=3, k=3)
+    params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
+    r_up, _ = multicast_upper_bound(ch, P)
+    scalar_progs, lanes = [], []
+
+    def recording_solve(problem, config=None):
+        scalar_progs.append(problem.n_scalars)
+        return real_solve(problem, config)
+
+    def recording_solve_many(problems, config=None):
+        sols = real_solve_many(problems, config)
+        lanes.extend(sols)
+        return sols
+
+    real_solve, real_solve_many = algorithms.solve, algorithms.solve_many
+    monkeypatch.setattr(algorithms, "solve", recording_solve)
+    monkeypatch.setattr(algorithms, "solve_many", recording_solve_many)
+    region = sweep_region(ch, P, "cct", 5, params, seed=2)
+    # the multicast bound and one eavesdropper program, for four floored points
+    assert scalar_progs == [1, 1]
+    solves = [pt.diagnostics["n_solves"] for pt in region.points]
+    point_lanes = [n - (i == 1) for i, n in enumerate(solves)]
+    assert sum(point_lanes) == len(lanes)
+    stats = []
+    for k, at in zip(point_lanes, np.cumsum(point_lanes)):
+        own = lanes[at - k:at]
+        stats.append((sum(sol.iterations for sol in own),
+                      {stat.value: sum(sol.status is stat for sol in own) for stat in SdpStatus}))
+    monkeypatch.undo()
+    for i, (pt, r_m) in enumerate(zip(region.points, np.linspace(0.0, r_up, 5))):
+        # the per-point solve stats come from the point's own lanes
+        assert (pt.diagnostics["n_iterations"], pt.diagnostics["statuses"]) == stats[i]
+        alone = algorithm1_cct(ch, P, r_m, params.t_alpha, params.t_g, substream(2, i))
+        assert pt.r_c_achieved == alone.r_c_achieved and pt.alpha == alone.alpha
+        assert np.array_equal(pt.phase_vector, alone.phase_vector)
+        assert pt.upper_bound == alone.upper_bound or not pt.feasible
+        # alone, every floored point pays for its own eavesdropper solve
+        assert alone.diagnostics["n_solves"] == point_lanes[i] + (i > 0)
+
+
 def test_sweep_pareto_filter_monotone(rng):
     ch = rand_channelset(np.random.default_rng(17), n=2, k=2)
     params = SweepParams(t_alpha=20, t_g=200)
@@ -387,17 +433,22 @@ def test_sweep_runs_on_the_calling_thread(monkeypatch):
     # A leftover IRSSEC_THREADS setting starts no pool: every solve of the
     # sweep runs on the thread that called sweep_region.
     monkeypatch.setenv("IRSSEC_THREADS", "3")
-    idents = []
-    inner = algorithms.solve
+    idents = {}
 
-    def recording_solve(*args, **kwargs):
-        idents.append(threading.get_ident())
-        return inner(*args, **kwargs)
+    def recording(name):
+        inner = getattr(algorithms, name)
 
-    monkeypatch.setattr(algorithms, "solve", recording_solve)
+        def call(*args, **kwargs):
+            idents.setdefault(name, []).append(threading.get_ident())
+            return inner(*args, **kwargs)
+        return call
+
+    for name in ("solve", "solve_many"):
+        monkeypatch.setattr(algorithms, name, recording(name))
     ch = rand_channelset(np.random.default_rng(18), n=2, k=2)
     sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=3)
-    assert idents and set(idents) == {threading.get_ident()}
+    assert set(idents) == {"solve", "solve_many"}
+    assert {ident for seen in idents.values() for ident in seen} == {threading.get_ident()}
 
 
 def test_sweep_wscm_floors_share_one_stream():

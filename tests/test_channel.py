@@ -232,6 +232,54 @@ def test_unusable_scenario_scalars_raise_scenario_error_naming_the_field():
     assert np.array_equal(los.m, generate_channels(two_user_scenario(rician_kappa=1e12)).m)
 
 
+SCALAR_FIELDS = ("rician_kappa", "element_spacing_over_wavelength", "pathloss_exponent_direct",
+                 "pathloss_exponent_irs", "reference_loss_db", "reference_distance_m")
+
+
+def test_non_integer_seed_raises_scenario_error_naming_the_field():
+    for value in ("x", 1.5, None, [3], True):
+        data = scenario_to_dict(two_user_scenario())
+        data["seed"] = value
+        with pytest.raises(ScenarioError, match="seed"):
+            scenario_from_dict(data)
+    # an integral value, given as a float or a numeric string, is the integer
+    data = scenario_to_dict(two_user_scenario())
+    for value in (4.0, "4"):
+        data["seed"] = value
+        assert scenario_from_dict(data).seed == 4
+
+
+def test_fractional_surface_size_raises_scenario_error_naming_the_field():
+    for name in ("n_y", "n_z"):
+        for value in (2.5, "2.5", "abc", math.inf, True):
+            data = scenario_to_dict(two_user_scenario())
+            data[name] = value
+            with pytest.raises(ScenarioError, match=name):
+                scenario_from_dict(data)
+    data = scenario_to_dict(two_user_scenario(n_y=5, n_z=2))
+    data.update(n_y=5.0, n_z="2")
+    config = scenario_from_dict(data)
+    assert (config.n_y, config.n_z) == (5, 2) and isinstance(config.n_y, int)
+    assert np.array_equal(generate_channels(config).m,
+                          generate_channels(two_user_scenario(n_y=5, n_z=2)).m)
+
+
+def test_scalar_fields_read_numeric_strings_and_name_the_field_otherwise():
+    # one rule for every scalar field: numeric strings are numbers, as for
+    # powers and overrides
+    ref = generate_channels(two_user_scenario())
+    for name in SCALAR_FIELDS:
+        data = scenario_to_dict(two_user_scenario())
+        data[name] = str(data[name])
+        got = generate_channels(scenario_from_dict(data))
+        assert np.array_equal(got.g, ref.g) and np.array_equal(got.m, ref.m)
+        assert np.array_equal(got.h, ref.h)
+        for value in ("abc", None, [1.0], False):
+            data[name] = value
+            with pytest.raises(ScenarioError, match=name):
+                scenario_from_dict(data)
+
+
 def test_non_numeric_overrides_raise_scenario_error_naming_the_field():
     cases = {
         "ap_irs.distance_m": lambda ov: ov["ap_irs"].update(distance_m="abc"),

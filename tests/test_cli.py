@@ -172,6 +172,47 @@ def test_region_exit_1_for_unusable_scenario_scalars(tmp_path, capsys):
         assert err.startswith("scenario error: ") and name in err
 
 
+def region_exit(tmp_path, data, name="bad.json", scheme="no-irs"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    out = tmp_path / (name + ".csv")
+    return main(["region", "--scenario", str(path), "--scheme", scheme, "--grid", "3",
+                 "--out", str(out)]), out
+
+
+def test_region_exit_1_for_non_integer_seed(tmp_path, capsys):
+    data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
+    for value in ("x", 1.5):
+        code, _ = region_exit(tmp_path, dict(data, seed=value))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and "seed" in err
+
+
+def test_region_exit_1_for_fractional_surface_size(tmp_path, capsys):
+    data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
+    for name in ("n_y", "n_z"):
+        code, _ = region_exit(tmp_path, dict(data, **{name: 2.5}))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and name in err
+
+
+def test_region_reads_numeric_string_scalars(tmp_path, capsys):
+    data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
+    code, ref = region_exit(tmp_path, dict(data, rician_kappa=5.0), "num.json")
+    assert code == EXIT_OK
+    code, got = region_exit(tmp_path, dict(data, rician_kappa="5"), "text.json")
+    assert code == EXIT_OK
+    assert got.read_bytes() == ref.read_bytes()
+    capsys.readouterr()
+    for name in ("rician_kappa", "pathloss_exponent_irs", "reference_distance_m"):
+        code, _ = region_exit(tmp_path, dict(data, **{name: "abc"}))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and name in err
+
+
 def test_oracle_scheme_dominates_cct_run(tmp_path):
     scn = write_scenario(tmp_path)
     out_o, out_c = str(tmp_path / "o.csv"), str(tmp_path / "c.csv")

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irssec import algorithms
+from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
-from irssec.sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, solve
+from irssec.sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, solve, solve_many
 
 P = 1.0
 
@@ -105,3 +105,113 @@ def test_unconverged_solution_usable_only_when_accurate(status):
     assert algorithms._solution_usable(sol)
     assert not algorithms._solution_usable(replace(sol, duality_gap=1e-3))
     assert not algorithms._solution_usable(replace(sol, residuals=1e-3))
+
+
+def point_lanes(monkeypatch):
+    """The in-window grid programs of one floored two-user cct point, as
+    algorithm1_cct hands them to the lane solver."""
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    r_m = 0.3 * algorithms.multicast_upper_bound(ch, p)[0]
+    calls = []
+
+    def recording_solve_many(problems, config=None):
+        calls.append(list(problems))
+        return solve_many(problems, config)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "solve_many", recording_solve_many)
+        algorithms.algorithm1_cct(ch, p, r_m, t_alpha=80, t_g=20,
+                                  rng=np.random.default_rng(0))
+    return calls[0]
+
+
+def assert_bitwise_equal(got, ref):
+    assert got.status is ref.status and got.iterations == ref.iterations
+    for a, b in ((got.matrix, ref.matrix), (got.dual, ref.dual),
+                 (got.objective_value, ref.objective_value)):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_lanes_match_solving_each_program_alone(monkeypatch):
+    progs = point_lanes(monkeypatch)
+    assert 2 < len(progs) < 80
+    sols = solve_many(progs)
+    for prog, sol in zip(progs, sols):
+        assert sol.status is SdpStatus.OPTIMAL
+        assert_bitwise_equal(sol, solve(prog))
+    # the lanes stop at different iterations, so some froze while others ran on
+    assert len({sol.iterations for sol in sols}) > 1
+
+
+def test_lane_that_stops_early_does_not_perturb_the_others(monkeypatch):
+    # a lane with a non-finite bound breaks down in its first iteration
+    progs = point_lanes(monkeypatch)
+    broken = replace(progs[1], constraints=[(progs[1].constraints[0][0], "<=", np.nan)]
+                     + progs[1].constraints[1:])
+    sols = solve_many(progs[:1] + [broken] + progs[1:])
+    assert sols[1].status is SdpStatus.BREAKDOWN and sols[1].iterations == 1
+    for got, ref in zip(sols[:1] + sols[2:], solve_many(progs)):
+        assert_bitwise_equal(got, ref)
+    assert_bitwise_equal(sols[1], solve(broken))
+
+    # one program of the batch is certified infeasible while the others run on
+    def program(bound, pair_bound, weights):
+        return SdpProblem(dim=4, objective=np.asarray(weights, dtype=float), basis=np.eye(4),
+                          constraints=[(np.ones(4), "==", bound),
+                                       (np.array([1.0, 1.0, 0.0, 0.0]), "<=", pair_bound)])
+
+    progs = [program(1.0, 0.5, [3, 2, 1, 0]), program(1.0, -0.5, [0, 1, 2, 3]),
+             program(2.0, 0.3, [1, 0, 0, 2])]
+    sols = solve_many(progs)
+    assert [sol.status for sol in sols] == [SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE,
+                                            SdpStatus.OPTIMAL]
+    assert sols[1].iterations < min(sols[0].iterations, sols[2].iterations)
+    for prog, sol in zip(progs, sols):
+        assert_bitwise_equal(sol, solve(prog))
+
+
+def test_lanes_need_one_shape(monkeypatch):
+    progs = point_lanes(monkeypatch)[:3]
+    head = progs[0]
+    other_basis = replace(head, basis=head.basis * np.exp(0.1j))
+    rel = head.constraints[0]
+    other_relation = replace(head, constraints=[(rel[0], ">=", rel[2])] + head.constraints[1:])
+    other_scalars = replace(head, n_scalars=1, scalar_objective=[0.0])
+    for odd in (other_basis, other_relation, other_scalars):
+        with pytest.raises(ValueError, match="lanes need"):
+            solve_many(progs + [odd])
+    assert solve_many([]) == []
+
+
+def test_inv_factor_falls_back_lane_by_lane():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    definite = a @ a.conj().T + np.eye(4)
+    indefinite = np.diag([1.0, 2.0, -1.0, 3.0]).astype(complex)
+    stack = np.array([definite, np.outer(a[:, 0], a[:, 0].conj()), indefinite])
+    factors = sdp._inv_factor(stack)
+    for lane, got in zip(stack, factors):
+        assert np.array_equal(got, sdp._inv_factor(lane[None])[0])
+    assert np.array_equal(factors[0], np.linalg.inv(np.linalg.cholesky(definite)))
+    # past the jitter ladder: the pseudo-inverse factor of the positive part,
+    # padded with a zero row
+    assert np.allclose(factors[2].conj().T @ factors[2], np.diag([1.0, 0.5, 0.0, 1.0 / 3.0]))
+    assert not factors[2][-1].any()
+
+
+def test_lane_by_lane_steps_match_the_stacked_ones(monkeypatch):
+    # when a stacked factorization fails, the iteration's step is taken lane by
+    # lane; forcing that path everywhere leaves every lane's history unchanged
+    progs = point_lanes(monkeypatch)
+    stacked = solve_many(progs)
+    real = sdp._inv_factor
+
+    def failing_on_stacks(mat):
+        if len(mat) > 2:
+            raise np.linalg.LinAlgError("forced")
+        return real(mat)
+
+    monkeypatch.setattr(sdp, "_inv_factor", failing_on_stacks)
+    for got, ref in zip(solve_many(progs), stacked):
+        assert_bitwise_equal(got, ref)
