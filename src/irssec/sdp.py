@@ -126,29 +126,31 @@ def _dot(a, b) -> np.ndarray:
     return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real
 
 
-def _inv_factor(mat: np.ndarray) -> np.ndarray:
+def _inv_factor(mat: np.ndarray, alone: bool) -> np.ndarray:
     """R with R mat R^H = I for each Hermitian positive definite matrix of a
-    lane stack: the inverse of its Cholesky factor. A lane whose
-    factorization fails is retried alone with growing diagonal jitter; past
-    that, its eigendecomposition gives the factor of the pseudo-inverse,
-    padded with zero rows."""
+    stack: the inverse of its Cholesky factor. A failed stacked factorization
+    raises LinAlgError unless the stack is one lane's (alone); then each
+    matrix is factored by itself, retried with growing diagonal jitter and,
+    past that, given the factor of its pseudo-inverse from its
+    eigendecomposition, padded with zero rows."""
     try:
         return np.linalg.inv(np.linalg.cholesky(mat))
     except np.linalg.LinAlgError:
-        if len(mat) > 1:
-            return np.concatenate([_inv_factor(lane[None]) for lane in mat])
-    one = mat[0]
-    eye = np.eye(one.shape[0])
-    scale = max(float(np.abs(one).max(initial=0.0)), 1e-300)
-    for jitter in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
-        try:
-            return np.linalg.inv(np.linalg.cholesky(mat + jitter * scale * eye))
-        except np.linalg.LinAlgError:
-            continue
-    lam, vec = np.linalg.eigh(one)
-    keep = lam > np.finfo(float).eps * one.shape[0] * max(float(lam[-1]), 0.0)
+        if not alone:
+            raise
     out = np.zeros_like(mat)
-    out[0, :keep.sum()] = (vec[:, keep] / np.sqrt(lam[keep])).conj().T
+    for one, r in zip(mat, out):
+        eye, scale = np.eye(len(one)), max(float(np.abs(one).max(initial=0.0)), 1e-300)
+        for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            try:
+                r[:] = np.linalg.inv(np.linalg.cholesky(one + jitter * scale * eye))
+                break
+            except np.linalg.LinAlgError:
+                continue
+        else:
+            lam, vec = np.linalg.eigh(one)
+            keep = lam > np.finfo(float).eps * len(one) * max(float(lam[-1]), 0.0)
+            r[:keep.sum()] = (vec[:, keep] / np.sqrt(lam[keep])).conj().T
     return out
 
 
@@ -166,15 +168,16 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
     lengths, so both residuals shrink by the same factor (with separate
     lengths the dual can run ahead while the primal residual never closes).
 
-    Each lane has its own step length, stopping tests (on its own Python
-    floats) and `_inv_factor` fallbacks. A lane that stops is frozen and
-    leaves the active set. Every stacked product, BLAS dot and LAPACK call
-    acts on each lane alone, so a lane follows bitwise the iterates it
-    follows when solved alone; if one lane's failure aborts a stacked call,
-    that step is taken lane by lane. A numerical breakdown (non-finite or
-    overflowing iterate, failed factorization or a step below 1e-10) ends a
-    lane with BREAKDOWN. Returns per lane (x, xd, y, status, iterations,
-    relative gap, residual, primal objective).
+    Each lane has its own step length and stopping tests (on its own Python
+    floats). A lane that stops is frozen and leaves the active set. Every
+    stacked product, BLAS dot and LAPACK call acts on each lane alone, so a
+    lane follows bitwise the iterates it follows when solved alone; if one
+    lane's failure aborts a stacked call (a failed factorization, say), that
+    step is taken lane by lane, with the `_inv_factor` fallbacks. A
+    numerical breakdown (non-finite or overflowing iterate, failed
+    factorization or a step below 1e-10) ends a lane with BREAKDOWN. Returns
+    per lane (x, xd, y, status, iterations, relative gap, residual, primal
+    objective).
     """
     lanes, m = b.shape
     n, nd = f.shape[0], vecs.shape[-1]
@@ -192,8 +195,9 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
     a_norms = _embedded_norms(gram2, w, vecs)
     norm_c = _embedded_norms(gram2, c_w[..., None], c_vec[:, None, :])[:, 0]
     least = max(10.0, math.sqrt(2 * n))
-    xi = np.maximum(least, (2 * n * (1.0 + np.abs(b)) / (1.0 + a_norms)).max(axis=-1, initial=0.0))
-    eta = np.maximum(least, np.maximum(a_norms.max(axis=-1, initial=0.0), norm_c))
+    # fmax skips a NaN as Python's max does, so the start is the one-lane one
+    xi = np.fmax(least, (2 * n * (1.0 + np.abs(b)) / (1.0 + a_norms)).max(axis=-1, initial=0.0))
+    eta = np.fmax(least, np.fmax(a_norms.max(axis=-1, initial=0.0), norm_c))
     start = np.array((xi, eta)).T
     # The active lanes' state; each keeps (X, S) and (xd, sd) as one pair, so
     # that both factorizations and both step searches are one stacked call.
@@ -223,7 +227,8 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
         xs, xsd, w, vecs = st["xs"][sel], st["xsd"][sel], st["w"][sel], st["vecs"][sel]
         rd_mat, rd_vec, mu = st["rd_mat"][sel], st["rd_vec"][sel], st["mu"][sel]
         x, xd, sd = xs[:, 0], xsd[:, 0], xsd[:, 1]
-        r_xs = _inv_factor(xs.reshape(-1, n, n))      # X and S factors, interleaved
+        alone = len(xs) == 1
+        r_xs = _inv_factor(xs.reshape(-1, n, n), alone)  # X and S factors, interleaved
         r_xs_h = r_xs.conj().swapaxes(-1, -2)
         s_inv = r_xs_h[1::2] @ r_xs[1::2]
         sd_inv = 1.0 / sd
@@ -231,7 +236,7 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
                        @ ((fh @ x @ f) * (fh @ s_inv @ f).swapaxes(-1, -2)).real @ w)
         if nd:
             big_m += (vecs * (xd * sd_inv)[:, None, :]) @ vecs.swapaxes(-1, -2)
-        r_m = _inv_factor(0.5 * (big_m + big_m.swapaxes(-1, -2)))
+        r_m = _inv_factor(0.5 * (big_m + big_m.swapaxes(-1, -2)), alone)
         x_rd = x @ rd_mat
 
         def direction(taumu, h_mat, h_vec):
@@ -271,16 +276,22 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
         step = [min(1.0, cfg.step_fraction * min(t_p, t_d)) for t_p, t_d in max_steps(d_mat, d_vec)]
         return d_mat, d_vec, dy, np.array(step)
 
+    def lane_newton(i):
+        """The newton step of lane i alone, or a NaN one (a breakdown) if it fails."""
+        try:
+            return newton(slice(i, i + 1))
+        except np.linalg.LinAlgError:
+            return (np.full_like(st["xs"][i:i + 1], np.nan), st["xsd"][i:i + 1],
+                    st["y"][i:i + 1], np.ones(1))
+
     it = 0
     for it in range(1, cfg.max_iterations + 1):
         xs, xsd, y, w, vecs, b = (st[key] for key in ("xs", "xsd", "y", "w", "vecs", "b"))
         x, s, xd, sd = xs[:, 0], xs[:, 1], xsd[:, 0], xsd[:, 1]
         gap = 2.0 * _dot(x, s) + np.vecdot(xd, sd)
         ny = np.sqrt(np.vecdot(y, y))
-        finite = np.isfinite(gap) & np.isfinite(ny)   # false for any non-finite entry
-        if not finite.all():
-            finite = (np.isfinite(xs).all(axis=(1, 2, 3)) & np.isfinite(xsd).all(axis=(1, 2))
-                      & np.isfinite(y).all(axis=1))
+        finite = (np.isfinite(xs).all(axis=(1, 2, 3)) & np.isfinite(xsd).all(axis=(1, 2))
+                  & np.isfinite(y).all(axis=1))
         ax = a_op(w, x) + np.matvec(vecs, xd)
         rp = b - ax
         ys_mat = 0.5 * a_adj(w, y)
@@ -332,18 +343,7 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
         try:
             out = newton(slice(None))
         except np.linalg.LinAlgError:
-            parts, why = [], []
-            for i in range(live.size):
-                try:
-                    parts.append(newton(slice(i, i + 1)))
-                    why.append(None)
-                except np.linalg.LinAlgError:
-                    why.append(SdpStatus.BREAKDOWN)
-            if any(stat is not None for stat in why):
-                freeze(why, it)
-            if not live.size:
-                break
-            out = [np.concatenate(col) for col in zip(*parts)]
+            out = [np.concatenate(col) for col in zip(*map(lane_newton, range(live.size)))]
         usable = (np.isfinite(out[0]).all(axis=(1, 2, 3)) & np.isfinite(out[2]).all(axis=1)
                   & ~(out[3] < 1e-10))
         if not usable.all():
@@ -467,7 +467,8 @@ def solve_many(problems, config: SolverConfig | None = None) -> list:
     out = []
     for prob, lane, (x, xd, y, status, iters, relgap, resid, pobj) in zip(problems, lanes, done):
         sign, (row_scale, c_scale) = 1.0 if prob.maximize else -1.0, lane[7:]
-        out.append(SdpSolution(matrix=x, objective_value=sign * pobj * c_scale, status=status,
+        # x views the stack of lanes frozen with it; a copy keeps no stack alive
+        out.append(SdpSolution(matrix=x.copy(), objective_value=sign * pobj * c_scale, status=status,
                                duality_gap=relgap, residuals=resid, iterations=iters,
                                scalars=xd[:prob.n_scalars].copy(),
                                dual=sign * y * c_scale / row_scale))

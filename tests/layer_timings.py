@@ -8,7 +8,7 @@ Prints three groups of figures, each the best of R timed repeats:
   are the 80 Charnes-Cooper programs of the r_m = 0 point of
   `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`, solved L at a time by
   `solve_many` (L = 1 is `solve`), and the time is divided by the summed
-  iterations of the lanes. Without a lane solver the L > 1 rows read n/a.
+  iterations of the lanes.
 * one-lane ms per iteration at N in {30, 60, 100}: the multicast-bound and
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
   scenario seeds 0 and 1.
@@ -44,9 +44,7 @@ def recorded_programs(run) -> list:
         seen.extend(problems)
         return sdp.solve_many(problems, config)
 
-    hooks = {"solve": solve}
-    if hasattr(sdp, "solve_many"):
-        hooks["solve_many"] = solve_many
+    hooks = {"solve": solve, "solve_many": solve_many}
     saved = {name: getattr(algorithms, name) for name in hooks}
     try:
         for name, hook in hooks.items():
@@ -78,13 +76,10 @@ def lane_rows(repeats: int) -> None:
             def run():
                 for prog in progs:
                     sdp.solve(prog)
-        elif hasattr(sdp, "solve_many"):
+        else:
             def run(lanes=lanes):
                 for at in range(0, len(progs), lanes):
                     sdp.solve_many(progs[at:at + lanes])
-        else:
-            print(f"n=11   L={lanes:<3d} ms per lane-iteration   n/a (no lane solver)")
-            continue
         ms = 1e3 * best_of(repeats, run) / iterations
         print(f"n=11   L={lanes:<3d} ms per lane-iteration {ms:8.4f}"
               f"   ({len(progs)} programs, {iterations} lane-iterations)")

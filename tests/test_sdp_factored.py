@@ -145,12 +145,17 @@ def test_lanes_match_solving_each_program_alone(monkeypatch):
 
 
 def test_lane_that_stops_early_does_not_perturb_the_others(monkeypatch):
-    # a lane with a non-finite bound breaks down in its first iteration
+    # a lane with a non-finite bound breaks down in its first iteration; as
+    # the scalar solver did, it starts from the finite 10 I (the NaN bound does
+    # not enter the start) and reports a NaN gap and residual
     progs = point_lanes(monkeypatch)
     broken = replace(progs[1], constraints=[(progs[1].constraints[0][0], "<=", np.nan)]
                      + progs[1].constraints[1:])
     sols = solve_many(progs[:1] + [broken] + progs[1:])
     assert sols[1].status is SdpStatus.BREAKDOWN and sols[1].iterations == 1
+    assert np.array_equal(sols[1].matrix, 10.0 * np.eye(broken.dim))
+    assert np.isnan(sols[1].duality_gap) and np.isnan(sols[1].residuals)
+    assert np.isfinite(sols[1].objective_value) and not sols[1].dual.any()
     for got, ref in zip(sols[:1] + sols[2:], solve_many(progs)):
         assert_bitwise_equal(got, ref)
     assert_bitwise_equal(sols[1], solve(broken))
@@ -184,15 +189,18 @@ def test_lanes_need_one_shape(monkeypatch):
     assert solve_many([]) == []
 
 
-def test_inv_factor_falls_back_lane_by_lane():
+def test_inv_factor_falls_back_matrix_by_matrix_for_one_lane():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     definite = a @ a.conj().T + np.eye(4)
     indefinite = np.diag([1.0, 2.0, -1.0, 3.0]).astype(complex)
     stack = np.array([definite, np.outer(a[:, 0], a[:, 0].conj()), indefinite])
-    factors = sdp._inv_factor(stack)
-    for lane, got in zip(stack, factors):
-        assert np.array_equal(got, sdp._inv_factor(lane[None])[0])
+    # a stack of several lanes leaves the failure to the lane-by-lane retry
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._inv_factor(stack, alone=False)
+    factors = sdp._inv_factor(stack, alone=True)
+    for one, got in zip(stack, factors):
+        assert np.array_equal(got, sdp._inv_factor(one[None], alone=True)[0])
     assert np.array_equal(factors[0], np.linalg.inv(np.linalg.cholesky(definite)))
     # past the jitter ladder: the pseudo-inverse factor of the positive part,
     # padded with a zero row
@@ -207,10 +215,10 @@ def test_lane_by_lane_steps_match_the_stacked_ones(monkeypatch):
     stacked = solve_many(progs)
     real = sdp._inv_factor
 
-    def failing_on_stacks(mat):
-        if len(mat) > 2:
+    def failing_on_stacks(mat, alone):
+        if not alone:
             raise np.linalg.LinAlgError("forced")
-        return real(mat)
+        return real(mat, alone)
 
     monkeypatch.setattr(sdp, "_inv_factor", failing_on_stacks)
     for got, ref in zip(solve_many(progs), stacked):
