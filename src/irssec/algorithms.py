@@ -29,7 +29,7 @@ import numpy as np
 
 from . import model
 from .channel import ChannelSet
-from .sdp import (SdpProblem, SdpSolverError, SdpStatus, grp_draw, grp_round, solve, solve_many,
+from .sdp import (SdpBatch, SdpSolverError, SdpStatus, grp_draw, grp_round, solve_batch,
                   substream)
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
@@ -68,12 +68,14 @@ class SweepParams:
 
 
 class _Lifted:
-    """Gain-normalized lifted problem data shared by the SDP builders. Every
-    matrix the programs use is a weight vector over the basis [I, u_1 ... u_K]
-    of unit vectors and user lifts T_k = u_k u_k^H; no T_k is formed densely."""
+    """Gain-normalized lifted data and the two program shapes, built as
+    `SdpBatch` arrays: the max-min SNR program and one Charnes-Cooper program
+    per confidential power. Every matrix is a weight vector over the basis
+    [e_1 ... e_N+1, u_1 ... u_K] of unit vectors and user lifts
+    T_k = u_k u_k^H, so a I + b T_k weighs the first N+1 columns by a and
+    column N+1+k by b; no T_k is formed densely."""
 
     def __init__(self, ch: ChannelSet, p: float):
-        self.ch = ch
         self.p = float(p)
         self.n = ch.n
         self.k = ch.k
@@ -86,26 +88,52 @@ class _Lifted:
         self.aligned2 = self.aligned2_raw / self.gain_scale
         self.traces = (np.abs(lifts) ** 2).sum(axis=0)
 
-    def weights(self, eye: float = 0.0, k: int | None = None, t_coef: float = 0.0):
-        """Weight vector of eye*I + t_coef*T_k over the basis."""
-        w = np.zeros(self.n + 1 + self.k)
-        w[:self.n + 1] = eye
-        if k is not None:
-            w[self.n + 1 + k] = t_coef
-        return w
+    def max_min_batch(self, users: np.ndarray, weights: np.ndarray) -> SdpBatch:
+        """One lane: max s_scale s over unit-diagonal PSD Z and s >= 0 s.t.
+        weights_k Tr(Z T_k) >= s_scale s, k in users; s_scale keeps s order one."""
+        n1, n_users = self.n + 1, len(users)
+        s_scale = max(float(np.max(weights * np.maximum(self.traces[users], 0.0))), 1e-30)
+        rows = np.zeros((n_users + n1, self.basis.shape[1]))
+        rows[np.arange(n_users), n1 + users] = weights
+        rows[n_users:, :n1] = np.eye(n1)
+        counts = [n_users, n1]
+        return SdpBatch(self.basis, np.zeros((1, rows.shape[1])), rows[None],
+                        np.repeat([0.0, 1.0], counts)[None], np.repeat([-1, 0], counts),
+                        np.repeat([-s_scale, 0.0], counts)[None, :, None], np.array([s_scale]))
 
-    def diag_tie_rows(self):
-        ties = np.eye(self.n, self.n + 1 + self.k)
-        ties[:, self.n] = -1.0
-        return [(w, "==", 0.0) for w in ties]
-
-    def unit_diag_rows(self):
-        return [(w, "==", 1.0) for w in np.eye(self.n + 1, self.n + 1 + self.k)]
-
-    def program(self, objective, cons, **scalars) -> SdpProblem:
-        """One lifted program over the basis."""
-        return SdpProblem(dim=self.n + 1, objective=objective, constraints=cons,
-                          basis=self.basis, **scalars)
+    def cct_batch(self, r_m: float, alphas, eav_snr: float):
+        """(batch, keep): one Charnes-Cooper lane per power alphas[keep]; keep
+        drops the powers at which no lifted covariance supports the floor r_m,
+        (P - alpha c) eav_snr < c - 1 with c = 2^r_m (`_eavesdropper_snr`).
+        Lane alpha maximizes Tr((s_1/(N+1) I + alpha T_1) Y) over PSD Y with a
+        constant diagonal (the tie rows) s.t. Tr((s_1/(N+1) I + alpha s_1/s_k
+        T_k) Y) <= beta0 for each eavesdropper k and, with a floor,
+        Tr(((P - alpha c) T_k - (c - 1) s_k/(N+1) I) Y) >= 0. The bound beta0
+        keeps Y of order one. Every weight is affine in alpha."""
+        n1, k, eav, s1 = self.n + 1, self.k, np.arange(1, self.k), self.sigma2[0]
+        alphas = np.asarray(alphas, dtype=float)
+        keep = np.ones(alphas.size, dtype=bool)
+        # The objective, then the rows, as base + alpha * slope weights.
+        m = (k - 1) * (1 + (r_m > 0)) + self.n
+        base, slope = np.zeros((2, 1 + m, n1 + k))
+        base[:k, :n1] = s1 / n1
+        slope[0, n1] = 1.0
+        slope[eav, n1 + eav] = s1 / self.sigma2[eav]
+        if r_m > 0:
+            c = 2.0 ** r_m
+            keep = (self.p - alphas * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
+            base[k - 1 + eav, :n1] = (-(c - 1.0) * self.sigma2[eav] / n1)[:, None]
+            base[k - 1 + eav, n1 + eav] = self.p
+            slope[k - 1 + eav, n1 + eav] = -c
+        base[-self.n:, :self.n] = np.eye(self.n)
+        base[-self.n:, self.n] = -1.0
+        weights = base + alphas[keep, None, None] * slope
+        beta0 = np.maximum((s1 + weights[:, eav, n1 + eav] * self.traces[eav]).max(axis=1), 1e-30)
+        bounds = np.zeros((len(weights), m))
+        bounds[:, :k - 1] = beta0[:, None]
+        sense = np.repeat([1, -1, 0], [k - 1, m - self.n - (k - 1), self.n])
+        return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense,
+                        np.zeros((len(weights), m, 0)), np.zeros(0)), keep
 
 
 def _solution_usable(sol) -> bool:
@@ -115,23 +143,14 @@ def _solution_usable(sol) -> bool:
             and sol.duality_gap <= _ACCEPT_GAP and sol.residuals <= _ACCEPT_GAP)
 
 
-def _dual_slack(sol, prob: SdpProblem):
-    """Dual slack A*(y) - C of a factored max program at the solver's
-    multipliers.
-
-    Each multiplier is first clipped to the sign its relation allows (">="
-    rows nonpositive, "<=" rows nonnegative). Returns (slack, y_clipped);
-    weak duality then needs only the slack's smallest eigenvalue.
-    """
-    ys = np.empty(len(prob.constraints))
-    for i, (y, (_, rel, *_)) in enumerate(zip(sol.dual, prob.constraints)):
-        if rel == "<=":
-            y = max(y, 0.0)
-        elif rel == ">=":
-            y = min(y, 0.0)
-        ys[i] = y
-    w = np.array([con[0] for con in prob.constraints]).T @ ys - prob.objective
-    return (prob.basis * w) @ prob.basis.conj().T, ys
+def _dual_slack(sol, batch: SdpBatch, lane: int):
+    """(A*(y) - C, y) of one lane of a batch at the solver's multipliers y,
+    each first clipped to the sign its row's sense allows (nonnegative for
+    +1, nonpositive for -1); weak duality then needs only the slack's
+    smallest eigenvalue."""
+    ys = np.where(batch.sense * sol.dual < 0, 0.0, sol.dual)
+    w = batch.rows[lane].T @ ys - batch.objective[lane]
+    return (batch.basis * w) @ batch.basis.conj().T, ys
 
 
 def _psd_shift(mat: np.ndarray) -> float:
@@ -153,20 +172,15 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
 
     A failed solve raises SdpSolverError.
     """
-    n1 = ctx.n + 1
-    s_scale = max(float(np.max(weights * np.maximum(ctx.traces[users], 0.0))), 1e-30)
-    cons = [(ctx.weights(k=k, t_coef=wk), ">=", 0.0, [-s_scale])
-            for k, wk in zip(users, weights)]
-    cons += [c + (np.zeros(1),) for c in ctx.unit_diag_rows()]
-    prob = ctx.program(ctx.weights(), cons, n_scalars=1, scalar_objective=[s_scale])
-    sol = solve(prob)
+    batch = ctx.max_min_batch(users, weights)
+    sol = solve_batch(batch)[0]
     if not _solution_usable(sol):
         raise SdpSolverError(f"max-min SNR solve failed: {sol.status.value}")
-    slack, y = _dual_slack(sol, prob)
+    slack, y = _dual_slack(sol, batch, 0)
     mu_sum = -float(y[:len(users)].sum())
     dual_snr = math.inf
     if mu_sum > 0:
-        dual_snr = (float(y[len(users):].sum()) + n1 * _psd_shift(slack)) / mu_sum
+        dual_snr = (float(y[len(users):].sum()) + (ctx.n + 1) * _psd_shift(slack)) / mu_sum
     aligned_snr = float(np.min(weights * ctx.aligned2[users]))
     return max(min(dual_snr, aligned_snr), 0.0), sol.matrix
 
@@ -189,36 +203,13 @@ def _eavesdropper_snr(ctx: _Lifted) -> float:
     return _max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav])[0]
 
 
-def _cct_program(ctx: _Lifted, r_m: float, alpha: float, eav_snr: float):
-    """Charnes-Cooper SDP at a fixed confidential power, as (problem, beta0)
-    in the normalized units of ctx (beta0 the rescaled normalization bound),
-    or None when no lifted covariance supports the multicast floor at this
-    power split, as when (P - alpha c) eav_snr < c - 1 (`_eavesdropper_snr`).
-    """
-    n1 = ctx.n + 1
-    s1 = ctx.sigma2[0]
-    coefs = (s1 / ctx.sigma2) * alpha
-    # Re-bound the normalization so the matrix iterate stays order one.
-    beta0 = max(max(s1 + coefs[k] * ctx.traces[k] for k in range(1, ctx.k)), 1e-30)
-    cons = [(ctx.weights(s1 / n1, k, coefs[k]), "<=", beta0) for k in range(1, ctx.k)]
-    if r_m > 0:
-        c = 2.0 ** r_m
-        if not (ctx.p - alpha * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12):
-            return None
-        for k in range(1, ctx.k):
-            cons.append((ctx.weights(-(c - 1.0) * ctx.sigma2[k] / n1, k, ctx.p - alpha * c),
-                         ">=", 0.0))
-    cons += ctx.diag_tie_rows()
-    return ctx.program(ctx.weights(s1 / n1, 0, alpha), cons), beta0
-
-
-def _cct_value(ctx: _Lifted, sol, prob: SdpProblem, beta0: float):
-    """(c_value, y, xi, z, beta0) of a solved `_cct_program`, or None when it
-    is infeasible; an unusable solution raises SdpSolverError. c_value bounds
-    the relaxation from above: it is the dual objective divided by beta0, the
-    sum of the normalization-row multipliers. A dual slack with smallest
-    eigenvalue -t is made PSD by adding t (N+1)/sigma_1^2 to one of them,
-    since every normalization matrix dominates (sigma_1^2/(N+1)) I.
+def _cct_value(ctx: _Lifted, sol, batch: SdpBatch, lane: int):
+    """(c_value, y, xi, z) of one solved lane of a `_Lifted.cct_batch`, or
+    None when it is infeasible; an unusable solution raises SdpSolverError.
+    c_value bounds the relaxation from above: it is the dual objective divided
+    by beta0, the sum of the normalization-row multipliers. A dual slack with
+    smallest eigenvalue -t is made PSD by adding t (N+1)/sigma_1^2 to one of
+    them, since every normalization matrix dominates (sigma_1^2/(N+1)) I.
     """
     if sol.status == SdpStatus.INFEASIBLE:
         return None
@@ -230,9 +221,9 @@ def _cct_value(ctx: _Lifted, sol, prob: SdpProblem, beta0: float):
     if xi <= _XI_FLOOR:
         return None
     z = y / xi
-    slack, mult = _dual_slack(sol, prob)
+    slack, mult = _dual_slack(sol, batch, lane)
     c_value = float(mult[:ctx.k - 1].sum()) + _psd_shift(slack) * (ctx.n + 1) / ctx.sigma2[0]
-    return c_value, y, xi, z, beta0
+    return c_value, y, xi, z
 
 
 def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
@@ -247,12 +238,12 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
         raise ValueError("confidential power must lie in [0, P]")
     ctx = _Lifted(ch, p)
     eav_snr = _eavesdropper_snr(ctx) if r_m > 0 else math.inf
-    prog = _cct_program(ctx, r_m, min(max(alpha, 0.0), p), eav_snr)
-    res = None if prog is None else _cct_value(ctx, solve(prog[0]), *prog)
+    batch, keep = ctx.cct_batch(r_m, [min(max(alpha, 0.0), p)], eav_snr)
+    res = _cct_value(ctx, solve_batch(batch)[0], batch, 0) if keep[0] else None
     if res is None:
         return None
-    c_value, y, xi, _, beta0 = res
-    scale = ctx.gain_scale * beta0
+    c_value, y, xi, _ = res
+    scale = ctx.gain_scale * batch.bounds[0, 0]
     return c_value, y / scale, xi / scale
 
 
@@ -317,7 +308,7 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     """Fractional-programming sweep over the confidential power grid.
 
     The Charnes-Cooper SDPs of the grid powers inside the supportable window
-    are solved as lanes of one `solve_many` call. In grid order, candidates
+    are solved as lanes of one `solve_batch` call. In grid order, candidates
     are drawn from each solution by Gaussian randomization and scored by
     their repaired secrecy rate (patterns that cannot carry the multicast
     floor are discarded so every reported point is floor-certified). Records
@@ -345,16 +336,13 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
              "max_feasible": -1.0, "lanes": []}
 
     def run_steps(alphas):
-        progs = [_cct_program(ctx, r_m, alpha_t, eav_snr) for alpha_t in alphas]
-        sols = iter(solve_many([prog[0] for prog in progs if prog is not None]))
-        for alpha_t, prog in zip(alphas, progs):
-            state["n_steps"] += 1
-            if prog is None:
-                continue
-            sol = next(sols)
-            state["lanes"].append(sol)
+        batch, keep = ctx.cct_batch(r_m, alphas, eav_snr)
+        sols = solve_batch(batch)
+        state["n_steps"] += len(alphas)
+        state["lanes"] += sols
+        for lane, (alpha_t, sol) in enumerate(zip(np.asarray(alphas)[keep].tolist(), sols)):
             try:
-                res = _cct_value(ctx, sol, *prog)
+                res = _cct_value(ctx, sol, batch, lane)
             except SdpSolverError as exc:
                 # Powers at the exact feasibility edge lose strict interiority;
                 # skip the sample unless every sample fails.
@@ -364,7 +352,7 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
             if res is None:
                 continue
             state["max_feasible"] = max(state["max_feasible"], alpha_t)
-            c_value, _, _, z, _ = res
+            c_value, _, _, z = res
             v, sc = grp_round(z, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
             if not np.isfinite(sc):
                 continue
@@ -410,8 +398,8 @@ def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
     power on the confidential stream and no multicast floor; returns the
     unit-diagonal Z."""
     ctx = _Lifted(ch, p)
-    prob, beta0 = _cct_program(ctx, 0.0, p, math.inf)
-    res = _cct_value(ctx, solve(prob), prob, beta0)
+    batch, _ = ctx.cct_batch(0.0, [p], math.inf)
+    res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
     if res is None:
         raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
     return res[3]

@@ -142,7 +142,7 @@ def _load_v_source(v_source: str, ch, p: float, spec: RunSpec):
     return np.exp(1j * arr)
 
 
-def cmd_analyze(spec: RunSpec, v_source: str, alpha: float | None, r_m: float) -> dict:
+def cmd_analyze(spec: RunSpec, v_source: str, alpha: float | None) -> dict:
     """JSON report: feasibility verdict, benefit classification, enhancement
     factors, sweep gap bounds, and complexity estimates."""
     config = load_scenario(spec.scenario_path)
@@ -164,7 +164,7 @@ def cmd_analyze(spec: RunSpec, v_source: str, alpha: float | None, r_m: float) -
     if verdict is not model.Feasibility.INFEASIBLE and ch.k == 2:
         v = _load_v_source(v_source, ch, p, spec)
         try:
-            report = analysis.enhancement_analysis(ch, v, alpha, p=p, r_m=r_m)
+            report = analysis.enhancement_analysis(ch, v, alpha, p=p)
             classification = report.classification.value
             e_factors = report.e_factors
             eta = report.eta
@@ -194,14 +194,14 @@ def cmd_sweep_power(spec: RunSpec, powers: list) -> int:
     """One region per transmit power, tagged by a power column."""
     if not powers:
         raise CliError("--powers requires at least one value")
+    if not all(np.isfinite(p) and p > 0 for p in powers):
+        raise CliError("powers must be finite and positive")
     config = load_scenario(spec.scenario_path)
     ch = generate_channels(config)
     _check_scenario_feasible(ch)
     rows = [CSV_HEADER + ",power_w"]
     companions = []
     for p in powers:
-        if p <= 0:
-            raise CliError("powers must be positive")
         region = algorithms.sweep_region(ch, p, spec.scheme, spec.grid_points,
                                          spec.params(), seed=spec.seed)
         rows += _region_rows(region, p, spec.seed, extra="," + _fmt(p))
@@ -242,8 +242,6 @@ def _build_parser() -> _Parser:
                     help="phase file (JSON radians) or scheme name to optimize first")
     sp.add_argument("--alpha", type=float, default=None,
                     help="confidential power for the enhancement factors (default: P)")
-    sp.add_argument("--r-m", type=float, default=1.0,
-                    help="multicast floor used for the power-split entries")
 
     sp = sub.add_parser("sweep-power", help="one region per transmit power")
     common(sp)
@@ -274,7 +272,7 @@ def main(argv=None) -> int:
             return cmd_region(_spec_from_args(args, "region.csv"))
         if args.command == "analyze":
             spec = _spec_from_args(args, "")
-            report = cmd_analyze(spec, args.v_source, args.alpha, args.r_m)
+            report = cmd_analyze(spec, args.v_source, args.alpha)
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             if spec.output_path:
                 with open(spec.output_path, "w") as fh:

@@ -1,30 +1,31 @@
 """Hermitian trace-form SDP solver and randomized phase rounding.
 
-Solves small problems of the form
+The solver takes an `SdpBatch`: L programs of one shape, lane l being
 
-    max/min  Tr(C X) + c.u
-    s.t.     Tr(A_i X) + a_i.u  {<=,==,>=}  b_i,   X >= 0 (PSD),  u >= 0,
+    max  Tr(C_l X) + c_l.u
+    s.t. Tr(A_li X) + a_li.u  {<=,==,>=}_i  b_li,   X >= 0 (PSD),  u >= 0,
 
-where X is a Hermitian matrix variable and u an optional vector of
-nonnegative scalars (used for epigraph variables). Each data matrix is
-factored as F diag(w_i) F^H over one shared column basis F. The core is an
-infeasible-start primal-dual path-following method on the complex iterate
-with the XZ (HKM) scaling direction, Mehrotra predictor-corrector, and one
-fraction-to-boundary step length shared by the primal and dual iterates. Its
-Schur complement comes from the factors, M = 1/2 W^T Re(P o Q^T) W with
-P = F^H X F, Q = F^H S^-1 F and W the row weights, never from row pairs.
+with X a Hermitian matrix variable, u an optional vector of nonnegative
+scalars (epigraph variables) and every data matrix F diag(w) F^H for a weight
+vector w over one shared column basis F. `solve_batch` runs the lanes in
+lockstep along a leading lane axis through an infeasible-start primal-dual
+path-following method on the complex iterate: XZ (HKM) scaling, Mehrotra
+predictor-corrector, one fraction-to-boundary step length shared by the
+primal and dual iterates, and the Schur complement M = 1/2 W^T Re(P o Q^T) W
+from the factors (P = F^H X F, Q = F^H S^-1 F, W the row weights), never
+from row pairs. Each lane keeps its own step lengths, stopping tests and
+factorization fallbacks, and a lane that stops leaves the stack, so every
+lane follows bitwise the iterates it follows alone.
 
-The core runs a stack of programs of one shape (same basis, relations and
-scalar count) in lockstep along a leading lane axis: `solve_many`. Each lane
-keeps its own step lengths, stopping tests and factorization fallbacks, and
-a lane that stops is frozen and leaves the stack, so every lane follows
-bitwise the iterates it follows alone. `solve` is the one-lane case.
+`SdpProblem` (constraint tuples with relation strings, dense or weight-vector
+data, min or max) is the adapter for programs written by hand: `solve_many`
+turns same-shape problems into one batch, and `solve` is its one-lane case.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,8 +61,30 @@ class SolverConfig:
 
 
 @dataclass
+class SdpBatch:
+    """L max-trace programs of one shape (see the module docstring), every
+    matrix a weight vector over the columns of ``basis`` (n, R):
+    ``objective`` (L, R) holds the C_l, ``rows`` (L, m, R) the A_li and
+    ``bounds`` (L, m) the b_li. ``sense`` (m,) is each row's relation, +1 for
+    <=, 0 for == and -1 for >=. ``scalar_rows`` (L, m, p) and
+    ``scalar_objective`` ((p,) or (L, p)) hold the a_li and c_l; p may be 0."""
+
+    basis: np.ndarray
+    objective: np.ndarray
+    rows: np.ndarray
+    bounds: np.ndarray
+    sense: np.ndarray
+    scalar_rows: np.ndarray
+    scalar_objective: np.ndarray
+
+    @property
+    def n_scalars(self) -> int:
+        return self.scalar_rows.shape[-1]
+
+
+@dataclass
 class SdpProblem:
-    """Max-trace program over one Hermitian PSD block.
+    """One program in tuple form, the adapter onto `SdpBatch`.
 
     constraints: list of (data, relation, bound) or
     (data, relation, bound, scalar_coeffs) tuples with relation one of
@@ -70,6 +93,7 @@ class SdpProblem:
 
     The objective and each row's data are a dim x dim Hermitian matrix or a
     length-R real weight vector w standing for F diag(w) F^H, F = ``basis``.
+    A dense matrix adds its eigenvectors to the basis of its batch.
     """
 
     dim: int
@@ -361,123 +385,109 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
     return done
 
 
-def _assemble(problem: SdpProblem):
-    """One program as lane data (f, gram2, w, vecs, b, c_w, c_vec, row_scale,
-    c_scale), rows equilibrated and the objective normalized. Weight-vector
-    data shares the columns of ``problem.basis``; each dense matrix adds its
-    eigenvectors as further columns, so every program takes one path."""
-    n = problem.dim
-    p = problem.n_scalars
-    sign = 1.0 if problem.maximize else -1.0
-    basis = None if problem.basis is None else np.asarray(problem.basis, dtype=complex)
-    if basis is not None and (basis.ndim != 2 or basis.shape[0] != n):
-        raise ValueError(f"basis must have {n} rows, got shape {basis.shape}")
-
-    c_scal = np.zeros(p)
-    if problem.scalar_objective is not None:
-        c_scal = np.asarray(problem.scalar_objective, dtype=float).reshape(p)
-
-    entries = [_factor(problem.objective, basis, n, "objective")]
-    rows = []
-    for idx, con in enumerate(problem.constraints):
-        if len(con) == 3:
-            data, rel, bound = con
-            coeffs = np.zeros(p)
-        else:
-            data, rel, bound, coeffs = con
-            coeffs = np.asarray(coeffs, dtype=float).reshape(p)
-        if rel not in ("<=", "==", ">="):
-            raise ValueError(f"constraint {idx}: unknown relation {rel!r}")
-        entries.append(_factor(data, basis, n, f"constraint {idx}"))
-        rows.append((rel, float(bound), coeffs))
-
-    # One shared basis: the problem's columns, then each dense entry's eigenvectors.
-    cols = [np.zeros((n, 0), dtype=complex) if basis is None else basis]
-    placed = []                                  # (first column, weights) per entry
-    for vec, wts in entries:
-        placed.append((0 if vec is None else sum(c.shape[1] for c in cols), wts))
-        cols += [] if vec is None else [vec]
-    f = np.hstack(cols)
-    w = np.zeros((f.shape[1], len(entries)))
-    for j, (at, wts) in enumerate(placed):
-        w[at:at + wts.size, j] = wts
-    c_w, w = sign * w[:, 0], w[:, 1:]
-
-    n_slack = sum(1 for rel, _, _ in rows if rel != "==")
-    nd = p + n_slack
-    m = len(rows)
-
-    vecs = np.zeros((m, nd))
-    b = np.empty(m)
-    slack_at = p
-    for i, (rel, bound, coeffs) in enumerate(rows):
-        vecs[i, :p] = coeffs
-        if rel == "<=":
-            vecs[i, slack_at] = 1.0
-            slack_at += 1
-        elif rel == ">=":
-            vecs[i, slack_at] = -1.0
-            slack_at += 1
-        b[i] = bound
-
-    # Row equilibration plus objective normalization for conditioning.
-    gram2 = np.abs(f.conj().T @ f) ** 2
-    row_scale = np.maximum(_embedded_norms(gram2, w, vecs), 1e-300)
-    w = w / row_scale
-    vecs /= row_scale[:, None]
-    b = b / row_scale
-
-    c_vec = np.zeros(nd)
-    c_vec[:p] = sign * c_scal
-    c_scale = float(_embedded_norms(gram2, c_w[:, None], c_vec[None, :])[0])
-    if c_scale < 1e-18:
-        c_scale = 1.0
-    return f, gram2, w, vecs, b, c_w / c_scale, c_vec / c_scale, row_scale, c_scale
-
-
-def solve_many(problems, config: SolverConfig | None = None) -> list:
-    """The SdpSolution of every problem, solved as the lanes of lockstep
-    `_ipm` calls (up to _LANE_BLOCK lanes each); each is bitwise the one
-    `solve` gives alone. The lanes must share dim, relations, scalar count
-    and (dense eigenvectors included) basis; ValueError otherwise. OPTIMAL
-    means gap and residuals below the tolerance; MAX_ITERATIONS (the
-    iteration cap) and BREAKDOWN (a numerical failure before it) are never
-    reported as OPTIMAL."""
+def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
+    """The SdpSolution of every lane, solved by lockstep `_ipm` calls of up
+    to _LANE_BLOCK lanes with the rows equilibrated and the objective
+    normalized; each lane is bitwise what it gives alone. OPTIMAL means gap
+    and residuals below the tolerance; MAX_ITERATIONS (the iteration cap) and
+    BREAKDOWN (a numerical failure before it) are never reported as OPTIMAL."""
     cfg = config or SolverConfig()
-    problems = list(problems)
-    if not problems:
-        return []
+    f = np.asarray(batch.basis, dtype=complex)
+    lanes, m, _ = np.shape(batch.rows)
+    p, sense = batch.n_scalars, np.asarray(batch.sense)
+    # The scalars, then one nonnegative slack column per inequality row.
+    slack = np.flatnonzero(sense)
+    vecs = np.zeros((lanes, m, p + slack.size))
+    vecs[..., :p] = batch.scalar_rows
+    vecs[:, slack, p + np.arange(slack.size)] = sense[slack]
+    c_vec = np.zeros((lanes, p + slack.size))
+    c_vec[:, :p] = batch.scalar_objective
 
-    def shape(prob):
-        return prob.dim, prob.n_scalars, [con[1] for con in prob.constraints]
-
-    if any(shape(prob) != shape(problems[0]) for prob in problems[1:]):
-        raise ValueError("lanes need the same dim, relations and scalar count")
-    lanes = [_assemble(prob) for prob in problems]
-    f, gram2 = lanes[0][:2]
-    if any(not np.array_equal(lane[0], f) for lane in lanes[1:]):
-        raise ValueError("lanes need one shared basis")
-    w, vecs, b, c_w, c_vec = (np.array(col) for col in list(zip(*lanes))[2:7])
+    gram2 = np.abs(f.conj().T @ f) ** 2
+    w = np.ascontiguousarray(np.swapaxes(batch.rows, -1, -2), dtype=float)
+    c_w = np.ascontiguousarray(batch.objective, dtype=float)
+    row_scale = np.maximum(_embedded_norms(gram2, w, vecs), 1e-300)
+    c_scale = _embedded_norms(gram2, c_w[..., None], c_vec[:, None, :])[:, 0]
+    c_scale[c_scale < 1e-18] = 1.0
+    w, vecs = w / row_scale[:, None, :], vecs / row_scale[..., None]
+    b = np.asarray(batch.bounds, dtype=float) / row_scale
+    c_w, c_vec = c_w / c_scale[:, None], c_vec / c_scale[:, None]
 
     done = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for at in range(0, len(lanes), _LANE_BLOCK):
+        for at in range(0, lanes, _LANE_BLOCK):
             block = slice(at, at + _LANE_BLOCK)
             done += _ipm(f, gram2, w[block], vecs[block], b[block], c_w[block], c_vec[block], cfg)
-    out = []
-    for prob, lane, (x, xd, y, status, iters, relgap, resid, pobj) in zip(problems, lanes, done):
-        sign, (row_scale, c_scale) = 1.0 if prob.maximize else -1.0, lane[7:]
-        # x views the stack of lanes frozen with it; a copy keeps no stack alive
-        out.append(SdpSolution(matrix=x.copy(), objective_value=sign * pobj * c_scale, status=status,
-                               duality_gap=relgap, residuals=resid, iterations=iters,
-                               scalars=xd[:prob.n_scalars].copy(),
-                               dual=sign * y * c_scale / row_scale))
-    return out
+    # x views the stack of lanes frozen with it; a copy keeps no stack alive
+    return [SdpSolution(matrix=x.copy(), objective_value=pobj * c_s, status=status,
+                        duality_gap=relgap, residuals=resid, iterations=iters,
+                        scalars=xd[:p].copy(), dual=y * c_s / row_s)
+            for (x, xd, y, status, iters, relgap, resid, pobj), c_s, row_s
+            in zip(done, c_scale.tolist(), row_scale)]
+
+
+_SENSES = {"<=": 1, "==": 0, ">=": -1}
+
+
+def _lane(problem: SdpProblem):
+    """The one reader of the tuple form: one problem as the arrays of a batch
+    lane (basis, objective, rows, bounds, sense, scalar rows and objective),
+    a minimization negated. Weight vectors share the columns of
+    ``problem.basis``; each dense matrix adds its eigenvectors after them."""
+    n, p = problem.dim, problem.n_scalars
+    basis = None if problem.basis is None else np.asarray(problem.basis, dtype=complex)
+    if basis is not None and (basis.ndim != 2 or basis.shape[0] != n):
+        raise ValueError(f"basis must have {n} rows, got shape {basis.shape}")
+    entries = [_factor(problem.objective, basis, n, "objective")]
+    sense, bounds, coeffs = [], [], np.zeros((len(problem.constraints), p))
+    for idx, con in enumerate(problem.constraints):
+        data, rel, bound, coef = con if len(con) == 4 else (*con, np.zeros(p))
+        if rel not in _SENSES:
+            raise ValueError(f"constraint {idx}: unknown relation {rel!r}")
+        entries.append(_factor(data, basis, n, f"constraint {idx}"))
+        sense.append(_SENSES[rel])
+        bounds.append(float(bound))
+        coeffs[idx] = np.asarray(coef, dtype=float).reshape(p)
+
+    cols = [np.zeros((n, 0), dtype=complex) if basis is None else basis]
+    cols += [vec for vec, _ in entries if vec is not None]
+    w = np.zeros((len(entries), sum(col.shape[1] for col in cols)))
+    at = cols[0].shape[1]
+    for row, (vec, wts) in zip(w, entries):
+        if vec is None:
+            row[:wts.size] = wts
+        else:
+            row[at:at + wts.size] = wts
+            at += wts.size
+    sign = 1.0 if problem.maximize else -1.0
+    c_scal = np.zeros(p)
+    if problem.scalar_objective is not None:
+        c_scal = np.asarray(problem.scalar_objective, dtype=float).reshape(p)
+    return np.hstack(cols), sign * w[0], w[1:], bounds, sense, coeffs, sign * c_scal
+
+
+def solve_many(problems, config: SolverConfig | None = None) -> list:
+    """The SdpSolution of every problem, solved as the lanes of one
+    `solve_batch`. The lanes must share the basis (dense eigenvectors
+    included), the relations and the scalar count; ValueError otherwise."""
+    problems = list(problems)
+    if not problems:
+        return []
+    lanes = [_lane(prob) for prob in problems]
+    head = lanes[0]
+    if any(lane[4] != head[4] or lane[5].shape != head[5].shape
+           or not np.array_equal(lane[0], head[0]) for lane in lanes[1:]):
+        raise ValueError("lanes need one basis, relation list and scalar count")
+    basis, objective, rows, bounds, sense, coeffs, c_scal = zip(*lanes)
+    sols = solve_batch(SdpBatch(basis[0], np.array(objective), np.array(rows), np.array(bounds),
+                                np.array(sense[0]), np.array(coeffs), np.array(c_scal)), config)
+    return [sol if prob.maximize else replace(sol, objective_value=-sol.objective_value,
+                                              dual=-sol.dual)
+            for prob, sol in zip(problems, sols)]
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
-    """Solve a trace-form Hermitian SDP by native complex HKM on factored
-    rows: the one-lane case of `solve_many`."""
+    """Solve one tuple-form program: the one-lane case of `solve_many`."""
     return solve_many([problem], config)[0]
 
 

@@ -5,10 +5,10 @@
 Prints three groups of figures, each the best of R timed repeats:
 
 * ms per lane-iteration at n = 11 for L in {1, 20, 80} lanes. The programs
-  are the 80 Charnes-Cooper programs of the r_m = 0 point of
-  `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`, solved L at a time by
-  `solve_many` (L = 1 is `solve`), and the time is divided by the summed
-  iterations of the lanes.
+  are the 80 Charnes-Cooper lanes of the r_m = 0 point of
+  `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`, solved L lanes at a time
+  by `solve_batch`, and the time is divided by the summed iterations of the
+  lanes.
 * one-lane ms per iteration at N in {30, 60, 100}: the multicast-bound and
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
   scenario seeds 0 and 1.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,28 +33,28 @@ LANES = (1, 20, 80)
 SURFACES = {30: (5, 6), 60: (10, 6), 100: (10, 10)}       # N: (n_y, n_z)
 
 
-def recorded_programs(run) -> list:
-    """Every program that `run` hands to algorithms.solve or solve_many."""
+def recorded_batches(run) -> list:
+    """Every batch that `run` hands to algorithms.solve_batch."""
     seen = []
 
-    def solve(problem, config=None):
-        seen.append(problem)
-        return sdp.solve(problem, config)
+    def solve_batch(batch, config=None):
+        seen.append(batch)
+        return sdp.solve_batch(batch, config)
 
-    def solve_many(problems, config=None):
-        seen.extend(problems)
-        return sdp.solve_many(problems, config)
-
-    hooks = {"solve": solve, "solve_many": solve_many}
-    saved = {name: getattr(algorithms, name) for name in hooks}
+    saved = algorithms.solve_batch
     try:
-        for name, hook in hooks.items():
-            setattr(algorithms, name, hook)
+        algorithms.solve_batch = solve_batch
         run()
     finally:
-        for name, fn in saved.items():
-            setattr(algorithms, name, fn)
+        algorithms.solve_batch = saved
     return seen
+
+
+def lanes_of(batch, at: int, lanes: int):
+    """The lanes at, at + 1, ... at + lanes - 1 of a Charnes-Cooper batch."""
+    sel = slice(at, at + lanes)
+    return replace(batch, objective=batch.objective[sel], rows=batch.rows[sel],
+                   bounds=batch.bounds[sel], scalar_rows=batch.scalar_rows[sel])
 
 
 def best_of(repeats: int, run) -> float:
@@ -68,39 +69,35 @@ def best_of(repeats: int, run) -> float:
 def lane_rows(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch = generate_channels(config)
-    progs = recorded_programs(lambda: algorithms.algorithm1_cct(
+    [batch] = recorded_batches(lambda: algorithms.algorithm1_cct(
         ch, config.total_power_w, 0.0, t_alpha=80, t_g=20, rng=np.random.default_rng(0)))
-    iterations = sum(sdp.solve(prog).iterations for prog in progs)
+    count = len(batch.bounds)
+    iterations = sum(sol.iterations for sol in sdp.solve_batch(batch))
     for lanes in LANES:
-        if lanes == 1:
-            def run():
-                for prog in progs:
-                    sdp.solve(prog)
-        else:
-            def run(lanes=lanes):
-                for at in range(0, len(progs), lanes):
-                    sdp.solve_many(progs[at:at + lanes])
+        def run(lanes=lanes):
+            for at in range(0, count, lanes):
+                sdp.solve_batch(lanes_of(batch, at, lanes))
         ms = 1e3 * best_of(repeats, run) / iterations
         print(f"n=11   L={lanes:<3d} ms per lane-iteration {ms:8.4f}"
-              f"   ({len(progs)} programs, {iterations} lane-iterations)")
+              f"   ({count} programs, {iterations} lane-iterations)")
 
 
 def one_lane_rows(repeats: int) -> None:
     for n_elements, (n_y, n_z) in SURFACES.items():
-        progs = []
+        batches = []
         for seed in (0, 1):
             config = multi_user_scenario(n_users=4, n_y=n_y, n_z=n_z, seed=seed)
             ch = generate_channels(config)
-            progs += recorded_programs(lambda: (algorithms.multicast_upper_bound(ch, P),
-                                                algorithms.secrecy_covariance(ch, P)))
-        iterations = sum(sdp.solve(prog).iterations for prog in progs)
+            batches += recorded_batches(lambda: (algorithms.multicast_upper_bound(ch, P),
+                                                 algorithms.secrecy_covariance(ch, P)))
+        iterations = sum(sdp.solve_batch(batch)[0].iterations for batch in batches)
 
         def run():
-            for prog in progs:
-                sdp.solve(prog)
+            for batch in batches:
+                sdp.solve_batch(batch)
         ms = 1e3 * best_of(repeats, run) / iterations
         print(f"n={n_elements + 1:<4d} L=1   ms per iteration      {ms:8.4f}"
-              f"   ({len(progs)} programs, {iterations} iterations)")
+              f"   ({len(batches)} programs, {iterations} iterations)")
 
 
 def grp_round_row(repeats: int) -> None:

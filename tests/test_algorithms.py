@@ -156,19 +156,19 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     assert pt.diagnostics["n_failed_alpha"] == 0
     assert pt.diagnostics["last_error"] is None
 
-    # the Charnes-Cooper samples solve as lanes of one call
-    real_solve_many = algorithms.solve_many
+    # the Charnes-Cooper samples solve as lanes of one batch
+    real_solve_batch = algorithms.solve_batch
     calls = []
 
-    def failing_second_solve(problems, config=None):
-        sols = real_solve_many(problems, config)
-        for i, problem in enumerate(problems):
-            calls.append(problem)
+    def failing_second_solve(batch, config=None):
+        sols = real_solve_batch(batch, config)
+        for i in range(len(sols)):
+            calls.append((batch, i))
             if len(calls) == 2:
                 sols[i] = replace(sols[i], status=SdpStatus.BREAKDOWN, duality_gap=1.0)
         return sols
 
-    monkeypatch.setattr(algorithms, "solve_many", failing_second_solve)
+    monkeypatch.setattr(algorithms, "solve_batch", failing_second_solve)
     pt = algorithm1_cct(ch, P, 0.0, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
     assert pt.feasible
     assert pt.diagnostics["n_solves"] == 4
@@ -186,30 +186,30 @@ def eavesdropper_snr(ch):
 def test_algorithm1_floor_solves_one_eavesdropper_program(monkeypatch):
     ch = rand_channelset(np.random.default_rng(7), n=3, k=3)
     r_m = 0.9 * multicast_upper_bound(ch, P)[0]
-    real_solve = algorithms.solve
+    real_solve = algorithms.solve_batch
     scalar_progs = []
 
-    def recording_solve(problem, config=None):
-        sol = real_solve(problem, config)
-        if problem.n_scalars:
-            scalar_progs.append(problem)
-        return sol
+    def recording_solve(batch, config=None):
+        sols = real_solve(batch, config)
+        if batch.n_scalars:
+            scalar_progs.append(batch)
+        return sols
 
-    monkeypatch.setattr(algorithms, "solve", recording_solve)
+    monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
     pt = algorithm1_cct(ch, P, r_m, t_alpha=30, t_g=100, rng=np.random.default_rng(0))
     assert len(scalar_progs) == 1
     assert pt.diagnostics["n_failed_alpha"] == 0
 
     # a failed eavesdropper solve fails every sample, solved once, never
     # read as an unsupportable floor
-    def failing_scalar_solve(problem, config=None):
-        sol = recording_solve(problem, config)
-        if problem.n_scalars:
-            sol = replace(sol, status=SdpStatus.BREAKDOWN, duality_gap=1.0)
-        return sol
+    def failing_scalar_solve(batch, config=None):
+        sols = recording_solve(batch, config)
+        if batch.n_scalars:
+            sols = [replace(sol, status=SdpStatus.BREAKDOWN, duality_gap=1.0) for sol in sols]
+        return sols
 
     scalar_progs.clear()
-    monkeypatch.setattr(algorithms, "solve", failing_scalar_solve)
+    monkeypatch.setattr(algorithms, "solve_batch", failing_scalar_solve)
     with pytest.raises(SdpSolverError, match="max-min SNR solve failed"):
         algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
     assert len(scalar_progs) == 1
@@ -248,13 +248,14 @@ def test_secrecy_covariance_converges_on_four_user_n60_seed8(monkeypatch):
     # 200 iterations and raised, though the relaxation has a strict interior
     ch = generate_channels(multi_user_scenario(n_users=4, n_y=10, n_z=6, seed=8))
     sols = []
-    real_solve = algorithms.solve
+    real_solve = algorithms.solve_batch
 
-    def recording_solve(problem, config=None):
-        sols.append(real_solve(problem, config))
-        return sols[-1]
+    def recording_solve(batch, config=None):
+        out = real_solve(batch, config)
+        sols.extend(out)
+        return out
 
-    monkeypatch.setattr(algorithms, "solve", recording_solve)
+    monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
     z = secrecy_covariance(ch, P)
     assert [s.status for s in sols] == [SdpStatus.OPTIMAL]
     assert sols[0].iterations <= 40
@@ -370,18 +371,16 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
     r_up, _ = multicast_upper_bound(ch, P)
     scalar_progs, lanes = [], []
 
-    def recording_solve(problem, config=None):
-        scalar_progs.append(problem.n_scalars)
-        return real_solve(problem, config)
-
-    def recording_solve_many(problems, config=None):
-        sols = real_solve_many(problems, config)
-        lanes.extend(sols)
+    def recording_solve(batch, config=None):
+        sols = real_solve(batch, config)
+        if batch.n_scalars:
+            scalar_progs.append(batch.n_scalars)
+        else:
+            lanes.extend(sols)
         return sols
 
-    real_solve, real_solve_many = algorithms.solve, algorithms.solve_many
-    monkeypatch.setattr(algorithms, "solve", recording_solve)
-    monkeypatch.setattr(algorithms, "solve_many", recording_solve_many)
+    real_solve = algorithms.solve_batch
+    monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
     region = sweep_region(ch, P, "cct", 5, params, seed=2)
     # the multicast bound and one eavesdropper program, for four floored points
     assert scalar_progs == [1, 1]
@@ -443,11 +442,10 @@ def test_sweep_runs_on_the_calling_thread(monkeypatch):
             return inner(*args, **kwargs)
         return call
 
-    for name in ("solve", "solve_many"):
-        monkeypatch.setattr(algorithms, name, recording(name))
+    monkeypatch.setattr(algorithms, "solve_batch", recording("solve_batch"))
     ch = rand_channelset(np.random.default_rng(18), n=2, k=2)
     sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=3)
-    assert set(idents) == {"solve", "solve_many"}
+    assert set(idents) == {"solve_batch"}
     assert {ident for seen in idents.values() for ident in seen} == {threading.get_ident()}
 
 

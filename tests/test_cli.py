@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from irssec import model
+from irssec import cli, model
 from irssec.channel import generate_channels, load_scenario, scenario_to_dict, two_user_scenario
 from irssec.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
@@ -294,6 +294,30 @@ def test_sweep_power_rejects_empty_and_negative(tmp_path):
                  "--out", out]) == EXIT_CONFIG
     assert main(["sweep-power", "--scenario", scn, "--powers", "-1",
                  "--out", out]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("powers", ["nan", "inf", "1,nan", "1,-inf"])
+def test_sweep_power_rejects_non_finite_powers_before_sweeping(tmp_path, capsys, monkeypatch,
+                                                               powers):
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "p.csv"
+    swept = []
+    monkeypatch.setattr(cli.algorithms, "sweep_region",
+                        lambda *args, **kwargs: swept.append(args))
+    assert main(["sweep-power", "--scenario", scn, "--powers", powers,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "error: powers must be finite and positive" in capsys.readouterr().err
+    assert swept == [] and not out.exists()
+
+
+def test_analyze_has_no_multicast_floor_option(tmp_path, capsys):
+    # the report holds no power-split entries, so a floor has nothing to set
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--scenario", scn, "--v-source", "random-irs", "--t-g", "40",
+                 "--r-m", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert "unrecognized arguments: --r-m" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point_runs():

@@ -6,23 +6,43 @@ import pytest
 
 from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
-from irssec.sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, solve, solve_many
+from irssec.sdp import (SdpProblem, SdpSolution, SdpStatus, SolverConfig, solve, solve_batch,
+                        solve_many)
 
 P = 1.0
+RELATIONS = {1: "<=", 0: "==", -1: ">="}
+
+
+def batch_programs(batch):
+    """The lanes of an SdpBatch written out as tuple SdpProblems."""
+    lanes, p = len(batch.bounds), batch.n_scalars
+    scalar_objective = np.broadcast_to(batch.scalar_objective, (lanes, p))
+    return [SdpProblem(dim=batch.basis.shape[0], objective=batch.objective[lane],
+                       constraints=[(w, RELATIONS[sense], bound) + ((a,) if p else ())
+                                    for w, sense, bound, a in zip(batch.rows[lane], batch.sense,
+                                                                  batch.bounds[lane],
+                                                                  batch.scalar_rows[lane])],
+                       n_scalars=p, scalar_objective=scalar_objective[lane], basis=batch.basis)
+            for lane in range(lanes)]
+
+
+def recorded_batches(monkeypatch, run):
+    """Every batch `run` hands to the solver."""
+    seen = []
+
+    def recording_solve(batch, config=None):
+        seen.append(batch)
+        return solve_batch(batch, config)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "solve_batch", recording_solve)
+        run()
+    return seen
 
 
 def recorded_programs(monkeypatch, run):
-    """Every program `run` hands to the solver."""
-    seen = []
-
-    def recording_solve(problem, config=None):
-        seen.append(problem)
-        return solve(problem, config)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(algorithms, "solve", recording_solve)
-        run()
-    return seen
+    """Every program `run` hands to the solver, as a tuple SdpProblem."""
+    return [prog for batch in recorded_batches(monkeypatch, run) for prog in batch_programs(batch)]
 
 
 def dense_copy(prob):
@@ -107,23 +127,21 @@ def test_unconverged_solution_usable_only_when_accurate(status):
     assert not algorithms._solution_usable(replace(sol, residuals=1e-3))
 
 
-def point_lanes(monkeypatch):
-    """The in-window grid programs of one floored two-user cct point, as
-    algorithm1_cct hands them to the lane solver."""
+def point_batch(monkeypatch):
+    """The batch of in-window grid programs of one floored two-user cct
+    point, as algorithm1_cct hands it to the solver."""
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     r_m = 0.3 * algorithms.multicast_upper_bound(ch, p)[0]
-    calls = []
+    batches = recorded_batches(monkeypatch, lambda: algorithms.algorithm1_cct(
+        ch, p, r_m, t_alpha=80, t_g=20, rng=np.random.default_rng(0)))
+    # the first batch without scalars follows the eavesdropper max-min program
+    return next(batch for batch in batches if not batch.n_scalars)
 
-    def recording_solve_many(problems, config=None):
-        calls.append(list(problems))
-        return solve_many(problems, config)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(algorithms, "solve_many", recording_solve_many)
-        algorithms.algorithm1_cct(ch, p, r_m, t_alpha=80, t_g=20,
-                                  rng=np.random.default_rng(0))
-    return calls[0]
+def point_lanes(monkeypatch):
+    """The programs of `point_batch` in tuple form."""
+    return batch_programs(point_batch(monkeypatch))
 
 
 def assert_bitwise_equal(got, ref):
@@ -131,6 +149,17 @@ def assert_bitwise_equal(got, ref):
     for a, b in ((got.matrix, ref.matrix), (got.dual, ref.dual),
                  (got.objective_value, ref.objective_value)):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_tuple_adapter_matches_the_batch_bitwise(monkeypatch):
+    # the tuple form of a batch built by the algorithms is solved bit for bit
+    # as the batch itself, and the lanes keep their order
+    batch = point_batch(monkeypatch)
+    assert batch.sense.tolist().count(-1) == batch.sense.tolist().count(1) == 1
+    direct = solve_batch(batch)
+    assert len(direct) == len(batch.bounds) > 2
+    for got, ref in zip(solve_many(batch_programs(batch)), direct, strict=True):
+        assert_bitwise_equal(got, ref)
 
 
 def test_lanes_match_solving_each_program_alone(monkeypatch):
