@@ -33,6 +33,7 @@ from .sdp import (SdpBatch, SdpSolverError, SdpStatus, grp_draw, grp_round, solv
                   substream)
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
+ORACLE_GRID = (64, 201)   # phase levels and power samples of the oracle scheme
 
 # Non-optimal solves are still usable when this accurate.
 _ACCEPT_GAP = 1e-6
@@ -247,48 +248,42 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     return c_value, y / scale, xi / scale
 
 
-def _masked_alpha_scores(ch: ChannelSet, p: float, floors, alpha_cap: float | None):
-    """Score callback factory: per-candidate secrecy at the repaired power,
-    one column per multicast floor in `floors` (a scalar is one floor).
-
-    score(vbatch) computes the batch's gains once and returns a (B, F) array.
-    Candidates that cannot meet a floor at any power score -inf there. With
-    alpha_cap set, the power is min(alpha_cap, closed-form optimum).
-    """
-    sigma2 = ch.sigma2
+def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap: float | None):
+    """Bottleneck power repair of gains x (B, K) at each multicast floor in
+    `floors` (a scalar is one floor): (r_c, alpha, ok), each (B, F). alpha is
+    the largest power at which the user of least gain-to-noise ratio meets
+    the floor, (P x - (c - 1) sigma^2) / (c x) with c = 2^r_m, in [0, P] (P
+    without a floor) and capped by alpha_cap; r_c is the secrecy rate at
+    alpha; ok says the floor holds with all power on multicast."""
     r_m = np.atleast_1d(np.asarray(floors, dtype=float))
-    c = np.array([2.0 ** float(r) for r in r_m])     # the float pow of the repair's closed form
-    floored = r_m > 0
+    c = np.array([2.0 ** float(r) for r in r_m])     # Python's pow, as alpha_opt_closed_form
+    y = x / ch.sigma2
+    tau = np.argmin(y, axis=-1)
+    x_tau = np.take_along_axis(x, tau[:, None], axis=-1)
+    ok = np.log2(1.0 + p * y.min(axis=-1))[:, None] >= r_m - _RM_SLACK
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (p * x_tau - (c - 1.0) * ch.sigma2[tau][:, None]) / (c * x_tau)
+    a = np.where(r_m > 0, np.where(x_tau > 0, np.clip(a, 0.0, p), 0.0), p)
+    if alpha_cap is not None:
+        a = np.minimum(a, alpha_cap)
+    return model.secrecy_rate_from_gains(x[:, None, :], ch.sigma2, a), a, ok
 
+
+def _masked_alpha_scores(ch: ChannelSet, p: float, floors, alpha_cap: float | None):
+    """Score callback for `grp_round`: the `_repair` secrecy rate of a batch,
+    (B, F), one column per floor in `floors`, -inf where a candidate cannot
+    carry that floor at any power; the batch's gains are computed once."""
     def score(vbatch):
-        x = model.effective_gains(ch, vbatch)
-        y = x / sigma2
-        tau = np.argmin(y, axis=-1)
-        x_tau = np.take_along_axis(x, tau[:, None], axis=-1)
-        s_tau = sigma2[tau][:, None]
-        ok = (np.log2(1.0 + p * y.min(axis=-1))[:, None] >= r_m - _RM_SLACK) | ~floored
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = (p * x_tau - (c - 1.0) * s_tau) / (c * x_tau)
-        a = np.where(floored, np.where(x_tau > 0, np.clip(a, 0.0, p), 0.0), p)
-        if alpha_cap is not None:
-            a = np.minimum(a, alpha_cap)
-        r = model.secrecy_rate_from_gains(x[:, None, :], sigma2, a)
-        return np.where(ok, r, -np.inf)
+        r_c, _, ok = _repair(ch, p, floors, model.effective_gains(ch, vbatch), alpha_cap)
+        return np.where(ok, r_c, -np.inf)
 
     return score
 
 
-def _repaired_point(ch: ChannelSet, p: float, r_m: float, x: np.ndarray,
-                    alpha_cap: float | None):
-    """Evaluate one pattern by its gains x: bottleneck power repair plus
-    feasibility check."""
-    tau = model.bottleneck_user(x, ch.sigma2)
-    alpha = model.alpha_opt_closed_form(x[tau], ch.sigma2[tau], p, r_m)
-    if alpha_cap is not None:
-        alpha = min(alpha, alpha_cap)
-    feasible = model.multicast_capacity_from_gains(x, ch.sigma2, p) >= r_m - _RM_SLACK
-    r_c = float(model.secrecy_rate_from_gains(x, ch.sigma2, alpha))
-    return r_c, float(alpha), bool(feasible)
+def _repair_one(ch: ChannelSet, p: float, r_m: float, x: np.ndarray, alpha_cap: float | None):
+    """`_repair` of one pattern's gains x (K,) at one floor, as Python scalars."""
+    r_c, alpha, ok = _repair(ch, p, r_m, x[None, :], alpha_cap)
+    return float(r_c[0, 0]), float(alpha[0, 0]), bool(ok[0, 0])
 
 
 def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
@@ -296,30 +291,48 @@ def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
     """Boundary point of pattern v at its repaired power split; infeasible
     when v is None or cannot carry the multicast floor r_m."""
     if v is not None:
-        r_c, alpha, feas = _repaired_point(ch, p, r_m, model.effective_gains(ch, v), None)
-        if feas:
+        r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), None)
+        if ok:
             return BoundaryPoint(r_m, r_c, alpha, v, math.nan, True, scheme, diagnostics or {})
     return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, scheme)
+
+
+def _cct_lanes(ctx: _Lifted, r_m: float, alphas: list, eav_snr: float) -> list:
+    """(alpha, solution, value) per solved lane of the Charnes-Cooper batch of
+    `alphas`: value is the lane's `_cct_value`, or the SdpSolverError it raised
+    (powers at the exact feasibility edge lose strict interiority)."""
+    batch, keep = ctx.cct_batch(r_m, alphas, eav_snr)
+    lanes = []
+    for lane, (alpha, sol) in enumerate(zip(np.asarray(alphas)[keep].tolist(), solve_batch(batch))):
+        try:
+            value = _cct_value(ctx, sol, batch, lane)
+        except SdpSolverError as exc:
+            value = exc
+        lanes.append((alpha, sol, value))
+    return lanes
 
 
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
                    t_g: int = 1000, rng: np.random.Generator | None = None,
                    eav_snr: float | None = None) -> BoundaryPoint:
-    """Fractional-programming sweep over the confidential power grid.
+    """Algorithm 1: a 1-D search over the confidential power alpha.
 
-    The Charnes-Cooper SDPs of the grid powers inside the supportable window
-    are solved as lanes of one `solve_batch` call. In grid order, candidates
-    are drawn from each solution by Gaussian randomization and scored by
-    their repaired secrecy rate (patterns that cannot carry the multicast
-    floor are discarded so every reported point is floor-certified). Records
-    the relaxation bound at the winning grid power. eav_snr is the
-    `_eavesdropper_snr` of (ch, p) if the caller has it; solved here if not.
+    With a floor r_m > 0 the samples are t_alpha uniform powers over [0, P],
+    then up to four refinements below the closed-form window edge, above the
+    largest feasible grid power. Without one the feasible set does not depend
+    on alpha and the objective does not decrease in it: the one sample is
+    alpha = P. Each sample batch is solved as lanes of one `solve_batch`
+    call. Then, grid before edges, each usable lane is rounded by Gaussian
+    randomization on rng; candidates are scored by their `_repair` secrecy
+    rate, power capped at the lane's alpha, and dropped if they cannot carry
+    the floor. The point records the relaxation bound at the winning sample.
+    eav_snr is the `_eavesdropper_snr` of (ch, p), solved here if None.
 
-    diagnostics: n_solves counts every SDP run here, one Charnes-Cooper lane
-    per sample inside the window plus any eavesdropper max-min solve;
-    n_iterations and statuses sum the lanes' IPM iterations and count them
-    by SdpStatus; n_failed_alpha counts samples whose solve failed. A failed
-    eavesdropper solve raises, since it would fail every sample.
+    diagnostics: n_solves counts the Charnes-Cooper lanes (samples inside the
+    window) plus any eavesdropper solve; n_iterations and statuses sum their
+    IPM iterations and count them by SdpStatus; n_failed_alpha counts failed
+    samples and last_error holds the last error, raised when every sample
+    fails. A failed eavesdropper solve raises, as it would fail every sample.
     """
     if t_alpha < 2:
         raise ValueError("need at least two power samples")
@@ -330,65 +343,46 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     if r_m <= 0:
         eav_snr = math.inf
     elif eav_snr is None:
-        eav_snr = _eavesdropper_snr(ctx)
-        n_solves = 1
-    state = {"best": None, "n_failed": 0, "n_steps": 0, "last_error": None,
-             "max_feasible": -1.0, "lanes": []}
-
-    def run_steps(alphas):
-        batch, keep = ctx.cct_batch(r_m, alphas, eav_snr)
-        sols = solve_batch(batch)
-        state["n_steps"] += len(alphas)
-        state["lanes"] += sols
-        for lane, (alpha_t, sol) in enumerate(zip(np.asarray(alphas)[keep].tolist(), sols)):
-            try:
-                res = _cct_value(ctx, sol, batch, lane)
-            except SdpSolverError as exc:
-                # Powers at the exact feasibility edge lose strict interiority;
-                # skip the sample unless every sample fails.
-                state["n_failed"] += 1
-                state["last_error"] = exc
-                continue
-            if res is None:
-                continue
-            state["max_feasible"] = max(state["max_feasible"], alpha_t)
-            c_value, _, _, z = res
-            v, sc = grp_round(z, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
-            if not np.isfinite(sc):
-                continue
-            r_c, alpha_fix, feas = _repaired_point(ch, p, r_m, model.effective_gains(ch, v),
-                                                   alpha_t)
-            if not feas:
-                continue
-            bound = max(0.0, math.log2(max(c_value, 1e-300)))
-            unrepaired = model.secrecy_rate(ch, v, alpha_t)
-            if state["best"] is None or r_c > state["best"][0]:
-                state["best"] = (r_c, alpha_fix, v, bound, alpha_t, unrepaired)
-
-    run_steps([p * t / (t_alpha - 1) for t in range(t_alpha)])
-
+        eav_snr, n_solves = _eavesdropper_snr(ctx), 1
+    alphas = [p * t / (t_alpha - 1) for t in range(t_alpha)] if r_m > 0 else [float(p)]
+    lanes = _cct_lanes(ctx, r_m, alphas, eav_snr)
     if r_m > 0:
         # The supportable power window [0, edge] can fall between grid samples
         # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
         # closed form, so refine there instead of losing the window.
         edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], p, r_m)
                    for k in range(1, ch.k))
-        floor_alpha = state["max_feasible"]
-        run_steps([frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
-                   if floor_alpha + 1e-12 < frac * edge < p])
+        floor_alpha = max((a for a, _, value in lanes if isinstance(value, tuple)), default=-1.0)
+        edges = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
+                 if floor_alpha + 1e-12 < frac * edge < p]
+        alphas += edges
+        lanes += _cct_lanes(ctx, r_m, edges, eav_snr)
 
-    last_error, lanes = state["last_error"], state["lanes"]
-    diagnostics = {"n_solves": n_solves + len(lanes), "n_failed_alpha": state["n_failed"],
-                   "last_error": None if last_error is None else repr(last_error),
-                   "n_iterations": sum(sol.iterations for sol in lanes),
-                   "statuses": {stat.value: sum(sol.status is stat for sol in lanes)
+    best = None
+    for alpha_t, _, value in lanes:
+        if not isinstance(value, tuple):
+            continue
+        c_value, _, _, z = value
+        v, sc = grp_round(z, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
+        if not np.isfinite(sc):
+            continue
+        r_c, alpha_fix, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
+        if ok and (best is None or r_c > best[0]):
+            bound = max(0.0, math.log2(max(c_value, 1e-300)))
+            best = (r_c, alpha_fix, v, bound, alpha_t, model.secrecy_rate(ch, v, alpha_t))
+
+    errors = [value for _, _, value in lanes if isinstance(value, SdpSolverError)]
+    sols = [sol for _, sol, _ in lanes]
+    diagnostics = {"n_solves": n_solves + len(sols), "n_failed_alpha": len(errors),
+                   "last_error": repr(errors[-1]) if errors else None,
+                   "n_iterations": sum(sol.iterations for sol in sols),
+                   "statuses": {stat.value: sum(sol.status is stat for sol in sols)
                                 for stat in SdpStatus}}
-    if state["best"] is None:
-        if state["n_failed"] == state["n_steps"] and last_error is not None:
-            raise last_error
-        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct",
-                             diagnostics=diagnostics)
-    r_c, alpha, v, bound, alpha_grid, unrepaired = state["best"]
+    if best is None:
+        if errors and len(errors) == len(alphas):
+            raise errors[-1]
+        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics=diagnostics)
+    r_c, alpha, v, bound, alpha_grid, unrepaired = best
     diagnostics.update(alpha_grid=alpha_grid, r_c_unrepaired=unrepaired)
     return BoundaryPoint(r_m, r_c, alpha, v, bound, True, "cct", diagnostics=diagnostics)
 
@@ -450,10 +444,9 @@ def baseline_random_irs(ch: ChannelSet, p: float, r_m: float,
 
 def baseline_no_irs(ch: ChannelSet, p: float, r_m: float) -> BoundaryPoint:
     """Direct channels only; power split from the bottleneck closed form."""
-    r_c, alpha, feas = _repaired_point(ch, p, r_m, np.abs(ch.h) ** 2, None)
-    if not feas:
-        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "no-irs")
-    return BoundaryPoint(r_m, r_c, alpha, None, math.nan, True, "no-irs")
+    r_c, alpha, ok = _repair_one(ch, p, r_m, np.abs(ch.h) ** 2, None)
+    return BoundaryPoint(r_m, r_c if ok else 0.0, alpha if ok else 0.0, None, math.nan, ok,
+                         "no-irs")
 
 
 def _multicast_score(ch: ChannelSet, p: float):
@@ -517,8 +510,7 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     generator (seed, i); the wscm floors share one, (seed, 0), in a single
     pass. Results depend only on the seed. The cct and upper-bound points
     share one eavesdropper max-min solve, counted in the n_solves of the
-    first floored point. The oracle enumerates 64 phase levels and 201 power
-    samples.
+    first floored point. The oracle enumerates the `ORACLE_GRID`.
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")
@@ -567,7 +559,7 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         if scheme == "no-irs":
             return baseline_no_irs(ch, p, rm)
         from .analysis import brute_force_oracle
-        r_c, v, alpha = brute_force_oracle(ch, p, rm, 64, 201)
+        r_c, v, alpha = brute_force_oracle(ch, p, rm, *ORACLE_GRID)
         return BoundaryPoint(rm, r_c, alpha, v, math.nan, v is not None, "oracle")
 
     if scheme == "wscm":

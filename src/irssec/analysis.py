@@ -170,21 +170,24 @@ def grp_complexity(n: int, t_g: int) -> float:
     return float(n1 ** 3 + 8 * t_g * n1 ** 2)
 
 
-def brute_force_oracle(ch: ChannelSet, p: float, r_m: float, phase_levels: int,
-                       alpha_points: int, grid_offset: float = 0.0):
-    """Exhaustive reference: enumerate phases on a uniform grid and the
-    confidential power on a uniform [0, P] grid; return the best
-    floor-feasible secrecy rate as (r_c, v, alpha), with v None when no grid
-    cell supports the floor. Deterministic; ties break on the first grid
-    index. Cost grows as phase_levels**N * alpha_points, so only small
-    surfaces are accepted.
-    """
-    n = ch.n
+def check_oracle_grid(n: int, phase_levels: int, alpha_points: int) -> None:
+    """ValueError unless the oracle grid on an N = n surface is small."""
     cells = phase_levels ** n * alpha_points
     if n > 3 or cells > _ORACLE_MAX_CELLS:
         raise ValueError(f"oracle grid too large: {phase_levels}^{n} x {alpha_points} "
                          f"= {cells:.3g} cells")
-    thetas = grid_offset + 2.0 * np.pi * np.arange(phase_levels) / phase_levels
+
+
+def brute_force_oracle(ch: ChannelSet, p: float, r_m: float, phase_levels: int, alpha_points: int):
+    """Exhaustive reference: enumerate phases on a uniform grid and the
+    confidential power on a uniform [0, P] grid; return the best
+    floor-feasible secrecy rate as (r_c, v, alpha), with v None when no grid
+    cell supports the floor. Deterministic; ties break on the first grid
+    index. Only small surfaces are accepted (`check_oracle_grid`).
+    """
+    n = ch.n
+    check_oracle_grid(n, phase_levels, alpha_points)
+    thetas = 2.0 * np.pi * np.arange(phase_levels) / phase_levels
     grids = np.meshgrid(*([thetas] * n), indexing="ij")
     vs = np.exp(1j * np.stack([g.reshape(-1) for g in grids], axis=-1))  # (L^n, n)
     alphas = np.linspace(0.0, p, alpha_points)

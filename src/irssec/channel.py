@@ -135,6 +135,8 @@ class ScenarioConfig:
             setattr(self, name, _integer(getattr(self, name), name))
         if self.n_y < 1 or self.n_z < 1:
             raise ScenarioError("IRS grid dimensions must be >= 1")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be nonnegative, got {self.seed}")
         for name in ("element_spacing_over_wavelength", "rician_kappa", "pathloss_exponent_direct",
                      "pathloss_exponent_irs", "reference_loss_db", "reference_distance_m"):
             setattr(self, name, _number(getattr(self, name), name))

@@ -50,7 +50,8 @@ class RunSpec:
 
     def __post_init__(self):
         for flag, value, least in (("--grid", self.grid_points, 2), ("--t-alpha", self.t_alpha, 2),
-                                   ("--t-lambda", self.t_lambda, 2), ("--t-g", self.t_g, 1)):
+                                   ("--t-lambda", self.t_lambda, 2), ("--t-g", self.t_g, 1),
+                                   ("--seed", self.seed, 0)):
             if value < least:
                 raise CliError(f"{flag} must be at least {least}")
         if self.scheme not in algorithms.SCHEMES:
@@ -88,21 +89,28 @@ def _phases_entry(region: algorithms.RegionBoundary) -> list:
     return out
 
 
-def _check_scenario_feasible(ch) -> None:
+def _region_channels(spec: RunSpec):
+    """(config, ch), rejecting infeasible scenarios and oracle grids too large."""
+    config = load_scenario(spec.scenario_path)
+    ch = generate_channels(config)
     if model.feasibility_check(ch) is model.Feasibility.INFEASIBLE:
         k = model.infeasibility_witness(ch)
         raise CliError(
             f"scenario is infeasible: eavesdropper user {k + 1}'s direct channel "
             f"alone dominates user 1's best fully-aligned gain, so no reflection "
             f"pattern yields a positive secrecy lead", EXIT_INFEASIBLE)
+    if spec.scheme == "oracle":
+        try:
+            analysis.check_oracle_grid(ch.n, *algorithms.ORACLE_GRID)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+    return config, ch
 
 
 def cmd_region(spec: RunSpec) -> int:
     """Sweep one scheme over the multicast-target grid and write the region CSV
     plus the companion phases JSON."""
-    config = load_scenario(spec.scenario_path)
-    ch = generate_channels(config)
-    _check_scenario_feasible(ch)
+    config, ch = _region_channels(spec)
     p = config.total_power_w
     region = algorithms.sweep_region(ch, p, spec.scheme, spec.grid_points,
                                      spec.params(), seed=spec.seed)
@@ -139,6 +147,8 @@ def _load_v_source(v_source: str, ch, p: float, spec: RunSpec):
         raise CliError(f"cannot read phase file {v_source!r}: {exc}") from exc
     if arr.size != ch.n:
         raise CliError(f"phase file holds {arr.size} entries, scenario needs {ch.n}")
+    if not np.isfinite(arr).all():
+        raise CliError(f"phase file {v_source!r} holds non-finite radians")
     return np.exp(1j * arr)
 
 
@@ -196,9 +206,7 @@ def cmd_sweep_power(spec: RunSpec, powers: list) -> int:
         raise CliError("--powers requires at least one value")
     if not all(np.isfinite(p) and p > 0 for p in powers):
         raise CliError("powers must be finite and positive")
-    config = load_scenario(spec.scenario_path)
-    ch = generate_channels(config)
-    _check_scenario_feasible(ch)
+    _, ch = _region_channels(spec)
     rows = [CSV_HEADER + ",power_w"]
     companions = []
     for p in powers:

@@ -162,12 +162,6 @@ def infeasibility_witness(ch: ChannelSet) -> int | None:
     return None
 
 
-def bottleneck_user(x: np.ndarray, sigma2: np.ndarray) -> int:
-    """User with the smallest gain-to-noise ratio; the only user whose
-    multicast floor can bind."""
-    return int(np.argmin(np.asarray(x) / np.asarray(sigma2)))
-
-
 def alpha_opt_closed_form(x_min: float, sigma2_min: float, p: float, r_m: float) -> float:
     """Largest confidential power meeting the multicast floor r_m.
 

@@ -2,24 +2,28 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
-Prints three groups of figures, each the best of R timed repeats:
+Prints four groups of figures, each the best of R timed repeats:
 
 * ms per lane-iteration at n = 11 for L in {1, 20, 80} lanes. The programs
-  are the 80 Charnes-Cooper lanes of the r_m = 0 point of
-  `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`, solved L lanes at a time
-  by `solve_batch`, and the time is divided by the summed iterations of the
-  lanes.
+  are the Charnes-Cooper programs of 80 uniform confidential powers over
+  [0, P] without a floor on `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`,
+  solved L lanes at a time by `solve_batch`, and the time is divided by the
+  summed iterations of the lanes.
 * one-lane ms per iteration at N in {30, 60, 100}: the multicast-bound and
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
   scenario seeds 0 and 1.
 * `grp_round` us per 1000 candidates at N = 10, drawn from the even blend of
   the multicast- and secrecy-optimal covariances of the two-user scenario.
+* ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
+  T_g 1000) at r_m = 0 and at half the multicast upper bound, with the
+  eavesdropper max-min SNR solved beforehand as `sweep_region` does.
 
 The file name does not match test_*.py, so pytest does not collect it.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import time
 from dataclasses import replace
 
@@ -68,9 +72,9 @@ def best_of(repeats: int, run) -> float:
 
 def lane_rows(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
-    ch = generate_channels(config)
-    [batch] = recorded_batches(lambda: algorithms.algorithm1_cct(
-        ch, config.total_power_w, 0.0, t_alpha=80, t_g=20, rng=np.random.default_rng(0)))
+    p = config.total_power_w
+    ctx = algorithms._Lifted(generate_channels(config), p)
+    batch, _ = ctx.cct_batch(0.0, [p * t / 79 for t in range(80)], math.inf)
     count = len(batch.bounds)
     iterations = sum(sol.iterations for sol in sdp.solve_batch(batch))
     for lanes in LANES:
@@ -116,6 +120,22 @@ def grp_round_row(repeats: int) -> None:
     print(f"grp_round N=10 us per 1000 candidates {us:9.1f}")
 
 
+def cct_point_rows(repeats: int) -> None:
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    eav_snr = algorithms._eavesdropper_snr(algorithms._Lifted(ch, p))
+    r_up = algorithms.multicast_upper_bound(ch, p)[0]
+    for label, r_m in (("0", 0.0), ("r_up/2", 0.5 * r_up)):
+        point = []
+
+        def run(r_m=r_m):
+            point[:] = [algorithms.algorithm1_cct(ch, p, r_m, 80, 1000,
+                                                  np.random.default_rng(0), eav_snr)]
+        ms = 1e3 * best_of(repeats, run)
+        print(f"algorithm1_cct N=10 r_m={label:<7s} ms per point {ms:9.1f}"
+              f"   ({point[0].diagnostics['n_solves']} lanes)")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -123,6 +143,7 @@ def main() -> None:
     lane_rows(repeats)
     one_lane_rows(repeats)
     grp_round_row(repeats)
+    cct_point_rows(repeats)
 
 
 if __name__ == "__main__":

@@ -151,12 +151,16 @@ def test_algorithm1_respects_multicast_floor(rng):
 def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     pt = algorithm1_cct(ch, P, 0.0, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
-    # no floor: no eavesdropper program, one Charnes-Cooper solve per power sample
-    assert pt.diagnostics["n_solves"] == 4
+    # no floor: no eavesdropper program, one Charnes-Cooper solve at alpha = P
+    assert pt.diagnostics["n_solves"] == 1
     assert pt.diagnostics["n_failed_alpha"] == 0
     assert pt.diagnostics["last_error"] is None
 
-    # the Charnes-Cooper samples solve as lanes of one batch
+    # with a floor the in-window samples solve as lanes of one batch
+    r_m, eav = 0.05 * multicast_upper_bound(ch, P)[0], eavesdropper_snr(ch)
+    healthy = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0),
+                             eav_snr=eav)
+    assert healthy.diagnostics["n_solves"] == 4
     real_solve_batch = algorithms.solve_batch
     calls = []
 
@@ -169,11 +173,53 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
         return sols
 
     monkeypatch.setattr(algorithms, "solve_batch", failing_second_solve)
-    pt = algorithm1_cct(ch, P, 0.0, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
+    pt = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0),
+                        eav_snr=eav)
     assert pt.feasible
     assert pt.diagnostics["n_solves"] == 4
     assert pt.diagnostics["n_failed_alpha"] == 1
     assert "fractional SDP failed: Breakdown" in pt.diagnostics["last_error"]
+
+
+def test_algorithm1_unfloored_point_solves_one_lane_at_full_power(monkeypatch):
+    # without a floor the relaxed optimum sits at alpha = P, so that is the
+    # one sample of the sweep
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    lanes = []
+    real_solve_batch = algorithms.solve_batch
+
+    def recording_solve(batch, config=None):
+        lanes.extend(batch.objective)
+        return real_solve_batch(batch, config)
+
+    monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
+    pt = algorithm1_cct(ch, P, 0.0, t_alpha=80, t_g=50, rng=np.random.default_rng(0))
+    assert len(lanes) == 1 and pt.diagnostics["n_solves"] == 1
+    assert pt.diagnostics["alpha_grid"] == P and pt.feasible
+    monkeypatch.undo()
+    assert pt.upper_bound == math.log2(cct_fixed_alpha(ch, P, 0.0, P)[0])
+
+
+def test_repair_matches_scalar_closed_form():
+    sigma2 = np.array([1.0, 0.5, 2.0])
+    ch = ChannelSet(g=np.zeros(1), m=np.zeros((3, 1)), h=np.ones(3), sigma2=sigma2)
+    x = np.random.default_rng(5).exponential(size=(40, 3))
+    x[:4, 1] = 0.0                      # a bottleneck user without gain
+    floors = [0.0, 0.3, 1.2, 3.0]
+    for cap in (None, 0.4):
+        r_c, alpha, ok = algorithms._repair(ch, P, floors, x, cap)
+        assert r_c.shape == alpha.shape == ok.shape == (len(x), len(floors))
+        for b, row in enumerate(x):
+            tau = int(np.argmin(row / sigma2))
+            for f, r_m in enumerate(floors):
+                want = model.alpha_opt_closed_form(row[tau], sigma2[tau], P, r_m)
+                want = want if cap is None else min(want, cap)
+                assert alpha[b, f] == want
+                assert ok[b, f] == (multicast_capacity_from_gains(row, sigma2, P)
+                                    >= r_m - algorithms._RM_SLACK)
+                assert r_c[b, f] == model.secrecy_rate_from_gains(row, sigma2, want)
+    # a gainless bottleneck carries no floor but the zero floor
+    assert ok[:4, 0].all() and not ok[:4, 1:].any() and (alpha[:4, 1:] == 0.0).all()
 
 
 def eavesdropper_snr(ch):

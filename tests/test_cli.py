@@ -182,11 +182,35 @@ def region_exit(tmp_path, data, name="bad.json", scheme="no-irs"):
 
 def test_region_exit_1_for_non_integer_seed(tmp_path, capsys):
     data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
-    for value in ("x", 1.5):
+    for value in ("x", 1.5, -5):
         code, _ = region_exit(tmp_path, dict(data, seed=value))
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and "seed" in err
+
+
+@pytest.mark.parametrize("command, extra", [("region", []),
+                                            ("analyze", ["--v-source", "random-irs"]),
+                                            ("sweep-power", ["--powers", "1"])])
+def test_negative_seed_flag_exits_1(tmp_path, capsys, command, extra):
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", scn, "--seed", "-1", "--out", str(out)]
+                + extra) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --seed must be at least 0\n"
+    assert not out.exists()
+
+
+def test_oracle_scheme_rejects_a_large_surface_before_any_solve(tmp_path, capsys, monkeypatch):
+    scn = write_scenario(tmp_path, n_y=5, n_z=2)
+    out = tmp_path / "out.csv"
+    solved = []
+    monkeypatch.setattr(cli.algorithms, "solve_batch", lambda *args: solved.append(args))
+    for command, extra in (("region", []), ("sweep-power", ["--powers", "1"])):
+        assert main([command, "--scenario", scn, "--scheme", "oracle", "--out", str(out)]
+                    + extra) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: oracle grid too large: 64^10 x 201")
+    assert solved == [] and not out.exists()
 
 
 def test_region_exit_1_for_fractional_surface_size(tmp_path, capsys):
@@ -252,7 +276,7 @@ def test_analyze_infeasible_scenario_reports_witness(tmp_path):
     assert rep["classification"] is None
 
 
-def test_analyze_accepts_phase_file(tmp_path):
+def test_analyze_accepts_phase_file(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     vfile = tmp_path / "phases.json"
     vfile.write_text(json.dumps([0.1, 0.2]))
@@ -264,6 +288,13 @@ def test_analyze_accepts_phase_file(tmp_path):
     vfile.write_text(json.dumps([0.1, 0.2, 0.3]))
     assert main(["analyze", "--scenario", scn, "--v-source", str(vfile),
                  "--out", out]) == EXIT_CONFIG
+    # a report of a non-finite pattern would not be valid JSON
+    for text in ("[0.1, NaN]", "[Infinity, 0.2]"):
+        vfile.write_text(text)
+        assert main(["analyze", "--scenario", scn, "--v-source", str(vfile),
+                     "--out", out + ".bad"]) == EXIT_CONFIG
+        assert "non-finite radians" in capsys.readouterr().err
+    assert not (tmp_path / "report.json.bad").exists()
 
 
 def test_sweep_power_nested_regions(tmp_path):
