@@ -4,8 +4,9 @@ Two optimized schemes plus benchmarks:
 
 * ``cct``        fractional-program sweep: for each confidential power on a
                  uniform grid, a Charnes-Cooper transformed SDP bounds the
-                 secrecy objective and Gaussian randomization extracts a
-                 feasible reflection pattern.
+                 secrecy objective (every floor's programs are lanes of the
+                 same region-wide solves) and Gaussian randomization
+                 extracts a feasible reflection pattern.
 * ``wscm``       blends the multicast-optimal and secrecy-optimal lifted
                  covariances; each blend's rounding draws serve every floor
                  of a region, with the confidential power set in closed form.
@@ -102,33 +103,35 @@ class _Lifted:
                         np.repeat([0.0, 1.0], counts)[None], np.repeat([-1, 0], counts),
                         np.repeat([-s_scale, 0.0], counts)[None, :, None], np.array([s_scale]))
 
-    def cct_batch(self, r_m: float, alphas, eav_snr: float):
-        """(batch, keep): one Charnes-Cooper lane per power alphas[keep]; keep
-        drops the powers at which no lifted covariance supports the floor r_m,
+    def cct_batch(self, floors, alphas, eav_snr: float):
+        """(batch, keep): one Charnes-Cooper lane per pair (r_m, alpha) of
+        zip(floors, alphas) with keep, all floored (r_m > 0) or none; keep
+        drops the pairs at which no lifted covariance supports the floor,
         (P - alpha c) eav_snr < c - 1 with c = 2^r_m (`_eavesdropper_snr`).
-        Lane alpha maximizes Tr((s_1/(N+1) I + alpha T_1) Y) over PSD Y with a
-        constant diagonal (the tie rows) s.t. Tr((s_1/(N+1) I + alpha s_1/s_k
-        T_k) Y) <= beta0 for each eavesdropper k and, with a floor,
+        Lane (r_m, alpha) maximizes Tr((s_1/(N+1) I + alpha T_1) Y) over PSD Y
+        with a constant diagonal (the tie rows) s.t. Tr((s_1/(N+1) I + alpha
+        s_1/s_k T_k) Y) <= beta0 for each eavesdropper k and, with a floor,
         Tr(((P - alpha c) T_k - (c - 1) s_k/(N+1) I) Y) >= 0. The bound beta0
-        keeps Y of order one. Every weight is affine in alpha."""
+        keeps Y of order one."""
         n1, k, eav, s1 = self.n + 1, self.k, np.arange(1, self.k), self.sigma2[0]
         alphas = np.asarray(alphas, dtype=float)
+        floored = any(r > 0 for r in floors)
+        c = np.array([2.0 ** float(r) for r in floors])     # Python's pow, as `_repair`
         keep = np.ones(alphas.size, dtype=bool)
-        # The objective, then the rows, as base + alpha * slope weights.
-        m = (k - 1) * (1 + (r_m > 0)) + self.n
-        base, slope = np.zeros((2, 1 + m, n1 + k))
-        base[:k, :n1] = s1 / n1
-        slope[0, n1] = 1.0
-        slope[eav, n1 + eav] = s1 / self.sigma2[eav]
-        if r_m > 0:
-            c = 2.0 ** r_m
+        if floored:
             keep = (self.p - alphas * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
-            base[k - 1 + eav, :n1] = (-(c - 1.0) * self.sigma2[eav] / n1)[:, None]
-            base[k - 1 + eav, n1 + eav] = self.p
-            slope[k - 1 + eav, n1 + eav] = -c
-        base[-self.n:, :self.n] = np.eye(self.n)
-        base[-self.n:, self.n] = -1.0
-        weights = base + alphas[keep, None, None] * slope
+        a, c = alphas[keep, None], c[keep, None]
+        # The objective, then the rows, each weight affine in alpha.
+        m = (k - 1) * (1 + floored) + self.n
+        weights = np.zeros((len(a), 1 + m, n1 + k))
+        weights[:, :k, :n1] = s1 / n1
+        weights[:, 0, n1] = a[:, 0]
+        weights[:, eav, n1 + eav] = a * (s1 / self.sigma2[eav])
+        if floored:
+            weights[:, k - 1 + eav, :n1] = (-(c - 1.0) * self.sigma2[eav] / n1)[..., None]
+            weights[:, k - 1 + eav, n1 + eav] = self.p + a * -c
+        weights[:, -self.n:, :self.n] = np.eye(self.n)
+        weights[:, -self.n:, self.n] = -1.0
         beta0 = np.maximum((s1 + weights[:, eav, n1 + eav] * self.traces[eav]).max(axis=1), 1e-30)
         bounds = np.zeros((len(weights), m))
         bounds[:, :k - 1] = beta0[:, None]
@@ -205,7 +208,7 @@ def _eavesdropper_snr(ctx: _Lifted) -> float:
 
 
 def _cct_value(ctx: _Lifted, sol, batch: SdpBatch, lane: int):
-    """(c_value, y, xi, z) of one solved lane of a `_Lifted.cct_batch`, or
+    """(c_value, y, xi) of one solved lane of a `_Lifted.cct_batch`, or
     None when it is infeasible; an unusable solution raises SdpSolverError.
     c_value bounds the relaxation from above: it is the dual objective divided
     by beta0, the sum of the normalization-row multipliers. A dual slack with
@@ -221,10 +224,9 @@ def _cct_value(ctx: _Lifted, sol, batch: SdpBatch, lane: int):
     xi = float(np.mean(np.diag(y).real))
     if xi <= _XI_FLOOR:
         return None
-    z = y / xi
     slack, mult = _dual_slack(sol, batch, lane)
     c_value = float(mult[:ctx.k - 1].sum()) + _psd_shift(slack) * (ctx.n + 1) / ctx.sigma2[0]
-    return c_value, y, xi, z
+    return c_value, y, xi
 
 
 def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
@@ -239,11 +241,11 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
         raise ValueError("confidential power must lie in [0, P]")
     ctx = _Lifted(ch, p)
     eav_snr = _eavesdropper_snr(ctx) if r_m > 0 else math.inf
-    batch, keep = ctx.cct_batch(r_m, [min(max(alpha, 0.0), p)], eav_snr)
+    batch, keep = ctx.cct_batch([r_m], [min(max(alpha, 0.0), p)], eav_snr)
     res = _cct_value(ctx, solve_batch(batch)[0], batch, 0) if keep[0] else None
     if res is None:
         return None
-    c_value, y, xi, _ = res
+    c_value, y, xi = res
     scale = ctx.gain_scale * batch.bounds[0, 0]
     return c_value, y / scale, xi / scale
 
@@ -297,94 +299,117 @@ def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
     return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, scheme)
 
 
-def _cct_lanes(ctx: _Lifted, r_m: float, alphas: list, eav_snr: float) -> list:
-    """(alpha, solution, value) per solved lane of the Charnes-Cooper batch of
-    `alphas`: value is the lane's `_cct_value`, or the SdpSolverError it raised
-    (powers at the exact feasibility edge lose strict interiority)."""
-    batch, keep = ctx.cct_batch(r_m, alphas, eav_snr)
-    lanes = []
-    for lane, (alpha, sol) in enumerate(zip(np.asarray(alphas)[keep].tolist(), solve_batch(batch))):
-        try:
-            value = _cct_value(ctx, sol, batch, lane)
-        except SdpSolverError as exc:
-            value = exc
-        lanes.append((alpha, sol, value))
+def _cct_lanes(ctx: _Lifted, floors: list, samples: list, eav_snr: float) -> list:
+    """Per point i, (alpha, status, iterations, value) of each kept lane at
+    floor floors[i] and power in samples[i]: one `solve_batch` call solves all
+    unfloored points' lanes, one all floored. value is the lane's
+    `_cct_value`, or the SdpSolverError it raised (powers at the exact
+    feasibility edge lose strict interiority)."""
+    lanes = [[] for _ in floors]
+    for floored in (False, True):
+        pairs = [(i, a) for i, r in enumerate(floors) if (r > 0) == floored for a in samples[i]]
+        if not pairs:
+            continue
+        batch, keep = ctx.cct_batch([floors[i] for i, _ in pairs], [a for _, a in pairs], eav_snr)
+        for lane, (j, sol) in enumerate(zip(np.flatnonzero(keep).tolist(), solve_batch(batch))):
+            try:
+                value = _cct_value(ctx, sol, batch, lane)
+            except SdpSolverError as exc:
+                value = exc
+            i, alpha = pairs[j]
+            lanes[i].append((alpha, sol.status, sol.iterations, value))
     return lanes
+
+
+def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list,
+                eav_snr: float | None) -> list:
+    """`algorithm1_cct` at every floor in `floors`, point i rounding on
+    rngs[i]. The lanes of all points are solved together: first every
+    point's samples, then every point's edge refinements, placed from its own
+    largest feasible grid power. eav_snr is solved here if None and a floor
+    is positive, and counted in the n_solves of the first floored point."""
+    if t_alpha < 2:
+        raise ValueError("need at least two power samples")
+    ctx = _Lifted(ch, p)
+    floors = [float(r) for r in floors]
+    floored = [i for i, r in enumerate(floors) if r > 0]
+    n_solves = [0] * len(floors)
+    if floored and eav_snr is None:
+        eav_snr, n_solves[floored[0]] = _eavesdropper_snr(ctx), 1
+    grid = [p * t / (t_alpha - 1) for t in range(t_alpha)]
+    samples = [grid if r > 0 else [float(p)] for r in floors]
+    lanes = _cct_lanes(ctx, floors, samples, eav_snr)
+    edges = [[] for _ in floors]
+    for i in floored:
+        # The supportable power window [0, edge] can fall between grid samples
+        # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
+        # closed form, so refine there instead of losing the window.
+        edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], p, floors[i])
+                   for k in range(1, ch.k))
+        floor_alpha = max((a for a, *_, v in lanes[i] if isinstance(v, tuple)), default=-1.0)
+        edges[i] = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
+                    if floor_alpha + 1e-12 < frac * edge < p]
+    lanes = [own + more for own, more in zip(lanes, _cct_lanes(ctx, floors, edges, eav_snr))]
+
+    points = []
+    for i, (r_m, own, rng) in enumerate(zip(floors, lanes, rngs)):
+        best = None
+        for alpha_t, _, _, value in own:
+            if not isinstance(value, tuple):
+                continue
+            c_value, y, xi = value
+            v, sc = grp_round(y / xi, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
+            if not np.isfinite(sc):
+                continue
+            r_c, alpha_fix, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
+            if ok and (best is None or r_c > best[0]):
+                bound = max(0.0, math.log2(max(c_value, 1e-300)))
+                best = (r_c, alpha_fix, v, bound, alpha_t, model.secrecy_rate(ch, v, alpha_t))
+
+        errors = [value for *_, value in own if isinstance(value, SdpSolverError)]
+        diagnostics = {"n_solves": n_solves[i] + len(own), "n_failed_alpha": len(errors),
+                       "last_error": repr(errors[-1]) if errors else None,
+                       "n_iterations": sum(iters for _, _, iters, _ in own),
+                       "statuses": {stat.value: sum(status is stat for _, status, _, _ in own)
+                                    for stat in SdpStatus}}
+        if best is None:
+            if errors and len(errors) == len(own):
+                raise errors[-1]
+            points.append(BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics))
+            continue
+        r_c, alpha, v, bound, alpha_grid, unrepaired = best
+        diagnostics.update(alpha_grid=alpha_grid, r_c_unrepaired=unrepaired)
+        points.append(BoundaryPoint(r_m, r_c, alpha, v, bound, True, "cct", diagnostics))
+    return points
 
 
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
                    t_g: int = 1000, rng: np.random.Generator | None = None,
                    eav_snr: float | None = None) -> BoundaryPoint:
-    """Algorithm 1: a 1-D search over the confidential power alpha.
+    """Algorithm 1: a 1-D search over the confidential power alpha, the
+    one-floor case of `_cct_points`.
 
     With a floor r_m > 0 the samples are t_alpha uniform powers over [0, P],
     then up to four refinements below the closed-form window edge, above the
     largest feasible grid power. Without one the feasible set does not depend
     on alpha and the objective does not decrease in it: the one sample is
-    alpha = P. Each sample batch is solved as lanes of one `solve_batch`
-    call. Then, grid before edges, each usable lane is rounded by Gaussian
-    randomization on rng; candidates are scored by their `_repair` secrecy
-    rate, power capped at the lane's alpha, and dropped if they cannot carry
-    the floor. The point records the relaxation bound at the winning sample.
-    eav_snr is the `_eavesdropper_snr` of (ch, p), solved here if None.
+    alpha = P. The samples in the power window, then the refinements, are
+    each solved as the lanes of one `solve_batch` call. Each usable lane,
+    grid before edges, is rounded by Gaussian randomization on rng;
+    candidates are scored by their `_repair` secrecy rate, power capped at
+    the lane's alpha, and dropped if they cannot carry the floor. The point
+    records the relaxation bound at the winning sample. eav_snr is the
+    `_eavesdropper_snr` of (ch, p), solved here if None.
 
     diagnostics: n_solves counts the Charnes-Cooper lanes (samples inside the
     window) plus any eavesdropper solve; n_iterations and statuses sum their
     IPM iterations and count them by SdpStatus; n_failed_alpha counts failed
-    samples and last_error holds the last error, raised when every sample
-    fails. A failed eavesdropper solve raises, as it would fail every sample.
+    samples and last_error holds the last error, raised when every solved
+    sample fails. A failed eavesdropper solve raises, as it would fail every
+    sample.
     """
-    if t_alpha < 2:
-        raise ValueError("need at least two power samples")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    ctx = _Lifted(ch, p)
-    n_solves = 0
-    if r_m <= 0:
-        eav_snr = math.inf
-    elif eav_snr is None:
-        eav_snr, n_solves = _eavesdropper_snr(ctx), 1
-    alphas = [p * t / (t_alpha - 1) for t in range(t_alpha)] if r_m > 0 else [float(p)]
-    lanes = _cct_lanes(ctx, r_m, alphas, eav_snr)
-    if r_m > 0:
-        # The supportable power window [0, edge] can fall between grid samples
-        # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
-        # closed form, so refine there instead of losing the window.
-        edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], p, r_m)
-                   for k in range(1, ch.k))
-        floor_alpha = max((a for a, _, value in lanes if isinstance(value, tuple)), default=-1.0)
-        edges = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
-                 if floor_alpha + 1e-12 < frac * edge < p]
-        alphas += edges
-        lanes += _cct_lanes(ctx, r_m, edges, eav_snr)
-
-    best = None
-    for alpha_t, _, value in lanes:
-        if not isinstance(value, tuple):
-            continue
-        c_value, _, _, z = value
-        v, sc = grp_round(z, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
-        if not np.isfinite(sc):
-            continue
-        r_c, alpha_fix, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
-        if ok and (best is None or r_c > best[0]):
-            bound = max(0.0, math.log2(max(c_value, 1e-300)))
-            best = (r_c, alpha_fix, v, bound, alpha_t, model.secrecy_rate(ch, v, alpha_t))
-
-    errors = [value for _, _, value in lanes if isinstance(value, SdpSolverError)]
-    sols = [sol for _, sol, _ in lanes]
-    diagnostics = {"n_solves": n_solves + len(sols), "n_failed_alpha": len(errors),
-                   "last_error": repr(errors[-1]) if errors else None,
-                   "n_iterations": sum(sol.iterations for sol in sols),
-                   "statuses": {stat.value: sum(sol.status is stat for sol in sols)
-                                for stat in SdpStatus}}
-    if best is None:
-        if errors and len(errors) == len(alphas):
-            raise errors[-1]
-        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics=diagnostics)
-    r_c, alpha, v, bound, alpha_grid, unrepaired = best
-    diagnostics.update(alpha_grid=alpha_grid, r_c_unrepaired=unrepaired)
-    return BoundaryPoint(r_m, r_c, alpha, v, bound, True, "cct", diagnostics=diagnostics)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return _cct_points(ch, p, [r_m], t_alpha, t_g, [rng], eav_snr)[0]
 
 
 def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
@@ -392,11 +417,11 @@ def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
     power on the confidential stream and no multicast floor; returns the
     unit-diagonal Z."""
     ctx = _Lifted(ch, p)
-    batch, _ = ctx.cct_batch(0.0, [p], math.inf)
+    batch, _ = ctx.cct_batch([0.0], [p], math.inf)
     res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
     if res is None:
         raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
-    return res[3]
+    return res[1] / res[2]
 
 
 def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
@@ -506,11 +531,12 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     """Evaluate one scheme on uniform multicast targets over [0, r_m_up].
 
     Targets beyond the supportable maximum are reported with feasible=False.
-    Points are evaluated in grid order. Grid point i draws from the child
-    generator (seed, i); the wscm floors share one, (seed, 0), in a single
-    pass. Results depend only on the seed. The cct and upper-bound points
-    share one eavesdropper max-min solve, counted in the n_solves of the
-    first floored point. The oracle enumerates the `ORACLE_GRID`.
+    Grid point i draws from the child generator (seed, i); the wscm floors
+    share one, (seed, 0), in a single pass. Results depend only on the seed.
+    The cct and upper-bound points are one `_cct_points` call: their
+    Charnes-Cooper lanes are solved in region-wide batches, and they share
+    one eavesdropper max-min solve, counted in the n_solves of the first
+    floored point. The oracle enumerates the `ORACLE_GRID`.
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")
@@ -538,31 +564,23 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         region = RegionBoundary(pts)
         return pareto_filter(region) if params.pareto_filter else region
 
-    floored = np.flatnonzero(targets > 0)
-    eav_snr = None
-    if scheme in ("cct", "upper-bound") and floored.size:
-        eav_snr = _eavesdropper_snr(_Lifted(ch, p))
-
     def eval_point(idx: int) -> BoundaryPoint:
         rm = float(targets[idx])
-        rng = substream(seed, idx)
-        if scheme in ("cct", "upper-bound"):
-            pt = algorithm1_cct(ch, p, rm, params.t_alpha, params.t_g, rng, eav_snr)
-            if eav_snr is not None and idx == floored[0]:
-                pt.diagnostics["n_solves"] += 1      # the shared eavesdropper solve
-            if scheme == "cct":
-                return pt
-            value = pt.upper_bound if pt.feasible else 0.0
-            return replace(pt, r_c_achieved=value, scheme="upper-bound")
         if scheme == "random-irs":
-            return baseline_random_irs(ch, p, rm, rng)
+            return baseline_random_irs(ch, p, rm, substream(seed, idx))
         if scheme == "no-irs":
             return baseline_no_irs(ch, p, rm)
         from .analysis import brute_force_oracle
         r_c, v, alpha = brute_force_oracle(ch, p, rm, *ORACLE_GRID)
         return BoundaryPoint(rm, r_c, alpha, v, math.nan, v is not None, "oracle")
 
-    if scheme == "wscm":
+    if scheme in ("cct", "upper-bound"):
+        points = _cct_points(ch, p, targets, params.t_alpha, params.t_g,
+                             [substream(seed, i) for i in range(grid_points)], None)
+        if scheme == "upper-bound":
+            points = [replace(pt, r_c_achieved=pt.upper_bound if pt.feasible else 0.0,
+                              scheme="upper-bound") for pt in points]
+    elif scheme == "wscm":
         points = _wscm_points(ch, p, targets, params.t_lambda, params.t_g, substream(seed, 0),
                               z_m, secrecy_covariance(ch, p))
     else:

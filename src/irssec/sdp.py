@@ -387,10 +387,11 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
 
 def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     """The SdpSolution of every lane, solved by lockstep `_ipm` calls of up
-    to _LANE_BLOCK lanes with the rows equilibrated and the objective
-    normalized; each lane is bitwise what it gives alone. OPTIMAL means gap
-    and residuals below the tolerance; MAX_ITERATIONS (the iteration cap) and
-    BREAKDOWN (a numerical failure before it) are never reported as OPTIMAL."""
+    to _LANE_BLOCK lanes, each block equilibrated (rows and objective) and
+    turned into solutions in turn; each lane is bitwise what it gives alone.
+    OPTIMAL means gap and residuals below the tolerance; MAX_ITERATIONS (the
+    iteration cap) and BREAKDOWN (a numerical failure before it, gap and
+    residual NaN if a scale or multiplier is not finite) never are."""
     cfg = config or SolverConfig()
     f = np.asarray(batch.basis, dtype=complex)
     lanes, m, _ = np.shape(batch.rows)
@@ -405,25 +406,26 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
 
     gram2 = np.abs(f.conj().T @ f) ** 2
     w = np.ascontiguousarray(np.swapaxes(batch.rows, -1, -2), dtype=float)
-    c_w = np.ascontiguousarray(batch.objective, dtype=float)
-    row_scale = np.maximum(_embedded_norms(gram2, w, vecs), 1e-300)
-    c_scale = _embedded_norms(gram2, c_w[..., None], c_vec[:, None, :])[:, 0]
-    c_scale[c_scale < 1e-18] = 1.0
-    w, vecs = w / row_scale[:, None, :], vecs / row_scale[..., None]
-    b = np.asarray(batch.bounds, dtype=float) / row_scale
-    c_w, c_vec = c_w / c_scale[:, None], c_vec / c_scale[:, None]
-
-    done = []
+    c_w, b = np.ascontiguousarray(batch.objective, dtype=float), np.asarray(batch.bounds, float)
+    sols = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for at in range(0, lanes, _LANE_BLOCK):
-            block = slice(at, at + _LANE_BLOCK)
-            done += _ipm(f, gram2, w[block], vecs[block], b[block], c_w[block], c_vec[block], cfg)
-    # x views the stack of lanes frozen with it; a copy keeps no stack alive
-    return [SdpSolution(matrix=x.copy(), objective_value=pobj * c_s, status=status,
-                        duality_gap=relgap, residuals=resid, iterations=iters,
-                        scalars=xd[:p].copy(), dual=y * c_s / row_s)
-            for (x, xd, y, status, iters, relgap, resid, pobj), c_s, row_s
-            in zip(done, c_scale.tolist(), row_scale)]
+            blk = slice(at, at + _LANE_BLOCK)
+            row_scale = np.maximum(_embedded_norms(gram2, w[blk], vecs[blk]), 1e-300)
+            c_scale = _embedded_norms(gram2, c_w[blk, :, None], c_vec[blk, None, :])[:, 0]
+            c_scale[c_scale < 1e-18] = 1.0
+            done = _ipm(f, gram2, w[blk] / row_scale[:, None, :], vecs[blk] / row_scale[..., None],
+                        b[blk] / row_scale, c_w[blk] / c_scale[:, None],
+                        c_vec[blk] / c_scale[:, None], cfg)
+            for (x, xd, y, status, iters, relgap, resid, pobj), c_s, row_s in zip(
+                    done, c_scale.tolist(), row_scale):
+                dual = y * c_s / row_s
+                if not (np.isfinite(row_s).all() and np.isfinite(dual).all()):
+                    status, relgap, resid = SdpStatus.BREAKDOWN, math.nan, math.nan
+                # x views the stack of lanes frozen with it; a copy keeps no stack alive
+                sols.append(SdpSolution(x.copy(), pobj * c_s, status, relgap, resid, iters,
+                                        xd[:p].copy(), dual))
+    return sols
 
 
 _SENSES = {"<=": 1, "==": 0, ">=": -1}

@@ -2,7 +2,7 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
-Prints four groups of figures, each the best of R timed repeats:
+Prints five groups of figures, each timing the best of R repeats:
 
 * ms per lane-iteration at n = 11 for L in {1, 20, 80} lanes. The programs
   are the Charnes-Cooper programs of 80 uniform confidential powers over
@@ -17,6 +17,10 @@ Prints four groups of figures, each the best of R timed repeats:
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
   T_g 1000) at r_m = 0 and at half the multicast upper bound, with the
   eavesdropper max-min SNR solved beforehand as `sweep_region` does.
+* ms per cct region on the same scenario (grid 20, T_alpha 80, T_g 1000),
+  with the solver work of one region counted: `solve_batch` calls, `_ipm`
+  calls, stacked iterations (each `_ipm` call runs as many as its slowest
+  lane) and lane-iterations (summed over the lanes).
 
 The file name does not match test_*.py, so pytest does not collect it.
 """
@@ -74,7 +78,7 @@ def lane_rows(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     p = config.total_power_w
     ctx = algorithms._Lifted(generate_channels(config), p)
-    batch, _ = ctx.cct_batch(0.0, [p * t / 79 for t in range(80)], math.inf)
+    batch, _ = ctx.cct_batch([0.0] * 80, [p * t / 79 for t in range(80)], math.inf)
     count = len(batch.bounds)
     iterations = sum(sol.iterations for sol in sdp.solve_batch(batch))
     for lanes in LANES:
@@ -136,6 +140,45 @@ def cct_point_rows(repeats: int) -> None:
               f"   ({point[0].diagnostics['n_solves']} lanes)")
 
 
+def solver_counts(run) -> dict:
+    """solve_batch and _ipm calls, stacked iterations and lane-iterations of `run`."""
+    counts = dict.fromkeys(("solve_batch", "_ipm", "stacked", "lane"), 0)
+    saved = algorithms.solve_batch, sdp._ipm
+
+    def solve_batch(batch, config=None):
+        counts["solve_batch"] += 1
+        return saved[0](batch, config)
+
+    def ipm(*args):
+        done = saved[1](*args)
+        iterations = [lane[4] for lane in done]
+        counts["_ipm"] += 1
+        counts["stacked"] += max(iterations)
+        counts["lane"] += sum(iterations)
+        return done
+
+    try:
+        algorithms.solve_batch, sdp._ipm = solve_batch, ipm
+        run()
+    finally:
+        algorithms.solve_batch, sdp._ipm = saved
+    return counts
+
+
+def cct_region_row(repeats: int) -> None:
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    params = algorithms.SweepParams(t_alpha=80, t_g=1000)
+
+    def run():
+        algorithms.sweep_region(ch, p, "cct", 20, params, seed=0)
+    counts = solver_counts(run)
+    ms = 1e3 * best_of(repeats, run)
+    print(f"cct region N=10 grid 20 ms per region {ms:9.1f}   ({counts['solve_batch']} solve_batch"
+          f" calls, {counts['_ipm']} _ipm calls, {counts['stacked']} stacked iterations,"
+          f" {counts['lane']} lane-iterations)")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -144,6 +187,7 @@ def main() -> None:
     one_lane_rows(repeats)
     grp_round_row(repeats)
     cct_point_rows(repeats)
+    cct_region_row(repeats)
 
 
 if __name__ == "__main__":

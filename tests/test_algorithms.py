@@ -450,6 +450,72 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
         assert alone.diagnostics["n_solves"] == point_lanes[i] + (i > 0)
 
 
+def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
+    # a cct or upper-bound sweep hands the solver the multicast bound, the
+    # eavesdropper program, the unfloored lane, every floored point's grid
+    # lanes as one batch and every point's edge lanes as one more; each point
+    # still equals algorithm1_cct alone at its floor on its own stream
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
+    r_up, _ = multicast_upper_bound(ch, P)
+    batches = []
+
+    def recording_solve(batch, config=None):
+        batches.append(batch)
+        return real_solve(batch, config)
+
+    real_solve = algorithms.solve_batch
+    monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
+    regions = [sweep_region(ch, P, scheme, 5, params, seed=2) for scheme in ("cct", "upper-bound")]
+    monkeypatch.undo()
+    assert len(batches) == 10
+    for sweep in (batches[:5], batches[5:]):
+        assert [batch.n_scalars for batch in sweep] == [1, 1, 0, 0, 0]
+        unfloored, grid, edge = sweep[2:]
+        # one unfloored lane; the floor rows add one row per eavesdropper
+        assert len(unfloored.bounds) == 1
+        assert grid.rows.shape[1] == edge.rows.shape[1] == unfloored.rows.shape[1] + ch.k - 1
+        assert 4 < len(grid.bounds) < 4 * params.t_alpha
+        assert len(edge.bounds) > 0           # an edge lane survives the keep mask
+    for i, r_m in enumerate(np.linspace(0.0, r_up, 5)):
+        alone = algorithm1_cct(ch, P, r_m, params.t_alpha, params.t_g, substream(2, i))
+        assert alone.feasible
+        cct, bound = regions[0].points[i], regions[1].points[i]
+        assert (cct.r_c_achieved, cct.alpha, cct.upper_bound) == (
+            alone.r_c_achieved, alone.alpha, alone.upper_bound)
+        assert (bound.r_c_achieved, bound.alpha) == (alone.upper_bound, alone.alpha)
+        for pt in (cct, bound):
+            assert pt.phase_vector.tobytes() == alone.phase_vector.tobytes()
+            for key in ("n_iterations", "statuses"):
+                assert pt.diagnostics[key] == alone.diagnostics[key]
+
+
+def test_sweep_raises_the_error_of_a_point_whose_every_lane_fails(monkeypatch):
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
+    bad = float(np.linspace(0.0, multicast_upper_bound(ch, P)[0], 5)[3])
+    real_batch, real_solve = algorithms._Lifted.cct_batch, algorithms.solve_batch
+    floors_of = {}
+
+    def recording_batch(self, floors, alphas, eav_snr):
+        batch, keep = real_batch(self, floors, alphas, eav_snr)
+        floors_of[id(batch)] = np.asarray(floors)[keep]
+        return batch, keep
+
+    def failing_solve(batch, config=None):
+        # every lane of the floor `bad` breaks down, grid and edge lanes alike
+        sols = real_solve(batch, config)
+        for lane in np.flatnonzero(floors_of.get(id(batch), np.zeros(0)) == bad):
+            sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN, duality_gap=7.0)
+        return sols
+
+    monkeypatch.setattr(algorithms._Lifted, "cct_batch", recording_batch)
+    monkeypatch.setattr(algorithms, "solve_batch", failing_solve)
+    with pytest.raises(SdpSolverError, match=r"fractional SDP failed: Breakdown \(gap 7.00e\+00"):
+        sweep_region(ch, P, "cct", 5, params, seed=2)
+    assert any((floors == bad).any() for floors in floors_of.values())
+
+
 def test_sweep_pareto_filter_monotone(rng):
     ch = rand_channelset(np.random.default_rng(17), n=2, k=2)
     params = SweepParams(t_alpha=20, t_g=200)
@@ -459,7 +525,7 @@ def test_sweep_pareto_filter_monotone(rng):
     assert region.pareto_filtered
 
 
-def test_sweep_deterministic_across_worker_counts(monkeypatch, rng):
+def test_sweep_deterministic_across_reruns(monkeypatch, rng):
     ch = rand_channelset(np.random.default_rng(18), n=2, k=2)
     params = SweepParams(t_alpha=10, t_g=100)
 

@@ -7,7 +7,7 @@ import pytest
 
 from irssec import cli, model
 from irssec.channel import generate_channels, load_scenario, scenario_to_dict, two_user_scenario
-from irssec.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from irssec.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER, main
 
 
 def write_scenario(tmp_path, name="scenario.json", **kwargs):
@@ -45,7 +45,7 @@ def test_region_no_irs_deterministic(tmp_path):
     assert targets == sorted(targets)
 
 
-def test_region_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+def test_region_cct_byte_identical_across_reruns(tmp_path, monkeypatch):
     scn = write_scenario(tmp_path)
     base = ["region", "--scenario", scn, "--scheme", "cct", "--grid", "4",
             "--t-alpha", "8", "--t-g", "60", "--seed", "5"]
@@ -59,7 +59,7 @@ def test_region_byte_identical_across_thread_counts(tmp_path, monkeypatch):
             == open(out_b + ".phases.json", "rb").read())
 
 
-def test_region_wscm_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+def test_region_wscm_byte_identical_across_reruns(tmp_path, monkeypatch):
     scn = write_scenario(tmp_path)
     base = ["region", "--scenario", scn, "--scheme", "wscm", "--grid", "4",
             "--t-lambda", "8", "--t-g", "60", "--seed", "5"]
@@ -339,6 +339,17 @@ def test_sweep_power_rejects_non_finite_powers_before_sweeping(tmp_path, capsys,
                  "--out", str(out)]) == EXIT_CONFIG
     assert "error: powers must be finite and positive" in capsys.readouterr().err
     assert swept == [] and not out.exists()
+
+
+def test_sweep_power_exits_3_when_the_power_overflows_the_solver(tmp_path, capsys):
+    # at 1e300 W the lifted rows overflow while they are equilibrated: the
+    # solve is a breakdown, never an optimum with multipliers that are not
+    # finite, and the run ends with an error line instead of a traceback
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "p.csv"
+    assert main(["sweep-power", "--scenario", scn, "--powers", "1e300", "--scheme", "cct",
+                 "--grid", "3", "--t-alpha", "4", "--t-g", "20", "--out", str(out)]) == EXIT_SOLVER
+    assert "solver failure:" in capsys.readouterr().err
 
 
 def test_analyze_has_no_multicast_floor_option(tmp_path, capsys):

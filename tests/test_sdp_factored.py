@@ -205,6 +205,25 @@ def test_lane_that_stops_early_does_not_perturb_the_others(monkeypatch):
         assert_bitwise_equal(sol, solve(prog))
 
 
+def test_lane_whose_row_scale_overflows_breaks_down_alone(monkeypatch):
+    # a row whose norm overflows cannot be equilibrated: its lane is a
+    # BREAKDOWN with NaN gap and residual, never an optimum with NaN
+    # multipliers, and the other lanes are bitwise what they give without it
+    batch = point_batch(monkeypatch)
+    rows = batch.rows.copy()
+    rows[1, 0] *= 1e300
+    sols = solve_batch(replace(batch, rows=rows))
+    assert sols[1].status is SdpStatus.BREAKDOWN
+    assert np.isnan(sols[1].duality_gap) and np.isnan(sols[1].residuals)
+    assert not algorithms._solution_usable(sols[1])
+    others = [lane for lane in range(len(sols)) if lane != 1]
+    alone = solve_batch(replace(batch, objective=batch.objective[others], rows=batch.rows[others],
+                                bounds=batch.bounds[others],
+                                scalar_rows=batch.scalar_rows[others]))
+    for got, ref in zip([sols[lane] for lane in others], alone, strict=True):
+        assert_bitwise_equal(got, ref)
+
+
 def test_lanes_need_one_shape(monkeypatch):
     progs = point_lanes(monkeypatch)[:3]
     head = progs[0]
