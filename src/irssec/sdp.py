@@ -15,7 +15,10 @@ primal and dual iterates, and the Schur complement M = 1/2 W^T Re(P o Q^T) W
 from the factors (P = F^H X F, Q = F^H S^-1 F, W the row weights), never
 from row pairs. Each lane keeps its own step lengths, stopping tests and
 factorization fallbacks, and a lane that stops leaves the stack, so every
-lane follows bitwise the iterates it follows alone.
+lane follows bitwise the iterates it follows alone. The lanes run in blocks
+of _LANE_BLOCK; a batch of several blocks spreads them over forked worker
+processes, one per CPU the process may run on. A block's outputs depend only
+on its own lanes, so they are byte for byte the same wherever it runs.
 
 `SdpProblem` (constraint tuples with relation strings, dense or weight-vector
 data, min or max) is the adapter for programs written by hand: `solve_many`
@@ -25,7 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +64,9 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if not (0.0 < self.step_fraction < 1.0):
             raise ValueError("step_fraction must lie in (0, 1)")
+        if (not isinstance(self.max_iterations, (int, np.integer))
+                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 @dataclass
@@ -385,13 +394,49 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
     return done
 
 
+def _solve_block(f, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_w, c_vec) -> list:
+    """The SdpSolution of every lane of one block: rows and objective
+    equilibrated, one lockstep `_ipm` call, the scales undone."""
+    sols = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        row_scale = np.maximum(_embedded_norms(gram2, w, vecs), 1e-300)
+        c_scale = _embedded_norms(gram2, c_w[:, :, None], c_vec[:, None, :])[:, 0]
+        c_scale[c_scale < 1e-18] = 1.0
+        done = _ipm(f, gram2, w / row_scale[:, None, :], vecs / row_scale[..., None],
+                    b / row_scale, c_w / c_scale[:, None], c_vec / c_scale[:, None], cfg)
+        for (x, xd, y, status, iters, relgap, resid, pobj), c_s, row_s in zip(
+                done, c_scale.tolist(), row_scale):
+            dual = y * c_s / row_s
+            if not (np.isfinite(row_s).all() and np.isfinite(dual).all()):
+                status, relgap, resid = SdpStatus.BREAKDOWN, math.nan, math.nan
+            # x views the stack of lanes frozen with it; a copy keeps no stack alive
+            sols.append(SdpSolution(x.copy(), pobj * c_s, status, relgap, resid, iters,
+                                    xd[:p].copy(), dual))
+    return sols
+
+
+def _workers(blocks: int) -> int:
+    """Processes to solve `blocks` lane blocks in: one per CPU this process may
+    run on, at most one per block. 1 (the calling process) without fork or
+    CPU affinity, or while other threads run: a forked child gets none of
+    them, but every lock they hold."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(blocks, len(os.sched_getaffinity(0)))
+
+
 def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     """The SdpSolution of every lane, solved by lockstep `_ipm` calls of up
     to _LANE_BLOCK lanes, each block equilibrated (rows and objective) and
-    turned into solutions in turn; each lane is bitwise what it gives alone.
-    OPTIMAL means gap and residuals below the tolerance; MAX_ITERATIONS (the
-    iteration cap) and BREAKDOWN (a numerical failure before it, gap and
-    residual NaN if a scale or multiplier is not finite) never are."""
+    turned into solutions by itself; each lane is bitwise what it gives
+    alone. A batch of two or more blocks runs them on a pool of forked
+    worker processes, one per CPU (see `_workers`), created and joined
+    within the call; the solutions come back in lane order and are the same
+    bytes as in process, since no block reads another's lanes. OPTIMAL means
+    gap and residuals below the tolerance; MAX_ITERATIONS (the iteration cap)
+    and BREAKDOWN (a numerical failure before it, gap and residual NaN if a
+    scale or multiplier is not finite) never are."""
     cfg = config or SolverConfig()
     f = np.asarray(batch.basis, dtype=complex)
     lanes, m, _ = np.shape(batch.rows)
@@ -407,25 +452,18 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     gram2 = np.abs(f.conj().T @ f) ** 2
     w = np.ascontiguousarray(np.swapaxes(batch.rows, -1, -2), dtype=float)
     c_w, b = np.ascontiguousarray(batch.objective, dtype=float), np.asarray(batch.bounds, float)
-    sols = []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for at in range(0, lanes, _LANE_BLOCK):
-            blk = slice(at, at + _LANE_BLOCK)
-            row_scale = np.maximum(_embedded_norms(gram2, w[blk], vecs[blk]), 1e-300)
-            c_scale = _embedded_norms(gram2, c_w[blk, :, None], c_vec[blk, None, :])[:, 0]
-            c_scale[c_scale < 1e-18] = 1.0
-            done = _ipm(f, gram2, w[blk] / row_scale[:, None, :], vecs[blk] / row_scale[..., None],
-                        b[blk] / row_scale, c_w[blk] / c_scale[:, None],
-                        c_vec[blk] / c_scale[:, None], cfg)
-            for (x, xd, y, status, iters, relgap, resid, pobj), c_s, row_s in zip(
-                    done, c_scale.tolist(), row_scale):
-                dual = y * c_s / row_s
-                if not (np.isfinite(row_s).all() and np.isfinite(dual).all()):
-                    status, relgap, resid = SdpStatus.BREAKDOWN, math.nan, math.nan
-                # x views the stack of lanes frozen with it; a copy keeps no stack alive
-                sols.append(SdpSolution(x.copy(), pobj * c_s, status, relgap, resid, iters,
-                                        xd[:p].copy(), dual))
-    return sols
+    cuts = range(0, lanes, _LANE_BLOCK)
+    blocks = [[arr[at:at + _LANE_BLOCK] for at in cuts] for arr in (w, vecs, b, c_w, c_vec)]
+    solve = partial(_solve_block, f, gram2, p, cfg)
+    workers = _workers(len(cuts))
+    if workers < 2:
+        parts = list(map(solve, *blocks))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            parts = list(pool.map(solve, *blocks))
+    return [sol for part in parts for sol in part]
 
 
 _SENSES = {"<=": 1, "==": 0, ">=": -1}

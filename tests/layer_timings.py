@@ -2,7 +2,10 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
-Prints five groups of figures, each timing the best of R repeats:
+Prints the CPUs the process may run on, then five groups of figures, each
+timing the best of R repeats. A `solve_batch` call of more than one block of
+`sdp._LANE_BLOCK` lanes spreads its blocks over one worker process per CPU, so
+the figures of such calls are wall times on that many CPUs:
 
 * ms per lane-iteration at n = 11 for L in {1, 20, 80} lanes. The programs
   are the Charnes-Cooper programs of 80 uniform confidential powers over
@@ -18,8 +21,9 @@ Prints five groups of figures, each timing the best of R repeats:
   T_g 1000) at r_m = 0 and at half the multicast upper bound, with the
   eavesdropper max-min SNR solved beforehand as `sweep_region` does.
 * ms per cct region on the same scenario (grid 20, T_alpha 80, T_g 1000),
-  with the solver work of one region counted: `solve_batch` calls, `_ipm`
-  calls, stacked iterations (each `_ipm` call runs as many as its slowest
+  with the solver work of one region counted from the solutions that
+  `solve_batch` returns: `solve_batch` calls, `_ipm` calls (one per lane
+  block), stacked iterations (each `_ipm` call runs as many as its slowest
   lane) and lane-iterations (summed over the lanes).
 
 The file name does not match test_*.py, so pytest does not collect it.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -141,27 +146,30 @@ def cct_point_rows(repeats: int) -> None:
 
 
 def solver_counts(run) -> dict:
-    """solve_batch and _ipm calls, stacked iterations and lane-iterations of `run`."""
+    """solve_batch and _ipm calls, stacked iterations and lane-iterations of
+    `run`, read from the solutions of each solve_batch call: it makes one
+    _ipm call per block of sdp._LANE_BLOCK lanes, which runs as many stacked
+    iterations as its slowest lane (the blocks may run in worker processes,
+    where a patched _ipm would not count them)."""
     counts = dict.fromkeys(("solve_batch", "_ipm", "stacked", "lane"), 0)
-    saved = algorithms.solve_batch, sdp._ipm
+    saved = algorithms.solve_batch
 
     def solve_batch(batch, config=None):
+        sols = saved(batch, config)
+        iterations = [sol.iterations for sol in sols]
+        blocks = [iterations[at:at + sdp._LANE_BLOCK]
+                  for at in range(0, len(iterations), sdp._LANE_BLOCK)]
         counts["solve_batch"] += 1
-        return saved[0](batch, config)
-
-    def ipm(*args):
-        done = saved[1](*args)
-        iterations = [lane[4] for lane in done]
-        counts["_ipm"] += 1
-        counts["stacked"] += max(iterations)
+        counts["_ipm"] += len(blocks)
+        counts["stacked"] += sum(max(block) for block in blocks)
         counts["lane"] += sum(iterations)
-        return done
+        return sols
 
     try:
-        algorithms.solve_batch, sdp._ipm = solve_batch, ipm
+        algorithms.solve_batch = solve_batch
         run()
     finally:
-        algorithms.solve_batch, sdp._ipm = saved
+        algorithms.solve_batch = saved
     return counts
 
 
@@ -183,6 +191,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     repeats = parser.parse_args().repeats
+    print(f"CPUs {len(os.sched_getaffinity(0))} (solve_batch runs a batch of several lane blocks"
+          " on one worker process per CPU)")
     lane_rows(repeats)
     one_lane_rows(repeats)
     grp_round_row(repeats)

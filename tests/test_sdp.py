@@ -249,3 +249,10 @@ def test_substream_reproducible_and_order_free():
     c = substream(9, 4).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True, "10"])
+def test_solver_config_rejects_an_iteration_cap_that_is_no_positive_integer(cap):
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverConfig(max_iterations=cap)
+    assert SolverConfig(max_iterations=np.int64(1)).max_iterations == 1

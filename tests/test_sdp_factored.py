@@ -1,4 +1,8 @@
 """The factored-row path against the same programs given as dense rows."""
+import math
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -271,3 +275,70 @@ def test_lane_by_lane_steps_match_the_stacked_ones(monkeypatch):
     monkeypatch.setattr(sdp, "_inv_factor", failing_on_stacks)
     for got, ref in zip(solve_many(progs), stacked):
         assert_bitwise_equal(got, ref)
+
+
+def charnes_cooper_batch(lanes):
+    """Unfloored Charnes-Cooper lanes at `lanes` powers over [0, P] of the
+    two-user scenario, every one kept."""
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    batch, keep = algorithms._Lifted(ch, p).cct_batch([0.0] * lanes, np.linspace(0.0, p, lanes),
+                                                      math.inf)
+    assert keep.all()
+    return batch
+
+
+def test_blocks_on_worker_processes_match_one_process_bitwise(monkeypatch):
+    # three blocks, solved in process (one CPU) and on two forked workers:
+    # every lane is the same bytes either way, and as its block solved alone
+    batch = charnes_cooper_batch(40)
+    blocks = range(0, 40, sdp._LANE_BLOCK)
+    assert len(blocks) == 3
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert sdp._workers(len(blocks)) == cpus
+        runs[cpus] = solve_batch(batch)
+    monkeypatch.undo()
+    for at in blocks:
+        sel = slice(at, at + sdp._LANE_BLOCK)
+        alone = solve_batch(replace(batch, objective=batch.objective[sel], rows=batch.rows[sel],
+                                    bounds=batch.bounds[sel], scalar_rows=batch.scalar_rows[sel]))
+        for one, two, ref in zip(runs[1][sel], runs[2][sel], alone, strict=True):
+            assert_bitwise_equal(two, one)
+            assert_bitwise_equal(one, ref)
+    assert len(runs[2]) == 40
+
+
+def test_no_worker_outlives_a_solve(monkeypatch):
+    # workers are joined before solve_batch returns, or raises: a worker's
+    # error reaches the caller with its type and message
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    batch = charnes_cooper_batch(40)
+    assert [sol.status for sol in solve_batch(batch)] == [SdpStatus.OPTIMAL] * 40
+    assert multiprocessing.active_children() == []
+
+    def failing_ipm(*args):
+        raise ValueError(f"_ipm failed in process {os.getpid()}")
+
+    monkeypatch.setattr(sdp, "_ipm", failing_ipm)   # forked workers inherit the patch
+    with pytest.raises(ValueError, match=r"^_ipm failed in process \d+$") as err:
+        solve_batch(batch)
+    assert int(str(err.value).split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_blocks_stay_in_process_while_another_thread_runs(monkeypatch):
+    # a forked worker would inherit every lock the other thread holds, but
+    # not the thread that releases it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert sdp._workers(3) == 2 and sdp._workers(1) == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert sdp._workers(3) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
