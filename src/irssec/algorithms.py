@@ -24,6 +24,8 @@ patterns are unaffected by the rescaling.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,6 +69,12 @@ class SweepParams:
     t_lambda: int = 80
     t_g: int = 1000
     pareto_filter: bool = True
+
+    def __post_init__(self):
+        for name, least in (("t_alpha", 2), ("t_lambda", 2), ("t_g", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}")
 
 
 class _Lifted:
@@ -321,23 +329,41 @@ def _cct_lanes(ctx: _Lifted, floors: list, samples: list, eav_snr: float) -> lis
     return lanes
 
 
-def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list,
-                eav_snr: float | None) -> list:
-    """`algorithm1_cct` at every floor in `floors`, point i rounding on
-    rngs[i]. The lanes of all points are solved together: first every
-    point's samples, then every point's edge refinements, placed from its own
-    largest feasible grid power. eav_snr is solved here if None and a floor
-    is positive, and counted in the n_solves of the first floored point."""
-    if t_alpha < 2:
-        raise ValueError("need at least two power samples")
-    ctx = _Lifted(ch, p)
-    floors = [float(r) for r in floors]
+def _workers(points: int) -> int:
+    """Processes to solve and round `points` boundary points in: one per CPU
+    this process may run on, at most one per point. 1 (the calling process)
+    without fork or CPU affinity, or while other threads run: a forked child
+    gets none of them, but every lock they hold."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(points, len(os.sched_getaffinity(0)))
+
+
+def _groups(loads: list, count: int) -> list:
+    """The indices of `loads` in `count` groups of near-equal summed load:
+    largest load first, each to the lightest group (among equals, the one
+    with fewer indices), so no group is empty while count <= len(loads);
+    each group in index order."""
+    groups, totals = [[] for _ in range(count)], [0] * count
+    for i in sorted(range(len(loads)), key=lambda i: -loads[i]):
+        g = min(range(count), key=lambda g: (totals[g], len(groups[g])))
+        groups[g].append(i)
+        totals[g] += loads[i]
+    return [sorted(group) for group in groups]
+
+
+def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, grid: list, t_g: int, rngs: list,
+               eav_snr: float, n_solves: list) -> list:
+    """Per floor, the `algorithm1_cct` point rounded on rngs[i], or the
+    SdpSolverError of a point whose every solved lane failed. The lanes of
+    all floors are solved together: first every floor's samples (the grid,
+    or alpha = P without a floor), then every floor's edge refinements,
+    placed from its own largest feasible grid power. n_solves[i] counts
+    solves made before, for floor i."""
+    p = ctx.p
     floored = [i for i, r in enumerate(floors) if r > 0]
-    n_solves = [0] * len(floors)
-    if floored and eav_snr is None:
-        eav_snr, n_solves[floored[0]] = _eavesdropper_snr(ctx), 1
-    grid = [p * t / (t_alpha - 1) for t in range(t_alpha)]
-    samples = [grid if r > 0 else [float(p)] for r in floors]
+    samples = [grid if r > 0 else [p] for r in floors]
     lanes = _cct_lanes(ctx, floors, samples, eav_snr)
     edges = [[] for _ in floors]
     for i in floored:
@@ -352,7 +378,7 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     lanes = [own + more for own, more in zip(lanes, _cct_lanes(ctx, floors, edges, eav_snr))]
 
     points = []
-    for i, (r_m, own, rng) in enumerate(zip(floors, lanes, rngs)):
+    for r_m, own, rng, solves in zip(floors, lanes, rngs, n_solves):
         best = None
         for alpha_t, _, _, value in own:
             if not isinstance(value, tuple):
@@ -367,15 +393,17 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
                 best = (r_c, alpha_fix, v, bound, alpha_t, model.secrecy_rate(ch, v, alpha_t))
 
         errors = [value for *_, value in own if isinstance(value, SdpSolverError)]
-        diagnostics = {"n_solves": n_solves[i] + len(own), "n_failed_alpha": len(errors),
+        diagnostics = {"n_solves": solves + len(own), "n_failed_alpha": len(errors),
                        "last_error": repr(errors[-1]) if errors else None,
                        "n_iterations": sum(iters for _, _, iters, _ in own),
                        "statuses": {stat.value: sum(status is stat for _, status, _, _ in own)
                                     for stat in SdpStatus}}
         if best is None:
             if errors and len(errors) == len(own):
-                raise errors[-1]
-            points.append(BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics))
+                points.append(errors[-1])
+            else:
+                points.append(BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct",
+                                            diagnostics))
             continue
         r_c, alpha, v, bound, alpha_grid, unrepaired = best
         diagnostics.update(alpha_grid=alpha_grid, r_c_unrepaired=unrepaired)
@@ -383,11 +411,61 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     return points
 
 
+def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list,
+                eav_snr: float | None) -> list:
+    """`algorithm1_cct` at every floor in `floors`, point i rounding on
+    rngs[i]. eav_snr is solved here if None and a floor is positive, and
+    counted in the n_solves of the first floored point.
+
+    The points are solved and rounded by `_cct_group`: in the calling
+    process, or, with two or more points and CPUs (see `_workers`), in one
+    group per CPU on a pool of forked worker processes, created and joined
+    within the call. The groups are balanced by each point's count of grid
+    lanes in the power window. The points come back in floor order and are
+    the same bytes either way, since every point rounds on its own generator
+    and every lane is bitwise what it gives alone. Fanned out, the
+    generators advance in the workers, not in rngs. Where several points
+    fail, the error of the first failing floor is raised, a worker's own
+    error counting as one of its group's first point."""
+    if t_alpha < 2:
+        raise ValueError("need at least two power samples")
+    ctx = _Lifted(ch, p)
+    floors = [float(r) for r in floors]
+    floored = [i for i, r in enumerate(floors) if r > 0]
+    n_solves = [0] * len(floors)
+    if floored and eav_snr is None:
+        eav_snr, n_solves[floored[0]] = _eavesdropper_snr(ctx), 1
+    grid = [p * t / (t_alpha - 1) for t in range(t_alpha)]
+    workers = _workers(len(floors))
+    if workers < 2:
+        points = _cct_group(ctx, ch, floors, grid, t_g, rngs, eav_snr, n_solves)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        loads = [int(ctx.cct_batch([r] * t_alpha, grid, eav_snr)[1].sum()) if r > 0 else 1
+                 for r in floors]
+        groups = _groups(loads, workers)
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_cct_group, ctx, ch, [floors[i] for i in group], grid, t_g,
+                                   [rngs[i] for i in group], eav_snr,
+                                   [n_solves[i] for i in group]) for group in groups]
+        points = [None] * len(floors)
+        for group, future in zip(groups, futures):
+            error = future.exception()
+            for i, point in zip(group, [error] if error is not None else future.result()):
+                points[i] = point
+    for point in points:
+        if isinstance(point, Exception):
+            raise point
+    return points
+
+
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
                    t_g: int = 1000, rng: np.random.Generator | None = None,
                    eav_snr: float | None = None) -> BoundaryPoint:
     """Algorithm 1: a 1-D search over the confidential power alpha, the
-    one-floor case of `_cct_points`.
+    one-floor case of `_cct_points`, solved and rounded in the calling
+    process (one point never fans out).
 
     With a floor r_m > 0 the samples are t_alpha uniform powers over [0, P],
     then up to four refinements below the closed-form window edge, above the
@@ -533,10 +611,11 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     Targets beyond the supportable maximum are reported with feasible=False.
     Grid point i draws from the child generator (seed, i); the wscm floors
     share one, (seed, 0), in a single pass. Results depend only on the seed.
-    The cct and upper-bound points are one `_cct_points` call: their
-    Charnes-Cooper lanes are solved in region-wide batches, and they share
+    The cct and upper-bound points are one `_cct_points` call: they share
     one eavesdropper max-min solve, counted in the n_solves of the first
-    floored point. The oracle enumerates the `ORACLE_GRID`.
+    floored point, and are solved and rounded in groups, one per CPU, each
+    group's Charnes-Cooper lanes in group-wide batches. The oracle
+    enumerates the `ORACLE_GRID`.
     """
     if grid_points < 2:
         raise ValueError("need at least two grid points")

@@ -16,9 +16,8 @@ from the factors (P = F^H X F, Q = F^H S^-1 F, W the row weights), never
 from row pairs. Each lane keeps its own step lengths, stopping tests and
 factorization fallbacks, and a lane that stops leaves the stack, so every
 lane follows bitwise the iterates it follows alone. The lanes run in blocks
-of _LANE_BLOCK; a batch of several blocks spreads them over forked worker
-processes, one per CPU the process may run on. A block's outputs depend only
-on its own lanes, so they are byte for byte the same wherever it runs.
+of _LANE_BLOCK in the calling process, and a block's outputs depend only on
+its own lanes.
 
 `SdpProblem` (constraint tuples with relation strings, dense or weight-vector
 data, min or max) is the adapter for programs written by hand: `solve_many`
@@ -28,10 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -415,25 +411,11 @@ def _solve_block(f, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_w, c_vec) ->
     return sols
 
 
-def _workers(blocks: int) -> int:
-    """Processes to solve `blocks` lane blocks in: one per CPU this process may
-    run on, at most one per block. 1 (the calling process) without fork or
-    CPU affinity, or while other threads run: a forked child gets none of
-    them, but every lock they hold."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(blocks, len(os.sched_getaffinity(0)))
-
-
 def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     """The SdpSolution of every lane, solved by lockstep `_ipm` calls of up
-    to _LANE_BLOCK lanes, each block equilibrated (rows and objective) and
-    turned into solutions by itself; each lane is bitwise what it gives
-    alone. A batch of two or more blocks runs them on a pool of forked
-    worker processes, one per CPU (see `_workers`), created and joined
-    within the call; the solutions come back in lane order and are the same
-    bytes as in process, since no block reads another's lanes. OPTIMAL means
+    to _LANE_BLOCK lanes in the calling process, each block equilibrated
+    (rows and objective) and turned into solutions by itself; each lane is
+    bitwise what it gives alone, whichever block it rides in. OPTIMAL means
     gap and residuals below the tolerance; MAX_ITERATIONS (the iteration cap)
     and BREAKDOWN (a numerical failure before it, gap and residual NaN if a
     scale or multiplier is not finite) never are."""
@@ -452,18 +434,12 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     gram2 = np.abs(f.conj().T @ f) ** 2
     w = np.ascontiguousarray(np.swapaxes(batch.rows, -1, -2), dtype=float)
     c_w, b = np.ascontiguousarray(batch.objective, dtype=float), np.asarray(batch.bounds, float)
-    cuts = range(0, lanes, _LANE_BLOCK)
-    blocks = [[arr[at:at + _LANE_BLOCK] for at in cuts] for arr in (w, vecs, b, c_w, c_vec)]
-    solve = partial(_solve_block, f, gram2, p, cfg)
-    workers = _workers(len(cuts))
-    if workers < 2:
-        parts = list(map(solve, *blocks))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = list(pool.map(solve, *blocks))
-    return [sol for part in parts for sol in part]
+    sols = []
+    for at in range(0, lanes, _LANE_BLOCK):
+        block = slice(at, at + _LANE_BLOCK)
+        sols += _solve_block(f, gram2, p, cfg, w[block], vecs[block], b[block], c_w[block],
+                             c_vec[block])
+    return sols
 
 
 _SENSES = {"<=": 1, "==": 0, ">=": -1}

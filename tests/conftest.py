@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -34,3 +35,15 @@ def phase_grid(n, levels, offset=0.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_processes():
+    """Fail a test that leaves a multiprocessing child alive; the children are
+    stopped first, so that the next test starts without them."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    assert not left, f"processes left alive: {left}"

@@ -3,9 +3,9 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
 Prints the CPUs the process may run on, then five groups of figures, each
-timing the best of R repeats. A `solve_batch` call of more than one block of
-`sdp._LANE_BLOCK` lanes spreads its blocks over one worker process per CPU, so
-the figures of such calls are wall times on that many CPUs:
+timing the best of R repeats. Only a region spreads its work over processes
+(one group of boundary points per CPU), so every other figure is a time on one
+CPU:
 
 * ms per lane-iteration at n = 11 for L in {1, 20, 80} lanes. The programs
   are the Charnes-Cooper programs of 80 uniform confidential powers over
@@ -21,10 +21,9 @@ the figures of such calls are wall times on that many CPUs:
   T_g 1000) at r_m = 0 and at half the multicast upper bound, with the
   eavesdropper max-min SNR solved beforehand as `sweep_region` does.
 * ms per cct region on the same scenario (grid 20, T_alpha 80, T_g 1000),
-  with the solver work of one region counted from the solutions that
-  `solve_batch` returns: `solve_batch` calls, `_ipm` calls (one per lane
-  block), stacked iterations (each `_ipm` call runs as many as its slowest
-  lane) and lane-iterations (summed over the lanes).
+  with the process pinned to one CPU and on every CPU, and the region's
+  Charnes-Cooper lanes and lane-iterations summed from its points'
+  diagnostics (the points may be solved in worker processes).
 
 The file name does not match test_*.py, so pytest does not collect it.
 """
@@ -145,54 +144,33 @@ def cct_point_rows(repeats: int) -> None:
               f"   ({point[0].diagnostics['n_solves']} lanes)")
 
 
-def solver_counts(run) -> dict:
-    """solve_batch and _ipm calls, stacked iterations and lane-iterations of
-    `run`, read from the solutions of each solve_batch call: it makes one
-    _ipm call per block of sdp._LANE_BLOCK lanes, which runs as many stacked
-    iterations as its slowest lane (the blocks may run in worker processes,
-    where a patched _ipm would not count them)."""
-    counts = dict.fromkeys(("solve_batch", "_ipm", "stacked", "lane"), 0)
-    saved = algorithms.solve_batch
-
-    def solve_batch(batch, config=None):
-        sols = saved(batch, config)
-        iterations = [sol.iterations for sol in sols]
-        blocks = [iterations[at:at + sdp._LANE_BLOCK]
-                  for at in range(0, len(iterations), sdp._LANE_BLOCK)]
-        counts["solve_batch"] += 1
-        counts["_ipm"] += len(blocks)
-        counts["stacked"] += sum(max(block) for block in blocks)
-        counts["lane"] += sum(iterations)
-        return sols
-
-    try:
-        algorithms.solve_batch = solve_batch
-        run()
-    finally:
-        algorithms.solve_batch = saved
-    return counts
-
-
 def cct_region_row(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     params = algorithms.SweepParams(t_alpha=80, t_g=1000)
+    region = []
 
     def run():
-        algorithms.sweep_region(ch, p, "cct", 20, params, seed=0)
-    counts = solver_counts(run)
-    ms = 1e3 * best_of(repeats, run)
-    print(f"cct region N=10 grid 20 ms per region {ms:9.1f}   ({counts['solve_batch']} solve_batch"
-          f" calls, {counts['_ipm']} _ipm calls, {counts['stacked']} stacked iterations,"
-          f" {counts['lane']} lane-iterations)")
+        region[:] = [algorithms.sweep_region(ch, p, "cct", 20, params, seed=0)]
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        one_cpu = 1e3 * best_of(repeats, run)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    all_cpus = 1e3 * best_of(repeats, run)
+    diags = [pt.diagnostics for pt in region[0].points]
+    lanes = sum(d["n_solves"] for d in diags) - 1      # less the eavesdropper solve
+    print(f"cct region N=10 grid 20 ms per region {one_cpu:9.1f} on 1 CPU, {all_cpus:9.1f} on"
+          f" {len(cpus)}   ({lanes} lanes, {sum(d['n_iterations'] for d in diags)}"
+          " lane-iterations)")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     repeats = parser.parse_args().repeats
-    print(f"CPUs {len(os.sched_getaffinity(0))} (solve_batch runs a batch of several lane blocks"
-          " on one worker process per CPU)")
+    print(f"CPUs {len(os.sched_getaffinity(0))} (a region runs one group of points on each)")
     lane_rows(repeats)
     one_lane_rows(repeats)
     grp_round_row(repeats)

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import threading
 from dataclasses import replace
 
@@ -412,6 +414,8 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
     # every floored cct point reads the same M_eav: the sweep solves it once,
     # charges it to the first floored point, and each point equals the
     # point computed alone with its own eavesdropper solve
+    # on one CPU every solve runs in this process, where the patch records it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ch = rand_channelset(np.random.default_rng(7), n=3, k=3)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     r_up, _ = multicast_upper_bound(ch, P)
@@ -455,6 +459,8 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
     # eavesdropper program, the unfloored lane, every floored point's grid
     # lanes as one batch and every point's edge lanes as one more; each point
     # still equals algorithm1_cct alone at its floor on its own stream
+    # on one CPU every solve runs in this process, where the patch records it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     r_up, _ = multicast_upper_bound(ch, P)
@@ -491,6 +497,9 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
 
 
 def test_sweep_raises_the_error_of_a_point_whose_every_lane_fails(monkeypatch):
+    # on one CPU every batch is built and solved in this process, where the
+    # patches record it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     bad = float(np.linspace(0.0, multicast_upper_bound(ch, P)[0], 5)[3])
@@ -559,6 +568,149 @@ def test_sweep_runs_on_the_calling_thread(monkeypatch):
     sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=3)
     assert set(idents) == {"solve_batch"}
     assert {ident for seen in idents.values() for ident in seen} == {threading.get_ident()}
+
+
+def pin_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def point_bytes(pt):
+    """Every field of a point: the phases as bytes, the rest (floats by their
+    exact repr, diagnostics included) as the point's repr."""
+    phases = None if pt.phase_vector is None else pt.phase_vector.tobytes()
+    return phases, repr(replace(pt, phase_vector=None))
+
+
+def recording_lanes(monkeypatch):
+    """The Charnes-Cooper lanes that algorithms.solve_batch solves in this
+    process, from now on."""
+    lanes, real_solve = [], algorithms.solve_batch
+
+    def recording_solve(batch, config=None):
+        sols = real_solve(batch, config)
+        if not batch.n_scalars:
+            lanes.extend(sols)
+        return sols
+
+    monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
+    return lanes
+
+
+@pytest.mark.parametrize("config", [two_user_scenario(d1=20, n_y=2, n_z=2, seed=1),
+                                    multi_user_scenario(n_users=3, n_y=2, n_z=2, seed=0)],
+                         ids=["two-user", "three-user"])
+def test_points_on_worker_processes_match_one_process_bitwise(monkeypatch, config):
+    # cct and upper-bound regions on one CPU (every point in this process) and
+    # on two (the points in two forked groups, no lane solved here): every
+    # field of every point is the same bytes, diagnostics included
+    ch, p = generate_channels(config), config.total_power_w
+    params = SweepParams(t_alpha=10, t_g=100, pareto_filter=False)
+    runs, here = {}, {}
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        assert algorithms._workers(6) == cpus
+        lanes = recording_lanes(monkeypatch)
+        regions = [sweep_region(ch, p, scheme, 6, params, 4) for scheme in ("cct", "upper-bound")]
+        runs[cpus] = [[point_bytes(pt) for pt in region.points] for region in regions]
+        here[cpus] = len(lanes)
+        monkeypatch.undo()
+    assert runs[2] == runs[1]
+    assert any(pt.feasible for pt in regions[0].points[1:])
+    assert here[1] > 0 and here[2] == 0
+
+
+def test_no_worker_outlives_a_region(monkeypatch):
+    # workers are joined before sweep_region returns, or raises: a worker's
+    # error reaches the caller with its type and message
+    pin_cpus(monkeypatch, 2)
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    params = SweepParams(t_alpha=6, t_g=50)
+    assert all(pt.feasible for pt in sweep_region(ch, P, "cct", 4, params, seed=1).points)
+    assert multiprocessing.active_children() == []
+
+    def failing_round(*args):
+        raise ValueError(f"rounding failed in process {os.getpid()}")
+
+    monkeypatch.setattr(algorithms, "grp_round", failing_round)   # workers inherit the patch
+    with pytest.raises(ValueError, match=r"^rounding failed in process \d+$") as err:
+        sweep_region(ch, P, "cct", 4, params, seed=1)
+    assert int(str(err.value).split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypatch):
+    # two floors whose every lane fails, in different groups, the lower floor
+    # in the group submitted second: the sweep raises the lower floor's
+    # error, as it does in one process
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
+    floors = np.linspace(0.0, multicast_upper_bound(ch, P)[0], 5).tolist()
+    pin_cpus(monkeypatch, 2)
+    seen, real_groups = [], algorithms._groups
+
+    def recording_groups(loads, count):
+        seen.append(real_groups(loads, count))
+        return seen[-1]
+
+    monkeypatch.setattr(algorithms, "_groups", recording_groups)
+    sweep_region(ch, P, "cct", 5, params, seed=2)
+    first, second = seen[0]
+    low, high = min(i for i in second if floors[i] > 0), max(first)
+    assert low < high
+    gaps = {floors[low]: 7.0, floors[high]: 8.0}
+    real_batch, real_solve = algorithms._Lifted.cct_batch, algorithms.solve_batch
+    floors_of = {}
+
+    def recording_batch(self, floors, alphas, eav_snr):
+        batch, keep = real_batch(self, floors, alphas, eav_snr)
+        floors_of[id(batch)] = np.asarray(floors)[keep]
+        return batch, keep
+
+    def failing_solve(batch, config=None):
+        sols = real_solve(batch, config)
+        for lane, r_m in enumerate(floors_of.get(id(batch), np.zeros(0)).tolist()):
+            if r_m in gaps:
+                sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN, duality_gap=gaps[r_m])
+        return sols
+
+    monkeypatch.setattr(algorithms._Lifted, "cct_batch", recording_batch)
+    monkeypatch.setattr(algorithms, "solve_batch", failing_solve)
+    for cpus in (2, 1):
+        pin_cpus(monkeypatch, cpus)
+        with pytest.raises(SdpSolverError, match=r"Breakdown \(gap 7.00e\+00"):
+            sweep_region(ch, P, "cct", 5, params, seed=2)
+    assert len(seen) == 2
+
+
+def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
+    # a forked worker would inherit every lock the other thread holds, but
+    # not the thread that releases it
+    pin_cpus(monkeypatch, 2)
+    assert algorithms._workers(5) == 2 and algorithms._workers(1) == 1
+    lanes = recording_lanes(monkeypatch)
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert algorithms._workers(5) == 1
+        region = sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=1)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    # every lane solved here; the eavesdropper solve is no lane
+    assert len(lanes) == sum(pt.diagnostics["n_solves"] for pt in region.points) - 1
+
+
+@pytest.mark.parametrize("name, value", [("t_alpha", 1), ("t_alpha", 2.5), ("t_alpha", "80"),
+                                         ("t_lambda", 1), ("t_lambda", True), ("t_g", 0),
+                                         ("t_g", 2.5), ("t_g", -3)])
+def test_sweep_params_reject_a_count_that_is_no_integer_or_too_small(name, value):
+    # rejected when built, before any solve (and before any worker starts)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+        SweepParams(**{name: value})
+    assert SweepParams(t_alpha=np.int64(2), t_lambda=2, t_g=1).t_alpha == 2
 
 
 def test_sweep_wscm_floors_share_one_stream():

@@ -1,8 +1,5 @@
 """The factored-row path against the same programs given as dense rows."""
 import math
-import multiprocessing
-import os
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -288,57 +285,17 @@ def charnes_cooper_batch(lanes):
     return batch
 
 
-def test_blocks_on_worker_processes_match_one_process_bitwise(monkeypatch):
-    # three blocks, solved in process (one CPU) and on two forked workers:
-    # every lane is the same bytes either way, and as its block solved alone
+def test_each_block_of_a_batch_matches_the_block_solved_alone():
+    # three blocks in one call: every lane is the same bytes as in its block
+    # solved alone
     batch = charnes_cooper_batch(40)
     blocks = range(0, 40, sdp._LANE_BLOCK)
     assert len(blocks) == 3
-    runs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-        assert sdp._workers(len(blocks)) == cpus
-        runs[cpus] = solve_batch(batch)
-    monkeypatch.undo()
+    sols = solve_batch(batch)
+    assert len(sols) == 40
     for at in blocks:
         sel = slice(at, at + sdp._LANE_BLOCK)
         alone = solve_batch(replace(batch, objective=batch.objective[sel], rows=batch.rows[sel],
                                     bounds=batch.bounds[sel], scalar_rows=batch.scalar_rows[sel]))
-        for one, two, ref in zip(runs[1][sel], runs[2][sel], alone, strict=True):
-            assert_bitwise_equal(two, one)
-            assert_bitwise_equal(one, ref)
-    assert len(runs[2]) == 40
-
-
-def test_no_worker_outlives_a_solve(monkeypatch):
-    # workers are joined before solve_batch returns, or raises: a worker's
-    # error reaches the caller with its type and message
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    batch = charnes_cooper_batch(40)
-    assert [sol.status for sol in solve_batch(batch)] == [SdpStatus.OPTIMAL] * 40
-    assert multiprocessing.active_children() == []
-
-    def failing_ipm(*args):
-        raise ValueError(f"_ipm failed in process {os.getpid()}")
-
-    monkeypatch.setattr(sdp, "_ipm", failing_ipm)   # forked workers inherit the patch
-    with pytest.raises(ValueError, match=r"^_ipm failed in process \d+$") as err:
-        solve_batch(batch)
-    assert int(str(err.value).split()[-1]) != os.getpid()
-    assert multiprocessing.active_children() == []
-
-
-def test_blocks_stay_in_process_while_another_thread_runs(monkeypatch):
-    # a forked worker would inherit every lock the other thread holds, but
-    # not the thread that releases it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert sdp._workers(3) == 2 and sdp._workers(1) == 1
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert sdp._workers(3) == 1
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
+        for got, ref in zip(sols[sel], alone, strict=True):
+            assert_bitwise_equal(got, ref)
