@@ -16,8 +16,8 @@ from .model import (Feasibility, PowerSplit, alpha_opt_closed_form, build_tk,
                     lift_vectors, effective_gain, effective_gains,
                     feasibility_check, multicast_rate,
                     positive_secrecy_condition, secrecy_rate)
-from .sdp import (SdpProblem, SdpSolution, SdpSolverError, SdpStatus,
-                  SolverConfig, grp_round, solve, substream)
+from .sdp import (SdpBatch, SdpSolution, SdpSolverError, SdpStatus,
+                  SolverConfig, grp_round, solve_batch, substream)
 from .algorithms import (SCHEMES, BoundaryPoint, RegionBoundary, SweepParams,
                          algorithm1_cct, algorithm2_wscm, baseline_no_irs,
                          baseline_random_irs, baseline_tdma, cct_fixed_alpha,

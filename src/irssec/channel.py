@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -118,9 +118,10 @@ class ScenarioConfig:
     distance_overrides: dict | None = None
 
     def __post_init__(self):
-        self.ap_position = np.asarray(self.ap_position, dtype=float).reshape(3)
-        self.irs_position = np.asarray(self.irs_position, dtype=float).reshape(3)
-        self.user_positions = [np.asarray(p, dtype=float).reshape(3) for p in self.user_positions]
+        self.ap_position = _position(self.ap_position, "ap_position")
+        self.irs_position = _position(self.irs_position, "irs_position")
+        self.user_positions = [_position(p, f"user_positions[{k}]")
+                               for k, p in enumerate(self.user_positions)]
         if len(self.user_positions) < 2:
             raise ScenarioError("need at least 2 users (user 1 plus eavesdroppers)")
         self.noise_powers_w = [parse_power_w(p) for p in self.noise_powers_w]
@@ -222,6 +223,22 @@ def _integer(value, name: str) -> int:
     return int(out)
 
 
+def _position(value, name: str) -> np.ndarray:
+    """A position as three finite floats; ScenarioError naming the field otherwise."""
+    out = [_number(x, name) for x in value] if isinstance(value, (list, tuple, np.ndarray)) else []
+    if len(out) != 3 or not all(map(math.isfinite, out)):
+        raise ScenarioError(f"{name} must be three finite numbers, got {value!r}")
+    return np.array(out)
+
+
+def _override_entry(value, kind: type, name: str):
+    """An override object (kind dict) or list, empty if null; ScenarioError otherwise."""
+    if value is not None and not isinstance(value, kind):
+        raise ScenarioError(f"override {name} must be {'an object' if kind is dict else 'a list'}"
+                            f" or null, got {value!r}")
+    return kind() if value is None else value
+
+
 def _override_float(value, name: str) -> float:
     """An override value as a finite float; ScenarioError naming the field
     otherwise."""
@@ -257,17 +274,18 @@ def _link(entry: dict, name: str, origin: np.ndarray, target: np.ndarray):
 
 def _link_geometry(config: ScenarioConfig) -> dict:
     """Distances and LoS angles for every link, honoring overrides."""
-    ov = config.distance_overrides or {}
-    ap_user = ov.get("ap_user_m") or []
-    irs_user = ov.get("irs_user") or []
-    out = {"ap_irs": _link(ov.get("ap_irs") or {}, "ap_irs",
+    ov = _override_entry(config.distance_overrides, dict, "distance_overrides")
+    ap_user = _override_entry(ov.get("ap_user_m"), list, "ap_user_m")
+    irs_user = _override_entry(ov.get("irs_user"), list, "irs_user")
+    out = {"ap_irs": _link(_override_entry(ov.get("ap_irs"), dict, "ap_irs"), "ap_irs",
                            config.irs_position, config.ap_position),
            "ap_user": [], "irs_user": []}
     for k, pos in enumerate(config.user_positions):
         d = ap_user[k] if k < len(ap_user) else None
         out["ap_user"].append(float(np.linalg.norm(pos - config.ap_position)) if d is None
                               else _override_float(d, f"ap_user_m[{k}]"))
-        entry = (irs_user[k] if k < len(irs_user) else None) or {}
+        entry = _override_entry(irs_user[k] if k < len(irs_user) else None, dict,
+                                f"irs_user[{k}]")
         out["irs_user"].append(_link(entry, f"irs_user[{k}]", config.irs_position, pos))
 
     for name, d in [("ap_irs", out["ap_irs"][0])] + [(f"ap_user{k}", out["ap_user"][k]) for k in range(config.n_users)] \
@@ -379,16 +397,8 @@ def multi_user_scenario(n_users: int = 4, n_y: int = 5, n_z: int = 2,
         rician_kappa=rician_kappa, seed=seed, distance_overrides=overrides)
 
 
-_SCENARIO_FIELDS = (
-    "ap_position", "irs_position", "user_positions", "n_y", "n_z",
-    "noise_powers_w", "total_power_w", "element_spacing_over_wavelength",
-    "rician_kappa", "pathloss_exponent_direct", "pathloss_exponent_irs",
-    "reference_loss_db", "reference_distance_m", "seed", "distance_overrides",
-)
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    unknown = set(data) - set(_SCENARIO_FIELDS)
+    unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
     if unknown:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
     try:
@@ -398,23 +408,12 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "ap_position": config.ap_position.tolist(),
-        "irs_position": config.irs_position.tolist(),
-        "user_positions": [p.tolist() for p in config.user_positions],
-        "n_y": config.n_y,
-        "n_z": config.n_z,
-        "noise_powers_w": list(config.noise_powers_w),
-        "total_power_w": config.total_power_w,
-        "element_spacing_over_wavelength": config.element_spacing_over_wavelength,
-        "rician_kappa": config.rician_kappa,
-        "pathloss_exponent_direct": config.pathloss_exponent_direct,
-        "pathloss_exponent_irs": config.pathloss_exponent_irs,
-        "reference_loss_db": config.reference_loss_db,
-        "reference_distance_m": config.reference_distance_m,
-        "seed": config.seed,
-        "distance_overrides": config.distance_overrides,
-    }
+    """Every field in declaration order, arrays as lists."""
+    data = {f.name: getattr(config, f.name) for f in fields(config)}
+    data.update(ap_position=config.ap_position.tolist(), irs_position=config.irs_position.tolist(),
+                user_positions=[p.tolist() for p in config.user_positions],
+                noise_powers_w=list(config.noise_powers_w))
+    return data
 
 
 def load_scenario(path) -> ScenarioConfig:

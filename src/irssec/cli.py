@@ -143,7 +143,7 @@ def _load_v_source(v_source: str, ch, p: float, spec: RunSpec):
         with open(v_source) as fh:
             phases = json.load(fh)
         arr = np.asarray(phases, dtype=float).reshape(-1)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise CliError(f"cannot read phase file {v_source!r}: {exc}") from exc
     if arr.size != ch.n:
         raise CliError(f"phase file holds {arr.size} entries, scenario needs {ch.n}")

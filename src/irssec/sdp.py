@@ -2,7 +2,7 @@
 
 The solver takes an `SdpBatch`: L programs of one shape, lane l being
 
-    max  Tr(C_l X) + c_l.u
+    max  Tr(C_l X) + c.u
     s.t. Tr(A_li X) + a_li.u  {<=,==,>=}_i  b_li,   X >= 0 (PSD),  u >= 0,
 
 with X a Hermitian matrix variable, u an optional vector of nonnegative
@@ -17,17 +17,14 @@ from row pairs. Each lane keeps its own step lengths, stopping tests and
 factorization fallbacks, and a lane that stops leaves the stack, so every
 lane follows bitwise the iterates it follows alone. The lanes run in blocks
 of _LANE_BLOCK in the calling process, and a block's outputs depend only on
-its own lanes.
-
-`SdpProblem` (constraint tuples with relation strings, dense or weight-vector
-data, min or max) is the adapter for programs written by hand: `solve_many`
-turns same-shape problems into one batch, and `solve` is its one-lane case.
+its own lanes. `solve_batch` is the solver's one entry point; the library
+builds its two program shapes (max-min SNR and Charnes-Cooper) as batches.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +69,8 @@ class SdpBatch:
     ``objective`` (L, R) holds the C_l, ``rows`` (L, m, R) the A_li and
     ``bounds`` (L, m) the b_li. ``sense`` (m,) is each row's relation, +1 for
     <=, 0 for == and -1 for >=. ``scalar_rows`` (L, m, p) and
-    ``scalar_objective`` ((p,) or (L, p)) hold the a_li and c_l; p may be 0."""
+    ``scalar_objective`` (p,) hold the a_li and the c shared by every lane;
+    p may be 0. A minimization is the maximization of the negated objective."""
 
     basis: np.ndarray
     objective: np.ndarray
@@ -88,29 +86,6 @@ class SdpBatch:
 
 
 @dataclass
-class SdpProblem:
-    """One program in tuple form, the adapter onto `SdpBatch`.
-
-    constraints: list of (data, relation, bound) or
-    (data, relation, bound, scalar_coeffs) tuples with relation one of
-    "<=", "==", ">=". scalar_coeffs (length n_scalars) couples the optional
-    nonnegative scalar variables into the row.
-
-    The objective and each row's data are a dim x dim Hermitian matrix or a
-    length-R real weight vector w standing for F diag(w) F^H, F = ``basis``.
-    A dense matrix adds its eigenvectors to the basis of its batch.
-    """
-
-    dim: int
-    objective: np.ndarray
-    constraints: list
-    maximize: bool = True
-    n_scalars: int = 0
-    scalar_objective: np.ndarray | None = None
-    basis: np.ndarray | None = None
-
-
-@dataclass
 class SdpSolution:
     matrix: np.ndarray
     objective_value: float
@@ -120,25 +95,6 @@ class SdpSolution:
     iterations: int
     scalars: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-def _factor(data, basis, dim: int, what: str):
-    """(columns, weights) of one data entry: a weight vector over the shared
-    basis (columns None), or the eigenpairs of a dense Hermitian matrix with
-    its numerically zero eigenvalues dropped."""
-    if np.ndim(data) == 1:
-        w = np.asarray(data, dtype=float)
-        if basis is None or w.shape != (basis.shape[1],):
-            raise ValueError(f"{what}: a weight vector needs a basis with {w.size} columns")
-        return None, w
-    mat = np.asarray(data, dtype=complex)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"{what} must be {dim}x{dim}, got {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > 1e-12 * max(1.0, float(np.abs(mat).max())):
-        raise ValueError(f"{what} is not Hermitian")
-    lam, vec = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    keep = np.abs(lam) > 1e-14 * np.abs(lam).max(initial=0.0)
-    return vec[:, keep], lam[keep]
 
 
 def _embedded_norms(gram2, w, vecs) -> np.ndarray:
@@ -440,71 +396,6 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
         sols += _solve_block(f, gram2, p, cfg, w[block], vecs[block], b[block], c_w[block],
                              c_vec[block])
     return sols
-
-
-_SENSES = {"<=": 1, "==": 0, ">=": -1}
-
-
-def _lane(problem: SdpProblem):
-    """The one reader of the tuple form: one problem as the arrays of a batch
-    lane (basis, objective, rows, bounds, sense, scalar rows and objective),
-    a minimization negated. Weight vectors share the columns of
-    ``problem.basis``; each dense matrix adds its eigenvectors after them."""
-    n, p = problem.dim, problem.n_scalars
-    basis = None if problem.basis is None else np.asarray(problem.basis, dtype=complex)
-    if basis is not None and (basis.ndim != 2 or basis.shape[0] != n):
-        raise ValueError(f"basis must have {n} rows, got shape {basis.shape}")
-    entries = [_factor(problem.objective, basis, n, "objective")]
-    sense, bounds, coeffs = [], [], np.zeros((len(problem.constraints), p))
-    for idx, con in enumerate(problem.constraints):
-        data, rel, bound, coef = con if len(con) == 4 else (*con, np.zeros(p))
-        if rel not in _SENSES:
-            raise ValueError(f"constraint {idx}: unknown relation {rel!r}")
-        entries.append(_factor(data, basis, n, f"constraint {idx}"))
-        sense.append(_SENSES[rel])
-        bounds.append(float(bound))
-        coeffs[idx] = np.asarray(coef, dtype=float).reshape(p)
-
-    cols = [np.zeros((n, 0), dtype=complex) if basis is None else basis]
-    cols += [vec for vec, _ in entries if vec is not None]
-    w = np.zeros((len(entries), sum(col.shape[1] for col in cols)))
-    at = cols[0].shape[1]
-    for row, (vec, wts) in zip(w, entries):
-        if vec is None:
-            row[:wts.size] = wts
-        else:
-            row[at:at + wts.size] = wts
-            at += wts.size
-    sign = 1.0 if problem.maximize else -1.0
-    c_scal = np.zeros(p)
-    if problem.scalar_objective is not None:
-        c_scal = np.asarray(problem.scalar_objective, dtype=float).reshape(p)
-    return np.hstack(cols), sign * w[0], w[1:], bounds, sense, coeffs, sign * c_scal
-
-
-def solve_many(problems, config: SolverConfig | None = None) -> list:
-    """The SdpSolution of every problem, solved as the lanes of one
-    `solve_batch`. The lanes must share the basis (dense eigenvectors
-    included), the relations and the scalar count; ValueError otherwise."""
-    problems = list(problems)
-    if not problems:
-        return []
-    lanes = [_lane(prob) for prob in problems]
-    head = lanes[0]
-    if any(lane[4] != head[4] or lane[5].shape != head[5].shape
-           or not np.array_equal(lane[0], head[0]) for lane in lanes[1:]):
-        raise ValueError("lanes need one basis, relation list and scalar count")
-    basis, objective, rows, bounds, sense, coeffs, c_scal = zip(*lanes)
-    sols = solve_batch(SdpBatch(basis[0], np.array(objective), np.array(rows), np.array(bounds),
-                                np.array(sense[0]), np.array(coeffs), np.array(c_scal)), config)
-    return [sol if prob.maximize else replace(sol, objective_value=-sol.objective_value,
-                                              dual=-sol.dual)
-            for prob, sol in zip(problems, sols)]
-
-
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
-    """Solve one tuple-form program: the one-lane case of `solve_many`."""
-    return solve_many([problem], config)[0]
 
 
 def _unit_phase(z: np.ndarray) -> np.ndarray:

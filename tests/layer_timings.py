@@ -33,40 +33,17 @@ import argparse
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 
+from sdp_forms import lanes_of, recorded_batches
+
 P = 1.0
 LANES = (1, 20, 80)
 SURFACES = {30: (5, 6), 60: (10, 6), 100: (10, 10)}       # N: (n_y, n_z)
-
-
-def recorded_batches(run) -> list:
-    """Every batch that `run` hands to algorithms.solve_batch."""
-    seen = []
-
-    def solve_batch(batch, config=None):
-        seen.append(batch)
-        return sdp.solve_batch(batch, config)
-
-    saved = algorithms.solve_batch
-    try:
-        algorithms.solve_batch = solve_batch
-        run()
-    finally:
-        algorithms.solve_batch = saved
-    return seen
-
-
-def lanes_of(batch, at: int, lanes: int):
-    """The lanes at, at + 1, ... at + lanes - 1 of a Charnes-Cooper batch."""
-    sel = slice(at, at + lanes)
-    return replace(batch, objective=batch.objective[sel], rows=batch.rows[sel],
-                   bounds=batch.bounds[sel], scalar_rows=batch.scalar_rows[sel])
 
 
 def best_of(repeats: int, run) -> float:
@@ -88,7 +65,7 @@ def lane_rows(repeats: int) -> None:
     for lanes in LANES:
         def run(lanes=lanes):
             for at in range(0, count, lanes):
-                sdp.solve_batch(lanes_of(batch, at, lanes))
+                sdp.solve_batch(lanes_of(batch, slice(at, at + lanes)))
         ms = 1e3 * best_of(repeats, run) / iterations
         print(f"n=11   L={lanes:<3d} ms per lane-iteration {ms:8.4f}"
               f"   ({count} programs, {iterations} lane-iterations)")

@@ -1,0 +1,59 @@
+"""SdpBatch builders for the tests and `layer_timings.py`: hand-written dense
+programs, sub-batches, and the batches the algorithms hand to the solver."""
+from dataclasses import replace
+
+import numpy as np
+
+from irssec import algorithms, sdp
+
+SENSES = {"<=": 1, "==": 0, ">=": -1}
+
+
+def dense_batch(objective, constraints, scalar_objective=()):
+    """One lane: max Tr(C X) + c.u s.t. Tr(A_i X) + a_i.u {rel_i} b_i, X PSD,
+    u >= 0, with C = objective, c = scalar_objective and constraints the
+    tuples (A_i, rel_i, b_i) or (A_i, rel_i, b_i, a_i), every C and A_i a
+    dense Hermitian matrix. The eigenvectors of each matrix in turn, its
+    numerically zero eigenvalues dropped, join the basis, and its
+    eigenvalues are its weights on them."""
+    c_vec = np.asarray(scalar_objective, dtype=float)
+    factors = []
+    for data in [objective] + [con[0] for con in constraints]:
+        mat = np.asarray(data, dtype=complex)
+        lam, vec = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+        keep = np.abs(lam) > 1e-14 * np.abs(lam).max(initial=0.0)
+        factors.append((vec[:, keep], lam[keep]))
+    basis = np.hstack([vec for vec, _ in factors])
+    w, at = np.zeros((len(factors), basis.shape[1])), 0
+    for row, (_, lam) in zip(w, factors):
+        row[at:at + lam.size] = lam
+        at += lam.size
+    bounds = np.array([[float(con[2]) for con in constraints]])
+    coeffs = [(*con, np.zeros(c_vec.size))[3] for con in constraints]
+    return sdp.SdpBatch(basis, w[:1], w[None, 1:], bounds,
+                        np.array([SENSES[con[1]] for con in constraints]),
+                        np.array(coeffs, dtype=float).reshape(1, len(constraints), c_vec.size),
+                        c_vec)
+
+
+def lanes_of(batch, sel):
+    """The sub-batch of the lanes sel (a slice or an index list) of a batch."""
+    return replace(batch, objective=batch.objective[sel], rows=batch.rows[sel],
+                   bounds=batch.bounds[sel], scalar_rows=batch.scalar_rows[sel])
+
+
+def recorded_batches(run) -> list:
+    """Every batch that `run` hands to algorithms.solve_batch."""
+    seen = []
+
+    def solve_batch(batch, config=None):
+        seen.append(batch)
+        return sdp.solve_batch(batch, config)
+
+    saved = algorithms.solve_batch
+    try:
+        algorithms.solve_batch = solve_batch
+        run()
+    finally:
+        algorithms.solve_batch = saved
+    return seen

@@ -19,10 +19,10 @@ from irssec.analysis import (IrsEffect, brute_force_oracle, complexity_estimate,
                              gap_bound_worst_case, proposition3_classify)
 from irssec.channel import ChannelSet, generate_channels, multi_user_scenario, two_user_scenario
 from irssec.model import effective_gains, multicast_capacity_from_gains
-from irssec.sdp import (SdpProblem, SdpStatus, SolverConfig, grp_round, solve,
-                        substream)
+from irssec.sdp import SdpStatus, SolverConfig, grp_round, solve_batch, substream
 
 from conftest import phase_grid, rand_channelset
+from sdp_forms import dense_batch
 from test_analysis import LOG2_4_OVER_PI, aligned_pattern, improves_instance, impairs_instance
 from test_sdp import feasible_random_problem, random_hermitian
 
@@ -204,18 +204,17 @@ def test_criterion_06_sdp_solver():
     for trial in range(100):
         rng = np.random.default_rng(5000 + trial)
         dim = int(rng.integers(2, 13))
-        prob = feasible_random_problem(rng, dim)
-        sol = solve(prob)
+        sol = solve_batch(dense_batch(*feasible_random_problem(rng, dim)))[0]
         good = sol.status is SdpStatus.OPTIMAL
         worst_gap = max(worst_gap, sol.duality_gap)
         worst_res = max(worst_res, sol.residuals)
         min_eig = float(np.linalg.eigvalsh(sol.matrix).min())
         worst_eig = min(worst_eig, min_eig) if trial else min_eig
         n_ok += good and sol.duality_gap < 1e-7 and sol.residuals < 1e-7 and min_eig >= -1e-8
-    scalar = solve(SdpProblem(dim=1, objective=np.array([[1.0]]),
-                              constraints=[(np.array([[2.0]]), "==", 1.0)]), tight)
-    eig = solve(SdpProblem(dim=2, objective=np.diag([2.0, 1.0]).astype(complex),
-                           constraints=[(np.eye(2), "==", 1.0)]), tight)
+    scalar = solve_batch(dense_batch(np.array([[1.0]]), [(np.array([[2.0]]), "==", 1.0)]),
+                         tight)[0]
+    eig = solve_batch(dense_batch(np.diag([2.0, 1.0]).astype(complex), [(np.eye(2), "==", 1.0)]),
+                      tight)[0]
     closed = (abs(scalar.objective_value - 0.5) <= 1e-9
               and abs(eig.objective_value - 2.0) <= 1e-9)
     ok = n_ok == 100 and closed

@@ -301,6 +301,45 @@ def test_non_numeric_overrides_raise_scenario_error_naming_the_field():
                           generate_channels(two_user_scenario()).h)
 
 
+def test_malformed_positions_raise_scenario_error_naming_the_field():
+    nan, inf = math.nan, math.inf
+    user2 = [30.0, 0.0, -10.0]
+    cases = (("ap_position", "ap_position", [0.0, 0.0]),
+             ("ap_position", "ap_position", [0.0, 0.0, inf]),
+             ("irs_position", "irs_position", [30.0, 0.0, 30.0, 1.0]),
+             ("irs_position", "irs_position", "abc"),
+             ("user_positions[0]", "user_positions", [[0.0, 0.0, nan], user2]),
+             ("user_positions[1]", "user_positions", [[0.0, 0.0, 20.0], [30.0, "x", -10.0]]))
+    for name, field, value in cases:
+        for overrides in (True, False):
+            data = scenario_to_dict(two_user_scenario())
+            data[field] = value
+            if not overrides:
+                data["distance_overrides"] = None
+            with pytest.raises(ScenarioError, match=re.escape(name)):
+                scenario_from_dict(data)
+
+
+def test_malformed_override_containers_raise_scenario_error_naming_the_field():
+    ov = scenario_to_dict(two_user_scenario())["distance_overrides"]
+    cases = (("distance_overrides", 5), ("distance_overrides", [1]),
+             ("ap_irs", dict(ov, ap_irs=[30.0])), ("ap_user_m", dict(ov, ap_user_m={"a": 1})),
+             ("irs_user", dict(ov, irs_user="ab")),
+             ("irs_user[1]", dict(ov, irs_user=[ov["irs_user"][0], 5])))
+    for name, value in cases:
+        data = scenario_to_dict(two_user_scenario())
+        data["distance_overrides"] = value
+        config = scenario_from_dict(data)
+        with pytest.raises(ScenarioError, match=re.escape(f"override {name} must be")):
+            generate_channels(config)
+    # null containers and entries leave the links to the coordinates
+    data["distance_overrides"] = None
+    plain = generate_channels(scenario_from_dict(data))
+    data["distance_overrides"] = dict(ov, ap_irs=None, ap_user_m=None, irs_user=[None, None])
+    nulls = generate_channels(scenario_from_dict(data))
+    assert np.array_equal(nulls.m, plain.m) and np.array_equal(nulls.h, plain.h)
+
+
 def test_scenario_requires_two_users():
     data = scenario_to_dict(two_user_scenario())
     data["user_positions"] = data["user_positions"][:1]

@@ -134,7 +134,9 @@ def test_region_exit_1_for_malformed_scenario_values(tmp_path, capsys):
     bad_power = dict(data, total_power_w="abc")
     half_angle = json.loads(json.dumps(data))
     del half_angle["distance_overrides"]["irs_user"][0]["elevation_rad"]
-    for i, bad in enumerate((bad_power, half_angle)):
+    # an infinite coordinate is a scenario error, not a solver failure (exit 3)
+    far_ap = dict(data, ap_position=[0.0, 0.0, float("inf")], distance_overrides=None)
+    for i, bad in enumerate((bad_power, half_angle, far_ap)):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad))
         assert main(["region", "--scenario", str(path),
@@ -295,6 +297,11 @@ def test_analyze_accepts_phase_file(tmp_path, capsys):
                      "--out", out + ".bad"]) == EXIT_CONFIG
         assert "non-finite radians" in capsys.readouterr().err
     assert not (tmp_path / "report.json.bad").exists()
+    # a JSON object is no phase list
+    vfile.write_text(json.dumps({"a": 1}))
+    assert main(["analyze", "--scenario", scn, "--v-source", str(vfile),
+                 "--out", out]) == EXIT_CONFIG
+    assert "error: cannot read phase file" in capsys.readouterr().err
 
 
 def test_sweep_power_nested_regions(tmp_path):

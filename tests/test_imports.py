@@ -33,3 +33,11 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_solver_has_one_entry_point():
+    import irssec
+    from irssec import sdp
+    assert irssec.SdpBatch is sdp.SdpBatch and irssec.solve_batch is sdp.solve_batch
+    for name in ("solve", "solve_many", "SdpProblem"):
+        assert not hasattr(irssec, name) and not hasattr(sdp, name), name

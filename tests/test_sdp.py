@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from irssec.sdp import (SdpProblem, SdpSolverError, SdpStatus, SolverConfig,
-                        grp_draw, grp_round, solve, substream)
+from irssec.sdp import SdpStatus, SolverConfig, grp_draw, grp_round, solve_batch, substream
+
+from sdp_forms import dense_batch
 
 TIGHT = SolverConfig(tolerance=1e-12)
 
@@ -13,7 +14,8 @@ def random_hermitian(rng, n):
 
 
 def feasible_random_problem(rng, n, n_ineq=3, n_eq=1):
-    """Bounded instance with a known strictly feasible point."""
+    """(objective, constraints) of a bounded instance with a known strictly
+    feasible point."""
     b_mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x0 = b_mat @ b_mat.conj().T / n
     cons = []
@@ -26,22 +28,19 @@ def feasible_random_problem(rng, n, n_ineq=3, n_eq=1):
         a = random_hermitian(rng, n)
         cons.append((a, "==", float(np.trace(a @ x0).real)))
     cons.append((np.eye(n), "<=", float(np.trace(x0).real) + 1.0))
-    return SdpProblem(dim=n, objective=random_hermitian(rng, n), constraints=cons)
+    return random_hermitian(rng, n), cons
 
 
 def test_scalar_equality_program():
-    prob = SdpProblem(dim=1, objective=np.array([[1.0]]),
-                      constraints=[(np.array([[2.0]]), "==", 1.0)])
-    sol = solve(prob, TIGHT)
+    sol = solve_batch(dense_batch(np.array([[1.0]]), [(np.array([[2.0]]), "==", 1.0)]), TIGHT)[0]
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(0.5, abs=1e-9)
     assert sol.matrix[0, 0].real == pytest.approx(0.5, abs=1e-9)
 
 
 def test_largest_eigenvalue_program():
-    prob = SdpProblem(dim=2, objective=np.diag([2.0, 1.0]).astype(complex),
-                      constraints=[(np.eye(2), "==", 1.0)])
-    sol = solve(prob, TIGHT)
+    sol = solve_batch(dense_batch(np.diag([2.0, 1.0]).astype(complex), [(np.eye(2), "==", 1.0)]),
+                      TIGHT)[0]
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
     assert sol.matrix[0, 0].real == pytest.approx(1.0, abs=1e-7)
@@ -49,17 +48,17 @@ def test_largest_eigenvalue_program():
 
 def test_complex_largest_eigenvalue(rng):
     c = random_hermitian(rng, 4)
-    prob = SdpProblem(dim=4, objective=c, constraints=[(np.eye(4), "==", 1.0)])
-    sol = solve(prob, TIGHT)
+    sol = solve_batch(dense_batch(c, [(np.eye(4), "==", 1.0)]), TIGHT)[0]
     assert sol.objective_value == pytest.approx(float(np.linalg.eigvalsh(c).max()), abs=1e-8)
 
 
 def test_minimization_direction():
-    prob = SdpProblem(dim=2, objective=np.eye(2),
-                      constraints=[(np.diag([1.0, 0.0]), ">=", 2.0)], maximize=False)
-    sol = solve(prob)
+    # min Tr X is max Tr(-X)
+    batch = dense_batch(np.eye(2), [(np.diag([1.0, 0.0]), ">=", 2.0)])
+    batch.objective = -batch.objective
+    sol = solve_batch(batch)[0]
     assert sol.status is SdpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
+    assert -sol.objective_value == pytest.approx(2.0, abs=1e-6)
 
 
 def test_diagonal_instances_match_linprog(rng):
@@ -80,7 +79,7 @@ def test_diagonal_instances_match_linprog(rng):
                       bounds=[(0, None)] * n, method="highs")
         assert ref.status == 0
         cons = [(np.diag(a), "<=", float(b)) for a, b in zip(a_ub, b_ub)]
-        sol = solve(SdpProblem(dim=n, objective=np.diag(c), constraints=cons))
+        sol = solve_batch(dense_batch(np.diag(c), cons))[0]
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-6)
 
@@ -88,8 +87,8 @@ def test_diagonal_instances_match_linprog(rng):
 def test_random_battery_certified(rng):
     for trial in range(30):
         r = np.random.default_rng(100 + trial)
-        prob = feasible_random_problem(r, int(r.integers(2, 7)))
-        sol = solve(prob)
+        objective, cons = feasible_random_problem(r, int(r.integers(2, 7)))
+        sol = solve_batch(dense_batch(objective, cons))[0]
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.duality_gap < 1e-7
         assert sol.residuals < 1e-7
@@ -98,10 +97,10 @@ def test_random_battery_certified(rng):
         # the dual slack built from the returned multipliers must be PSD and
         # the primal/dual objective values must coincide.
         y = sol.dual
-        slack = -prob.objective.astype(complex)
+        slack = -objective.astype(complex)
         bound = 0.0
         scale = max(1.0, abs(sol.objective_value))
-        for yi, (mat, rel, rhs, *_) in zip(y, prob.constraints):
+        for yi, (mat, rel, rhs, *_) in zip(y, cons):
             slack = slack + yi * np.asarray(mat, dtype=complex)
             bound += yi * rhs
             if rel == "<=":
@@ -113,37 +112,25 @@ def test_random_battery_certified(rng):
 
 
 def test_infeasible_is_certified():
-    prob = SdpProblem(dim=2, objective=np.eye(2),
-                      constraints=[(np.diag([1.0, 0.0]), "==", -1.0),
-                                   (np.eye(2), "<=", 5.0)])
-    sol = solve(prob)
+    sol = solve_batch(dense_batch(np.eye(2), [(np.diag([1.0, 0.0]), "==", -1.0),
+                                              (np.eye(2), "<=", 5.0)]))[0]
     assert sol.status is SdpStatus.INFEASIBLE
 
 
 def test_unbounded_detected():
-    prob = SdpProblem(dim=2, objective=np.eye(2),
-                      constraints=[(np.diag([1.0, 0.0]), "<=", 1.0)])
-    sol = solve(prob)
+    sol = solve_batch(dense_batch(np.eye(2), [(np.diag([1.0, 0.0]), "<=", 1.0)]))[0]
     assert sol.status in (SdpStatus.UNBOUNDED, SdpStatus.MAX_ITERATIONS)
     assert sol.status is not SdpStatus.OPTIMAL
 
 
 def test_scalar_variables_epigraph():
     # max s subject to Tr(diag(1,0) X) >= s, Tr X = 1: s = 1
-    prob = SdpProblem(dim=2, objective=np.zeros((2, 2)),
-                      constraints=[(np.diag([1.0, 0.0]), ">=", 0.0, [-1.0]),
-                                   (np.eye(2), "==", 1.0, [0.0])],
-                      n_scalars=1, scalar_objective=[1.0])
-    sol = solve(prob, TIGHT)
+    batch = dense_batch(np.zeros((2, 2)), [(np.diag([1.0, 0.0]), ">=", 0.0, [-1.0]),
+                                           (np.eye(2), "==", 1.0, [0.0])], scalar_objective=[1.0])
+    sol = solve_batch(batch, TIGHT)[0]
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-8)
     assert sol.scalars[0] == pytest.approx(1.0, abs=1e-7)
-
-
-def test_rejects_non_hermitian_data():
-    bad = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        solve(SdpProblem(dim=2, objective=bad, constraints=[]))
 
 
 def test_grp_rank_one_recovery(rng):
@@ -207,7 +194,7 @@ def test_grp_unit_modulus_and_relaxation_dominance():
     u = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     t = np.outer(u, u.conj())
     cons = [(np.diag(np.eye(n + 1)[i]).astype(complex), "==", 1.0) for i in range(n + 1)]
-    sol = solve(SdpProblem(dim=n + 1, objective=t, constraints=cons), TIGHT)
+    sol = solve_batch(dense_batch(t, cons), TIGHT)[0]
     assert sol.status is SdpStatus.OPTIMAL
 
     def score(vb):
@@ -231,7 +218,7 @@ def test_grp_expected_ratio_above_pi_over_four():
         w = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         t = np.outer(u, u.conj()) + 0.3 * np.outer(w, w.conj())
         cons = [(np.diag(np.eye(n + 1)[i]).astype(complex), "==", 1.0) for i in range(n + 1)]
-        sol = solve(SdpProblem(dim=n + 1, objective=t, constraints=cons))
+        sol = solve_batch(dense_batch(t, cons))[0]
         assert sol.status is SdpStatus.OPTIMAL
 
         def score(vb):
