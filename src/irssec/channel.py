@@ -121,10 +121,12 @@ class ScenarioConfig:
         self.ap_position = _position(self.ap_position, "ap_position")
         self.irs_position = _position(self.irs_position, "irs_position")
         self.user_positions = [_position(p, f"user_positions[{k}]")
-                               for k, p in enumerate(self.user_positions)]
+                               for k, p in enumerate(_sequence(self.user_positions,
+                                                               "user_positions"))]
         if len(self.user_positions) < 2:
             raise ScenarioError("need at least 2 users (user 1 plus eavesdroppers)")
-        self.noise_powers_w = [parse_power_w(p) for p in self.noise_powers_w]
+        self.noise_powers_w = [parse_power_w(p)
+                               for p in _sequence(self.noise_powers_w, "noise_powers_w")]
         if len(self.noise_powers_w) != len(self.user_positions):
             raise ScenarioError("one noise power per user is required")
         if not all(0 < s < math.inf for s in self.noise_powers_w):
@@ -229,6 +231,14 @@ def _position(value, name: str) -> np.ndarray:
     if len(out) != 3 or not all(map(math.isfinite, out)):
         raise ScenarioError(f"{name} must be three finite numbers, got {value!r}")
     return np.array(out)
+
+
+def _sequence(value, name: str):
+    """A scenario list field as given (a list, tuple or array); ScenarioError
+    naming the field otherwise."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ScenarioError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def _override_entry(value, kind: type, name: str):

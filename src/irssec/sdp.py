@@ -13,12 +13,15 @@ path-following method on the complex iterate: XZ (HKM) scaling, Mehrotra
 predictor-corrector, one fraction-to-boundary step length shared by the
 primal and dual iterates, and the Schur complement M = 1/2 W^T Re(P o Q^T) W
 from the factors (P = F^H X F, Q = F^H S^-1 F, W the row weights), never
-from row pairs. Each lane keeps its own step lengths, stopping tests and
-factorization fallbacks, and a lane that stops leaves the stack, so every
-lane follows bitwise the iterates it follows alone. The lanes run in blocks
-of _LANE_BLOCK in the calling process, and a block's outputs depend only on
-its own lanes. `solve_batch` is the solver's one entry point; the library
-builds its two program shapes (max-min SNR and Charnes-Cooper) as batches.
+from row pairs. The library's basis is [I, U], the n x n identity followed
+by K user lifts, and `_Basis` reads that identity block's entries instead of
+multiplying by it: the products with F cost O(n^2 K), not O(n^3). Each lane
+keeps its own step lengths, stopping tests and factorization fallbacks, and
+a lane that stops leaves the stack, so every lane follows bitwise the
+iterates it follows alone. The lanes run in blocks of _LANE_BLOCK in the
+calling process, and a block's outputs depend only on its own lanes.
+`solve_batch` is the solver's one entry point; the library builds its two
+program shapes (max-min SNR and Charnes-Cooper) as batches.
 """
 from __future__ import annotations
 
@@ -32,6 +35,13 @@ _RANK_TOL = 1e-7          # grp_draw: rank one below this eigenvalue/trace share
 # Lanes per _ipm call. At n = 11 the cost per lane-iteration stops falling
 # near 16 lanes, while every lane adds ~60 kB of stacked temporaries.
 _LANE_BLOCK = 16
+# Matrix size from which each step length is screened by a Cholesky test
+# before its eigenvalues are taken. The test runs matrix by matrix (a stacked
+# one raises on the first failure) and settles about a third of the lengths.
+# Per matrix, one BLAS thread: at n = 11 a test costs 7.3 us against 13 us for
+# the stacked eigenvalues it may save, at n = 16 8.5 against 23 us, at n = 21
+# 15 against 52 us, so the crossover is near n = 16.
+_SCREEN_DIM = 16
 
 
 class SdpStatus(enum.Enum):
@@ -53,8 +63,9 @@ class SolverConfig:
     step_fraction: float = 0.99
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # NaN would run every solve to the cap, inf stop every lane at once
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if not (0.0 < self.step_fraction < 1.0):
             raise ValueError("step_fraction must lie in (0, 1)")
         if (not isinstance(self.max_iterations, (int, np.integer))
@@ -111,6 +122,71 @@ def _dot(a, b) -> np.ndarray:
     return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real
 
 
+class _Basis:
+    """The shared column basis F of a batch, split into its leading identity
+    block (all n columns of the n x n identity when F starts with it, else
+    none) and the remaining columns U. The operators read the identity
+    block's entries instead of multiplying by it. Leading axes of G, c and
+    the results are lanes."""
+
+    def __init__(self, f: np.ndarray):
+        n = f.shape[0]
+        self.k = n if f.shape[1] >= n and np.array_equal(f[:, :n], np.eye(n)) else 0
+        self.u = f[:, self.k:]
+        self.uc, self.uh = self.u.conj(), self.u.conj().T
+
+    def diag(self, g):
+        """Re diag(F^H G F): Re diag(G) on the identity block, Re diag(U^H G U)
+        on U."""
+        return np.concatenate([g.diagonal(0, -2, -1)[..., :self.k].real,
+                               (self.uc * (g @ self.u)).sum(axis=-2).real], axis=-1)
+
+    def expand(self, c):
+        """F diag(c) F^H: diag(c) on the identity block plus U diag(c_U) U^H."""
+        out = (self.u * c[..., None, self.k:]) @ self.uh
+        np.einsum("...ii->...i", out)[..., :self.k] += c[..., :self.k]
+        return out
+
+    def gram(self, g):
+        """F^H G F of a Hermitian G, from the blocks G, G U and U^H G U."""
+        k, gu = self.k, g @ self.u
+        out = np.empty(g.shape[:-2] + (k + gu.shape[-1],) * 2, dtype=complex)
+        out[..., :k, :k] = g[..., :k, :k]
+        out[..., :k, k:] = gu[..., :k, :]
+        out[..., k:, :k] = gu[..., :k, :].conj().swapaxes(-1, -2)
+        out[..., k:, k:] = self.uh @ gu
+        return out
+
+
+def _definite(mat: np.ndarray) -> bool:
+    """Whether a Hermitian matrix passes a Cholesky factorization. A
+    non-finite entry never does: `np.linalg.cholesky` can return a NaN factor
+    for it without raising, and the NaN reaches the factor's diagonal."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(mat).diagonal()).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _boundary_steps(mats, d, ratio, caps, factors) -> list:
+    """Fraction-to-boundary lengths min(ratio_j, -1/lambda_min(R_j D_j R_j^H))
+    of positive definite M_j along D_j (a lambda_min of at least -1e-13 bounds
+    nothing); factors(js) gives the R_j (R_j M_j R_j^H = I) of js, an index
+    list or slice(None). From _SCREEN_DIM on, a matrix with M_j + cap_j D_j
+    positive definite takes an infinite eigenvalue length without its
+    eigenvalues or factor, so only min(cap_j, length) is exact; caps is read
+    only then."""
+    need, lam = slice(None), np.zeros(len(d))      # all matrices; a zero bounds nothing
+    if mats.shape[-1] >= _SCREEN_DIM:
+        need = [j for j, b in enumerate(caps) if not _definite(mats[j] + b * d[j])]
+    if need:
+        r = factors(need)
+        w_d = r @ d[need] @ r.conj().swapaxes(-1, -2)
+        lam[need] = np.linalg.eigvalsh(0.5 * (w_d + w_d.conj().swapaxes(-1, -2))).min(axis=-1)
+    return [min(math.inf if lam_j >= -1e-13 else -1.0 / lam_j, r_j)
+            for lam_j, r_j in zip(lam.tolist(), ratio)]
+
+
 def _inv_factor(mat: np.ndarray, alone: bool) -> np.ndarray:
     """R with R mat R^H = I for each Hermitian positive definite matrix of a
     stack: the inverse of its Cholesky factor. A failed stacked factorization
@@ -139,19 +215,32 @@ def _inv_factor(mat: np.ndarray, alone: bool) -> np.ndarray:
     return out
 
 
-def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
+def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
     """Infeasible-start HKM predictor-corrector on factored complex data, in
     lockstep over a leading lane axis.
 
     Lane l solves max Tr(C X) + c.u s.t. Tr(A_i X) + a_i.u = b_i, X PSD,
     u >= 0, with A_i = F diag(w[l, :, i]) F^H, C = F diag(c_w[l]) F^H,
-    a_i = vecs[l, i], b = b[l] and c = c_vec[l]; F and gram2 = |F^H F|^2 are
-    shared. The dual slack is kept halved, S = (A*(y) - C)/2, and mu is the
-    gap 2 Re Tr(XS) + xd.sd over nu = 2n + nd: the scaling of the program's
-    real symmetric embedding, whose HKM iterates these are. Primal and dual
-    take one common step, the smaller of their two fraction-to-boundary
-    lengths, so both residuals shrink by the same factor (with separate
-    lengths the dual can run ahead while the primal residual never closes).
+    a_i = vecs[l, i], b = b[l] and c = c_vec[l]; the basis F and gram2 =
+    |F^H F|^2 are shared, and every product with F goes through `_Basis`,
+    which reads F's identity block instead of multiplying by it. The dual
+    slack is kept halved, S = (A*(y) - C)/2, and mu is the gap
+    2 Re Tr(XS) + xd.sd over nu = 2n + nd: the scaling of the program's real
+    symmetric embedding, whose HKM iterates these are. Primal and dual take
+    one common step, the smaller of their two fraction-to-boundary lengths,
+    so both residuals shrink by the same factor (with separate lengths the
+    dual can run ahead while the primal residual never closes).
+
+    A fraction-to-boundary length is the least of its vector ratio and
+    -1/lambda_min(R D R^H), R the inverse Cholesky factor of the matrix (X or
+    S) and D its direction (`_boundary_steps`). The eigenvalue matters only
+    below a cap: the predictor steps min(1, length), so its cap is
+    min(1, the side's ratio), and the corrector steps min(1, step_fraction *
+    the smaller length), so its cap is min(1/step_fraction, both ratios).
+    From _SCREEN_DIM on, a matrix that stays positive definite at its cap
+    (a Cholesky test) skips the eigenvalues, and X's inverse factor is made
+    only for an X that fails; where the test and the eigenvalue agree, the
+    step is the eigenvalue's bitwise.
 
     Each lane has its own step length and stopping tests (on its own Python
     floats). A lane that stops is frozen and leaves the active set. Every
@@ -165,17 +254,18 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
     objective).
     """
     lanes, m = b.shape
-    n, nd = f.shape[0], vecs.shape[-1]
+    n, nd = basis.u.shape[0], vecs.shape[-1]
     nu = 2 * n + nd
     eye = np.eye(n)
-    fc, fh = f.conj(), f.conj().T
     tol = cfg.tolerance
+    # The corrector's cap: every length above it gives step_fraction * length >= 1.
+    top = math.nextafter(1.0 / cfg.step_fraction, math.inf)
 
     def a_op(w, g):  # Re Tr(A_i G) for every lane and row
-        return np.matvec(w.swapaxes(-1, -2), (fc * (g @ f)).sum(axis=-2).real)
+        return np.matvec(w.swapaxes(-1, -2), basis.diag(g))
 
     def a_adj(w, v):  # sum_i v_i A_i for every lane
-        return (f * np.matvec(w, v)[:, None, :]) @ fh
+        return basis.expand(np.matvec(w, v))
 
     a_norms = _embedded_norms(gram2, w, vecs)
     norm_c = _embedded_norms(gram2, c_w[..., None], c_vec[:, None, :])[:, 0]
@@ -185,10 +275,11 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
     eta = np.fmax(least, np.fmax(a_norms.max(axis=-1, initial=0.0), norm_c))
     start = np.array((xi, eta)).T
     # The active lanes' state; each keeps (X, S) and (xd, sd) as one pair, so
-    # that both factorizations and both step searches are one stacked call.
+    # that both step searches are one call and, below _SCREEN_DIM, both
+    # factorizations one stacked call.
     st = {"xs": start[:, :, None, None] * eye.astype(complex),
           "xsd": start[:, :, None] * np.ones(nd), "y": np.zeros((lanes, m)), "w": w,
-          "vecs": vecs, "b": b, "half_c": 0.5 * ((f * c_w[:, None, :]) @ fh), "c_vec": c_vec,
+          "vecs": vecs, "b": b, "half_c": 0.5 * basis.expand(c_w), "c_vec": c_vec,
           "norm_b": np.sqrt(np.vecdot(b, b)), "norm_c": norm_c,
           "relgap": np.full(lanes, np.inf), "resid": np.full(lanes, np.inf)}
     live, done = np.arange(lanes), [None] * lanes
@@ -213,12 +304,19 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
         rd_mat, rd_vec, mu = st["rd_mat"][sel], st["rd_vec"][sel], st["mu"][sel]
         x, xd, sd = xs[:, 0], xsd[:, 0], xsd[:, 1]
         alone = len(xs) == 1
-        r_xs = _inv_factor(xs.reshape(-1, n, n), alone)  # X and S factors, interleaved
-        r_xs_h = r_xs.conj().swapaxes(-1, -2)
-        s_inv = r_xs_h[1::2] @ r_xs[1::2]
+        flat = xs.reshape(-1, n, n)         # X and S of each lane, interleaved
+        # The inverse factors: every S's now, and below _SCREEN_DIM every X's
+        # (each X length needs its eigenvalues); from it on, an X's waits for
+        # an X length that fails its screen.
+        if n < _SCREEN_DIM:
+            r_xs, made = _inv_factor(flat, alone), [True] * len(flat)
+        else:
+            r_xs, made = np.empty_like(flat), [j % 2 == 1 for j in range(len(flat))]
+            r_xs[1::2] = _inv_factor(xs[:, 1], alone)
+        s_inv = r_xs[1::2].conj().swapaxes(-1, -2) @ r_xs[1::2]
         sd_inv = 1.0 / sd
         big_m = 0.5 * (w.swapaxes(-1, -2)
-                       @ ((fh @ x @ f) * (fh @ s_inv @ f).swapaxes(-1, -2)).real @ w)
+                       @ (basis.gram(x) * basis.gram(s_inv).swapaxes(-1, -2)).real @ w)
         if nd:
             big_m += (vecs * (xd * sd_inv)[:, None, :]) @ vecs.swapaxes(-1, -2)
         r_m = _inv_factor(0.5 * (big_m + big_m.swapaxes(-1, -2)), alone)
@@ -240,17 +338,27 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
             np.subtract((tm_vec - h_vec - xd * ds_vec) * sd_inv, xd, out=d_vec[:, 0])
             return d_mat, d_vec, dy
 
-        def max_steps(d_mat, d_vec):  # per lane, the (X, S) fraction-to-boundary lengths
-            w_d = r_xs @ d_mat.reshape(-1, n, n) @ r_xs_h
-            lam = np.linalg.eigvalsh(0.5 * (w_d + w_d.conj().swapaxes(-1, -2))).min(axis=-1)
-            dv = d_vec.reshape(len(r_xs), nd)
-            ratio = np.where(dv < 0, -xsd.reshape(len(r_xs), nd) / dv, np.inf)
-            t = [min(math.inf if lam_i >= -1e-13 else -1.0 / lam_i, r) for lam_i, r
-                 in zip(lam.tolist(), ratio.min(axis=-1, initial=np.inf).tolist())]
+        def factors(js):  # the inverse factors of the matrices js (a list or slice) of flat
+            new = [j for j in np.arange(len(flat))[js].tolist() if not made[j]]
+            if new:
+                r_xs[new] = _inv_factor(flat[new], alone)
+                for j in new:
+                    made[j] = True
+            return r_xs[js]
+
+        def max_steps(d_mat, d_vec, caps):
+            """Per lane, the (X, S) fraction-to-boundary lengths; caps(r_x, r_s)
+            gives the lane's (X, S) screen caps from its vector ratios."""
+            dv = d_vec.reshape(2 * len(d_vec), nd)
+            ratio = np.where(dv < 0, -xsd.reshape(dv.shape) / dv, np.inf)
+            ratio = ratio.min(axis=-1, initial=np.inf).tolist()
+            b = (cap for pair in map(caps, ratio[0::2], ratio[1::2]) for cap in pair)
+            t = _boundary_steps(flat, d_mat.reshape(-1, n, n), ratio, b, factors)
             return zip(t[0::2], t[1::2])
 
         da_mat, da_vec, _ = direction(np.zeros(len(mu)), 0.0, 0.0)
-        aff = np.array([(min(1.0, t_p), min(1.0, t_d)) for t_p, t_d in max_steps(da_mat, da_vec)])
+        aff = np.array([(min(1.0, t_p), min(1.0, t_d)) for t_p, t_d in max_steps(
+            da_mat, da_vec, lambda r_p, r_d: (min(1.0, r_p), min(1.0, r_d)))])
         trial, trial_d = xs + aff[:, :, None, None] * da_mat, xsd + aff[:, :, None] * da_vec
         mu_aff = (2.0 * _dot(trial[:, 0], trial[:, 1])
                   + np.vecdot(trial_d[:, 0], trial_d[:, 1])) / nu
@@ -258,7 +366,8 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
         sigma = np.array([min(1.0, max(0.0, r ** 3)) for r in (mu_aff / mu).tolist()])
         d_mat, d_vec, dy = direction(sigma * mu, da_mat[:, 0] @ da_mat[:, 1],
                                      da_vec[:, 0] * da_vec[:, 1])
-        step = [min(1.0, cfg.step_fraction * min(t_p, t_d)) for t_p, t_d in max_steps(d_mat, d_vec)]
+        step = [min(1.0, cfg.step_fraction * min(t_p, t_d)) for t_p, t_d in max_steps(
+            d_mat, d_vec, lambda r_p, r_d: (min(top, r_p, r_d),) * 2)]
         return d_mat, d_vec, dy, np.array(step)
 
     def lane_newton(i):
@@ -346,7 +455,7 @@ def _ipm(f, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
     return done
 
 
-def _solve_block(f, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_w, c_vec) -> list:
+def _solve_block(basis: _Basis, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_w, c_vec) -> list:
     """The SdpSolution of every lane of one block: rows and objective
     equilibrated, one lockstep `_ipm` call, the scales undone."""
     sols = []
@@ -354,7 +463,7 @@ def _solve_block(f, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_w, c_vec) ->
         row_scale = np.maximum(_embedded_norms(gram2, w, vecs), 1e-300)
         c_scale = _embedded_norms(gram2, c_w[:, :, None], c_vec[:, None, :])[:, 0]
         c_scale[c_scale < 1e-18] = 1.0
-        done = _ipm(f, gram2, w / row_scale[:, None, :], vecs / row_scale[..., None],
+        done = _ipm(basis, gram2, w / row_scale[:, None, :], vecs / row_scale[..., None],
                     b / row_scale, c_w / c_scale[:, None], c_vec / c_scale[:, None], cfg)
         for (x, xd, y, status, iters, relgap, resid, pobj), c_s, row_s in zip(
                 done, c_scale.tolist(), row_scale):
@@ -387,13 +496,13 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     c_vec = np.zeros((lanes, p + slack.size))
     c_vec[:, :p] = batch.scalar_objective
 
-    gram2 = np.abs(f.conj().T @ f) ** 2
+    basis, gram2 = _Basis(f), np.abs(f.conj().T @ f) ** 2
     w = np.ascontiguousarray(np.swapaxes(batch.rows, -1, -2), dtype=float)
     c_w, b = np.ascontiguousarray(batch.objective, dtype=float), np.asarray(batch.bounds, float)
     sols = []
     for at in range(0, lanes, _LANE_BLOCK):
         block = slice(at, at + _LANE_BLOCK)
-        sols += _solve_block(f, gram2, p, cfg, w[block], vecs[block], b[block], c_w[block],
+        sols += _solve_block(basis, gram2, p, cfg, w[block], vecs[block], b[block], c_w[block],
                              c_vec[block])
     return sols
 

@@ -14,7 +14,8 @@ CPU:
   summed iterations of the lanes.
 * one-lane ms per iteration at N in {30, 60, 100}: the multicast-bound and
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
-  scenario seeds 0 and 1.
+  scenario seeds 0 and 1, with the share of predictor and of corrector step
+  lengths that the Cholesky screen settles without eigenvalues (`sdp._ipm`).
 * `grp_round` us per 1000 candidates at N = 10, drawn from the even blend of
   the multicast- and secrecy-optimal covariances of the two-user scenario.
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
@@ -79,14 +80,35 @@ def one_lane_rows(repeats: int) -> None:
             ch = generate_channels(config)
             batches += recorded_batches(lambda: (algorithms.multicast_upper_bound(ch, P),
                                                  algorithms.secrecy_covariance(ch, P)))
-        iterations = sum(sdp.solve_batch(batch)[0].iterations for batch in batches)
+        iterations, tests = screened_solves(batches)
+        # one lane screens X and S for the predictor, then for the corrector
+        predictor = [ok for i, ok in enumerate(tests) if i % 4 < 2]
+        corrector = [ok for i, ok in enumerate(tests) if i % 4 >= 2]
 
         def run():
             for batch in batches:
                 sdp.solve_batch(batch)
         ms = 1e3 * best_of(repeats, run) / iterations
         print(f"n={n_elements + 1:<4d} L=1   ms per iteration      {ms:8.4f}"
-              f"   ({len(batches)} programs, {iterations} iterations)")
+              f"   ({len(batches)} programs, {iterations} iterations; screen settles"
+              f" {sum(predictor)} of {len(predictor)} predictor and {sum(corrector)} of"
+              f" {len(corrector)} corrector lengths)")
+
+
+def screened_solves(batches):
+    """The summed iterations of one-lane batches, and the outcome of every
+    Cholesky screen of their step lengths in call order."""
+    tests, real = [], sdp._definite
+
+    def definite(mat):
+        tests.append(real(mat))
+        return tests[-1]
+
+    sdp._definite = definite
+    try:
+        return sum(sdp.solve_batch(batch)[0].iterations for batch in batches), tests
+    finally:
+        sdp._definite = real
 
 
 def grp_round_row(repeats: int) -> None:

@@ -1,5 +1,6 @@
 """SdpBatch builders for the tests and `layer_timings.py`: hand-written dense
-programs, sub-batches, and the batches the algorithms hand to the solver."""
+programs, random Hermitian data, sub-batches, and the batches the algorithms
+hand to the solver."""
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,11 @@ def dense_batch(objective, constraints, scalar_objective=()):
                         np.array([SENSES[con[1]] for con in constraints]),
                         np.array(coeffs, dtype=float).reshape(1, len(constraints), c_vec.size),
                         c_vec)
+
+
+def random_hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (a + a.conj().T)
 
 
 def lanes_of(batch, sel):

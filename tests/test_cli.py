@@ -224,6 +224,15 @@ def test_region_exit_1_for_fractional_surface_size(tmp_path, capsys):
         assert err.startswith("scenario error: ") and name in err
 
 
+def test_region_exit_1_naming_a_scenario_list_that_is_no_list(tmp_path, capsys):
+    data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
+    for name in ("user_positions", "noise_powers_w"):
+        code, _ = region_exit(tmp_path, dict(data, **{name: 5}))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and name in err
+
+
 def test_region_reads_numeric_string_scalars(tmp_path, capsys):
     data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
     code, ref = region_exit(tmp_path, dict(data, rician_kappa=5.0), "num.json")

@@ -1,16 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from irssec.sdp import SdpStatus, SolverConfig, grp_draw, grp_round, solve_batch, substream
 
-from sdp_forms import dense_batch
+from sdp_forms import dense_batch, random_hermitian
 
 TIGHT = SolverConfig(tolerance=1e-12)
-
-
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (a + a.conj().T)
 
 
 def feasible_random_problem(rng, n, n_ineq=3, n_eq=1):
@@ -243,3 +240,11 @@ def test_solver_config_rejects_an_iteration_cap_that_is_no_positive_integer(cap)
     with pytest.raises(ValueError, match="max_iterations"):
         SolverConfig(max_iterations=cap)
     assert SolverConfig(max_iterations=np.int64(1)).max_iterations == 1
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-8, math.nan, math.inf])
+def test_solver_config_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
+    # a NaN tolerance ran every solve to the iteration cap, an infinite one
+    # reported every lane OPTIMAL at iteration 1
+    with pytest.raises(ValueError, match="tolerance"):
+        SolverConfig(tolerance=tolerance)

@@ -9,7 +9,7 @@ from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 from irssec.sdp import SdpBatch, SdpSolution, SdpStatus, SolverConfig, solve_batch
 
-from sdp_forms import dense_batch, lanes_of, recorded_batches
+from sdp_forms import dense_batch, lanes_of, random_hermitian, recorded_batches
 
 P = 1.0
 RELATIONS = {1: "<=", 0: "==", -1: ">="}
@@ -99,6 +99,15 @@ def point_batch():
         ch, p, r_m, t_alpha=80, t_g=20, rng=np.random.default_rng(0)))
     # the first batch without scalars follows the eavesdropper max-min program
     return next(batch for batch in batches if not batch.n_scalars)
+
+
+def screened_batch():
+    """Two unfloored Charnes-Cooper lanes of a four-user N = 30 scenario,
+    whose matrices are screened."""
+    ch = generate_channels(multi_user_scenario(n_users=4, n_y=5, n_z=6, seed=0))
+    batch, keep = algorithms._Lifted(ch, P).cct_batch([0.0] * 2, [0.0, 0.4 * P], math.inf)
+    assert keep.all() and batch.basis.shape[0] >= sdp._SCREEN_DIM
+    return batch
 
 
 def assert_bitwise_equal(got, ref):
@@ -193,9 +202,10 @@ def test_inv_factor_falls_back_matrix_by_matrix_for_one_lane():
 
 def test_lane_by_lane_steps_match_the_stacked_ones(monkeypatch):
     # when a stacked factorization fails, the iteration's step is taken lane by
-    # lane; forcing that path everywhere leaves every lane's history unchanged
-    batch = point_batch()
-    stacked = solve_batch(batch)
+    # lane; forcing that path everywhere leaves every lane's history unchanged,
+    # with stacked eigenvalues (n = 11) and with screened steps (n = 31)
+    batches = [point_batch(), screened_batch()]
+    stacked = [solve_batch(batch) for batch in batches]
     real = sdp._inv_factor
 
     def failing_on_stacks(mat, alone):
@@ -204,8 +214,9 @@ def test_lane_by_lane_steps_match_the_stacked_ones(monkeypatch):
         return real(mat, alone)
 
     monkeypatch.setattr(sdp, "_inv_factor", failing_on_stacks)
-    for got, ref in zip(solve_batch(batch), stacked):
-        assert_bitwise_equal(got, ref)
+    for batch, sols in zip(batches, stacked):
+        for got, ref in zip(solve_batch(batch), sols, strict=True):
+            assert_bitwise_equal(got, ref)
 
 
 def charnes_cooper_batch(lanes):
@@ -232,3 +243,105 @@ def test_each_block_of_a_batch_matches_the_block_solved_alone():
         alone = solve_batch(lanes_of(batch, sel))
         for got, ref in zip(sols[sel], alone, strict=True):
             assert_bitwise_equal(got, ref)
+
+
+def test_basis_operators_match_the_dense_products():
+    # the library's [I, U] bases skip their identity block; a basis that does
+    # not start with the identity (the dense forms' eigenvector bases, or the
+    # identity placed last) is all U
+    rng = np.random.default_rng(6)
+    lifted = algorithms._Lifted(generate_channels(two_user_scenario(d1=20.0, n_y=5, n_z=2,
+                                                                    seed=0)), P).basis
+    u = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    herm = [random_hermitian(rng, 6) for _ in range(3)]
+    dense = dense_batch(herm[0], [(herm[1], "<=", 1.0), (herm[2], "==", 2.0)]).basis
+    for f, k in ((lifted, 11), (np.hstack([np.eye(6), u]), 6), (dense, 0),
+                 (np.hstack([u, np.eye(6)]), 0)):
+        basis = sdp._Basis(f)
+        assert basis.k == k
+        n, width = f.shape
+        g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        h = g + g.conj().swapaxes(-1, -2)
+        c = rng.standard_normal((2, width))
+        fh = f.conj().T
+        assert np.allclose(basis.diag(g), (f.conj() * (g @ f)).sum(axis=-2).real,
+                           rtol=1e-13, atol=1e-12)
+        assert np.allclose(basis.expand(c), (f * c[:, None, :]) @ fh, rtol=1e-13, atol=1e-12)
+        assert np.allclose(basis.gram(h), fh @ h @ f, rtol=1e-13, atol=1e-12)
+
+
+def test_screened_step_lengths_give_the_eigenvalue_steps(monkeypatch):
+    # M = L L^H and D = L E L^H, so that lambda_min(R D R^H) is E's least
+    # eigenvalue e: the eigenvalue length is -1/e
+    rng = np.random.default_rng(7)
+    n, fraction = sdp._SCREEN_DIM + 4, 0.99
+    top = math.nextafter(1.0 / fraction, math.inf)
+    cases = {                        # e, vector ratio, cap, corrector, the test passes
+        "test passes": (-0.5, math.inf, 1.0, False, True),
+        "test fails": (-2.0, math.inf, 1.0, False, False),
+        "ratio binds": (-2.0, 0.3, 0.3, False, True),
+        "corrector cap binds": (-0.9, math.inf, top, True, True),
+        "corrector, test fails": (-2.0, 5.0, top, True, False),
+    }
+    mats, ds = [], []
+    for e in (case[0] for case in cases.values()):
+        low = np.linalg.cholesky(random_hermitian(rng, n) + 2 * n * np.eye(n))
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        mats.append(low @ low.conj().T)
+        ds.append(low @ (q * np.linspace(e, 1.0, n)) @ q.conj().T @ low.conj().T)
+    mats, ds = np.array(mats), np.array(ds)
+    ratio = [case[1] for case in cases.values()]
+    caps = [case[2] for case in cases.values()]
+
+    def factors(js):
+        return np.linalg.inv(np.linalg.cholesky(mats[js]))
+
+    tests = []
+    real = sdp._definite
+    monkeypatch.setattr(sdp, "_definite", lambda mat: tests.append(real(mat)) or tests[-1])
+    screened = sdp._boundary_steps(mats, ds, ratio, caps, factors)
+    assert tests == [case[4] for case in cases.values()]
+    # a non-finite matrix never passes, though np.linalg.cholesky factors a NaN
+    for bad in (math.nan, math.inf):
+        mat = np.eye(n, dtype=complex)
+        mat[n - 1, 0] = bad
+        assert not real(mat)
+    monkeypatch.setattr(sdp, "_SCREEN_DIM", n + 1)
+    plain = sdp._boundary_steps(mats, ds, ratio, caps, factors)
+    assert len(tests) == len(cases)
+    assert plain == pytest.approx([2.0, 0.5, 0.3, 1.0 / 0.9, 0.5], rel=1e-9)
+    for (_, r, _, corrector, passes), got, ref in zip(cases.values(), screened, plain):
+        # a matrix that passes skips its eigenvalue: only the ratio is left
+        assert got == (r if passes else ref)
+        if corrector:
+            assert min(1.0, fraction * got) == min(1.0, fraction * ref)
+        else:
+            assert min(1.0, got) == min(1.0, ref)
+
+
+def test_screened_lanes_match_solving_each_program_alone():
+    batch = screened_batch()
+    sols = solve_batch(batch)
+    for lane, sol in enumerate(sols):
+        assert sol.status is SdpStatus.OPTIMAL
+        assert_bitwise_equal(sol, solved_alone(batch, lane))
+    # the second lane runs on alone after the first has stopped
+    assert sols[0].iterations < sols[1].iterations
+
+
+@pytest.mark.parametrize("seed", [0, 1, 8])
+def test_screened_steps_solve_the_four_user_n60_battery_as_eigenvalue_steps(seed, monkeypatch):
+    ch = generate_channels(multi_user_scenario(n_users=4, n_y=10, n_z=6, seed=seed))
+    batches = recorded_batches(lambda: (algorithms.multicast_upper_bound(ch, P),
+                                        algorithms.secrecy_covariance(ch, P)))
+    tests = []
+    real = sdp._definite
+    monkeypatch.setattr(sdp, "_definite", lambda mat: tests.append(real(mat)) or tests[-1])
+    screened = [sol for batch in batches for sol in solve_batch(batch)]
+    assert any(tests) and not all(tests)
+    monkeypatch.setattr(sdp, "_SCREEN_DIM", ch.n + 2)
+    plain = [sol for batch in batches for sol in solve_batch(batch)]
+    for got, ref in zip(screened, plain, strict=True):
+        assert got.status is ref.status is SdpStatus.OPTIMAL
+        assert abs(got.iterations - ref.iterations) <= 1
+        assert got.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
