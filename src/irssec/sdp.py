@@ -15,13 +15,16 @@ primal and dual iterates, and the Schur complement M = 1/2 W^T Re(P o Q^T) W
 from the factors (P = F^H X F, Q = F^H S^-1 F, W the row weights), never
 from row pairs. The library's basis is [I, U], the n x n identity followed
 by K user lifts, and `_Basis` reads that identity block's entries instead of
-multiplying by it: the products with F cost O(n^2 K), not O(n^3). Each lane
-keeps its own step lengths, stopping tests and factorization fallbacks, and
-a lane that stops leaves the stack, so every lane follows bitwise the
-iterates it follows alone. The lanes run in blocks of _LANE_BLOCK in the
-calling process, and a block's outputs depend only on its own lanes.
-`solve_batch` is the solver's one entry point; the library builds its two
-program shapes (max-min SNR and Charnes-Cooper) as batches.
+multiplying by it: the products with F cost O(n^2 K), not O(n^3). From
+n = _SCREEN_DIM on, a step length skips its eigenvalues when a Cholesky test
+shows that the matrix stays positive definite up to the step they could
+bound; smaller blocks take one stacked `eigvalsh`. Each lane keeps its own
+step lengths, stopping tests and factorization fallbacks, and a lane that
+stops leaves the stack, so every lane follows bitwise the iterates it
+follows alone. The lanes run in blocks of _LANE_BLOCK in the calling
+process, and a block's outputs depend only on its own lanes. `solve_batch`
+is the solver's one entry point; the library builds its two program shapes
+(max-min SNR and Charnes-Cooper) as batches.
 """
 from __future__ import annotations
 
