@@ -244,7 +244,7 @@ def test_solver_config_rejects_an_iteration_cap_that_is_no_positive_integer(cap)
 
 @pytest.mark.parametrize("tolerance", [0.0, -1e-8, math.nan, math.inf])
 def test_solver_config_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
-    # a NaN tolerance ran every solve to the iteration cap, an infinite one
-    # reported every lane OPTIMAL at iteration 1
+    # a NaN tolerance would run every solve to the iteration cap, an infinite
+    # one would report every lane OPTIMAL at iteration 1
     with pytest.raises(ValueError, match="tolerance"):
         SolverConfig(tolerance=tolerance)
