@@ -71,10 +71,16 @@ class SweepParams:
     pareto_filter: bool = True
 
     def __post_init__(self):
-        for name, least in (("t_alpha", 2), ("t_lambda", 2), ("t_g", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}")
+        _check_counts(t_alpha=self.t_alpha, t_lambda=self.t_lambda, t_g=self.t_g)
+
+
+def _check_counts(**counts) -> None:
+    """Raise ValueError unless every count is an integer (a numpy integer
+    too, a bool not) of at least 2 for t_alpha and t_lambda, 1 for t_g."""
+    for name, value in counts.items():
+        least = 1 if name == "t_g" else 2
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+            raise ValueError(f"{name} must be an integer of at least {least}")
 
 
 class _Lifted:
@@ -427,8 +433,7 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     generators advance in the workers, not in rngs. Where several points
     fail, the error of the first failing floor is raised, a worker's own
     error counting as one of its group's first point."""
-    if t_alpha < 2:
-        raise ValueError("need at least two power samples")
+    _check_counts(t_alpha=t_alpha, t_g=t_g)
     ctx = _Lifted(ch, p)
     floors = [float(r) for r in floors]
     floored = [i for i, r in enumerate(floors) if r > 0]
@@ -512,8 +517,7 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
     its best candidate (ties go to the first blend) and sets the confidential
     power by the bottleneck closed form. z_m / z_c may be shared across calls.
     """
-    if t_lambda < 2:
-        raise ValueError("need at least two blend samples")
+    _check_counts(t_lambda=t_lambda, t_g=t_g)
     rng = np.random.default_rng(0) if rng is None else rng
     z_m = multicast_upper_bound(ch, p)[1] if z_m is None else z_m
     z_c = secrecy_covariance(ch, p) if z_c is None else z_c

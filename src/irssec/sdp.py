@@ -15,14 +15,14 @@ primal and dual iterates, and the Schur complement M = 1/2 W^T Re(P o Q^T) W
 from the factors (P = F^H X F, Q = F^H S^-1 F, W the row weights), never
 from row pairs. The library's basis is [I, U], the n x n identity followed
 by K user lifts, and `_Basis` reads that identity block's entries instead of
-multiplying by it: the products with F cost O(n^2 K), not O(n^3). From
-n = _SCREEN_DIM on, a step length skips its eigenvalues when a Cholesky test
-shows that the matrix stays positive definite up to the step they could
-bound; smaller blocks take one stacked `eigvalsh`. Each lane keeps its own
-step lengths, stopping tests and factorization fallbacks, and a lane that
-stops leaves the stack, so every lane follows bitwise the iterates it
-follows alone. The lanes run in blocks of _LANE_BLOCK in the calling
-process, and a block's outputs depend only on its own lanes. `solve_batch`
+multiplying by it: the products with F cost O(n^2 K), not O(n^3). One
+stacked Cholesky test of every matrix of the stack shows which matrices stay
+positive definite up to the step their eigenvalues could bound; only the
+others take `eigvalsh` for their step lengths. Each lane keeps its own step
+lengths, stopping tests and factorization fallbacks, and a lane that stops
+leaves the stack, so every lane follows bitwise the iterates it follows
+alone. The lanes run in stacks of `_stack_width` lanes in the calling
+process, and a stack's outputs depend only on its own lanes. `solve_batch`
 is the solver's one entry point; the library builds its two program shapes
 (max-min SNR and Charnes-Cooper) as batches.
 """
@@ -35,16 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _RANK_TOL = 1e-7          # grp_draw: rank one below this eigenvalue/trace share
-# Lanes per _ipm call. At n = 11 the cost per lane-iteration stops falling
-# near 16 lanes, while every lane adds ~60 kB of stacked temporaries.
-_LANE_BLOCK = 16
-# Matrix size from which each step length is screened by a Cholesky test
-# before its eigenvalues are taken. The test runs matrix by matrix (a stacked
-# one raises on the first failure) and settles about a third of the lengths.
-# Per matrix, one BLAS thread: at n = 11 a test costs 7.3 us against 13 us for
-# the stacked eigenvalues it may save, at n = 16 8.5 against 23 us, at n = 21
-# 15 against 52 us, so the crossover is near n = 16.
-_SCREEN_DIM = 16
+# Matrix entries (lanes x n^2) per _ipm stack: 64 lanes at n = 11, 8 at
+# n = 31, 2 at n = 61, 1 from n = 63 on. On two cct regions' own batches
+# (n = 11, 651 lanes, BLAS on one thread) the median CPU time against 16-lane
+# stacks is 0.88 at 32 lanes, 0.76 at 64 and 0.80 at 128.
+_STACK_ENTRIES = 64 * 11 ** 2
 
 
 class SdpStatus(enum.Enum):
@@ -161,27 +156,25 @@ class _Basis:
         return out
 
 
-def _definite(mat: np.ndarray) -> bool:
-    """Whether a Hermitian matrix passes a Cholesky factorization. A
-    non-finite entry never does: `np.linalg.cholesky` can return a NaN factor
-    for it without raising, and the NaN reaches the factor's diagonal."""
-    try:
-        return bool(np.isfinite(np.linalg.cholesky(mat).diagonal()).all())
-    except np.linalg.LinAlgError:
-        return False
+def _definite(mats: np.ndarray) -> np.ndarray:
+    """Per Hermitian matrix of a stack, whether it passes a Cholesky
+    factorization. The gufunc under `np.linalg.cholesky` NaN-fills a failed
+    factor instead of raising, and a non-finite entry can give a NaN factor
+    even without failing; either way the NaN reaches the factor's diagonal."""
+    with np.errstate(invalid="ignore"):
+        low = np.linalg._umath_linalg.cholesky_lo(mats, signature="D->D")
+    return np.isfinite(low.diagonal(0, -2, -1)).all(axis=-1)
 
 
 def _boundary_steps(mats, d, ratio, caps, factors) -> list:
     """Fraction-to-boundary lengths min(ratio_j, -1/lambda_min(R_j D_j R_j^H))
     of positive definite M_j along D_j (a lambda_min of at least -1e-13 bounds
-    nothing); factors(js) gives the R_j (R_j M_j R_j^H = I) of js, an index
-    list or slice(None). From _SCREEN_DIM on, a matrix with M_j + cap_j D_j
-    positive definite takes an infinite eigenvalue length without its
-    eigenvalues or factor, so only min(cap_j, length) is exact; caps is read
-    only then."""
-    need, lam = slice(None), np.zeros(len(d))      # all matrices; a zero bounds nothing
-    if mats.shape[-1] >= _SCREEN_DIM:
-        need = [j for j, b in enumerate(caps) if not _definite(mats[j] + b * d[j])]
+    nothing); factors(js) gives the R_j (R_j M_j R_j^H = I) of the index list
+    js. A matrix with M_j + cap_j D_j positive definite takes an infinite
+    eigenvalue length without its eigenvalues or factor, so only
+    min(cap_j, length) is exact."""
+    lam = np.zeros(len(d))                          # a zero bounds nothing
+    need = np.flatnonzero(~_definite(mats + np.asarray(caps)[:, None, None] * d)).tolist()
     if need:
         r = factors(need)
         w_d = r @ d[need] @ r.conj().swapaxes(-1, -2)
@@ -240,10 +233,11 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
     below a cap: the predictor steps min(1, length), so its cap is
     min(1, the side's ratio), and the corrector steps min(1, step_fraction *
     the smaller length), so its cap is min(1/step_fraction, both ratios).
-    From _SCREEN_DIM on, a matrix that stays positive definite at its cap
-    (a Cholesky test) skips the eigenvalues, and X's inverse factor is made
-    only for an X that fails; where the test and the eigenvalue agree, the
-    step is the eigenvalue's bitwise.
+    Every matrix of the stack is first tested at its cap by one stacked
+    Cholesky factorization; one that stays positive definite skips the
+    eigenvalues, and X's inverse factor is made only for an X that fails.
+    Where the test and the eigenvalue agree, the step is the eigenvalue's
+    bitwise.
 
     Each lane has its own step length and stopping tests (on its own Python
     floats). A lane that stops is frozen and leaves the active set. Every
@@ -278,8 +272,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
     eta = np.fmax(least, np.fmax(a_norms.max(axis=-1, initial=0.0), norm_c))
     start = np.array((xi, eta)).T
     # The active lanes' state; each keeps (X, S) and (xd, sd) as one pair, so
-    # that both step searches are one call and, below _SCREEN_DIM, both
-    # factorizations one stacked call.
+    # that both step searches are one call.
     st = {"xs": start[:, :, None, None] * eye.astype(complex),
           "xsd": start[:, :, None] * np.ones(nd), "y": np.zeros((lanes, m)), "w": w,
           "vecs": vecs, "b": b, "half_c": 0.5 * basis.expand(c_w), "c_vec": c_vec,
@@ -308,14 +301,10 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
         x, xd, sd = xs[:, 0], xsd[:, 0], xsd[:, 1]
         alone = len(xs) == 1
         flat = xs.reshape(-1, n, n)         # X and S of each lane, interleaved
-        # The inverse factors: every S's now, and below _SCREEN_DIM every X's
-        # (each X length needs its eigenvalues); from it on, an X's waits for
-        # an X length that fails its screen.
-        if n < _SCREEN_DIM:
-            r_xs, made = _inv_factor(flat, alone), [True] * len(flat)
-        else:
-            r_xs, made = np.empty_like(flat), [j % 2 == 1 for j in range(len(flat))]
-            r_xs[1::2] = _inv_factor(xs[:, 1], alone)
+        # The inverse factors: every S's now, an X's when an X length fails
+        # its screen.
+        r_xs, made = np.empty_like(flat), [j % 2 == 1 for j in range(len(flat))]
+        r_xs[1::2] = _inv_factor(xs[:, 1], alone)
         s_inv = r_xs[1::2].conj().swapaxes(-1, -2) @ r_xs[1::2]
         sd_inv = 1.0 / sd
         big_m = 0.5 * (w.swapaxes(-1, -2)
@@ -341,8 +330,8 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
             np.subtract((tm_vec - h_vec - xd * ds_vec) * sd_inv, xd, out=d_vec[:, 0])
             return d_mat, d_vec, dy
 
-        def factors(js):  # the inverse factors of the matrices js (a list or slice) of flat
-            new = [j for j in np.arange(len(flat))[js].tolist() if not made[j]]
+        def factors(js):  # the inverse factors of the matrices js (a list) of flat
+            new = [j for j in js if not made[j]]
             if new:
                 r_xs[new] = _inv_factor(flat[new], alone)
                 for j in new:
@@ -355,7 +344,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
             dv = d_vec.reshape(2 * len(d_vec), nd)
             ratio = np.where(dv < 0, -xsd.reshape(dv.shape) / dv, np.inf)
             ratio = ratio.min(axis=-1, initial=np.inf).tolist()
-            b = (cap for pair in map(caps, ratio[0::2], ratio[1::2]) for cap in pair)
+            b = [cap for pair in map(caps, ratio[0::2], ratio[1::2]) for cap in pair]
             t = _boundary_steps(flat, d_mat.reshape(-1, n, n), ratio, b, factors)
             return zip(t[0::2], t[1::2])
 
@@ -458,8 +447,13 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
     return done
 
 
-def _solve_block(basis: _Basis, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_w, c_vec) -> list:
-    """The SdpSolution of every lane of one block: rows and objective
+def _stack_width(n: int) -> int:
+    """Lanes per `_ipm` stack of n x n matrices."""
+    return max(1, _STACK_ENTRIES // n ** 2)
+
+
+def _solve_stack(basis: _Basis, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_w, c_vec) -> list:
+    """The SdpSolution of every lane of one stack: rows and objective
     equilibrated, one lockstep `_ipm` call, the scales undone."""
     sols = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -481,9 +475,9 @@ def _solve_block(basis: _Basis, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_
 
 def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     """The SdpSolution of every lane, solved by lockstep `_ipm` calls of up
-    to _LANE_BLOCK lanes in the calling process, each block equilibrated
+    to `_stack_width` lanes in the calling process, each stack equilibrated
     (rows and objective) and turned into solutions by itself; each lane is
-    bitwise what it gives alone, whichever block it rides in. OPTIMAL means
+    bitwise what it gives alone, whichever stack it rides in. OPTIMAL means
     gap and residuals below the tolerance; MAX_ITERATIONS (the iteration cap)
     and BREAKDOWN (a numerical failure before it, gap and residual NaN if a
     scale or multiplier is not finite) never are."""
@@ -503,10 +497,11 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     w = np.ascontiguousarray(np.swapaxes(batch.rows, -1, -2), dtype=float)
     c_w, b = np.ascontiguousarray(batch.objective, dtype=float), np.asarray(batch.bounds, float)
     sols = []
-    for at in range(0, lanes, _LANE_BLOCK):
-        block = slice(at, at + _LANE_BLOCK)
-        sols += _solve_block(basis, gram2, p, cfg, w[block], vecs[block], b[block], c_w[block],
-                             c_vec[block])
+    width = _stack_width(f.shape[0])
+    for at in range(0, lanes, width):
+        stack = slice(at, at + width)
+        sols += _solve_stack(basis, gram2, p, cfg, w[stack], vecs[stack], b[stack], c_w[stack],
+                             c_vec[stack])
     return sols
 
 

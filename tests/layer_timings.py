@@ -2,20 +2,25 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
-Prints the CPUs the process may run on, then five groups of figures, each
-timing the best of R repeats. Only a region spreads its work over processes
-(one group of boundary points per CPU), so every other figure is a time on one
-CPU:
+Prints the CPUs the process may run on and the lanes per `solve_batch` stack
+at n in {11, 31, 61, 101}, then six groups of figures, each timing the best of
+R repeats. Only a region spreads its work over processes (one group of
+boundary points per CPU), so every other figure is a time on one CPU:
 
 * ms per lane-iteration at n = 11 for L in {1, 20, 80} lanes. The programs
   are the Charnes-Cooper programs of 80 uniform confidential powers over
   [0, P] without a floor on `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`,
   solved L lanes at a time by `solve_batch`, and the time is divided by the
   summed iterations of the lanes.
+* ms per lane-iteration on the floored Charnes-Cooper batches of a cct region
+  on the same scenario (grid 20, T_alpha 80), recorded with its points solved
+  in this process, as one region's batches reach `solve_batch`; with the
+  share of step lengths at n = 11 that the Cholesky screen settles without
+  eigenvalues.
 * one-lane ms per iteration at N in {30, 60, 100}: the multicast-bound and
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
   scenario seeds 0 and 1, with the share of predictor and of corrector step
-  lengths that the Cholesky screen settles without eigenvalues (`sdp._ipm`).
+  lengths that the screen settles.
 * `grp_round` us per 1000 candidates at N = 10, drawn from the even blend of
   the multicast- and secrecy-optimal covariances of the two-user scenario.
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
@@ -44,6 +49,7 @@ from sdp_forms import lanes_of, recorded_batches
 
 P = 1.0
 LANES = (1, 20, 80)
+STACK_SIZES = (11, 31, 61, 101)
 SURFACES = {30: (5, 6), 60: (10, 6), 100: (10, 10)}       # N: (n_y, n_z)
 
 
@@ -72,6 +78,27 @@ def lane_rows(repeats: int) -> None:
               f"   ({count} programs, {iterations} lane-iterations)")
 
 
+def region_batch_row(repeats: int) -> None:
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    params = algorithms.SweepParams(t_alpha=80, t_g=20)     # T_g does not change the lanes
+    workers, algorithms._workers = algorithms._workers, lambda points: 1
+    try:
+        batches = recorded_batches(lambda: algorithms.sweep_region(ch, p, "cct", 20, params))
+    finally:
+        algorithms._workers = workers
+    batches = [batch for batch in batches if not batch.n_scalars and (batch.sense == -1).any()]
+    iterations, calls = screened_solves(batches)
+
+    def run():
+        for batch in batches:
+            sdp.solve_batch(batch)
+    ms = 1e3 * best_of(repeats, run) / iterations
+    print(f"n=11   cct region floored batches ms per lane-iteration {ms:8.4f}"
+          f"   ({sum(len(batch.bounds) for batch in batches)} lanes in {len(batches)} batches,"
+          f" {iterations} lane-iterations; screen settles {share(sum(calls, []))} lengths)")
+
+
 def one_lane_rows(repeats: int) -> None:
     for n_elements, (n_y, n_z) in SURFACES.items():
         batches = []
@@ -80,10 +107,9 @@ def one_lane_rows(repeats: int) -> None:
             ch = generate_channels(config)
             batches += recorded_batches(lambda: (algorithms.multicast_upper_bound(ch, P),
                                                  algorithms.secrecy_covariance(ch, P)))
-        iterations, tests = screened_solves(batches)
-        # one lane screens X and S for the predictor, then for the corrector
-        predictor = [ok for i, ok in enumerate(tests) if i % 4 < 2]
-        corrector = [ok for i, ok in enumerate(tests) if i % 4 >= 2]
+        iterations, calls = screened_solves(batches)
+        # one lane screens its predictor lengths in one call, then its corrector ones
+        predictor, corrector = sum(calls[0::2], []), sum(calls[1::2], [])
 
         def run():
             for batch in batches:
@@ -91,24 +117,30 @@ def one_lane_rows(repeats: int) -> None:
         ms = 1e3 * best_of(repeats, run) / iterations
         print(f"n={n_elements + 1:<4d} L=1   ms per iteration      {ms:8.4f}"
               f"   ({len(batches)} programs, {iterations} iterations; screen settles"
-              f" {sum(predictor)} of {len(predictor)} predictor and {sum(corrector)} of"
-              f" {len(corrector)} corrector lengths)")
+              f" {share(predictor)} predictor and {share(corrector)} corrector lengths)")
+
+
+def share(flags) -> str:
+    return f"{sum(flags)} of {len(flags)}"
 
 
 def screened_solves(batches):
-    """The summed iterations of one-lane batches, and the outcome of every
-    Cholesky screen of their step lengths in call order."""
-    tests, real = [], sdp._definite
+    """The summed lane-iterations of the batches, and the outcomes of the
+    Cholesky screens of their step lengths, one list per `sdp._definite`
+    call in call order."""
+    calls, real = [], sdp._definite
 
-    def definite(mat):
-        tests.append(real(mat))
-        return tests[-1]
+    def definite(mats):
+        flags = real(mats)
+        calls.append(flags.tolist())
+        return flags
 
     sdp._definite = definite
     try:
-        return sum(sdp.solve_batch(batch)[0].iterations for batch in batches), tests
+        iterations = sum(sol.iterations for batch in batches for sol in sdp.solve_batch(batch))
     finally:
         sdp._definite = real
+    return iterations, calls
 
 
 def grp_round_row(repeats: int) -> None:
@@ -170,7 +202,9 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     repeats = parser.parse_args().repeats
     print(f"CPUs {len(os.sched_getaffinity(0))} (a region runs one group of points on each)")
+    print("lanes per stack " + ", ".join(f"n={n} {sdp._stack_width(n)}" for n in STACK_SIZES))
     lane_rows(repeats)
+    region_batch_row(repeats)
     one_lane_rows(repeats)
     grp_round_row(repeats)
     cct_point_rows(repeats)

@@ -713,6 +713,26 @@ def test_sweep_params_reject_a_count_that_is_no_integer_or_too_small(name, value
     assert SweepParams(t_alpha=np.int64(2), t_lambda=2, t_g=1).t_alpha == 2
 
 
+@pytest.mark.parametrize("entry, name, value", [
+    ("cct", "t_alpha", 2.5), ("cct", "t_alpha", True), ("cct", "t_g", 2.5), ("cct", "t_g", 0),
+    ("wscm", "t_lambda", 2.5), ("wscm", "t_lambda", 1), ("wscm", "t_g", 2.5), ("wscm", "t_g", 0)])
+def test_algorithms_reject_a_count_that_is_no_integer_or_too_small(entry, name, value,
+                                                                   monkeypatch):
+    # SweepParams' rule, applied before any solve
+    calls = []
+
+    def solve_batch(batch, config=None):
+        calls.append(batch)
+        raise AssertionError("solved before the counts were checked")
+
+    monkeypatch.setattr(algorithms, "solve_batch", solve_batch)
+    ch = generate_channels(two_user_scenario(d1=20, n_y=2, n_z=1, seed=0))
+    run = algorithm1_cct if entry == "cct" else algorithm2_wscm
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+        run(ch, P, 0.1, **{name: value})
+    assert not calls
+
+
 def test_sweep_wscm_floors_share_one_stream():
     # Every floor scores the same draws, so each point of a wscm region is the
     # single-floor run on the region's stream (seed, 0).

@@ -1,5 +1,6 @@
 """The factored-row path against the same programs given as dense rows."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -102,12 +103,30 @@ def point_batch():
 
 
 def screened_batch():
-    """Two unfloored Charnes-Cooper lanes of a four-user N = 30 scenario,
-    whose matrices are screened."""
+    """Two unfloored Charnes-Cooper lanes of a four-user N = 30 scenario."""
     ch = generate_channels(multi_user_scenario(n_users=4, n_y=5, n_z=6, seed=0))
     batch, keep = algorithms._Lifted(ch, P).cct_batch([0.0] * 2, [0.0, 0.4 * P], math.inf)
-    assert keep.all() and batch.basis.shape[0] >= sdp._SCREEN_DIM
+    assert keep.all() and batch.basis.shape[0] == 31
     return batch
+
+
+def record_screens(monkeypatch) -> list:
+    """Wrap sdp._definite so that every flag it returns is appended, in call
+    order, to the list returned."""
+    tests, real = [], sdp._definite
+
+    def definite(mats):
+        flags = real(mats)
+        tests.extend(flags.tolist())
+        return flags
+
+    monkeypatch.setattr(sdp, "_definite", definite)
+    return tests
+
+
+def screen_off(monkeypatch):
+    """Fail every matrix's screen, so that every step length takes its eigenvalues."""
+    monkeypatch.setattr(sdp, "_definite", lambda mats: np.zeros(len(mats), dtype=bool))
 
 
 def assert_bitwise_equal(got, ref):
@@ -203,7 +222,7 @@ def test_inv_factor_falls_back_matrix_by_matrix_for_one_lane():
 def test_lane_by_lane_steps_match_the_stacked_ones(monkeypatch):
     # when a stacked factorization fails, the iteration's step is taken lane by
     # lane; forcing that path everywhere leaves every lane's history unchanged,
-    # with stacked eigenvalues (n = 11) and with screened steps (n = 31)
+    # at n = 11 and at n = 31
     batches = [point_batch(), screened_batch()]
     stacked = [solve_batch(batch) for batch in batches]
     real = sdp._inv_factor
@@ -230,16 +249,18 @@ def charnes_cooper_batch(lanes):
     return batch
 
 
-def test_each_block_of_a_batch_matches_the_block_solved_alone():
+def test_each_block_of_a_batch_matches_the_block_solved_alone(monkeypatch):
     # three blocks in one call: every lane is the same bytes as in its block
     # solved alone
+    monkeypatch.setattr(sdp, "_STACK_ENTRIES", 16 * 11 ** 2)
     batch = charnes_cooper_batch(40)
-    blocks = range(0, 40, sdp._LANE_BLOCK)
+    width = sdp._STACK_ENTRIES // batch.basis.shape[0] ** 2
+    blocks = range(0, 40, width)
     assert len(blocks) == 3
     sols = solve_batch(batch)
     assert len(sols) == 40
     for at in blocks:
-        sel = slice(at, at + sdp._LANE_BLOCK)
+        sel = slice(at, at + width)
         alone = solve_batch(lanes_of(batch, sel))
         for got, ref in zip(sols[sel], alone, strict=True):
             assert_bitwise_equal(got, ref)
@@ -270,11 +291,50 @@ def test_basis_operators_match_the_dense_products():
         assert np.allclose(basis.gram(h), fh @ h @ f, rtol=1e-13, atol=1e-12)
 
 
+def test_definite_flags_each_matrix_of_a_stack():
+    # one flag per matrix, where a stacked np.linalg.cholesky raises on the
+    # first failure: the gufunc under it NaN-fills a failed factor instead
+    n = 11
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    stack = np.array([a @ a.conj().T + np.eye(n), np.diag(np.linspace(-1.0, 1.0, n)),
+                      np.eye(n), np.eye(n)], dtype=complex)
+    stack[2, n - 1, 0], stack[3, n - 1, 0] = math.nan, math.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flags = sdp._definite(stack)
+    assert flags.tolist() == [True, False, False, False]
+    # a non-finite matrix never passes, though np.linalg.cholesky factors a NaN
+    assert np.isnan(np.linalg.cholesky(stack[2])).any()
+    for one, flag in zip(stack, flags):
+        assert sdp._definite(one[None]).tolist() == [flag]
+
+
+def test_stacks_hold_64_lanes_at_n11_and_one_at_n101(monkeypatch):
+    widths = []
+
+    def stack(basis, gram2, p, cfg, w, *rest):
+        widths.append(len(w))
+        return [None] * len(w)
+
+    monkeypatch.setattr(sdp, "_solve_stack", stack)
+    assert len(solve_batch(charnes_cooper_batch(130))) == 130
+    assert widths == [64, 64, 2]
+    widths.clear()
+    ch = generate_channels(multi_user_scenario(n_users=4, n_y=10, n_z=10, seed=0))
+    batch, keep = algorithms._Lifted(ch, P).cct_batch([0.0] * 2, [0.5 * P, P], math.inf)
+    assert keep.all() and batch.basis.shape[0] == 101
+    assert len(solve_batch(batch)) == 2
+    assert widths == [1, 1]
+
+
 def test_screened_step_lengths_give_the_eigenvalue_steps(monkeypatch):
     # M = L L^H and D = L E L^H, so that lambda_min(R D R^H) is E's least
     # eigenvalue e: the eigenvalue length is -1/e
     rng = np.random.default_rng(7)
-    n, fraction = sdp._SCREEN_DIM + 4, 0.99
+    n, fraction = 11, 0.99
     top = math.nextafter(1.0 / fraction, math.inf)
     cases = {                        # e, vector ratio, cap, corrector, the test passes
         "test passes": (-0.5, math.inf, 1.0, False, True),
@@ -296,17 +356,10 @@ def test_screened_step_lengths_give_the_eigenvalue_steps(monkeypatch):
     def factors(js):
         return np.linalg.inv(np.linalg.cholesky(mats[js]))
 
-    tests = []
-    real = sdp._definite
-    monkeypatch.setattr(sdp, "_definite", lambda mat: tests.append(real(mat)) or tests[-1])
+    tests = record_screens(monkeypatch)
     screened = sdp._boundary_steps(mats, ds, ratio, caps, factors)
     assert tests == [case[4] for case in cases.values()]
-    # a non-finite matrix never passes, though np.linalg.cholesky factors a NaN
-    for bad in (math.nan, math.inf):
-        mat = np.eye(n, dtype=complex)
-        mat[n - 1, 0] = bad
-        assert not real(mat)
-    monkeypatch.setattr(sdp, "_SCREEN_DIM", n + 1)
+    screen_off(monkeypatch)
     plain = sdp._boundary_steps(mats, ds, ratio, caps, factors)
     assert len(tests) == len(cases)
     assert plain == pytest.approx([2.0, 0.5, 0.3, 1.0 / 0.9, 0.5], rel=1e-9)
@@ -329,17 +382,31 @@ def test_screened_lanes_match_solving_each_program_alone():
     assert sols[0].iterations < sols[1].iterations
 
 
-@pytest.mark.parametrize("seed", [0, 1, 8])
-def test_screened_steps_solve_the_four_user_n60_battery_as_eigenvalue_steps(seed, monkeypatch):
-    ch = generate_channels(multi_user_scenario(n_users=4, n_y=10, n_z=6, seed=seed))
-    batches = recorded_batches(lambda: (algorithms.multicast_upper_bound(ch, P),
-                                        algorithms.secrecy_covariance(ch, P)))
-    tests = []
-    real = sdp._definite
-    monkeypatch.setattr(sdp, "_definite", lambda mat: tests.append(real(mat)) or tests[-1])
+def cct_region_batches(monkeypatch) -> list:
+    """Every batch of a two-user N = 10 cct region (grid 10, T_alpha 80),
+    solved and recorded in this process."""
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    monkeypatch.setattr(algorithms, "_workers", lambda points: 1)
+    return recorded_batches(lambda: algorithms.sweep_region(
+        ch, p, "cct", 10, algorithms.SweepParams(t_alpha=80, t_g=20), seed=0))
+
+
+@pytest.mark.parametrize("case", [0, 1, 8, "two-user-n10-region"])
+def test_screened_steps_solve_the_four_user_n60_battery_as_eigenvalue_steps(case, monkeypatch):
+    # the four-user N = 60 battery at scenario seeds 0, 1 and 8, and the n = 11
+    # lanes of a cct region
+    if case == "two-user-n10-region":
+        batches = cct_region_batches(monkeypatch)
+        assert sum(len(batch.bounds) for batch in batches) > 64
+    else:
+        ch = generate_channels(multi_user_scenario(n_users=4, n_y=10, n_z=6, seed=case))
+        batches = recorded_batches(lambda: (algorithms.multicast_upper_bound(ch, P),
+                                            algorithms.secrecy_covariance(ch, P)))
+    tests = record_screens(monkeypatch)
     screened = [sol for batch in batches for sol in solve_batch(batch)]
     assert any(tests) and not all(tests)
-    monkeypatch.setattr(sdp, "_SCREEN_DIM", ch.n + 2)
+    screen_off(monkeypatch)
     plain = [sol for batch in batches for sol in solve_batch(batch)]
     for got, ref in zip(screened, plain, strict=True):
         assert got.status is ref.status is SdpStatus.OPTIMAL
