@@ -37,6 +37,7 @@ from .sdp import (SdpBatch, SdpSolverError, SdpStatus, grp_draw, grp_round, solv
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
 ORACLE_GRID = (64, 201)   # phase levels and power samples of the oracle scheme
+_LEAST = {"t_alpha": 2, "t_lambda": 2, "t_g": 1}      # the least value of each count
 
 # Non-optimal solves are still usable when this accurate.
 _ACCEPT_GAP = 1e-6
@@ -76,9 +77,9 @@ class SweepParams:
 
 def _check_counts(**counts) -> None:
     """Raise ValueError unless every count is an integer (a numpy integer
-    too, a bool not) of at least 2 for t_alpha and t_lambda, 1 for t_g."""
+    too, a bool not) of at least its `_LEAST`."""
     for name, value in counts.items():
-        least = 1 if name == "t_g" else 2
+        least = _LEAST[name]
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
             raise ValueError(f"{name} must be an integer of at least {least}")
 

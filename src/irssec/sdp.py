@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _RANK_TOL = 1e-7          # grp_draw: rank one below this eigenvalue/trace share
-# Matrix entries (lanes x n^2) per _ipm stack: 64 lanes at n = 11, 8 at
-# n = 31, 2 at n = 61, 1 from n = 63 on. On two cct regions' own batches
-# (n = 11, 651 lanes, BLAS on one thread) the median CPU time against 16-lane
-# stacks is 0.88 at 32 lanes, 0.76 at 64 and 0.80 at 128.
+# Matrix entries (lanes x n^2) per _ipm stack: 64 lanes at n = 11, 8 at n = 31,
+# 2 at n = 61, 1 from n = 63. Median CPU time against 16-lane stacks (BLAS on
+# one thread): 0.88, 0.76, 0.80 at 32, 64, 128 lanes on two cct regions' n = 11
+# batches; 1.02, 1.00, 0.90 at n = 31, 61, 101 on a four-user algorithm1_cct
+# point's lanes, with peak memory 7.9 -> 4.6, 30.2 -> 5.8, 81.7 -> 9.3 MiB.
 _STACK_ENTRIES = 64 * 11 ** 2
 
 
@@ -158,9 +159,8 @@ class _Basis:
 
 def _definite(mats: np.ndarray) -> np.ndarray:
     """Per Hermitian matrix of a stack, whether it passes a Cholesky
-    factorization. The gufunc under `np.linalg.cholesky` NaN-fills a failed
-    factor instead of raising, and a non-finite entry can give a NaN factor
-    even without failing; either way the NaN reaches the factor's diagonal."""
+    factorization. The gufunc under `np.linalg.cholesky` does not raise: a
+    failed or non-finite matrix's factor has a non-finite diagonal entry."""
     with np.errstate(invalid="ignore"):
         low = np.linalg._umath_linalg.cholesky_lo(mats, signature="D->D")
     return np.isfinite(low.diagonal(0, -2, -1)).all(axis=-1)

@@ -45,7 +45,7 @@ import numpy as np
 from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 
-from sdp_forms import lanes_of, recorded_batches
+from sdp_forms import cct_region_batches, lanes_of, recorded_batches
 
 P = 1.0
 LANES = (1, 20, 80)
@@ -79,15 +79,8 @@ def lane_rows(repeats: int) -> None:
 
 
 def region_batch_row(repeats: int) -> None:
-    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
-    ch, p = generate_channels(config), config.total_power_w
-    params = algorithms.SweepParams(t_alpha=80, t_g=20)     # T_g does not change the lanes
-    workers, algorithms._workers = algorithms._workers, lambda points: 1
-    try:
-        batches = recorded_batches(lambda: algorithms.sweep_region(ch, p, "cct", 20, params))
-    finally:
-        algorithms._workers = workers
-    batches = [batch for batch in batches if not batch.n_scalars and (batch.sense == -1).any()]
+    batches = [batch for batch in cct_region_batches(20)
+               if not batch.n_scalars and (batch.sense == -1).any()]
     iterations, calls = screened_solves(batches)
 
     def run():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from irssec import algorithms, sdp
+from irssec.channel import generate_channels, two_user_scenario
 
 SENSES = {"<=": 1, "==": 0, ">=": -1}
 
@@ -63,3 +64,17 @@ def recorded_batches(run) -> list:
     finally:
         algorithms.solve_batch = saved
     return seen
+
+
+def cct_region_batches(grid: int) -> list:
+    """Every batch of a two-user N = 10 cct region (grid points `grid`,
+    T_alpha 80) on `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`, its
+    points solved and recorded in this process."""
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    params = algorithms.SweepParams(t_alpha=80, t_g=20)     # T_g does not change the lanes
+    workers, algorithms._workers = algorithms._workers, lambda points: 1
+    try:
+        return recorded_batches(lambda: algorithms.sweep_region(ch, p, "cct", grid, params))
+    finally:
+        algorithms._workers = workers

@@ -10,7 +10,8 @@ from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 from irssec.sdp import SdpBatch, SdpSolution, SdpStatus, SolverConfig, solve_batch
 
-from sdp_forms import dense_batch, lanes_of, random_hermitian, recorded_batches
+from sdp_forms import (cct_region_batches, dense_batch, lanes_of, random_hermitian,
+                       recorded_batches)
 
 P = 1.0
 RELATIONS = {1: "<=", 0: "==", -1: ">="}
@@ -254,7 +255,7 @@ def test_each_block_of_a_batch_matches_the_block_solved_alone(monkeypatch):
     # solved alone
     monkeypatch.setattr(sdp, "_STACK_ENTRIES", 16 * 11 ** 2)
     batch = charnes_cooper_batch(40)
-    width = sdp._STACK_ENTRIES // batch.basis.shape[0] ** 2
+    width = sdp._stack_width(batch.basis.shape[0])
     blocks = range(0, 40, width)
     assert len(blocks) == 3
     sols = solve_batch(batch)
@@ -382,22 +383,12 @@ def test_screened_lanes_match_solving_each_program_alone():
     assert sols[0].iterations < sols[1].iterations
 
 
-def cct_region_batches(monkeypatch) -> list:
-    """Every batch of a two-user N = 10 cct region (grid 10, T_alpha 80),
-    solved and recorded in this process."""
-    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
-    ch, p = generate_channels(config), config.total_power_w
-    monkeypatch.setattr(algorithms, "_workers", lambda points: 1)
-    return recorded_batches(lambda: algorithms.sweep_region(
-        ch, p, "cct", 10, algorithms.SweepParams(t_alpha=80, t_g=20), seed=0))
-
-
 @pytest.mark.parametrize("case", [0, 1, 8, "two-user-n10-region"])
 def test_screened_steps_solve_the_four_user_n60_battery_as_eigenvalue_steps(case, monkeypatch):
     # the four-user N = 60 battery at scenario seeds 0, 1 and 8, and the n = 11
     # lanes of a cct region
     if case == "two-user-n10-region":
-        batches = cct_region_batches(monkeypatch)
+        batches = cct_region_batches(10)
         assert sum(len(batch.bounds) for batch in batches) > 64
     else:
         ch = generate_channels(multi_user_scenario(n_users=4, n_y=10, n_z=6, seed=case))
