@@ -37,7 +37,7 @@ from .sdp import (SdpBatch, SdpSolverError, SdpStatus, grp_draw, grp_round, solv
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
 ORACLE_GRID = (64, 201)   # phase levels and power samples of the oracle scheme
-_LEAST = {"t_alpha": 2, "t_lambda": 2, "t_g": 1}      # the least value of each count
+_LEAST = {"t_alpha": 2, "t_lambda": 2, "t_g": 1, "grid_points": 2}   # each count's least value
 
 # Non-optimal solves are still usable when this accurate.
 _ACCEPT_GAP = 1e-6
@@ -93,6 +93,8 @@ class _Lifted:
     column N+1+k by b; no T_k is formed densely."""
 
     def __init__(self, ch: ChannelSet, p: float):
+        if not 0.0 < p < math.inf:
+            raise ValueError("power must be finite and positive")
         self.p = float(p)
         self.n = ch.n
         self.k = ch.k
@@ -622,8 +624,7 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     group's Charnes-Cooper lanes in group-wide batches. The oracle
     enumerates the `ORACLE_GRID`.
     """
-    if grid_points < 2:
-        raise ValueError("need at least two grid points")
+    _check_counts(grid_points=grid_points)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     params = params or SweepParams()

@@ -185,8 +185,10 @@ class ChannelSet:
             raise ValueError(f"inconsistent shapes: m {self.m.shape}, g {self.g.shape}, h {self.h.shape}")
         if self.sigma2.size != self.h.size:
             raise ValueError("one noise power per user is required")
-        if np.any(self.sigma2 <= 0):
-            raise ValueError("noise powers must be strictly positive")
+        if not all(np.isfinite(arr).all() for arr in (self.g, self.m, self.h)):
+            raise ValueError("channel entries must be finite")
+        if not np.all((self.sigma2 > 0) & (self.sigma2 < np.inf)):
+            raise ValueError("noise powers must be finite and strictly positive")
 
     @property
     def n(self) -> int:

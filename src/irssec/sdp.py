@@ -18,13 +18,15 @@ by K user lifts, and `_Basis` reads that identity block's entries instead of
 multiplying by it: the products with F cost O(n^2 K), not O(n^3). One
 stacked Cholesky test of every matrix of the stack shows which matrices stay
 positive definite up to the step their eigenvalues could bound; only the
-others take `eigvalsh` for their step lengths. Each lane keeps its own step
-lengths, stopping tests and factorization fallbacks, and a lane that stops
-leaves the stack, so every lane follows bitwise the iterates it follows
-alone. The lanes run in stacks of `_stack_width` lanes in the calling
-process, and a stack's outputs depend only on its own lanes. `solve_batch`
-is the solver's one entry point; the library builds its two program shapes
-(max-min SNR and Charnes-Cooper) as batches.
+others take `eigvalsh` for their step lengths. No LAPACK call raises: a
+finite matrix that fails its factorization is retried with jitter, and a
+non-finite value ends its lane. Each lane keeps its own step lengths and
+stopping tests, and a lane that stops leaves the stack, so every lane
+follows bitwise the iterates it follows alone. The lanes run in stacks of
+`_stack_width` lanes in the calling process, and a stack's outputs depend
+only on its own lanes. `solve_batch` is the solver's one entry point; the
+library builds its two program shapes (max-min SNR and Charnes-Cooper) as
+batches.
 """
 from __future__ import annotations
 
@@ -41,6 +43,8 @@ _RANK_TOL = 1e-7          # grp_draw: rank one below this eigenvalue/trace share
 # batches; 1.02, 1.00, 0.90 at n = 31, 61, 101 on a four-user algorithm1_cct
 # point's lanes, with peak memory 7.9 -> 4.6, 30.2 -> 5.8, 81.7 -> 9.3 MiB.
 _STACK_ENTRIES = 64 * 11 ** 2
+_STEP_FRACTION = 0.99     # of the fraction-to-boundary length the corrector steps
+_MAX_ITERATIONS = 200
 
 
 class SdpStatus(enum.Enum):
@@ -58,18 +62,11 @@ class SdpSolverError(RuntimeError):
 @dataclass
 class SolverConfig:
     tolerance: float = 1e-8
-    max_iterations: int = 200
-    step_fraction: float = 0.99
 
     def __post_init__(self):
         # NaN would run every solve to the cap, inf stop every lane at once
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if not (0.0 < self.step_fraction < 1.0):
-            raise ValueError("step_fraction must lie in (0, 1)")
-        if (not isinstance(self.max_iterations, (int, np.integer))
-                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
-            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 @dataclass
@@ -157,58 +154,68 @@ class _Basis:
         return out
 
 
+def _lapack(name: str, mats: np.ndarray) -> np.ndarray:
+    """The gufunc under `np.linalg.<name>` (cholesky_lo, inv or eigvalsh_lo)
+    on a real or complex stack, without raising: a failed or non-finite
+    matrix gives a non-finite result."""
+    t = "D" if np.iscomplexobj(mats) else "d"
+    out = "d" if name == "eigvalsh_lo" else t
+    with np.errstate(all="ignore"):
+        return getattr(np.linalg._umath_linalg, name)(mats, signature=f"{t}->{out}")
+
+
 def _definite(mats: np.ndarray) -> np.ndarray:
     """Per Hermitian matrix of a stack, whether it passes a Cholesky
-    factorization. The gufunc under `np.linalg.cholesky` does not raise: a
-    failed or non-finite matrix's factor has a non-finite diagonal entry."""
-    with np.errstate(invalid="ignore"):
-        low = np.linalg._umath_linalg.cholesky_lo(mats, signature="D->D")
-    return np.isfinite(low.diagonal(0, -2, -1)).all(axis=-1)
+    factorization: a failed or non-finite matrix's factor has a non-finite
+    diagonal entry."""
+    return np.isfinite(_lapack("cholesky_lo", mats).diagonal(0, -2, -1)).all(axis=-1)
 
 
 def _boundary_steps(mats, d, ratio, caps, factors) -> list:
     """Fraction-to-boundary lengths min(ratio_j, -1/lambda_min(R_j D_j R_j^H))
     of positive definite M_j along D_j (a lambda_min of at least -1e-13 bounds
-    nothing); factors(js) gives the R_j (R_j M_j R_j^H = I) of the index list
-    js. A matrix with M_j + cap_j D_j positive definite takes an infinite
-    eigenvalue length without its eigenvalues or factor, so only
-    min(cap_j, length) is exact."""
+    nothing, a NaN one gives a zero length); factors(js) gives the R_j
+    (R_j M_j R_j^H = I) of the index list js. A matrix with M_j + cap_j D_j
+    positive definite takes an infinite eigenvalue length without its
+    eigenvalues or factor, so only min(cap_j, length) is exact."""
     lam = np.zeros(len(d))                          # a zero bounds nothing
     need = np.flatnonzero(~_definite(mats + np.asarray(caps)[:, None, None] * d)).tolist()
     if need:
         r = factors(need)
         w_d = r @ d[need] @ r.conj().swapaxes(-1, -2)
-        lam[need] = np.linalg.eigvalsh(0.5 * (w_d + w_d.conj().swapaxes(-1, -2))).min(axis=-1)
-    return [min(math.inf if lam_j >= -1e-13 else -1.0 / lam_j, r_j)
+        lam[need] = _lapack("eigvalsh_lo", 0.5 * (w_d + w_d.conj().swapaxes(-1, -2))).min(axis=-1)
+    return [0.0 if math.isnan(lam_j) else min(math.inf if lam_j >= -1e-13 else -1.0 / lam_j, r_j)
             for lam_j, r_j in zip(lam.tolist(), ratio)]
 
 
-def _inv_factor(mat: np.ndarray, alone: bool) -> np.ndarray:
+def _inv_factor(mat: np.ndarray) -> np.ndarray:
     """R with R mat R^H = I for each Hermitian positive definite matrix of a
-    stack: the inverse of its Cholesky factor. A failed stacked factorization
-    raises LinAlgError unless the stack is one lane's (alone); then each
-    matrix is factored by itself, retried with growing diagonal jitter and,
-    past that, given the factor of its pseudo-inverse from its
-    eigendecomposition, padded with zero rows."""
-    try:
-        return np.linalg.inv(np.linalg.cholesky(mat))
-    except np.linalg.LinAlgError:
-        if not alone:
-            raise
-    out = np.zeros_like(mat)
-    for one, r in zip(mat, out):
-        eye, scale = np.eye(len(one)), max(float(np.abs(one).max(initial=0.0)), 1e-300)
-        for jitter in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
-            try:
-                r[:] = np.linalg.inv(np.linalg.cholesky(one + jitter * scale * eye))
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            lam, vec = np.linalg.eigh(one)
-            keep = lam > np.finfo(float).eps * len(one) * max(float(lam[-1]), 0.0)
-            r[:keep.sum()] = (vec[:, keep] / np.sqrt(lam[keep])).conj().T
-    return out
+    stack: the inverse of its Cholesky factor. A finite matrix whose factor
+    is not finite takes `_jittered_factor`; a non-finite one keeps it."""
+    r = _lapack("inv", _lapack("cholesky_lo", mat))
+    for j in np.flatnonzero(~np.isfinite(r).all(axis=(-2, -1))).tolist():
+        if np.isfinite(mat[j]).all():
+            r[j] = _jittered_factor(mat[j])
+    return r
+
+
+def _jittered_factor(one: np.ndarray) -> np.ndarray:
+    """`_inv_factor` of one matrix with growing diagonal jitter, then `_pseudo_factor`."""
+    eye, scale = np.eye(len(one)), max(float(np.abs(one).max(initial=0.0)), 1e-300)
+    for jitter in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+        r = _lapack("inv", _lapack("cholesky_lo", one + jitter * scale * eye))
+        if np.isfinite(r).all():
+            return r
+    return _pseudo_factor(one)
+
+
+def _pseudo_factor(one: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse factor of one Hermitian matrix, padded with zero rows."""
+    lam, vec = np.linalg.eigh(one)
+    keep = lam > np.finfo(float).eps * len(one) * max(float(lam[-1]), 0.0)
+    r = np.zeros_like(one)
+    r[:keep.sum()] = (vec[:, keep] / np.sqrt(lam[keep])).conj().T
+    return r
 
 
 def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
@@ -231,8 +238,8 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
     -1/lambda_min(R D R^H), R the inverse Cholesky factor of the matrix (X or
     S) and D its direction (`_boundary_steps`). The eigenvalue matters only
     below a cap: the predictor steps min(1, length), so its cap is
-    min(1, the side's ratio), and the corrector steps min(1, step_fraction *
-    the smaller length), so its cap is min(1/step_fraction, both ratios).
+    min(1, the side's ratio), and the corrector steps min(1, _STEP_FRACTION *
+    the smaller length), so its cap is min(1/_STEP_FRACTION, both ratios).
     Every matrix of the stack is first tested at its cap by one stacked
     Cholesky factorization; one that stays positive definite skips the
     eigenvalues, and X's inverse factor is made only for an X that fails.
@@ -242,21 +249,21 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
     Each lane has its own step length and stopping tests (on its own Python
     floats). A lane that stops is frozen and leaves the active set. Every
     stacked product, BLAS dot and LAPACK call acts on each lane alone, so a
-    lane follows bitwise the iterates it follows when solved alone; if one
-    lane's failure aborts a stacked call (a failed factorization, say), that
-    step is taken lane by lane, with the `_inv_factor` fallbacks. A
-    numerical breakdown (non-finite or overflowing iterate, failed
-    factorization or a step below 1e-10) ends a lane with BREAKDOWN. Returns
-    per lane (x, xd, y, status, iterations, relative gap, residual, primal
-    objective).
+    lane follows bitwise the iterates it follows when solved alone. No
+    LAPACK call raises: a finite matrix that fails its factorization takes
+    the `_inv_factor` fallbacks, any other failure leaves a non-finite
+    direction or a zero step length, and a numerical breakdown (non-finite
+    or overflowing iterate or direction, or a step below 1e-10) ends a lane
+    with BREAKDOWN. Returns per lane (x, xd, y, status, iterations, relative
+    gap, residual, primal objective).
     """
     lanes, m = b.shape
     n, nd = basis.u.shape[0], vecs.shape[-1]
     nu = 2 * n + nd
     eye = np.eye(n)
     tol = cfg.tolerance
-    # The corrector's cap: every length above it gives step_fraction * length >= 1.
-    top = math.nextafter(1.0 / cfg.step_fraction, math.inf)
+    # The corrector's cap: every length above it gives _STEP_FRACTION * length >= 1.
+    top = math.nextafter(1.0 / _STEP_FRACTION, math.inf)
 
     def a_op(w, g):  # Re Tr(A_i G) for every lane and row
         return np.matvec(w.swapaxes(-1, -2), basis.diag(g))
@@ -294,31 +301,30 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
         if live.size:
             st = {key: val[~stop] for key, val in st.items()}
 
-    def newton(sel):
-        """Predictor-corrector step (dxs, dxsd, dy, step) of the lanes sel."""
-        xs, xsd, w, vecs = st["xs"][sel], st["xsd"][sel], st["w"][sel], st["vecs"][sel]
-        rd_mat, rd_vec, mu = st["rd_mat"][sel], st["rd_vec"][sel], st["mu"][sel]
+    def newton():
+        """Predictor-corrector step (dxs, dxsd, dy, step) of the active lanes."""
+        xs, xsd, w, vecs, rd_mat, rd_vec, mu = (st[key] for key in (
+            "xs", "xsd", "w", "vecs", "rd_mat", "rd_vec", "mu"))
         x, xd, sd = xs[:, 0], xsd[:, 0], xsd[:, 1]
-        alone = len(xs) == 1
         flat = xs.reshape(-1, n, n)         # X and S of each lane, interleaved
         # The inverse factors: every S's now, an X's when an X length fails
         # its screen.
         r_xs, made = np.empty_like(flat), [j % 2 == 1 for j in range(len(flat))]
-        r_xs[1::2] = _inv_factor(xs[:, 1], alone)
+        r_xs[1::2] = _inv_factor(xs[:, 1])
         s_inv = r_xs[1::2].conj().swapaxes(-1, -2) @ r_xs[1::2]
         sd_inv = 1.0 / sd
         big_m = 0.5 * (w.swapaxes(-1, -2)
                        @ (basis.gram(x) * basis.gram(s_inv).swapaxes(-1, -2)).real @ w)
         if nd:
             big_m += (vecs * (xd * sd_inv)[:, None, :]) @ vecs.swapaxes(-1, -2)
-        r_m = _inv_factor(0.5 * (big_m + big_m.swapaxes(-1, -2)), alone)
+        r_m = _inv_factor(0.5 * (big_m + big_m.swapaxes(-1, -2)))
         x_rd = x @ rd_mat
 
         def direction(taumu, h_mat, h_vec):
             tm_mat, tm_vec = taumu[:, None, None], taumu[:, None]
             g_mat = (tm_mat * eye - h_mat - x_rd) @ s_inv
             g_vec = (tm_vec - h_vec - xd * rd_vec) * sd_inv
-            rhs = a_op(w, g_mat) - st["b"][sel]
+            rhs = a_op(w, g_mat) - st["b"]
             if nd:
                 rhs = rhs + np.matvec(vecs, g_vec)
             dy = np.matvec(r_m.swapaxes(-1, -2), np.matvec(r_m, rhs))
@@ -333,7 +339,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
         def factors(js):  # the inverse factors of the matrices js (a list) of flat
             new = [j for j in js if not made[j]]
             if new:
-                r_xs[new] = _inv_factor(flat[new], alone)
+                r_xs[new] = _inv_factor(flat[new])
                 for j in new:
                     made[j] = True
             return r_xs[js]
@@ -358,20 +364,12 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
         sigma = np.array([min(1.0, max(0.0, r ** 3)) for r in (mu_aff / mu).tolist()])
         d_mat, d_vec, dy = direction(sigma * mu, da_mat[:, 0] @ da_mat[:, 1],
                                      da_vec[:, 0] * da_vec[:, 1])
-        step = [min(1.0, cfg.step_fraction * min(t_p, t_d)) for t_p, t_d in max_steps(
+        step = [min(1.0, _STEP_FRACTION * min(t_p, t_d)) for t_p, t_d in max_steps(
             d_mat, d_vec, lambda r_p, r_d: (min(top, r_p, r_d),) * 2)]
         return d_mat, d_vec, dy, np.array(step)
 
-    def lane_newton(i):
-        """The newton step of lane i alone, or a NaN one (a breakdown) if it fails."""
-        try:
-            return newton(slice(i, i + 1))
-        except np.linalg.LinAlgError:
-            return (np.full_like(st["xs"][i:i + 1], np.nan), st["xsd"][i:i + 1],
-                    st["y"][i:i + 1], np.ones(1))
-
     it = 0
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         xs, xsd, y, w, vecs, b = (st[key] for key in ("xs", "xsd", "y", "w", "vecs", "b"))
         x, s, xd, sd = xs[:, 0], xs[:, 1], xsd[:, 0], xsd[:, 1]
         gap = 2.0 * _dot(x, s) + np.vecdot(xd, sd)
@@ -410,7 +408,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
                     rays.append(i)
         if farkas:
             # Farkas test: A*(y) >= 0 with b.y < 0 certifies primal infeasibility.
-            lam = (np.linalg.eigvalsh(ys_mat[farkas]).min(axis=-1) / ny[farkas]).tolist()
+            lam = (_lapack("eigvalsh_lo", ys_mat[farkas]).min(axis=-1) / ny[farkas]).tolist()
             low = (ys_vec[farkas].min(axis=-1) / ny[farkas]).tolist() if nd else lam
             for i, lam_i, low_i in zip(farkas, lam, low):
                 why[i] = SdpStatus.INFEASIBLE if min(lam_i, low_i) >= -1e-9 else None
@@ -426,10 +424,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
             if not live.size:
                 break
 
-        try:
-            out = newton(slice(None))
-        except np.linalg.LinAlgError:
-            out = [np.concatenate(col) for col in zip(*map(lane_newton, range(live.size)))]
+        out = newton()
         usable = (np.isfinite(out[0]).all(axis=(1, 2, 3)) & np.isfinite(out[2]).all(axis=1)
                   & ~(out[3] < 1e-10))
         if not usable.all():

@@ -16,7 +16,8 @@ boundary points per CPU), so every other figure is a time on one CPU:
   on the same scenario (grid 20, T_alpha 80), recorded with its points solved
   in this process, as one region's batches reach `solve_batch`; with the
   share of step lengths at n = 11 that the Cholesky screen settles without
-  eigenvalues.
+  eigenvalues, and the matrices whose inverse Cholesky factor took the
+  jitter ladder and the eigendecomposition of `sdp._inv_factor`.
 * one-lane ms per iteration at N in {30, 60, 100}: the multicast-bound and
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
   scenario seeds 0 and 1, with the share of predictor and of corrector step
@@ -81,7 +82,7 @@ def lane_rows(repeats: int) -> None:
 def region_batch_row(repeats: int) -> None:
     batches = [batch for batch in cct_region_batches(20)
                if not batch.n_scalars and (batch.sense == -1).any()]
-    iterations, calls = screened_solves(batches)
+    iterations, calls, (jittered, eigh) = screened_solves(batches)
 
     def run():
         for batch in batches:
@@ -89,7 +90,8 @@ def region_batch_row(repeats: int) -> None:
     ms = 1e3 * best_of(repeats, run) / iterations
     print(f"n=11   cct region floored batches ms per lane-iteration {ms:8.4f}"
           f"   ({sum(len(batch.bounds) for batch in batches)} lanes in {len(batches)} batches,"
-          f" {iterations} lane-iterations; screen settles {share(sum(calls, []))} lengths)")
+          f" {iterations} lane-iterations; screen settles {share(sum(calls, []))} lengths;"
+          f" inverse factors by jitter {jittered}, by eigendecomposition {eigh})")
 
 
 def one_lane_rows(repeats: int) -> None:
@@ -100,7 +102,7 @@ def one_lane_rows(repeats: int) -> None:
             ch = generate_channels(config)
             batches += recorded_batches(lambda: (algorithms.multicast_upper_bound(ch, P),
                                                  algorithms.secrecy_covariance(ch, P)))
-        iterations, calls = screened_solves(batches)
+        iterations, calls, _ = screened_solves(batches)
         # one lane screens its predictor lengths in one call, then its corrector ones
         predictor, corrector = sum(calls[0::2], []), sum(calls[1::2], [])
 
@@ -118,22 +120,33 @@ def share(flags) -> str:
 
 
 def screened_solves(batches):
-    """The summed lane-iterations of the batches, and the outcomes of the
+    """The summed lane-iterations of the batches; the outcomes of the
     Cholesky screens of their step lengths, one list per `sdp._definite`
-    call in call order."""
-    calls, real = [], sdp._definite
+    call in call order; and how many matrices took the jitter ladder and
+    how many the eigendecomposition of `sdp._inv_factor`."""
+    calls, taken = [], {"_jittered_factor": 0, "_pseudo_factor": 0}
+    real = {name: getattr(sdp, name) for name in ("_definite", *taken)}
 
     def definite(mats):
-        flags = real(mats)
+        flags = real["_definite"](mats)
         calls.append(flags.tolist())
         return flags
 
+    def counted(name):
+        def factor(one):
+            taken[name] += 1
+            return real[name](one)
+        return factor
+
     sdp._definite = definite
+    for name in taken:
+        setattr(sdp, name, counted(name))
     try:
         iterations = sum(sol.iterations for batch in batches for sol in sdp.solve_batch(batch))
     finally:
-        sdp._definite = real
-    return iterations, calls
+        for name, func in real.items():
+            setattr(sdp, name, func)
+    return iterations, calls, tuple(taken.values())
 
 
 def grp_round_row(repeats: int) -> None:

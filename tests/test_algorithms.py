@@ -733,6 +733,25 @@ def test_algorithms_reject_a_count_that_is_no_integer_or_too_small(entry, name, 
     assert not calls
 
 
+@pytest.mark.parametrize("scheme", ["cct", "no-irs", "tdma", "wscm"])
+@pytest.mark.parametrize("power", [math.nan, -1.0, 0.0, math.inf])
+def test_sweep_region_rejects_a_power_that_is_not_finite_and_positive(scheme, power):
+    # unchecked, a NaN power ends in a solver breakdown, a negative one in an
+    # infeasibility verdict
+    ch = rand_channelset(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^power must be finite and positive"):
+        sweep_region(ch, power, scheme, 4, SweepParams(t_alpha=5, t_g=10))
+
+
+@pytest.mark.parametrize("scheme", ["no-irs", "tdma", "cct"])
+@pytest.mark.parametrize("grid", [1, 2.5, True, "4"])
+def test_sweep_region_rejects_a_grid_that_is_no_integer_of_at_least_two(scheme, grid):
+    # unchecked, a fractional grid reaches np.linspace as a TypeError
+    ch = rand_channelset(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^grid_points must be an integer of at least 2"):
+        sweep_region(ch, P, scheme, grid, SweepParams(t_alpha=5, t_g=10))
+
+
 def test_sweep_wscm_floors_share_one_stream():
     # Every floor scores the same draws, so each point of a wscm region is the
     # single-floor run on the region's stream (seed, 0).

@@ -362,3 +362,15 @@ def test_channelset_validates_shapes():
         ChannelSet(g=np.ones(3), m=np.ones((2, 2)), h=np.ones(2), sigma2=np.ones(2))
     with pytest.raises(ValueError):
         ChannelSet(g=np.ones(2), m=np.ones((2, 2)), h=np.ones(2), sigma2=np.array([1.0, 0.0]))
+    # a NaN noise power passes a test for <= 0; unchecked, it and any
+    # non-finite entry reach the solver as a numerical breakdown
+    for sigma2 in ([math.nan, 1e-11], [math.inf, 1e-11]):
+        with pytest.raises(ValueError, match="noise powers"):
+            ChannelSet(g=np.ones(2), m=np.ones((2, 2)), h=np.ones(2), sigma2=sigma2)
+    for field in ("g", "m", "h"):
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            data = {"g": np.ones(2, complex), "m": np.ones((2, 2), complex),
+                    "h": np.ones(2, complex)}
+            data[field].flat[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ChannelSet(**data, sigma2=np.ones(2))

@@ -8,7 +8,7 @@ import pytest
 
 from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
-from irssec.sdp import SdpBatch, SdpSolution, SdpStatus, SolverConfig, solve_batch
+from irssec.sdp import SdpBatch, SdpSolution, SdpStatus, solve_batch
 
 from sdp_forms import (cct_region_batches, dense_batch, lanes_of, random_hermitian,
                        recorded_batches)
@@ -73,13 +73,14 @@ def test_factored_rows_match_dense_rows(config, runs):
             assert sign * y >= -1e-6 * scale
 
 
-def test_breakdown_is_not_reported_as_max_iterations():
+def test_breakdown_is_not_reported_as_max_iterations(monkeypatch):
     # a step fraction this small makes the first step fall below the 1e-10
     # breakdown threshold, long before the iteration cap
+    monkeypatch.setattr(sdp, "_STEP_FRACTION", 1e-12)
     batch = dense_batch(np.diag([3.0, 2.0, 1.0]).astype(complex), [(np.eye(3), "==", 1.0)])
-    sol = solve_batch(batch, SolverConfig(step_fraction=1e-12))[0]
+    sol = solve_batch(batch)[0]
     assert sol.status is SdpStatus.BREAKDOWN
-    assert sol.iterations == 1 < SolverConfig().max_iterations
+    assert sol.iterations == 1 < sdp._MAX_ITERATIONS
 
 
 @pytest.mark.parametrize("status", [SdpStatus.BREAKDOWN, SdpStatus.MAX_ITERATIONS])
@@ -201,42 +202,62 @@ def test_lane_whose_row_scale_overflows_breaks_down_alone():
         assert_bitwise_equal(got, ref)
 
 
-def test_inv_factor_falls_back_matrix_by_matrix_for_one_lane():
+def test_inv_factor_falls_back_matrix_by_matrix_in_a_stack():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     definite = a @ a.conj().T + np.eye(4)
     indefinite = np.diag([1.0, 2.0, -1.0, 3.0]).astype(complex)
     stack = np.array([definite, np.outer(a[:, 0], a[:, 0].conj()), indefinite])
-    # a stack of several lanes leaves the failure to the lane-by-lane retry
+    # the whole stack in one call, where np.linalg.cholesky raises on it
     with pytest.raises(np.linalg.LinAlgError):
-        sdp._inv_factor(stack, alone=False)
-    factors = sdp._inv_factor(stack, alone=True)
+        np.linalg.cholesky(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = sdp._inv_factor(stack)
     for one, got in zip(stack, factors):
-        assert np.array_equal(got, sdp._inv_factor(one[None], alone=True)[0])
+        assert np.array_equal(got, sdp._inv_factor(one[None])[0])
     assert np.array_equal(factors[0], np.linalg.inv(np.linalg.cholesky(definite)))
+    # the rank-one matrix takes a jitter rung: a full-rank factor, no zero row
+    assert np.abs(factors[1]).sum(axis=1).all()
     # past the jitter ladder: the pseudo-inverse factor of the positive part,
     # padded with a zero row
     assert np.allclose(factors[2].conj().T @ factors[2], np.diag([1.0, 0.5, 0.0, 1.0 / 3.0]))
     assert not factors[2][-1].any()
 
 
-def test_lane_by_lane_steps_match_the_stacked_ones(monkeypatch):
-    # when a stacked factorization fails, the iteration's step is taken lane by
-    # lane; forcing that path everywhere leaves every lane's history unchanged,
-    # at n = 11 and at n = 31
-    batches = [point_batch(), screened_batch()]
-    stacked = [solve_batch(batch) for batch in batches]
-    real = sdp._inv_factor
+def test_inv_factor_gives_a_non_finite_matrix_no_jitter(monkeypatch):
+    # its non-finite factor stays, so that its lane ends as BREAKDOWN
+    monkeypatch.setattr(sdp, "_jittered_factor", None)
+    stack = np.array([np.eye(3), np.eye(3)], dtype=complex)
+    stack[1, 2, 0] = math.nan
+    factors = sdp._inv_factor(stack)
+    assert np.array_equal(factors[0], np.eye(3)) and np.isnan(factors[1]).all()
 
-    def failing_on_stacks(mat, alone):
-        if not alone:
-            raise np.linalg.LinAlgError("forced")
-        return real(mat, alone)
 
-    monkeypatch.setattr(sdp, "_inv_factor", failing_on_stacks)
-    for batch, sols in zip(batches, stacked):
-        for got, ref in zip(solve_batch(batch), sols, strict=True):
-            assert_bitwise_equal(got, ref)
+def test_stack_whose_schur_complement_fails_its_factorization_matches_each_lane_alone(
+        monkeypatch):
+    # a stack of a cct region's n = 11 lanes in which one Schur complement
+    # fails its stacked Cholesky factorization and takes the jitter ladder
+    batch = cct_region_batches(20)[3]
+    width = sdp._stack_width(batch.basis.shape[0])
+    jittered, real = [], sdp._jittered_factor
+
+    def jittered_factor(one):
+        jittered.append(len(one))
+        return real(one)
+
+    monkeypatch.setattr(sdp, "_jittered_factor", jittered_factor)
+    for at in range(0, len(batch.bounds), width):
+        stack = lanes_of(batch, slice(at, at + width))
+        sols = solve_batch(stack)
+        if jittered:
+            break
+    else:
+        raise AssertionError("no factorization of the batch failed")
+    # the m x m Schur complement: one row per constraint, no scalars
+    assert jittered == [batch.rows.shape[1]] * len(jittered)
+    for lane, sol in enumerate(sols):
+        assert_bitwise_equal(sol, solved_alone(stack, lane))
 
 
 def charnes_cooper_batch(lanes):
@@ -311,6 +332,19 @@ def test_definite_flags_each_matrix_of_a_stack():
     assert np.isnan(np.linalg.cholesky(stack[2])).any()
     for one, flag in zip(stack, flags):
         assert sdp._definite(one[None]).tolist() == [flag]
+    # the other two gufuncs of the step give a non-finite result for a
+    # non-finite (or, inv, a singular) matrix, and np.linalg's for the others
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = sdp._lapack("inv", stack)
+        lam = sdp._lapack("eigvalsh_lo", stack)
+        lam_real = sdp._lapack("eigvalsh_lo", stack.real)
+    assert np.isfinite(inv).all(axis=(1, 2)).tolist() == [True, False, False, False]
+    assert np.isfinite(lam).all(axis=1).tolist() == [True, True, False, False]
+    assert np.isfinite(lam_real).all(axis=1).tolist() == [True, True, False, False]
+    assert np.array_equal(inv[0], np.linalg.inv(stack[0]))
+    assert np.array_equal(lam[:2], np.linalg.eigvalsh(stack[:2]))
+    assert np.array_equal(lam_real[:2], np.linalg.eigvalsh(stack[:2].real))
 
 
 def test_stacks_hold_64_lanes_at_n11_and_one_at_n101(monkeypatch):
@@ -371,6 +405,17 @@ def test_screened_step_lengths_give_the_eigenvalue_steps(monkeypatch):
             assert min(1.0, fraction * got) == min(1.0, fraction * ref)
         else:
             assert min(1.0, got) == min(1.0, ref)
+
+
+def test_boundary_step_is_zero_along_a_nan_direction():
+    # the NaN eigenvalue of a NaN direction gives a zero length, so that the
+    # step falls below the breakdown threshold in that iteration
+    mats = np.array([np.eye(3), np.eye(3)], dtype=complex)
+    ds = -0.5 * mats
+    ds[1, 0, 1] = math.nan
+    steps = sdp._boundary_steps(mats, ds, [math.inf] * 2, [4.0] * 2,
+                                lambda js: np.linalg.inv(np.linalg.cholesky(mats[js])))
+    assert steps == [2.0, 0.0]
 
 
 def test_screened_lanes_match_solving_each_program_alone():
