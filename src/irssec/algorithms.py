@@ -85,12 +85,13 @@ def _check_counts(**counts) -> None:
 
 
 class _Lifted:
-    """Gain-normalized lifted data and the two program shapes, built as
-    `SdpBatch` arrays: the max-min SNR program and one Charnes-Cooper program
-    per confidential power. Every matrix is a weight vector over the basis
-    [e_1 ... e_N+1, u_1 ... u_K] of unit vectors and user lifts
-    T_k = u_k u_k^H, so a I + b T_k weighs the first N+1 columns by a and
-    column N+1+k by b; no T_k is formed densely."""
+    """Gain-normalized lifted data and the library's one program shape,
+    built as `SdpBatch` arrays: PSD Y with a constant diagonal (the tie rows
+    Y_ii = Y_N+1,N+1, i <= N) and rows a I + b T_k, for the max-min SNR
+    program and one Charnes-Cooper program per confidential power. Every
+    matrix is a weight vector over the basis [e_1 ... e_N+1, u_1 ... u_K] of
+    unit vectors and user lifts T_k = u_k u_k^H, so a I + b T_k weighs the
+    first N+1 columns by a and column N+1+k by b; no T_k is formed densely."""
 
     def __init__(self, ch: ChannelSet, p: float):
         if not 0.0 < p < math.inf:
@@ -106,19 +107,21 @@ class _Lifted:
         self.sigma2 = ch.sigma2 / self.gain_scale
         self.aligned2 = self.aligned2_raw / self.gain_scale
         self.traces = (np.abs(lifts) ** 2).sum(axis=0)
+        self.ties = np.hstack([np.eye(self.n), -np.ones((self.n, 1)), np.zeros((self.n, self.k))])
 
-    def max_min_batch(self, users: np.ndarray, weights: np.ndarray) -> SdpBatch:
-        """One lane: max s_scale s over unit-diagonal PSD Z and s >= 0 s.t.
-        weights_k Tr(Z T_k) >= s_scale s, k in users; s_scale keeps s order one."""
+    def max_min_batch(self, users: np.ndarray, weights: np.ndarray, s_scale: float) -> SdpBatch:
+        """One lane: min Tr(Y)/(N+1) over PSD Y with a constant diagonal s.t.
+        Tr(Y T_k) / Tr(T_k) >= s_scale / (weights_k Tr(T_k)), k in users:
+        unit-norm rows whose bounds are free of P. Z = Y / Y_11 attains the
+        max-min SNR s_scale / Y_11."""
         n1, n_users = self.n + 1, len(users)
-        s_scale = max(float(np.max(weights * np.maximum(self.traces[users], 0.0))), 1e-30)
-        rows = np.zeros((n_users + n1, self.basis.shape[1]))
-        rows[np.arange(n_users), n1 + users] = weights
-        rows[n_users:, :n1] = np.eye(n1)
-        counts = [n_users, n1]
-        return SdpBatch(self.basis, np.zeros((1, rows.shape[1])), rows[None],
-                        np.repeat([0.0, 1.0], counts)[None], np.repeat([-1, 0], counts),
-                        np.repeat([-s_scale, 0.0], counts)[None, :, None], np.array([s_scale]))
+        rows = np.zeros((n_users + self.n, self.basis.shape[1]))
+        rows[np.arange(n_users), n1 + users] = 1.0 / self.traces[users]
+        rows[n_users:] = self.ties
+        objective = np.repeat([-1.0 / n1, 0.0], [n1, self.k])[None]
+        bounds = np.concatenate([s_scale / (weights * self.traces[users]), np.zeros(self.n)])
+        return SdpBatch(self.basis, objective, rows[None], bounds[None],
+                        np.repeat([-1, 0], [n_users, self.n]))
 
     def cct_batch(self, floors, alphas, eav_snr: float):
         """(batch, keep): one Charnes-Cooper lane per pair (r_m, alpha) of
@@ -136,7 +139,8 @@ class _Lifted:
         c = np.array([2.0 ** float(r) for r in floors])     # Python's pow, as `_repair`
         keep = np.ones(alphas.size, dtype=bool)
         if floored:
-            keep = (self.p - alphas * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
+            with np.errstate(over="ignore"):
+                keep = (self.p - alphas * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
         a, c = alphas[keep, None], c[keep, None]
         # The objective, then the rows, each weight affine in alpha.
         m = (k - 1) * (1 + floored) + self.n
@@ -147,14 +151,12 @@ class _Lifted:
         if floored:
             weights[:, k - 1 + eav, :n1] = (-(c - 1.0) * self.sigma2[eav] / n1)[..., None]
             weights[:, k - 1 + eav, n1 + eav] = self.p + a * -c
-        weights[:, -self.n:, :self.n] = np.eye(self.n)
-        weights[:, -self.n:, self.n] = -1.0
+        weights[:, -self.n:] = self.ties
         beta0 = np.maximum((s1 + weights[:, eav, n1 + eav] * self.traces[eav]).max(axis=1), 1e-30)
         bounds = np.zeros((len(weights), m))
         bounds[:, :k - 1] = beta0[:, None]
         sense = np.repeat([1, -1, 0], [k - 1, m - self.n - (k - 1), self.n])
-        return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense,
-                        np.zeros((len(weights), m, 0)), np.zeros(0)), keep
+        return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense), keep
 
 
 def _solution_usable(sol) -> bool:
@@ -181,29 +183,34 @@ def _psd_shift(mat: np.ndarray) -> float:
 
 def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     """Max over unit-diagonal PSD Z of min over `users` of weights_k Tr(Z T_k)
-    in ctx units, as (value, Z): Z is the primal and value the smaller of two
-    certified upper bounds, so it never lies below the relaxed maximum.
+    in ctx units, as (value, Z), solved as `_Lifted.max_min_batch`: Z is
+    Y / Y_11 of the primal Y and value the smaller of two certified upper
+    bounds, so it never lies below the relaxed maximum.
 
-    * the dual objective: multipliers mu_k >= 0 on the users and w on the
-      unit diagonal bound the value by (sum(w) + (N+1) t) / sum(mu), with t
-      lifting diag(w) - sum_k mu_k weights_k T_k to PSD;
-    * the closed form min_k weights_k |aligned gain_k|^2, since Tr(Z T_k)
-      never exceeds it. It is exact whenever one user's aligned gain binds,
-      as with a single user or no reflection.
+    * the dual: multipliers mu_k >= 0 on the user rows, whose bounds are b,
+      and t lifting the dual slack to PSD give every feasible Y the diagonal
+      Y_11 >= b.mu / (1 + (N+1) t): the value is s_scale / Y_11 at most;
+    * the closed form s_scale = min_k weights_k |aligned gain_k|^2, since
+      Tr(Z T_k) never exceeds it. It is exact whenever one user's aligned
+      gain binds, as with a single user or no reflection. As the program's
+      unit it puts Y_11 in [1, N+1] (Z = I is feasible).
 
+    A user without aligned gain makes the value 0, with Z = I and no solve.
     A failed solve raises SdpSolverError.
     """
-    batch = ctx.max_min_batch(users, weights)
+    s_scale = float(np.min(weights * ctx.aligned2[users]))
+    if s_scale <= 0.0:
+        return 0.0, np.eye(ctx.n + 1, dtype=complex)
+    batch = ctx.max_min_batch(users, weights, s_scale)
     sol = solve_batch(batch)[0]
     if not _solution_usable(sol):
         raise SdpSolverError(f"max-min SNR solve failed: {sol.status.value}")
     slack, y = _dual_slack(sol, batch, 0)
-    mu_sum = -float(y[:len(users)].sum())
+    dual_obj = -float(batch.bounds[0] @ y)
     dual_snr = math.inf
-    if mu_sum > 0:
-        dual_snr = (float(y[len(users):].sum()) + (ctx.n + 1) * _psd_shift(slack)) / mu_sum
-    aligned_snr = float(np.min(weights * ctx.aligned2[users]))
-    return max(min(dual_snr, aligned_snr), 0.0), sol.matrix
+    if dual_obj > 0:
+        dual_snr = s_scale * (1.0 + (ctx.n + 1) * _psd_shift(slack)) / dual_obj
+    return max(min(dual_snr, s_scale), 0.0), sol.matrix / sol.matrix[0, 0].real
 
 
 def multicast_upper_bound(ch: ChannelSet, p: float):

@@ -49,10 +49,9 @@ class RunSpec:
     pareto_filter: bool = True
 
     def __post_init__(self):
-        for flag, value, least in (("--grid", self.grid_points, 2), ("--t-alpha", self.t_alpha, 2),
-                                   ("--t-lambda", self.t_lambda, 2), ("--t-g", self.t_g, 1),
-                                   ("--seed", self.seed, 0)):
-            if value < least:
+        for name, least in {**algorithms._LEAST, "seed": 0}.items():
+            if getattr(self, name) < least:
+                flag = "--" + ("grid" if name == "grid_points" else name.replace("_", "-"))
                 raise CliError(f"{flag} must be at least {least}")
         if self.scheme not in algorithms.SCHEMES:
             raise CliError(f"unknown scheme {self.scheme!r}; pick from {algorithms.SCHEMES}")

@@ -2,14 +2,14 @@
 
 The solver takes an `SdpBatch`: L programs of one shape, lane l being
 
-    max  Tr(C_l X) + c.u
-    s.t. Tr(A_li X) + a_li.u  {<=,==,>=}_i  b_li,   X >= 0 (PSD),  u >= 0,
+    max  Tr(C_l X)
+    s.t. Tr(A_li X)  {<=,==,>=}_i  b_li,   X >= 0 (PSD),
 
-with X a Hermitian matrix variable, u an optional vector of nonnegative
-scalars (epigraph variables) and every data matrix F diag(w) F^H for a weight
-vector w over one shared column basis F. `solve_batch` runs the lanes in
-lockstep along a leading lane axis through an infeasible-start primal-dual
-path-following method on the complex iterate: XZ (HKM) scaling, Mehrotra
+with X a Hermitian matrix variable and every data matrix F diag(w) F^H for
+a weight vector w over one shared column basis F; each inequality row gets
+a nonnegative slack. `solve_batch` runs the lanes in lockstep along a
+leading lane axis through an infeasible-start primal-dual path-following
+method on the complex iterate: XZ (HKM) scaling, Mehrotra
 predictor-corrector, one fraction-to-boundary step length shared by the
 primal and dual iterates, and the Schur complement M = 1/2 W^T Re(P o Q^T) W
 from the factors (P = F^H X F, Q = F^H S^-1 F, W the row weights), never
@@ -25,8 +25,9 @@ stopping tests, and a lane that stops leaves the stack, so every lane
 follows bitwise the iterates it follows alone. The lanes run in stacks of
 `_stack_width` lanes in the calling process, and a stack's outputs depend
 only on its own lanes. `solve_batch` is the solver's one entry point; the
-library builds its two program shapes (max-min SNR and Charnes-Cooper) as
-batches.
+library builds its one program shape, a PSD block held to a constant
+diagonal with rows a I + b T_k (the max-min SNR bound and the
+Charnes-Cooper lanes), as batches.
 """
 from __future__ import annotations
 
@@ -75,21 +76,15 @@ class SdpBatch:
     matrix a weight vector over the columns of ``basis`` (n, R):
     ``objective`` (L, R) holds the C_l, ``rows`` (L, m, R) the A_li and
     ``bounds`` (L, m) the b_li. ``sense`` (m,) is each row's relation, +1 for
-    <=, 0 for == and -1 for >=. ``scalar_rows`` (L, m, p) and
-    ``scalar_objective`` (p,) hold the a_li and the c shared by every lane;
-    p may be 0. A minimization is the maximization of the negated objective."""
+    <=, 0 for == and -1 for >=; each inequality row's slack enters the
+    solver as a nonnegative variable. A minimization is the maximization of
+    the negated objective."""
 
     basis: np.ndarray
     objective: np.ndarray
     rows: np.ndarray
     bounds: np.ndarray
     sense: np.ndarray
-    scalar_rows: np.ndarray
-    scalar_objective: np.ndarray
-
-    @property
-    def n_scalars(self) -> int:
-        return self.scalar_rows.shape[-1]
 
 
 @dataclass
@@ -100,16 +95,15 @@ class SdpSolution:
     duality_gap: float
     residuals: float
     iterations: int
-    scalars: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _embedded_norms(gram2, w, vecs) -> np.ndarray:
-    """Frobenius norms of rows F diag(w_i) F^H (+ a_i) in the real symmetric
-    embedding 1/2 [[Re, -Im], [Im, Re]]: sqrt(|A_i|_F^2 / 2 + |a_i|^2).
-    Leading axes of w and vecs are lanes."""
-    frob2 = np.maximum((w * (gram2 @ w)).sum(axis=-2), 0.0)
-    return np.sqrt(0.5 * frob2 + (vecs ** 2).sum(axis=-1))
+def _embedded_norms(gram2, w, vecs=None) -> np.ndarray:
+    """Frobenius norms of rows F diag(w_i) F^H (+ slack coefficients a_i) in
+    the real symmetric embedding 1/2 [[Re, -Im], [Im, Re]]:
+    sqrt(|A_i|_F^2 / 2 + |a_i|^2). Leading axes of w and vecs are lanes."""
+    frob2 = 0.5 * np.maximum((w * (gram2 @ w)).sum(axis=-2), 0.0)
+    return np.sqrt(frob2 if vecs is None else frob2 + (vecs ** 2).sum(axis=-1))
 
 
 def _dot(a, b) -> np.ndarray:
@@ -190,12 +184,14 @@ def _boundary_steps(mats, d, ratio, caps, factors) -> list:
 
 def _inv_factor(mat: np.ndarray) -> np.ndarray:
     """R with R mat R^H = I for each Hermitian positive definite matrix of a
-    stack: the inverse of its Cholesky factor. A finite matrix whose factor
-    is not finite takes `_jittered_factor`; a non-finite one keeps it."""
-    r = _lapack("inv", _lapack("cholesky_lo", mat))
-    for j in np.flatnonzero(~np.isfinite(r).all(axis=(-2, -1))).tolist():
-        if np.isfinite(mat[j]).all():
-            r[j] = _jittered_factor(mat[j])
+    stack: the inverse of its Cholesky factor. A matrix whose factor (read on
+    its diagonal, as in `_definite`) or R is not finite takes `_jittered_factor`
+    if it is finite, else a NaN R (LAPACK inverts diag(1, inf, 1) to diag(1, 0, 1))."""
+    c = _lapack("cholesky_lo", mat)
+    r = _lapack("inv", c)
+    ok = np.isfinite(c.diagonal(0, -2, -1)).all(axis=-1) & np.isfinite(r).all(axis=(-2, -1))
+    for j in np.flatnonzero(~ok).tolist():
+        r[j] = _jittered_factor(mat[j]) if np.isfinite(mat[j]).all() else math.nan
     return r
 
 
@@ -218,18 +214,18 @@ def _pseudo_factor(one: np.ndarray) -> np.ndarray:
     return r
 
 
-def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> list:
+def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
     """Infeasible-start HKM predictor-corrector on factored complex data, in
     lockstep over a leading lane axis.
 
-    Lane l solves max Tr(C X) + c.u s.t. Tr(A_i X) + a_i.u = b_i, X PSD,
-    u >= 0, with A_i = F diag(w[l, :, i]) F^H, C = F diag(c_w[l]) F^H,
-    a_i = vecs[l, i], b = b[l] and c = c_vec[l]; the basis F and gram2 =
-    |F^H F|^2 are shared, and every product with F goes through `_Basis`,
-    which reads F's identity block instead of multiplying by it. The dual
-    slack is kept halved, S = (A*(y) - C)/2, and mu is the gap
-    2 Re Tr(XS) + xd.sd over nu = 2n + nd: the scaling of the program's real
-    symmetric embedding, whose HKM iterates these are. Primal and dual take
+    Lane l solves max Tr(C X) s.t. Tr(A_i X) + a_i.u = b_i, X PSD, u >= 0,
+    with A_i = F diag(w[l, :, i]) F^H, C = F diag(c_w[l]) F^H, b = b[l] and
+    a_i = vecs[l, i] the coefficients of the inequality slacks u; the basis
+    F and gram2 = |F^H F|^2 are shared, and every product with F goes
+    through `_Basis`, which reads F's identity block instead of multiplying
+    by it. The dual slack is kept halved, S = (A*(y) - C)/2, and mu is the
+    gap 2 Re Tr(XS) + xd.sd over nu = 2n + nd: the scaling of the program's
+    real symmetric embedding, whose HKM iterates these are. Primal and dual take
     one common step, the smaller of their two fraction-to-boundary lengths,
     so both residuals shrink by the same factor (with separate lengths the
     dual can run ahead while the primal residual never closes).
@@ -272,7 +268,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
         return basis.expand(np.matvec(w, v))
 
     a_norms = _embedded_norms(gram2, w, vecs)
-    norm_c = _embedded_norms(gram2, c_w[..., None], c_vec[:, None, :])[:, 0]
+    norm_c = _embedded_norms(gram2, c_w[..., None])[:, 0]
     least = max(10.0, math.sqrt(2 * n))
     # fmax skips a NaN as Python's max does, so the start is the one-lane one
     xi = np.fmax(least, (2 * n * (1.0 + np.abs(b)) / (1.0 + a_norms)).max(axis=-1, initial=0.0))
@@ -282,7 +278,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
     # that both step searches are one call.
     st = {"xs": start[:, :, None, None] * eye.astype(complex),
           "xsd": start[:, :, None] * np.ones(nd), "y": np.zeros((lanes, m)), "w": w,
-          "vecs": vecs, "b": b, "half_c": 0.5 * basis.expand(c_w), "c_vec": c_vec,
+          "vecs": vecs, "b": b, "half_c": 0.5 * basis.expand(c_w),
           "norm_b": np.sqrt(np.vecdot(b, b)), "norm_c": norm_c,
           "relgap": np.full(lanes, np.inf), "resid": np.full(lanes, np.inf)}
     live, done = np.arange(lanes), [None] * lanes
@@ -292,7 +288,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
         nonlocal st, live
         stop = np.array([stat is not None for stat in why], dtype=bool)
         x, xd = st["xs"][stop, 0], st["xsd"][stop, 0]
-        pobj = 2.0 * _dot(st["half_c"][stop], x) + np.vecdot(st["c_vec"][stop], xd)
+        pobj = 2.0 * _dot(st["half_c"][stop], x)
         stats = zip(x, xd, st["y"][stop], [stat for stat in why if stat is not None],
                     st["relgap"][stop].tolist(), st["resid"][stop].tolist(), pobj.tolist())
         for lane, (x_l, xd_l, y_l, stat, relgap, resid, pobj_l) in zip(live[stop].tolist(), stats):
@@ -381,8 +377,8 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, c_vec, cfg: SolverConfig) -> lis
         ys_mat = 0.5 * a_adj(w, y)
         ys_vec = np.matvec(vecs.swapaxes(-1, -2), y)
         rd_mat = ys_mat - s - st["half_c"]
-        rd_vec = ys_vec - sd - st["c_vec"]
-        pobj = 2.0 * _dot(st["half_c"], x) + np.vecdot(st["c_vec"], xd)
+        rd_vec = ys_vec - sd
+        pobj = 2.0 * _dot(st["half_c"], x)
         dobj = np.vecdot(b, y)
         pres = np.sqrt(np.vecdot(rp, rp)) / (1.0 + st["norm_b"])
         dres = (np.sqrt(2.0 * _dot(rd_mat, rd_mat) + np.vecdot(rd_vec, rd_vec))
@@ -447,24 +443,23 @@ def _stack_width(n: int) -> int:
     return max(1, _STACK_ENTRIES // n ** 2)
 
 
-def _solve_stack(basis: _Basis, gram2, p: int, cfg: SolverConfig, w, vecs, b, c_w, c_vec) -> list:
+def _solve_stack(basis: _Basis, gram2, cfg: SolverConfig, w, vecs, b, c_w) -> list:
     """The SdpSolution of every lane of one stack: rows and objective
     equilibrated, one lockstep `_ipm` call, the scales undone."""
     sols = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         row_scale = np.maximum(_embedded_norms(gram2, w, vecs), 1e-300)
-        c_scale = _embedded_norms(gram2, c_w[:, :, None], c_vec[:, None, :])[:, 0]
+        c_scale = _embedded_norms(gram2, c_w[:, :, None])[:, 0]
         c_scale[c_scale < 1e-18] = 1.0
         done = _ipm(basis, gram2, w / row_scale[:, None, :], vecs / row_scale[..., None],
-                    b / row_scale, c_w / c_scale[:, None], c_vec / c_scale[:, None], cfg)
+                    b / row_scale, c_w / c_scale[:, None], cfg)
         for (x, xd, y, status, iters, relgap, resid, pobj), c_s, row_s in zip(
                 done, c_scale.tolist(), row_scale):
             dual = y * c_s / row_s
             if not (np.isfinite(row_s).all() and np.isfinite(dual).all()):
                 status, relgap, resid = SdpStatus.BREAKDOWN, math.nan, math.nan
             # x views the stack of lanes frozen with it; a copy keeps no stack alive
-            sols.append(SdpSolution(x.copy(), pobj * c_s, status, relgap, resid, iters,
-                                    xd[:p].copy(), dual))
+            sols.append(SdpSolution(x.copy(), pobj * c_s, status, relgap, resid, iters, dual))
     return sols
 
 
@@ -479,14 +474,10 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     cfg = config or SolverConfig()
     f = np.asarray(batch.basis, dtype=complex)
     lanes, m, _ = np.shape(batch.rows)
-    p, sense = batch.n_scalars, np.asarray(batch.sense)
-    # The scalars, then one nonnegative slack column per inequality row.
-    slack = np.flatnonzero(sense)
-    vecs = np.zeros((lanes, m, p + slack.size))
-    vecs[..., :p] = batch.scalar_rows
-    vecs[:, slack, p + np.arange(slack.size)] = sense[slack]
-    c_vec = np.zeros((lanes, p + slack.size))
-    c_vec[:, :p] = batch.scalar_objective
+    sense = np.asarray(batch.sense)
+    slack = np.flatnonzero(sense)                 # one slack column per inequality row
+    vecs = np.zeros((lanes, m, slack.size))
+    vecs[:, slack, np.arange(slack.size)] = sense[slack]
 
     basis, gram2 = _Basis(f), np.abs(f.conj().T @ f) ** 2
     w = np.ascontiguousarray(np.swapaxes(batch.rows, -1, -2), dtype=float)
@@ -495,8 +486,7 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     width = _stack_width(f.shape[0])
     for at in range(0, lanes, width):
         stack = slice(at, at + width)
-        sols += _solve_stack(basis, gram2, p, cfg, w[stack], vecs[stack], b[stack], c_w[stack],
-                             c_vec[stack])
+        sols += _solve_stack(basis, gram2, cfg, w[stack], vecs[stack], b[stack], c_w[stack])
     return sols
 
 

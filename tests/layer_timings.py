@@ -46,7 +46,7 @@ import numpy as np
 from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 
-from sdp_forms import cct_region_batches, lanes_of, recorded_batches
+from sdp_forms import cct_region_batches, lanes_of, max_min_lanes, recorded_batches
 
 P = 1.0
 LANES = (1, 20, 80)
@@ -81,7 +81,7 @@ def lane_rows(repeats: int) -> None:
 
 def region_batch_row(repeats: int) -> None:
     batches = [batch for batch in cct_region_batches(20)
-               if not batch.n_scalars and (batch.sense == -1).any()]
+               if not max_min_lanes(batch) and (batch.sense == -1).any()]
     iterations, calls, (jittered, eigh) = screened_solves(batches)
 
     def run():

@@ -11,14 +11,12 @@ from irssec.channel import generate_channels, two_user_scenario
 SENSES = {"<=": 1, "==": 0, ">=": -1}
 
 
-def dense_batch(objective, constraints, scalar_objective=()):
-    """One lane: max Tr(C X) + c.u s.t. Tr(A_i X) + a_i.u {rel_i} b_i, X PSD,
-    u >= 0, with C = objective, c = scalar_objective and constraints the
-    tuples (A_i, rel_i, b_i) or (A_i, rel_i, b_i, a_i), every C and A_i a
-    dense Hermitian matrix. The eigenvectors of each matrix in turn, its
-    numerically zero eigenvalues dropped, join the basis, and its
+def dense_batch(objective, constraints):
+    """One lane: max Tr(C X) s.t. Tr(A_i X) {rel_i} b_i, X PSD, with
+    C = objective and constraints the tuples (A_i, rel_i, b_i), every C and
+    A_i a dense Hermitian matrix. The eigenvectors of each matrix in turn,
+    its numerically zero eigenvalues dropped, join the basis, and its
     eigenvalues are its weights on them."""
-    c_vec = np.asarray(scalar_objective, dtype=float)
     factors = []
     for data in [objective] + [con[0] for con in constraints]:
         mat = np.asarray(data, dtype=complex)
@@ -31,11 +29,8 @@ def dense_batch(objective, constraints, scalar_objective=()):
         row[at:at + lam.size] = lam
         at += lam.size
     bounds = np.array([[float(con[2]) for con in constraints]])
-    coeffs = [(*con, np.zeros(c_vec.size))[3] for con in constraints]
     return sdp.SdpBatch(basis, w[:1], w[None, 1:], bounds,
-                        np.array([SENSES[con[1]] for con in constraints]),
-                        np.array(coeffs, dtype=float).reshape(1, len(constraints), c_vec.size),
-                        c_vec)
+                        np.array([SENSES[con[1]] for con in constraints]))
 
 
 def random_hermitian(rng, n):
@@ -46,7 +41,14 @@ def random_hermitian(rng, n):
 def lanes_of(batch, sel):
     """The sub-batch of the lanes sel (a slice or an index list) of a batch."""
     return replace(batch, objective=batch.objective[sel], rows=batch.rows[sel],
-                   bounds=batch.bounds[sel], scalar_rows=batch.scalar_rows[sel])
+                   bounds=batch.bounds[sel])
+
+
+def max_min_lanes(batch) -> int:
+    """The number of max-min SNR lanes in a batch the algorithms solve: all
+    of its lanes when it is the max-min program (`_Lifted.max_min_batch`,
+    the one shape that minimizes, so its objective is negative), else 0."""
+    return len(batch.bounds) if (batch.objective < 0).any() else 0
 
 
 def recorded_batches(run) -> list:

@@ -20,6 +20,7 @@ from irssec.channel import (ChannelSet, generate_channels, multi_user_scenario,
 from irssec.model import effective_gains, multicast_capacity_from_gains
 
 from conftest import phase_grid, rand_channelset
+from sdp_forms import max_min_lanes
 
 P = 1.0
 
@@ -235,32 +236,32 @@ def test_algorithm1_floor_solves_one_eavesdropper_program(monkeypatch):
     ch = rand_channelset(np.random.default_rng(7), n=3, k=3)
     r_m = 0.9 * multicast_upper_bound(ch, P)[0]
     real_solve = algorithms.solve_batch
-    scalar_progs = []
+    max_min_progs = []
 
     def recording_solve(batch, config=None):
         sols = real_solve(batch, config)
-        if batch.n_scalars:
-            scalar_progs.append(batch)
+        if max_min_lanes(batch):
+            max_min_progs.append(batch)
         return sols
 
     monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
     pt = algorithm1_cct(ch, P, r_m, t_alpha=30, t_g=100, rng=np.random.default_rng(0))
-    assert len(scalar_progs) == 1
+    assert len(max_min_progs) == 1
     assert pt.diagnostics["n_failed_alpha"] == 0
 
     # a failed eavesdropper solve fails every sample, solved once, never
     # read as an unsupportable floor
-    def failing_scalar_solve(batch, config=None):
+    def failing_max_min_solve(batch, config=None):
         sols = recording_solve(batch, config)
-        if batch.n_scalars:
+        if max_min_lanes(batch):
             sols = [replace(sol, status=SdpStatus.BREAKDOWN, duality_gap=1.0) for sol in sols]
         return sols
 
-    scalar_progs.clear()
-    monkeypatch.setattr(algorithms, "solve_batch", failing_scalar_solve)
+    max_min_progs.clear()
+    monkeypatch.setattr(algorithms, "solve_batch", failing_max_min_solve)
     with pytest.raises(SdpSolverError, match="max-min SNR solve failed"):
         algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
-    assert len(scalar_progs) == 1
+    assert len(max_min_progs) == 1
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -272,6 +273,20 @@ def test_eavesdropper_snr_bounds_phase_grid(seed):
     one = rand_channelset(np.random.default_rng(seed), n=3, k=2)
     exact = model.aligned_gain(one.m[1], one.g, one.h[1]) ** 2 / one.sigma2[1]
     assert eavesdropper_snr(one) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 1e-6])
+def test_max_min_snr_of_a_user_far_weaker_than_the_others(scale):
+    # the weak user's gain, down to 1e-12 of the others', binds at its
+    # aligned closed form, and a user with no gain makes the value 0
+    ch = rand_channelset(np.random.default_rng(1), n=3, k=3)
+    weak = ChannelSet(g=ch.g, m=ch.m * [[1.0], [1.0], [scale]], h=ch.h * [1.0, 1.0, scale],
+                      sigma2=ch.sigma2)
+    ctx = algorithms._Lifted(weak, P)
+    value, z = algorithms._max_min_snr(ctx, np.arange(3), ctx.p / ctx.sigma2)
+    aligned = model.aligned_gain(weak.m[2], weak.g, weak.h[2]) ** 2 * P / weak.sigma2[2]
+    assert value == pytest.approx(aligned, rel=1e-9, abs=0.0)
+    assert z[0, 0] == 1.0 and np.linalg.eigvalsh(z).min() >= -1e-9 * len(z)
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -419,12 +434,12 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
     ch = rand_channelset(np.random.default_rng(7), n=3, k=3)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     r_up, _ = multicast_upper_bound(ch, P)
-    scalar_progs, lanes = [], []
+    max_min_progs, lanes = [], []
 
     def recording_solve(batch, config=None):
         sols = real_solve(batch, config)
-        if batch.n_scalars:
-            scalar_progs.append(batch.n_scalars)
+        if max_min_lanes(batch):
+            max_min_progs.append(max_min_lanes(batch))
         else:
             lanes.extend(sols)
         return sols
@@ -433,7 +448,7 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
     monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
     region = sweep_region(ch, P, "cct", 5, params, seed=2)
     # the multicast bound and one eavesdropper program, for four floored points
-    assert scalar_progs == [1, 1]
+    assert max_min_progs == [1, 1]
     solves = [pt.diagnostics["n_solves"] for pt in region.points]
     point_lanes = [n - (i == 1) for i, n in enumerate(solves)]
     assert sum(point_lanes) == len(lanes)
@@ -476,7 +491,7 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
     monkeypatch.undo()
     assert len(batches) == 10
     for sweep in (batches[:5], batches[5:]):
-        assert [batch.n_scalars for batch in sweep] == [1, 1, 0, 0, 0]
+        assert [max_min_lanes(batch) for batch in sweep] == [1, 1, 0, 0, 0]
         unfloored, grid, edge = sweep[2:]
         # one unfloored lane; the floor rows add one row per eavesdropper
         assert len(unfloored.bounds) == 1
@@ -588,7 +603,7 @@ def recording_lanes(monkeypatch):
 
     def recording_solve(batch, config=None):
         sols = real_solve(batch, config)
-        if not batch.n_scalars:
+        if not max_min_lanes(batch):
             lanes.extend(sols)
         return sols
 

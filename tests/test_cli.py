@@ -203,6 +203,16 @@ def test_negative_seed_flag_exits_1(tmp_path, capsys, command, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, least", [("--grid", 2), ("--t-alpha", 2), ("--t-lambda", 2),
+                                         ("--t-g", 1)])
+def test_count_flag_below_its_least_value_exits_1(tmp_path, capsys, flag, least):
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["region", "--scenario", scn, flag, str(least - 1), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {flag} must be at least {least}\n"
+    assert not out.exists()
+
+
 def test_oracle_scheme_rejects_a_large_surface_before_any_solve(tmp_path, capsys, monkeypatch):
     scn = write_scenario(tmp_path, n_y=5, n_z=2)
     out = tmp_path / "out.csv"
@@ -357,10 +367,28 @@ def test_sweep_power_rejects_non_finite_powers_before_sweeping(tmp_path, capsys,
     assert swept == [] and not out.exists()
 
 
+def test_sweep_power_solves_powers_far_above_the_scenario_power(tmp_path):
+    # the max-min SNR rows are scaled to order one at any power, so the
+    # multicast bound and the eavesdropper program solve at 1e20 W, and the
+    # floor-0 secrecy rate, saturated by then, stays the 1e6 W one
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "p.csv"
+    assert main(["sweep-power", "--scenario", scn, "--powers", "1e6,1e7,1e10,1e20",
+                 "--scheme", "cct", "--grid", "3", "--t-alpha", "4", "--t-g", "20",
+                 "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    floor0 = {float(r[-1]): float(r[1]) for r in rows if float(r[0]) == 0.0}
+    assert sorted(floor0) == [1e6, 1e7, 1e10, 1e20]
+    for r_c in floor0.values():
+        assert r_c == pytest.approx(floor0[1e6], abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
 def test_sweep_power_exits_3_when_the_power_overflows_the_solver(tmp_path, capsys):
     # at 1e300 W the lifted rows overflow while they are equilibrated: the
     # solve is a breakdown, never an optimum with multipliers that are not
-    # finite, and the run ends with an error line instead of a traceback
+    # finite, and the run ends with an error line instead of a traceback or
+    # an overflow warning
     scn = write_scenario(tmp_path)
     out = tmp_path / "p.csv"
     assert main(["sweep-power", "--scenario", scn, "--powers", "1e300", "--scheme", "cct",

@@ -120,16 +120,6 @@ def test_unbounded_detected():
     assert sol.status is not SdpStatus.OPTIMAL
 
 
-def test_scalar_variables_epigraph():
-    # max s subject to Tr(diag(1,0) X) >= s, Tr X = 1: s = 1
-    batch = dense_batch(np.zeros((2, 2)), [(np.diag([1.0, 0.0]), ">=", 0.0, [-1.0]),
-                                           (np.eye(2), "==", 1.0, [0.0])], scalar_objective=[1.0])
-    sol = solve_batch(batch, TIGHT)[0]
-    assert sol.status is SdpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-8)
-    assert sol.scalars[0] == pytest.approx(1.0, abs=1e-7)
-
-
 def test_grp_rank_one_recovery(rng):
     n = 4
     v = np.exp(1j * rng.uniform(0, 2 * np.pi, n))

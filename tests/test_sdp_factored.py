@@ -10,8 +10,8 @@ from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 from irssec.sdp import SdpBatch, SdpSolution, SdpStatus, solve_batch
 
-from sdp_forms import (cct_region_batches, dense_batch, lanes_of, random_hermitian,
-                       recorded_batches)
+from sdp_forms import (cct_region_batches, dense_batch, lanes_of, max_min_lanes,
+                       random_hermitian, recorded_batches)
 
 P = 1.0
 RELATIONS = {1: "<=", 0: "==", -1: ">="}
@@ -24,9 +24,9 @@ def dense_copy(lane):
     def expand(w):
         return (f * w) @ f.conj().T
 
-    cons = [(expand(w), RELATIONS[sense], bound, a) for w, sense, bound, a
-            in zip(lane.rows[0], lane.sense, lane.bounds[0], lane.scalar_rows[0])]
-    return dense_batch(expand(lane.objective[0]), cons, lane.scalar_objective)
+    cons = [(expand(w), RELATIONS[sense], bound) for w, sense, bound
+            in zip(lane.rows[0], lane.sense, lane.bounds[0])]
+    return dense_batch(expand(lane.objective[0]), cons)
 
 
 def factored_slack(lane, y):
@@ -56,9 +56,9 @@ def test_factored_rows_match_dense_rows(config, runs):
     ch = generate_channels(config)
     lanes = [lanes_of(batch, [lane]) for batch in recorded_batches(lambda: runs(ch))
              for lane in range(len(batch.bounds))]
-    # the multicast bound, and at least one Charnes-Cooper program (no scalars)
-    assert lanes[0].n_scalars == 1
-    assert any(lane.n_scalars == 0 for lane in lanes)
+    # the multicast bound, and at least one Charnes-Cooper program
+    assert max_min_lanes(lanes[0]) == 1
+    assert any(max_min_lanes(lane) == 0 for lane in lanes)
     for lane in lanes:
         assert lane.basis.shape == (ch.n + 1, ch.n + 1 + ch.k)
         fac = solve_batch(lane)[0]
@@ -100,8 +100,8 @@ def point_batch():
     r_m = 0.3 * algorithms.multicast_upper_bound(ch, p)[0]
     batches = recorded_batches(lambda: algorithms.algorithm1_cct(
         ch, p, r_m, t_alpha=80, t_g=20, rng=np.random.default_rng(0)))
-    # the first batch without scalars follows the eavesdropper max-min program
-    return next(batch for batch in batches if not batch.n_scalars)
+    # the first Charnes-Cooper batch follows the eavesdropper max-min program
+    return next(batch for batch in batches if not max_min_lanes(batch))
 
 
 def screened_batch():
@@ -176,7 +176,7 @@ def test_lane_that_stops_early_does_not_perturb_the_others():
     batch = SdpBatch(np.eye(4), np.array([[3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0],
                                           [1.0, 0.0, 0.0, 2.0]]),
                      np.array([rows] * 3), np.array([[1.0, 0.5], [1.0, -0.5], [2.0, 0.3]]),
-                     np.array([0, 1]), np.zeros((3, 2, 0)), np.zeros(0))
+                     np.array([0, 1]))
     sols = solve_batch(batch)
     assert [sol.status for sol in sols] == [SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE,
                                             SdpStatus.OPTIMAL]
@@ -226,12 +226,16 @@ def test_inv_factor_falls_back_matrix_by_matrix_in_a_stack():
 
 
 def test_inv_factor_gives_a_non_finite_matrix_no_jitter(monkeypatch):
-    # its non-finite factor stays, so that its lane ends as BREAKDOWN
+    # its factor is not finite, so that its lane ends as BREAKDOWN, even for
+    # an infinite diagonal entry, whose LAPACK factor inverts to a finite
+    # diag(1, 0, 1)
     monkeypatch.setattr(sdp, "_jittered_factor", None)
-    stack = np.array([np.eye(3), np.eye(3)], dtype=complex)
+    stack = np.array([np.eye(3), np.eye(3), np.eye(3)], dtype=complex)
     stack[1, 2, 0] = math.nan
+    stack[2, 1, 1] = math.inf
     factors = sdp._inv_factor(stack)
-    assert np.array_equal(factors[0], np.eye(3)) and np.isnan(factors[1]).all()
+    assert np.array_equal(factors[0], np.eye(3))
+    assert np.isnan(factors[1]).all() and np.isnan(factors[2]).all()
 
 
 def test_stack_whose_schur_complement_fails_its_factorization_matches_each_lane_alone(
@@ -254,7 +258,7 @@ def test_stack_whose_schur_complement_fails_its_factorization_matches_each_lane_
             break
     else:
         raise AssertionError("no factorization of the batch failed")
-    # the m x m Schur complement: one row per constraint, no scalars
+    # the m x m Schur complement: one row per constraint
     assert jittered == [batch.rows.shape[1]] * len(jittered)
     for lane, sol in enumerate(sols):
         assert_bitwise_equal(sol, solved_alone(stack, lane))
