@@ -30,7 +30,7 @@ class PowerSplit:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < -1e-12 or self.beta < -1e-12:
+        if not (self.alpha >= -1e-12 and self.beta >= -1e-12):    # NaN fails too
             raise ValueError("powers must be nonnegative")
         self.alpha = max(float(self.alpha), 0.0)
         self.beta = max(float(self.beta), 0.0)
@@ -167,14 +167,17 @@ def alpha_opt_closed_form(x_min: float, sigma2_min: float, p: float, r_m: float)
 
     x_min and sigma2_min belong to the bottleneck user. Returns
     max(0, min(P, (P*x - (2^r_m - 1)*sigma^2) / (2^r_m * x))); 0 when the
-    floor is unattainable (x_min = 0 with r_m > 0), in which case the caller
-    must treat the target as infeasible.
+    floor is unattainable (x_min = 0 with r_m > 0, or r_m infinite), in which
+    case the caller must treat the target as infeasible. A NaN floor or gain
+    raises ValueError.
     """
-    if r_m < 0:
-        raise ValueError("multicast floor must be nonnegative")
+    if not r_m >= 0:
+        raise ValueError("multicast floor must be a nonnegative number")
+    if np.isnan(x_min):
+        raise ValueError("bottleneck gain must not be NaN")
     if r_m == 0:
         return float(p)
-    if x_min <= 0:
+    if x_min <= 0 or r_m == np.inf:
         return 0.0
     c = 2.0 ** r_m
     alpha = (p * x_min - (c - 1.0) * sigma2_min) / (c * x_min)

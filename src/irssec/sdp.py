@@ -165,21 +165,22 @@ def _definite(mats: np.ndarray) -> np.ndarray:
     return np.isfinite(_lapack("cholesky_lo", mats).diagonal(0, -2, -1)).all(axis=-1)
 
 
-def _boundary_steps(mats, d, ratio, caps, factors) -> list:
+def _boundary_steps(mats, d, ratio, caps, factors) -> np.ndarray:
     """Fraction-to-boundary lengths min(ratio_j, -1/lambda_min(R_j D_j R_j^H))
     of positive definite M_j along D_j (a lambda_min of at least -1e-13 bounds
-    nothing, a NaN one gives a zero length); factors(js) gives the R_j
-    (R_j M_j R_j^H = I) of the index list js. A matrix with M_j + cap_j D_j
-    positive definite takes an infinite eigenvalue length without its
-    eigenvalues or factor, so only min(cap_j, length) is exact."""
+    nothing, a NaN one gives a zero length); factors(need) gives the R_j
+    (R_j M_j R_j^H = I) of the matrices the boolean mask need selects. A
+    matrix with M_j + cap_j D_j positive definite takes an infinite
+    eigenvalue length without its eigenvalues or factor, so only
+    min(cap_j, length) is exact."""
     lam = np.zeros(len(d))                          # a zero bounds nothing
-    need = np.flatnonzero(~_definite(mats + np.asarray(caps)[:, None, None] * d)).tolist()
-    if need:
+    need = ~_definite(mats + caps[:, None, None] * d)
+    if need.any():
         r = factors(need)
         w_d = r @ d[need] @ r.conj().swapaxes(-1, -2)
         lam[need] = _lapack("eigvalsh_lo", 0.5 * (w_d + w_d.conj().swapaxes(-1, -2))).min(axis=-1)
-    return [0.0 if math.isnan(lam_j) else min(math.inf if lam_j >= -1e-13 else -1.0 / lam_j, r_j)
-            for lam_j, r_j in zip(lam.tolist(), ratio)]
+    length = np.where(lam < -1e-13, -1.0 / np.minimum(lam, -1e-13), np.inf)
+    return np.where(np.isnan(lam), 0.0, np.minimum(length, ratio))
 
 
 def _inv_factor(mat: np.ndarray) -> np.ndarray:
@@ -225,10 +226,11 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
     through `_Basis`, which reads F's identity block instead of multiplying
     by it. The dual slack is kept halved, S = (A*(y) - C)/2, and mu is the
     gap 2 Re Tr(XS) + xd.sd over nu = 2n + nd: the scaling of the program's
-    real symmetric embedding, whose HKM iterates these are. Primal and dual take
-    one common step, the smaller of their two fraction-to-boundary lengths,
-    so both residuals shrink by the same factor (with separate lengths the
-    dual can run ahead while the primal residual never closes).
+    real symmetric embedding, whose HKM iterates these are. An empty slack
+    block (nd = 0) contributes exact zeros. Primal and dual take one common
+    step, the smaller of their two fraction-to-boundary lengths, so both
+    residuals shrink by the same factor (with separate lengths the dual can
+    run ahead while the primal residual never closes).
 
     A fraction-to-boundary length is the least of its vector ratio and
     -1/lambda_min(R D R^H), R the inverse Cholesky factor of the matrix (X or
@@ -242,15 +244,16 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
     Where the test and the eigenvalue agree, the step is the eigenvalue's
     bitwise.
 
-    Each lane has its own step length and stopping tests (on its own Python
-    floats). A lane that stops is frozen and leaves the active set. Every
-    stacked product, BLAS dot and LAPACK call acts on each lane alone, so a
-    lane follows bitwise the iterates it follows when solved alone. No
+    Each lane has its own step lengths and stopping tests, held as arrays
+    over the active lanes. A lane that stops is frozen and leaves the active
+    set. Every stacked product, BLAS dot and LAPACK call acts on each lane
+    alone, so a lane follows bitwise the iterates it follows when solved
+    alone. A NaN residual or Farkas bound never passes a stopping test. No
     LAPACK call raises: a finite matrix that fails its factorization takes
     the `_inv_factor` fallbacks, any other failure leaves a non-finite
     direction or a zero step length, and a numerical breakdown (non-finite
     or overflowing iterate or direction, or a step below 1e-10) ends a lane
-    with BREAKDOWN. Returns per lane (x, xd, y, status, iterations, relative
+    with BREAKDOWN. Returns per lane (x, y, status, iterations, relative
     gap, residual, primal objective).
     """
     lanes, m = b.shape
@@ -270,7 +273,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
     a_norms = _embedded_norms(gram2, w, vecs)
     norm_c = _embedded_norms(gram2, c_w[..., None])[:, 0]
     least = max(10.0, math.sqrt(2 * n))
-    # fmax skips a NaN as Python's max does, so the start is the one-lane one
+    # fmax skips a NaN, so a NaN bound or norm does not enter the start
     xi = np.fmax(least, (2 * n * (1.0 + np.abs(b)) / (1.0 + a_norms)).max(axis=-1, initial=0.0))
     eta = np.fmax(least, np.fmax(a_norms.max(axis=-1, initial=0.0), norm_c))
     start = np.array((xi, eta)).T
@@ -281,21 +284,22 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
           "vecs": vecs, "b": b, "half_c": 0.5 * basis.expand(c_w),
           "norm_b": np.sqrt(np.vecdot(b, b)), "norm_c": norm_c,
           "relgap": np.full(lanes, np.inf), "resid": np.full(lanes, np.inf)}
-    live, done = np.arange(lanes), [None] * lanes
+    # A lane's status code is its status's position in kinds (OPTIMAL 0,
+    # INFEASIBLE 1, UNBOUNDED 2, MAX_ITERATIONS 3, BREAKDOWN 4); -1 runs on.
+    live, done, kinds = np.arange(lanes), [None] * lanes, list(SdpStatus)
 
-    def freeze(why, it):
-        """Record the active lanes given a status in why and drop them."""
+    def freeze(code, it):
+        """Record the active lanes with a status code and drop them."""
         nonlocal st, live
-        stop = np.array([stat is not None for stat in why], dtype=bool)
-        x, xd = st["xs"][stop, 0], st["xsd"][stop, 0]
+        stop = code >= 0
+        x = st["xs"][stop, 0]
         pobj = 2.0 * _dot(st["half_c"][stop], x)
-        stats = zip(x, xd, st["y"][stop], [stat for stat in why if stat is not None],
-                    st["relgap"][stop].tolist(), st["resid"][stop].tolist(), pobj.tolist())
-        for lane, (x_l, xd_l, y_l, stat, relgap, resid, pobj_l) in zip(live[stop].tolist(), stats):
-            done[lane] = (x_l, xd_l, y_l, stat, it, relgap, resid, pobj_l)
+        for lane, x_l, y_l, c, relgap, resid, pobj_l in zip(
+                live[stop].tolist(), x, st["y"][stop], code[stop].tolist(),
+                st["relgap"][stop].tolist(), st["resid"][stop].tolist(), pobj.tolist()):
+            done[lane] = (x_l, y_l, kinds[c], it, relgap, resid, pobj_l)
         live = live[~stop]
-        if live.size:
-            st = {key: val[~stop] for key, val in st.items()}
+        st = {key: val[~stop] for key, val in st.items()}
 
     def newton():
         """Predictor-corrector step (dxs, dxsd, dy, step) of the active lanes."""
@@ -305,14 +309,13 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         flat = xs.reshape(-1, n, n)         # X and S of each lane, interleaved
         # The inverse factors: every S's now, an X's when an X length fails
         # its screen.
-        r_xs, made = np.empty_like(flat), [j % 2 == 1 for j in range(len(flat))]
+        r_xs, made = np.empty_like(flat), np.arange(len(flat)) % 2 == 1
         r_xs[1::2] = _inv_factor(xs[:, 1])
         s_inv = r_xs[1::2].conj().swapaxes(-1, -2) @ r_xs[1::2]
         sd_inv = 1.0 / sd
         big_m = 0.5 * (w.swapaxes(-1, -2)
                        @ (basis.gram(x) * basis.gram(s_inv).swapaxes(-1, -2)).real @ w)
-        if nd:
-            big_m += (vecs * (xd * sd_inv)[:, None, :]) @ vecs.swapaxes(-1, -2)
+        big_m += (vecs * (xd * sd_inv)[:, None, :]) @ vecs.swapaxes(-1, -2)
         r_m = _inv_factor(0.5 * (big_m + big_m.swapaxes(-1, -2)))
         x_rd = x @ rd_mat
 
@@ -320,9 +323,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
             tm_mat, tm_vec = taumu[:, None, None], taumu[:, None]
             g_mat = (tm_mat * eye - h_mat - x_rd) @ s_inv
             g_vec = (tm_vec - h_vec - xd * rd_vec) * sd_inv
-            rhs = a_op(w, g_mat) - st["b"]
-            if nd:
-                rhs = rhs + np.matvec(vecs, g_vec)
+            rhs = a_op(w, g_mat) - st["b"] + np.matvec(vecs, g_vec)
             dy = np.matvec(r_m.swapaxes(-1, -2), np.matvec(r_m, rhs))
             d_mat, d_vec = np.empty_like(xs), np.empty_like(xsd)
             ds_mat = np.add(0.5 * a_adj(w, dy), rd_mat, out=d_mat[:, 1])
@@ -332,37 +333,33 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
             np.subtract((tm_vec - h_vec - xd * ds_vec) * sd_inv, xd, out=d_vec[:, 0])
             return d_mat, d_vec, dy
 
-        def factors(js):  # the inverse factors of the matrices js (a list) of flat
-            new = [j for j in js if not made[j]]
-            if new:
+        def factors(need):  # the inverse factors of the matrices of flat that need selects
+            new = need & ~made
+            if new.any():
                 r_xs[new] = _inv_factor(flat[new])
-                for j in new:
-                    made[j] = True
-            return r_xs[js]
+                made[new] = True
+            return r_xs[need]
 
         def max_steps(d_mat, d_vec, caps):
-            """Per lane, the (X, S) fraction-to-boundary lengths; caps(r_x, r_s)
-            gives the lane's (X, S) screen caps from its vector ratios."""
-            dv = d_vec.reshape(2 * len(d_vec), nd)
-            ratio = np.where(dv < 0, -xsd.reshape(dv.shape) / dv, np.inf)
-            ratio = ratio.min(axis=-1, initial=np.inf).tolist()
-            b = [cap for pair in map(caps, ratio[0::2], ratio[1::2]) for cap in pair]
-            t = _boundary_steps(flat, d_mat.reshape(-1, n, n), ratio, b, factors)
-            return zip(t[0::2], t[1::2])
+            """The (X, S) fraction-to-boundary lengths, (lanes, 2); caps maps
+            the (X, S) vector ratios to the screen caps."""
+            ratio = np.where(d_vec < 0, -xsd / d_vec, np.inf).min(axis=-1, initial=np.inf)
+            t = _boundary_steps(flat, d_mat.reshape(flat.shape), ratio.ravel(),
+                                caps(ratio).ravel(), factors)
+            return t.reshape(ratio.shape)
 
         da_mat, da_vec, _ = direction(np.zeros(len(mu)), 0.0, 0.0)
-        aff = np.array([(min(1.0, t_p), min(1.0, t_d)) for t_p, t_d in max_steps(
-            da_mat, da_vec, lambda r_p, r_d: (min(1.0, r_p), min(1.0, r_d)))])
+        aff = np.minimum(1.0, max_steps(da_mat, da_vec, lambda r: np.minimum(1.0, r)))
         trial, trial_d = xs + aff[:, :, None, None] * da_mat, xsd + aff[:, :, None] * da_vec
         mu_aff = (2.0 * _dot(trial[:, 0], trial[:, 1])
                   + np.vecdot(trial_d[:, 0], trial_d[:, 1])) / nu
-        # Python's float power, so that a lane matches its scalar history
+        # Python's float power (libm's pow): numpy's vectorized power differs
+        # from it in the last bit of some values
         sigma = np.array([min(1.0, max(0.0, r ** 3)) for r in (mu_aff / mu).tolist()])
         d_mat, d_vec, dy = direction(sigma * mu, da_mat[:, 0] @ da_mat[:, 1],
                                      da_vec[:, 0] * da_vec[:, 1])
-        step = [min(1.0, _STEP_FRACTION * min(t_p, t_d)) for t_p, t_d in max_steps(
-            d_mat, d_vec, lambda r_p, r_d: (min(top, r_p, r_d),) * 2)]
-        return d_mat, d_vec, dy, np.array(step)
+        t = max_steps(d_mat, d_vec, lambda r: np.minimum(top, np.minimum(r, r[:, ::-1])))
+        return d_mat, d_vec, dy, np.minimum(1.0, _STEP_FRACTION * t.min(axis=-1))
 
     it = 0
     for it in range(1, _MAX_ITERATIONS + 1):
@@ -383,40 +380,26 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         pres = np.sqrt(np.vecdot(rp, rp)) / (1.0 + st["norm_b"])
         dres = (np.sqrt(2.0 * _dot(rd_mat, rd_mat) + np.vecdot(rd_vec, rd_vec))
                 / (1.0 + st["norm_c"]))
-
-        why, farkas, rays = [None] * live.size, [], []
-        relgap, resid = np.full(live.size, np.inf), np.full(live.size, np.inf)
-        for i, (ok, g, po, do, pr, dr, n_y, nb, nc) in enumerate(zip(*(arr.tolist() for arr in (
-                finite, gap, pobj, dobj, pres, dres, ny, st["norm_b"], st["norm_c"])))):
-            if not ok:
-                why[i] = SdpStatus.BREAKDOWN
-                continue
-            relgap[i] = rel = g / (1.0 + abs(po) + abs(do))
-            resid[i] = res = max(pr, dr)
-            if res <= tol and rel <= tol:
-                why[i] = SdpStatus.OPTIMAL
-            elif g > 1e100 or abs(po) > 1e100:
-                why[i] = SdpStatus.BREAKDOWN
-            else:
-                if n_y > 1e-12 and do / n_y < -1e-6:
-                    farkas.append(i)
-                if po > 1e12 * max(1.0, nb, nc):
-                    rays.append(i)
-        if farkas:
-            # Farkas test: A*(y) >= 0 with b.y < 0 certifies primal infeasibility.
-            lam = (_lapack("eigvalsh_lo", ys_mat[farkas]).min(axis=-1) / ny[farkas]).tolist()
-            low = (ys_vec[farkas].min(axis=-1) / ny[farkas]).tolist() if nd else lam
-            for i, lam_i, low_i in zip(farkas, lam, low):
-                why[i] = SdpStatus.INFEASIBLE if min(lam_i, low_i) >= -1e-9 else None
-        for i in rays:
-            # A huge iterate that nearly solves A(X) = 0 per unit of objective
-            # is an improving ray: the dual is infeasible.
-            if why[i] is None and (pres[i] <= max(tol, 1e-6)
-                                   or float(np.linalg.norm(ax[i])) <= tol * pobj[i]):
-                why[i] = SdpStatus.UNBOUNDED
+        relgap = np.where(finite, gap / (1.0 + np.abs(pobj) + np.abs(dobj)), np.inf)
+        resid = np.where(finite, np.maximum(pres, dres), np.inf)
+        optimal = (resid <= tol) & (relgap <= tol)
+        broken = ~finite | (gap > 1e100) | (np.abs(pobj) > 1e100)
+        running = ~optimal & ~broken
+        # Farkas test: A*(y) >= 0 with b.y < 0 certifies primal infeasibility.
+        farkas = running & (ny > 1e-12) & (dobj / ny < -1e-6)
+        infeasible = np.zeros_like(farkas)
+        if farkas.any():
+            low = np.minimum(_lapack("eigvalsh_lo", ys_mat[farkas]).min(axis=-1),
+                             ys_vec[farkas].min(axis=-1, initial=np.inf))
+            infeasible[farkas] = low / ny[farkas] >= -1e-9
+        # A huge iterate that nearly solves A(X) = 0 per unit of objective is
+        # an improving ray: the dual is infeasible.
+        ray = running & (pobj > 1e12 * np.maximum(np.maximum(1.0, st["norm_b"]), st["norm_c"]))
+        unbounded = ray & ((pres <= max(tol, 1e-6)) | (np.sqrt(np.vecdot(ax, ax)) <= tol * pobj))
+        code = np.select([optimal, broken, infeasible, unbounded], [0, 4, 1, 2], -1)
         st.update(rd_mat=rd_mat, rd_vec=rd_vec, mu=gap / nu, relgap=relgap, resid=resid)
-        if any(stat is not None for stat in why):
-            freeze(why, it)
+        if (code >= 0).any():
+            freeze(code, it)
             if not live.size:
                 break
 
@@ -424,7 +407,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         usable = (np.isfinite(out[0]).all(axis=(1, 2, 3)) & np.isfinite(out[2]).all(axis=1)
                   & ~(out[3] < 1e-10))
         if not usable.all():
-            freeze([None if ok else SdpStatus.BREAKDOWN for ok in usable.tolist()], it)
+            freeze(np.where(usable, -1, 4), it)
             if not live.size:
                 break
             out = [val[usable] for val in out]
@@ -434,7 +417,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         st["xsd"] = st["xsd"] + step[:, None, None] * d_vec
         st["y"] = st["y"] + step[:, None] * dy
     if live.size:
-        freeze([SdpStatus.MAX_ITERATIONS] * live.size, it)
+        freeze(np.full(live.size, 3), it)
     return done
 
 
@@ -453,7 +436,7 @@ def _solve_stack(basis: _Basis, gram2, cfg: SolverConfig, w, vecs, b, c_w) -> li
         c_scale[c_scale < 1e-18] = 1.0
         done = _ipm(basis, gram2, w / row_scale[:, None, :], vecs / row_scale[..., None],
                     b / row_scale, c_w / c_scale[:, None], cfg)
-        for (x, xd, y, status, iters, relgap, resid, pobj), c_s, row_s in zip(
+        for (x, y, status, iters, relgap, resid, pobj), c_s, row_s in zip(
                 done, c_scale.tolist(), row_scale):
             dual = y * c_s / row_s
             if not (np.isfinite(row_s).all() and np.isfinite(dual).all()):

@@ -60,6 +60,14 @@ def test_enhancement_inert_surface():
     assert rep.classification is IrsEffect.INDETERMINATE
 
 
+def test_enhancement_rejects_a_nan_floor():
+    # a NaN floor must not report the whole budget as both closed-form powers
+    ch = ChannelSet(g=np.ones(2), m=np.zeros((2, 2)),
+                    h=np.array([2.0, 1.0]), sigma2=np.ones(2))
+    with pytest.raises(ValueError):
+        enhancement_analysis(ch, np.ones(2, dtype=complex), 0.7, p=1.0, r_m=math.nan)
+
+
 def test_enhancement_identity_random_instances():
     for trial in range(20):
         rng = np.random.default_rng(trial)

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+private module-level name is used somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -33,6 +34,49 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> dict:
+    """The module-level functions, classes and constants of a module whose
+    names start with one underscore, with their lines."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found[name.id] = node.lineno
+    return {name: line for name, line in found.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def unreferenced(sources: dict) -> list[str]:
+    """"module.name (line n)" for every private definition of the modules
+    (name -> source) that no module reads by name or as an attribute."""
+    used = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{module}.{name} (line {line})" for module, source in sources.items()
+                  for name, line in private_definitions(source).items() if name not in used)
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    sources = {"a": "_LIMIT = 3\n_kept = 1\ndef _helper():\n    return _kept\n"
+                    "class _Box:\n    pass\n__all__ = []\n",
+               "b": "from . import a\nx = a._Box()\n"}
+    assert unreferenced(sources) == ["a._LIMIT (line 1)", "a._helper (line 3)"]
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced(sources) == []
 
 
 def test_the_solver_has_one_entry_point():

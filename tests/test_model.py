@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,15 @@ def test_alpha_opt_closed_form_boundaries():
     assert alpha_opt_closed_form(0.0, 1.0, 1.0, 0.5) == 0.0
 
 
+def test_alpha_opt_closed_form_rejects_a_nan_floor_or_gain():
+    # min(P, max(nan, 0)) is P, so a NaN must stop before the formula
+    for x_min, r_m in ((2.0, math.nan), (math.nan, 1.0), (math.nan, 0.0)):
+        with pytest.raises(ValueError):
+            alpha_opt_closed_form(x_min, 1.0, 1.0, r_m)
+    # an infinite floor is unattainable at any power
+    assert alpha_opt_closed_form(2.0, 1.0, 1.0, math.inf) == 0.0
+
+
 def test_alpha_opt_closed_form_matches_grid_search():
     p, x, s2, r_m = 1.0, 2.0, 1.0, 1.0
     a = alpha_opt_closed_form(x, s2, p, r_m)
@@ -183,5 +194,6 @@ def test_alpha_opt_monotone_in_gain():
 
 
 def test_power_split_validation():
-    with pytest.raises(ValueError):
-        PowerSplit(-0.5, 0.2)
+    for alpha, beta in ((-0.5, 0.2), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            PowerSplit(alpha, beta)

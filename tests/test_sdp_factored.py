@@ -154,9 +154,9 @@ def test_lanes_match_solving_each_program_alone():
 
 
 def test_lane_that_stops_early_does_not_perturb_the_others():
-    # a lane with a non-finite bound breaks down in its first iteration; as
-    # the scalar solver did, it starts from the finite 10 I (the NaN bound does
-    # not enter the start) and reports a NaN gap and residual
+    # a lane with a non-finite bound breaks down in its first iteration; it
+    # starts from the finite 10 I (the NaN bound does not enter the start)
+    # and reports a NaN gap and residual
     batch = point_batch()
     # lane 1 twice, its first copy with a NaN bound on its first (<=) row
     with_broken = lanes_of(batch, [0, 1, *range(1, len(batch.bounds))])
@@ -183,6 +183,26 @@ def test_lane_that_stops_early_does_not_perturb_the_others():
     assert sols[1].iterations < min(sols[0].iterations, sols[2].iterations)
     for lane, sol in enumerate(sols):
         assert_bitwise_equal(sol, solved_alone(batch, lane))
+
+
+def test_lanes_ending_unbounded_infeasible_and_at_the_cap_share_a_stack(monkeypatch):
+    # max x_3 + x_4 with only x_1 and x_2 held is unbounded; the pair rows
+    # x_1 + ... + x_4 == 1, x_1 + x_2 <= -0.5 are infeasible, and <= 0.5 not
+    pair = [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]]
+    batch = SdpBatch(np.eye(4), np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0],
+                                          [1.0, 0.0, 0.0, 2.0]]),
+                     np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], pair, pair]),
+                     np.array([[1.0, 1.0], [1.0, -0.5], [1.0, 0.5]]), np.array([0, 1]))
+    for cap, last in ((sdp._MAX_ITERATIONS, (SdpStatus.OPTIMAL, 8)),
+                      (7, (SdpStatus.MAX_ITERATIONS, 7))):
+        monkeypatch.setattr(sdp, "_MAX_ITERATIONS", cap)
+        sols = solve_batch(batch)
+        assert [(sol.status, sol.iterations) for sol in sols] == [
+            (SdpStatus.UNBOUNDED, 6), (SdpStatus.INFEASIBLE, 3), last]
+        for lane, sol in enumerate(sols):
+            alone = solved_alone(batch, lane)
+            assert_bitwise_equal(sol, alone)
+            assert (sol.duality_gap, sol.residuals) == (alone.duality_gap, alone.residuals)
 
 
 def test_lane_whose_row_scale_overflows_breaks_down_alone():
@@ -389,8 +409,8 @@ def test_screened_step_lengths_give_the_eigenvalue_steps(monkeypatch):
         mats.append(low @ low.conj().T)
         ds.append(low @ (q * np.linspace(e, 1.0, n)) @ q.conj().T @ low.conj().T)
     mats, ds = np.array(mats), np.array(ds)
-    ratio = [case[1] for case in cases.values()]
-    caps = [case[2] for case in cases.values()]
+    ratio = np.array([case[1] for case in cases.values()])
+    caps = np.array([case[2] for case in cases.values()])
 
     def factors(js):
         return np.linalg.inv(np.linalg.cholesky(mats[js]))
@@ -417,9 +437,9 @@ def test_boundary_step_is_zero_along_a_nan_direction():
     mats = np.array([np.eye(3), np.eye(3)], dtype=complex)
     ds = -0.5 * mats
     ds[1, 0, 1] = math.nan
-    steps = sdp._boundary_steps(mats, ds, [math.inf] * 2, [4.0] * 2,
+    steps = sdp._boundary_steps(mats, ds, np.full(2, math.inf), np.full(2, 4.0),
                                 lambda js: np.linalg.inv(np.linalg.cholesky(mats[js])))
-    assert steps == [2.0, 0.0]
+    assert steps.tolist() == [2.0, 0.0]
 
 
 def test_screened_lanes_match_solving_each_program_alone():
