@@ -39,8 +39,6 @@ SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle
 ORACLE_GRID = (64, 201)   # phase levels and power samples of the oracle scheme
 _LEAST = {"t_alpha": 2, "t_lambda": 2, "t_g": 1, "grid_points": 2}   # each count's least value
 
-# Non-optimal solves are still usable when this accurate.
-_ACCEPT_GAP = 1e-6
 _RM_SLACK = 1e-9          # tolerance when re-checking the multicast floor
 _XI_FLOOR = 1e-10         # Charnes-Cooper scale must stay positive
 
@@ -159,13 +157,6 @@ class _Lifted:
         return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense), keep
 
 
-def _solution_usable(sol) -> bool:
-    if sol.status == SdpStatus.OPTIMAL:
-        return True
-    return (sol.status in (SdpStatus.MAX_ITERATIONS, SdpStatus.BREAKDOWN)
-            and sol.duality_gap <= _ACCEPT_GAP and sol.residuals <= _ACCEPT_GAP)
-
-
 def _dual_slack(sol, batch: SdpBatch, lane: int):
     """(A*(y) - C, y) of one lane of a batch at the solver's multipliers y,
     each first clipped to the sign its row's sense allows (nonnegative for
@@ -196,21 +187,24 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
       unit it puts Y_11 in [1, N+1] (Z = I is feasible).
 
     A user without aligned gain makes the value 0, with Z = I and no solve.
-    A failed solve raises SdpSolverError.
+    The solve never raises: without finite multipliers the value is s_scale,
+    and without a finite Y with Y_11 > 0, Z is I.
     """
     s_scale = float(np.min(weights * ctx.aligned2[users]))
     if s_scale <= 0.0:
         return 0.0, np.eye(ctx.n + 1, dtype=complex)
     batch = ctx.max_min_batch(users, weights, s_scale)
     sol = solve_batch(batch)[0]
-    if not _solution_usable(sol):
-        raise SdpSolverError(f"max-min SNR solve failed: {sol.status.value}")
-    slack, y = _dual_slack(sol, batch, 0)
-    dual_obj = -float(batch.bounds[0] @ y)
     dual_snr = math.inf
-    if dual_obj > 0:
-        dual_snr = s_scale * (1.0 + (ctx.n + 1) * _psd_shift(slack)) / dual_obj
-    return max(min(dual_snr, s_scale), 0.0), sol.matrix / sol.matrix[0, 0].real
+    if np.isfinite(sol.dual).all():
+        slack, y = _dual_slack(sol, batch, 0)
+        dual_obj = -float(batch.bounds[0] @ y)
+        if dual_obj > 0:
+            dual_snr = s_scale * (1.0 + (ctx.n + 1) * _psd_shift(slack)) / dual_obj
+    z = np.eye(ctx.n + 1, dtype=complex)
+    if np.isfinite(sol.matrix).all() and sol.matrix[0, 0].real > 0:
+        z = sol.matrix / sol.matrix[0, 0].real
+    return max(min(dual_snr, s_scale), 0.0), z
 
 
 def multicast_upper_bound(ch: ChannelSet, p: float):
@@ -226,27 +220,29 @@ def _eavesdropper_snr(ctx: _Lifted) -> float:
     """M_eav, the `_max_min_snr` of the eavesdroppers under weights
     1 / sigma_k^2. Eavesdropper k needs Tr(Z T_k) / sigma_k^2 >=
     (c - 1) / (P - alpha c), c = 2^r_m, so this one constant decides every
-    (r_m, alpha) of a channel. A failed solve raises SdpSolverError."""
+    (r_m, alpha) of a channel; like every `_max_min_snr`, it never raises."""
     eav = np.arange(1, ctx.k)
     return _max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav])[0]
 
 
 def _cct_value(ctx: _Lifted, sol, batch: SdpBatch, lane: int):
-    """(c_value, y, xi) of one solved lane of a `_Lifted.cct_batch`, or
-    None when it is infeasible; an unusable solution raises SdpSolverError.
-    c_value bounds the relaxation from above: it is the dual objective divided
-    by beta0, the sum of the normalization-row multipliers. A dual slack with
-    smallest eigenvalue -t is made PSD by adding t (N+1)/sigma_1^2 to one of
-    them, since every normalization matrix dominates (sigma_1^2/(N+1)) I.
+    """(c_value, y, xi) of one solved lane of a `_Lifted.cct_batch`, whatever
+    its status, or None when it is infeasible, xi <= _XI_FLOOR or Y is not
+    finite; multipliers that are not finite raise SdpSolverError. By weak
+    duality c_value bounds the relaxation from above: it is the dual
+    objective divided by beta0, the sum of the normalization-row multipliers.
+    A dual slack with smallest eigenvalue -t is made PSD by adding
+    t (N+1)/sigma_1^2 to one of them, since every normalization matrix
+    dominates (sigma_1^2/(N+1)) I.
     """
     if sol.status == SdpStatus.INFEASIBLE:
         return None
-    if not _solution_usable(sol):
+    if not np.isfinite(sol.dual).all():
         raise SdpSolverError(f"fractional SDP failed: {sol.status.value} "
                              f"(gap {sol.duality_gap:.2e}, resid {sol.residuals:.2e})")
     y = sol.matrix
     xi = float(np.mean(np.diag(y).real))
-    if xi <= _XI_FLOOR:
+    if not (xi > _XI_FLOOR and np.isfinite(y).all()):
         return None
     slack, mult = _dual_slack(sol, batch, lane)
     c_value = float(mult[:ctx.k - 1].sum()) + _psd_shift(slack) * (ctx.n + 1) / ctx.sigma2[0]
@@ -327,8 +323,8 @@ def _cct_lanes(ctx: _Lifted, floors: list, samples: list, eav_snr: float) -> lis
     """Per point i, (alpha, status, iterations, value) of each kept lane at
     floor floors[i] and power in samples[i]: one `solve_batch` call solves all
     unfloored points' lanes, one all floored. value is the lane's
-    `_cct_value`, or the SdpSolverError it raised (powers at the exact
-    feasibility edge lose strict interiority)."""
+    `_cct_value`, or the SdpSolverError it raised for a lane without finite
+    multipliers."""
     lanes = [[] for _ in floors]
     for floored in (False, True):
         pairs = [(i, a) for i, r in enumerate(floors) if (r > 0) == floored for a in samples[i]]
@@ -487,19 +483,20 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     largest feasible grid power. Without one the feasible set does not depend
     on alpha and the objective does not decrease in it: the one sample is
     alpha = P. The samples in the power window, then the refinements, are
-    each solved as the lanes of one `solve_batch` call. Each usable lane,
-    grid before edges, is rounded by Gaussian randomization on rng;
-    candidates are scored by their `_repair` secrecy rate, power capped at
-    the lane's alpha, and dropped if they cannot carry the floor. The point
-    records the relaxation bound at the winning sample. eav_snr is the
-    `_eavesdropper_snr` of (ch, p), solved here if None.
+    each solved as the lanes of one `solve_batch` call. Each lane that
+    `_cct_value` certifies, whatever its status, is rounded (grid before
+    edges) by Gaussian randomization on rng; candidates are scored by their
+    `_repair` secrecy rate, power capped at the lane's alpha, and dropped if
+    they cannot carry the floor. The point records the relaxation bound at
+    the winning sample. eav_snr is the `_eavesdropper_snr` of (ch, p), solved
+    here if None.
 
     diagnostics: n_solves counts the Charnes-Cooper lanes (samples inside the
     window) plus any eavesdropper solve; n_iterations and statuses sum their
-    IPM iterations and count them by SdpStatus; n_failed_alpha counts failed
-    samples and last_error holds the last error, raised when every solved
-    sample fails. A failed eavesdropper solve raises, as it would fail every
-    sample.
+    IPM iterations and count them by SdpStatus; n_failed_alpha counts the
+    samples without finite multipliers and last_error holds the last such
+    error, raised when every solved sample fails. The eavesdropper solve
+    never raises: without finite multipliers it gives its closed-form bound.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     return _cct_points(ch, p, [r_m], t_alpha, t_g, [rng], eav_snr)[0]

@@ -185,6 +185,8 @@ class ChannelSet:
             raise ValueError(f"inconsistent shapes: m {self.m.shape}, g {self.g.shape}, h {self.h.shape}")
         if self.sigma2.size != self.h.size:
             raise ValueError("one noise power per user is required")
+        if self.h.size < 2:
+            raise ValueError("at least two users are required, one of them an eavesdropper")
         if not all(np.isfinite(arr).all() for arr in (self.g, self.m, self.h)):
             raise ValueError("channel entries must be finite")
         if not np.all((self.sigma2 > 0) & (self.sigma2 < np.inf)):

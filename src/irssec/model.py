@@ -168,18 +168,20 @@ def alpha_opt_closed_form(x_min: float, sigma2_min: float, p: float, r_m: float)
     x_min and sigma2_min belong to the bottleneck user. Returns
     max(0, min(P, (P*x - (2^r_m - 1)*sigma^2) / (2^r_m * x))); 0 when the
     floor is unattainable (x_min = 0 with r_m > 0, or r_m infinite), in which
-    case the caller must treat the target as infeasible. A NaN floor or gain
-    raises ValueError.
+    case the caller must treat the target as infeasible; an infinite gain gives
+    the limit P / 2^r_m. A NaN floor, gain or noise power raises ValueError.
     """
     if not r_m >= 0:
         raise ValueError("multicast floor must be a nonnegative number")
-    if np.isnan(x_min):
-        raise ValueError("bottleneck gain must not be NaN")
+    if np.isnan(x_min) or np.isnan(sigma2_min):
+        raise ValueError("bottleneck gain and noise power must not be NaN")
     if r_m == 0:
         return float(p)
     if x_min <= 0 or r_m == np.inf:
         return 0.0
     c = 2.0 ** r_m
+    if x_min == np.inf:
+        return float(p / c)
     alpha = (p * x_min - (c - 1.0) * sigma2_min) / (c * x_min)
     return float(min(p, max(alpha, 0.0)))
 

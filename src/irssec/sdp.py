@@ -51,7 +51,6 @@ _MAX_ITERATIONS = 200
 class SdpStatus(enum.Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
-    UNBOUNDED = "Unbounded"
     MAX_ITERATIONS = "MaxIterations"
     BREAKDOWN = "Breakdown"
 
@@ -284,8 +283,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
           "vecs": vecs, "b": b, "half_c": 0.5 * basis.expand(c_w),
           "norm_b": np.sqrt(np.vecdot(b, b)), "norm_c": norm_c,
           "relgap": np.full(lanes, np.inf), "resid": np.full(lanes, np.inf)}
-    # A lane's status code is its status's position in kinds (OPTIMAL 0,
-    # INFEASIBLE 1, UNBOUNDED 2, MAX_ITERATIONS 3, BREAKDOWN 4); -1 runs on.
+    # A lane's status code is its status's position in kinds; -1 runs on.
     live, done, kinds = np.arange(lanes), [None] * lanes, list(SdpStatus)
 
     def freeze(code, it):
@@ -369,8 +367,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         ny = np.sqrt(np.vecdot(y, y))
         finite = (np.isfinite(xs).all(axis=(1, 2, 3)) & np.isfinite(xsd).all(axis=(1, 2))
                   & np.isfinite(y).all(axis=1))
-        ax = a_op(w, x) + np.matvec(vecs, xd)
-        rp = b - ax
+        rp = b - (a_op(w, x) + np.matvec(vecs, xd))
         ys_mat = 0.5 * a_adj(w, y)
         ys_vec = np.matvec(vecs.swapaxes(-1, -2), y)
         rd_mat = ys_mat - s - st["half_c"]
@@ -384,19 +381,15 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         resid = np.where(finite, np.maximum(pres, dres), np.inf)
         optimal = (resid <= tol) & (relgap <= tol)
         broken = ~finite | (gap > 1e100) | (np.abs(pobj) > 1e100)
-        running = ~optimal & ~broken
         # Farkas test: A*(y) >= 0 with b.y < 0 certifies primal infeasibility.
-        farkas = running & (ny > 1e-12) & (dobj / ny < -1e-6)
+        farkas = ~optimal & ~broken & (ny > 1e-12) & (dobj / ny < -1e-6)
         infeasible = np.zeros_like(farkas)
         if farkas.any():
             low = np.minimum(_lapack("eigvalsh_lo", ys_mat[farkas]).min(axis=-1),
                              ys_vec[farkas].min(axis=-1, initial=np.inf))
             infeasible[farkas] = low / ny[farkas] >= -1e-9
-        # A huge iterate that nearly solves A(X) = 0 per unit of objective is
-        # an improving ray: the dual is infeasible.
-        ray = running & (pobj > 1e12 * np.maximum(np.maximum(1.0, st["norm_b"]), st["norm_c"]))
-        unbounded = ray & ((pres <= max(tol, 1e-6)) | (np.sqrt(np.vecdot(ax, ax)) <= tol * pobj))
-        code = np.select([optimal, broken, infeasible, unbounded], [0, 4, 1, 2], -1)
+        code = np.select([optimal, broken, infeasible], [kinds.index(kind) for kind in (
+            SdpStatus.OPTIMAL, SdpStatus.BREAKDOWN, SdpStatus.INFEASIBLE)], -1)
         st.update(rd_mat=rd_mat, rd_vec=rd_vec, mu=gap / nu, relgap=relgap, resid=resid)
         if (code >= 0).any():
             freeze(code, it)
@@ -407,7 +400,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         usable = (np.isfinite(out[0]).all(axis=(1, 2, 3)) & np.isfinite(out[2]).all(axis=1)
                   & ~(out[3] < 1e-10))
         if not usable.all():
-            freeze(np.where(usable, -1, 4), it)
+            freeze(np.where(usable, -1, kinds.index(SdpStatus.BREAKDOWN)), it)
             if not live.size:
                 break
             out = [val[usable] for val in out]
@@ -417,7 +410,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         st["xsd"] = st["xsd"] + step[:, None, None] * d_vec
         st["y"] = st["y"] + step[:, None] * dy
     if live.size:
-        freeze(np.full(live.size, 3), it)
+        freeze(np.full(live.size, kinds.index(SdpStatus.MAX_ITERATIONS)), it)
     return done
 
 
@@ -441,6 +434,7 @@ def _solve_stack(basis: _Basis, gram2, cfg: SolverConfig, w, vecs, b, c_w) -> li
             dual = y * c_s / row_s
             if not (np.isfinite(row_s).all() and np.isfinite(dual).all()):
                 status, relgap, resid = SdpStatus.BREAKDOWN, math.nan, math.nan
+                dual = np.full_like(dual, math.nan)
             # x views the stack of lanes frozen with it; a copy keeps no stack alive
             sols.append(SdpSolution(x.copy(), pobj * c_s, status, relgap, resid, iters, dual))
     return sols
@@ -452,8 +446,9 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
     (rows and objective) and turned into solutions by itself; each lane is
     bitwise what it gives alone, whichever stack it rides in. OPTIMAL means
     gap and residuals below the tolerance; MAX_ITERATIONS (the iteration cap)
-    and BREAKDOWN (a numerical failure before it, gap and residual NaN if a
-    scale or multiplier is not finite) never are."""
+    and BREAKDOWN (a numerical failure before it, with NaN multipliers, gap
+    and residual if a scale or multiplier is not finite) never are. Finite
+    multipliers give a weak-duality bound whatever the status."""
     cfg = config or SolverConfig()
     f = np.asarray(batch.basis, dtype=complex)
     lanes, m, _ = np.shape(batch.rows)

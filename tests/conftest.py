@@ -25,6 +25,15 @@ def rand_channelset(rng, n=2, k=2, sigma2=None):
     return ChannelSet(g=g, m=m, h=h, sigma2=np.asarray(sigma2, dtype=float))
 
 
+def twin_channelset(rng, n=2):
+    """Two identical users, their one channel drawn as `rand_channelset`
+    draws a single user's."""
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+    h = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+    return ChannelSet(g=g, m=np.vstack([m, m]), h=np.array([h, h]), sigma2=np.ones(2))
+
+
 def phase_grid(n, levels, offset=0.0):
     """All unit-modulus vectors with entries on a uniform phase grid, (L^n, n)."""
     thetas = offset + 2.0 * np.pi * np.arange(levels) / levels

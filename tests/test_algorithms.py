@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irssec import algorithms, model
+from irssec import algorithms, model, sdp
 from irssec.algorithms import (SweepParams, algorithm1_cct, algorithm2_wscm,
                                baseline_no_irs, baseline_random_irs,
                                baseline_tdma, cct_fixed_alpha,
@@ -19,7 +19,7 @@ from irssec.channel import (ChannelSet, generate_channels, multi_user_scenario,
                             two_user_scenario)
 from irssec.model import effective_gains, multicast_capacity_from_gains
 
-from conftest import phase_grid, rand_channelset
+from conftest import phase_grid, rand_channelset, twin_channelset
 from sdp_forms import max_min_lanes
 
 P = 1.0
@@ -63,9 +63,7 @@ def test_cct_fixed_alpha_never_below_exact_ratio_without_reflection():
 
 
 def test_multicast_upper_bound_symmetric_users(rng):
-    ch = rand_channelset(rng, n=2, k=1)
-    twin = ChannelSet(g=ch.g, m=np.vstack([ch.m[0], ch.m[0]]),
-                      h=np.array([ch.h[0], ch.h[0]]), sigma2=np.ones(2))
+    twin = twin_channelset(rng, n=2)
     r_up, _ = multicast_upper_bound(twin, P)
     # identical users: bound equals the single-user aligned capacity
     aligned = model.aligned_gain(twin.m[0], twin.g, twin.h[0]) ** 2
@@ -91,12 +89,35 @@ def test_cct_fixed_alpha_zero_power_bound_is_one(rng):
 
 
 def test_cct_fixed_alpha_identical_users_bound_one(rng):
-    ch = rand_channelset(rng, n=2, k=1)
-    twin = ChannelSet(g=ch.g, m=np.vstack([ch.m[0], ch.m[0]]),
-                      h=np.array([ch.h[0], ch.h[0]]), sigma2=np.ones(2))
+    twin = twin_channelset(rng, n=2)
     for alpha in (0.0, 0.4, 1.0):
         c, _, _ = cct_fixed_alpha(twin, P, 0.0, alpha)
         assert c == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("cap", [2, 4, 6])
+def test_lane_stopped_early_keeps_a_certified_bound(monkeypatch, cap):
+    # weak duality holds for any finite multipliers: a Charnes-Cooper lane
+    # stopped at the iteration cap still bounds its program from above
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    r_up = multicast_upper_bound(ch, P)[0]
+    cases = [(0.0, P), (0.3 * r_up, 0.2), (0.6 * r_up, 0.1)]
+    real_solve, statuses = algorithms.solve_batch, []
+
+    def recording_solve(batch, config=None):
+        sols = real_solve(batch, config)
+        statuses.extend(sol.status for sol in sols)
+        return sols
+
+    monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
+    optimal = [cct_fixed_alpha(ch, P, r_m, alpha)[0] for r_m, alpha in cases]
+    assert set(statuses) == {SdpStatus.OPTIMAL}
+    statuses.clear()
+    monkeypatch.setattr(sdp, "_MAX_ITERATIONS", cap)
+    for (r_m, alpha), want in zip(cases, optimal):
+        c_value, _, _ = cct_fixed_alpha(ch, P, r_m, alpha)
+        assert c_value >= want
+    assert set(statuses) == {SdpStatus.MAX_ITERATIONS}
 
 
 def test_cct_fixed_alpha_dominates_grid_secrecy(rng):
@@ -172,7 +193,8 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
         for i in range(len(sols)):
             calls.append((batch, i))
             if len(calls) == 2:
-                sols[i] = replace(sols[i], status=SdpStatus.BREAKDOWN, duality_gap=1.0)
+                sols[i] = replace(sols[i], status=SdpStatus.BREAKDOWN, duality_gap=1.0,
+                                  dual=np.full_like(sols[i].dual, np.nan))
         return sols
 
     monkeypatch.setattr(algorithms, "solve_batch", failing_second_solve)
@@ -249,19 +271,32 @@ def test_algorithm1_floor_solves_one_eavesdropper_program(monkeypatch):
     assert len(max_min_progs) == 1
     assert pt.diagnostics["n_failed_alpha"] == 0
 
-    # a failed eavesdropper solve fails every sample, solved once, never
-    # read as an unsupportable floor
-    def failing_max_min_solve(batch, config=None):
-        sols = recording_solve(batch, config)
-        if max_min_lanes(batch):
-            sols = [replace(sol, status=SdpStatus.BREAKDOWN, duality_gap=1.0) for sol in sols]
-        return sols
+    # the eavesdropper bound comes from the multipliers, whatever the status:
+    # a BREAKDOWN with the same multipliers gives the same point, from one solve
+    def breakdown_max_min_solve(dual):
+        def solve(batch, config=None):
+            sols = recording_solve(batch, config)
+            if max_min_lanes(batch):
+                sols = [replace(sol, status=SdpStatus.BREAKDOWN, duality_gap=1.0,
+                                dual=dual(sol.dual)) for sol in sols]
+            return sols
+        return solve
 
     max_min_progs.clear()
-    monkeypatch.setattr(algorithms, "solve_batch", failing_max_min_solve)
-    with pytest.raises(SdpSolverError, match="max-min SNR solve failed"):
-        algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
+    monkeypatch.setattr(algorithms, "solve_batch", breakdown_max_min_solve(lambda y: y))
+    same = algorithm1_cct(ch, P, r_m, t_alpha=30, t_g=100, rng=np.random.default_rng(0))
     assert len(max_min_progs) == 1
+    assert (same.r_c_achieved, same.alpha, same.upper_bound) == (
+        pt.r_c_achieved, pt.alpha, pt.upper_bound)
+    assert same.phase_vector.tobytes() == pt.phase_vector.tobytes()
+
+    # without finite multipliers it is the aligned closed form s_scale
+    monkeypatch.setattr(algorithms, "solve_batch",
+                        breakdown_max_min_solve(lambda y: np.full_like(y, np.nan)))
+    ctx = algorithms._Lifted(ch, P)
+    assert eavesdropper_snr(ch) == float(np.min(ctx.aligned2[1:] / ctx.sigma2[1:]))
+    loose = algorithm1_cct(ch, P, r_m, t_alpha=30, t_g=100, rng=np.random.default_rng(0))
+    assert loose.feasible and loose.diagnostics["n_failed_alpha"] == 0
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -530,7 +565,8 @@ def test_sweep_raises_the_error_of_a_point_whose_every_lane_fails(monkeypatch):
         # every lane of the floor `bad` breaks down, grid and edge lanes alike
         sols = real_solve(batch, config)
         for lane in np.flatnonzero(floors_of.get(id(batch), np.zeros(0)) == bad):
-            sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN, duality_gap=7.0)
+            sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN, duality_gap=7.0,
+                                 dual=np.full_like(sols[lane].dual, np.nan))
         return sols
 
     monkeypatch.setattr(algorithms._Lifted, "cct_batch", recording_batch)
@@ -685,7 +721,8 @@ def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypat
         sols = real_solve(batch, config)
         for lane, r_m in enumerate(floors_of.get(id(batch), np.zeros(0)).tolist()):
             if r_m in gaps:
-                sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN, duality_gap=gaps[r_m])
+                sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN, duality_gap=gaps[r_m],
+                                     dual=np.full_like(sols[lane].dual, np.nan))
         return sols
 
     monkeypatch.setattr(algorithms._Lifted, "cct_batch", recording_batch)

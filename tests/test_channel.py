@@ -362,6 +362,11 @@ def test_channelset_validates_shapes():
         ChannelSet(g=np.ones(3), m=np.ones((2, 2)), h=np.ones(2), sigma2=np.ones(2))
     with pytest.raises(ValueError):
         ChannelSet(g=np.ones(2), m=np.ones((2, 2)), h=np.ones(2), sigma2=np.array([1.0, 0.0]))
+    # the confidential user needs an eavesdropper: with one user a region
+    # sweep ended in max() of an empty sequence
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="at least two users"):
+            ChannelSet(g=np.ones(2), m=np.ones((k, 2)), h=np.ones(k), sigma2=np.ones(k))
     # a NaN noise power passes a test for <= 0; unchecked, it and any
     # non-finite entry reach the solver as a numerical breakdown
     for sigma2 in ([math.nan, 1e-11], [math.inf, 1e-11]):

@@ -11,7 +11,7 @@ from irssec.model import (Feasibility, PowerSplit, aligned_gain,
                           multicast_rate, positive_secrecy_condition,
                           secrecy_rate)
 
-from conftest import phase_grid, rand_channelset
+from conftest import phase_grid, rand_channelset, twin_channelset
 
 
 def test_build_tk_all_ones():
@@ -58,7 +58,7 @@ def test_effective_gain_equals_lifted_trace(rng):
 
 @pytest.mark.parametrize("n,levels", [(2, 256), (3, 32)])
 def test_aligned_gain_is_grid_maximum(n, levels, rng):
-    ch = rand_channelset(rng, n=n, k=1)
+    ch = twin_channelset(rng, n=n)     # two copies of one drawn user
     grid = phase_grid(n, levels)
     gains = effective_gains(ch, grid)[:, 0]
     best = aligned_gain(ch.m[0], ch.g, ch.h[0]) ** 2
@@ -168,6 +168,9 @@ def test_alpha_opt_closed_form_boundaries():
     cap = np.log2(1 + 1.0 * 2.0 / 1.0)
     assert alpha_opt_closed_form(2.0, 1.0, 1.0, cap) == pytest.approx(0.0, abs=1e-12)
     assert alpha_opt_closed_form(0.0, 1.0, 1.0, 0.5) == 0.0
+    # an infinite gain takes the limit P / 2^r_m, where the formula's
+    # inf / inf is NaN
+    assert alpha_opt_closed_form(math.inf, 1.0, 1.0, 1.0) == 0.5
 
 
 def test_alpha_opt_closed_form_rejects_a_nan_floor_or_gain():
@@ -175,6 +178,8 @@ def test_alpha_opt_closed_form_rejects_a_nan_floor_or_gain():
     for x_min, r_m in ((2.0, math.nan), (math.nan, 1.0), (math.nan, 0.0)):
         with pytest.raises(ValueError):
             alpha_opt_closed_form(x_min, 1.0, 1.0, r_m)
+    with pytest.raises(ValueError, match="noise power"):
+        alpha_opt_closed_form(2.0, math.nan, 1.0, 1.0)
     # an infinite floor is unattainable at any power
     assert alpha_opt_closed_form(2.0, 1.0, 1.0, math.inf) == 0.0
 
