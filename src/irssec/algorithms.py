@@ -423,11 +423,10 @@ def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, grid: list, t_g: int,
     return points
 
 
-def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list,
-                eav_snr: float | None) -> list:
+def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list) -> list:
     """`algorithm1_cct` at every floor in `floors`, point i rounding on
-    rngs[i]. eav_snr is solved here if None and a floor is positive, and
-    counted in the n_solves of the first floored point.
+    rngs[i]. With a positive floor the eavesdropper program (`_eavesdropper_snr`)
+    is solved once, counted in the n_solves of the first floored point.
 
     The points are solved and rounded by `_cct_group`: in the calling
     process, or, with two or more points and CPUs (see `_workers`), in one
@@ -443,8 +442,8 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     ctx = _Lifted(ch, p)
     floors = [float(r) for r in floors]
     floored = [i for i, r in enumerate(floors) if r > 0]
-    n_solves = [0] * len(floors)
-    if floored and eav_snr is None:
+    n_solves, eav_snr = [0] * len(floors), math.inf
+    if floored:
         eav_snr, n_solves[floored[0]] = _eavesdropper_snr(ctx), 1
     grid = [p * t / (t_alpha - 1) for t in range(t_alpha)]
     workers = _workers(len(floors))
@@ -472,8 +471,7 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
 
 
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
-                   t_g: int = 1000, rng: np.random.Generator | None = None,
-                   eav_snr: float | None = None) -> BoundaryPoint:
+                   t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
     """Algorithm 1: a 1-D search over the confidential power alpha, the
     one-floor case of `_cct_points`, solved and rounded in the calling
     process (one point never fans out).
@@ -488,8 +486,8 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     edges) by Gaussian randomization on rng; candidates are scored by their
     `_repair` secrecy rate, power capped at the lane's alpha, and dropped if
     they cannot carry the floor. The point records the relaxation bound at
-    the winning sample. eav_snr is the `_eavesdropper_snr` of (ch, p), solved
-    here if None.
+    the winning sample. A floor r_m > 0 also solves the eavesdropper program
+    (`_eavesdropper_snr`) that bounds the power window.
 
     diagnostics: n_solves counts the Charnes-Cooper lanes (samples inside the
     window) plus any eavesdropper solve; n_iterations and statuses sum their
@@ -499,7 +497,7 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     never raises: without finite multipliers it gives its closed-form bound.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    return _cct_points(ch, p, [r_m], t_alpha, t_g, [rng], eav_snr)[0]
+    return _cct_points(ch, p, [r_m], t_alpha, t_g, [rng])[0]
 
 
 def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
@@ -515,14 +513,16 @@ def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
 
 
 def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
-                 rng: np.random.Generator | None, z_m: np.ndarray | None,
-                 z_c: np.ndarray | None) -> list:
+                 rng: np.random.Generator | None, z_m: np.ndarray | None = None,
+                 z_c: np.ndarray | None = None) -> list:
     """Weighted-covariance-blend heuristic at every multicast floor in `floors`.
 
     Each blend lam z_c + (1 - lam) z_m of a uniform weight grid draws its T_g
     candidates once from rng, scored against every floor. Each floor keeps
     its best candidate (ties go to the first blend) and sets the confidential
-    power by the bottleneck closed form. z_m / z_c may be shared across calls.
+    power by the bottleneck closed form. z_m and z_c, the multicast and
+    secrecy covariances, are solved here if None; `sweep_region` passes the
+    z_m of its multicast bound.
     """
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -544,10 +544,9 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
 
 
 def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
-                    t_g: int = 1000, rng: np.random.Generator | None = None,
-                    z_m: np.ndarray | None = None, z_c: np.ndarray | None = None) -> BoundaryPoint:
+                    t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
     """`_wscm_points` at the single floor r_m."""
-    return _wscm_points(ch, p, [r_m], t_lambda, t_g, rng, z_m, z_c)[0]
+    return _wscm_points(ch, p, [r_m], t_lambda, t_g, rng)[0]
 
 
 def baseline_random_irs(ch: ChannelSet, p: float, r_m: float,
@@ -665,7 +664,7 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
 
     if scheme in ("cct", "upper-bound"):
         points = _cct_points(ch, p, targets, params.t_alpha, params.t_g,
-                             [substream(seed, i) for i in range(grid_points)], None)
+                             [substream(seed, i) for i in range(grid_points)])
         if scheme == "upper-bound":
             points = [replace(pt, r_c_achieved=pt.upper_bound if pt.feasible else 0.0,
                               scheme="upper-bound") for pt in points]

@@ -24,9 +24,10 @@ def parse_power_w(value) -> float:
     """Parse a power given in watts or as a string with a dBm/dB suffix.
 
     ``"-80 dBm"`` -> 1e-11 W, ``"0 dB"`` -> 1 W (dB is read as dBW).
-    Plain numbers pass through as watts.
+    Plain numbers, numpy scalars included, pass through as watts; a boolean
+    is no power.
     """
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         text = value.strip().lower().replace(" ", "")

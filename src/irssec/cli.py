@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,37 +35,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, EXIT_CONFIG)
 
 
-@dataclass
-class RunSpec:
-    scenario_path: str
-    scheme: str = "cct"
-    grid_points: int = 20
-    t_alpha: int = 80
-    t_lambda: int = 80
-    t_g: int = 1000
-    seed: int = 0
-    output_path: str = "region.csv"
-    pareto_filter: bool = True
-
-    def __post_init__(self):
-        for name, least in {**algorithms._LEAST, "seed": 0}.items():
-            if getattr(self, name) < least:
-                flag = "--" + ("grid" if name == "grid_points" else name.replace("_", "-"))
-                raise CliError(f"{flag} must be at least {least}")
-        if self.scheme not in algorithms.SCHEMES:
-            raise CliError(f"unknown scheme {self.scheme!r}; pick from {algorithms.SCHEMES}")
-
-    def params(self) -> algorithms.SweepParams:
-        return algorithms.SweepParams(t_alpha=self.t_alpha, t_lambda=self.t_lambda,
-                                      t_g=self.t_g, pareto_filter=self.pareto_filter)
+def _check(args) -> None:
+    """Reject a count or seed below its least value and an unknown scheme."""
+    for name, least in {**algorithms._LEAST, "seed": 0}.items():
+        dest = "grid" if name == "grid_points" else name
+        if getattr(args, dest) < least:
+            raise CliError(f"--{dest.replace('_', '-')} must be at least {least}")
+    if args.scheme not in algorithms.SCHEMES:
+        raise CliError(f"unknown scheme {args.scheme!r}; pick from {algorithms.SCHEMES}")
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _region_rows(region: algorithms.RegionBoundary, p: float, seed: int,
-                 extra: str = "") -> list:
+def _region_rows(region: algorithms.RegionBoundary, p: float, seed: int, extra: str) -> list:
     rows = []
     for pt in sorted(region.points, key=lambda q: q.r_m_target):
         rows.append(",".join([
@@ -88,9 +71,9 @@ def _phases_entry(region: algorithms.RegionBoundary) -> list:
     return out
 
 
-def _region_channels(spec: RunSpec):
+def _region_channels(args):
     """(config, ch), rejecting infeasible scenarios and oracle grids too large."""
-    config = load_scenario(spec.scenario_path)
+    config = load_scenario(args.scenario)
     ch = generate_channels(config)
     if model.feasibility_check(ch) is model.Feasibility.INFEASIBLE:
         k = model.infeasibility_witness(ch)
@@ -98,7 +81,7 @@ def _region_channels(spec: RunSpec):
             f"scenario is infeasible: eavesdropper user {k + 1}'s direct channel "
             f"alone dominates user 1's best fully-aligned gain, so no reflection "
             f"pattern yields a positive secrecy lead", EXIT_INFEASIBLE)
-    if spec.scheme == "oracle":
+    if args.scheme == "oracle":
         try:
             analysis.check_oracle_grid(ch.n, *algorithms.ORACLE_GRID)
         except ValueError as exc:
@@ -106,33 +89,46 @@ def _region_channels(spec: RunSpec):
     return config, ch
 
 
-def cmd_region(spec: RunSpec) -> int:
-    """Sweep one scheme over the multicast-target grid and write the region CSV
-    plus the companion phases JSON."""
-    config, ch = _region_channels(spec)
-    p = config.total_power_w
-    region = algorithms.sweep_region(ch, p, spec.scheme, spec.grid_points,
-                                     spec.params(), seed=spec.seed)
-    rows = [CSV_HEADER] + _region_rows(region, p, spec.seed)
-    with open(spec.output_path, "w") as fh:
+def cmd_sweep(args, powers: list | None) -> int:
+    """Sweep one scheme over the multicast-target grid at each transmit power
+    and write the region CSV plus the companion phases JSON. `region` passes
+    no powers and sweeps at the scenario's own; `sweep-power` tags each row
+    with a power_w column and groups the phases by power."""
+    if powers == []:
+        raise CliError("--powers requires at least one value")
+    if not all(np.isfinite(p) and p > 0 for p in powers or ()):
+        raise CliError("powers must be finite and positive")
+    config, ch = _region_channels(args)
+    params = algorithms.SweepParams(t_alpha=args.t_alpha, t_lambda=args.t_lambda, t_g=args.t_g,
+                                    pareto_filter=not args.no_pareto_filter)
+    own = powers is None
+    rows, companions = [CSV_HEADER + ("" if own else ",power_w")], []
+    for p in [config.total_power_w] if own else powers:
+        region = algorithms.sweep_region(ch, p, args.scheme, args.grid, params, seed=args.seed)
+        rows += _region_rows(region, p, args.seed, "" if own else "," + _fmt(p))
+        companions.append({"power_w": p, "points": _phases_entry(region)})
+    if own:
+        out, companion = args.out or "region.csv", {"points": companions[0]["points"]}
+    else:
+        out, companion = args.out or "sweep_power.csv", {"powers": companions}
+    with open(out, "w") as fh:
         fh.write("\n".join(rows) + "\n")
-    companion = {"scheme": spec.scheme, "seed": spec.seed,
-                 "points": _phases_entry(region)}
-    with open(spec.output_path + ".phases.json", "w") as fh:
-        json.dump(companion, fh, indent=2, sort_keys=True)
+    with open(out + ".phases.json", "w") as fh:
+        json.dump({"scheme": args.scheme, "seed": args.seed, **companion},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK
 
 
-def _load_v_source(v_source: str, ch, p: float, spec: RunSpec):
+def _load_v_source(args, ch, p: float):
     """A phase file (JSON array of N radians) or a scheme name to optimize."""
-    schemes = ("cct", "wscm", "random-irs")
-    if v_source in schemes:
-        rng = substream(spec.seed, 0)
+    v_source = args.v_source
+    if v_source in ("cct", "wscm", "random-irs"):
+        rng = substream(args.seed, 0)
         if v_source == "cct":
-            pt = algorithms.algorithm1_cct(ch, p, 0.0, spec.t_alpha, spec.t_g, rng)
+            pt = algorithms.algorithm1_cct(ch, p, 0.0, args.t_alpha, args.t_g, rng)
         elif v_source == "wscm":
-            pt = algorithms.algorithm2_wscm(ch, p, 0.0, spec.t_lambda, spec.t_g, rng)
+            pt = algorithms.algorithm2_wscm(ch, p, 0.0, args.t_lambda, args.t_g, rng)
         else:
             pt = algorithms.baseline_random_irs(ch, p, 0.0, rng)
         if pt.phase_vector is None:
@@ -151,14 +147,13 @@ def _load_v_source(v_source: str, ch, p: float, spec: RunSpec):
     return np.exp(1j * arr)
 
 
-def cmd_analyze(spec: RunSpec, v_source: str, alpha: float | None) -> dict:
+def cmd_analyze(args) -> dict:
     """JSON report: feasibility verdict, benefit classification, enhancement
     factors, sweep gap bounds, and complexity estimates."""
-    config = load_scenario(spec.scenario_path)
+    config = load_scenario(args.scenario)
     ch = generate_channels(config)
     p = config.total_power_w
-    if alpha is None:
-        alpha = p
+    alpha = p if args.alpha is None else args.alpha
     if not 0.0 <= alpha <= p:
         raise CliError(f"--alpha must lie in [0, {p}]")
 
@@ -171,7 +166,7 @@ def cmd_analyze(spec: RunSpec, v_source: str, alpha: float | None) -> dict:
     e_factors = None
     eta = None
     if verdict is not model.Feasibility.INFEASIBLE and ch.k == 2:
-        v = _load_v_source(v_source, ch, p, spec)
+        v = _load_v_source(args, ch, p)
         try:
             report = analysis.enhancement_analysis(ch, v, alpha, p=p)
             classification = report.classification.value
@@ -181,8 +176,8 @@ def cmd_analyze(spec: RunSpec, v_source: str, alpha: float | None) -> dict:
             classification = None  # surface-free secrecy precondition violated
 
     tr_t1 = float(np.trace(model.build_tk(ch.m[0], ch.g, ch.h[0])).real)
-    gaps = analysis.gap_bound_report(p, ch.n, tr_t1, float(ch.sigma2[0]), spec.t_alpha)
-    a1, a2 = analysis.complexity_estimate(ch.n, ch.k, spec.t_alpha, spec.t_lambda, spec.t_g)
+    gaps = analysis.gap_bound_report(p, ch.n, tr_t1, float(ch.sigma2[0]), args.t_alpha)
+    a1, a2 = analysis.complexity_estimate(ch.n, ch.k, args.t_alpha, args.t_lambda, args.t_g)
     return {
         "feasibility": feas,
         "classification": classification,
@@ -197,29 +192,6 @@ def cmd_analyze(spec: RunSpec, v_source: str, alpha: float | None) -> dict:
         },
         "complexity": {"cct_flops": a1, "wscm_flops": a2},
     }
-
-
-def cmd_sweep_power(spec: RunSpec, powers: list) -> int:
-    """One region per transmit power, tagged by a power column."""
-    if not powers:
-        raise CliError("--powers requires at least one value")
-    if not all(np.isfinite(p) and p > 0 for p in powers):
-        raise CliError("powers must be finite and positive")
-    _, ch = _region_channels(spec)
-    rows = [CSV_HEADER + ",power_w"]
-    companions = []
-    for p in powers:
-        region = algorithms.sweep_region(ch, p, spec.scheme, spec.grid_points,
-                                         spec.params(), seed=spec.seed)
-        rows += _region_rows(region, p, spec.seed, extra="," + _fmt(p))
-        companions.append({"power_w": p, "points": _phases_entry(region)})
-    with open(spec.output_path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(spec.output_path + ".phases.json", "w") as fh:
-        json.dump({"scheme": spec.scheme, "seed": spec.seed, "powers": companions},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -257,43 +229,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args, default_out: str) -> RunSpec:
-    return RunSpec(
-        scenario_path=args.scenario,
-        scheme=args.scheme,
-        grid_points=args.grid,
-        t_alpha=args.t_alpha,
-        t_lambda=args.t_lambda,
-        t_g=args.t_g,
-        seed=args.seed,
-        output_path=args.out or default_out,
-        pareto_filter=not args.no_pareto_filter,
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "region":
-            return cmd_region(_spec_from_args(args, "region.csv"))
-        if args.command == "analyze":
-            spec = _spec_from_args(args, "")
-            report = cmd_analyze(spec, args.v_source, args.alpha)
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            if spec.output_path:
-                with open(spec.output_path, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return EXIT_OK
+        powers = None
         if args.command == "sweep-power":
             try:
                 powers = [float(tok) for tok in args.powers.split(",") if tok.strip()]
             except ValueError as exc:
                 raise CliError(f"bad --powers value: {exc}") from exc
-            return cmd_sweep_power(_spec_from_args(args, "sweep_power.csv"), powers)
-        raise CliError(f"unknown command {args.command!r}")
+        _check(args)
+        if args.command != "analyze":
+            return cmd_sweep(args, powers)
+        text = json.dumps(cmd_analyze(args), indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -25,8 +25,9 @@ boundary points per CPU), so every other figure is a time on one CPU:
 * `grp_round` us per 1000 candidates at N = 10, drawn from the even blend of
   the multicast- and secrecy-optimal covariances of the two-user scenario.
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
-  T_g 1000) at r_m = 0 and at half the multicast upper bound, with the
-  eavesdropper max-min SNR solved beforehand as `sweep_region` does.
+  T_g 1000) at r_m = 0 and at half the multicast upper bound; the floored
+  point's time includes its eavesdropper max-min solve, which `sweep_region`
+  makes once per region.
 * ms per cct region on the same scenario (grid 20, T_alpha 80, T_g 1000),
   with the process pinned to one CPU and on every CPU, and the region's
   Charnes-Cooper lanes and lane-iterations summed from its points'
@@ -168,17 +169,16 @@ def grp_round_row(repeats: int) -> None:
 def cct_point_rows(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
-    eav_snr = algorithms._eavesdropper_snr(algorithms._Lifted(ch, p))
     r_up = algorithms.multicast_upper_bound(ch, p)[0]
     for label, r_m in (("0", 0.0), ("r_up/2", 0.5 * r_up)):
         point = []
 
         def run(r_m=r_m):
             point[:] = [algorithms.algorithm1_cct(ch, p, r_m, 80, 1000,
-                                                  np.random.default_rng(0), eav_snr)]
+                                                  np.random.default_rng(0))]
         ms = 1e3 * best_of(repeats, run)
         print(f"algorithm1_cct N=10 r_m={label:<7s} ms per point {ms:9.1f}"
-              f"   ({point[0].diagnostics['n_solves']} lanes)")
+              f"   ({point[0].diagnostics['n_solves']} solves)")
 
 
 def cct_region_row(repeats: int) -> None:

@@ -9,22 +9,20 @@ import time
 import numpy as np
 import pytest
 
-from irssec import algorithms, analysis, model
-from irssec.algorithms import (SweepParams, algorithm1_cct, algorithm2_wscm,
-                               baseline_no_irs, baseline_random_irs,
-                               baseline_tdma, multicast_upper_bound,
-                               pareto_filter, secrecy_covariance, sweep_region)
+from irssec import algorithms, model
+from irssec.algorithms import (SweepParams, algorithm1_cct, baseline_tdma,
+                               multicast_upper_bound, pareto_filter, secrecy_covariance,
+                               sweep_region)
 from irssec.analysis import (IrsEffect, brute_force_oracle, complexity_estimate,
-                             gap_bound_general, gap_bound_tight,
-                             gap_bound_worst_case, proposition3_classify)
+                             gap_bound_general, gap_bound_worst_case, proposition3_classify)
 from irssec.channel import ChannelSet, generate_channels, multi_user_scenario, two_user_scenario
 from irssec.model import effective_gains, multicast_capacity_from_gains
 from irssec.sdp import SdpStatus, SolverConfig, grp_round, solve_batch, substream
 
 from conftest import phase_grid, rand_channelset
 from sdp_forms import dense_batch
-from test_analysis import LOG2_4_OVER_PI, aligned_pattern, improves_instance, impairs_instance
-from test_sdp import feasible_random_problem, random_hermitian
+from test_analysis import LOG2_4_OVER_PI, improves_instance, impairs_instance
+from test_sdp import feasible_random_problem
 
 P = 1.0
 

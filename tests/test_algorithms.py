@@ -180,16 +180,18 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     assert pt.diagnostics["n_failed_alpha"] == 0
     assert pt.diagnostics["last_error"] is None
 
-    # with a floor the in-window samples solve as lanes of one batch
-    r_m, eav = 0.05 * multicast_upper_bound(ch, P)[0], eavesdropper_snr(ch)
-    healthy = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0),
-                             eav_snr=eav)
-    assert healthy.diagnostics["n_solves"] == 4
+    # with a floor the eavesdropper program, then the in-window samples as
+    # lanes of one batch
+    r_m = 0.05 * multicast_upper_bound(ch, P)[0]
+    healthy = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
+    assert healthy.diagnostics["n_solves"] == 5
     real_solve_batch = algorithms.solve_batch
     calls = []
 
     def failing_second_solve(batch, config=None):
         sols = real_solve_batch(batch, config)
+        if max_min_lanes(batch):
+            return sols
         for i in range(len(sols)):
             calls.append((batch, i))
             if len(calls) == 2:
@@ -198,10 +200,9 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
         return sols
 
     monkeypatch.setattr(algorithms, "solve_batch", failing_second_solve)
-    pt = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0),
-                        eav_snr=eav)
+    pt = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
     assert pt.feasible
-    assert pt.diagnostics["n_solves"] == 4
+    assert pt.diagnostics["n_solves"] == 5
     assert pt.diagnostics["n_failed_alpha"] == 1
     assert "fractional SDP failed: Breakdown" in pt.diagnostics["last_error"]
 
@@ -386,10 +387,8 @@ def test_algorithm2_zero_floor_uses_full_power(rng):
 def test_algorithm2_degenerate_blend_deterministic(rng):
     ch = rand_channelset(np.random.default_rng(31), n=2, k=2)
     z = secrecy_covariance(ch, P)
-    a = algorithm2_wscm(ch, P, 0.2, t_lambda=2, t_g=100,
-                        rng=np.random.default_rng(4), z_m=z, z_c=z)
-    b = algorithm2_wscm(ch, P, 0.2, t_lambda=2, t_g=100,
-                        rng=np.random.default_rng(4), z_m=z, z_c=z)
+    a, = algorithms._wscm_points(ch, P, [0.2], 2, 100, np.random.default_rng(4), z, z)
+    b, = algorithms._wscm_points(ch, P, [0.2], 2, 100, np.random.default_rng(4), z, z)
     assert a.r_c_achieved == b.r_c_achieved
     assert np.array_equal(a.phase_vector, b.phase_vector)
 
@@ -585,7 +584,7 @@ def test_sweep_pareto_filter_monotone(rng):
     assert region.pareto_filtered
 
 
-def test_sweep_deterministic_across_reruns(monkeypatch, rng):
+def test_sweep_deterministic_across_reruns(rng):
     ch = rand_channelset(np.random.default_rng(18), n=2, k=2)
     params = SweepParams(t_alpha=10, t_g=100)
 
@@ -593,32 +592,25 @@ def test_sweep_deterministic_across_reruns(monkeypatch, rng):
         region = sweep_region(ch, P, "cct", 5, params, seed=11)
         return [(pt.r_m_target, pt.r_c_achieved, pt.alpha) for pt in region.points]
 
-    monkeypatch.setenv("IRSSEC_THREADS", "1")
-    serial = run()
-    monkeypatch.setenv("IRSSEC_THREADS", "4")
-    threaded = run()
-    assert serial == threaded
+    assert run() == run()
 
 
 def test_sweep_runs_on_the_calling_thread(monkeypatch):
-    # A leftover IRSSEC_THREADS setting starts no pool: every solve of the
-    # sweep runs on the thread that called sweep_region.
-    monkeypatch.setenv("IRSSEC_THREADS", "3")
-    idents = {}
+    # On one CPU no worker process starts: every solve of the sweep, the
+    # region's Charnes-Cooper lanes as well as its max-min programs, runs on
+    # the thread that called sweep_region.
+    pin_cpus(monkeypatch, 1)
+    real_solve, seen = algorithms.solve_batch, []
 
-    def recording(name):
-        inner = getattr(algorithms, name)
+    def recording(batch, config=None):
+        seen.append((threading.get_ident(), max_min_lanes(batch)))
+        return real_solve(batch, config)
 
-        def call(*args, **kwargs):
-            idents.setdefault(name, []).append(threading.get_ident())
-            return inner(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(algorithms, "solve_batch", recording("solve_batch"))
+    monkeypatch.setattr(algorithms, "solve_batch", recording)
     ch = rand_channelset(np.random.default_rng(18), n=2, k=2)
     sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=3)
-    assert set(idents) == {"solve_batch"}
-    assert {ident for seen in idents.values() for ident in seen} == {threading.get_ident()}
+    assert {ident for ident, _ in seen} == {threading.get_ident()}
+    assert any(lanes == 0 for _, lanes in seen)
 
 
 def pin_cpus(monkeypatch, cpus):
@@ -811,12 +803,10 @@ def test_sweep_wscm_floors_share_one_stream():
     ch, p = generate_channels(config), config.total_power_w
     params = SweepParams(t_lambda=10, t_g=200, pareto_filter=False)
     region = sweep_region(ch, p, "wscm", 6, params, seed=4)
-    r_up, z_m = multicast_upper_bound(ch, p)
-    z_c = secrecy_covariance(ch, p)
+    r_up = multicast_upper_bound(ch, p)[0]
     assert sum(pt.feasible for pt in region.points) >= 3
     for pt, r_m in zip(region.points, np.linspace(0.0, r_up, 6)):
-        ref = algorithm2_wscm(ch, p, r_m, params.t_lambda, params.t_g,
-                              rng=substream(4, 0), z_m=z_m, z_c=z_c)
+        ref = algorithm2_wscm(ch, p, r_m, params.t_lambda, params.t_g, rng=substream(4, 0))
         assert pt.r_m_target == ref.r_m_target and pt.feasible == ref.feasible
         assert pt.r_c_achieved == ref.r_c_achieved and pt.alpha == ref.alpha
         if ref.phase_vector is None:

@@ -42,8 +42,11 @@ def test_parse_power_units():
     assert parse_power_w("10 dB") == pytest.approx(10.0, rel=1e-12)
     assert parse_power_w(0.25) == 0.25
     assert parse_power_w("0.5") == 0.5
-    with pytest.raises(ScenarioError):
-        parse_power_w(object())
+    assert parse_power_w(np.int64(3)) == 3.0 and type(parse_power_w(np.int64(3))) is float
+    assert parse_power_w(np.float32(0.5)) == 0.5
+    for bad in (object(), True, False, np.bool_(True)):
+        with pytest.raises(ScenarioError, match="cannot parse power value"):
+            parse_power_w(bad)
 
 
 def test_upa_single_element():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -46,42 +47,31 @@ def test_region_no_irs_deterministic(tmp_path):
 
 
 def test_region_cct_byte_identical_across_reruns(tmp_path, monkeypatch):
+    # one CPU solves every point in this process, two fan the points out to
+    # forked workers: the files are the same bytes either way
     scn = write_scenario(tmp_path)
     base = ["region", "--scenario", scn, "--scheme", "cct", "--grid", "4",
             "--t-alpha", "8", "--t-g", "60", "--seed", "5"]
     out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    monkeypatch.setenv("IRSSEC_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(base + ["--out", out_a]) == EXIT_OK
-    monkeypatch.setenv("IRSSEC_THREADS", "3")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(base + ["--out", out_b]) == EXIT_OK
     assert open(out_a, "rb").read() == open(out_b, "rb").read()
     assert (open(out_a + ".phases.json", "rb").read()
             == open(out_b + ".phases.json", "rb").read())
 
 
-def test_region_wscm_byte_identical_across_reruns(tmp_path, monkeypatch):
+def test_region_wscm_byte_identical_across_reruns(tmp_path):
     scn = write_scenario(tmp_path)
     base = ["region", "--scenario", scn, "--scheme", "wscm", "--grid", "4",
             "--t-lambda", "8", "--t-g", "60", "--seed", "5"]
     out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    monkeypatch.setenv("IRSSEC_THREADS", "1")
     assert main(base + ["--out", out_a]) == EXIT_OK
-    monkeypatch.setenv("IRSSEC_THREADS", "3")
     assert main(base + ["--out", out_b]) == EXIT_OK
     assert open(out_a, "rb").read() == open(out_b, "rb").read()
     assert (open(out_a + ".phases.json", "rb").read()
             == open(out_b + ".phases.json", "rb").read())
-
-
-def test_region_ignores_a_non_numeric_thread_setting(tmp_path, monkeypatch):
-    scn = write_scenario(tmp_path)
-    base = ["region", "--scenario", scn, "--scheme", "no-irs", "--grid", "5", "--seed", "7"]
-    out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    monkeypatch.delenv("IRSSEC_THREADS", raising=False)
-    assert main(base + ["--out", out_a]) == EXIT_OK
-    monkeypatch.setenv("IRSSEC_THREADS", "two")
-    assert main(base + ["--out", out_b]) == EXIT_OK
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
 
 def test_region_closed_loop_qoms_recheck(tmp_path):
@@ -132,11 +122,13 @@ def test_region_exit_1_for_bad_config(tmp_path, capsys):
 def test_region_exit_1_for_malformed_scenario_values(tmp_path, capsys):
     data = scenario_to_dict(two_user_scenario(d1=20.0, n_y=2, n_z=1, seed=3))
     bad_power = dict(data, total_power_w="abc")
+    # a boolean is no power, though Python counts True as the integer 1
+    bool_power = dict(data, total_power_w=True)
     half_angle = json.loads(json.dumps(data))
     del half_angle["distance_overrides"]["irs_user"][0]["elevation_rad"]
     # an infinite coordinate is a scenario error, not a solver failure (exit 3)
     far_ap = dict(data, ap_position=[0.0, 0.0, float("inf")], distance_overrides=None)
-    for i, bad in enumerate((bad_power, half_angle, far_ap)):
+    for i, bad in enumerate((bad_power, bool_power, half_angle, far_ap)):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad))
         assert main(["region", "--scenario", str(path),
@@ -342,6 +334,27 @@ def test_sweep_power_nested_regions(tmp_path):
     for r in lo:
         if r[5] == "true":
             assert staircase(hi, float(r[0])) >= float(r[1]) - 0.02
+
+
+@pytest.mark.parametrize("scheme", ["cct", "wscm"])
+def test_sweep_power_at_the_scenario_power_writes_the_region_files(tmp_path, scheme):
+    # region and sweep-power share one sweep: at the scenario's own power the
+    # sweep writes the region's rows, each with the power appended, and the
+    # region's phases under that power
+    scn = write_scenario(tmp_path)
+    p = load_scenario(scn).total_power_w
+    flags = ["--scenario", scn, "--scheme", scheme, "--grid", "4", "--t-alpha", "8",
+             "--t-lambda", "8", "--t-g", "60", "--seed", "5"]
+    region, swept = tmp_path / "r.csv", tmp_path / "s.csv"
+    assert main(["region"] + flags + ["--out", str(region)]) == EXIT_OK
+    assert main(["sweep-power"] + flags + ["--powers", repr(p), "--out", str(swept)]) == EXIT_OK
+    header, *rows = region.read_text().splitlines()
+    assert swept.read_text().splitlines() == [header + ",power_w"] + [
+        f"{row},{p:.9g}" for row in rows]
+    region_phases = json.loads((tmp_path / "r.csv.phases.json").read_text())
+    swept_phases = json.loads((tmp_path / "s.csv.phases.json").read_text())
+    assert swept_phases.pop("powers") == [{"power_w": p, "points": region_phases.pop("points")}]
+    assert swept_phases == region_phases == {"scheme": scheme, "seed": 5}
 
 
 def test_sweep_power_rejects_empty_and_negative(tmp_path):

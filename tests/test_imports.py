@@ -1,12 +1,15 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name is used somewhere in the package."""
+"""Every name a package module, test module or demo imports is used in that
+module, and every private module-level name is used somewhere in the
+package."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "irssec"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "irssec"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
