@@ -32,8 +32,8 @@ import numpy as np
 
 from . import model
 from .channel import ChannelSet
-from .sdp import (SdpBatch, SdpSolverError, SdpStatus, grp_draw, grp_round, solve_batch,
-                  substream)
+from .sdp import (SdpBatch, SdpSolverError, SdpStatus, _first_best, _grp_draw, grp_round,
+                  solve_batch, substream)
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
 ORACLE_GRID = (64, 201)   # phase levels and power samples of the oracle scheme
@@ -270,34 +270,42 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     return c_value, y / scale, xi / scale
 
 
-def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap: float | None):
-    """Bottleneck power repair of gains x (B, K) at each multicast floor in
-    `floors` (a scalar is one floor): (r_c, alpha, ok), each (B, F). alpha is
-    the largest power at which the user of least gain-to-noise ratio meets
-    the floor, (P x - (c - 1) sigma^2) / (c x) with c = 2^r_m, in [0, P] (P
-    without a floor) and capped by alpha_cap; r_c is the secrecy rate at
+def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap: float | None, out=None):
+    """Bottleneck power repair of gains x (B, K) at each multicast floor in `floors` (a
+    scalar is one floor): (r_c, alpha, ok), each a (B, F) view of a floor-major array, alpha
+    and r_c made in ``out`` (2, F, B) if given. alpha is the largest power at which the user
+    of least gain-to-noise ratio meets the floor, (P x - (c - 1) sigma^2) / (c x) with c =
+    2^r_m, in [0, P] (P without a floor) and capped by alpha_cap; r_c is the secrecy rate at
     alpha; ok says the floor holds with all power on multicast."""
     r_m = np.atleast_1d(np.asarray(floors, dtype=float))
-    c = np.array([2.0 ** float(r) for r in r_m])     # Python's pow, as alpha_opt_closed_form
-    y = x / ch.sigma2
-    tau = np.argmin(y, axis=-1)
-    x_tau = np.take_along_axis(x, tau[:, None], axis=-1)
-    ok = np.log2(1.0 + p * y.min(axis=-1))[:, None] >= r_m - _RM_SLACK
+    c = np.array([2.0 ** float(r) for r in r_m])[:, None]   # Python's pow, as alpha_opt_closed_form
+    tau = np.argmin(x / ch.sigma2, axis=-1)
+    x_tau, s_tau = x[np.arange(len(x)), tau], ch.sigma2[tau]
+    ok = (r_m - _RM_SLACK)[:, None] <= np.log2(1.0 + p * (x_tau / s_tau))
+    a, r_c = np.empty((2, r_m.size, len(x))) if out is None else out
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = (p * x_tau - (c - 1.0) * ch.sigma2[tau][:, None]) / (c * x_tau)
-    a = np.where(r_m > 0, np.where(x_tau > 0, np.clip(a, 0.0, p), 0.0), p)
+        np.multiply(c - 1.0, s_tau, out=a)
+        np.divide(np.subtract(p * x_tau, a, out=a), np.multiply(c, x_tau, out=r_c), out=a)
+    np.clip(a, 0.0, p, out=a)
+    np.copyto(a, 0.0, where=~(x_tau > 0))
+    np.copyto(a, p, where=~(r_m > 0)[:, None])
     if alpha_cap is not None:
-        a = np.minimum(a, alpha_cap)
-    return model.secrecy_rate_from_gains(x[:, None, :], ch.sigma2, a), a, ok
+        np.minimum(a, alpha_cap, out=a)
+    return model.secrecy_rate_from_gains(x, ch.sigma2, a, out=r_c).T, a.T, ok.T
 
 
 def _masked_alpha_scores(ch: ChannelSet, p: float, floors, alpha_cap: float | None):
-    """Score callback for `grp_round`: the `_repair` secrecy rate of a batch,
-    (B, F), one column per floor in `floors`, -inf where a candidate cannot
-    carry that floor at any power; the batch's gains are computed once."""
+    """Score callback for `grp_round`: the `_repair` secrecy rate of a batch, (B, F), one
+    column per floor in `floors`, -inf where a candidate cannot carry that floor at any
+    power; gains are computed once, and the next call of a batch size reuses the arrays."""
+    held = {}                   # per batch size, the `_repair` arrays of every call
     def score(vbatch):
-        r_c, _, ok = _repair(ch, p, floors, model.effective_gains(ch, vbatch), alpha_cap)
-        return np.where(ok, r_c, -np.inf)
+        if len(vbatch) not in held:
+            held[len(vbatch)] = np.empty((2, np.size(floors), len(vbatch)))
+        x = model.effective_gains(ch, vbatch)
+        r_c, _, ok = _repair(ch, p, floors, x, alpha_cap, held[len(vbatch)])
+        r_c[~ok] = -np.inf
+        return r_c
 
     return score
 
@@ -530,15 +538,15 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
     z_c = secrecy_covariance(ch, p) if z_c is None else z_c
     floors = np.asarray(floors, dtype=float)
     score = _masked_alpha_scores(ch, p, floors, None)
-    best = np.full(floors.size, -np.inf)
+    best, rows, work = np.full(floors.size, -np.inf), np.arange(floors.size), {}
     best_v, best_lam = [None] * floors.size, [None] * floors.size
     for t in range(t_lambda):
         lam = t / (t_lambda - 1)
-        batch = grp_draw(lam * z_c + (1.0 - lam) * z_m, t_g, rng)
-        scores = score(batch)
-        top = np.argmax(scores, axis=0)
-        for f in np.flatnonzero(scores[top, np.arange(floors.size)] > best):
-            best[f], best_v[f], best_lam[f] = scores[top[f], f], batch[top[f]].copy(), lam
+        batch = _grp_draw(lam * z_c + (1.0 - lam) * z_m, t_g, rng, work)  # views work's arrays
+        scores = score(batch).T         # floor-major (F, B)
+        top = _first_best(scores)
+        for f in np.flatnonzero(scores[rows, top] > best):
+            best[f], best_v[f], best_lam[f] = scores[f, top[f]], batch[top[f]].copy(), lam
     return [_rounded_point(ch, p, r_m, v, "wscm", {"lambda": lam})
             for r_m, v, lam in zip(floors.tolist(), best_v, best_lam)]
 

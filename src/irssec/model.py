@@ -106,19 +106,28 @@ def multicast_rate(ch: ChannelSet, v: np.ndarray, split: PowerSplit) -> float:
     return float(multicast_rate_from_gains(x, ch.sigma2, split.alpha, split.beta))
 
 
-def secrecy_rate_from_gains(x: np.ndarray, sigma2: np.ndarray, alpha) -> np.ndarray:
+def secrecy_rate_from_gains(x: np.ndarray, sigma2: np.ndarray, alpha, out=None) -> np.ndarray:
     """max(0, min over eavesdroppers of the confidential-rate margin).
 
     x has per-user gains along the last axis (user 0 is the confidential
-    user); broadcasts over leading axes of x and alpha.
+    user); broadcasts over leading axes of x and alpha, into ``out`` if given.
     """
     x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)[..., None]
+    alpha = np.asarray(alpha, dtype=float)
     s1 = sigma2[0]
-    num = s1 * sigma2[1:] + sigma2[1:] * alpha * x[..., :1]
-    den = s1 * sigma2[1:] + s1 * alpha * x[..., 1:]
-    rate = np.log2(num / den).min(axis=-1)
-    return np.maximum(rate, 0.0)
+    if x.shape[-1] < 2:
+        raise ValueError("gains of user 0 and of at least one eavesdropper are needed")
+    rate = np.empty(np.broadcast(x[..., 0], alpha).shape) if out is None else out
+    den = np.empty_like(rate)       # the first margin is made in rate, later ones in num
+    for k in range(1, x.shape[-1]):
+        num = rate if k == 1 else np.empty_like(rate) if k == 2 else num
+        s_k, base = sigma2[k], s1 * sigma2[k]
+        np.add(base, np.multiply(np.multiply(s_k, alpha, out=num), x[..., 0], out=num), out=num)
+        np.add(base, np.multiply(np.multiply(s1, alpha, out=den), x[..., k], out=den), out=den)
+        np.log2(np.divide(num, den, out=num), out=num)
+        if k > 1:
+            np.minimum(rate, num, out=rate)
+    return np.maximum(rate, 0.0, out=rate)
 
 
 def secrecy_rate(ch: ChannelSet, v: np.ndarray, alpha: float) -> float:

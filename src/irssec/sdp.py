@@ -469,9 +469,10 @@ def solve_batch(batch: SdpBatch, config: SolverConfig | None = None) -> list:
 
 
 def _unit_phase(z: np.ndarray) -> np.ndarray:
+    """z / |z| in place, 1 where |z| is not positive (zero or NaN); returns z."""
     mag = np.abs(z)
-    out = np.where(mag > 0, z / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j)
-    return out
+    np.copyto(z, 1.0, where=~(mag > 0))
+    return np.divide(z, mag, out=z, where=mag > 0)
 
 
 def grp_draw(z_matrix: np.ndarray, candidates: int, rng: np.random.Generator) -> np.ndarray:
@@ -482,12 +483,19 @@ def grp_draw(z_matrix: np.ndarray, candidates: int, rng: np.random.Generator) ->
     via entrywise zt(i)/zt(N+1); returns them as a (batch, N) complex array.
     If the input is rank one (second eigenvalue below _RANK_TOL times the
     trace) the batch is the single deterministic eigenvector extraction and
-    no randomness is consumed. A covariance that gives the lifted coordinate
-    N+1 no variance raises ValueError: no draw can be normalized.
+    no randomness is consumed. A non-finite covariance, or one giving the lifted
+    coordinate N+1 no variance, raises ValueError: no draw can be normalized.
     """
+    return _grp_draw(z_matrix, candidates, rng, {})
+
+
+def _grp_draw(z_matrix, candidates: int, rng: np.random.Generator, work: dict) -> np.ndarray:
+    """`grp_draw` into arrays that ``work`` keeps by shape; the batch may view them."""
     if candidates < 1:
         raise ValueError("need at least one candidate")
     z = np.asarray(z_matrix, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("input covariance must be finite")
     z = 0.5 * (z + z.conj().T)
     size = z.shape[0]
     n_phase = size - 1
@@ -505,25 +513,40 @@ def grp_draw(z_matrix: np.ndarray, candidates: int, rng: np.random.Generator) ->
     factor = u * np.sqrt(lam)
     batches, remaining = [], candidates
     while remaining > 0:
-        draw = (rng.standard_normal((size, remaining))
-                + 1j * rng.standard_normal((size, remaining))) / math.sqrt(2.0)
-        zt = factor @ draw
+        shape = (2, size, remaining)
+        if shape not in work:
+            work[shape] = np.empty(shape), np.empty(shape, dtype=complex)
+        normals, (draw, zt) = work[shape]
+        draw.real, draw.imag = rng.standard_normal(out=normals)    # a real, then an imaginary draw
+        np.matmul(factor, np.divide(draw, math.sqrt(2.0), out=draw), out=zt)
         denom = zt[n_phase, :]
         keep = np.abs(denom) > 1e-300
         if not keep.any():
             raise ValueError("input covariance gives the lifted coordinate no variance")
-        batches.append(_unit_phase((zt[:n_phase, keep] / denom[keep]).T))
+        batch = zt[:n_phase] if keep.all() else zt[:n_phase, keep]    # a view, else a copy
+        batches.append(_unit_phase(np.divide(batch, denom[keep], out=batch)).T)
         remaining -= int(keep.sum())
     return batches[0] if len(batches) == 1 else np.vstack(batches)
+
+
+def _first_best(scores: np.ndarray) -> np.ndarray:
+    """Per row of scores (rows, B), the index of its first largest entry, NaN ranked lowest."""
+    top = np.argmax(scores, axis=-1)
+    for r in np.flatnonzero(np.isnan(scores[np.arange(len(scores)), top])).tolist():
+        real = np.flatnonzero(~np.isnan(scores[r]))
+        top[r] = real[np.argmax(scores[r, real])] if real.size else 0
+    return top
 
 
 def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Generator):
     """The `grp_draw` candidate maximizing the caller's score, as (v, score).
     ``score`` maps a (batch, N) complex array to one float per candidate;
-    ties go to the first candidate drawn."""
+    ties go to the first candidate drawn; a NaN score ranks below all others."""
     batch = grp_draw(z_matrix, candidates, rng)
     scores = np.asarray(score(batch), dtype=float).reshape(-1)
     i = int(np.argmax(scores))
+    if math.isnan(scores[i]):           # np.argmax ranks NaN above every score
+        i = int(_first_best(scores[None, :])[0])
     return batch[i].copy(), float(scores[i])
 
 

@@ -3,7 +3,7 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
 Prints the CPUs the process may run on and the lanes per `solve_batch` stack
-at n in {11, 31, 61, 101}, then six groups of figures, each timing the best of
+at n in {11, 31, 61, 101}, then seven groups of figures, each timing the best of
 R repeats. Only a region spreads its work over processes (one group of
 boundary points per CPU), so every other figure is a time on one CPU:
 
@@ -24,6 +24,11 @@ boundary points per CPU), so every other figure is a time on one CPU:
   lengths that the screen settles.
 * `grp_round` us per 1000 candidates at N = 10, drawn from the even blend of
   the multicast- and secrecy-optimal covariances of the two-user scenario.
+* us per 1000 candidates of one wscm blend at N = 10: the `grp_draw` of
+  the even blend into the draw arrays the blends share, its scores at 20
+  floors over [0, the multicast upper bound] and the best candidate of each
+  floor, as `algorithms._wscm_points` runs a blend; with the minor page
+  faults per blend (`resource.getrusage`), which move with the heap layout.
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
   T_g 1000) at r_m = 0 and at half the multicast upper bound; the floored
   point's time includes its eavesdropper max-min solve, which `sweep_region`
@@ -40,6 +45,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import time
 
 import numpy as np
@@ -166,6 +172,26 @@ def grp_round_row(repeats: int) -> None:
     print(f"grp_round N=10 us per 1000 candidates {us:9.1f}")
 
 
+def wscm_blend_row(repeats: int) -> None:
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    r_up, z_m = algorithms.multicast_upper_bound(ch, p)
+    z = 0.5 * (z_m + algorithms.secrecy_covariance(ch, p))
+    score = algorithms._masked_alpha_scores(ch, p, np.linspace(0.0, r_up, 20), None)
+    work, blends = {}, 20
+
+    def run():
+        rng = np.random.default_rng(0)
+        for _ in range(blends):
+            sdp._first_best(score(sdp._grp_draw(z, 1000, rng, work)).T)
+    run()                               # the draw arrays exist before the count
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    us = 1e6 * best_of(repeats, run) / blends
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / (repeats * blends)
+    print(f"wscm blend N=10 20 floors us per 1000 candidates {us:9.1f}"
+          f"   ({faults:.1f} minor page faults per blend)")
+
+
 def cct_point_rows(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
@@ -213,6 +239,7 @@ def main() -> None:
     region_batch_row(repeats)
     one_lane_rows(repeats)
     grp_round_row(repeats)
+    wscm_blend_row(repeats)
     cct_point_rows(repeats)
     cct_region_row(repeats)
 

@@ -393,6 +393,51 @@ def test_algorithm2_degenerate_blend_deterministic(rng):
     assert np.array_equal(a.phase_vector, b.phase_vector)
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_wscm_scores_each_floor_as_if_alone(k):
+    # one pass over every floor keeps, per floor, what a pass over that
+    # floor alone keeps; with K = 4 three eavesdroppers bound each margin
+    ch = rand_channelset(np.random.default_rng(40 + k), n=3, k=k)
+    r_up, z_m = multicast_upper_bound(ch, P)
+    z_c = secrecy_covariance(ch, P)
+    floors = [0.0, 0.3 * r_up, 0.8 * r_up, r_up + 1.0]    # no candidate carries the last
+    together = algorithms._wscm_points(ch, P, floors, 5, 60, np.random.default_rng(4), z_m, z_c)
+    assert together[0].feasible and not together[-1].feasible
+    for r_m, pt in zip(floors, together):
+        alone, = algorithms._wscm_points(ch, P, [r_m], 5, 60, np.random.default_rng(4), z_m, z_c)
+        assert (pt.r_c_achieved, pt.alpha, pt.feasible) == (alone.r_c_achieved, alone.alpha,
+                                                             alone.feasible)
+        assert pt.diagnostics.get("lambda") == alone.diagnostics.get("lambda")
+        phases = [None if q.phase_vector is None else q.phase_vector.tobytes()
+                  for q in (pt, alone)]
+        assert phases[0] == phases[1]
+
+
+def test_wscm_ranks_a_nan_score_below_every_finite_one(monkeypatch):
+    # a NaN first candidate must lose to the finite ones, exactly as -inf does
+    ch = rand_channelset(np.random.default_rng(31), n=2, k=2)
+    r_up, z_m = multicast_upper_bound(ch, P)
+    z_c = secrecy_covariance(ch, P)
+    real = algorithms._masked_alpha_scores
+    points = {}
+    for bad in (-math.inf, math.nan):
+        def masked(*args, bad=bad):
+            score = real(*args)
+
+            def spoiled(vbatch):
+                out = score(vbatch)
+                out[0] = bad
+                return out
+            return spoiled
+        monkeypatch.setattr(algorithms, "_masked_alpha_scores", masked)
+        points[bad] = algorithms._wscm_points(ch, P, [0.0, 0.5 * r_up], 4, 30,
+                                              np.random.default_rng(9), z_m, z_c)
+    for a, b in zip(*points.values()):
+        assert a.feasible and b.feasible
+        assert (a.r_c_achieved, a.alpha) == (b.r_c_achieved, b.alpha)
+        assert np.array_equal(a.phase_vector, b.phase_vector)
+
+
 def test_algorithms_head_to_head(rng):
     ch = rand_channelset(np.random.default_rng(12), n=2, k=2)
     r_up, _ = multicast_upper_bound(ch, P)

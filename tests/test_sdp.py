@@ -177,6 +177,69 @@ def test_grp_rejects_covariance_without_lifted_variance():
         grp_round(np.diag([1.0, 0.0]), 10, score, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grp_rejects_a_covariance_that_is_not_finite(bad):
+    # a NaN stalls the eigendecomposition; an infinite diagonal would pass it
+    # and fail later with a misleading "no variance"
+    z = np.eye(4, dtype=complex)
+    z[1, 1] = bad
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="finite"):
+        grp_draw(z, 10, rng)
+    assert rng.random() == np.random.default_rng(0).random()     # nothing drawn
+
+
+def reference_draw(z_matrix, candidates, rng):
+    """`grp_draw` without its rank-one shortcut, as plain expressions on
+    fresh arrays: two normal calls, numpy's complex division by sqrt(2), the
+    usable columns gathered, then z / |z| (1 where |z| is zero)."""
+    z = np.asarray(z_matrix, dtype=complex)
+    lam, u = np.linalg.eigh(0.5 * (z + z.conj().T))
+    factor = u * np.sqrt(np.clip(lam, 0.0, None))
+    size, batches, remaining = len(z), [], candidates
+    while remaining > 0:
+        draw = (rng.standard_normal((size, remaining))
+                + 1j * rng.standard_normal((size, remaining))) / math.sqrt(2.0)
+        zt = factor @ draw
+        keep = np.abs(zt[-1]) > 1e-300
+        ratio = (zt[:-1, keep] / zt[-1, keep]).T
+        mag = np.abs(ratio)
+        batches.append(np.where(mag > 0, ratio / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j))
+        remaining -= int(keep.sum())
+    return batches[0] if len(batches) == 1 else np.vstack(batches)
+
+
+@pytest.mark.parametrize("candidates", [1, 7, 1000])
+@pytest.mark.parametrize("kind", ["rank-two blend", "full rank"])
+def test_grp_draw_is_bitwise_the_plain_expression(kind, candidates):
+    rng = np.random.default_rng(17)
+    u, w = (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))) / math.sqrt(2.0)
+    if kind == "rank-two blend":
+        z = 0.3 * np.outer(u, u.conj()) + 0.7 * np.outer(w, w.conj())
+    else:
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        z = a @ a.conj().T / 6 + np.eye(6)
+    before = z.copy()
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    got, want = grp_draw(z, candidates, rng_a), reference_draw(z, candidates, rng_b)
+    assert got.shape == want.shape == (candidates, 5)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert z.tobytes() == before.tobytes()
+
+
+def test_grp_round_ranks_a_nan_score_below_every_other():
+    z = np.eye(3) + 0.1
+    batch = grp_draw(z, 4, np.random.default_rng(2))
+    for scores, want in (([1.0, math.nan, 2.0, 0.5], 2), ([math.nan, -math.inf, 0.0, 0.0], 2),
+                         ([math.nan, -math.inf, math.nan, -math.inf], 1),
+                         ([math.nan] * 4, 0), ([3.0, 1.0, 3.0, 2.0], 0)):
+        v, s = grp_round(z, 4, lambda vb, scores=scores: np.array(scores),
+                         np.random.default_rng(2))
+        assert np.array_equal(v, batch[want])
+        assert s == scores[want] or math.isnan(s) and math.isnan(scores[want])
+
+
 def test_grp_unit_modulus_and_relaxation_dominance():
     n = 4
     rng = np.random.default_rng(5)
