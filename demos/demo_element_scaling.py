@@ -7,7 +7,7 @@ surface, since user 1 sits closest to the access point).
 """
 from irssec import (generate_channels, grp_round, multi_user_scenario,
                     secrecy_covariance, substream)
-from irssec.algorithms import _masked_alpha_scores
+from irssec.model import effective_gains, secrecy_rate_from_gains
 
 SEED = 1
 P = 1.0
@@ -15,7 +15,8 @@ P = 1.0
 
 def max_secrecy(ch, rng):
     z_c = secrecy_covariance(ch, P)
-    _, sc = grp_round(z_c, 500, _masked_alpha_scores(ch, P, 0.0, None), rng)
+    score = lambda vb: secrecy_rate_from_gains(effective_gains(ch, vb), ch.sigma2, P)
+    _, sc = grp_round(z_c, 500, score, rng)
     return max(float(sc), 0.0)
 
 

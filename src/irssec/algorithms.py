@@ -130,7 +130,10 @@ class _Lifted:
         with a constant diagonal (the tie rows) s.t. Tr((s_1/(N+1) I + alpha
         s_1/s_k T_k) Y) <= beta0 for each eavesdropper k and, with a floor,
         Tr(((P - alpha c) T_k - (c - 1) s_k/(N+1) I) Y) >= 0. The bound beta0
-        keeps Y of order one."""
+        keeps Y of order one. A floor r_m <= 0 is no floor; a NaN one raises
+        ValueError."""
+        if any(math.isnan(r) for r in floors):      # r > 0 would read it as no floor
+            raise ValueError("multicast floor must not be NaN")
         n1, k, eav, s1 = self.n + 1, self.k, np.arange(1, self.k), self.sigma2[0]
         alphas = np.asarray(alphas, dtype=float)
         floored = any(r > 0 for r in floors)
@@ -294,20 +297,29 @@ def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap: float | 
     return model.secrecy_rate_from_gains(x, ch.sigma2, a, out=r_c).T, a.T, ok.T
 
 
-def _masked_alpha_scores(ch: ChannelSet, p: float, floors, alpha_cap: float | None):
-    """Score callback for `grp_round`: the `_repair` secrecy rate of a batch, (B, F), one
-    column per floor in `floors`, -inf where a candidate cannot carry that floor at any
-    power; gains are computed once, and the next call of a batch size reuses the arrays."""
-    held = {}                   # per batch size, the `_repair` arrays of every call
-    def score(vbatch):
-        if len(vbatch) not in held:
-            held[len(vbatch)] = np.empty((2, np.size(floors), len(vbatch)))
-        x = model.effective_gains(ch, vbatch)
-        r_c, _, ok = _repair(ch, p, floors, x, alpha_cap, held[len(vbatch)])
+def _best_of_draws(ch: ChannelSet, p: float, floors, covs, caps, t_g: int,
+                   rng: np.random.Generator) -> tuple:
+    """Per multicast floor in `floors`, the first best Gaussian-randomization candidate over
+    the covariances `covs`, drawn in turn on rng, and the index of its covariance: (patterns,
+    indices), None and None where no candidate carries the floor. Each covariance draws t_g
+    candidates by `sdp._grp_draw` into arrays kept for all; a candidate scores its `_repair`
+    secrecy rate, power capped at caps[i] (None: uncapped), -inf where it cannot carry the
+    floor at any power, and a NaN score ranks below every other."""
+    floors = np.atleast_1d(np.asarray(floors, dtype=float))
+    best, rows, work = np.full(floors.size, -np.inf), np.arange(floors.size), {}
+    best_v, best_i = [None] * floors.size, [None] * floors.size
+    for i, (z, cap) in enumerate(zip(covs, caps)):
+        batch = _grp_draw(z, t_g, rng, work)        # views work's arrays, kept by shape
+        if len(batch) not in work:                  # the `_repair` arrays, by batch size
+            work[len(batch)] = np.empty((2, floors.size, len(batch)))
+        r_c, _, ok = _repair(ch, p, floors, model.effective_gains(ch, batch), cap,
+                             work[len(batch)])
         r_c[~ok] = -np.inf
-        return r_c
-
-    return score
+        scores = r_c.T                              # floor-major (F, B)
+        top = _first_best(scores)
+        for f in np.flatnonzero(scores[rows, top] > best):
+            best[f], best_v[f], best_i[f] = scores[f, top[f]], batch[top[f]].copy(), i
+    return best_v, best_i
 
 
 def _repair_one(ch: ChannelSet, p: float, r_m: float, x: np.ndarray, alpha_cap: float | None):
@@ -399,35 +411,25 @@ def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, grid: list, t_g: int,
 
     points = []
     for r_m, own, rng, solves in zip(floors, lanes, rngs, n_solves):
-        best = None
-        for alpha_t, _, _, value in own:
-            if not isinstance(value, tuple):
-                continue
-            c_value, y, xi = value
-            v, sc = grp_round(y / xi, t_g, _masked_alpha_scores(ch, p, r_m, alpha_t), rng)
-            if not np.isfinite(sc):
-                continue
-            r_c, alpha_fix, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
-            if ok and (best is None or r_c > best[0]):
-                bound = max(0.0, math.log2(max(c_value, 1e-300)))
-                best = (r_c, alpha_fix, v, bound, alpha_t, model.secrecy_rate(ch, v, alpha_t))
-
+        certified = [(alpha_t, value) for alpha_t, *_, value in own if isinstance(value, tuple)]
+        (v,), (i,) = _best_of_draws(ch, p, [r_m], [y / xi for _, (_, y, xi) in certified],
+                                    [alpha_t for alpha_t, _ in certified], t_g, rng)
         errors = [value for *_, value in own if isinstance(value, SdpSolverError)]
         diagnostics = {"n_solves": solves + len(own), "n_failed_alpha": len(errors),
                        "last_error": repr(errors[-1]) if errors else None,
                        "n_iterations": sum(iters for _, _, iters, _ in own),
                        "statuses": {stat.value: sum(status is stat for _, status, _, _ in own)
                                     for stat in SdpStatus}}
-        if best is None:
-            if errors and len(errors) == len(own):
-                points.append(errors[-1])
-            else:
-                points.append(BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct",
-                                            diagnostics))
+        if v is not None:
+            alpha_t, (c_value, _, _) = certified[i]
+            r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
+        if v is None or not ok:
+            points.append(errors[-1] if errors and len(errors) == len(own) else
+                          BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics))
             continue
-        r_c, alpha, v, bound, alpha_grid, unrepaired = best
-        diagnostics.update(alpha_grid=alpha_grid, r_c_unrepaired=unrepaired)
-        points.append(BoundaryPoint(r_m, r_c, alpha, v, bound, True, "cct", diagnostics))
+        diagnostics.update(alpha_grid=alpha_t, r_c_unrepaired=model.secrecy_rate(ch, v, alpha_t))
+        points.append(BoundaryPoint(r_m, r_c, alpha, v, max(0.0, math.log2(max(c_value, 1e-300))),
+                                    True, "cct", diagnostics))
     return points
 
 
@@ -521,40 +523,31 @@ def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
 
 
 def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
-                 rng: np.random.Generator | None, z_m: np.ndarray | None = None,
-                 z_c: np.ndarray | None = None) -> list:
+                 rng: np.random.Generator, z_m: np.ndarray, z_c: np.ndarray) -> list:
     """Weighted-covariance-blend heuristic at every multicast floor in `floors`.
 
     Each blend lam z_c + (1 - lam) z_m of a uniform weight grid draws its T_g
-    candidates once from rng, scored against every floor. Each floor keeps
-    its best candidate (ties go to the first blend) and sets the confidential
-    power by the bottleneck closed form. z_m and z_c, the multicast and
-    secrecy covariances, are solved here if None; `sweep_region` passes the
-    z_m of its multicast bound.
+    candidates once from rng, scored against every floor (`_best_of_draws`).
+    Each floor keeps its best candidate (ties go to the first blend) and sets
+    the confidential power by the bottleneck closed form. z_m and z_c are the
+    multicast and secrecy covariances.
     """
     _check_counts(t_lambda=t_lambda, t_g=t_g)
-    rng = np.random.default_rng(0) if rng is None else rng
-    z_m = multicast_upper_bound(ch, p)[1] if z_m is None else z_m
-    z_c = secrecy_covariance(ch, p) if z_c is None else z_c
-    floors = np.asarray(floors, dtype=float)
-    score = _masked_alpha_scores(ch, p, floors, None)
-    best, rows, work = np.full(floors.size, -np.inf), np.arange(floors.size), {}
-    best_v, best_lam = [None] * floors.size, [None] * floors.size
-    for t in range(t_lambda):
-        lam = t / (t_lambda - 1)
-        batch = _grp_draw(lam * z_c + (1.0 - lam) * z_m, t_g, rng, work)  # views work's arrays
-        scores = score(batch).T         # floor-major (F, B)
-        top = _first_best(scores)
-        for f in np.flatnonzero(scores[rows, top] > best):
-            best[f], best_v[f], best_lam[f] = scores[f, top[f]], batch[top[f]].copy(), lam
-    return [_rounded_point(ch, p, r_m, v, "wscm", {"lambda": lam})
-            for r_m, v, lam in zip(floors.tolist(), best_v, best_lam)]
+    lams = [t / (t_lambda - 1) for t in range(t_lambda)]
+    blends = (lam * z_c + (1.0 - lam) * z_m for lam in lams)
+    best_v, best_i = _best_of_draws(ch, p, floors, blends, [None] * t_lambda, t_g, rng)
+    return [_rounded_point(ch, p, r_m, v, "wscm", {"lambda": lams[i]} if v is not None else None)
+            for r_m, v, i in zip(np.asarray(floors, dtype=float).tolist(), best_v, best_i)]
 
 
 def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
                     t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
-    """`_wscm_points` at the single floor r_m."""
-    return _wscm_points(ch, p, [r_m], t_lambda, t_g, rng)[0]
+    """`_wscm_points` at the single floor r_m, with the multicast and secrecy
+    covariances solved here."""
+    _check_counts(t_lambda=t_lambda, t_g=t_g)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return _wscm_points(ch, p, [r_m], t_lambda, t_g, rng, multicast_upper_bound(ch, p)[1],
+                        secrecy_covariance(ch, p))[0]
 
 
 def baseline_random_irs(ch: ChannelSet, p: float, r_m: float,

@@ -72,9 +72,8 @@ def effective_gains(ch: ChannelSet, v: np.ndarray) -> np.ndarray:
 
     Returns shape (K,) for a single pattern, (B, K) for a batch.
     """
-    v = np.asarray(v, dtype=complex)
-    w = (np.conj(ch.m) * ch.g).T            # (N, K)
-    amp = np.conj(v) @ w + ch.h             # (K,) or (B, K)
+    # the conjugate amplitude, of equal modulus, without a conjugated copy of v
+    amp = np.asarray(v, dtype=complex) @ (ch.m * np.conj(ch.g)).T + np.conj(ch.h)
     return np.abs(amp) ** 2
 
 

@@ -484,7 +484,8 @@ def grp_draw(z_matrix: np.ndarray, candidates: int, rng: np.random.Generator) ->
     If the input is rank one (second eigenvalue below _RANK_TOL times the
     trace) the batch is the single deterministic eigenvector extraction and
     no randomness is consumed. A non-finite covariance, or one giving the lifted
-    coordinate N+1 no variance, raises ValueError: no draw can be normalized.
+    coordinate N+1 no variance, raises ValueError before any draw: no draw could
+    be normalized.
     """
     return _grp_draw(z_matrix, candidates, rng, {})
 
@@ -511,22 +512,16 @@ def _grp_draw(z_matrix, candidates: int, rng: np.random.Generator, work: dict) -
             return _unit_phase(vec[:n_phase] / vec[n_phase])[None, :]
 
     factor = u * np.sqrt(lam)
-    batches, remaining = [], candidates
-    while remaining > 0:
-        shape = (2, size, remaining)
-        if shape not in work:
-            work[shape] = np.empty(shape), np.empty(shape, dtype=complex)
-        normals, (draw, zt) = work[shape]
-        draw.real, draw.imag = rng.standard_normal(out=normals)    # a real, then an imaginary draw
-        np.matmul(factor, np.divide(draw, math.sqrt(2.0), out=draw), out=zt)
-        denom = zt[n_phase, :]
-        keep = np.abs(denom) > 1e-300
-        if not keep.any():
-            raise ValueError("input covariance gives the lifted coordinate no variance")
-        batch = zt[:n_phase] if keep.all() else zt[:n_phase, keep]    # a view, else a copy
-        batches.append(_unit_phase(np.divide(batch, denom[keep], out=batch)).T)
-        remaining -= int(keep.sum())
-    return batches[0] if len(batches) == 1 else np.vstack(batches)
+    if not factor[n_phase].any():
+        raise ValueError("input covariance gives the lifted coordinate no variance")
+    shape = (2, size, candidates)
+    if shape not in work:
+        work[shape] = np.empty(shape), np.empty(shape, dtype=complex)
+    normals, (draw, zt) = work[shape]
+    draw.real, draw.imag = rng.standard_normal(out=normals)    # a real, then an imaginary draw
+    np.matmul(factor, np.divide(draw, math.sqrt(2.0), out=draw), out=zt)
+    batch = zt[:n_phase]
+    return _unit_phase(np.divide(batch, zt[n_phase], out=batch)).T
 
 
 def _first_best(scores: np.ndarray) -> np.ndarray:
@@ -540,13 +535,13 @@ def _first_best(scores: np.ndarray) -> np.ndarray:
 
 def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Generator):
     """The `grp_draw` candidate maximizing the caller's score, as (v, score).
-    ``score`` maps a (batch, N) complex array to one float per candidate;
-    ties go to the first candidate drawn; a NaN score ranks below all others."""
+    ``score`` maps a (batch, N) complex array to a (batch,) float array, else
+    ValueError; ties go to the first candidate drawn; a NaN ranks below all."""
     batch = grp_draw(z_matrix, candidates, rng)
-    scores = np.asarray(score(batch), dtype=float).reshape(-1)
-    i = int(np.argmax(scores))
-    if math.isnan(scores[i]):           # np.argmax ranks NaN above every score
-        i = int(_first_best(scores[None, :])[0])
+    scores = np.asarray(score(batch), dtype=float)
+    if scores.shape != (len(batch),):
+        raise ValueError("score must give one value per candidate")
+    i = int(_first_best(scores[None, :])[0])
     return batch[i].copy(), float(scores[i])
 
 

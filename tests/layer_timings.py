@@ -3,7 +3,7 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
 Prints the CPUs the process may run on and the lanes per `solve_batch` stack
-at n in {11, 31, 61, 101}, then seven groups of figures, each timing the best of
+at n in {11, 31, 61, 101}, then six groups of figures, each timing the best of
 R repeats. Only a region spreads its work over processes (one group of
 boundary points per CPU), so every other figure is a time on one CPU:
 
@@ -22,13 +22,19 @@ boundary points per CPU), so every other figure is a time on one CPU:
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
   scenario seeds 0 and 1, with the share of predictor and of corrector step
   lengths that the screen settles.
-* `grp_round` us per 1000 candidates at N = 10, drawn from the even blend of
-  the multicast- and secrecy-optimal covariances of the two-user scenario.
-* us per 1000 candidates of one wscm blend at N = 10: the `grp_draw` of
-  the even blend into the draw arrays the blends share, its scores at 20
-  floors over [0, the multicast upper bound] and the best candidate of each
-  floor, as `algorithms._wscm_points` runs a blend; with the minor page
-  faults per blend (`resource.getrusage`), which move with the heap layout.
+* us per covariance of `algorithms._best_of_draws`, the Gaussian
+  randomization and scoring that both algorithms round with, each with the
+  minor page faults per covariance (`resource.getrusage`), which move with
+  the heap layout:
+  - 1000 candidates at one floor (r_m = 0), drawn from the even blend of the
+    multicast- and secrecy-optimal covariances of the two-user scenario;
+  - one wscm blend: the same 1000 candidates scored at 20 floors over
+    [0, the multicast upper bound], as `algorithms._wscm_points` runs 80
+    blends in one call;
+  - one cct lane: the certified grid lanes (T_alpha 80) of the floor at half
+    the multicast upper bound, capped at their powers, rounded in one call
+    as `algorithms._cct_group` rounds a floor; lanes whose covariance is
+    rank one take the one-pattern shortcut and draw nothing.
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
   T_g 1000) at r_m = 0 and at half the multicast upper bound; the floored
   point's time includes its eavesdropper max-min solve, which `sweep_region`
@@ -156,40 +162,35 @@ def screened_solves(batches):
     return iterations, calls, tuple(taken.values())
 
 
-def grp_round_row(repeats: int) -> None:
-    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
-    ch, p = generate_channels(config), config.total_power_w
-    z = 0.5 * (algorithms.multicast_upper_bound(ch, p)[1] + algorithms.secrecy_covariance(ch, p))
-    score = algorithms._masked_alpha_scores(ch, p, 0.0, None)
-    assert len(sdp.grp_draw(z, 1000, np.random.default_rng(0))) == 1000
-    calls = 20
-
+def rounding_row(repeats: int, label: str, each: str, ch, p: float, floors, covs, caps) -> None:
+    """The `algorithms._best_of_draws` row of one call over covs, per covariance (each)."""
     def run():
-        rng = np.random.default_rng(0)
-        for _ in range(calls):
-            sdp.grp_round(z, 1000, score, rng)
-    us = 1e6 * best_of(repeats, run) / calls
-    print(f"grp_round N=10 us per 1000 candidates {us:9.1f}")
+        algorithms._best_of_draws(ch, p, floors, covs, caps, 1000, np.random.default_rng(0))
+    run()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    us = 1e6 * best_of(repeats, run) / len(covs)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / (repeats * len(covs))
+    print(f"{label} us per {each} {us:9.1f}   ({faults:.1f} minor page faults per {each})")
 
 
-def wscm_blend_row(repeats: int) -> None:
+def rounding_rows(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     r_up, z_m = algorithms.multicast_upper_bound(ch, p)
     z = 0.5 * (z_m + algorithms.secrecy_covariance(ch, p))
-    score = algorithms._masked_alpha_scores(ch, p, np.linspace(0.0, r_up, 20), None)
-    work, blends = {}, 20
-
-    def run():
-        rng = np.random.default_rng(0)
-        for _ in range(blends):
-            sdp._first_best(score(sdp._grp_draw(z, 1000, rng, work)).T)
-    run()                               # the draw arrays exist before the count
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    us = 1e6 * best_of(repeats, run) / blends
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / (repeats * blends)
-    print(f"wscm blend N=10 20 floors us per 1000 candidates {us:9.1f}"
-          f"   ({faults:.1f} minor page faults per blend)")
+    assert len(sdp.grp_draw(z, 1000, np.random.default_rng(0))) == 1000     # not rank one
+    rounding_row(repeats, "best of draws N=10 1 floor", "1000 candidates", ch, p, [0.0],
+                 [z] * 20, [None] * 20)
+    rounding_row(repeats, "wscm blend N=10 20 floors", "blend", ch, p,
+                 np.linspace(0.0, r_up, 20), [z] * 20, [None] * 20)
+    ctx, r_m = algorithms._Lifted(ch, p), 0.5 * r_up
+    grid = [p * t / 79 for t in range(80)]
+    lanes = algorithms._cct_lanes(ctx, [r_m], [grid], algorithms._eavesdropper_snr(ctx))[0]
+    certified = [(alpha, value) for alpha, *_, value in lanes if isinstance(value, tuple)]
+    covs = [y / xi for _, (_, y, xi) in certified]
+    rank_one = sum(len(sdp.grp_draw(z, 2, np.random.default_rng(0))) == 1 for z in covs)
+    rounding_row(repeats, f"cct lanes N=10 r_m=r_up/2 ({len(covs)}, {rank_one} rank one)", "lane",
+                 ch, p, [r_m], covs, [alpha for alpha, _ in certified])
 
 
 def cct_point_rows(repeats: int) -> None:
@@ -238,8 +239,7 @@ def main() -> None:
     lane_rows(repeats)
     region_batch_row(repeats)
     one_lane_rows(repeats)
-    grp_round_row(repeats)
-    wscm_blend_row(repeats)
+    rounding_rows(repeats)
     cct_point_rows(repeats)
     cct_region_row(repeats)
 

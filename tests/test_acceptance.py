@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from irssec import algorithms, model
+from irssec import model
 from irssec.algorithms import (SweepParams, algorithm1_cct, baseline_tdma,
                                multicast_upper_bound, pareto_filter, secrecy_covariance,
                                sweep_region)
@@ -247,7 +247,7 @@ def test_criterion_07_power_nesting():
 
 def _max_secrecy(ch, p, t_g, rng):
     z_c = secrecy_covariance(ch, p)
-    score = algorithms._masked_alpha_scores(ch, p, 0.0, None)
+    score = lambda vb: model.secrecy_rate_from_gains(model.effective_gains(ch, vb), ch.sigma2, p)
     _, sc = grp_round(z_c, t_g, score, rng)
     return max(float(sc), 0.0)
 

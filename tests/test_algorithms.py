@@ -336,6 +336,83 @@ def test_cct_fixed_alpha_floor_window_top(seed):
     assert cct_fixed_alpha(ch, P, r_m, 1.01 * alpha_top) is None
 
 
+def test_cct_rejects_a_nan_floor_before_any_solve(monkeypatch):
+    # NaN > 0 is false: unchecked, a NaN floor was solved as no floor at all
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    calls, real_solve = [], algorithms.solve_batch
+
+    def solve_batch(batch, config=None):
+        calls.append(batch)
+        return real_solve(batch, config)
+
+    monkeypatch.setattr(algorithms, "solve_batch", solve_batch)
+    with pytest.raises(ValueError, match="^multicast floor must not be NaN"):
+        cct_fixed_alpha(ch, P, math.nan, 0.5)
+    with pytest.raises(ValueError, match="^multicast floor must not be NaN"):
+        algorithm1_cct(ch, P, math.nan, t_alpha=4, t_g=10)
+    assert not calls
+    # a negative floor is no floor
+    (c_neg, y_neg, _), (c_zero, y_zero, _) = (cct_fixed_alpha(ch, P, r_m, 0.5)
+                                              for r_m in (-1.0, 0.0))
+    assert c_neg == c_zero and y_neg.tobytes() == y_zero.tobytes()
+    neg, zero = (algorithm1_cct(ch, P, r_m, 4, 10, np.random.default_rng(1))
+                 for r_m in (-1.0, 0.0))
+    assert (neg.r_c_achieved, neg.alpha, neg.feasible) == (zero.r_c_achieved, zero.alpha, True)
+
+
+def lane_by_lane_cct(ch, r_m, lanes, t_g, rng):
+    """(r_c, alpha, v, bound, alpha_grid) of a cct point rounded one certified
+    lane at a time, or None: each lane's `grp_round` with its `_repair` score
+    capped at the lane's power, the winner repaired again, and a later lane
+    kept only if its repaired rate is strictly higher."""
+    best = None
+    for alpha_t, _, _, value in lanes:
+        if not isinstance(value, tuple):
+            continue
+        c_value, y, xi = value
+
+        def score(vb, alpha_t=alpha_t):
+            r_c, _, ok = algorithms._repair(ch, P, r_m, effective_gains(ch, vb), alpha_t)
+            return np.where(ok, r_c, -np.inf)[:, 0]
+        v, sc = sdp.grp_round(y / xi, t_g, score, rng)
+        if not np.isfinite(sc):
+            continue
+        r_c, alpha, ok = algorithms._repair_one(ch, P, r_m, effective_gains(ch, v), alpha_t)
+        if ok and (best is None or r_c > best[0]):
+            best = (r_c, alpha, v, max(0.0, math.log2(max(c_value, 1e-300))), alpha_t)
+    return best
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_cct_point_is_the_lane_by_lane_rounding(k, monkeypatch):
+    # all certified lanes of a floor rounded in one pass keep the point that
+    # rounding them one lane at a time keeps
+    ch = rand_channelset(np.random.default_rng(50 + k), n=3, k=k)
+    r_up = multicast_upper_bound(ch, P)[0]
+    real_lanes, lanes = algorithms._cct_lanes, []
+
+    def recording_lanes(*args):
+        out = real_lanes(*args)
+        lanes.append(out[0])
+        return out
+
+    monkeypatch.setattr(algorithms, "_cct_lanes", recording_lanes)
+    floored = 0
+    for r_m in (0.0, 0.3 * r_up, 0.7 * r_up):
+        lanes.clear()
+        pt = algorithm1_cct(ch, P, r_m, 12, 200, np.random.default_rng(8))
+        ref = lane_by_lane_cct(ch, r_m, sum(lanes, []), 200, np.random.default_rng(8))
+        assert pt.feasible == (ref is not None)
+        if ref is None:
+            continue
+        floored += r_m > 0
+        r_c, alpha, v, bound, alpha_grid = ref
+        assert (pt.r_c_achieved, pt.alpha, pt.upper_bound) == (r_c, alpha, bound)
+        assert pt.diagnostics["alpha_grid"] == alpha_grid
+        assert pt.phase_vector.tobytes() == v.tobytes()
+    assert floored >= 1
+
+
 def test_secrecy_covariance_unit_diagonal_no_reflection():
     ch = no_irs_channelset([2.0, 1.0])
     z = secrecy_covariance(ch, P)
@@ -371,7 +448,7 @@ def test_secrecy_covariance_single_user_alignment(rng):
                     h=np.array([ch.h[0], 0.0]), sigma2=ch.sigma2)
     z = secrecy_covariance(ch, P)
     from irssec.sdp import grp_round
-    score = algorithms._masked_alpha_scores(ch, P, 0.0, None)
+    score = lambda vb: model.secrecy_rate_from_gains(model.effective_gains(ch, vb), ch.sigma2, P)
     v, _ = grp_round(z, 300, score, np.random.default_rng(0))
     aligned = model.aligned_gain(ch.m[0], ch.g, ch.h[0]) ** 2
     assert model.effective_gain(v, ch.m[0], ch.g, ch.h[0]) >= aligned * (1 - 1e-6)
@@ -418,18 +495,15 @@ def test_wscm_ranks_a_nan_score_below_every_finite_one(monkeypatch):
     ch = rand_channelset(np.random.default_rng(31), n=2, k=2)
     r_up, z_m = multicast_upper_bound(ch, P)
     z_c = secrecy_covariance(ch, P)
-    real = algorithms._masked_alpha_scores
+    real = algorithms._repair
     points = {}
     for bad in (-math.inf, math.nan):
-        def masked(*args, bad=bad):
-            score = real(*args)
-
-            def spoiled(vbatch):
-                out = score(vbatch)
-                out[0] = bad
-                return out
-            return spoiled
-        monkeypatch.setattr(algorithms, "_masked_alpha_scores", masked)
+        def spoiled(ch, p, floors, x, alpha_cap, out=None, bad=bad):
+            r_c, alpha, ok = real(ch, p, floors, x, alpha_cap, out)
+            if out is not None:         # a batch's scores, not a winner's repair
+                r_c[0] = bad
+            return r_c, alpha, ok
+        monkeypatch.setattr(algorithms, "_repair", spoiled)
         points[bad] = algorithms._wscm_points(ch, P, [0.0, 0.5 * r_up], 4, 30,
                                               np.random.default_rng(9), z_m, z_c)
     for a, b in zip(*points.values()):
@@ -719,7 +793,7 @@ def test_no_worker_outlives_a_region(monkeypatch):
     def failing_round(*args):
         raise ValueError(f"rounding failed in process {os.getpid()}")
 
-    monkeypatch.setattr(algorithms, "grp_round", failing_round)   # workers inherit the patch
+    monkeypatch.setattr(algorithms, "_best_of_draws", failing_round)  # workers inherit it
     with pytest.raises(ValueError, match=r"^rounding failed in process \d+$") as err:
         sweep_region(ch, P, "cct", 4, params, seed=1)
     assert int(str(err.value).split()[-1]) != os.getpid()

@@ -1,6 +1,6 @@
 """Every name a package module, test module or demo imports is used in that
-module, and every private module-level name is used somewhere in the
-package."""
+module, every private module-level name is used somewhere in the package,
+and the demos import only public names."""
 import ast
 from pathlib import Path
 
@@ -8,8 +8,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "irssec"
+DEMOS = sorted(ROOT.glob("demos/*.py"))
 MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")))
+           + sorted(ROOT.glob("tests/*.py")) + DEMOS)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +38,33 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """"name (line n)" for every imported module or name of which some dotted
+    part starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            module = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            for alias in node.names:
+                name = ".".join(module + [alias.name])
+                if any(part.startswith("_") for part in name.split(".")):
+                    found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_a_private_import():
+    assert private_imports("from a._b import c\nimport d\nfrom e import _f, g\n") == [
+        "a._b.c (line 1)", "e._f (line 3)"]
+    assert private_imports("from __future__ import annotations\nimport a.b\n") == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_only_public_names(path):
+    # a demo shows the library as a user sees it
+    assert private_imports(path.read_text()) == []
 
 
 def private_definitions(source: str) -> dict:

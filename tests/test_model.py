@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from irssec import model
-from irssec.channel import ChannelSet
+from irssec.channel import (ChannelSet, generate_channels, multi_user_scenario,
+                            two_user_scenario)
 from irssec.model import (Feasibility, PowerSplit, aligned_gain,
                           alpha_opt_closed_form, build_tk, effective_gain,
                           effective_gains, feasibility_check, lift_vector,
@@ -54,6 +55,19 @@ def test_effective_gain_equals_lifted_trace(rng):
         z = lift_vector(v)
         lifted = float(np.real(z.conj() @ build_tk(m, g, h) @ z))
         assert effective_gain(v, m, g, h) == pytest.approx(lifted, abs=1e-10 * max(1, lifted))
+
+
+@pytest.mark.parametrize("config", [
+    two_user_scenario(seed=3), two_user_scenario(seed=4),
+    multi_user_scenario(n_users=4, n_y=10, n_z=6, seed=3),
+    multi_user_scenario(n_users=4, n_y=10, n_z=6, seed=4)], ids=["2u-3", "2u-4", "4u-3", "4u-4"])
+def test_effective_gains_is_bitwise_the_plain_expression(config):
+    # the conjugate amplitude has the same modulus to the last bit
+    ch = generate_channels(config)
+    v = np.exp(2j * np.pi * np.random.default_rng(5).random((1000, ch.n)))
+    plain = lambda v: np.abs(np.conj(v) @ (np.conj(ch.m) * ch.g).T + ch.h) ** 2
+    for pattern in (v, v[7], v[:1]):
+        assert effective_gains(ch, pattern).tobytes() == plain(pattern).tobytes()
 
 
 @pytest.mark.parametrize("n,levels", [(2, 256), (3, 32)])

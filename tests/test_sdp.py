@@ -171,10 +171,23 @@ def test_grp_round_is_argmax_of_grp_draw(rng):
 
 
 def test_grp_rejects_covariance_without_lifted_variance():
-    # every draw's lifted coordinate is zero, so no candidate can be normalized
+    # every draw's lifted coordinate would be zero, so no candidate could be
+    # normalized: the error comes before any draw
     score = lambda vb: np.zeros(vb.shape[0])
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="no variance"):
-        grp_round(np.diag([1.0, 0.0]), 10, score, np.random.default_rng(0))
+        grp_round(np.diag([1.0, 0.0]), 10, score, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize("score", [lambda vb: np.abs(vb[:, :2]), lambda vb: 1.0,
+                                   lambda vb: np.ones(len(vb) + 1)],
+                         ids=["two per candidate", "one value", "one too many"])
+def test_grp_round_rejects_a_score_that_is_not_one_value_per_candidate(score):
+    # a (B, 2) score would pair one candidate's pattern with another's score,
+    # a single value would always pick candidate 0
+    with pytest.raises(ValueError, match="one value per candidate"):
+        grp_round(np.eye(4) + 0.1, 6, score, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
