@@ -140,7 +140,7 @@ class _Lifted:
         c = np.array([2.0 ** float(r) for r in floors])     # Python's pow, as `_repair`
         keep = np.ones(alphas.size, dtype=bool)
         if floored:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):     # an infinite floor keeps none
                 keep = (self.p - alphas * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
         a, c = alphas[keep, None], c[keep, None]
         # The objective, then the rows, each weight affine in alpha.
@@ -279,8 +279,10 @@ def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap: float | 
     and r_c made in ``out`` (2, F, B) if given. alpha is the largest power at which the user
     of least gain-to-noise ratio meets the floor, (P x - (c - 1) sigma^2) / (c x) with c =
     2^r_m, in [0, P] (P without a floor) and capped by alpha_cap; r_c is the secrecy rate at
-    alpha; ok says the floor holds with all power on multicast."""
+    alpha; ok says the floor holds with all power on multicast. A NaN floor raises ValueError."""
     r_m = np.atleast_1d(np.asarray(floors, dtype=float))
+    if np.isnan(r_m).any():
+        raise ValueError("multicast floor must not be NaN")
     c = np.array([2.0 ** float(r) for r in r_m])[:, None]   # Python's pow, as alpha_opt_closed_form
     tau = np.argmin(x / ch.sigma2, axis=-1)
     x_tau, s_tau = x[np.arange(len(x)), tau], ch.sigma2[tau]
@@ -530,7 +532,9 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
     candidates once from rng, scored against every floor (`_best_of_draws`).
     Each floor keeps its best candidate (ties go to the first blend) and sets
     the confidential power by the bottleneck closed form. z_m and z_c are the
-    multicast and secrecy covariances.
+    multicast and secrecy covariances. rng may be any object whose
+    ``standard_normal(out=...)`` fills out with the next normals of a stream,
+    such as a `helper.Helper`.
     """
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     lams = [t / (t_lambda - 1) for t in range(t_lambda)]
@@ -543,8 +547,10 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
 def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
                     t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
     """`_wscm_points` at the single floor r_m, with the multicast and secrecy
-    covariances solved here."""
+    covariances solved here; a NaN floor raises ValueError before either."""
     _check_counts(t_lambda=t_lambda, t_g=t_g)
+    if math.isnan(r_m):
+        raise ValueError("multicast floor must not be NaN")
     rng = np.random.default_rng(0) if rng is None else rng
     return _wscm_points(ch, p, [r_m], t_lambda, t_g, rng, multicast_upper_bound(ch, p)[1],
                         secrecy_covariance(ch, p))[0]
@@ -625,18 +631,36 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     The cct and upper-bound points are one `_cct_points` call: they share
     one eavesdropper max-min solve, counted in the n_solves of the first
     floored point, and are solved and rounded in groups, one per CPU, each
-    group's Charnes-Cooper lanes in group-wide batches. The oracle
-    enumerates the `ORACLE_GRID`.
+    group's Charnes-Cooper lanes in group-wide batches. A wscm region solves
+    its secrecy covariance and draws its normals through a `helper.Helper`,
+    in a helper process with two CPUs (`_workers`), closed before the sweep
+    returns or raises. The oracle enumerates the `ORACLE_GRID`.
     """
     _check_counts(grid_points=grid_points)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     params = params or SweepParams()
-
     if scheme == "tdma":
         region = baseline_tdma(ch, p, grid_points, params, substream(seed, 0))
-        return pareto_filter(region) if params.pareto_filter else region
+    else:
+        helper = None
+        if scheme == "wscm":
+            from .helper import Helper          # loaded by wscm regions only
+            helper = Helper(lambda: secrecy_covariance(ch, p), substream(seed, 0),
+                            (2, ch.n + 1, params.t_g), params.t_lambda, _workers(2) > 1)
+        try:
+            region = RegionBoundary(_region_points(ch, p, scheme, grid_points, params, seed,
+                                                   helper))
+        finally:
+            if helper is not None:
+                helper.close()
+    return pareto_filter(region) if params.pareto_filter else region
 
+
+def _region_points(ch: ChannelSet, p: float, scheme: str, grid_points: int, params: SweepParams,
+                   seed: int, helper) -> list:
+    """The points of `sweep_region` for every scheme but tdma; a wscm region
+    takes its secrecy covariance and normals from `helper`."""
     r_m_up, z_m = multicast_upper_bound(ch, p)
     targets = np.linspace(0.0, r_m_up, grid_points)
 
@@ -646,12 +670,10 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         v_m, _ = grp_round(z_m, params.t_g, _multicast_score(ch, p), substream(seed, 0))
         cap = float(model.multicast_capacity_from_gains(
             model.effective_gains(ch, v_m), ch.sigma2, p))
-        pts = [BoundaryPoint(float(rm), 0.0, 0.0, v_m if cap >= rm - _RM_SLACK else None,
-                             math.nan, cap >= rm - _RM_SLACK, scheme,
-                             diagnostics={"degenerate": True})
-               for rm in targets]
-        region = RegionBoundary(pts)
-        return pareto_filter(region) if params.pareto_filter else region
+        return [BoundaryPoint(float(rm), 0.0, 0.0, v_m if cap >= rm - _RM_SLACK else None,
+                              math.nan, cap >= rm - _RM_SLACK, scheme,
+                              diagnostics={"degenerate": True})
+                for rm in targets]
 
     def eval_point(idx: int) -> BoundaryPoint:
         rm = float(targets[idx])
@@ -669,10 +691,8 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
         if scheme == "upper-bound":
             points = [replace(pt, r_c_achieved=pt.upper_bound if pt.feasible else 0.0,
                               scheme="upper-bound") for pt in points]
-    elif scheme == "wscm":
-        points = _wscm_points(ch, p, targets, params.t_lambda, params.t_g, substream(seed, 0),
-                              z_m, secrecy_covariance(ch, p))
-    else:
-        points = [eval_point(i) for i in range(grid_points)]
-    region = RegionBoundary(points)
-    return pareto_filter(region) if params.pareto_filter else region
+        return points
+    if scheme == "wscm":
+        return _wscm_points(ch, p, targets, params.t_lambda, params.t_g, helper, z_m,
+                            helper.result())
+    return [eval_point(i) for i in range(grid_points)]

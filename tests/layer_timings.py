@@ -3,7 +3,7 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
 Prints the CPUs the process may run on and the lanes per `solve_batch` stack
-at n in {11, 31, 61, 101}, then six groups of figures, each timing the best of
+at n in {11, 31, 61, 101}, then seven groups of figures, each timing the best of
 R repeats. Only a region spreads its work over processes (one group of
 boundary points per CPU), so every other figure is a time on one CPU:
 
@@ -43,6 +43,13 @@ boundary points per CPU), so every other figure is a time on one CPU:
   with the process pinned to one CPU and on every CPU, and the region's
   Charnes-Cooper lanes and lane-iterations summed from its points'
   diagnostics (the points may be solved in worker processes).
+* ms per wscm region on the same scenario (grid 20, T_lambda 80, T_g 1000),
+  pinned to one CPU and on every CPU. With two CPUs a forked helper process
+  solves the secrecy covariance and draws the normals (`helper.Helper`); the
+  row gives the caller's mean time per region in the helper's `result` (the
+  secrecy covariance) and `standard_normal` calls: on one CPU the solve and
+  the draws themselves, on two the wait on the pipe and the copy out of the
+  ring.
 
 The file name does not match test_*.py, so pytest does not collect it.
 """
@@ -56,7 +63,7 @@ import time
 
 import numpy as np
 
-from irssec import algorithms, sdp
+from irssec import algorithms, helper, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 
 from sdp_forms import cct_region_batches, lanes_of, max_min_lanes, recorded_batches
@@ -230,6 +237,45 @@ def cct_region_row(repeats: int) -> None:
           " lane-iterations)")
 
 
+def wscm_region_row(repeats: int) -> None:
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    params = algorithms.SweepParams(t_lambda=80, t_g=1000)
+    real = {name: getattr(helper.Helper, name) for name in ("result", "standard_normal")}
+    spent = dict.fromkeys(real, 0.0)
+
+    def timed(name):
+        def call(self, *args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return real[name](self, *args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return call
+
+    def run():
+        algorithms.sweep_region(ch, p, "wscm", 20, params, seed=0)
+
+    def row(on):
+        spent.update(dict.fromkeys(spent, 0.0))
+        os.sched_setaffinity(0, on)
+        ms = 1e3 * best_of(repeats, run)
+        return (f"{ms:9.1f} on {len(on)} CPU{'s' * (len(on) > 1)}",
+                "/".join(f"{1e3 * t / repeats:.1f}" for t in spent.values()))
+
+    cpus = os.sched_getaffinity(0)
+    for name in real:
+        setattr(helper.Helper, name, timed(name))
+    try:
+        (one, one_spent), (every, every_spent) = row({min(cpus)}), row(cpus)
+    finally:
+        os.sched_setaffinity(0, cpus)
+        for name, func in real.items():
+            setattr(helper.Helper, name, func)
+    print(f"wscm region N=10 grid 20 ms per region {one}, {every}   (mean ms per region in the"
+          f" helper's result/standard_normal: {one_spent} and {every_spent})")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -242,6 +288,7 @@ def main() -> None:
     rounding_rows(repeats)
     cct_point_rows(repeats)
     cct_region_row(repeats)
+    wscm_region_row(repeats)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,14 @@ import math
 import multiprocessing
 import os
 import threading
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irssec import algorithms, model, sdp
+from irssec import algorithms, helper, model, sdp
 from irssec.algorithms import (SweepParams, algorithm1_cct, algorithm2_wscm,
                                baseline_no_irs, baseline_random_irs,
                                baseline_tdma, cct_fixed_alpha,
@@ -569,6 +571,41 @@ def test_tdma_segment_endpoints(rng):
     assert mid.r_c_achieved == pytest.approx(0.5 * pts[0].r_c_achieved)
 
 
+def test_every_rounding_rejects_a_nan_floor(monkeypatch):
+    # unchecked, every point at a NaN floor came back infeasible without a
+    # word; wscm raises before any solve or draw
+    config = two_user_scenario(d1=20, n_y=2, n_z=1, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+
+    def no_solve(batch, config=None):
+        raise AssertionError("solved")
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew by {name}")
+
+    monkeypatch.setattr(algorithms, "solve_batch", no_solve)
+    with pytest.raises(ValueError, match="^multicast floor must not be NaN$"):
+        algorithm2_wscm(ch, p, math.nan, 4, 20, NoDraws())
+    monkeypatch.undo()
+    for run in (lambda: baseline_no_irs(ch, p, math.nan),
+                lambda: baseline_random_irs(ch, p, math.nan, np.random.default_rng(0)),
+                lambda: algorithms._repair(ch, p, [0.0, math.nan], np.ones((3, ch.k)), None)):
+        with pytest.raises(ValueError, match="^multicast floor must not be NaN$"):
+            run()
+
+
+def test_an_infinite_cct_floor_is_infeasible_without_a_warning():
+    # 0 * inf in the keep mask of the Charnes-Cooper lanes warned; wscm never did
+    config = two_user_scenario(d1=20, n_y=2, n_z=1, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = [algorithm1_cct(ch, p, math.inf, 4, 20), algorithm2_wscm(ch, p, math.inf, 4, 20)]
+    for pt in points:
+        assert (pt.feasible, pt.r_c_achieved, pt.alpha, pt.phase_vector) == (False, 0.0, 0.0, None)
+
+
 def test_sweep_two_points_hits_endpoints(rng):
     ch = rand_channelset(np.random.default_rng(16), n=2, k=2)
     params = SweepParams(t_alpha=20, t_g=200, pareto_filter=False)
@@ -864,6 +901,112 @@ def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
     assert not other.is_alive()
     # every lane solved here; the eavesdropper solve is no lane
     assert len(lanes) == sum(pt.diagnostics["n_solves"] for pt in region.points) - 1
+
+
+def counting_forks(monkeypatch):
+    """The os.fork calls made from now on, as a list of the pids they returned here."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("config", [two_user_scenario(d1=20, n_y=2, n_z=2, seed=1),
+                                    multi_user_scenario(n_users=3, n_y=2, n_z=2, seed=0)],
+                         ids=["two-user", "three-user"])
+def test_wscm_region_with_its_helper_process_matches_one_process_bitwise(monkeypatch, config):
+    # on one CPU the secrecy covariance and the normals come from this
+    # process; on two from one forked helper through its ring, which wraps
+    # (more full-rank blends than slots): every field of every point is the
+    # same bytes, the blend weight lambda included
+    ch, p = generate_channels(config), config.total_power_w
+    params = SweepParams(t_lambda=12, t_g=60, pareto_filter=False)
+    assert params.t_lambda > 2 * helper._RING_SLOTS
+    runs, forks = {}, {}
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        forks[cpus] = counting_forks(monkeypatch)
+        region = sweep_region(ch, p, "wscm", 6, params, 4)
+        runs[cpus] = [point_bytes(pt) for pt in region.points]
+        monkeypatch.undo()
+        assert_no_child_left()
+    assert runs[2] == runs[1]
+    assert len(forks[1]) == 0 and len(forks[2]) == 1
+    assert sum(pt.feasible for pt in region.points) >= 2
+    assert len({pt.diagnostics["lambda"] for pt in region.points if pt.feasible}) >= 2
+
+
+def test_no_wscm_helper_outlives_a_region(monkeypatch):
+    # the helper is killed and reaped before sweep_region returns or raises,
+    # whether the caller fails mid-loop or the helper's own secrecy solve
+    # fails; either error is the one that one CPU raises
+    config = two_user_scenario(d1=20, n_y=2, n_z=2, seed=1)
+    ch, p = generate_channels(config), config.total_power_w
+    params = SweepParams(t_lambda=12, t_g=60)
+    real_repair, calls = algorithms._repair, []
+
+    def failing_repair(*args):
+        calls.append(None)
+        if len(calls) == 6:
+            raise FloatingPointError("repair failed at call 6")
+        return real_repair(*args)
+
+    def failing_secrecy(ch, p):
+        raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
+
+    errors = {}
+    for cpus in (2, 1):
+        pin_cpus(monkeypatch, cpus)
+        forks = counting_forks(monkeypatch)
+        assert all(pt.feasible for pt in sweep_region(ch, p, "wscm", 4, params, 1).points[:-1])
+        assert_no_child_left()
+        for name, fake in (("_repair", failing_repair), ("secrecy_covariance", failing_secrecy)):
+            calls.clear()
+            with monkeypatch.context() as patch, pytest.raises(Exception) as err:
+                patch.setattr(algorithms, name, fake)
+                sweep_region(ch, p, "wscm", 4, params, 1)
+            errors[cpus, name] = (type(err.value), str(err.value))
+            assert_no_child_left()
+        assert len(forks) == (3 if cpus == 2 else 0)
+        monkeypatch.undo()
+    assert errors[1, "_repair"] == errors[2, "_repair"] == (
+        FloatingPointError, "repair failed at call 6")
+    assert errors[1, "secrecy_covariance"] == errors[2, "secrecy_covariance"] == (
+        SdpSolverError, "secrecy covariance program unexpectedly infeasible")
+
+
+def test_wscm_helper_exits_by_itself_when_the_caller_closes_its_pipe_end():
+    # without a kill: the helper waits for a slot's release, reads the end
+    # of its pipe instead and exits with status 0
+    config = two_user_scenario(d1=20, n_y=2, n_z=2, seed=1)
+    ch, p = generate_channels(config), config.total_power_w
+    shape = (2, ch.n + 1, 50)
+    ahead = helper.Helper(lambda: secrecy_covariance(ch, p), substream(1, 0), shape, 40, True)
+    assert ahead._pid is not None
+    assert np.array_equal(ahead.result(), secrecy_covariance(ch, p))
+    stream, out = substream(1, 0), np.empty(shape)
+    for _ in range(2):
+        assert np.array_equal(ahead.standard_normal(out=out), stream.standard_normal(shape))
+    ahead._up.close()
+    os.close(ahead._down)
+    os.close(ahead._ring)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(ahead._pid, os.WNOHANG))[0] == 0:
+        assert time.monotonic() < deadline, "the helper did not exit"
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("name, value", [("t_alpha", 1), ("t_alpha", 2.5), ("t_alpha", "80"),

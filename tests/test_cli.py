@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from irssec import cli, model
+from irssec import algorithms, cli, model
 from irssec.channel import generate_channels, load_scenario, scenario_to_dict, two_user_scenario
 from irssec.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER, main
+from irssec.sdp import SdpSolverError
 
 
 def write_scenario(tmp_path, name="scenario.json", **kwargs):
@@ -60,6 +61,38 @@ def test_region_cct_byte_identical_across_reruns(tmp_path, monkeypatch):
     assert open(out_a, "rb").read() == open(out_b, "rb").read()
     assert (open(out_a + ".phases.json", "rb").read()
             == open(out_b + ".phases.json", "rb").read())
+
+
+def test_region_wscm_same_bytes_with_and_without_its_helper_process(tmp_path, monkeypatch):
+    # one CPU solves the secrecy covariance and draws the normals in this
+    # process, two in a forked helper: the files are the same bytes either way
+    scn = write_scenario(tmp_path)
+    base = ["region", "--scenario", scn, "--scheme", "wscm", "--grid", "4",
+            "--t-lambda", "10", "--t-g", "60", "--seed", "5"]
+    files = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"{len(cpus)}.csv"
+        assert main(base + ["--out", str(out)]) == EXIT_OK
+        files.append((out.read_bytes(), (tmp_path / f"{out.name}.phases.json").read_bytes()))
+    assert files[0] == files[1]
+
+
+def test_region_wscm_exits_3_when_the_secrecy_covariance_fails(tmp_path, monkeypatch, capsys):
+    # the helper process's solver error reaches the CLI as one CPU raises it
+    def failing_secrecy(ch, p):
+        raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
+
+    monkeypatch.setattr(algorithms, "secrecy_covariance", failing_secrecy)
+    scn = write_scenario(tmp_path)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"{len(cpus)}.csv"
+        assert main(["region", "--scenario", scn, "--scheme", "wscm", "--grid", "3",
+                     "--t-lambda", "6", "--t-g", "20", "--out", str(out)]) == EXIT_SOLVER
+        assert ("solver failure: secrecy covariance program unexpectedly infeasible"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_region_wscm_byte_identical_across_reruns(tmp_path):
