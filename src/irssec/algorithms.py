@@ -532,9 +532,8 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
     candidates once from rng, scored against every floor (`_best_of_draws`).
     Each floor keeps its best candidate (ties go to the first blend) and sets
     the confidential power by the bottleneck closed form. z_m and z_c are the
-    multicast and secrecy covariances. rng may be any object whose
-    ``standard_normal(out=...)`` fills out with the next normals of a stream,
-    such as a `helper.Helper`.
+    multicast and secrecy covariances; rng is the Generator every blend
+    draws from in turn.
     """
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     lams = [t / (t_lambda - 1) for t in range(t_lambda)]
@@ -547,7 +546,9 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
 def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
                     t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
     """`_wscm_points` at the single floor r_m, with the multicast and secrecy
-    covariances solved here; a NaN floor raises ValueError before either."""
+    covariances solved here; a NaN floor raises ValueError before either.
+    Each blend is rank two at most, and its draws ignore the eigenvalues
+    below `sdp._RANK_TOL` times its trace (`sdp.grp_draw`)."""
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     if math.isnan(r_m):
         raise ValueError("multicast floor must not be NaN")
@@ -631,10 +632,8 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     The cct and upper-bound points are one `_cct_points` call: they share
     one eavesdropper max-min solve, counted in the n_solves of the first
     floored point, and are solved and rounded in groups, one per CPU, each
-    group's Charnes-Cooper lanes in group-wide batches. A wscm region solves
-    its secrecy covariance and draws its normals through a `helper.Helper`,
-    in a helper process with two CPUs (`_workers`), closed before the sweep
-    returns or raises. The oracle enumerates the `ORACLE_GRID`.
+    group's Charnes-Cooper lanes in group-wide batches. A wscm region runs in
+    the calling process. The oracle enumerates the `ORACLE_GRID`.
     """
     _check_counts(grid_points=grid_points)
     if scheme not in SCHEMES:
@@ -643,24 +642,13 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     if scheme == "tdma":
         region = baseline_tdma(ch, p, grid_points, params, substream(seed, 0))
     else:
-        helper = None
-        if scheme == "wscm":
-            from .helper import Helper          # loaded by wscm regions only
-            helper = Helper(lambda: secrecy_covariance(ch, p), substream(seed, 0),
-                            (2, ch.n + 1, params.t_g), params.t_lambda, _workers(2) > 1)
-        try:
-            region = RegionBoundary(_region_points(ch, p, scheme, grid_points, params, seed,
-                                                   helper))
-        finally:
-            if helper is not None:
-                helper.close()
+        region = RegionBoundary(_region_points(ch, p, scheme, grid_points, params, seed))
     return pareto_filter(region) if params.pareto_filter else region
 
 
 def _region_points(ch: ChannelSet, p: float, scheme: str, grid_points: int, params: SweepParams,
-                   seed: int, helper) -> list:
-    """The points of `sweep_region` for every scheme but tdma; a wscm region
-    takes its secrecy covariance and normals from `helper`."""
+                   seed: int) -> list:
+    """The points of `sweep_region` for every scheme but tdma."""
     r_m_up, z_m = multicast_upper_bound(ch, p)
     targets = np.linspace(0.0, r_m_up, grid_points)
 
@@ -693,6 +681,6 @@ def _region_points(ch: ChannelSet, p: float, scheme: str, grid_points: int, para
                               scheme="upper-bound") for pt in points]
         return points
     if scheme == "wscm":
-        return _wscm_points(ch, p, targets, params.t_lambda, params.t_g, helper, z_m,
-                            helper.result())
+        return _wscm_points(ch, p, targets, params.t_lambda, params.t_g, substream(seed, 0), z_m,
+                            secrecy_covariance(ch, p))
     return [eval_point(i) for i in range(grid_points)]

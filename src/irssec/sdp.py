@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_RANK_TOL = 1e-7          # grp_draw: rank one below this eigenvalue/trace share
+_RANK_TOL = 1e-7          # grp_draw: drops eigenvalues below this share of the trace
 # Matrix entries (lanes x n^2) per _ipm stack: 64 lanes at n = 11, 8 at n = 31,
 # 2 at n = 61, 1 from n = 63. Median CPU time against 16-lane stacks (BLAS on
 # one thread): 0.88, 0.76, 0.80 at 32, 64, 128 lanes on two cct regions' n = 11
@@ -481,17 +481,20 @@ def grp_draw(z_matrix: np.ndarray, candidates: int, rng: np.random.Generator) ->
     Draws ``candidates`` vectors zt = U sqrt(Sigma) r with r ~ CN(0, I) from
     the eigendecomposition of z_matrix and maps each to a unit-modulus pattern
     via entrywise zt(i)/zt(N+1); returns them as a (batch, N) complex array.
-    If the input is rank one (second eigenvalue below _RANK_TOL times the
-    trace) the batch is the single deterministic eigenvector extraction and
-    no randomness is consumed. A non-finite covariance, or one giving the lifted
-    coordinate N+1 no variance, raises ValueError before any draw: no draw could
-    be normalized.
+    A draw ignores the eigenvalues below _RANK_TOL times the trace: r has one
+    entry per eigenvalue above it, so a rank-r covariance consumes 2 r normals
+    per candidate. If the input is rank one (second eigenvalue below
+    _RANK_TOL times the trace) the batch is the single deterministic
+    eigenvector extraction and no randomness is consumed. A non-finite
+    covariance, or one whose kept eigenpairs give the lifted coordinate N+1 no
+    variance, raises ValueError before any draw: no draw could be normalized.
     """
     return _grp_draw(z_matrix, candidates, rng, {})
 
 
 def _grp_draw(z_matrix, candidates: int, rng: np.random.Generator, work: dict) -> np.ndarray:
-    """`grp_draw` into arrays that ``work`` keeps by shape; the batch may view them."""
+    """`grp_draw` into arrays that ``work`` keeps by (size, rank, candidates);
+    the batch may view them."""
     if candidates < 1:
         raise ValueError("need at least one candidate")
     z = np.asarray(z_matrix, dtype=complex)
@@ -511,13 +514,17 @@ def _grp_draw(z_matrix, candidates: int, rng: np.random.Generator, work: dict) -
         if abs(vec[-1]) > 1e-9 * math.sqrt(trace):
             return _unit_phase(vec[:n_phase] / vec[n_phase])[None, :]
 
-    factor = u * np.sqrt(lam)
+    # eigh sorts ascending, so the kept eigenpairs are a trailing slice; the
+    # slice keeps u's layout, and with it a full-rank draw's bits
+    low = int(np.searchsorted(lam, _RANK_TOL * trace, side="right"))
+    factor, rank = u[:, low:] * np.sqrt(lam[low:]), size - low
     if not factor[n_phase].any():
         raise ValueError("input covariance gives the lifted coordinate no variance")
-    shape = (2, size, candidates)
-    if shape not in work:
-        work[shape] = np.empty(shape), np.empty(shape, dtype=complex)
-    normals, (draw, zt) = work[shape]
+    if (size, rank, candidates) not in work:
+        work[size, rank, candidates] = (np.empty((2, rank, candidates)),
+                                        np.empty((rank, candidates), dtype=complex),
+                                        np.empty((size, candidates), dtype=complex))
+    normals, draw, zt = work[size, rank, candidates]
     draw.real, draw.imag = rng.standard_normal(out=normals)    # a real, then an imaginary draw
     np.matmul(factor, np.divide(draw, math.sqrt(2.0), out=draw), out=zt)
     batch = zt[:n_phase]

@@ -41,6 +41,25 @@ def phase_grid(n, levels, offset=0.0):
     return np.exp(1j * np.stack([t.reshape(-1) for t in grids], axis=-1))
 
 
+def counting_forks(monkeypatch):
+    """The os.fork calls made from now on, as a list of the pids they returned here."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -4,7 +4,7 @@
 
 Prints the CPUs the process may run on and the lanes per `solve_batch` stack
 at n in {11, 31, 61, 101}, then seven groups of figures, each timing the best of
-R repeats. Only a region spreads its work over processes (one group of
+R repeats. Only a cct region spreads its work over processes (one group of
 boundary points per CPU), so every other figure is a time on one CPU:
 
 * ms per lane-iteration at n = 11 for L in {1, 20, 80} lanes. The programs
@@ -44,12 +44,10 @@ boundary points per CPU), so every other figure is a time on one CPU:
   Charnes-Cooper lanes and lane-iterations summed from its points'
   diagnostics (the points may be solved in worker processes).
 * ms per wscm region on the same scenario (grid 20, T_lambda 80, T_g 1000),
-  pinned to one CPU and on every CPU. With two CPUs a forked helper process
-  solves the secrecy covariance and draws the normals (`helper.Helper`); the
-  row gives the caller's mean time per region in the helper's `result` (the
-  secrecy covariance) and `standard_normal` calls: on one CPU the solve and
-  the draws themselves, on two the wait on the pipe and the copy out of the
-  ring.
+  pinned to one CPU and on every CPU, with the mean ms per region in its
+  three parts: the multicast bound, the secrecy covariance and the blend
+  loop (`algorithms._wscm_points`). A wscm region runs in one process, so
+  the two rows differ only by BLAS threads and the machine's load.
 
 The file name does not match test_*.py, so pytest does not collect it.
 """
@@ -63,7 +61,7 @@ import time
 
 import numpy as np
 
-from irssec import algorithms, helper, sdp
+from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 
 from sdp_forms import cct_region_batches, lanes_of, max_min_lanes, recorded_batches
@@ -241,14 +239,15 @@ def wscm_region_row(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     params = algorithms.SweepParams(t_lambda=80, t_g=1000)
-    real = {name: getattr(helper.Helper, name) for name in ("result", "standard_normal")}
+    real = {name: getattr(algorithms, name)
+            for name in ("multicast_upper_bound", "secrecy_covariance", "_wscm_points")}
     spent = dict.fromkeys(real, 0.0)
 
     def timed(name):
-        def call(self, *args, **kwargs):
+        def call(*args, **kwargs):
             start = time.perf_counter()
             try:
-                return real[name](self, *args, **kwargs)
+                return real[name](*args, **kwargs)
             finally:
                 spent[name] += time.perf_counter() - start
         return call
@@ -265,22 +264,22 @@ def wscm_region_row(repeats: int) -> None:
 
     cpus = os.sched_getaffinity(0)
     for name in real:
-        setattr(helper.Helper, name, timed(name))
+        setattr(algorithms, name, timed(name))
     try:
         (one, one_spent), (every, every_spent) = row({min(cpus)}), row(cpus)
     finally:
         os.sched_setaffinity(0, cpus)
         for name, func in real.items():
-            setattr(helper.Helper, name, func)
+            setattr(algorithms, name, func)
     print(f"wscm region N=10 grid 20 ms per region {one}, {every}   (mean ms per region in the"
-          f" helper's result/standard_normal: {one_spent} and {every_spent})")
+          f" multicast bound/secrecy covariance/blend loop: {one_spent} and {every_spent})")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     repeats = parser.parse_args().repeats
-    print(f"CPUs {len(os.sched_getaffinity(0))} (a region runs one group of points on each)")
+    print(f"CPUs {len(os.sched_getaffinity(0))} (a cct region runs one group of points on each)")
     print("lanes per stack " + ", ".join(f"n={n} {sdp._stack_width(n)}" for n in STACK_SIZES))
     lane_rows(repeats)
     region_batch_row(repeats)

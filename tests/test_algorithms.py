@@ -2,14 +2,13 @@ import math
 import multiprocessing
 import os
 import threading
-import time
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irssec import algorithms, helper, model, sdp
+from irssec import algorithms, model, sdp
 from irssec.algorithms import (SweepParams, algorithm1_cct, algorithm2_wscm,
                                baseline_no_irs, baseline_random_irs,
                                baseline_tdma, cct_fixed_alpha,
@@ -21,7 +20,8 @@ from irssec.channel import (ChannelSet, generate_channels, multi_user_scenario,
                             two_user_scenario)
 from irssec.model import effective_gains, multicast_capacity_from_gains
 
-from conftest import phase_grid, rand_channelset, twin_channelset
+from conftest import (assert_no_child_left, counting_forks, phase_grid, rand_channelset,
+                      twin_channelset)
 from sdp_forms import max_min_lanes
 
 P = 1.0
@@ -903,36 +903,15 @@ def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
     assert len(lanes) == sum(pt.diagnostics["n_solves"] for pt in region.points) - 1
 
 
-def counting_forks(monkeypatch):
-    """The os.fork calls made from now on, as a list of the pids they returned here."""
-    forks, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("config", [two_user_scenario(d1=20, n_y=2, n_z=2, seed=1),
                                     multi_user_scenario(n_users=3, n_y=2, n_z=2, seed=0)],
                          ids=["two-user", "three-user"])
-def test_wscm_region_with_its_helper_process_matches_one_process_bitwise(monkeypatch, config):
-    # on one CPU the secrecy covariance and the normals come from this
-    # process; on two from one forked helper through its ring, which wraps
-    # (more full-rank blends than slots): every field of every point is the
-    # same bytes, the blend weight lambda included
+def test_wscm_region_same_bytes_on_one_and_two_cpus_without_a_fork(monkeypatch, config):
+    # a wscm region solves and rounds in the calling process whatever the
+    # CPU count: every field of every point is the same bytes, the blend
+    # weight lambda included, and no process is forked
     ch, p = generate_channels(config), config.total_power_w
     params = SweepParams(t_lambda=12, t_g=60, pareto_filter=False)
-    assert params.t_lambda > 2 * helper._RING_SLOTS
     runs, forks = {}, {}
     for cpus in (1, 2):
         pin_cpus(monkeypatch, cpus)
@@ -942,15 +921,15 @@ def test_wscm_region_with_its_helper_process_matches_one_process_bitwise(monkeyp
         monkeypatch.undo()
         assert_no_child_left()
     assert runs[2] == runs[1]
-    assert len(forks[1]) == 0 and len(forks[2]) == 1
+    assert forks[1] == forks[2] == []
     assert sum(pt.feasible for pt in region.points) >= 2
     assert len({pt.diagnostics["lambda"] for pt in region.points if pt.feasible}) >= 2
 
 
 def test_no_wscm_helper_outlives_a_region(monkeypatch):
-    # the helper is killed and reaped before sweep_region returns or raises,
-    # whether the caller fails mid-loop or the helper's own secrecy solve
-    # fails; either error is the one that one CPU raises
+    # a wscm region forks nothing, so an error mid-loop or in the secrecy
+    # solve leaves no process behind; either error is the same on one CPU
+    # and on two
     config = two_user_scenario(d1=20, n_y=2, n_z=2, seed=1)
     ch, p = generate_channels(config), config.total_power_w
     params = SweepParams(t_lambda=12, t_g=60)
@@ -978,35 +957,12 @@ def test_no_wscm_helper_outlives_a_region(monkeypatch):
                 sweep_region(ch, p, "wscm", 4, params, 1)
             errors[cpus, name] = (type(err.value), str(err.value))
             assert_no_child_left()
-        assert len(forks) == (3 if cpus == 2 else 0)
+        assert forks == []
         monkeypatch.undo()
     assert errors[1, "_repair"] == errors[2, "_repair"] == (
         FloatingPointError, "repair failed at call 6")
     assert errors[1, "secrecy_covariance"] == errors[2, "secrecy_covariance"] == (
         SdpSolverError, "secrecy covariance program unexpectedly infeasible")
-
-
-def test_wscm_helper_exits_by_itself_when_the_caller_closes_its_pipe_end():
-    # without a kill: the helper waits for a slot's release, reads the end
-    # of its pipe instead and exits with status 0
-    config = two_user_scenario(d1=20, n_y=2, n_z=2, seed=1)
-    ch, p = generate_channels(config), config.total_power_w
-    shape = (2, ch.n + 1, 50)
-    ahead = helper.Helper(lambda: secrecy_covariance(ch, p), substream(1, 0), shape, 40, True)
-    assert ahead._pid is not None
-    assert np.array_equal(ahead.result(), secrecy_covariance(ch, p))
-    stream, out = substream(1, 0), np.empty(shape)
-    for _ in range(2):
-        assert np.array_equal(ahead.standard_normal(out=out), stream.standard_normal(shape))
-    ahead._up.close()
-    os.close(ahead._down)
-    os.close(ahead._ring)
-    deadline = time.monotonic() + 30.0
-    while (done := os.waitpid(ahead._pid, os.WNOHANG))[0] == 0:
-        assert time.monotonic() < deadline, "the helper did not exit"
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(done[1]) == 0
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize("name, value", [("t_alpha", 1), ("t_alpha", 2.5), ("t_alpha", "80"),

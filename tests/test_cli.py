@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from irssec import algorithms, cli, model
-from irssec.channel import generate_channels, load_scenario, scenario_to_dict, two_user_scenario
+from irssec.channel import (generate_channels, load_scenario, multi_user_scenario,
+                            scenario_to_dict, two_user_scenario)
 from irssec.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER, main
 from irssec.sdp import SdpSolverError
+
+from conftest import assert_no_child_left, counting_forks
 
 
 def write_scenario(tmp_path, name="scenario.json", **kwargs):
@@ -63,23 +66,25 @@ def test_region_cct_byte_identical_across_reruns(tmp_path, monkeypatch):
             == open(out_b + ".phases.json", "rb").read())
 
 
-def test_region_wscm_same_bytes_with_and_without_its_helper_process(tmp_path, monkeypatch):
-    # one CPU solves the secrecy covariance and draws the normals in this
-    # process, two in a forked helper: the files are the same bytes either way
+def test_region_wscm_same_bytes_on_one_and_two_cpus_without_a_fork(tmp_path, monkeypatch):
+    # a wscm region runs in this process whatever the CPU count: the files
+    # are the same bytes on one CPU and on two, and nothing is forked
     scn = write_scenario(tmp_path)
     base = ["region", "--scenario", scn, "--scheme", "wscm", "--grid", "4",
             "--t-lambda", "10", "--t-g", "60", "--seed", "5"]
-    files = []
+    files, forks = [], counting_forks(monkeypatch)
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         out = tmp_path / f"{len(cpus)}.csv"
         assert main(base + ["--out", str(out)]) == EXIT_OK
         files.append((out.read_bytes(), (tmp_path / f"{out.name}.phases.json").read_bytes()))
     assert files[0] == files[1]
+    assert forks == []
 
 
 def test_region_wscm_exits_3_when_the_secrecy_covariance_fails(tmp_path, monkeypatch, capsys):
-    # the helper process's solver error reaches the CLI as one CPU raises it
+    # the solver error reaches the CLI the same way on one CPU and on two,
+    # and leaves no process behind
     def failing_secrecy(ch, p):
         raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
 
@@ -93,6 +98,33 @@ def test_region_wscm_exits_3_when_the_secrecy_covariance_fails(tmp_path, monkeyp
         assert ("solver failure: secrecy covariance program unexpectedly infeasible"
                 in capsys.readouterr().err)
         assert not out.exists()
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("scheme", ["cct", "wscm"])
+@pytest.mark.parametrize("config, sizes", [
+    (two_user_scenario(d1=20, n_y=2, n_z=1, seed=3), ["4", "10", "100"]),
+    (multi_user_scenario(n_users=4, n_y=10, n_z=6, seed=0), ["3", "6", "60"])],
+    ids=["two-user", "four-user-n60"])
+def test_region_same_bytes_on_one_and_two_blas_threads(tmp_path, scheme, config, sizes):
+    # the CLI in fresh processes whose BLAS runs one or two threads: the
+    # CSV and phases files are the same bytes (at N = 60 the BLAS products
+    # are large enough to split over threads)
+    scn = tmp_path / "scenario.json"
+    scn.write_text(json.dumps(scenario_to_dict(config)))
+    grid, samples, t_g = sizes
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "irssec.cli", "region", "--scenario", str(scn),
+                               "--scheme", scheme, "--grid", grid, "--t-alpha", samples,
+                               "--t-lambda", samples, "--t-g", t_g, "--seed", "2",
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        files.append((out.read_bytes(), (tmp_path / f"{out.name}.phases.json").read_bytes()))
+    assert files[0] == files[1]
+    assert b",true," in files[0][0]
 
 
 def test_region_wscm_byte_identical_across_reruns(tmp_path):

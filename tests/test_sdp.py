@@ -204,15 +204,19 @@ def test_grp_rejects_a_covariance_that_is_not_finite(bad):
 
 def reference_draw(z_matrix, candidates, rng):
     """`grp_draw` without its rank-one shortcut, as plain expressions on
-    fresh arrays: two normal calls, numpy's complex division by sqrt(2), the
-    usable columns gathered, then z / |z| (1 where |z| is zero)."""
+    fresh arrays: the eigenpairs above 1e-7 of the trace (a trailing slice,
+    as eigh sorts ascending), two normal calls of one row per kept
+    eigenpair, numpy's complex division by sqrt(2), the usable columns
+    gathered, then z / |z| (1 where |z| is zero)."""
     z = np.asarray(z_matrix, dtype=complex)
     lam, u = np.linalg.eigh(0.5 * (z + z.conj().T))
-    factor = u * np.sqrt(np.clip(lam, 0.0, None))
-    size, batches, remaining = len(z), [], candidates
+    lam = np.clip(lam, 0.0, None)
+    low = int((lam <= 1e-7 * lam.sum()).sum())
+    factor = u[:, low:] * np.sqrt(lam[low:])
+    rank, batches, remaining = len(z) - low, [], candidates
     while remaining > 0:
-        draw = (rng.standard_normal((size, remaining))
-                + 1j * rng.standard_normal((size, remaining))) / math.sqrt(2.0)
+        draw = (rng.standard_normal((rank, remaining))
+                + 1j * rng.standard_normal((rank, remaining))) / math.sqrt(2.0)
         zt = factor @ draw
         keep = np.abs(zt[-1]) > 1e-300
         ratio = (zt[:-1, keep] / zt[-1, keep]).T
@@ -223,12 +227,15 @@ def reference_draw(z_matrix, candidates, rng):
 
 
 @pytest.mark.parametrize("candidates", [1, 7, 1000])
-@pytest.mark.parametrize("kind", ["rank-two blend", "full rank"])
+@pytest.mark.parametrize("kind", ["rank-two blend", "rank three", "full rank"])
 def test_grp_draw_is_bitwise_the_plain_expression(kind, candidates):
     rng = np.random.default_rng(17)
     u, w = (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))) / math.sqrt(2.0)
     if kind == "rank-two blend":
         z = 0.3 * np.outer(u, u.conj()) + 0.7 * np.outer(w, w.conj())
+    elif kind == "rank three":
+        t = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / math.sqrt(2.0)
+        z = 0.3 * np.outer(u, u.conj()) + 0.7 * np.outer(w, w.conj()) + 0.5 * np.outer(t, t.conj())
     else:
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         z = a @ a.conj().T / 6 + np.eye(6)
@@ -239,6 +246,19 @@ def test_grp_draw_is_bitwise_the_plain_expression(kind, candidates):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     assert z.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("size", [6, 11])
+def test_grp_draw_of_a_rank_two_blend_draws_two_normals_per_candidate_and_part(size):
+    # a real and an imaginary normal per kept eigenpair and candidate, not
+    # per entry of the (size x size) covariance
+    rng = np.random.default_rng(17)
+    u, w = (rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))) / math.sqrt(2.0)
+    z, t_g = 0.3 * np.outer(u, u.conj()) + 0.7 * np.outer(w, w.conj()), 50
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    assert grp_draw(z, t_g, rng).shape == (t_g, size - 1)
+    twin.standard_normal(2 * 2 * t_g)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_grp_round_ranks_a_nan_score_below_every_other():
