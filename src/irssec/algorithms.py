@@ -121,11 +121,19 @@ class _Lifted:
         return SdpBatch(self.basis, objective, rows[None], bounds[None],
                         np.repeat([-1, 0], [n_users, self.n]))
 
-    def cct_batch(self, floors, alphas, eav_snr: float):
-        """(batch, keep): one Charnes-Cooper lane per pair (r_m, alpha) of
-        zip(floors, alphas) with keep, all floored (r_m > 0) or none; keep
-        drops the pairs at which no lifted covariance supports the floor,
-        (P - alpha c) eav_snr < c - 1 with c = 2^r_m (`_eavesdropper_snr`).
+    def window(self, r_m: float, alphas: list, eav_snr: float) -> list:
+        """The powers in `alphas`, in order, at which some lifted covariance can
+        support the floor r_m > 0: (P - alpha c) eav_snr >= (c - 1)(1 - 1e-12),
+        c = 2^r_m, eav_snr the `_eavesdropper_snr`; an infinite floor keeps none."""
+        c, a = 2.0 ** float(r_m), np.asarray(alphas, dtype=float)   # Python's pow, as `_repair`
+        with np.errstate(over="ignore", invalid="ignore"):
+            keep = (self.p - a * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
+        return [alpha for alpha, ok in zip(alphas, keep) if ok]
+
+    def cct_batch(self, floors, alphas) -> SdpBatch:
+        """One Charnes-Cooper lane per pair (r_m, alpha) of zip(floors,
+        alphas), all floored (r_m > 0) or none, each floored alpha in the
+        floor's `window` (the caller decides it before any solve).
         Lane (r_m, alpha) maximizes Tr((s_1/(N+1) I + alpha T_1) Y) over PSD Y
         with a constant diagonal (the tie rows) s.t. Tr((s_1/(N+1) I + alpha
         s_1/s_k T_k) Y) <= beta0 for each eavesdropper k and, with a floor,
@@ -135,14 +143,9 @@ class _Lifted:
         if any(math.isnan(r) for r in floors):      # r > 0 would read it as no floor
             raise ValueError("multicast floor must not be NaN")
         n1, k, eav, s1 = self.n + 1, self.k, np.arange(1, self.k), self.sigma2[0]
-        alphas = np.asarray(alphas, dtype=float)
         floored = any(r > 0 for r in floors)
-        c = np.array([2.0 ** float(r) for r in floors])     # Python's pow, as `_repair`
-        keep = np.ones(alphas.size, dtype=bool)
-        if floored:
-            with np.errstate(over="ignore", invalid="ignore"):     # an infinite floor keeps none
-                keep = (self.p - alphas * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
-        a, c = alphas[keep, None], c[keep, None]
+        a = np.asarray(alphas, dtype=float)[:, None]
+        c = np.array([2.0 ** float(r) for r in floors])[:, None]
         # The objective, then the rows, each weight affine in alpha.
         m = (k - 1) * (1 + floored) + self.n
         weights = np.zeros((len(a), 1 + m, n1 + k))
@@ -157,7 +160,7 @@ class _Lifted:
         bounds = np.zeros((len(weights), m))
         bounds[:, :k - 1] = beta0[:, None]
         sense = np.repeat([1, -1, 0], [k - 1, m - self.n - (k - 1), self.n])
-        return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense), keep
+        return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense)
 
 
 def _dual_slack(sol, batch: SdpBatch, lane: int):
@@ -262,10 +265,11 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     """
     if not (-1e-12 <= alpha <= p + 1e-12):
         raise ValueError("confidential power must lie in [0, P]")
-    ctx = _Lifted(ch, p)
-    eav_snr = _eavesdropper_snr(ctx) if r_m > 0 else math.inf
-    batch, keep = ctx.cct_batch([r_m], [min(max(alpha, 0.0), p)], eav_snr)
-    res = _cct_value(ctx, solve_batch(batch)[0], batch, 0) if keep[0] else None
+    ctx, alpha = _Lifted(ch, p), min(max(alpha, 0.0), p)
+    batch = ctx.cct_batch([r_m], [alpha])             # rejects a NaN floor before any solve
+    if r_m > 0 and not ctx.window(r_m, [alpha], _eavesdropper_snr(ctx)):
+        return None
+    res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
     if res is None:
         return None
     c_value, y, xi = res
@@ -341,10 +345,10 @@ def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
     return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, scheme)
 
 
-def _cct_lanes(ctx: _Lifted, floors: list, samples: list, eav_snr: float) -> list:
-    """Per point i, (alpha, status, iterations, value) of each kept lane at
-    floor floors[i] and power in samples[i]: one `solve_batch` call solves all
-    unfloored points' lanes, one all floored. value is the lane's
+def _cct_lanes(ctx: _Lifted, floors: list, samples: list) -> list:
+    """Per point i, (alpha, status, iterations, value) of the lane at floor
+    floors[i] and each power in samples[i], in order: one `solve_batch` call
+    solves all unfloored points' lanes, one all floored. value is the lane's
     `_cct_value`, or the SdpSolverError it raised for a lane without finite
     multipliers."""
     lanes = [[] for _ in floors]
@@ -352,13 +356,12 @@ def _cct_lanes(ctx: _Lifted, floors: list, samples: list, eav_snr: float) -> lis
         pairs = [(i, a) for i, r in enumerate(floors) if (r > 0) == floored for a in samples[i]]
         if not pairs:
             continue
-        batch, keep = ctx.cct_batch([floors[i] for i, _ in pairs], [a for _, a in pairs], eav_snr)
-        for lane, (j, sol) in enumerate(zip(np.flatnonzero(keep).tolist(), solve_batch(batch))):
+        batch = ctx.cct_batch([floors[i] for i, _ in pairs], [a for _, a in pairs])
+        for lane, ((i, alpha), sol) in enumerate(zip(pairs, solve_batch(batch))):
             try:
                 value = _cct_value(ctx, sol, batch, lane)
             except SdpSolverError as exc:
                 value = exc
-            i, alpha = pairs[j]
             lanes[i].append((alpha, sol.status, sol.iterations, value))
     return lanes
 
@@ -387,32 +390,15 @@ def _groups(loads: list, count: int) -> list:
     return [sorted(group) for group in groups]
 
 
-def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, grid: list, t_g: int, rngs: list,
-               eav_snr: float, n_solves: list) -> list:
+def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, samples: list, t_g: int,
+               rngs: list, n_solves: list) -> list:
     """Per floor, the `algorithm1_cct` point rounded on rngs[i], or the
     SdpSolverError of a point whose every solved lane failed. The lanes of
-    all floors are solved together: first every floor's samples (the grid,
-    or alpha = P without a floor), then every floor's edge refinements,
-    placed from its own largest feasible grid power. n_solves[i] counts
-    solves made before, for floor i."""
-    p = ctx.p
-    floored = [i for i, r in enumerate(floors) if r > 0]
-    samples = [grid if r > 0 else [p] for r in floors]
-    lanes = _cct_lanes(ctx, floors, samples, eav_snr)
-    edges = [[] for _ in floors]
-    for i in floored:
-        # The supportable power window [0, edge] can fall between grid samples
-        # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
-        # closed form, so refine there instead of losing the window.
-        edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], p, floors[i])
-                   for k in range(1, ch.k))
-        floor_alpha = max((a for a, *_, v in lanes[i] if isinstance(v, tuple)), default=-1.0)
-        edges[i] = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
-                    if floor_alpha + 1e-12 < frac * edge < p]
-    lanes = [own + more for own, more in zip(lanes, _cct_lanes(ctx, floors, edges, eav_snr))]
-
-    points = []
-    for r_m, own, rng, solves in zip(floors, lanes, rngs, n_solves):
+    all floors, floor i's at the powers samples[i] that `_cct_points`
+    decided, are solved together in one round (`_cct_lanes`). n_solves[i]
+    counts solves made before, for floor i."""
+    p, points = ctx.p, []
+    for r_m, own, rng, solves in zip(floors, _cct_lanes(ctx, floors, samples), rngs, n_solves):
         certified = [(alpha_t, value) for alpha_t, *_, value in own if isinstance(value, tuple)]
         (v,), (i,) = _best_of_draws(ch, p, [r_m], [y / xi for _, (_, y, xi) in certified],
                                     [alpha_t for alpha_t, _ in certified], t_g, rng)
@@ -438,15 +424,18 @@ def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, grid: list, t_g: int,
 def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list) -> list:
     """`algorithm1_cct` at every floor in `floors`, point i rounding on
     rngs[i]. With a positive floor the eavesdropper program (`_eavesdropper_snr`)
-    is solved once, counted in the n_solves of the first floored point.
+    is solved once, counted in the n_solves of the first floored point. Then,
+    before any other solve, each floor's powers are decided here: alpha = P
+    without a floor; with one, the grid powers in its `_Lifted.window`, then
+    the edge refinements in it above the largest of them.
 
-    The points are solved and rounded by `_cct_group`: in the calling
-    process, or, with two or more points and CPUs (see `_workers`), in one
-    group per CPU on a pool of forked worker processes, created and joined
-    within the call. The groups are balanced by each point's count of grid
-    lanes in the power window. The points come back in floor order and are
-    the same bytes either way, since every point rounds on its own generator
-    and every lane is bitwise what it gives alone. Fanned out, the
+    The points are solved, in one round, and rounded by `_cct_group`: in the
+    calling process, or, with two or more points and CPUs (see `_workers`),
+    in one group per CPU on a pool of forked worker processes, created and
+    joined within the call. The groups are balanced by each point's count of
+    lanes, edge refinements included. The points come back in floor order
+    and are the same bytes either way, since every point rounds on its own
+    generator and every lane is bitwise what it gives alone. Fanned out, the
     generators advance in the workers, not in rngs. Where several points
     fail, the error of the first failing floor is raised, a worker's own
     error counting as one of its group's first point."""
@@ -458,18 +447,27 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     if floored:
         eav_snr, n_solves[floored[0]] = _eavesdropper_snr(ctx), 1
     grid = [p * t / (t_alpha - 1) for t in range(t_alpha)]
+    samples = [[p] for _ in floors]
+    for i in floored:
+        # The supportable power window [0, edge] can fall between grid samples
+        # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
+        # closed form, so refine there instead of losing the window.
+        edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], p, floors[i])
+                   for k in range(1, ch.k))
+        samples[i] = ctx.window(floors[i], grid, eav_snr)
+        edges = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
+                 if max(samples[i], default=-1.0) + 1e-12 < frac * edge < p]
+        samples[i] += ctx.window(floors[i], edges, eav_snr)
     workers = _workers(len(floors))
     if workers < 2:
-        points = _cct_group(ctx, ch, floors, grid, t_g, rngs, eav_snr, n_solves)
+        points = _cct_group(ctx, ch, floors, samples, t_g, rngs, n_solves)
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        loads = [int(ctx.cct_batch([r] * t_alpha, grid, eav_snr)[1].sum()) if r > 0 else 1
-                 for r in floors]
-        groups = _groups(loads, workers)
+        groups = _groups([len(own) for own in samples], workers)
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_cct_group, ctx, ch, [floors[i] for i in group], grid, t_g,
-                                   [rngs[i] for i in group], eav_snr,
+            futures = [pool.submit(_cct_group, ctx, ch, [floors[i] for i in group],
+                                   [samples[i] for i in group], t_g, [rngs[i] for i in group],
                                    [n_solves[i] for i in group]) for group in groups]
         points = [None] * len(floors)
         for group, future in zip(groups, futures):
@@ -488,25 +486,25 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     one-floor case of `_cct_points`, solved and rounded in the calling
     process (one point never fans out).
 
-    With a floor r_m > 0 the samples are t_alpha uniform powers over [0, P],
-    then up to four refinements below the closed-form window edge, above the
-    largest feasible grid power. Without one the feasible set does not depend
-    on alpha and the objective does not decrease in it: the one sample is
-    alpha = P. The samples in the power window, then the refinements, are
-    each solved as the lanes of one `solve_batch` call. Each lane that
-    `_cct_value` certifies, whatever its status, is rounded (grid before
-    edges) by Gaussian randomization on rng; candidates are scored by their
-    `_repair` secrecy rate, power capped at the lane's alpha, and dropped if
-    they cannot carry the floor. The point records the relaxation bound at
-    the winning sample. A floor r_m > 0 also solves the eavesdropper program
-    (`_eavesdropper_snr`) that bounds the power window.
+    With a floor r_m > 0 the samples are the t_alpha uniform powers over
+    [0, P] in the power window that the eavesdropper program
+    (`_eavesdropper_snr`) bounds, then up to four refinements in it below the
+    closed-form window edge, above the largest of those grid powers: all
+    decided before any Charnes-Cooper solve. Without a floor the feasible set
+    does not depend on alpha and the objective does not decrease in it: the
+    one sample is alpha = P. The samples are the lanes of one `solve_batch`
+    call. Each lane that `_cct_value` certifies, whatever its status, is
+    rounded (grid before edges) by Gaussian randomization on rng; candidates
+    are scored by their `_repair` secrecy rate, power capped at the lane's
+    alpha, and dropped if they cannot carry the floor. The point records the
+    relaxation bound at the winning sample.
 
-    diagnostics: n_solves counts the Charnes-Cooper lanes (samples inside the
-    window) plus any eavesdropper solve; n_iterations and statuses sum their
-    IPM iterations and count them by SdpStatus; n_failed_alpha counts the
-    samples without finite multipliers and last_error holds the last such
-    error, raised when every solved sample fails. The eavesdropper solve
-    never raises: without finite multipliers it gives its closed-form bound.
+    diagnostics: n_solves counts the Charnes-Cooper lanes plus any
+    eavesdropper solve; n_iterations and statuses sum their IPM iterations
+    and count them by SdpStatus; n_failed_alpha counts the samples without
+    finite multipliers and last_error holds the last such error, raised when
+    every solved sample fails. The eavesdropper solve never raises: without
+    finite multipliers it gives its closed-form bound.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     return _cct_points(ch, p, [r_m], t_alpha, t_g, [rng])[0]
@@ -517,7 +515,7 @@ def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
     power on the confidential stream and no multicast floor; returns the
     unit-diagonal Z."""
     ctx = _Lifted(ch, p)
-    batch, _ = ctx.cct_batch([0.0], [p], math.inf)
+    batch = ctx.cct_batch([0.0], [p])
     res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
     if res is None:
         raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
@@ -631,9 +629,10 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     share one, (seed, 0), in a single pass. Results depend only on the seed.
     The cct and upper-bound points are one `_cct_points` call: they share
     one eavesdropper max-min solve, counted in the n_solves of the first
-    floored point, and are solved and rounded in groups, one per CPU, each
-    group's Charnes-Cooper lanes in group-wide batches. A wscm region runs in
-    the calling process. The oracle enumerates the `ORACLE_GRID`.
+    floored point, which decides every floor's power window before any other
+    solve. They are solved and rounded in groups, one per CPU, each group's
+    Charnes-Cooper lanes in one round of group-wide batches. A wscm region
+    runs in the calling process. The oracle enumerates the `ORACLE_GRID`.
     """
     _check_counts(grid_points=grid_points)
     if scheme not in SCHEMES:

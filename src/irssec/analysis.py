@@ -171,7 +171,11 @@ def grp_complexity(n: int, t_g: int) -> float:
 
 
 def check_oracle_grid(n: int, phase_levels: int, alpha_points: int) -> None:
-    """ValueError unless the oracle grid on an N = n surface is small."""
+    """ValueError unless the oracle grid on an N = n surface is small and
+    has at least one phase level and one power sample."""
+    if phase_levels < 1 or alpha_points < 1:
+        raise ValueError(f"oracle grid needs phase_levels and alpha_points of at least 1, "
+                         f"got {phase_levels} and {alpha_points}")
     cells = phase_levels ** n * alpha_points
     if n > 3 or cells > _ORACLE_MAX_CELLS:
         raise ValueError(f"oracle grid too large: {phase_levels}^{n} x {alpha_points} "

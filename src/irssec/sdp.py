@@ -508,16 +508,12 @@ def _grp_draw(z_matrix, candidates: int, rng: np.random.Generator, work: dict) -
     trace = float(lam.sum())
     if trace <= 0:
         raise ValueError("input covariance has nonpositive trace")
-
-    if size > 1 and float(lam[:-1].max()) <= _RANK_TOL * trace:
-        vec = u[:, -1] * math.sqrt(lam[-1])
-        if abs(vec[-1]) > 1e-9 * math.sqrt(trace):
-            return _unit_phase(vec[:n_phase] / vec[n_phase])[None, :]
-
     # eigh sorts ascending, so the kept eigenpairs are a trailing slice; the
     # slice keeps u's layout, and with it a full-rank draw's bits
     low = int(np.searchsorted(lam, _RANK_TOL * trace, side="right"))
     factor, rank = u[:, low:] * np.sqrt(lam[low:]), size - low
+    if rank == 1 and size > 1 and abs(factor[n_phase, 0]) > 1e-9 * math.sqrt(trace):
+        return _unit_phase(factor[:n_phase, 0] / factor[n_phase, 0])[None, :]
     if not factor[n_phase].any():
         raise ValueError("input covariance gives the lifted coordinate no variance")
     if (size, rank, candidates) not in work:

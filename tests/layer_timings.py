@@ -54,7 +54,6 @@ The file name does not match test_*.py, so pytest does not collect it.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import resource
 import time
@@ -85,7 +84,7 @@ def lane_rows(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     p = config.total_power_w
     ctx = algorithms._Lifted(generate_channels(config), p)
-    batch, _ = ctx.cct_batch([0.0] * 80, [p * t / 79 for t in range(80)], math.inf)
+    batch = ctx.cct_batch([0.0] * 80, [p * t / 79 for t in range(80)])
     count = len(batch.bounds)
     iterations = sum(sol.iterations for sol in sdp.solve_batch(batch))
     for lanes in LANES:
@@ -189,8 +188,8 @@ def rounding_rows(repeats: int) -> None:
     rounding_row(repeats, "wscm blend N=10 20 floors", "blend", ch, p,
                  np.linspace(0.0, r_up, 20), [z] * 20, [None] * 20)
     ctx, r_m = algorithms._Lifted(ch, p), 0.5 * r_up
-    grid = [p * t / 79 for t in range(80)]
-    lanes = algorithms._cct_lanes(ctx, [r_m], [grid], algorithms._eavesdropper_snr(ctx))[0]
+    grid = ctx.window(r_m, [p * t / 79 for t in range(80)], algorithms._eavesdropper_snr(ctx))
+    lanes = algorithms._cct_lanes(ctx, [r_m], [grid])[0]
     certified = [(alpha, value) for alpha, *_, value in lanes if isinstance(value, tuple)]
     covs = [y / xi for _, (_, y, xi) in certified]
     rank_one = sum(len(sdp.grp_draw(z, 2, np.random.default_rng(0))) == 1 for z in covs)

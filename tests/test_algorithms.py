@@ -596,7 +596,7 @@ def test_every_rounding_rejects_a_nan_floor(monkeypatch):
 
 
 def test_an_infinite_cct_floor_is_infeasible_without_a_warning():
-    # 0 * inf in the keep mask of the Charnes-Cooper lanes warned; wscm never did
+    # 0 * inf in the power-window test of the Charnes-Cooper lanes warned; wscm never did
     config = two_user_scenario(d1=20, n_y=2, n_z=1, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     with warnings.catch_warnings():
@@ -661,14 +661,15 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
 
 def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
     # a cct or upper-bound sweep hands the solver the multicast bound, the
-    # eavesdropper program, the unfloored lane, every floored point's grid
-    # lanes as one batch and every point's edge lanes as one more; each point
-    # still equals algorithm1_cct alone at its floor on its own stream
+    # eavesdropper program, the unfloored lane and every floored point's grid
+    # and edge lanes as one batch; each point still equals algorithm1_cct
+    # alone at its floor on its own stream
     # on one CPU every solve runs in this process, where the patch records it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     r_up, _ = multicast_upper_bound(ch, P)
+    grid = {P * t / (params.t_alpha - 1) for t in range(params.t_alpha)}
     batches = []
 
     def recording_solve(batch, config=None):
@@ -679,15 +680,18 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
     monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
     regions = [sweep_region(ch, P, scheme, 5, params, seed=2) for scheme in ("cct", "upper-bound")]
     monkeypatch.undo()
-    assert len(batches) == 10
-    for sweep in (batches[:5], batches[5:]):
-        assert [max_min_lanes(batch) for batch in sweep] == [1, 1, 0, 0, 0]
-        unfloored, grid, edge = sweep[2:]
+    assert len(batches) == 8
+    for sweep in (batches[:4], batches[4:]):
+        assert [max_min_lanes(batch) for batch in sweep] == [1, 1, 0, 0]
+        unfloored, floored = sweep[2:]
         # one unfloored lane; the floor rows add one row per eavesdropper
         assert len(unfloored.bounds) == 1
-        assert grid.rows.shape[1] == edge.rows.shape[1] == unfloored.rows.shape[1] + ch.k - 1
-        assert 4 < len(grid.bounds) < 4 * params.t_alpha
-        assert len(edge.bounds) > 0           # an edge lane survives the keep mask
+        assert floored.rows.shape[1] == unfloored.rows.shape[1] + ch.k - 1
+        # a lane's objective weighs user 1's lift by its power alpha
+        alphas = floored.objective[:, ch.n + 1].tolist()
+        on_grid = sum(alpha in grid for alpha in alphas)
+        assert 4 < on_grid < 4 * params.t_alpha
+        assert len(alphas) > on_grid          # an off-grid edge lane joins the grid lanes
     for i, r_m in enumerate(np.linspace(0.0, r_up, 5)):
         alone = algorithm1_cct(ch, P, r_m, params.t_alpha, params.t_g, substream(2, i))
         assert alone.feasible
@@ -711,10 +715,10 @@ def test_sweep_raises_the_error_of_a_point_whose_every_lane_fails(monkeypatch):
     real_batch, real_solve = algorithms._Lifted.cct_batch, algorithms.solve_batch
     floors_of = {}
 
-    def recording_batch(self, floors, alphas, eav_snr):
-        batch, keep = real_batch(self, floors, alphas, eav_snr)
-        floors_of[id(batch)] = np.asarray(floors)[keep]
-        return batch, keep
+    def recording_batch(self, floors, alphas):
+        batch = real_batch(self, floors, alphas)
+        floors_of[id(batch)] = np.asarray(floors)
+        return batch
 
     def failing_solve(batch, config=None):
         # every lane of the floor `bad` breaks down, grid and edge lanes alike
@@ -860,10 +864,10 @@ def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypat
     real_batch, real_solve = algorithms._Lifted.cct_batch, algorithms.solve_batch
     floors_of = {}
 
-    def recording_batch(self, floors, alphas, eav_snr):
-        batch, keep = real_batch(self, floors, alphas, eav_snr)
-        floors_of[id(batch)] = np.asarray(floors)[keep]
-        return batch, keep
+    def recording_batch(self, floors, alphas):
+        batch = real_batch(self, floors, alphas)
+        floors_of[id(batch)] = np.asarray(floors)
+        return batch
 
     def failing_solve(batch, config=None):
         sols = real_solve(batch, config)
@@ -880,6 +884,24 @@ def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypat
         with pytest.raises(SdpSolverError, match=r"Breakdown \(gap 7.00e\+00"):
             sweep_region(ch, P, "cct", 5, params, seed=2)
     assert len(seen) == 2
+
+
+def test_fanned_out_region_balances_the_lanes_it_solves(monkeypatch):
+    # on two CPUs the groups are balanced by each point's lanes, edge lanes
+    # included: its n_solves less the region's one eavesdropper solve
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
+    pin_cpus(monkeypatch, 2)
+    seen, real_groups = [], algorithms._groups
+
+    def recording_groups(loads, count):
+        seen.append(list(loads))
+        return real_groups(loads, count)
+
+    monkeypatch.setattr(algorithms, "_groups", recording_groups)
+    region = sweep_region(ch, P, "cct", 5, params, seed=2)
+    solves = [pt.diagnostics["n_solves"] for pt in region.points]
+    assert seen == [[n - (i == 1) for i, n in enumerate(solves)]]
 
 
 def test_points_stay_in_process_while_another_thread_runs(monkeypatch):

@@ -238,6 +238,12 @@ def test_oracle_rejects_oversized_grids():
                     h=np.array([1.0, 0.5]), sigma2=np.ones(2))
     with pytest.raises(ValueError, match="too large"):
         brute_force_oracle(ch, 1.0, 0.0, 64, 201)
+    # an empty grid is no grid: no phase level divided by zero, and none read
+    # as "no cell supports the floor"
+    small = ChannelSet(g=np.ones(2), m=np.ones((2, 2)), h=np.array([1.0, 0.5]), sigma2=np.ones(2))
+    for levels, points in ((4, 0), (0, 4), (-2, 4), (4, -1)):
+        with pytest.raises(ValueError, match="at least 1"):
+            brute_force_oracle(small, 1.0, 0.0, levels, points)
 
 
 def test_oracle_invariant_under_grid_rotation():

@@ -98,8 +98,8 @@ def point_batch():
 def screened_batch():
     """Two unfloored Charnes-Cooper lanes of a four-user N = 30 scenario."""
     ch = generate_channels(multi_user_scenario(n_users=4, n_y=5, n_z=6, seed=0))
-    batch, keep = algorithms._Lifted(ch, P).cct_batch([0.0] * 2, [0.0, 0.4 * P], math.inf)
-    assert keep.all() and batch.basis.shape[0] == 31
+    batch = algorithms._Lifted(ch, P).cct_batch([0.0] * 2, [0.0, 0.4 * P])
+    assert batch.basis.shape[0] == 31
     return batch
 
 
@@ -278,13 +278,10 @@ def test_stack_whose_schur_complement_fails_its_factorization_matches_each_lane_
 
 def charnes_cooper_batch(lanes):
     """Unfloored Charnes-Cooper lanes at `lanes` powers over [0, P] of the
-    two-user scenario, every one kept."""
+    two-user scenario."""
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
-    batch, keep = algorithms._Lifted(ch, p).cct_batch([0.0] * lanes, np.linspace(0.0, p, lanes),
-                                                      math.inf)
-    assert keep.all()
-    return batch
+    return algorithms._Lifted(ch, p).cct_batch([0.0] * lanes, np.linspace(0.0, p, lanes))
 
 
 def test_each_block_of_a_batch_matches_the_block_solved_alone(monkeypatch):
@@ -375,8 +372,8 @@ def test_stacks_hold_64_lanes_at_n11_and_one_at_n101(monkeypatch):
     assert widths == [64, 64, 2]
     widths.clear()
     ch = generate_channels(multi_user_scenario(n_users=4, n_y=10, n_z=10, seed=0))
-    batch, keep = algorithms._Lifted(ch, P).cct_batch([0.0] * 2, [0.5 * P, P], math.inf)
-    assert keep.all() and batch.basis.shape[0] == 101
+    batch = algorithms._Lifted(ch, P).cct_batch([0.0] * 2, [0.5 * P, P])
+    assert batch.basis.shape[0] == 101
     assert len(solve_batch(batch)) == 2
     assert widths == [1, 1]
 
