@@ -23,10 +23,9 @@ from .algorithms import (SCHEMES, BoundaryPoint, RegionBoundary, SweepParams,
                          baseline_random_irs, baseline_tdma, cct_fixed_alpha,
                          multicast_upper_bound, pareto_filter,
                          secrecy_covariance, sweep_region)
-from .analysis import (EnhancementReport, GapBoundReport, IrsEffect,
-                       brute_force_oracle, complexity_estimate,
-                       enhancement_analysis, gap_bound_general,
-                       gap_bound_report, gap_bound_tight,
+from .analysis import (EnhancementReport, IrsEffect, brute_force_oracle,
+                       complexity_estimate, enhancement_analysis,
+                       gap_bound_general, gap_bound_tight,
                        gap_bound_worst_case, proposition3_classify)
 
 __version__ = "0.1.0"

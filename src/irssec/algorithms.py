@@ -124,8 +124,9 @@ class _Lifted:
     def window(self, r_m: float, alphas: list, eav_snr: float) -> list:
         """The powers in `alphas`, in order, at which some lifted covariance can
         support the floor r_m > 0: (P - alpha c) eav_snr >= (c - 1)(1 - 1e-12),
-        c = 2^r_m, eav_snr the `_eavesdropper_snr`; an infinite floor keeps none."""
-        c, a = 2.0 ** float(r_m), np.asarray(alphas, dtype=float)   # Python's pow, as `_repair`
+        c the `model._floor_factor`, eav_snr the `_eavesdropper_snr`; an infinite
+        c keeps none."""
+        c, a = model._floor_factor(r_m), np.asarray(alphas, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             keep = (self.p - a * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
         return [alpha for alpha, ok in zip(alphas, keep) if ok]
@@ -137,15 +138,13 @@ class _Lifted:
         Lane (r_m, alpha) maximizes Tr((s_1/(N+1) I + alpha T_1) Y) over PSD Y
         with a constant diagonal (the tie rows) s.t. Tr((s_1/(N+1) I + alpha
         s_1/s_k T_k) Y) <= beta0 for each eavesdropper k and, with a floor,
-        Tr(((P - alpha c) T_k - (c - 1) s_k/(N+1) I) Y) >= 0. The bound beta0
-        keeps Y of order one. A floor r_m <= 0 is no floor; a NaN one raises
-        ValueError."""
-        if any(math.isnan(r) for r in floors):      # r > 0 would read it as no floor
-            raise ValueError("multicast floor must not be NaN")
+        Tr(((P - alpha c) T_k - (c - 1) s_k/(N+1) I) Y) >= 0, c the
+        `model._floor_factor`. The bound beta0 keeps Y of order one. A floor
+        r_m <= 0 is no floor; a NaN one raises ValueError."""
         n1, k, eav, s1 = self.n + 1, self.k, np.arange(1, self.k), self.sigma2[0]
         floored = any(r > 0 for r in floors)
         a = np.asarray(alphas, dtype=float)[:, None]
-        c = np.array([2.0 ** float(r) for r in floors])[:, None]
+        c = np.array([model._floor_factor(r) for r in floors])[:, None]
         # The objective, then the rows, each weight affine in alpha.
         m = (k - 1) * (1 + floored) + self.n
         weights = np.zeros((len(a), 1 + m, n1 + k))
@@ -266,9 +265,9 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     if not (-1e-12 <= alpha <= p + 1e-12):
         raise ValueError("confidential power must lie in [0, P]")
     ctx, alpha = _Lifted(ch, p), min(max(alpha, 0.0), p)
-    batch = ctx.cct_batch([r_m], [alpha])             # rejects a NaN floor before any solve
     if r_m > 0 and not ctx.window(r_m, [alpha], _eavesdropper_snr(ctx)):
         return None
+    batch = ctx.cct_batch([r_m], [alpha])   # NaN > 0 is false: a NaN floor raises here
     res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
     if res is None:
         return None
@@ -281,13 +280,12 @@ def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap: float | 
     """Bottleneck power repair of gains x (B, K) at each multicast floor in `floors` (a
     scalar is one floor): (r_c, alpha, ok), each a (B, F) view of a floor-major array, alpha
     and r_c made in ``out`` (2, F, B) if given. alpha is the largest power at which the user
-    of least gain-to-noise ratio meets the floor, (P x - (c - 1) sigma^2) / (c x) with c =
-    2^r_m, in [0, P] (P without a floor) and capped by alpha_cap; r_c is the secrecy rate at
-    alpha; ok says the floor holds with all power on multicast. A NaN floor raises ValueError."""
+    of least gain-to-noise ratio meets the floor, (P x - (c - 1) sigma^2) / (c x) with c the
+    `model._floor_factor`, in [0, P] (P without a floor) and capped by alpha_cap; r_c is the
+    secrecy rate at alpha; ok says the floor holds with all power on multicast. A NaN floor
+    raises ValueError."""
     r_m = np.atleast_1d(np.asarray(floors, dtype=float))
-    if np.isnan(r_m).any():
-        raise ValueError("multicast floor must not be NaN")
-    c = np.array([2.0 ** float(r) for r in r_m])[:, None]   # Python's pow, as alpha_opt_closed_form
+    c = np.array([model._floor_factor(r) for r in r_m])[:, None]
     tau = np.argmin(x / ch.sigma2, axis=-1)
     x_tau, s_tau = x[np.arange(len(x)), tau], ch.sigma2[tau]
     ok = (r_m - _RM_SLACK)[:, None] <= np.log2(1.0 + p * (x_tau / s_tau))
@@ -391,19 +389,18 @@ def _groups(loads: list, count: int) -> list:
 
 
 def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, samples: list, t_g: int,
-               rngs: list, n_solves: list) -> list:
+               rngs: list) -> list:
     """Per floor, the `algorithm1_cct` point rounded on rngs[i], or the
     SdpSolverError of a point whose every solved lane failed. The lanes of
     all floors, floor i's at the powers samples[i] that `_cct_points`
-    decided, are solved together in one round (`_cct_lanes`). n_solves[i]
-    counts solves made before, for floor i."""
+    decided, are solved together in one round (`_cct_lanes`)."""
     p, points = ctx.p, []
-    for r_m, own, rng, solves in zip(floors, _cct_lanes(ctx, floors, samples), rngs, n_solves):
+    for r_m, own, rng in zip(floors, _cct_lanes(ctx, floors, samples), rngs):
         certified = [(alpha_t, value) for alpha_t, *_, value in own if isinstance(value, tuple)]
         (v,), (i,) = _best_of_draws(ch, p, [r_m], [y / xi for _, (_, y, xi) in certified],
                                     [alpha_t for alpha_t, _ in certified], t_g, rng)
         errors = [value for *_, value in own if isinstance(value, SdpSolverError)]
-        diagnostics = {"n_solves": solves + len(own), "n_failed_alpha": len(errors),
+        diagnostics = {"n_solves": len(own), "n_failed_alpha": len(errors),
                        "last_error": repr(errors[-1]) if errors else None,
                        "n_iterations": sum(iters for _, _, iters, _ in own),
                        "statuses": {stat.value: sum(status is stat for _, status, _, _ in own)
@@ -424,10 +421,11 @@ def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, samples: list, t_g: i
 def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list) -> list:
     """`algorithm1_cct` at every floor in `floors`, point i rounding on
     rngs[i]. With a positive floor the eavesdropper program (`_eavesdropper_snr`)
-    is solved once, counted in the n_solves of the first floored point. Then,
-    before any other solve, each floor's powers are decided here: alpha = P
-    without a floor; with one, the grid powers in its `_Lifted.window`, then
-    the edge refinements in it above the largest of them.
+    is solved once, here, and counted in the n_solves of the first floored
+    point once the points are back. Then, before any other solve, each floor's
+    powers are decided here: alpha = P without a floor; with one, the grid
+    powers in its `_Lifted.window`, then the edge refinements in it above the
+    largest of them.
 
     The points are solved, in one round, and rounded by `_cct_group`: in the
     calling process, or, with two or more points and CPUs (see `_workers`),
@@ -443,9 +441,7 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     ctx = _Lifted(ch, p)
     floors = [float(r) for r in floors]
     floored = [i for i, r in enumerate(floors) if r > 0]
-    n_solves, eav_snr = [0] * len(floors), math.inf
-    if floored:
-        eav_snr, n_solves[floored[0]] = _eavesdropper_snr(ctx), 1
+    eav_snr = _eavesdropper_snr(ctx) if floored else math.inf
     grid = [p * t / (t_alpha - 1) for t in range(t_alpha)]
     samples = [[p] for _ in floors]
     for i in floored:
@@ -460,15 +456,15 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
         samples[i] += ctx.window(floors[i], edges, eav_snr)
     workers = _workers(len(floors))
     if workers < 2:
-        points = _cct_group(ctx, ch, floors, samples, t_g, rngs, n_solves)
+        points = _cct_group(ctx, ch, floors, samples, t_g, rngs)
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         groups = _groups([len(own) for own in samples], workers)
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             futures = [pool.submit(_cct_group, ctx, ch, [floors[i] for i in group],
-                                   [samples[i] for i in group], t_g, [rngs[i] for i in group],
-                                   [n_solves[i] for i in group]) for group in groups]
+                                   [samples[i] for i in group], t_g, [rngs[i] for i in group])
+                       for group in groups]
         points = [None] * len(floors)
         for group, future in zip(groups, futures):
             error = future.exception()
@@ -477,6 +473,8 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     for point in points:
         if isinstance(point, Exception):
             raise point
+    if floored:
+        points[floored[0]].diagnostics["n_solves"] += 1
     return points
 
 
@@ -548,8 +546,7 @@ def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
     Each blend is rank two at most, and its draws ignore the eigenvalues
     below `sdp._RANK_TOL` times its trace (`sdp.grp_draw`)."""
     _check_counts(t_lambda=t_lambda, t_g=t_g)
-    if math.isnan(r_m):
-        raise ValueError("multicast floor must not be NaN")
+    model._floor_factor(r_m)                        # rejects a NaN floor
     rng = np.random.default_rng(0) if rng is None else rng
     return _wscm_points(ch, p, [r_m], t_lambda, t_g, rng, multicast_upper_bound(ch, p)[1],
                         secrecy_covariance(ch, p))[0]

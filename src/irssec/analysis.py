@@ -22,15 +22,6 @@ class IrsEffect(enum.Enum):
 
 
 @dataclass
-class GapBoundReport:
-    bound_tight: float
-    bound_general: float
-    bound_worst_case: float
-    delta_c: float
-    t_alpha: int
-
-
-@dataclass
 class EnhancementReport:
     e_factors: list
     eta: float
@@ -66,16 +57,6 @@ def gap_bound_worst_case(p: float, n: int, tr_t1: float, sigma1_sq: float,
         raise ValueError("need at least two power samples")
     lead = p * (n + 1) * tr_t1 / (sigma1_sq * (t_alpha - 1))
     return math.log2(4.0 / math.pi + 4.0 * lead / math.pi)
-
-
-def gap_bound_report(p: float, n: int, tr_t1: float, sigma1_sq: float,
-                     t_alpha: int, delta_c: float = 0.0) -> GapBoundReport:
-    return GapBoundReport(
-        bound_tight=gap_bound_tight(p, n, tr_t1, sigma1_sq, t_alpha),
-        bound_general=gap_bound_general(p, n, tr_t1, sigma1_sq, t_alpha, delta_c),
-        bound_worst_case=gap_bound_worst_case(p, n, tr_t1, sigma1_sq, t_alpha),
-        delta_c=delta_c,
-        t_alpha=t_alpha)
 
 
 def _unclamped_secrecy(x1: float, x2: float, s1: float, s2: float, alpha: float) -> float:
@@ -152,16 +133,12 @@ def complexity_estimate(n: int, k: int, t_alpha: int, t_lambda: int, t_g: int):
         raise ValueError("all sizes must be positive")
     n1 = n + 1
     nv = n1 ** 2 + 1
-    grp = n1 ** 3 + 8 * t_g * n1 ** 2
-    a11 = math.sqrt(2 * n + k + 1) * (nv * (n1 ** 3 + k + n)
-                                      + nv ** 2 * (n1 ** 2 + k + n) + nv ** 3)
-    a12 = math.sqrt(2 * n + 2 * k + 1) * (nv * (n1 ** 3 + 2 * k + n)
-                                          + nv ** 2 * (n1 ** 2 + 2 * k + n) + nv ** 3)
-    a22 = math.sqrt(2 * n + k + 4) * (nv * (n1 ** 3 + k + n + 3)
-                                      + nv ** 2 * (n1 ** 2 + k + n + 3) + nv ** 3)
-    a1 = a11 + t_alpha * (a12 + grp)
-    a2 = a11 + a22 + t_lambda * grp
-    return a1, a2
+    grp = grp_complexity(n, t_g)
+
+    def ipm(m: int) -> float:       # one SDP of N + m constraint rows
+        return math.sqrt(2 * n + m + 1) * (nv * (n1 ** 3 + m + n)
+                                           + nv ** 2 * (n1 ** 2 + m + n) + nv ** 3)
+    return ipm(k) + t_alpha * (ipm(2 * k) + grp), ipm(k) + ipm(k + 3) + t_lambda * grp
 
 
 def grp_complexity(n: int, t_g: int) -> float:
@@ -186,11 +163,14 @@ def brute_force_oracle(ch: ChannelSet, p: float, r_m: float, phase_levels: int, 
     """Exhaustive reference: enumerate phases on a uniform grid and the
     confidential power on a uniform [0, P] grid; return the best
     floor-feasible secrecy rate as (r_c, v, alpha), with v None when no grid
-    cell supports the floor. Deterministic; ties break on the first grid
-    index. Only small surfaces are accepted (`check_oracle_grid`).
+    cell supports the floor (SINR c - 1 at every user, c the
+    `model._floor_factor`; a NaN floor raises ValueError). Deterministic;
+    ties break on the first grid index. Only small surfaces are accepted
+    (`check_oracle_grid`).
     """
     n = ch.n
     check_oracle_grid(n, phase_levels, alpha_points)
+    floor = model._floor_factor(r_m) - 1.0
     thetas = 2.0 * np.pi * np.arange(phase_levels) / phase_levels
     grids = np.meshgrid(*([thetas] * n), indexing="ij")
     vs = np.exp(1j * np.stack([g.reshape(-1) for g in grids], axis=-1))  # (L^n, n)
@@ -199,7 +179,6 @@ def brute_force_oracle(ch: ChannelSet, p: float, r_m: float, phase_levels: int, 
 
     best = (-1.0, None, 0.0)
     chunk = max(1, 2_000_000 // alpha_points)
-    floor = 2.0 ** r_m - 1.0
     for start in range(0, vs.shape[0], chunk):
         vb = vs[start:start + chunk]
         x = model.effective_gains(ch, vb)                      # (B, K)

@@ -354,6 +354,30 @@ def generate_channels(config: ScenarioConfig, rng: np.random.Generator | None = 
     return ChannelSet(g=g, m=np.vstack(m_rows), h=h, sigma2=np.array(config.noise_powers_w))
 
 
+def _ground_user(d: float) -> tuple:
+    """(position, AP distance, IRS link) of a tabulated ground user at a
+    horizontal offset of d m from the AP."""
+    # Quadrant-aware arctangent keeps d = 30 finite: phi -> pi/2 - pi/4.
+    return ([0.0, 0.0, d], math.sqrt(30.0 ** 2 + d ** 2),
+            {"distance_m": math.sqrt(30.0 ** 2 + (30.0 - d) ** 2),
+             "azimuth_rad": math.atan2(30.0, 30.0 - d) - math.pi / 4.0,
+             "elevation_rad": math.pi / 2.0})
+
+
+def _tabulated_layout(users: list, noise: str, **settings) -> ScenarioConfig:
+    """AP at (0,0,30) and IRS at (30,0,30) with the tabulated AP-IRS link,
+    and `users` as (position, AP distance, IRS link), installed as overrides."""
+    overrides = {
+        "ap_irs": {"distance_m": 30.0, "azimuth_rad": -math.pi / 4.0, "elevation_rad": math.pi / 2.0},
+        "ap_user_m": [u[1] for u in users],
+        "irs_user": [u[2] for u in users],
+    }
+    return ScenarioConfig(
+        ap_position=[0.0, 0.0, 30.0], irs_position=[30.0, 0.0, 30.0],
+        user_positions=[u[0] for u in users], noise_powers_w=[noise] * len(users),
+        distance_overrides=overrides, **settings)
+
+
 def two_user_scenario(d1: float = 20.0, n_y: int = 5, n_z: int = 2,
                       rician_kappa: float = 10.0, total_power_w: float = 1.0,
                       noise: str = "-80 dBm", seed: int = 0) -> ScenarioConfig:
@@ -362,23 +386,10 @@ def two_user_scenario(d1: float = 20.0, n_y: int = 5, n_z: int = 2,
     angles installed as overrides (the table treats d1 as a horizontal offset
     from the AP, which differs from the raw coordinates for the direct link).
     """
-    # Quadrant-aware arctangent keeps d1 = 30 finite: phi -> pi/2 - pi/4.
-    phi_u1 = math.atan2(30.0, 30.0 - d1) - math.pi / 4.0
-    overrides = {
-        "ap_irs": {"distance_m": 30.0, "azimuth_rad": -math.pi / 4.0, "elevation_rad": math.pi / 2.0},
-        "ap_user_m": [math.sqrt(30.0 ** 2 + d1 ** 2), 50.0],
-        "irs_user": [
-            {"distance_m": math.sqrt(30.0 ** 2 + (30.0 - d1) ** 2),
-             "azimuth_rad": phi_u1, "elevation_rad": math.pi / 2.0},
-            {"distance_m": 40.0, "azimuth_rad": math.pi / 4.0, "elevation_rad": math.pi / 2.0},
-        ],
-    }
-    return ScenarioConfig(
-        ap_position=[0.0, 0.0, 30.0], irs_position=[30.0, 0.0, 30.0],
-        user_positions=[[0.0, 0.0, d1], [30.0, 0.0, -10.0]],
-        n_y=n_y, n_z=n_z, noise_powers_w=[noise, noise],
-        total_power_w=total_power_w, rician_kappa=rician_kappa, seed=seed,
-        distance_overrides=overrides)
+    user2 = ([30.0, 0.0, -10.0], 50.0,
+             {"distance_m": 40.0, "azimuth_rad": math.pi / 4.0, "elevation_rad": math.pi / 2.0})
+    return _tabulated_layout([_ground_user(d1), user2], noise, n_y=n_y, n_z=n_z,
+                             total_power_w=total_power_w, rician_kappa=rician_kappa, seed=seed)
 
 
 def multi_user_scenario(n_users: int = 4, n_y: int = 5, n_z: int = 2,
@@ -388,28 +399,9 @@ def multi_user_scenario(n_users: int = 4, n_y: int = 5, n_z: int = 2,
     from the AP (AP and IRS as in the two-user layout). Link distances follow
     the same pattern as the two-user table with d1 -> 10k.
     """
-    ap_user = []
-    irs_user = []
-    positions = []
-    for k in range(1, n_users + 1):
-        dk = 10.0 * k
-        positions.append([0.0, 0.0, dk])
-        ap_user.append(math.sqrt(30.0 ** 2 + dk ** 2))
-        irs_user.append({
-            "distance_m": math.sqrt(30.0 ** 2 + (30.0 - dk) ** 2),
-            "azimuth_rad": math.atan2(30.0, 30.0 - dk) - math.pi / 4.0,
-            "elevation_rad": math.pi / 2.0,
-        })
-    overrides = {
-        "ap_irs": {"distance_m": 30.0, "azimuth_rad": -math.pi / 4.0, "elevation_rad": math.pi / 2.0},
-        "ap_user_m": ap_user,
-        "irs_user": irs_user,
-    }
-    return ScenarioConfig(
-        ap_position=[0.0, 0.0, 30.0], irs_position=[30.0, 0.0, 30.0],
-        user_positions=positions, n_y=n_y, n_z=n_z,
-        noise_powers_w=[noise] * n_users, total_power_w=total_power_w,
-        rician_kappa=rician_kappa, seed=seed, distance_overrides=overrides)
+    return _tabulated_layout([_ground_user(10.0 * k) for k in range(1, n_users + 1)], noise,
+                             n_y=n_y, n_z=n_z, total_power_w=total_power_w,
+                             rician_kappa=rician_kappa, seed=seed)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:

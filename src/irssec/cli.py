@@ -176,7 +176,7 @@ def cmd_analyze(args) -> dict:
             classification = None  # surface-free secrecy precondition violated
 
     tr_t1 = float(np.trace(model.build_tk(ch.m[0], ch.g, ch.h[0])).real)
-    gaps = analysis.gap_bound_report(p, ch.n, tr_t1, float(ch.sigma2[0]), args.t_alpha)
+    gap_args = (p, ch.n, tr_t1, float(ch.sigma2[0]), args.t_alpha)
     a1, a2 = analysis.complexity_estimate(ch.n, ch.k, args.t_alpha, args.t_lambda, args.t_g)
     return {
         "feasibility": feas,
@@ -184,11 +184,11 @@ def cmd_analyze(args) -> dict:
         "e_factors": e_factors,
         "eta": eta,
         "gap_bounds": {
-            "tight_bits": gaps.bound_tight,
-            "general_bits": gaps.bound_general,
-            "worst_case_bits": gaps.bound_worst_case,
-            "delta_c_bits": gaps.delta_c,
-            "t_alpha": gaps.t_alpha,
+            "tight_bits": analysis.gap_bound_tight(*gap_args),
+            "general_bits": analysis.gap_bound_general(*gap_args, 0.0),
+            "worst_case_bits": analysis.gap_bound_worst_case(*gap_args),
+            "delta_c_bits": 0.0,
+            "t_alpha": args.t_alpha,
         },
         "complexity": {"cct_flops": a1, "wscm_flops": a2},
     }

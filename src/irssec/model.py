@@ -8,6 +8,7 @@ user k is ``m_k^H diag(conj(v)) g + h_k``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,14 +171,25 @@ def infeasibility_witness(ch: ChannelSet) -> int | None:
     return None
 
 
+def _floor_factor(r_m: float) -> float:
+    """The SINR factor c = 2^r_m of a multicast floor of r_m bits, by Python's
+    float pow; inf where that pow overflows. A NaN floor raises ValueError."""
+    if math.isnan(r_m):
+        raise ValueError("multicast floor must not be NaN")
+    try:
+        return 2.0 ** float(r_m)
+    except OverflowError:
+        return math.inf
+
+
 def alpha_opt_closed_form(x_min: float, sigma2_min: float, p: float, r_m: float) -> float:
     """Largest confidential power meeting the multicast floor r_m.
 
     x_min and sigma2_min belong to the bottleneck user. Returns
-    max(0, min(P, (P*x - (2^r_m - 1)*sigma^2) / (2^r_m * x))); 0 when the
-    floor is unattainable (x_min = 0 with r_m > 0, or r_m infinite), in which
-    case the caller must treat the target as infeasible; an infinite gain gives
-    the limit P / 2^r_m. A NaN floor, gain or noise power raises ValueError.
+    max(0, min(P, (P*x - (c - 1)*sigma^2) / (c * x))), c the `_floor_factor`;
+    0 when the floor is unattainable (x_min = 0 with r_m > 0, or c infinite),
+    in which case the caller must treat the target as infeasible; an infinite
+    gain gives the limit P / c. A NaN floor, gain or noise power raises ValueError.
     """
     if not r_m >= 0:
         raise ValueError("multicast floor must be a nonnegative number")
@@ -185,9 +197,9 @@ def alpha_opt_closed_form(x_min: float, sigma2_min: float, p: float, r_m: float)
         raise ValueError("bottleneck gain and noise power must not be NaN")
     if r_m == 0:
         return float(p)
-    if x_min <= 0 or r_m == np.inf:
+    c = _floor_factor(r_m)
+    if x_min <= 0 or c == math.inf:
         return 0.0
-    c = 2.0 ** r_m
     if x_min == np.inf:
         return float(p / c)
     alpha = (p * x_min - (c - 1.0) * sigma2_min) / (c * x_min)

@@ -590,20 +590,29 @@ def test_every_rounding_rejects_a_nan_floor(monkeypatch):
     monkeypatch.undo()
     for run in (lambda: baseline_no_irs(ch, p, math.nan),
                 lambda: baseline_random_irs(ch, p, math.nan, np.random.default_rng(0)),
-                lambda: algorithms._repair(ch, p, [0.0, math.nan], np.ones((3, ch.k)), None)):
+                lambda: algorithms._repair(ch, p, [0.0, math.nan], np.ones((3, ch.k)), None),
+                lambda: brute_force_oracle(ch, 1.0, math.nan, 4, 4)):
         with pytest.raises(ValueError, match="^multicast floor must not be NaN$"):
             run()
 
 
 def test_an_infinite_cct_floor_is_infeasible_without_a_warning():
-    # 0 * inf in the power-window test of the Charnes-Cooper lanes warned; wscm never did
+    # 0 * inf in the power-window test of the Charnes-Cooper lanes warned, as
+    # did a lane built at alpha = 0 before its window was asked; wscm never
+    # did. A finite floor of 1024 bits or more, whose 2^r_m overflows a float,
+    # raised OverflowError in every scheme; it is the infinite floor.
     config = two_user_scenario(d1=20, n_y=2, n_z=1, seed=0)
     ch, p = generate_channels(config), config.total_power_w
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        points = [algorithm1_cct(ch, p, math.inf, 4, 20), algorithm2_wscm(ch, p, math.inf, 4, 20)]
-    for pt in points:
-        assert (pt.feasible, pt.r_c_achieved, pt.alpha, pt.phase_vector) == (False, 0.0, 0.0, None)
+    for r_m in (math.inf, 2000.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = [algorithm1_cct(ch, p, r_m, 4, 20), algorithm2_wscm(ch, p, r_m, 4, 20),
+                      baseline_no_irs(ch, p, r_m),
+                      baseline_random_irs(ch, p, r_m, np.random.default_rng(0))]
+            assert cct_fixed_alpha(ch, p, r_m, 0.0) is None
+        for pt in points:
+            assert (pt.feasible, pt.r_c_achieved, pt.alpha, pt.phase_vector) == (
+                False, 0.0, 0.0, None)
 
 
 def test_sweep_two_points_hits_endpoints(rng):
@@ -948,7 +957,7 @@ def test_wscm_region_same_bytes_on_one_and_two_cpus_without_a_fork(monkeypatch, 
     assert len({pt.diagnostics["lambda"] for pt in region.points if pt.feasible}) >= 2
 
 
-def test_no_wscm_helper_outlives_a_region(monkeypatch):
+def test_no_process_outlives_a_wscm_region(monkeypatch):
     # a wscm region forks nothing, so an error mid-loop or in the secrecy
     # solve leaves no process behind; either error is the same on one CPU
     # and on two

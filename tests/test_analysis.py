@@ -6,10 +6,8 @@ import pytest
 
 from irssec import model
 from irssec.analysis import (IrsEffect, brute_force_oracle, complexity_estimate,
-                             enhancement_analysis, gap_bound_general,
-                             gap_bound_report, gap_bound_tight,
-                             gap_bound_worst_case, grp_complexity,
-                             proposition3_classify)
+                             enhancement_analysis, gap_bound_general, gap_bound_tight,
+                             gap_bound_worst_case, grp_complexity, proposition3_classify)
 from irssec.channel import ChannelSet
 
 from conftest import rand_channelset
@@ -38,10 +36,10 @@ def test_gap_bound_worst_case_limit():
         LOG2_4_OVER_PI, abs=1e-6)
 
 
-def test_gap_bound_report_consistency():
-    rep = gap_bound_report(1.0, 4, 0.2, 0.05, 20, delta_c=0.3)
-    assert rep.bound_general == pytest.approx(rep.bound_tight + 0.3, abs=1e-12)
-    assert rep.bound_worst_case >= LOG2_4_OVER_PI - 1e-9
+def test_gap_bound_general_adds_the_slack():
+    bound = (1.0, 4, 0.2, 0.05, 20)
+    assert gap_bound_general(*bound, 0.3) == pytest.approx(gap_bound_tight(*bound) + 0.3, abs=1e-12)
+    assert gap_bound_worst_case(*bound) >= LOG2_4_OVER_PI - 1e-9
 
 
 def aligned_pattern(ch, user=0):
@@ -259,5 +257,6 @@ def test_oracle_invariant_under_grid_rotation():
 def test_oracle_unsupportable_floor():
     ch = ChannelSet(g=np.zeros(1), m=np.zeros((2, 1)),
                     h=np.array([1.0, 1.0]), sigma2=np.ones(2))
-    r_c, v, alpha = brute_force_oracle(ch, 1.0, 10.0, 8, 11)
-    assert (r_c, v, alpha) == (0.0, None, 0.0)
+    # a floor whose 2^r_m overflows a float is as unsupportable as 10 bits
+    for r_m in (10.0, 2000.0):
+        assert brute_force_oracle(ch, 1.0, r_m, 8, 11) == (0.0, None, 0.0)

@@ -194,8 +194,10 @@ def test_alpha_opt_closed_form_rejects_a_nan_floor_or_gain():
             alpha_opt_closed_form(x_min, 1.0, 1.0, r_m)
     with pytest.raises(ValueError, match="noise power"):
         alpha_opt_closed_form(2.0, math.nan, 1.0, 1.0)
-    # an infinite floor is unattainable at any power
+    # an infinite floor is unattainable at any power, as is one whose 2^r_m
+    # overflows a float
     assert alpha_opt_closed_form(2.0, 1.0, 1.0, math.inf) == 0.0
+    assert alpha_opt_closed_form(2.0, 1.0, 1.0, 2000.0) == 0.0
 
 
 def test_alpha_opt_closed_form_matches_grid_search():
