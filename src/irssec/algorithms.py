@@ -6,7 +6,9 @@ Two optimized schemes plus benchmarks:
                  uniform grid, a Charnes-Cooper transformed SDP bounds the
                  secrecy objective (every floor's programs are lanes of the
                  same region-wide solves) and Gaussian randomization
-                 extracts a feasible reflection pattern.
+                 extracts a feasible reflection pattern. Each grid power's
+                 lane at the lowest floor that keeps it, its anchor, serves
+                 every higher floor whose rows its optimum meets.
 * ``wscm``       blends the multicast-optimal and secrecy-optimal lifted
                  covariances; each blend's rounding draws serve every floor
                  of a region, with the confidential power set in closed form.
@@ -160,6 +162,15 @@ class _Lifted:
         bounds[:, :k - 1] = beta0[:, None]
         sense = np.repeat([1, -1, 0], [k - 1, m - self.n - (k - 1), self.n])
         return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense)
+
+    def meets(self, floors, alphas, ys) -> np.ndarray:
+        """Per (r_m, alpha, Y) of zip(floors, alphas, ys), each r_m > 0, whether
+        Y meets every floor row of the `cct_batch` lane (r_m, alpha): Tr(A Y) >= 0,
+        A the row's weights over the basis. At a fixed alpha each row falls as
+        r_m grows."""
+        rows = self.cct_batch(floors, alphas).rows[:, self.k - 1:2 * (self.k - 1)]
+        diag = (self.basis.conj() * (np.asarray(ys) @ self.basis)).sum(axis=-2).real
+        return (np.matvec(rows, diag) >= 0.0).all(axis=-1)
 
 
 def _dual_slack(sol, batch: SdpBatch, lane: int):
@@ -343,25 +354,92 @@ def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
     return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, scheme)
 
 
-def _cct_lanes(ctx: _Lifted, floors: list, samples: list) -> list:
-    """Per point i, (alpha, status, iterations, value) of the lane at floor
-    floors[i] and each power in samples[i], in order: one `solve_batch` call
-    solves all unfloored points' lanes, one all floored. value is the lane's
-    `_cct_value`, or the SdpSolverError it raised for a lane without finite
-    multipliers."""
-    lanes = [[] for _ in floors]
-    for floored in (False, True):
-        pairs = [(i, a) for i, r in enumerate(floors) if (r > 0) == floored for a in samples[i]]
-        if not pairs:
+def _cct_samples(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
+                 eav_snr: float) -> list:
+    """Per floor, its lanes' (alpha, anchor) in order, decided before any
+    solve: (P, None) without a floor; with one, the grid powers P t/(t_alpha -
+    1) in its `_Lifted.window`, each anchored at the lowest floor of `floors`
+    whose window keeps that power, then the edge refinements in the window
+    above the largest of them, anchor None."""
+    grid = [ctx.p * t / (t_alpha - 1) for t in range(t_alpha)]
+    windows = [ctx.window(r, grid, eav_snr) if r > 0 else [] for r in floors]
+    anchors = {}
+    for r, window in zip(floors, windows):
+        for alpha in window:
+            anchors[alpha] = min(anchors.get(alpha, math.inf), r)
+    samples = []
+    for r, window in zip(floors, windows):
+        if not r > 0:
+            samples.append([(ctx.p, None)])
             continue
-        batch = ctx.cct_batch([floors[i] for i, _ in pairs], [a for _, a in pairs])
-        for lane, ((i, alpha), sol) in enumerate(zip(pairs, solve_batch(batch))):
-            try:
-                value = _cct_value(ctx, sol, batch, lane)
-            except SdpSolverError as exc:
-                value = exc
-            lanes[i].append((alpha, sol.status, sol.iterations, value))
+        # The supportable power window [0, edge] can fall between grid samples
+        # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
+        # closed form, so refine there instead of losing the window.
+        edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], ctx.p, r)
+                   for k in range(1, ch.k))
+        edges = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
+                 if max(window, default=-1.0) + 1e-12 < frac * edge < ctx.p]
+        samples.append([(alpha, anchors[alpha]) for alpha in window]
+                       + [(alpha, None) for alpha in ctx.window(r, edges, eav_snr)])
+    return samples
+
+
+def _solve_lanes(ctx: _Lifted, floors: list, alphas: list) -> list:
+    """(alpha, status, iterations, value) of each lane (r_m, alpha) of
+    zip(floors, alphas), solved as one `_Lifted.cct_batch`, if any. value is
+    the lane's `_cct_value`, or the SdpSolverError it raised."""
+    if not floors:
+        return []
+    batch, lanes = ctx.cct_batch(floors, alphas), []
+    for lane, (alpha, sol) in enumerate(zip(alphas, solve_batch(batch))):
+        try:
+            value = _cct_value(ctx, sol, batch, lane)
+        except SdpSolverError as exc:
+            value = exc
+        lanes.append((alpha, sol.status, sol.iterations, value))
     return lanes
+
+
+def _cct_lanes(ctx: _Lifted, floors: list, samples: list) -> tuple:
+    """(lanes, shared): per point i, the lanes (`_solve_lanes`) at floor
+    floors[i] and the powers of samples[i] (`_cct_samples`), in order, and how
+    many of them it took from an anchor. Three `_solve_lanes` calls: the
+    unfloored points' lanes; every anchor of a grid lane, at its anchor floor,
+    with every edge lane; the grid lanes that take no anchor's lane. A grid
+    lane takes its anchor's lane at the anchor's own floor (the same
+    program), and at a higher floor where the anchor's value is certified and
+    its Y meets that floor's rows (`_Lifted.meets`): that program differs only
+    by stricter floor rows, so Y is its optimum and the anchor's bound bounds
+    it."""
+    lanes, shared = [[None] * len(own) for own in samples], [0] * len(floors)
+
+    def solve(slots, anchors=()):
+        """Solve the anchors (alpha, r_a), then the lanes (i, j) of slots into
+        lanes; returns each anchor's lane by anchor."""
+        pairs = list(anchors) + [(samples[i][j][0], floors[i]) for i, j in slots]
+        solved = _solve_lanes(ctx, [r_m for _, r_m in pairs], [alpha for alpha, _ in pairs])
+        for (i, j), lane in zip(slots, solved[len(anchors):]):
+            lanes[i][j] = lane
+        return dict(zip(anchors, solved))
+
+    slots = [(i, j) for i, own in enumerate(samples) for j in range(len(own))]
+    grid = [(i, j) for i, j in slots if samples[i][j][1] is not None]
+    solve([(i, j) for i, j in slots if not floors[i] > 0])
+    anchored = solve([(i, j) for i, j in slots if floors[i] > 0 and samples[i][j][1] is None],
+                     sorted({samples[i][j] for i, j in grid}))
+    take = {(i, j): floors[i] == samples[i][j][1] for i, j in grid}
+    test = [(i, j) for (i, j), same in take.items()
+            if not same and isinstance(anchored[samples[i][j]][3], tuple)]
+    if test:
+        take.update(zip(test, ctx.meets([floors[i] for i, _ in test],
+                                        [samples[i][j][0] for i, j in test],
+                                        [anchored[samples[i][j]][3][1] for i, j in test])))
+    for (i, j), ok in take.items():
+        if ok:
+            lanes[i][j] = anchored[samples[i][j]]
+            shared[i] += 1
+    solve([slot for slot, ok in take.items() if not ok])
+    return lanes, shared
 
 
 def _workers(points: int) -> int:
@@ -391,16 +469,16 @@ def _groups(loads: list, count: int) -> list:
 def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, samples: list, t_g: int,
                rngs: list) -> list:
     """Per floor, the `algorithm1_cct` point rounded on rngs[i], or the
-    SdpSolverError of a point whose every solved lane failed. The lanes of
-    all floors, floor i's at the powers samples[i] that `_cct_points`
-    decided, are solved together in one round (`_cct_lanes`)."""
+    SdpSolverError of a point whose every lane failed. The lanes of all
+    floors, floor i's at the powers samples[i] that `_cct_points` decided,
+    are solved together, each anchor once (`_cct_lanes`)."""
     p, points = ctx.p, []
-    for r_m, own, rng in zip(floors, _cct_lanes(ctx, floors, samples), rngs):
+    for r_m, own, n_shared, rng in zip(floors, *_cct_lanes(ctx, floors, samples), rngs):
         certified = [(alpha_t, value) for alpha_t, *_, value in own if isinstance(value, tuple)]
         (v,), (i,) = _best_of_draws(ch, p, [r_m], [y / xi for _, (_, y, xi) in certified],
                                     [alpha_t for alpha_t, _ in certified], t_g, rng)
         errors = [value for *_, value in own if isinstance(value, SdpSolverError)]
-        diagnostics = {"n_solves": len(own), "n_failed_alpha": len(errors),
+        diagnostics = {"n_solves": len(own), "n_shared": n_shared, "n_failed_alpha": len(errors),
                        "last_error": repr(errors[-1]) if errors else None,
                        "n_iterations": sum(iters for _, _, iters, _ in own),
                        "statuses": {stat.value: sum(status is stat for _, status, _, _ in own)
@@ -423,37 +501,29 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     rngs[i]. With a positive floor the eavesdropper program (`_eavesdropper_snr`)
     is solved once, here, and counted in the n_solves of the first floored
     point once the points are back. Then, before any other solve, each floor's
-    powers are decided here: alpha = P without a floor; with one, the grid
-    powers in its `_Lifted.window`, then the edge refinements in it above the
-    largest of them.
+    powers are decided here (`_cct_samples`): alpha = P without a floor; with
+    one, the grid powers in its `_Lifted.window`, then the edge refinements in
+    it above the largest of them. Each grid power gets its anchor here too: the
+    lowest floor of the whole region whose window keeps it.
 
-    The points are solved, in one round, and rounded by `_cct_group`: in the
-    calling process, or, with two or more points and CPUs (see `_workers`),
-    in one group per CPU on a pool of forked worker processes, created and
-    joined within the call. The groups are balanced by each point's count of
-    lanes, edge refinements included. The points come back in floor order
-    and are the same bytes either way, since every point rounds on its own
-    generator and every lane is bitwise what it gives alone. Fanned out, the
-    generators advance in the workers, not in rngs. Where several points
-    fail, the error of the first failing floor is raised, a worker's own
-    error counting as one of its group's first point."""
+    The points are solved and rounded by `_cct_group`: in the calling process,
+    or, with two or more points and CPUs (see `_workers`), in one group per CPU
+    on a pool of forked worker processes, created and joined within the call.
+    Each group solves the anchors of its points' grid lanes with their edge
+    lanes, then the grid lanes that take no anchor's (`_cct_lanes`). The
+    groups are balanced by each point's count of lanes. The points come back
+    in floor order and are the same bytes either way, since the anchors do
+    not depend on the groups, every point rounds on its own generator and
+    every lane is bitwise what it gives alone. Fanned out, the generators advance in the
+    workers, not in rngs. Where several points fail, the error of the first
+    failing floor is raised, a worker's own error counting as one of its
+    group's first point."""
     _check_counts(t_alpha=t_alpha, t_g=t_g)
     ctx = _Lifted(ch, p)
     floors = [float(r) for r in floors]
     floored = [i for i, r in enumerate(floors) if r > 0]
     eav_snr = _eavesdropper_snr(ctx) if floored else math.inf
-    grid = [p * t / (t_alpha - 1) for t in range(t_alpha)]
-    samples = [[p] for _ in floors]
-    for i in floored:
-        # The supportable power window [0, edge] can fall between grid samples
-        # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
-        # closed form, so refine there instead of losing the window.
-        edge = min(model.alpha_opt_closed_form(ctx.aligned2_raw[k], ch.sigma2[k], p, floors[i])
-                   for k in range(1, ch.k))
-        samples[i] = ctx.window(floors[i], grid, eav_snr)
-        edges = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
-                 if max(samples[i], default=-1.0) + 1e-12 < frac * edge < p]
-        samples[i] += ctx.window(floors[i], edges, eav_snr)
+    samples = _cct_samples(ctx, ch, floors, t_alpha, eav_snr)
     workers = _workers(len(floors))
     if workers < 2:
         points = _cct_group(ctx, ch, floors, samples, t_g, rngs)
@@ -491,18 +561,21 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     decided before any Charnes-Cooper solve. Without a floor the feasible set
     does not depend on alpha and the objective does not decrease in it: the
     one sample is alpha = P. The samples are the lanes of one `solve_batch`
-    call. Each lane that `_cct_value` certifies, whatever its status, is
-    rounded (grid before edges) by Gaussian randomization on rng; candidates
-    are scored by their `_repair` secrecy rate, power capped at the lane's
-    alpha, and dropped if they cannot carry the floor. The point records the
-    relaxation bound at the winning sample.
+    call (alone, each grid lane is its own anchor; see `_cct_points`). Each
+    lane that `_cct_value` certifies,
+    whatever its status, is rounded (grid before edges) by Gaussian
+    randomization on rng; candidates are scored by their `_repair` secrecy
+    rate, power capped at the lane's alpha, and dropped if they cannot carry
+    the floor. The point records the relaxation bound at the winning sample.
 
     diagnostics: n_solves counts the Charnes-Cooper lanes plus any
-    eavesdropper solve; n_iterations and statuses sum their IPM iterations
-    and count them by SdpStatus; n_failed_alpha counts the samples without
-    finite multipliers and last_error holds the last such error, raised when
-    every solved sample fails. The eavesdropper solve never raises: without
-    finite multipliers it gives its closed-form bound.
+    eavesdropper solve, and n_shared the lanes taken from an anchor (alone,
+    the grid lanes); n_iterations and statuses sum the IPM iterations of all
+    the lanes, shared ones included, and count them by SdpStatus;
+    n_failed_alpha counts the samples without finite multipliers and
+    last_error holds the last such error, raised when every sample fails. The
+    eavesdropper solve never raises: without finite multipliers it gives its
+    closed-form bound.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     return _cct_points(ch, p, [r_m], t_alpha, t_g, [rng])[0]
@@ -627,8 +700,9 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     The cct and upper-bound points are one `_cct_points` call: they share
     one eavesdropper max-min solve, counted in the n_solves of the first
     floored point, which decides every floor's power window before any other
-    solve. They are solved and rounded in groups, one per CPU, each group's
-    Charnes-Cooper lanes in one round of group-wide batches. A wscm region
+    solve, and each grid power's anchor lane, which higher floors share. They
+    are solved and rounded in groups, one per CPU, each group's
+    Charnes-Cooper lanes in at most three group-wide batches. A wscm region
     runs in the calling process. The oracle enumerates the `ORACLE_GRID`.
     """
     _check_counts(grid_points=grid_points)

@@ -182,7 +182,6 @@ def brute_force_oracle(ch: ChannelSet, p: float, r_m: float, phase_levels: int, 
     for start in range(0, vs.shape[0], chunk):
         vb = vs[start:start + chunk]
         x = model.effective_gains(ch, vb)                      # (B, K)
-        y = x / ch.sigma2
         # multicast floor for every (v, alpha) pair
         sinr = betas[None, :, None] * x[:, None, :] / (ch.sigma2 + alphas[None, :, None] * x[:, None, :])
         ok = sinr.min(axis=-1) >= floor * (1.0 - 1e-12)        # (B, A)

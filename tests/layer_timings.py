@@ -12,12 +12,12 @@ boundary points per CPU), so every other figure is a time on one CPU:
   [0, P] without a floor on `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`,
   solved L lanes at a time by `solve_batch`, and the time is divided by the
   summed iterations of the lanes.
-* ms per lane-iteration on the floored Charnes-Cooper batches of a cct region
-  on the same scenario (grid 20, T_alpha 80), recorded with its points solved
-  in this process, as one region's batches reach `solve_batch`; with the
-  share of step lengths at n = 11 that the Cholesky screen settles without
-  eigenvalues, and the matrices whose inverse Cholesky factor took the
-  jitter ladder and the eigendecomposition of `sdp._inv_factor`.
+* ms per lane-iteration on every floored Charnes-Cooper lane of a cct region
+  on the same scenario (grid 20, T_alpha 80), none shared, as one batch
+  (`sdp_forms.floored_region_batch`); with the share of step lengths at
+  n = 11 that the Cholesky screen settles without eigenvalues, and the
+  matrices whose inverse Cholesky factor took the jitter ladder and the
+  eigendecomposition of `sdp._inv_factor`.
 * one-lane ms per iteration at N in {30, 60, 100}: the multicast-bound and
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
   scenario seeds 0 and 1, with the share of predictor and of corrector step
@@ -40,9 +40,10 @@ boundary points per CPU), so every other figure is a time on one CPU:
   point's time includes its eavesdropper max-min solve, which `sweep_region`
   makes once per region.
 * ms per cct region on the same scenario (grid 20, T_alpha 80, T_g 1000),
-  with the process pinned to one CPU and on every CPU, and the region's
-  Charnes-Cooper lanes and lane-iterations summed from its points'
-  diagnostics (the points may be solved in worker processes).
+  with the process pinned to one CPU and on every CPU; the region's anchors
+  (`algorithms._cct_samples`), its points' Charnes-Cooper lanes, taken from
+  an anchor (shared) or solved for the point (own), from their diagnostics,
+  and the lanes and lane-iterations that `solve_batch` ran on one CPU.
 * ms per wscm region on the same scenario (grid 20, T_lambda 80, T_g 1000),
   pinned to one CPU and on every CPU, with the mean ms per region in its
   three parts: the multicast bound, the secrecy covariance and the blend
@@ -63,7 +64,7 @@ import numpy as np
 from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 
-from sdp_forms import cct_region_batches, lanes_of, max_min_lanes, recorded_batches
+from sdp_forms import floored_region_batch, lanes_of, max_min_lanes, recorded_batches
 
 P = 1.0
 LANES = (1, 20, 80)
@@ -97,16 +98,15 @@ def lane_rows(repeats: int) -> None:
 
 
 def region_batch_row(repeats: int) -> None:
-    batches = [batch for batch in cct_region_batches(20)
-               if not max_min_lanes(batch) and (batch.sense == -1).any()]
+    batches = [floored_region_batch(20)]
     iterations, calls, (jittered, eigh) = screened_solves(batches)
 
     def run():
         for batch in batches:
             sdp.solve_batch(batch)
     ms = 1e3 * best_of(repeats, run) / iterations
-    print(f"n=11   cct region floored batches ms per lane-iteration {ms:8.4f}"
-          f"   ({sum(len(batch.bounds) for batch in batches)} lanes in {len(batches)} batches,"
+    print(f"n=11   cct region floored lanes ms per lane-iteration {ms:8.4f}"
+          f"   ({sum(len(batch.bounds) for batch in batches)} lanes in {len(batches)} batch,"
           f" {iterations} lane-iterations; screen settles {share(sum(calls, []))} lengths;"
           f" inverse factors by jitter {jittered}, by eigendecomposition {eigh})")
 
@@ -189,7 +189,7 @@ def rounding_rows(repeats: int) -> None:
                  np.linspace(0.0, r_up, 20), [z] * 20, [None] * 20)
     ctx, r_m = algorithms._Lifted(ch, p), 0.5 * r_up
     grid = ctx.window(r_m, [p * t / 79 for t in range(80)], algorithms._eavesdropper_snr(ctx))
-    lanes = algorithms._cct_lanes(ctx, [r_m], [grid])[0]
+    lanes = algorithms._cct_lanes(ctx, [r_m], [[(alpha, r_m) for alpha in grid]])[0][0]
     certified = [(alpha, value) for alpha, *_, value in lanes if isinstance(value, tuple)]
     covs = [y / xi for _, (_, y, xi) in certified]
     rank_one = sum(len(sdp.grp_draw(z, 2, np.random.default_rng(0))) == 1 for z in covs)
@@ -216,7 +216,17 @@ def cct_region_row(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     params = algorithms.SweepParams(t_alpha=80, t_g=1000)
-    region = []
+    region, samples, solved = [], [], []
+    real = {"_cct_samples": algorithms._cct_samples, "solve_batch": algorithms.solve_batch}
+
+    def recording_samples(*args):
+        samples[:] = real["_cct_samples"](*args)
+        return samples
+
+    def recording_solve(batch, config=None):
+        sols = real["solve_batch"](batch, config)
+        solved.extend(sols if not max_min_lanes(batch) else [])
+        return sols
 
     def run():
         region[:] = [algorithms.sweep_region(ch, p, "cct", 20, params, seed=0)]
@@ -224,14 +234,21 @@ def cct_region_row(repeats: int) -> None:
     os.sched_setaffinity(0, {min(cpus)})
     try:
         one_cpu = 1e3 * best_of(repeats, run)
+        algorithms._cct_samples, algorithms.solve_batch = recording_samples, recording_solve
+        run()
     finally:
         os.sched_setaffinity(0, cpus)
+        for name, func in real.items():
+            setattr(algorithms, name, func)
     all_cpus = 1e3 * best_of(repeats, run)
+    anchors = len({sample for own in samples for sample in own if sample[1] is not None})
     diags = [pt.diagnostics for pt in region[0].points]
     lanes = sum(d["n_solves"] for d in diags) - 1      # less the eavesdropper solve
+    shared = sum(d["n_shared"] for d in diags)
     print(f"cct region N=10 grid 20 ms per region {one_cpu:9.1f} on 1 CPU, {all_cpus:9.1f} on"
-          f" {len(cpus)}   ({lanes} lanes, {sum(d['n_iterations'] for d in diags)}"
-          " lane-iterations)")
+          f" {len(cpus)}   ({anchors} anchors; {lanes} lanes of its points, {shared} shared and"
+          f" {lanes - shared} own; {len(solved)} lanes solved on 1 CPU in"
+          f" {sum(sol.iterations for sol in solved)} lane-iterations)")
 
 
 def wscm_region_row(repeats: int) -> None:

@@ -1,6 +1,6 @@
 """SdpBatch builders for the tests and `layer_timings.py`: hand-written dense
-programs, random Hermitian data, sub-batches, and the batches the algorithms
-hand to the solver."""
+programs, random Hermitian data, sub-batches, the batches the algorithms
+hand to the solver, and a cct region's floored lanes as one batch."""
 from dataclasses import replace
 
 import numpy as np
@@ -80,3 +80,17 @@ def cct_region_batches(grid: int) -> list:
         return recorded_batches(lambda: algorithms.sweep_region(ch, p, "cct", grid, params))
     finally:
         algorithms._workers = workers
+
+
+def floored_region_batch(grid: int) -> sdp.SdpBatch:
+    """Every floored Charnes-Cooper lane of the `cct_region_batches(grid)`
+    region as one batch built by `_Lifted.cct_batch`, none shared: floor by
+    floor, the in-window grid lanes, then the edge lanes (`_cct_samples`).
+    The region itself solves each anchor once and shares it (`_cct_lanes`)."""
+    config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    ctx = algorithms._Lifted(ch, p)
+    floors = np.linspace(0.0, algorithms.multicast_upper_bound(ch, p)[0], grid)[1:].tolist()
+    samples = algorithms._cct_samples(ctx, ch, floors, 80, algorithms._eavesdropper_snr(ctx))
+    pairs = [(r_m, alpha) for r_m, own in zip(floors, samples) for alpha, _ in own]
+    return ctx.cct_batch([r_m for r_m, _ in pairs], [alpha for _, alpha in pairs])

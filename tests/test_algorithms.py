@@ -395,7 +395,7 @@ def test_cct_point_is_the_lane_by_lane_rounding(k, monkeypatch):
 
     def recording_lanes(*args):
         out = real_lanes(*args)
-        lanes.append(out[0])
+        lanes.append(out[0][0])
         return out
 
     monkeypatch.setattr(algorithms, "_cct_lanes", recording_lanes)
@@ -624,10 +624,44 @@ def test_sweep_two_points_hits_endpoints(rng):
     assert region.points[1].r_m_target == pytest.approx(r_up)
 
 
+def recording_samples(monkeypatch):
+    """Each `algorithms._cct_samples` result from now on, in call order."""
+    seen, real = [], algorithms._cct_samples
+
+    def cct_samples(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(algorithms, "_cct_samples", cct_samples)
+    return seen
+
+
+def anchors_of(samples):
+    """The distinct anchors (alpha, anchor floor) of a region's samples."""
+    return {sample for own in samples for sample in own if sample[1] is not None}
+
+
+def assert_matches_alone(pt, alone, lowest):
+    """A region's point against `algorithm1_cct` at its floor alone: bitwise,
+    diagnostics included, at a floor that takes no lane from a lower floor's
+    anchor (no floor, or the lowest, which charges the eavesdropper solve as
+    alone); else the same lane count and feasibility, and rate and bound
+    within 1e-6 bits."""
+    if pt.r_m_target <= lowest:
+        assert point_bytes(pt) == point_bytes(alone)
+        return
+    assert pt.diagnostics["n_solves"] == alone.diagnostics["n_solves"] - 1
+    assert pt.feasible == alone.feasible
+    if pt.feasible:
+        assert pt.r_c_achieved == pytest.approx(alone.r_c_achieved, abs=1e-6)
+        assert pt.upper_bound == pytest.approx(alone.upper_bound, abs=1e-6)
+
+
 def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
-    # every floored cct point reads the same M_eav: the sweep solves it once,
-    # charges it to the first floored point, and each point equals the
-    # point computed alone with its own eavesdropper solve
+    # every floored cct point reads the same M_eav: the sweep solves it once
+    # and charges it to the first floored point. The lanes solved are the
+    # anchors plus each point's lanes that took no anchor's, and each point
+    # matches the point computed alone with its own eavesdropper solve
     # on one CPU every solve runs in this process, where the patch records it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ch = rand_channelset(np.random.default_rng(7), n=3, k=3)
@@ -645,33 +679,28 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
 
     real_solve = algorithms.solve_batch
     monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
+    samples = recording_samples(monkeypatch)
     region = sweep_region(ch, P, "cct", 5, params, seed=2)
     # the multicast bound and one eavesdropper program, for four floored points
     assert max_min_progs == [1, 1]
-    solves = [pt.diagnostics["n_solves"] for pt in region.points]
-    point_lanes = [n - (i == 1) for i, n in enumerate(solves)]
-    assert sum(point_lanes) == len(lanes)
-    stats = []
-    for k, at in zip(point_lanes, np.cumsum(point_lanes)):
-        own = lanes[at - k:at]
-        stats.append((sum(sol.iterations for sol in own),
-                      {stat.value: sum(sol.status is stat for sol in own) for stat in SdpStatus}))
+    diags = [pt.diagnostics for pt in region.points]
+    own = sum(d["n_solves"] - d["n_shared"] for d in diags) - 1
+    assert len(samples) == 1 and len(lanes) == own + len(anchors_of(samples[0]))
+    # a floor above the lowest takes some lane from an anchor, but not all
+    assert 0 < sum(d["n_shared"] for d in diags[2:]) < sum(d["n_solves"] for d in diags[2:])
     monkeypatch.undo()
     for i, (pt, r_m) in enumerate(zip(region.points, np.linspace(0.0, r_up, 5))):
-        # the per-point solve stats come from the point's own lanes
-        assert (pt.diagnostics["n_iterations"], pt.diagnostics["statuses"]) == stats[i]
         alone = algorithm1_cct(ch, P, r_m, params.t_alpha, params.t_g, substream(2, i))
-        assert pt.r_c_achieved == alone.r_c_achieved and pt.alpha == alone.alpha
-        assert np.array_equal(pt.phase_vector, alone.phase_vector)
-        assert pt.upper_bound == alone.upper_bound or not pt.feasible
         # alone, every floored point pays for its own eavesdropper solve
-        assert alone.diagnostics["n_solves"] == point_lanes[i] + (i > 0)
+        assert alone.diagnostics["n_solves"] == diags[i]["n_solves"] + (i > 1)
+        assert_matches_alone(pt, alone, region.points[1].r_m_target)
 
 
 def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
     # a cct or upper-bound sweep hands the solver the multicast bound, the
-    # eavesdropper program, the unfloored lane and every floored point's grid
-    # and edge lanes as one batch; each point still equals algorithm1_cct
+    # eavesdropper program, the unfloored lane, then one batch of every anchor
+    # and every floored point's edge lanes, and at most one batch of the grid
+    # lanes that take no anchor's; each point still matches algorithm1_cct
     # alone at its floor on its own stream
     # on one CPU every solve runs in this process, where the patch records it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -687,61 +716,91 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
 
     real_solve = algorithms.solve_batch
     monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
-    regions = [sweep_region(ch, P, scheme, 5, params, seed=2) for scheme in ("cct", "upper-bound")]
+    samples = recording_samples(monkeypatch)
+    regions = [sweep_region(ch, P, scheme, 5, params, seed=2)
+               for scheme in ("cct", "upper-bound")]
     monkeypatch.undo()
-    assert len(batches) == 8
-    for sweep in (batches[:4], batches[4:]):
-        assert [max_min_lanes(batch) for batch in sweep] == [1, 1, 0, 0]
-        unfloored, floored = sweep[2:]
+    assert len(batches) == 10 and len(samples) == 2
+    for sweep, own in ((batches[:5], samples[0]), (batches[5:], samples[1])):
+        assert [max_min_lanes(batch) for batch in sweep] == [1, 1, 0, 0, 0]
+        unfloored, first, second = sweep[2:]
         # one unfloored lane; the floor rows add one row per eavesdropper
         assert len(unfloored.bounds) == 1
-        assert floored.rows.shape[1] == unfloored.rows.shape[1] + ch.k - 1
-        # a lane's objective weighs user 1's lift by its power alpha
-        alphas = floored.objective[:, ch.n + 1].tolist()
-        on_grid = sum(alpha in grid for alpha in alphas)
-        assert 4 < on_grid < 4 * params.t_alpha
-        assert len(alphas) > on_grid          # an off-grid edge lane joins the grid lanes
+        floored_rows = unfloored.rows.shape[1] + ch.k - 1
+        assert first.rows.shape[1] == second.rows.shape[1] == floored_rows
+        # a lane's objective weighs user 1's lift by its power alpha: each
+        # anchor once, then the off-grid edge lanes
+        alphas = first.objective[:, ch.n + 1].tolist()
+        anchors = sorted(alpha for alpha, _ in anchors_of(own))
+        assert alphas[:len(anchors)] == anchors and set(anchors) <= grid
+        assert len(alphas) > len(anchors) and not grid & set(alphas[len(anchors):])
+        # the second batch holds grid lanes only, fewer than the floors above
+        # the lowest have
+        assert set(second.objective[:, ch.n + 1].tolist()) <= set(anchors)
+        above = sum(r_a is not None for lanes in own[2:] for _, r_a in lanes)
+        assert 0 < len(second.bounds) < above
     for i, r_m in enumerate(np.linspace(0.0, r_up, 5)):
         alone = algorithm1_cct(ch, P, r_m, params.t_alpha, params.t_g, substream(2, i))
         assert alone.feasible
         cct, bound = regions[0].points[i], regions[1].points[i]
-        assert (cct.r_c_achieved, cct.alpha, cct.upper_bound) == (
-            alone.r_c_achieved, alone.alpha, alone.upper_bound)
-        assert (bound.r_c_achieved, bound.alpha) == (alone.upper_bound, alone.alpha)
-        for pt in (cct, bound):
-            assert pt.phase_vector.tobytes() == alone.phase_vector.tobytes()
-            for key in ("n_iterations", "statuses"):
-                assert pt.diagnostics[key] == alone.diagnostics[key]
+        assert_matches_alone(cct, alone, regions[0].points[1].r_m_target)
+        assert (bound.r_c_achieved, bound.alpha) == (cct.upper_bound, cct.alpha)
+        assert bound.phase_vector.tobytes() == cct.phase_vector.tobytes()
+        assert bound.diagnostics == cct.diagnostics
+
+
+def failing_lanes(monkeypatch, gaps):
+    """Make every Charnes-Cooper lane at a floor of `gaps` break down without
+    finite multipliers, with duality gap gaps[floor], and so every anchor of
+    those floors' grid lanes (gap 9), so that no such floor takes a lane from
+    an anchor. Returns the (floor, alpha) of the lanes failed in this process."""
+    real_samples, real_batch = algorithms._cct_samples, algorithms._Lifted.cct_batch
+    real_solve, anchors, lanes_of_batch, failed = algorithms.solve_batch, set(), {}, []
+
+    def anchoring_samples(ctx, ch, floors, *args):
+        samples = real_samples(ctx, ch, floors, *args)
+        anchors.update(sample for r_m, own in zip(floors, samples) if r_m in gaps
+                       for sample in own if sample[1] is not None)
+        return samples
+
+    def recording_batch(self, floors, alphas):
+        batch = real_batch(self, floors, alphas)
+        lanes_of_batch[id(batch)] = list(zip(floors, alphas))
+        return batch
+
+    def failing_solve(batch, config=None):
+        sols = real_solve(batch, config)
+        for lane, (r_m, alpha) in enumerate(lanes_of_batch.get(id(batch), [])):
+            if r_m in gaps or (alpha, r_m) in anchors:
+                failed.append((r_m, alpha))
+                sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN,
+                                     duality_gap=gaps.get(r_m, 9.0),
+                                     dual=np.full_like(sols[lane].dual, np.nan))
+        return sols
+
+    monkeypatch.setattr(algorithms, "_cct_samples", anchoring_samples)
+    monkeypatch.setattr(algorithms._Lifted, "cct_batch", recording_batch)
+    monkeypatch.setattr(algorithms, "solve_batch", failing_solve)
+    return failed
 
 
 def test_sweep_raises_the_error_of_a_point_whose_every_lane_fails(monkeypatch):
+    # every lane solved for the floor `bad` breaks down, its grid lanes'
+    # anchors included, so it takes no anchor's lane either: the sweep raises
+    # its error
     # on one CPU every batch is built and solved in this process, where the
     # patches record it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
-    bad = float(np.linspace(0.0, multicast_upper_bound(ch, P)[0], 5)[3])
-    real_batch, real_solve = algorithms._Lifted.cct_batch, algorithms.solve_batch
-    floors_of = {}
-
-    def recording_batch(self, floors, alphas):
-        batch = real_batch(self, floors, alphas)
-        floors_of[id(batch)] = np.asarray(floors)
-        return batch
-
-    def failing_solve(batch, config=None):
-        # every lane of the floor `bad` breaks down, grid and edge lanes alike
-        sols = real_solve(batch, config)
-        for lane in np.flatnonzero(floors_of.get(id(batch), np.zeros(0)) == bad):
-            sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN, duality_gap=7.0,
-                                 dual=np.full_like(sols[lane].dual, np.nan))
-        return sols
-
-    monkeypatch.setattr(algorithms._Lifted, "cct_batch", recording_batch)
-    monkeypatch.setattr(algorithms, "solve_batch", failing_solve)
+    floors = np.linspace(0.0, multicast_upper_bound(ch, P)[0], 5).tolist()
+    bad = floors[3]
+    failed = failing_lanes(monkeypatch, {bad: 7.0})
     with pytest.raises(SdpSolverError, match=r"fractional SDP failed: Breakdown \(gap 7.00e\+00"):
         sweep_region(ch, P, "cct", 5, params, seed=2)
-    assert any((floors == bad).any() for floors in floors_of.values())
+    assert any(r_m == bad for r_m, _ in failed)
+    # the anchor of bad's grid lane, at the lowest floor, failed too
+    assert any(r_m == floors[1] for r_m, _ in failed)
 
 
 def test_sweep_pareto_filter_monotone(rng):
@@ -851,9 +910,10 @@ def test_no_worker_outlives_a_region(monkeypatch):
 
 
 def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypatch):
-    # two floors whose every lane fails, in different groups, the lower floor
-    # in the group submitted second: the sweep raises the lower floor's
-    # error, as it does in one process
+    # two floors whose every solved lane fails, their grid lanes' anchors
+    # included, in different groups, the lower floor in the group submitted
+    # second: the sweep raises the lower floor's error, as it does in one
+    # process
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     floors = np.linspace(0.0, multicast_upper_bound(ch, P)[0], 5).tolist()
@@ -869,30 +929,91 @@ def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypat
     first, second = seen[0]
     low, high = min(i for i in second if floors[i] > 0), max(first)
     assert low < high
-    gaps = {floors[low]: 7.0, floors[high]: 8.0}
-    real_batch, real_solve = algorithms._Lifted.cct_batch, algorithms.solve_batch
-    floors_of = {}
-
-    def recording_batch(self, floors, alphas):
-        batch = real_batch(self, floors, alphas)
-        floors_of[id(batch)] = np.asarray(floors)
-        return batch
-
-    def failing_solve(batch, config=None):
-        sols = real_solve(batch, config)
-        for lane, r_m in enumerate(floors_of.get(id(batch), np.zeros(0)).tolist()):
-            if r_m in gaps:
-                sols[lane] = replace(sols[lane], status=SdpStatus.BREAKDOWN, duality_gap=gaps[r_m],
-                                     dual=np.full_like(sols[lane].dual, np.nan))
-        return sols
-
-    monkeypatch.setattr(algorithms._Lifted, "cct_batch", recording_batch)
-    monkeypatch.setattr(algorithms, "solve_batch", failing_solve)
+    failed = failing_lanes(monkeypatch, {floors[low]: 7.0, floors[high]: 8.0})
     for cpus in (2, 1):
         pin_cpus(monkeypatch, cpus)
         with pytest.raises(SdpSolverError, match=r"Breakdown \(gap 7.00e\+00"):
             sweep_region(ch, P, "cct", 5, params, seed=2)
     assert len(seen) == 2
+    # in one process: both floors' lanes and their anchors, at the lowest floor
+    assert {r_m for r_m, _ in failed} == {floors[1], floors[low], floors[high]}
+
+
+SHARING_SET = {**{f"two-user-{seed}": two_user_scenario(seed=seed) for seed in range(6)},
+               **{f"{k}-user-{seed}": multi_user_scenario(n_users=k, seed=seed)
+                  for k in (3, 4) for seed in (0, 1)}}
+
+
+def region_samples(config, grid, t_alpha):
+    """(ctx, floors, samples) of a cct region of `config` at `grid` floors:
+    its `_cct_samples`, decided as `_cct_points` decides them."""
+    ch, p = generate_channels(config), config.total_power_w
+    ctx = algorithms._Lifted(ch, p)
+    floors = np.linspace(0.0, multicast_upper_bound(ch, p)[0], grid).tolist()
+    eav_snr = algorithms._eavesdropper_snr(ctx)
+    return ctx, floors, algorithms._cct_samples(ctx, ch, floors, t_alpha, eav_snr)
+
+
+def anchor_lane(lanes, floors, samples, sample):
+    """The lane of an anchor (alpha, anchor floor), solved at its floor."""
+    at = floors.index(sample[1])
+    return lanes[at][samples[at].index(sample)]
+
+
+@pytest.mark.parametrize("config", SHARING_SET.values(), ids=SHARING_SET.keys())
+def test_a_floor_takes_an_anchor_lane_only_where_it_is_that_floors_optimum(config, monkeypatch):
+    # a region's lanes solved in one process: no more lanes than its points
+    # have; every lane that a floor takes from a lower floor's anchor meets
+    # that floor's rows, and solving it at that floor gives a certified
+    # bound within 1e-6 relative of the anchor's
+    ctx, floors, samples = region_samples(config, 8, 20)
+    solved = recording_lanes(monkeypatch)
+    lanes, shared = algorithms._cct_lanes(ctx, floors, samples)
+    monkeypatch.undo()
+    own = sum(len(lanes_i) - n for lanes_i, n in zip(samples, shared))
+    assert len(solved) == own + len(anchors_of(samples)) <= sum(map(len, samples))
+    taken = []
+    for i, own_samples in enumerate(samples):
+        anchored = [(j, sample) for j, sample in enumerate(own_samples) if sample[1] is not None]
+        at_own_floor = sum(r_a == floors[i] for _, (_, r_a) in anchored)
+        above = [(j, anchor_lane(lanes, floors, samples, sample))
+                 for j, sample in anchored if sample[1] != floors[i]]
+        took = [(i, j, anchor) for j, anchor in above if lanes[i][j] is anchor]
+        assert shared[i] == at_own_floor + len(took)
+        taken += took
+    for i, j, (alpha, _, _, (_, y, _)) in taken:
+        batch = ctx.cct_batch([floors[i]], [alpha])
+        for row in batch.rows[0][batch.sense == -1]:
+            a = (ctx.basis * row) @ ctx.basis.conj().T
+            assert np.trace(a @ y).real >= 0.0
+    assert taken
+    direct = algorithms._solve_lanes(ctx, [floors[i] for i, _, _ in taken],
+                                     [anchor[0] for _, _, anchor in taken])
+    for (_, _, anchor), lane in zip(taken, direct, strict=True):
+        assert isinstance(lane[3], tuple)
+        assert lane[3][0] == pytest.approx(anchor[3][0], rel=1e-6)
+
+
+@pytest.mark.parametrize("config", [SHARING_SET["two-user-0"], SHARING_SET["3-user-0"]],
+                         ids=["two-user-0", "3-user-0"])
+def test_a_floor_solves_each_lane_whose_anchor_has_no_finite_multipliers(config, monkeypatch):
+    # every lane of the lowest floor breaks down without finite multipliers,
+    # so every anchor does: the floors above solve each of their lanes and
+    # take none, and the region solves every lane of its points once
+    ctx, floors, samples = region_samples(config, 8, 20)
+    failing_lanes(monkeypatch, {floors[1]: 7.0})
+    solved = recording_lanes(monkeypatch)
+    lanes, shared = algorithms._cct_lanes(ctx, floors, samples)
+    monkeypatch.undo()
+    assert len(solved) == sum(map(len, samples))
+    assert shared[1] == sum(sample[1] is not None for sample in samples[1]) > 0
+    assert shared[2:] == [0] * (len(floors) - 2)
+    for i in range(2, len(floors)):
+        for lane, sample in zip(lanes[i], samples[i]):
+            if sample[1] is not None:
+                assert lane is not anchor_lane(lanes, floors, samples, sample)
+                assert not isinstance(lane[3], SdpSolverError)
+    assert any(sample[1] is not None for samples_i in samples[2:] for sample in samples_i)
 
 
 def test_fanned_out_region_balances_the_lanes_it_solves(monkeypatch):
@@ -918,7 +1039,7 @@ def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
     # not the thread that releases it
     pin_cpus(monkeypatch, 2)
     assert algorithms._workers(5) == 2 and algorithms._workers(1) == 1
-    lanes = recording_lanes(monkeypatch)
+    lanes, samples = recording_lanes(monkeypatch), recording_samples(monkeypatch)
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -930,8 +1051,11 @@ def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    # every lane solved here; the eavesdropper solve is no lane
-    assert len(lanes) == sum(pt.diagnostics["n_solves"] for pt in region.points) - 1
+    # every lane solved here: the anchors, and each point's lanes that took
+    # no anchor's; the eavesdropper solve is no lane
+    assert len(samples) == 1
+    assert len(lanes) == (sum(pt.diagnostics["n_solves"] - pt.diagnostics["n_shared"]
+                              for pt in region.points) - 1 + len(anchors_of(samples[0])))
 
 
 @pytest.mark.parametrize("config", [two_user_scenario(d1=20, n_y=2, n_z=2, seed=1),

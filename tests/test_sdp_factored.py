@@ -10,8 +10,8 @@ from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 from irssec.sdp import SdpBatch, SdpStatus, solve_batch
 
-from sdp_forms import (cct_region_batches, dense_batch, lanes_of, max_min_lanes,
-                       random_hermitian, recorded_batches)
+from sdp_forms import (cct_region_batches, dense_batch, floored_region_batch, lanes_of,
+                       max_min_lanes, random_hermitian, recorded_batches)
 
 P = 1.0
 RELATIONS = {1: "<=", 0: "==", -1: ">="}
@@ -254,7 +254,7 @@ def test_stack_whose_schur_complement_fails_its_factorization_matches_each_lane_
         monkeypatch):
     # a stack of a cct region's n = 11 lanes in which one Schur complement
     # fails its stacked Cholesky factorization and takes the jitter ladder
-    batch = cct_region_batches(20)[3]
+    batch = floored_region_batch(20)
     width = sdp._stack_width(batch.basis.shape[0])
     jittered, real = [], sdp._jittered_factor
 
