@@ -7,8 +7,8 @@ Two optimized schemes plus benchmarks:
                  secrecy objective (every floor's programs are lanes of the
                  same region-wide solves) and Gaussian randomization
                  extracts a feasible reflection pattern. Each grid power's
-                 lane at the lowest floor that keeps it, its anchor, serves
-                 every higher floor whose rows its optimum meets.
+                 lane at the region's lowest floor, its anchor, serves every
+                 higher floor whose rows its optimum meets.
 * ``wscm``       blends the multicast-optimal and secrecy-optimal lifted
                  covariances; each blend's rounding draws serve every floor
                  of a region, with the confidential power set in closed form.
@@ -358,20 +358,17 @@ def _cct_samples(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
                  eav_snr: float) -> list:
     """Per floor, its lanes' (alpha, anchor) in order, decided before any
     solve: (P, None) without a floor; with one, the grid powers P t/(t_alpha -
-    1) in its `_Lifted.window`, each anchored at the lowest floor of `floors`
-    whose window keeps that power, then the edge refinements in the window
-    above the largest of them, anchor None."""
+    1) in its `_Lifted.window`, each anchored at the lowest positive floor of
+    `floors`, then the edge refinements in the window above the largest of
+    them, anchor None. A window only shrinks as the floor rises, so the lowest
+    floor's window keeps every grid power that any floor's keeps."""
     grid = [ctx.p * t / (t_alpha - 1) for t in range(t_alpha)]
-    windows = [ctx.window(r, grid, eav_snr) if r > 0 else [] for r in floors]
-    anchors = {}
-    for r, window in zip(floors, windows):
-        for alpha in window:
-            anchors[alpha] = min(anchors.get(alpha, math.inf), r)
-    samples = []
-    for r, window in zip(floors, windows):
+    low, samples = min((r for r in floors if r > 0), default=None), []
+    for r in floors:
         if not r > 0:
             samples.append([(ctx.p, None)])
             continue
+        window = ctx.window(r, grid, eav_snr)
         # The supportable power window [0, edge] can fall between grid samples
         # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
         # closed form, so refine there instead of losing the window.
@@ -379,7 +376,7 @@ def _cct_samples(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
                    for k in range(1, ch.k))
         edges = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
                  if max(window, default=-1.0) + 1e-12 < frac * edge < ctx.p]
-        samples.append([(alpha, anchors[alpha]) for alpha in window]
+        samples.append([(alpha, low) for alpha in window]
                        + [(alpha, None) for alpha in ctx.window(r, edges, eav_snr)])
     return samples
 
@@ -503,8 +500,8 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     point once the points are back. Then, before any other solve, each floor's
     powers are decided here (`_cct_samples`): alpha = P without a floor; with
     one, the grid powers in its `_Lifted.window`, then the edge refinements in
-    it above the largest of them. Each grid power gets its anchor here too: the
-    lowest floor of the whole region whose window keeps it.
+    it above the largest of them. Each grid power gets its anchor here too: its
+    lane at the lowest floor of the whole region.
 
     The points are solved and rounded by `_cct_group`: in the calling process,
     or, with two or more points and CPUs (see `_workers`), in one group per CPU

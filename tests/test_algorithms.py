@@ -645,16 +645,16 @@ def assert_matches_alone(pt, alone, lowest):
     """A region's point against `algorithm1_cct` at its floor alone: bitwise,
     diagnostics included, at a floor that takes no lane from a lower floor's
     anchor (no floor, or the lowest, which charges the eavesdropper solve as
-    alone); else the same lane count and feasibility, and rate and bound
-    within 1e-6 bits."""
+    alone); else the same lane count, feasibility and alpha, and rate and
+    bound within 1e-7 bits."""
     if pt.r_m_target <= lowest:
         assert point_bytes(pt) == point_bytes(alone)
         return
     assert pt.diagnostics["n_solves"] == alone.diagnostics["n_solves"] - 1
-    assert pt.feasible == alone.feasible
+    assert (pt.feasible, pt.alpha) == (alone.feasible, alone.alpha)
     if pt.feasible:
-        assert pt.r_c_achieved == pytest.approx(alone.r_c_achieved, abs=1e-6)
-        assert pt.upper_bound == pytest.approx(alone.upper_bound, abs=1e-6)
+        assert pt.r_c_achieved == pytest.approx(alone.r_c_achieved, abs=1e-7)
+        assert pt.upper_bound == pytest.approx(alone.upper_bound, abs=1e-7)
 
 
 def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
