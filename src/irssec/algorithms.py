@@ -3,12 +3,12 @@
 Two optimized schemes plus benchmarks:
 
 * ``cct``        fractional-program sweep: for each confidential power on a
-                 uniform grid, a Charnes-Cooper transformed SDP bounds the
-                 secrecy objective (every floor's programs are lanes of the
-                 same region-wide solves) and Gaussian randomization
-                 extracts a feasible reflection pattern. Each grid power's
-                 lane at the region's lowest floor, its anchor, serves every
-                 higher floor whose rows its optimum meets.
+                 uniform grid, a Charnes-Cooper transformed SDP (a lane)
+                 bounds the secrecy objective and Gaussian randomization
+                 extracts a feasible reflection pattern. A grid power's
+                 lanes at every floor are one unit of work: its lane at the
+                 lowest floor (the anchor) serves each higher floor whose
+                 rows its optimum meets, and each solve is drawn once.
 * ``wscm``       blends the multicast-optimal and secrecy-optimal lifted
                  covariances; each blend's rounding draws serve every floor
                  of a region, with the confidential power set in closed form.
@@ -29,6 +29,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .sdp import (SdpBatch, SdpSolverError, SdpStatus, _first_best, _grp_draw, g
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
 ORACLE_GRID = (64, 201)   # phase levels and power samples of the oracle scheme
-_LEAST = {"t_alpha": 2, "t_lambda": 2, "t_g": 1, "grid_points": 2}   # each count's least value
+_LEAST = {"t_alpha": 2, "t_lambda": 2, "t_g": 1, "grid_points": 2, "seed": 0}   # least values
 
 _RM_SLACK = 1e-9          # tolerance when re-checking the multicast floor
 _XI_FLOOR = 1e-10         # Charnes-Cooper scale must stay positive
@@ -312,14 +313,13 @@ def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap: float | 
     return model.secrecy_rate_from_gains(x, ch.sigma2, a, out=r_c).T, a.T, ok.T
 
 
-def _best_of_draws(ch: ChannelSet, p: float, floors, covs, caps, t_g: int,
-                   rng: np.random.Generator) -> tuple:
+def _best_of_draws(ch: ChannelSet, p: float, floors, covs, caps, t_g: int, rng) -> tuple:
     """Per multicast floor in `floors`, the first best Gaussian-randomization candidate over
-    the covariances `covs`, drawn in turn on rng, and the index of its covariance: (patterns,
-    indices), None and None where no candidate carries the floor. Each covariance draws t_g
-    candidates by `sdp._grp_draw` into arrays kept for all; a candidate scores its `_repair`
-    secrecy rate, power capped at caps[i] (None: uncapped), -inf where it cannot carry the
-    floor at any power, and a NaN score ranks below every other."""
+    the covariances `covs`, drawn in turn on rng (as `sdp._grp_draw` takes it), its covariance's
+    index and its score: (patterns, indices, scores), None, None and -inf where none carries
+    the floor. Each covariance draws t_g candidates into arrays kept for all; a candidate
+    scores its `_repair` secrecy rate, power capped at caps[i] (None: uncapped), -inf where it
+    cannot carry the floor at any power, and a NaN score ranks below every other."""
     floors = np.atleast_1d(np.asarray(floors, dtype=float))
     best, rows, work = np.full(floors.size, -np.inf), np.arange(floors.size), {}
     best_v, best_i = [None] * floors.size, [None] * floors.size
@@ -334,7 +334,7 @@ def _best_of_draws(ch: ChannelSet, p: float, floors, covs, caps, t_g: int,
         top = _first_best(scores)
         for f in np.flatnonzero(scores[rows, top] > best):
             best[f], best_v[f], best_i[f] = scores[f, top[f]], batch[top[f]].copy(), i
-    return best_v, best_i
+    return best_v, best_i, best
 
 
 def _repair_one(ch: ChannelSet, p: float, r_m: float, x: np.ndarray, alpha_cap: float | None):
@@ -354,21 +354,19 @@ def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
     return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, scheme)
 
 
-def _cct_samples(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
-                 eav_snr: float) -> list:
-    """Per floor, its lanes' (alpha, anchor) in order, decided before any
-    solve: (P, None) without a floor; with one, the grid powers P t/(t_alpha -
-    1) in its `_Lifted.window`, each anchored at the lowest positive floor of
-    `floors`, then the edge refinements in the window above the largest of
-    them, anchor None. A window only shrinks as the floor rises, so the lowest
-    floor's window keeps every grid power that any floor's keeps."""
+def _cct_units(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
+               eav_snr: float) -> tuple:
+    """(alphas, units, anchors), decided before any solve: per floor its lanes'
+    powers (P without a floor; with one, the grid powers P t/(t_alpha - 1) in
+    its `_Lifted.window`, then the edge refinements in it above the largest),
+    and the lanes (i, j), at powers alphas[i][j], in units of work. A grid
+    power's lanes at every floor that keeps it are one unit, its anchor the
+    lowest floor's first, whose window keeps every grid power that any higher
+    floor's keeps; every other lane is a unit of its own."""
     grid = [ctx.p * t / (t_alpha - 1) for t in range(t_alpha)]
-    low, samples = min((r for r in floors if r > 0), default=None), []
-    for r in floors:
-        if not r > 0:
-            samples.append([(ctx.p, None)])
-            continue
-        window = ctx.window(r, grid, eav_snr)
+    alphas, by_power, singles = [[ctx.p] for _ in floors], {}, []
+    for i in sorted((i for i, r in enumerate(floors) if r > 0), key=floors.__getitem__):
+        r, window = floors[i], ctx.window(floors[i], grid, eav_snr)
         # The supportable power window [0, edge] can fall between grid samples
         # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
         # closed form, so refine there instead of losing the window.
@@ -376,9 +374,12 @@ def _cct_samples(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
                    for k in range(1, ch.k))
         edges = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
                  if max(window, default=-1.0) + 1e-12 < frac * edge < ctx.p]
-        samples.append([(alpha, low) for alpha in window]
-                       + [(alpha, None) for alpha in ctx.window(r, edges, eav_snr)])
-    return samples
+        alphas[i] = window + ctx.window(r, edges, eav_snr)
+        for j, alpha in enumerate(window):
+            by_power.setdefault(alpha, []).append((i, j))
+        singles += [[(i, j)] for j in range(len(window), len(alphas[i]))]
+    singles += [[(i, 0)] for i, r in enumerate(floors) if not r > 0]
+    return alphas, [*by_power.values(), *singles], {unit[0] for unit in by_power.values()}
 
 
 def _solve_lanes(ctx: _Lifted, floors: list, alphas: list) -> list:
@@ -397,57 +398,74 @@ def _solve_lanes(ctx: _Lifted, floors: list, alphas: list) -> list:
     return lanes
 
 
-def _cct_lanes(ctx: _Lifted, floors: list, samples: list) -> tuple:
-    """(lanes, shared): per point i, the lanes (`_solve_lanes`) at floor
-    floors[i] and the powers of samples[i] (`_cct_samples`), in order, and how
-    many of them it took from an anchor. Three `_solve_lanes` calls: the
-    unfloored points' lanes; every anchor of a grid lane, at its anchor floor,
-    with every edge lane; the grid lanes that take no anchor's lane. A grid
-    lane takes its anchor's lane at the anchor's own floor (the same
-    program), and at a higher floor where the anchor's value is certified and
-    its Y meets that floor's rows (`_Lifted.meets`): that program differs only
-    by stricter floor rows, so Y is its optimum and the anchor's bound bounds
-    it."""
-    lanes, shared = [[None] * len(own) for own in samples], [0] * len(floors)
+def _solve_units(ctx: _Lifted, floors: list, alphas: list, units: list) -> tuple:
+    """(solved, by): the `_solve_lanes` lane of each lane (i, j) solved, and
+    by[i, j], the lane whose solve (i, j) takes: its unit's first at the same
+    floor (the same program), and at a higher one where the first's value is
+    certified and its Y meets that floor's rows (`_Lifted.meets`), as that
+    program differs only by stricter rows; else itself. Three batches: the
+    first lanes without a floor, those with one, then the other lanes."""
+    solved = {}
 
-    def solve(slots, anchors=()):
-        """Solve the anchors (alpha, r_a), then the lanes (i, j) of slots into
-        lanes; returns each anchor's lane by anchor."""
-        pairs = list(anchors) + [(samples[i][j][0], floors[i]) for i, j in slots]
-        solved = _solve_lanes(ctx, [r_m for _, r_m in pairs], [alpha for alpha, _ in pairs])
-        for (i, j), lane in zip(slots, solved[len(anchors):]):
-            lanes[i][j] = lane
-        return dict(zip(anchors, solved))
+    def solve(slots):
+        solved.update(zip(slots, _solve_lanes(ctx, [floors[i] for i, _ in slots],
+                                              [alphas[i][j] for i, j in slots])))
 
-    slots = [(i, j) for i, own in enumerate(samples) for j in range(len(own))]
-    grid = [(i, j) for i, j in slots if samples[i][j][1] is not None]
-    solve([(i, j) for i, j in slots if not floors[i] > 0])
-    anchored = solve([(i, j) for i, j in slots if floors[i] > 0 and samples[i][j][1] is None],
-                     sorted({samples[i][j] for i, j in grid}))
-    take = {(i, j): floors[i] == samples[i][j][1] for i, j in grid}
-    test = [(i, j) for (i, j), same in take.items()
-            if not same and isinstance(anchored[samples[i][j]][3], tuple)]
+    solve([unit[0] for unit in units if not floors[unit[0][0]] > 0])
+    solve([unit[0] for unit in units if floors[unit[0][0]] > 0])
+    later = [(unit[0], slot) for unit in units for slot in unit[1:]]
+    by = {slot: first for first, slot in later if floors[slot[0]] == floors[first[0]]}
+    test = [(first, (i, j)) for first, (i, j) in later
+            if (i, j) not in by and isinstance(solved[first][3], tuple)]
     if test:
-        take.update(zip(test, ctx.meets([floors[i] for i, _ in test],
-                                        [samples[i][j][0] for i, j in test],
-                                        [anchored[samples[i][j]][3][1] for i, j in test])))
-    for (i, j), ok in take.items():
-        if ok:
-            lanes[i][j] = anchored[samples[i][j]]
-            shared[i] += 1
-    solve([slot for slot, ok in take.items() if not ok])
-    return lanes, shared
+        met = ctx.meets([floors[i] for _, (i, _) in test], [alphas[i][j] for _, (i, j) in test],
+                        [solved[first][3][1] for first, _ in test])
+        by.update((slot, first) for (first, slot), ok in zip(test, met) if ok)
+    solve([slot for _, slot in later if slot not in by])
+    return solved, {slot: by.get(slot, slot) for unit in units for slot in unit}
 
 
-def _workers(points: int) -> int:
-    """Processes to solve and round `points` boundary points in: one per CPU
-    this process may run on, at most one per point. 1 (the calling process)
+def _lane_rng(rng: np.random.Generator, slot: int) -> np.random.Generator:
+    """The generator of a lane's draws: child `slot` of rng's seed sequence."""
+    seq = rng.bit_generator.seed_seq
+    return np.random.Generator(type(rng.bit_generator)(np.random.SeedSequence(
+        seq.entropy, spawn_key=(*seq.spawn_key, slot), pool_size=seq.pool_size)))
+
+
+def _cct_work(ctx: _Lifted, ch: ChannelSet, floors: list, alphas: list, units: list, t_g: int,
+              rngs: list) -> dict:
+    """Per lane (i, j) of `units`, (lane, by, score, v): the lane it takes
+    from lane `by` (`_solve_units`), value cut to c_value where certified, and
+    its first best candidate v at floor i with its score, or -inf and None.
+    Each certified solve draws once, on `_lane_rng` of the floor and slot that
+    solved it, made only if the draw takes normals, and its candidates are
+    scored at every floor that takes it (`_best_of_draws`)."""
+    solved, by = _solve_units(ctx, floors, alphas, units)
+    held, records = {}, {}
+    for slot, first in by.items():
+        held.setdefault(first, []).append(slot)
+    for first, slots in held.items():
+        alpha, status, iterations, value = solved[first]
+        patterns, scores = [None] * len(slots), [-math.inf] * len(slots)
+        if isinstance(value, tuple):
+            patterns, _, scores = _best_of_draws(ch, ctx.p, [floors[i] for i, _ in slots],
+                                                 [value[1] / value[2]], [alpha], t_g,
+                                                 partial(_lane_rng, rngs[first[0]], first[1]))
+            value = value[0]
+        records.update((slot, ((alpha, status, iterations, value), first, score, v))
+                       for slot, score, v in zip(slots, scores, patterns))
+    return records
+
+
+def _workers(units: int) -> int:
+    """Processes to solve and round `units` units of work in: one per CPU
+    this process may run on, at most one per unit. 1 (the calling process)
     without fork or CPU affinity, or while other threads run: a forked child
     gets none of them, but every lock they hold."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
-    return min(points, len(os.sched_getaffinity(0)))
+    return min(units, len(os.sched_getaffinity(0)))
 
 
 def _groups(loads: list, count: int) -> list:
@@ -463,80 +481,62 @@ def _groups(loads: list, count: int) -> list:
     return [sorted(group) for group in groups]
 
 
-def _cct_group(ctx: _Lifted, ch: ChannelSet, floors: list, samples: list, t_g: int,
-               rngs: list) -> list:
-    """Per floor, the `algorithm1_cct` point rounded on rngs[i], or the
-    SdpSolverError of a point whose every lane failed. The lanes of all
-    floors, floor i's at the powers samples[i] that `_cct_points` decided,
-    are solved together, each anchor once (`_cct_lanes`)."""
-    p, points = ctx.p, []
-    for r_m, own, n_shared, rng in zip(floors, *_cct_lanes(ctx, floors, samples), rngs):
-        certified = [(alpha_t, value) for alpha_t, *_, value in own if isinstance(value, tuple)]
-        (v,), (i,) = _best_of_draws(ch, p, [r_m], [y / xi for _, (_, y, xi) in certified],
-                                    [alpha_t for alpha_t, _ in certified], t_g, rng)
-        errors = [value for *_, value in own if isinstance(value, SdpSolverError)]
-        diagnostics = {"n_solves": len(own), "n_shared": n_shared, "n_failed_alpha": len(errors),
-                       "last_error": repr(errors[-1]) if errors else None,
-                       "n_iterations": sum(iters for _, _, iters, _ in own),
-                       "statuses": {stat.value: sum(status is stat for _, status, _, _ in own)
-                                    for stat in SdpStatus}}
-        if v is not None:
-            alpha_t, (c_value, _, _) = certified[i]
-            r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
-        if v is None or not ok:
-            points.append(errors[-1] if errors and len(errors) == len(own) else
-                          BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics))
-            continue
-        diagnostics.update(alpha_grid=alpha_t, r_c_unrepaired=model.secrecy_rate(ch, v, alpha_t))
-        points.append(BoundaryPoint(r_m, r_c, alpha, v, max(0.0, math.log2(max(c_value, 1e-300))),
-                                    True, "cct", diagnostics))
-    return points
+def _cct_point(ch: ChannelSet, p: float, r_m: float, lanes: list, anchors: set):
+    """The `algorithm1_cct` point at floor r_m from its lanes' `_cct_work`
+    records: the first best candidate, repaired with its lane's power as the
+    cap; or the last SdpSolverError when every lane failed."""
+    errors = [value for (*_, value), *_ in lanes if isinstance(value, SdpSolverError)]
+    diagnostics = {"n_solves": len(lanes), "n_shared": sum(by in anchors for _, by, _, _ in lanes),
+                   "n_failed_alpha": len(errors),
+                   "last_error": repr(errors[-1]) if errors else None,
+                   "n_iterations": sum(iters for (_, _, iters, _), *_ in lanes),
+                   "statuses": {stat.value: sum(status is stat for (_, status, _, _), *_ in lanes)
+                                for stat in SdpStatus}}
+    best, win = -math.inf, None
+    for lane, _, score, v in lanes:
+        if score > best:
+            best, win = score, (lane, v)
+    if win is not None:
+        (alpha_t, _, _, c_value), v = win
+        r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
+    if win is None or not ok:
+        return (errors[-1] if errors and len(errors) == len(lanes) else
+                BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics))
+    diagnostics.update(alpha_grid=alpha_t, r_c_unrepaired=model.secrecy_rate(ch, v, alpha_t))
+    return BoundaryPoint(r_m, r_c, alpha, v, max(0.0, math.log2(max(c_value, 1e-300))), True,
+                         "cct", diagnostics)
 
 
 def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list) -> list:
-    """`algorithm1_cct` at every floor in `floors`, point i rounding on
-    rngs[i]. With a positive floor the eavesdropper program (`_eavesdropper_snr`)
-    is solved once, here, and counted in the n_solves of the first floored
-    point once the points are back. Then, before any other solve, each floor's
-    powers are decided here (`_cct_samples`): alpha = P without a floor; with
-    one, the grid powers in its `_Lifted.window`, then the edge refinements in
-    it above the largest of them. Each grid power gets its anchor here too: its
-    lane at the lowest floor of the whole region.
-
-    The points are solved and rounded by `_cct_group`: in the calling process,
-    or, with two or more points and CPUs (see `_workers`), in one group per CPU
-    on a pool of forked worker processes, created and joined within the call.
-    Each group solves the anchors of its points' grid lanes with their edge
-    lanes, then the grid lanes that take no anchor's (`_cct_lanes`). The
-    groups are balanced by each point's count of lanes. The points come back
-    in floor order and are the same bytes either way, since the anchors do
-    not depend on the groups, every point rounds on its own generator and
-    every lane is bitwise what it gives alone. Fanned out, the generators advance in the
-    workers, not in rngs. Where several points fail, the error of the first
-    failing floor is raised, a worker's own error counting as one of its
-    group's first point."""
+    """`algorithm1_cct` at every floor in `floors`, floor i keying its lanes'
+    draws on rngs[i], which never advances. The eavesdropper program is solved
+    once, here, and charged to the first floored point. The `_cct_units` are
+    solved and rounded by `_cct_work` in this process, or, with two or more
+    units and CPUs (`_workers`), in one group per CPU, balanced by lane count,
+    on forked workers joined within the call: either way the same bytes, as
+    every lane is bitwise what it gives alone. Each floor then takes its
+    `_cct_point`; a worker's error is raised, else the first failing floor's."""
     _check_counts(t_alpha=t_alpha, t_g=t_g)
     ctx = _Lifted(ch, p)
     floors = [float(r) for r in floors]
     floored = [i for i, r in enumerate(floors) if r > 0]
     eav_snr = _eavesdropper_snr(ctx) if floored else math.inf
-    samples = _cct_samples(ctx, ch, floors, t_alpha, eav_snr)
-    workers = _workers(len(floors))
+    alphas, units, anchors = _cct_units(ctx, ch, floors, t_alpha, eav_snr)
+    workers = _workers(len(units))
     if workers < 2:
-        points = _cct_group(ctx, ch, floors, samples, t_g, rngs)
+        records = _cct_work(ctx, ch, floors, alphas, units, t_g, rngs)
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        groups = _groups([len(own) for own in samples], workers)
+        groups = _groups([len(unit) for unit in units], workers)
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_cct_group, ctx, ch, [floors[i] for i in group],
-                                   [samples[i] for i in group], t_g, [rngs[i] for i in group])
-                       for group in groups]
-        points = [None] * len(floors)
-        for group, future in zip(groups, futures):
-            error = future.exception()
-            for i, point in zip(group, [error] if error is not None else future.result()):
-                points[i] = point
+            futures = [pool.submit(_cct_work, ctx, ch, floors, alphas, [units[u] for u in group],
+                                   t_g, rngs) for group in groups]
+        records = {}
+        for future in futures:
+            records.update(future.result())
+    points = [_cct_point(ch, p, r_m, [records[i, j] for j in range(len(own))], anchors)
+              for i, (r_m, own) in enumerate(zip(floors, alphas))]
     for point in points:
         if isinstance(point, Exception):
             raise point
@@ -548,8 +548,7 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
                    t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
     """Algorithm 1: a 1-D search over the confidential power alpha, the
-    one-floor case of `_cct_points`, solved and rounded in the calling
-    process (one point never fans out).
+    one-floor case of `_cct_points`, whose lanes fan out as a region's.
 
     With a floor r_m > 0 the samples are the t_alpha uniform powers over
     [0, P] in the power window that the eavesdropper program
@@ -557,13 +556,12 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     closed-form window edge, above the largest of those grid powers: all
     decided before any Charnes-Cooper solve. Without a floor the feasible set
     does not depend on alpha and the objective does not decrease in it: the
-    one sample is alpha = P. The samples are the lanes of one `solve_batch`
-    call (alone, each grid lane is its own anchor; see `_cct_points`). Each
-    lane that `_cct_value` certifies,
-    whatever its status, is rounded (grid before edges) by Gaussian
-    randomization on rng; candidates are scored by their `_repair` secrecy
-    rate, power capped at the lane's alpha, and dropped if they cannot carry
-    the floor. The point records the relaxation bound at the winning sample.
+    one sample is alpha = P. Each lane that `_cct_value` certifies, whatever
+    its status, is rounded by Gaussian randomization, lane j on child j of
+    rng's seed sequence (`_lane_rng`); candidates are scored by their
+    `_repair` secrecy rate, power capped at the lane's alpha, and dropped if
+    they cannot carry the floor; the first best over the lanes (grid before
+    edges) wins. The point records the relaxation bound at the winning sample.
 
     diagnostics: n_solves counts the Charnes-Cooper lanes plus any
     eavesdropper solve, and n_shared the lanes taken from an anchor (alone,
@@ -604,7 +602,7 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     lams = [t / (t_lambda - 1) for t in range(t_lambda)]
     blends = (lam * z_c + (1.0 - lam) * z_m for lam in lams)
-    best_v, best_i = _best_of_draws(ch, p, floors, blends, [None] * t_lambda, t_g, rng)
+    best_v, best_i, _ = _best_of_draws(ch, p, floors, blends, [None] * t_lambda, t_g, rng)
     return [_rounded_point(ch, p, r_m, v, "wscm", {"lambda": lams[i]} if v is not None else None)
             for r_m, v, i in zip(np.asarray(floors, dtype=float).tolist(), best_v, best_i)]
 
@@ -697,12 +695,12 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     The cct and upper-bound points are one `_cct_points` call: they share
     one eavesdropper max-min solve, counted in the n_solves of the first
     floored point, which decides every floor's power window before any other
-    solve, and each grid power's anchor lane, which higher floors share. They
-    are solved and rounded in groups, one per CPU, each group's
-    Charnes-Cooper lanes in at most three group-wide batches. A wscm region
+    solve, and each grid power's anchor lane, which higher floors share. Its
+    units of lanes are solved and rounded in groups, one per CPU, each lane
+    once and each group's lanes in at most three batches. A wscm region
     runs in the calling process. The oracle enumerates the `ORACLE_GRID`.
     """
-    _check_counts(grid_points=grid_points)
+    _check_counts(grid_points=grid_points, seed=seed)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     params = params or SweepParams()

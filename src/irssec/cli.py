@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _check(args) -> None:
     """Reject a count or seed below its least value and an unknown scheme."""
-    for name, least in {**algorithms._LEAST, "seed": 0}.items():
+    for name, least in algorithms._LEAST.items():
         dest = "grid" if name == "grid_points" else name
         if getattr(args, dest) < least:
             raise CliError(f"--{dest.replace('_', '-')} must be at least {least}")

@@ -492,9 +492,10 @@ def grp_draw(z_matrix: np.ndarray, candidates: int, rng: np.random.Generator) ->
     return _grp_draw(z_matrix, candidates, rng, {})
 
 
-def _grp_draw(z_matrix, candidates: int, rng: np.random.Generator, work: dict) -> np.ndarray:
+def _grp_draw(z_matrix, candidates: int, rng, work: dict) -> np.ndarray:
     """`grp_draw` into arrays that ``work`` keeps by (size, rank, candidates);
-    the batch may view them."""
+    the batch may view them. rng is a Generator or a function that makes one,
+    called only when the draw takes normals."""
     if candidates < 1:
         raise ValueError("need at least one candidate")
     z = np.asarray(z_matrix, dtype=complex)
@@ -521,6 +522,7 @@ def _grp_draw(z_matrix, candidates: int, rng: np.random.Generator, work: dict) -
                                         np.empty((rank, candidates), dtype=complex),
                                         np.empty((size, candidates), dtype=complex))
     normals, draw, zt = work[size, rank, candidates]
+    rng = rng() if callable(rng) else rng
     draw.real, draw.imag = rng.standard_normal(out=normals)    # a real, then an imaginary draw
     np.matmul(factor, np.divide(draw, math.sqrt(2.0), out=draw), out=zt)
     batch = zt[:n_phase]

@@ -4,8 +4,8 @@
 
 Prints the CPUs the process may run on and the lanes per `solve_batch` stack
 at n in {11, 31, 61, 101}, then seven groups of figures, each timing the best of
-R repeats. Only a cct region spreads its work over processes (one group of
-boundary points per CPU), so every other figure is a time on one CPU:
+R repeats. Only a cct point or region spreads its work over processes (one
+group of units of lanes per CPU), so every other figure is a time on one CPU:
 
 * ms per lane-iteration at n = 11 for L in {1, 20, 80} lanes. The programs
   are the Charnes-Cooper programs of 80 uniform confidential powers over
@@ -32,18 +32,22 @@ boundary points per CPU), so every other figure is a time on one CPU:
     [0, the multicast upper bound], as `algorithms._wscm_points` runs 80
     blends in one call;
   - one cct lane: the certified grid lanes (T_alpha 80) of the floor at half
-    the multicast upper bound, capped at their powers, rounded in one call
-    as `algorithms._cct_group` rounds a floor; lanes whose covariance is
-    rank one take the one-pattern shortcut and draw nothing.
+    the multicast upper bound, capped at their powers, each rounded in its
+    own call on its `algorithms._lane_rng`, as `algorithms._cct_work` rounds
+    a lane; lanes whose covariance is rank one take the one-pattern shortcut
+    and draw nothing.
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
-  T_g 1000) at r_m = 0 and at half the multicast upper bound; the floored
-  point's time includes its eavesdropper max-min solve, which `sweep_region`
-  makes once per region.
+  T_g 1000) at r_m = 0 and at half the multicast upper bound, on every CPU
+  (a floored point's units fan out); the floored point's time includes its
+  eavesdropper max-min solve, which `sweep_region` makes once per region.
 * ms per cct region on the same scenario (grid 20, T_alpha 80, T_g 1000),
   with the process pinned to one CPU and on every CPU; the region's anchors
-  (`algorithms._cct_samples`), its points' Charnes-Cooper lanes, taken from
-  an anchor (shared) or solved for the point (own), from their diagnostics,
-  and the lanes and lane-iterations that `solve_batch` ran on one CPU.
+  (`algorithms._cct_units`), its points' Charnes-Cooper lanes, taken from
+  an anchor (shared) or solved for the point (own), from their diagnostics.
+  Then, from one more run on one CPU and on every CPU, one line per call of
+  `algorithms._cct_work` (one per worker process): its units, the lanes it
+  solved and their lane-iterations, its full draws (`sdp._grp_draw` calls
+  that draw normals) and its busy time, from its start to its return.
 * ms per wscm region on the same scenario (grid 20, T_lambda 80, T_g 1000),
   pinned to one CPU and on every CPU, with the mean ms per region in its
   three parts: the multicast bound, the secrecy covariance and the blend
@@ -57,6 +61,7 @@ from __future__ import annotations
 import argparse
 import os
 import resource
+import tempfile
 import time
 
 import numpy as np
@@ -64,7 +69,7 @@ import numpy as np
 from irssec import algorithms, sdp
 from irssec.channel import generate_channels, multi_user_scenario, two_user_scenario
 
-from sdp_forms import floored_region_batch, lanes_of, max_min_lanes, recorded_batches
+from sdp_forms import floored_region_batch, lanes_of, recorded_batches
 
 P = 1.0
 LANES = (1, 20, 80)
@@ -166,14 +171,13 @@ def screened_solves(batches):
     return iterations, calls, tuple(taken.values())
 
 
-def rounding_row(repeats: int, label: str, each: str, ch, p: float, floors, covs, caps) -> None:
-    """The `algorithms._best_of_draws` row of one call over covs, per covariance (each)."""
-    def run():
-        algorithms._best_of_draws(ch, p, floors, covs, caps, 1000, np.random.default_rng(0))
+def rounding_row(repeats: int, label: str, each: str, count: int, run) -> None:
+    """The row of `run`, its `algorithms._best_of_draws` calls over `count`
+    covariances, per covariance (each)."""
     run()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    us = 1e6 * best_of(repeats, run) / len(covs)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / (repeats * len(covs))
+    us = 1e6 * best_of(repeats, run) / count
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / (repeats * count)
     print(f"{label} us per {each} {us:9.1f}   ({faults:.1f} minor page faults per {each})")
 
 
@@ -183,18 +187,27 @@ def rounding_rows(repeats: int) -> None:
     r_up, z_m = algorithms.multicast_upper_bound(ch, p)
     z = 0.5 * (z_m + algorithms.secrecy_covariance(ch, p))
     assert len(sdp.grp_draw(z, 1000, np.random.default_rng(0))) == 1000     # not rank one
-    rounding_row(repeats, "best of draws N=10 1 floor", "1000 candidates", ch, p, [0.0],
-                 [z] * 20, [None] * 20)
-    rounding_row(repeats, "wscm blend N=10 20 floors", "blend", ch, p,
-                 np.linspace(0.0, r_up, 20), [z] * 20, [None] * 20)
+
+    def blends(floors):
+        return lambda: algorithms._best_of_draws(ch, p, floors, [z] * 20, [None] * 20, 1000,
+                                                 np.random.default_rng(0))
+    rounding_row(repeats, "best of draws N=10 1 floor", "1000 candidates", 20, blends([0.0]))
+    rounding_row(repeats, "wscm blend N=10 20 floors", "blend", 20,
+                 blends(np.linspace(0.0, r_up, 20)))
     ctx, r_m = algorithms._Lifted(ch, p), 0.5 * r_up
     grid = ctx.window(r_m, [p * t / 79 for t in range(80)], algorithms._eavesdropper_snr(ctx))
-    lanes = algorithms._cct_lanes(ctx, [r_m], [[(alpha, r_m) for alpha in grid]])[0][0]
-    certified = [(alpha, value) for alpha, *_, value in lanes if isinstance(value, tuple)]
-    covs = [y / xi for _, (_, y, xi) in certified]
-    rank_one = sum(len(sdp.grp_draw(z, 2, np.random.default_rng(0))) == 1 for z in covs)
-    rounding_row(repeats, f"cct lanes N=10 r_m=r_up/2 ({len(covs)}, {rank_one} rank one)", "lane",
-                 ch, p, [r_m], covs, [alpha for alpha, _ in certified])
+    lanes = algorithms._solve_lanes(ctx, [r_m] * len(grid), grid)
+    certified = [(j, alpha, value[1] / value[2]) for j, (alpha, *_, value) in enumerate(lanes)
+                 if isinstance(value, tuple)]
+    rank_one = sum(len(sdp.grp_draw(z, 2, np.random.default_rng(0))) == 1 for *_, z in certified)
+
+    def lane_draws():
+        floor_rng = np.random.default_rng(0)
+        for j, alpha, z in certified:
+            algorithms._best_of_draws(ch, p, [r_m], [z], [alpha], 1000,
+                                      lambda: algorithms._lane_rng(floor_rng, j))
+    rounding_row(repeats, f"cct lanes N=10 r_m=r_up/2 ({len(certified)}, {rank_one} rank one)",
+                 "lane", len(certified), lane_draws)
 
 
 def cct_point_rows(repeats: int) -> None:
@@ -212,21 +225,63 @@ def cct_point_rows(repeats: int) -> None:
               f"   ({point[0].diagnostics['n_solves']} solves)")
 
 
+WORK = {"log": None, "lanes": 0, "iterations": 0, "draws": 0}   # counts of one process's call
+REAL = {name: getattr(algorithms, name) for name in ("_cct_work", "_solve_lanes", "_grp_draw")}
+
+
+def counted_solve_lanes(ctx, floors, alphas):
+    lanes = REAL["_solve_lanes"](ctx, floors, alphas)
+    WORK["lanes"] += len(lanes)
+    WORK["iterations"] += sum(iterations for _, _, iterations, _ in lanes)
+    return lanes
+
+
+def counted_grp_draw(z, candidates, rng, work):
+    batch = REAL["_grp_draw"](z, candidates, rng, work)
+    WORK["draws"] += len(batch) > 1
+    return batch
+
+
+def timed_cct_work(ctx, ch, floors, alphas, units, *args):
+    """`algorithms._cct_work`, appending to WORK["log"] its process, units,
+    lanes solved, lane-iterations, full draws and busy ms. A module-level
+    function, so that a worker process finds it by name in this module."""
+    start = time.perf_counter()
+    WORK.update(lanes=0, iterations=0, draws=0)
+    records = REAL["_cct_work"](ctx, ch, floors, alphas, units, *args)
+    with open(WORK["log"], "a") as fh:
+        fh.write(f"{os.getpid()} {len(units)} {WORK['lanes']} {WORK['iterations']} "
+                 f"{WORK['draws']} {1e3 * (time.perf_counter() - start):.1f}\n")
+    return records
+
+
+def worker_rows(run) -> list:
+    """One run with `timed_cct_work` in place of `algorithms._cct_work`: its
+    log lines, one per call, as lists of words."""
+    fakes = {"_cct_work": timed_cct_work, "_solve_lanes": counted_solve_lanes,
+             "_grp_draw": counted_grp_draw}
+    with tempfile.TemporaryDirectory() as tmp:
+        WORK["log"] = os.path.join(tmp, "work.log")
+        for name, fake in fakes.items():
+            setattr(algorithms, name, fake)
+        try:
+            run()
+        finally:
+            for name in fakes:
+                setattr(algorithms, name, REAL[name])
+        with open(WORK["log"]) as fh:
+            return [line.split() for line in fh]
+
+
 def cct_region_row(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     params = algorithms.SweepParams(t_alpha=80, t_g=1000)
-    region, samples, solved = [], [], []
-    real = {"_cct_samples": algorithms._cct_samples, "solve_batch": algorithms.solve_batch}
+    region, units, real_units = [], [], algorithms._cct_units
 
-    def recording_samples(*args):
-        samples[:] = real["_cct_samples"](*args)
-        return samples
-
-    def recording_solve(batch, config=None):
-        sols = real["solve_batch"](batch, config)
-        solved.extend(sols if not max_min_lanes(batch) else [])
-        return sols
+    def recording_units(*args):
+        units[:] = [real_units(*args)]
+        return units[0]
 
     def run():
         region[:] = [algorithms.sweep_region(ch, p, "cct", 20, params, seed=0)]
@@ -234,21 +289,26 @@ def cct_region_row(repeats: int) -> None:
     os.sched_setaffinity(0, {min(cpus)})
     try:
         one_cpu = 1e3 * best_of(repeats, run)
-        algorithms._cct_samples, algorithms.solve_batch = recording_samples, recording_solve
-        run()
+        one_work = worker_rows(run)
     finally:
         os.sched_setaffinity(0, cpus)
-        for name, func in real.items():
-            setattr(algorithms, name, func)
     all_cpus = 1e3 * best_of(repeats, run)
-    anchors = len({sample for own in samples for sample in own if sample[1] is not None})
+    all_work = worker_rows(run)
+    algorithms._cct_units = recording_units
+    try:
+        run()
+    finally:
+        algorithms._cct_units = real_units
     diags = [pt.diagnostics for pt in region[0].points]
     lanes = sum(d["n_solves"] for d in diags) - 1      # less the eavesdropper solve
     shared = sum(d["n_shared"] for d in diags)
     print(f"cct region N=10 grid 20 ms per region {one_cpu:9.1f} on 1 CPU, {all_cpus:9.1f} on"
-          f" {len(cpus)}   ({anchors} anchors; {lanes} lanes of its points, {shared} shared and"
-          f" {lanes - shared} own; {len(solved)} lanes solved on 1 CPU in"
-          f" {sum(sol.iterations for sol in solved)} lane-iterations)")
+          f" {len(cpus)}   ({len(units[0][2])} anchors in {len(units[0][1])} units; {lanes} lanes"
+          f" of its points, {shared} shared and {lanes - shared} own)")
+    for on, rows in (("1 CPU", one_work), (f"{len(cpus)} CPUs", all_work)):
+        for pid, n_units, solved, iterations, draws, busy in rows:
+            print(f"  on {on}: process {pid} {n_units} units, {solved} lanes solved in"
+                  f" {iterations} lane-iterations, {draws} full draws, busy {busy} ms")
 
 
 def wscm_region_row(repeats: int) -> None:
@@ -295,7 +355,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     repeats = parser.parse_args().repeats
-    print(f"CPUs {len(os.sched_getaffinity(0))} (a cct region runs one group of points on each)")
+    print(f"CPUs {len(os.sched_getaffinity(0))} (a cct region runs one group of units on each)")
     print("lanes per stack " + ", ".join(f"n={n} {sdp._stack_width(n)}" for n in STACK_SIZES))
     lane_rows(repeats)
     region_batch_row(repeats)

@@ -52,45 +52,42 @@ def max_min_lanes(batch) -> int:
 
 
 def recorded_batches(run) -> list:
-    """Every batch that `run` hands to algorithms.solve_batch."""
+    """Every batch that `run` hands to algorithms.solve_batch, each solved in
+    this process: a cct point or region runs on no worker process."""
     seen = []
 
     def solve_batch(batch, config=None):
         seen.append(batch)
         return sdp.solve_batch(batch, config)
 
-    saved = algorithms.solve_batch
+    saved = algorithms.solve_batch, algorithms._workers
     try:
-        algorithms.solve_batch = solve_batch
+        algorithms.solve_batch, algorithms._workers = solve_batch, lambda units: 1
         run()
     finally:
-        algorithms.solve_batch = saved
+        algorithms.solve_batch, algorithms._workers = saved
     return seen
 
 
 def cct_region_batches(grid: int) -> list:
     """Every batch of a two-user N = 10 cct region (grid points `grid`,
     T_alpha 80) on `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`, its
-    points solved and recorded in this process."""
+    units solved and recorded in this process."""
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     params = algorithms.SweepParams(t_alpha=80, t_g=20)     # T_g does not change the lanes
-    workers, algorithms._workers = algorithms._workers, lambda points: 1
-    try:
-        return recorded_batches(lambda: algorithms.sweep_region(ch, p, "cct", grid, params))
-    finally:
-        algorithms._workers = workers
+    return recorded_batches(lambda: algorithms.sweep_region(ch, p, "cct", grid, params))
 
 
 def floored_region_batch(grid: int) -> sdp.SdpBatch:
     """Every floored Charnes-Cooper lane of the `cct_region_batches(grid)`
     region as one batch built by `_Lifted.cct_batch`, none shared: floor by
-    floor, the in-window grid lanes, then the edge lanes (`_cct_samples`).
-    The region itself solves each anchor once and shares it (`_cct_lanes`)."""
+    floor, the in-window grid lanes, then the edge lanes (`_cct_units`).
+    The region itself solves each anchor once and shares it (`_solve_units`)."""
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     ctx = algorithms._Lifted(ch, p)
     floors = np.linspace(0.0, algorithms.multicast_upper_bound(ch, p)[0], grid)[1:].tolist()
-    samples = algorithms._cct_samples(ctx, ch, floors, 80, algorithms._eavesdropper_snr(ctx))
-    pairs = [(r_m, alpha) for r_m, own in zip(floors, samples) for alpha, _ in own]
+    alphas, _, _ = algorithms._cct_units(ctx, ch, floors, 80, algorithms._eavesdropper_snr(ctx))
+    pairs = [(r_m, alpha) for r_m, own in zip(floors, alphas) for alpha in own]
     return ctx.cct_batch([r_m for r_m, _ in pairs], [alpha for _, alpha in pairs])

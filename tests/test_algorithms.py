@@ -187,6 +187,9 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     r_m = 0.05 * multicast_upper_bound(ch, P)[0]
     healthy = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
     assert healthy.diagnostics["n_solves"] == 5
+    # a floored point's units fan out: on one CPU every lane is solved in
+    # this process, where the patch counts them
+    pin_cpus(monkeypatch, 1)
     real_solve_batch = algorithms.solve_batch
     calls = []
 
@@ -362,13 +365,15 @@ def test_cct_rejects_a_nan_floor_before_any_solve(monkeypatch):
     assert (neg.r_c_achieved, neg.alpha, neg.feasible) == (zero.r_c_achieved, zero.alpha, True)
 
 
-def lane_by_lane_cct(ch, r_m, lanes, t_g, rng):
+def lane_by_lane_cct(ch, r_m, lanes, t_g, seed):
     """(r_c, alpha, v, bound, alpha_grid) of a cct point rounded one certified
-    lane at a time, or None: each lane's `grp_round` with its `_repair` score
-    capped at the lane's power, the winner repaired again, and a later lane
-    kept only if its repaired rate is strictly higher."""
+    lane at a time, or None: lane j's `grp_round` on its own generator,
+    child j of the floor's seed sequence (`substream(seed, j)` for the floor
+    generator default_rng(seed)), with its `_repair` score capped at the
+    lane's power, the winner repaired again, and a later lane kept only if
+    its repaired rate is strictly higher."""
     best = None
-    for alpha_t, _, _, value in lanes:
+    for slot, (alpha_t, _, _, value) in enumerate(lanes):
         if not isinstance(value, tuple):
             continue
         c_value, y, xi = value
@@ -376,7 +381,7 @@ def lane_by_lane_cct(ch, r_m, lanes, t_g, rng):
         def score(vb, alpha_t=alpha_t):
             r_c, _, ok = algorithms._repair(ch, P, r_m, effective_gains(ch, vb), alpha_t)
             return np.where(ok, r_c, -np.inf)[:, 0]
-        v, sc = sdp.grp_round(y / xi, t_g, score, rng)
+        v, sc = sdp.grp_round(y / xi, t_g, score, substream(seed, slot))
         if not np.isfinite(sc):
             continue
         r_c, alpha, ok = algorithms._repair_one(ch, P, r_m, effective_gains(ch, v), alpha_t)
@@ -387,23 +392,26 @@ def lane_by_lane_cct(ch, r_m, lanes, t_g, rng):
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_cct_point_is_the_lane_by_lane_rounding(k, monkeypatch):
-    # all certified lanes of a floor rounded in one pass keep the point that
-    # rounding them one lane at a time keeps
+    # a floor's certified lanes, each drawn once and the floor's first best
+    # taken over them in order, keep the point that rounding them one lane at
+    # a time keeps; alone, a floor's lanes are its units, solved in slot order
+    # on one CPU every lane is solved in this process, where the patch records it
+    pin_cpus(monkeypatch, 1)
     ch = rand_channelset(np.random.default_rng(50 + k), n=3, k=k)
     r_up = multicast_upper_bound(ch, P)[0]
-    real_lanes, lanes = algorithms._cct_lanes, []
+    real_lanes, lanes = algorithms._solve_lanes, []
 
     def recording_lanes(*args):
         out = real_lanes(*args)
-        lanes.append(out[0][0])
+        lanes.extend(out)
         return out
 
-    monkeypatch.setattr(algorithms, "_cct_lanes", recording_lanes)
+    monkeypatch.setattr(algorithms, "_solve_lanes", recording_lanes)
     floored = 0
     for r_m in (0.0, 0.3 * r_up, 0.7 * r_up):
         lanes.clear()
         pt = algorithm1_cct(ch, P, r_m, 12, 200, np.random.default_rng(8))
-        ref = lane_by_lane_cct(ch, r_m, sum(lanes, []), 200, np.random.default_rng(8))
+        ref = lane_by_lane_cct(ch, r_m, lanes, 200, 8)
         assert pt.feasible == (ref is not None)
         if ref is None:
             continue
@@ -624,21 +632,17 @@ def test_sweep_two_points_hits_endpoints(rng):
     assert region.points[1].r_m_target == pytest.approx(r_up)
 
 
-def recording_samples(monkeypatch):
-    """Each `algorithms._cct_samples` result from now on, in call order."""
-    seen, real = [], algorithms._cct_samples
+def recording_units(monkeypatch):
+    """Each `algorithms._cct_units` result (alphas, units, anchors) from now
+    on, in call order."""
+    seen, real = [], algorithms._cct_units
 
-    def cct_samples(*args):
+    def cct_units(*args):
         seen.append(real(*args))
         return seen[-1]
 
-    monkeypatch.setattr(algorithms, "_cct_samples", cct_samples)
+    monkeypatch.setattr(algorithms, "_cct_units", cct_units)
     return seen
-
-
-def anchors_of(samples):
-    """The distinct anchors (alpha, anchor floor) of a region's samples."""
-    return {sample for own in samples for sample in own if sample[1] is not None}
 
 
 def assert_matches_alone(pt, alone, lowest):
@@ -679,13 +683,14 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
 
     real_solve = algorithms.solve_batch
     monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
-    samples = recording_samples(monkeypatch)
+    units = recording_units(monkeypatch)
     region = sweep_region(ch, P, "cct", 5, params, seed=2)
     # the multicast bound and one eavesdropper program, for four floored points
     assert max_min_progs == [1, 1]
     diags = [pt.diagnostics for pt in region.points]
     own = sum(d["n_solves"] - d["n_shared"] for d in diags) - 1
-    assert len(samples) == 1 and len(lanes) == own + len(anchors_of(samples[0]))
+    # one anchor per grid unit
+    assert len(units) == 1 and len(lanes) == own + len(units[0][2])
     # a floor above the lowest takes some lane from an anchor, but not all
     assert 0 < sum(d["n_shared"] for d in diags[2:]) < sum(d["n_solves"] for d in diags[2:])
     monkeypatch.undo()
@@ -716,12 +721,12 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
 
     real_solve = algorithms.solve_batch
     monkeypatch.setattr(algorithms, "solve_batch", recording_solve)
-    samples = recording_samples(monkeypatch)
+    units = recording_units(monkeypatch)
     regions = [sweep_region(ch, P, scheme, 5, params, seed=2)
                for scheme in ("cct", "upper-bound")]
     monkeypatch.undo()
-    assert len(batches) == 10 and len(samples) == 2
-    for sweep, own in ((batches[:5], samples[0]), (batches[5:], samples[1])):
+    assert len(batches) == 10 and len(units) == 2
+    for sweep, (own, units_of, anchor_set) in ((batches[:5], units[0]), (batches[5:], units[1])):
         assert [max_min_lanes(batch) for batch in sweep] == [1, 1, 0, 0, 0]
         unfloored, first, second = sweep[2:]
         # one unfloored lane; the floor rows add one row per eavesdropper
@@ -731,13 +736,14 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
         # a lane's objective weighs user 1's lift by its power alpha: each
         # anchor once, then the off-grid edge lanes
         alphas = first.objective[:, ch.n + 1].tolist()
-        anchors = sorted(alpha for alpha, _ in anchors_of(own))
+        anchors = sorted(own[i][j] for i, j in anchor_set)
+        assert {i for i, _ in anchor_set} == {1}
         assert alphas[:len(anchors)] == anchors and set(anchors) <= grid
         assert len(alphas) > len(anchors) and not grid & set(alphas[len(anchors):])
         # the second batch holds grid lanes only, fewer than the floors above
         # the lowest have
         assert set(second.objective[:, ch.n + 1].tolist()) <= set(anchors)
-        above = sum(r_a is not None for lanes in own[2:] for _, r_a in lanes)
+        above = sum(len(unit) - 1 for unit in units_of if unit[0] in anchor_set)
         assert 0 < len(second.bounds) < above
     for i, r_m in enumerate(np.linspace(0.0, r_up, 5)):
         alone = algorithm1_cct(ch, P, r_m, params.t_alpha, params.t_g, substream(2, i))
@@ -751,17 +757,18 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
 
 def failing_lanes(monkeypatch, gaps):
     """Make every Charnes-Cooper lane at a floor of `gaps` break down without
-    finite multipliers, with duality gap gaps[floor], and so every anchor of
-    those floors' grid lanes (gap 9), so that no such floor takes a lane from
-    an anchor. Returns the (floor, alpha) of the lanes failed in this process."""
-    real_samples, real_batch = algorithms._cct_samples, algorithms._Lifted.cct_batch
+    finite multipliers, with duality gap gaps[floor], and so the first lane
+    (alpha, floor) of every unit that holds such a lane (gap 9), so that no
+    such floor takes a lane from an anchor. Returns the (floor, alpha) of the
+    lanes failed in this process."""
+    real_units, real_batch = algorithms._cct_units, algorithms._Lifted.cct_batch
     real_solve, anchors, lanes_of_batch, failed = algorithms.solve_batch, set(), {}, []
 
-    def anchoring_samples(ctx, ch, floors, *args):
-        samples = real_samples(ctx, ch, floors, *args)
-        anchors.update(sample for r_m, own in zip(floors, samples) if r_m in gaps
-                       for sample in own if sample[1] is not None)
-        return samples
+    def anchoring_units(ctx, ch, floors, *args):
+        alphas, units, unit_anchors = real_units(ctx, ch, floors, *args)
+        anchors.update((alphas[unit[0][0]][unit[0][1]], floors[unit[0][0]]) for unit in units
+                       if any(floors[i] in gaps for i, _ in unit))
+        return alphas, units, unit_anchors
 
     def recording_batch(self, floors, alphas):
         batch = real_batch(self, floors, alphas)
@@ -778,7 +785,7 @@ def failing_lanes(monkeypatch, gaps):
                                      dual=np.full_like(sols[lane].dual, np.nan))
         return sols
 
-    monkeypatch.setattr(algorithms, "_cct_samples", anchoring_samples)
+    monkeypatch.setattr(algorithms, "_cct_units", anchoring_units)
     monkeypatch.setattr(algorithms._Lifted, "cct_batch", recording_batch)
     monkeypatch.setattr(algorithms, "solve_batch", failing_solve)
     return failed
@@ -867,19 +874,95 @@ def recording_lanes(monkeypatch):
     return lanes
 
 
+def counting_work(monkeypatch, path):
+    """Make every process from now on, forked workers included, append a
+    line to `path` per lane that `algorithms._solve_lanes` solves ("lane"),
+    with the hash of the covariance of each certified one that is not rank
+    one ("cov h"); per full draw of `algorithms._grp_draw`, one that draws
+    normals ("draw h"); and per covariance that `algorithms._best_of_draws`
+    scores, with the number of floors it scores at ("held h floors").
+    Returns a function that reads the lines, as lists of words by kind."""
+    real = {name: getattr(algorithms, name) for name in ("_solve_lanes", "_grp_draw",
+                                                         "_best_of_draws")}
+
+    def log(*words):
+        with open(path, "a") as fh:
+            fh.write(" ".join(map(str, words)) + "\n")
+
+    def solve_lanes(ctx, floors, alphas):
+        lanes = real["_solve_lanes"](ctx, floors, alphas)
+        for *_, value in lanes:
+            log("lane")
+            if isinstance(value, tuple):
+                z = value[1] / value[2]
+                if len(sdp.grp_draw(z, 2, np.random.default_rng(0))) > 1:
+                    log("cov", hash(z.tobytes()))
+        return lanes
+
+    def grp_draw(z, candidates, rng, work):
+        batch = real["_grp_draw"](z, candidates, rng, work)
+        if len(batch) > 1:
+            log("draw", hash(z.tobytes()))
+        return batch
+
+    def best_of_draws(ch, p, floors, covs, *args):
+        covs = list(covs)
+        for z in covs:
+            log("held", hash(z.tobytes()), len(floors))
+        return real["_best_of_draws"](ch, p, floors, covs, *args)
+
+    for name, fake in (("_solve_lanes", solve_lanes), ("_grp_draw", grp_draw),
+                       ("_best_of_draws", best_of_draws)):
+        monkeypatch.setattr(algorithms, name, fake)
+
+    def read():
+        lines = {"lane": [], "cov": [], "draw": [], "held": []}
+        for line in path.read_text().splitlines() if path.exists() else []:
+            kind, *words = line.split()
+            lines[kind].append(words)
+        return lines
+    return read
+
+
+def test_a_region_solves_each_lane_once_and_draws_each_covariance_once_on_any_cpu_count(
+        monkeypatch, tmp_path):
+    # the workers split units of lanes, not points: on one CPU and on two a
+    # region solves the same lanes, and draws each certified covariance that
+    # is not rank one once, whatever the floors that hold it
+    config = two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    params = SweepParams(t_alpha=20, t_g=100, pareto_filter=False)
+    work = {}
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        read = counting_work(monkeypatch, tmp_path / f"{cpus}.log")
+        sweep_region(ch, p, "cct", 8, params, seed=0)
+        monkeypatch.undo()
+        work[cpus] = read()
+    for lines in work.values():
+        assert lines["draw"] and sorted(lines["draw"]) == sorted(lines["cov"])
+        assert len({h for h, in lines["draw"]}) == len(lines["draw"])
+    assert len(work[1]["lane"]) == len(work[2]["lane"]) > len(work[1]["draw"])
+    assert sorted(work[1]["draw"]) == sorted(work[2]["draw"])
+
+
 @pytest.mark.parametrize("config", [two_user_scenario(d1=20, n_y=2, n_z=2, seed=1),
-                                    multi_user_scenario(n_users=3, n_y=2, n_z=2, seed=0)],
-                         ids=["two-user", "three-user"])
-def test_points_on_worker_processes_match_one_process_bitwise(monkeypatch, config):
+                                    multi_user_scenario(n_users=3, n_y=2, n_z=2, seed=0),
+                                    two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)],
+                         ids=["two-user", "three-user", "two-user-n10"])
+def test_points_on_worker_processes_match_one_process_bitwise(monkeypatch, tmp_path, config):
     # cct and upper-bound regions on one CPU (every point in this process) and
-    # on two (the points in two forked groups, no lane solved here): every
-    # field of every point is the same bytes, diagnostics included
+    # on two (the units in two forked groups, no lane solved here): every
+    # field of every point is the same bytes, diagnostics included. On each
+    # instance a covariance that is not rank one is drawn for more than one
+    # floor, so a lane's draws do not depend on which process makes them
     ch, p = generate_channels(config), config.total_power_w
     params = SweepParams(t_alpha=10, t_g=100, pareto_filter=False)
     runs, here = {}, {}
     for cpus in (1, 2):
         pin_cpus(monkeypatch, cpus)
         assert algorithms._workers(6) == cpus
+        read = counting_work(monkeypatch, tmp_path / f"{cpus}.log")
         lanes = recording_lanes(monkeypatch)
         regions = [sweep_region(ch, p, scheme, 6, params, 4) for scheme in ("cct", "upper-bound")]
         runs[cpus] = [[point_bytes(pt) for pt in region.points] for region in regions]
@@ -888,6 +971,9 @@ def test_points_on_worker_processes_match_one_process_bitwise(monkeypatch, confi
     assert runs[2] == runs[1]
     assert any(pt.feasible for pt in regions[0].points[1:])
     assert here[1] > 0 and here[2] == 0
+    lines = read()
+    floors = {h: int(count) for h, count in lines["held"]}
+    assert any(floors[h] > 1 for h, in lines["draw"])
 
 
 def test_no_worker_outlives_a_region(monkeypatch):
@@ -911,9 +997,9 @@ def test_no_worker_outlives_a_region(monkeypatch):
 
 def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypatch):
     # two floors whose every solved lane fails, their grid lanes' anchors
-    # included, in different groups, the lower floor in the group submitted
-    # second: the sweep raises the lower floor's error, as it does in one
-    # process
+    # included, each with lanes in both groups of units, so the group
+    # submitted first fails lanes of the higher floor too: the sweep raises
+    # the lower floor's error, as it does in one process
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     floors = np.linspace(0.0, multicast_upper_bound(ch, P)[0], 5).tolist()
@@ -925,10 +1011,11 @@ def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypat
         return seen[-1]
 
     monkeypatch.setattr(algorithms, "_groups", recording_groups)
+    units = recording_units(monkeypatch)
     sweep_region(ch, P, "cct", 5, params, seed=2)
-    first, second = seen[0]
-    low, high = min(i for i in second if floors[i] > 0), max(first)
-    assert low < high
+    low, high = 2, 3
+    for group in seen[0]:
+        assert {low, high} <= {i for u in group for i, _ in units[0][1][u]}
     failed = failing_lanes(monkeypatch, {floors[low]: 7.0, floors[high]: 8.0})
     for cpus in (2, 1):
         pin_cpus(monkeypatch, cpus)
@@ -944,44 +1031,39 @@ SHARING_SET = {**{f"two-user-{seed}": two_user_scenario(seed=seed) for seed in r
                   for k in (3, 4) for seed in (0, 1)}}
 
 
-def region_samples(config, grid, t_alpha):
-    """(ctx, floors, samples) of a cct region of `config` at `grid` floors:
-    its `_cct_samples`, decided as `_cct_points` decides them."""
+def region_units(config, grid, t_alpha):
+    """(ctx, floors, alphas, units) of a cct region of `config` at `grid`
+    floors: its `_cct_units`, decided as `_cct_points` decides them."""
     ch, p = generate_channels(config), config.total_power_w
     ctx = algorithms._Lifted(ch, p)
     floors = np.linspace(0.0, multicast_upper_bound(ch, p)[0], grid).tolist()
     eav_snr = algorithms._eavesdropper_snr(ctx)
-    return ctx, floors, algorithms._cct_samples(ctx, ch, floors, t_alpha, eav_snr)
-
-
-def anchor_lane(lanes, floors, samples, sample):
-    """The lane of an anchor (alpha, anchor floor), solved at its floor."""
-    at = floors.index(sample[1])
-    return lanes[at][samples[at].index(sample)]
+    alphas, units, _ = algorithms._cct_units(ctx, ch, floors, t_alpha, eav_snr)
+    return ctx, floors, alphas, units
 
 
 @pytest.mark.parametrize("config", SHARING_SET.values(), ids=SHARING_SET.keys())
 def test_a_floor_takes_an_anchor_lane_only_where_it_is_that_floors_optimum(config, monkeypatch):
-    # a region's lanes solved in one process: no more lanes than its points
-    # have; every lane that a floor takes from a lower floor's anchor meets
-    # that floor's rows, and solving it at that floor gives a certified
-    # bound within 1e-6 relative of the anchor's
-    ctx, floors, samples = region_samples(config, 8, 20)
-    solved = recording_lanes(monkeypatch)
-    lanes, shared = algorithms._cct_lanes(ctx, floors, samples)
+    # a region's units solved in one process: each lane is its own solve or
+    # its unit's first lane's, the lowest floor's (the anchor), and the
+    # region solves no more lanes than its points have; every lane that a
+    # floor takes from a lower floor's anchor meets that floor's rows, and
+    # solving it at that floor gives a certified bound within 1e-6 relative
+    # of the anchor's
+    ctx, floors, alphas, units = region_units(config, 8, 20)
+    recorded = recording_lanes(monkeypatch)
+    solved, by = algorithms._solve_units(ctx, floors, alphas, units)
     monkeypatch.undo()
-    own = sum(len(lanes_i) - n for lanes_i, n in zip(samples, shared))
-    assert len(solved) == own + len(anchors_of(samples)) <= sum(map(len, samples))
+    assert len(recorded) == len(solved) == len(set(by.values())) <= sum(map(len, alphas))
     taken = []
-    for i, own_samples in enumerate(samples):
-        anchored = [(j, sample) for j, sample in enumerate(own_samples) if sample[1] is not None]
-        at_own_floor = sum(r_a == floors[i] for _, (_, r_a) in anchored)
-        above = [(j, anchor_lane(lanes, floors, samples, sample))
-                 for j, sample in anchored if sample[1] != floors[i]]
-        took = [(i, j, anchor) for j, anchor in above if lanes[i][j] is anchor]
-        assert shared[i] == at_own_floor + len(took)
-        taken += took
+    for unit in units:
+        assert all(floors[i] >= floors[unit[0][0]] for i, _ in unit)
+        for i, j in unit:
+            assert by[i, j] in ((i, j), unit[0])
+            if floors[i] > floors[by[i, j][0]]:
+                taken.append((i, j, solved[by[i, j]]))
     for i, j, (alpha, _, _, (_, y, _)) in taken:
+        assert alpha == alphas[i][j]
         batch = ctx.cct_batch([floors[i]], [alpha])
         for row in batch.rows[0][batch.sense == -1]:
             a = (ctx.basis * row) @ ctx.basis.conj().T
@@ -1000,38 +1082,40 @@ def test_a_floor_solves_each_lane_whose_anchor_has_no_finite_multipliers(config,
     # every lane of the lowest floor breaks down without finite multipliers,
     # so every anchor does: the floors above solve each of their lanes and
     # take none, and the region solves every lane of its points once
-    ctx, floors, samples = region_samples(config, 8, 20)
+    ctx, floors, alphas, units = region_units(config, 8, 20)
     failing_lanes(monkeypatch, {floors[1]: 7.0})
-    solved = recording_lanes(monkeypatch)
-    lanes, shared = algorithms._cct_lanes(ctx, floors, samples)
+    recorded = recording_lanes(monkeypatch)
+    solved, by = algorithms._solve_units(ctx, floors, alphas, units)
     monkeypatch.undo()
-    assert len(solved) == sum(map(len, samples))
-    assert shared[1] == sum(sample[1] is not None for sample in samples[1]) > 0
-    assert shared[2:] == [0] * (len(floors) - 2)
-    for i in range(2, len(floors)):
-        for lane, sample in zip(lanes[i], samples[i]):
-            if sample[1] is not None:
-                assert lane is not anchor_lane(lanes, floors, samples, sample)
-                assert not isinstance(lane[3], SdpSolverError)
-    assert any(sample[1] is not None for samples_i in samples[2:] for sample in samples_i)
+    assert len(recorded) == len(solved) == sum(map(len, alphas))
+    assert all(by[slot] == slot for slot in solved)
+    for (i, _), (*_, value) in solved.items():
+        assert isinstance(value, SdpSolverError) == (i == 1)
+    assert any(len(unit) > 1 for unit in units)
 
 
 def test_fanned_out_region_balances_the_lanes_it_solves(monkeypatch):
-    # on two CPUs the groups are balanced by each point's lanes, edge lanes
-    # included: its n_solves less the region's one eavesdropper solve
+    # on two CPUs the groups of units are balanced by each unit's lanes: the
+    # loads are the units' lane counts, which sum to the points' n_solves
+    # less the region's one eavesdropper solve, and the groups' summed loads
+    # differ by no more than the largest load
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     pin_cpus(monkeypatch, 2)
     seen, real_groups = [], algorithms._groups
 
     def recording_groups(loads, count):
-        seen.append(list(loads))
-        return real_groups(loads, count)
+        seen.append((list(loads), real_groups(loads, count)))
+        return seen[-1][1]
 
     monkeypatch.setattr(algorithms, "_groups", recording_groups)
+    units = recording_units(monkeypatch)
     region = sweep_region(ch, P, "cct", 5, params, seed=2)
-    solves = [pt.diagnostics["n_solves"] for pt in region.points]
-    assert seen == [[n - (i == 1) for i, n in enumerate(solves)]]
+    (loads, groups), = seen
+    assert loads == [len(unit) for unit in units[0][1]]
+    assert sum(loads) == sum(pt.diagnostics["n_solves"] for pt in region.points) - 1
+    totals = [sum(loads[u] for u in group) for group in groups]
+    assert max(totals) - min(totals) <= max(loads)
 
 
 def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
@@ -1039,7 +1123,7 @@ def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
     # not the thread that releases it
     pin_cpus(monkeypatch, 2)
     assert algorithms._workers(5) == 2 and algorithms._workers(1) == 1
-    lanes, samples = recording_lanes(monkeypatch), recording_samples(monkeypatch)
+    lanes, units = recording_lanes(monkeypatch), recording_units(monkeypatch)
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -1051,11 +1135,11 @@ def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    # every lane solved here: the anchors, and each point's lanes that took
-    # no anchor's; the eavesdropper solve is no lane
-    assert len(samples) == 1
+    # every lane solved here: one anchor per grid unit, and each point's
+    # lanes that took no anchor's; the eavesdropper solve is no lane
+    assert len(units) == 1
     assert len(lanes) == (sum(pt.diagnostics["n_solves"] - pt.diagnostics["n_shared"]
-                              for pt in region.points) - 1 + len(anchors_of(samples[0])))
+                              for pt in region.points) - 1 + len(units[0][2]))
 
 
 @pytest.mark.parametrize("config", [two_user_scenario(d1=20, n_y=2, n_z=2, seed=1),
@@ -1158,6 +1242,16 @@ def test_sweep_region_rejects_a_power_that_is_not_finite_and_positive(scheme, po
     ch = rand_channelset(np.random.default_rng(0))
     with pytest.raises(ValueError, match="^power must be finite and positive"):
         sweep_region(ch, power, scheme, 4, SweepParams(t_alpha=5, t_g=10))
+
+
+@pytest.mark.parametrize("scheme", ["random-irs", "tdma", "cct"])
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_sweep_region_rejects_a_seed_that_is_no_integer_of_at_least_zero(scheme, seed):
+    # unchecked, 1.5 and True ran as seed 1 (`substream` truncates), and -1
+    # raised numpy's own error
+    ch = rand_channelset(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^seed must be an integer of at least 0$"):
+        sweep_region(ch, P, scheme, 3, SweepParams(t_alpha=5, t_g=10), seed=seed)
 
 
 @pytest.mark.parametrize("scheme", ["no-irs", "tdma", "cct"])

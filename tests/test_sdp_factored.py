@@ -85,7 +85,7 @@ def test_breakdown_is_not_reported_as_max_iterations(monkeypatch):
 
 def point_batch():
     """The batch of in-window grid programs of one floored two-user cct
-    point, as algorithm1_cct hands it to the solver."""
+    point, as algorithm1_cct hands it to the solver in one process."""
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
     r_m = 0.3 * algorithms.multicast_upper_bound(ch, p)[0]
