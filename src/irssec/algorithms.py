@@ -8,7 +8,8 @@ Two optimized schemes plus benchmarks:
                  extracts a feasible reflection pattern. A grid power's
                  lanes at every floor are one unit of work: its lane at the
                  lowest floor (the anchor) serves each higher floor whose
-                 rows its optimum meets, and each solve is drawn once.
+                 rows its optimum meets, by the rule that sets the floors'
+                 power windows, and each solve is drawn once.
 * ``wscm``       blends the multicast-optimal and secrecy-optimal lifted
                  covariances; each blend's rounding draws serve every floor
                  of a region, with the confidential power set in closed form.
@@ -124,20 +125,29 @@ class _Lifted:
         return SdpBatch(self.basis, objective, rows[None], bounds[None],
                         np.repeat([-1, 0], [n_users, self.n]))
 
-    def window(self, r_m: float, alphas: list, eav_snr: float) -> list:
-        """The powers in `alphas`, in order, at which some lifted covariance can
-        support the floor r_m > 0: (P - alpha c) eav_snr >= (c - 1)(1 - 1e-12),
-        c the `model._floor_factor`, eav_snr the `_eavesdropper_snr`; an infinite
-        c keeps none."""
-        c, a = model._floor_factor(r_m), np.asarray(alphas, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            keep = (self.p - a * c) * eav_snr >= (c - 1.0) * (1.0 - 1e-12)
-        return [alpha for alpha, ok in zip(alphas, keep) if ok]
+    def supports(self, floors, alphas, snr) -> np.ndarray:
+        """(P - alpha c) snr >= (c - 1)(1 - 1e-12), c the `model._floor_factor`,
+        broadcast over (floors, alphas, snr); false for an infinite c. At snr =
+        M_eav (`_eavesdropper_snr`) it is a floor's power window; at a Y's
+        `least_snr`, whether Y meets the floor rows of lane (r_m, alpha)."""
+        a = np.asarray(alphas, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):       # 2.0 ** r_m may overflow
+            c = np.vectorize(model._floor_factor, otypes=[float])(floors)
+            return (self.p - a * c) * snr >= (c - 1.0) * (1.0 - 1e-12)
+
+    def least_snr(self, ys) -> np.ndarray:
+        """min_k Tr(T_k Y) / (sigma_k^2 xi) over the eavesdroppers, per Y of the
+        stack ys, xi the mean of diag(Y): by the tie rows, floor row k of lane
+        (r_m, alpha) is Tr(A_k Y) = (P - alpha c) Tr(T_k Y) - (c - 1) sigma_k^2 xi."""
+        ys = np.reshape(ys, (-1, self.n + 1, self.n + 1))
+        diag = (self.basis.conj() * (ys @ self.basis)).sum(axis=-2).real
+        xi = diag[:, :self.n + 1].mean(axis=-1)
+        return (diag[:, self.n + 2:] / self.sigma2[1:]).min(axis=-1) / xi
 
     def cct_batch(self, floors, alphas) -> SdpBatch:
         """One Charnes-Cooper lane per pair (r_m, alpha) of zip(floors,
         alphas), all floored (r_m > 0) or none, each floored alpha in the
-        floor's `window` (the caller decides it before any solve).
+        floor's power window (`supports`, decided before any solve).
         Lane (r_m, alpha) maximizes Tr((s_1/(N+1) I + alpha T_1) Y) over PSD Y
         with a constant diagonal (the tie rows) s.t. Tr((s_1/(N+1) I + alpha
         s_1/s_k T_k) Y) <= beta0 for each eavesdropper k and, with a floor,
@@ -163,15 +173,6 @@ class _Lifted:
         bounds[:, :k - 1] = beta0[:, None]
         sense = np.repeat([1, -1, 0], [k - 1, m - self.n - (k - 1), self.n])
         return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense)
-
-    def meets(self, floors, alphas, ys) -> np.ndarray:
-        """Per (r_m, alpha, Y) of zip(floors, alphas, ys), each r_m > 0, whether
-        Y meets every floor row of the `cct_batch` lane (r_m, alpha): Tr(A Y) >= 0,
-        A the row's weights over the basis. At a fixed alpha each row falls as
-        r_m grows."""
-        rows = self.cct_batch(floors, alphas).rows[:, self.k - 1:2 * (self.k - 1)]
-        diag = (self.basis.conj() * (np.asarray(ys) @ self.basis)).sum(axis=-2).real
-        return (np.matvec(rows, diag) >= 0.0).all(axis=-1)
 
 
 def _dual_slack(sol, batch: SdpBatch, lane: int):
@@ -271,13 +272,14 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
 
     Returns (c_value, y, xi) with log2(c_value) an upper bound on the secrecy
     rate achievable under the multicast floor at this power split, or None
-    when the floor is unsupportable. y and xi are expressed against the raw
-    channel units (normalization bound equal to one).
+    when the floor is unsupportable, as its power window (`_Lifted.supports`)
+    tells before any solve. y and xi are expressed against the raw channel
+    units (normalization bound equal to one).
     """
     if not (-1e-12 <= alpha <= p + 1e-12):
         raise ValueError("confidential power must lie in [0, P]")
     ctx, alpha = _Lifted(ch, p), min(max(alpha, 0.0), p)
-    if r_m > 0 and not ctx.window(r_m, [alpha], _eavesdropper_snr(ctx)):
+    if r_m > 0 and not ctx.supports(r_m, alpha, _eavesdropper_snr(ctx)):
         return None
     batch = ctx.cct_batch([r_m], [alpha])   # NaN > 0 is false: a NaN floor raises here
     res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
@@ -358,15 +360,17 @@ def _cct_units(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
                eav_snr: float) -> tuple:
     """(alphas, units, anchors), decided before any solve: per floor its lanes'
     powers (P without a floor; with one, the grid powers P t/(t_alpha - 1) in
-    its `_Lifted.window`, then the edge refinements in it above the largest),
-    and the lanes (i, j), at powers alphas[i][j], in units of work. A grid
-    power's lanes at every floor that keeps it are one unit, its anchor the
-    lowest floor's first, whose window keeps every grid power that any higher
-    floor's keeps; every other lane is a unit of its own."""
+    its window, `_Lifted.supports` at eav_snr, then the edge refinements in
+    it above the largest), and the lanes (i, j), at powers alphas[i][j], in
+    units of work. A grid power's lanes at every floor that keeps it are one
+    unit, its anchor the lowest floor's first, whose window keeps every grid
+    power that any higher floor's keeps; every other lane is its own unit."""
+    def in_window(r, powers):
+        return [alpha for alpha, ok in zip(powers, ctx.supports(r, powers, eav_snr)) if ok]
     grid = [ctx.p * t / (t_alpha - 1) for t in range(t_alpha)]
     alphas, by_power, singles = [[ctx.p] for _ in floors], {}, []
     for i in sorted((i for i, r in enumerate(floors) if r > 0), key=floors.__getitem__):
-        r, window = floors[i], ctx.window(floors[i], grid, eav_snr)
+        r, window = floors[i], in_window(floors[i], grid)
         # The supportable power window [0, edge] can fall between grid samples
         # (it shrinks like 2^-r_m); the aligned gains bound the relaxed edge in
         # closed form, so refine there instead of losing the window.
@@ -374,7 +378,7 @@ def _cct_units(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
                    for k in range(1, ch.k))
         edges = [frac * edge for frac in (0.98, 0.75, 0.5, 0.25)
                  if max(window, default=-1.0) + 1e-12 < frac * edge < ctx.p]
-        alphas[i] = window + ctx.window(r, edges, eav_snr)
+        alphas[i] = window + in_window(r, edges)
         for j, alpha in enumerate(window):
             by_power.setdefault(alpha, []).append((i, j))
         singles += [[(i, j)] for j in range(len(window), len(alphas[i]))]
@@ -400,11 +404,11 @@ def _solve_lanes(ctx: _Lifted, floors: list, alphas: list) -> list:
 
 def _solve_units(ctx: _Lifted, floors: list, alphas: list, units: list) -> tuple:
     """(solved, by): the `_solve_lanes` lane of each lane (i, j) solved, and
-    by[i, j], the lane whose solve (i, j) takes: its unit's first at the same
-    floor (the same program), and at a higher one where the first's value is
-    certified and its Y meets that floor's rows (`_Lifted.meets`), as that
-    program differs only by stricter rows; else itself. Three batches: the
-    first lanes without a floor, those with one, then the other lanes."""
+    by[i, j], the lane whose solve (i, j) takes: its unit's first (the
+    anchor) where that value is certified and its Y meets floor i's rows
+    (`_Lifted.supports` at the `_Lifted.least_snr` of Y, all pairs in one
+    call), as that program differs only by stricter rows; else itself. Three
+    batches: the first lanes without a floor, those with one, then the rest."""
     solved = {}
 
     def solve(slots):
@@ -413,15 +417,13 @@ def _solve_units(ctx: _Lifted, floors: list, alphas: list, units: list) -> tuple
 
     solve([unit[0] for unit in units if not floors[unit[0][0]] > 0])
     solve([unit[0] for unit in units if floors[unit[0][0]] > 0])
-    later = [(unit[0], slot) for unit in units for slot in unit[1:]]
-    by = {slot: first for first, slot in later if floors[slot[0]] == floors[first[0]]}
-    test = [(first, (i, j)) for first, (i, j) in later
-            if (i, j) not in by and isinstance(solved[first][3], tuple)]
-    if test:
-        met = ctx.meets([floors[i] for _, (i, _) in test], [alphas[i][j] for _, (i, j) in test],
-                        [solved[first][3][1] for first, _ in test])
-        by.update((slot, first) for (first, slot), ok in zip(test, met) if ok)
-    solve([slot for _, slot in later if slot not in by])
+    held = [unit for unit in units if len(unit) > 1 and isinstance(solved[unit[0]][3], tuple)]
+    snr = ctx.least_snr([solved[unit[0]][3][1] for unit in held])
+    pairs = [(unit[0], (i, j), s) for unit, s in zip(held, snr) for i, j in unit[1:]]
+    met = ctx.supports([floors[i] for _, (i, _), _ in pairs],
+                       [alphas[i][j] for _, (i, j), _ in pairs], [s for *_, s in pairs])
+    by = {slot: first for (first, slot, _), ok in zip(pairs, met) if ok}
+    solve([slot for unit in units for slot in unit[1:] if slot not in by])
     return solved, {slot: by.get(slot, slot) for unit in units for slot in unit}
 
 

@@ -36,12 +36,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check(args) -> None:
-    """Reject a count or seed below its least value and an unknown scheme."""
+    """Reject a count or seed below its least value and an unknown scheme,
+    each where the command has that flag."""
     for name, least in algorithms._LEAST.items():
         dest = "grid" if name == "grid_points" else name
-        if getattr(args, dest) < least:
+        if hasattr(args, dest) and getattr(args, dest) < least:
             raise CliError(f"--{dest.replace('_', '-')} must be at least {least}")
-    if args.scheme not in algorithms.SCHEMES:
+    if hasattr(args, "scheme") and args.scheme not in algorithms.SCHEMES:
         raise CliError(f"unknown scheme {args.scheme!r}; pick from {algorithms.SCHEMES}")
 
 
@@ -50,25 +51,16 @@ def _fmt(x: float) -> str:
 
 
 def _region_rows(region: algorithms.RegionBoundary, p: float, seed: int, extra: str) -> list:
-    rows = []
-    for pt in sorted(region.points, key=lambda q: q.r_m_target):
-        rows.append(",".join([
-            _fmt(pt.r_m_target), _fmt(pt.r_c_achieved), _fmt(pt.alpha),
-            _fmt(p - pt.alpha), _fmt(pt.upper_bound),
-            "true" if pt.feasible else "false", pt.scheme, str(seed),
-        ]) + extra)
-    return rows
+    return [",".join([_fmt(pt.r_m_target), _fmt(pt.r_c_achieved), _fmt(pt.alpha),
+                      _fmt(p - pt.alpha), _fmt(pt.upper_bound),
+                      "true" if pt.feasible else "false", pt.scheme, str(seed)]) + extra
+            for pt in sorted(region.points, key=lambda q: q.r_m_target)]
 
 
 def _phases_entry(region: algorithms.RegionBoundary) -> list:
-    out = []
-    for pt in sorted(region.points, key=lambda q: q.r_m_target):
-        phases = None
-        if pt.phase_vector is not None:
-            phases = np.angle(pt.phase_vector).tolist()
-        out.append({"r_m_target": pt.r_m_target, "alpha_w": pt.alpha,
-                    "phases_rad": phases})
-    return out
+    return [{"r_m_target": pt.r_m_target, "alpha_w": pt.alpha,
+             "phases_rad": None if pt.phase_vector is None else np.angle(pt.phase_vector).tolist()}
+            for pt in sorted(region.points, key=lambda q: q.r_m_target)]
 
 
 def _region_channels(args):
@@ -162,9 +154,7 @@ def cmd_analyze(args) -> dict:
     if verdict is model.Feasibility.INFEASIBLE:
         feas["witness_user"] = model.infeasibility_witness(ch) + 1
 
-    classification = None
-    e_factors = None
-    eta = None
+    classification = e_factors = eta = None
     if verdict is not model.Feasibility.INFEASIBLE and ch.k == 2:
         v = _load_v_source(args, ch, p)
         try:
@@ -200,23 +190,24 @@ def _build_parser() -> _Parser:
                                  "for an IRS-assisted integrated-service downlink")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, scheme_default="cct"):
+    def common(sp, sweeps=True):
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
-        sp.add_argument("--scheme", default=scheme_default, help="one of %s" % (algorithms.SCHEMES,))
-        sp.add_argument("--grid", type=int, default=20, help="multicast-target grid points")
+        if sweeps:
+            sp.add_argument("--scheme", default="cct", help="one of %s" % (algorithms.SCHEMES,))
+            sp.add_argument("--grid", type=int, default=20, help="multicast-target grid points")
+            sp.add_argument("--no-pareto-filter", action="store_true",
+                            help="emit raw sweep points without monotonization")
         sp.add_argument("--t-alpha", type=int, default=80, help="confidential-power samples")
         sp.add_argument("--t-lambda", type=int, default=80, help="covariance-blend samples")
         sp.add_argument("--t-g", type=int, default=1000, help="randomization candidates")
         sp.add_argument("--seed", type=int, default=0, help="randomization seed")
         sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--no-pareto-filter", action="store_true",
-                        help="emit raw sweep points without monotonization")
 
     sp = sub.add_parser("region", help="sweep one scheme and write the region CSV")
     common(sp)
 
     sp = sub.add_parser("analyze", help="feasibility, benefit classification, bounds")
-    common(sp)
+    common(sp, sweeps=False)
     sp.add_argument("--v-source", default="cct",
                     help="phase file (JSON radians) or scheme name to optimize first")
     sp.add_argument("--alpha", type=float, default=None,

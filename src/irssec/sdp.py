@@ -551,5 +551,10 @@ def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Gener
 
 
 def substream(seed: int, *key) -> np.random.Generator:
-    """Deterministic child generator for (seed, key), independent of ordering."""
+    """Deterministic child generator for (seed, key), independent of ordering;
+    the seed and each key an integer of at least 0 (a numpy integer too, a
+    bool not), else ValueError."""
+    for value in (seed, *key):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"seed and keys must be integers of at least 0, not {value!r}")
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key)))

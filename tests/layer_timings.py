@@ -43,7 +43,12 @@ group of units of lanes per CPU), so every other figure is a time on one CPU:
 * ms per cct region on the same scenario (grid 20, T_alpha 80, T_g 1000),
   with the process pinned to one CPU and on every CPU; the region's anchors
   (`algorithms._cct_units`), its points' Charnes-Cooper lanes, taken from
-  an anchor (shared) or solved for the point (own), from their diagnostics.
+  an anchor (shared) or solved for the point (own), from their diagnostics;
+  and how far the sharing decisions stand from the rule's 1e-12 slack: over
+  the (anchor, higher floor) pairs that `algorithms._solve_units` shares, the
+  least relative margin (P - alpha c) s / (c - 1) - 1 of `_Lifted.supports`
+  at the anchor's `_Lifted.least_snr` s, and over those it refuses, the
+  largest (the closest miss), from one more solve of its units in process.
   Then, from one more run on one CPU and on every CPU, one line per call of
   `algorithms._cct_work` (one per worker process): its units, the lanes it
   solved and their lane-iterations, its full draws (`sdp._grp_draw` calls
@@ -195,7 +200,9 @@ def rounding_rows(repeats: int) -> None:
     rounding_row(repeats, "wscm blend N=10 20 floors", "blend", 20,
                  blends(np.linspace(0.0, r_up, 20)))
     ctx, r_m = algorithms._Lifted(ch, p), 0.5 * r_up
-    grid = ctx.window(r_m, [p * t / 79 for t in range(80)], algorithms._eavesdropper_snr(ctx))
+    powers = [p * t / 79 for t in range(80)]
+    keep = ctx.supports(r_m, powers, algorithms._eavesdropper_snr(ctx))
+    grid = [alpha for alpha, ok in zip(powers, keep) if ok]
     lanes = algorithms._solve_lanes(ctx, [r_m] * len(grid), grid)
     certified = [(j, alpha, value[1] / value[2]) for j, (alpha, *_, value) in enumerate(lanes)
                  if isinstance(value, tuple)]
@@ -273,6 +280,22 @@ def worker_rows(run) -> list:
             return [line.split() for line in fh]
 
 
+def sharing_margins(ctx, floors, alphas, units) -> tuple:
+    """(least margin over the shared pairs, largest over the refused) of the
+    region's units, as the module docstring defines them; NaN for none."""
+    solved, by = algorithms._solve_units(ctx, floors, alphas, units)
+    margins = {True: [], False: []}
+    for unit in units:
+        value = solved[unit[0]][3]
+        if len(unit) < 2 or not isinstance(value, tuple):
+            continue
+        s = float(ctx.least_snr([value[1]])[0])
+        for i, j in unit[1:]:
+            c = 2.0 ** floors[i]
+            margins[by[i, j] == unit[0]].append((ctx.p - alphas[i][j] * c) * s / (c - 1.0) - 1.0)
+    return min(margins[True], default=np.nan), max(margins[False], default=np.nan)
+
+
 def cct_region_row(repeats: int) -> None:
     config = two_user_scenario(d1=20.0, n_y=5, n_z=2, seed=0)
     ch, p = generate_channels(config), config.total_power_w
@@ -280,7 +303,7 @@ def cct_region_row(repeats: int) -> None:
     region, units, real_units = [], [], algorithms._cct_units
 
     def recording_units(*args):
-        units[:] = [real_units(*args)]
+        units[:] = [real_units(*args), args]
         return units[0]
 
     def run():
@@ -305,6 +328,10 @@ def cct_region_row(repeats: int) -> None:
     print(f"cct region N=10 grid 20 ms per region {one_cpu:9.1f} on 1 CPU, {all_cpus:9.1f} on"
           f" {len(cpus)}   ({len(units[0][2])} anchors in {len(units[0][1])} units; {lanes} lanes"
           f" of its points, {shared} shared and {lanes - shared} own)")
+    (alphas, unit_list, _), (ctx, _, floors, *_) = units
+    least, closest = sharing_margins(ctx, floors, alphas, unit_list)
+    print(f"  sharing rule margins: least shared {least:+.3g}, closest refused {closest:+.3g}"
+          f" (relative; the rule's slack is 1e-12)")
     for on, rows in (("1 CPU", one_work), (f"{len(cpus)} CPUs", all_work)):
         for pid, n_units, solved, iterations, draws, busy in rows:
             print(f"  on {on}: process {pid} {n_units} units, {solved} lanes solved in"

@@ -1076,6 +1076,24 @@ def test_a_floor_takes_an_anchor_lane_only_where_it_is_that_floors_optimum(confi
         assert lane[3][0] == pytest.approx(anchor[3][0], rel=1e-6)
 
 
+@pytest.mark.parametrize("config", SHARING_SET.values(), ids=SHARING_SET.keys())
+def test_a_floor_solves_its_own_lane_only_where_the_anchor_misses_its_rows(config):
+    # the other direction: every lane that a higher floor does not take from
+    # its unit's anchor has an anchor whose Y misses some floor row of that
+    # floor's lane, Tr(A Y) < 0 (every anchor here is certified)
+    ctx, floors, alphas, units = region_units(config, 8, 20)
+    solved, by = algorithms._solve_units(ctx, floors, alphas, units)
+    for unit in units:
+        for i, j in unit[1:]:
+            if by[i, j] != (i, j):
+                continue
+            _, y, _ = solved[unit[0]][3]
+            batch = ctx.cct_batch([floors[i]], [alphas[i][j]])
+            traces = [np.trace((ctx.basis * row) @ ctx.basis.conj().T @ y).real
+                      for row in batch.rows[0][batch.sense == -1]]
+            assert min(traces) < 0.0
+
+
 @pytest.mark.parametrize("config", [SHARING_SET["two-user-0"], SHARING_SET["3-user-0"]],
                          ids=["two-user-0", "3-user-0"])
 def test_a_floor_solves_each_lane_whose_anchor_has_no_finite_multipliers(config, monkeypatch):

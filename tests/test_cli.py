@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from irssec import algorithms, cli, model
+from irssec import algorithms, analysis, cli, model
 from irssec.channel import (generate_channels, load_scenario, multi_user_scenario,
                             scenario_to_dict, two_user_scenario)
 from irssec.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER, main
-from irssec.sdp import SdpSolverError
+from irssec.sdp import SdpSolverError, substream
 
 from conftest import assert_no_child_left, counting_forks
 
@@ -482,6 +482,44 @@ def test_analyze_has_no_multicast_floor_option(tmp_path, capsys):
                  "--r-m", "-1", "--out", str(out)]) == EXIT_CONFIG
     assert "unrecognized arguments: --r-m" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_has_no_sweep_options(tmp_path, capsys):
+    # the report sweeps no region, so a scheme, a grid or a Pareto filter has
+    # nothing to set
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "report.json"
+    for flag in (["--grid", "5"], ["--scheme", "bogus"], ["--no-pareto-filter"]):
+        assert main(["analyze", "--scenario", scn, "--v-source", "random-irs", "--t-g", "40",
+                     *flag, "--out", str(out)]) == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("v_source", ["cct", "wscm"])
+def test_analyze_reports_the_pattern_its_scheme_optimizes(tmp_path, capsys, v_source):
+    # the default --v-source cct, and wscm, optimize at no multicast floor on
+    # substream(seed, 0); the report's enhancement entries are that
+    # pattern's at alpha = P. The cct report goes to stdout, the wscm one to --out
+    scn = write_scenario(tmp_path)
+    argv = ["analyze", "--scenario", scn, "--t-alpha", "4", "--t-lambda", "4", "--t-g", "30",
+            "--seed", "2"]
+    out = tmp_path / "report.json"
+    if v_source == "cct":
+        assert main(argv) == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+    else:
+        assert main(argv + ["--v-source", "wscm", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        rep = json.loads(out.read_text())
+    config = load_scenario(scn)
+    ch, p = generate_channels(config), config.total_power_w
+    optimize = {"cct": algorithms.algorithm1_cct, "wscm": algorithms.algorithm2_wscm}[v_source]
+    v = optimize(ch, p, 0.0, 4, 30, substream(2, 0)).phase_vector
+    report = analysis.enhancement_analysis(ch, v, p, p=p)
+    assert rep["e_factors"] == report.e_factors
+    assert rep["eta"] == report.eta
+    assert rep["classification"] == report.classification.value
 
 
 def test_console_entry_point_runs():

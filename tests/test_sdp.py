@@ -323,6 +323,19 @@ def test_substream_reproducible_and_order_free():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed, key", [(1.9, (0,)), (True, (0,)), (0, (0.5,)), (0, (False,)),
+                                       (-1, ()), (3, (2, -1)), ("3", ())])
+def test_substream_rejects_a_seed_or_key_that_is_no_integer_of_at_least_0(seed, key):
+    # int() truncated 1.9, True and 0.5, so they ran as 1, 1 and 0
+    with pytest.raises(ValueError, match="integers of at least 0"):
+        substream(seed, *key)
+
+
+def test_substream_takes_numpy_integers_as_their_values():
+    a = substream(np.int64(3), np.int64(2)).bit_generator.state
+    assert a == substream(3, 2).bit_generator.state
+
+
 @pytest.mark.parametrize("tolerance", [0.0, -1e-8, math.nan, math.inf])
 def test_solver_config_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
     # a NaN tolerance would run every solve to the iteration cap, an infinite
