@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -190,27 +192,43 @@ def _psd_shift(mat: np.ndarray) -> float:
     return max(0.0, -float(np.linalg.eigvalsh(mat)[0]))
 
 
+def _aligned(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
+    """(s_scale, Z): s_scale = min_k weights_k |aligned gain_k|^2 over `users`,
+    which bounds weights_k Tr(Z T_k) over unit-diagonal Z, and Z = zz^H, z the
+    bottleneck user's aligned pattern (its lift column's phases, z_N+1 = 1),
+    where weights_k |u_k^H z|^2 >= s_scale (1 - 1e-12) for every user: then
+    (s_scale, Z) is the max-min optimum. Else Z is None; Z = I for s_scale 0."""
+    gains = weights * ctx.aligned2[users]
+    b = int(np.argmin(gains))
+    if gains[b] <= 0.0:
+        return 0.0, np.eye(ctx.n + 1, dtype=complex)
+    lifts = ctx.basis[:, ctx.n + 1 + users]
+    phases = np.angle(lifts[:, b]) - np.angle(lifts[-1, b])
+    zz = np.exp(1j * (phases[:, None] - phases))        # unit diagonal; z its last column
+    if not (weights * np.abs(zz[:, -1] @ lifts.conj()) ** 2 >= gains[b] * (1.0 - 1e-12)).all():
+        return float(gains[b]), None
+    return float(gains[b]), zz
+
+
 def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     """Max over unit-diagonal PSD Z of min over `users` of weights_k Tr(Z T_k)
-    in ctx units, as (value, Z), solved as `_Lifted.max_min_batch`: Z is
-    Y / Y_11 of the primal Y and value the smaller of two certified upper
-    bounds, so it never lies below the relaxed maximum.
+    in ctx units, as (value, Z): the `_aligned` closed form where it is exact,
+    else solved as `_Lifted.max_min_batch`, Z = Y / Y_11 of the primal Y and
+    value the smaller of two certified upper bounds, so it never lies below
+    the relaxed maximum:
 
     * the dual: multipliers mu_k >= 0 on the user rows, whose bounds are b,
       and t lifting the dual slack to PSD give every feasible Y the diagonal
       Y_11 >= b.mu / (1 + (N+1) t): the value is s_scale / Y_11 at most;
-    * the closed form s_scale = min_k weights_k |aligned gain_k|^2, since
-      Tr(Z T_k) never exceeds it. It is exact whenever one user's aligned
-      gain binds, as with a single user or no reflection. As the program's
-      unit it puts Y_11 in [1, N+1] (Z = I is feasible).
+    * the closed form s_scale, which as the program's unit puts Y_11 in
+      [1, N+1] (Z = I is feasible).
 
-    A user without aligned gain makes the value 0, with Z = I and no solve.
     The solve never raises: without finite multipliers the value is s_scale,
     and without a finite Y with Y_11 > 0, Z is I.
     """
-    s_scale = float(np.min(weights * ctx.aligned2[users]))
-    if s_scale <= 0.0:
-        return 0.0, np.eye(ctx.n + 1, dtype=complex)
+    s_scale, z = _aligned(ctx, users, weights)
+    if z is not None:
+        return s_scale, z
     batch = ctx.max_min_batch(users, weights, s_scale)
     sol = solve_batch(batch)[0]
     dual_snr = math.inf
@@ -228,19 +246,23 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
 def multicast_upper_bound(ch: ChannelSet, p: float):
     """Certified upper bound on the largest supportable multicast floor, all
     power on the multicast stream: (log2(1 + s), Z) with (s, Z) the
-    `_max_min_snr` of every user under weights P / sigma_k^2."""
+    `_max_min_snr` of every user under weights P / sigma_k^2, unsolved and Z
+    rank one where the `_aligned` closed form is exact."""
     ctx = _Lifted(ch, p)
     s, z = _max_min_snr(ctx, np.arange(ctx.k), ctx.p / ctx.sigma2)
     return math.log2(1.0 + s), z
 
 
-def _eavesdropper_snr(ctx: _Lifted) -> float:
-    """M_eav, the `_max_min_snr` of the eavesdroppers under weights
-    1 / sigma_k^2. Eavesdropper k needs Tr(Z T_k) / sigma_k^2 >=
-    (c - 1) / (P - alpha c), c = 2^r_m, so this one constant decides every
+def _eavesdropper_snr(ctx: _Lifted) -> tuple:
+    """(M_eav, solves): the `_max_min_snr` of the eavesdroppers under weights
+    1 / sigma_k^2, and 1 if it took a solve, 0 for its `_aligned` closed form
+    (always with one eavesdropper). Eavesdropper k needs Tr(Z T_k) / sigma_k^2
+    >= (c - 1) / (P - alpha c), c = 2^r_m, so this one constant decides every
     (r_m, alpha) of a channel; like every `_max_min_snr`, it never raises."""
     eav = np.arange(1, ctx.k)
-    return _max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav])[0]
+    weights = 1.0 / ctx.sigma2[eav]
+    s_scale, z = _aligned(ctx, eav, weights)
+    return (s_scale, 0) if z is not None else (_max_min_snr(ctx, eav, weights)[0], 1)
 
 
 def _cct_value(ctx: _Lifted, sol, batch: SdpBatch, lane: int):
@@ -279,7 +301,7 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     if not (-1e-12 <= alpha <= p + 1e-12):
         raise ValueError("confidential power must lie in [0, P]")
     ctx, alpha = _Lifted(ch, p), min(max(alpha, 0.0), p)
-    if r_m > 0 and not ctx.supports(r_m, alpha, _eavesdropper_snr(ctx)):
+    if r_m > 0 and not ctx.supports(r_m, alpha, _eavesdropper_snr(ctx)[0]):
         return None
     batch = ctx.cct_batch([r_m], [alpha])   # NaN > 0 is false: a NaN floor raises here
     res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
@@ -460,10 +482,10 @@ def _cct_work(ctx: _Lifted, ch: ChannelSet, floors: list, alphas: list, units: l
 
 
 def _workers(units: int) -> int:
-    """Processes to solve and round `units` units of work in: one per CPU
-    this process may run on, at most one per unit. 1 (the calling process)
-    without fork or CPU affinity, or while other threads run: a forked child
-    gets none of them, but every lock they hold."""
+    """Processes, the calling one included, to solve and round `units` units
+    of work in: one per CPU this process may run on, at most one per unit.
+    1 without fork or CPU affinity, or while other threads run: a forked
+    child gets none of them, but every lock they hold."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
@@ -481,6 +503,50 @@ def _groups(loads: list, count: int) -> list:
         groups[g].append(i)
         totals[g] += loads[i]
     return [sorted(group) for group in groups]
+
+
+def _in_groups(work, groups: list) -> dict:
+    """The records of work(group) of every group, merged: the first group's
+    here, each other's in a child forked by `os.fork`, which sends its records
+    or its exception as one pickle on a pipe and leaves by `os._exit`. Every
+    child is reaped before the call returns or raises, and killed first if
+    this process raises. Then the first error in group order is raised, a
+    ChildProcessError with the exit status where a child sent no whole result."""
+    children, sent = [], []
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:                 # the child: one pickle, then out
+                try:
+                    try:
+                        result = work(group)
+                    except BaseException as exc:        # raised again by the caller
+                        result = exc
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, read))
+        records = work(groups[0]) if groups else {}
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:      # read to the end first: a child blocks on a full pipe
+            with os.fdopen(read, "rb") as pipe:
+                data = pipe.read()
+            sent.append((pid, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for pid, data, status in sent:
+        if status != 0:
+            raise ChildProcessError(f"worker {pid} sent no whole result (exit status {status})")
+        result = pickle.loads(data)
+        if isinstance(result, BaseException):
+            raise result
+        records.update(result)
+    return records
 
 
 def _cct_point(ch: ChannelSet, p: float, r_m: float, lanes: list, anchors: set):
@@ -511,39 +577,29 @@ def _cct_point(ch: ChannelSet, p: float, r_m: float, lanes: list, anchors: set):
 
 def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list) -> list:
     """`algorithm1_cct` at every floor in `floors`, floor i keying its lanes'
-    draws on rngs[i], which never advances. The eavesdropper program is solved
-    once, here, and charged to the first floored point. The `_cct_units` are
-    solved and rounded by `_cct_work` in this process, or, with two or more
-    units and CPUs (`_workers`), in one group per CPU, balanced by lane count,
-    on forked workers joined within the call: either way the same bytes, as
-    every lane is bitwise what it gives alone. Each floor then takes its
-    `_cct_point`; a worker's error is raised, else the first failing floor's."""
+    draws on rngs[i], which never advances. M_eav is found once, here, and its
+    solve, if any, charged to the first floored point. The `_cct_units` are
+    split by lane count into one group per worker (`_workers`) and solved and
+    rounded by `_cct_work`, the first group here and each other in a forked
+    child (`_in_groups`): the same bytes on any CPU count, as every lane is
+    bitwise what it gives alone. Each floor then takes its `_cct_point`; a
+    group's error is raised, else the first failing floor's."""
     _check_counts(t_alpha=t_alpha, t_g=t_g)
     ctx = _Lifted(ch, p)
     floors = [float(r) for r in floors]
     floored = [i for i, r in enumerate(floors) if r > 0]
-    eav_snr = _eavesdropper_snr(ctx) if floored else math.inf
+    eav_snr, solves = _eavesdropper_snr(ctx) if floored else (math.inf, 0)
     alphas, units, anchors = _cct_units(ctx, ch, floors, t_alpha, eav_snr)
-    workers = _workers(len(units))
-    if workers < 2:
-        records = _cct_work(ctx, ch, floors, alphas, units, t_g, rngs)
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        groups = _groups([len(unit) for unit in units], workers)
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_cct_work, ctx, ch, floors, alphas, [units[u] for u in group],
-                                   t_g, rngs) for group in groups]
-        records = {}
-        for future in futures:
-            records.update(future.result())
+    groups = _groups([len(unit) for unit in units], _workers(len(units)))
+    records = _in_groups(lambda group: _cct_work(ctx, ch, floors, alphas,
+                                                 [units[u] for u in group], t_g, rngs), groups)
     points = [_cct_point(ch, p, r_m, [records[i, j] for j in range(len(own))], anchors)
               for i, (r_m, own) in enumerate(zip(floors, alphas))]
     for point in points:
         if isinstance(point, Exception):
             raise point
     if floored:
-        points[floored[0]].diagnostics["n_solves"] += 1
+        points[floored[0]].diagnostics["n_solves"] += solves
     return points
 
 
@@ -566,13 +622,13 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     edges) wins. The point records the relaxation bound at the winning sample.
 
     diagnostics: n_solves counts the Charnes-Cooper lanes plus any
-    eavesdropper solve, and n_shared the lanes taken from an anchor (alone,
-    the grid lanes); n_iterations and statuses sum the IPM iterations of all
-    the lanes, shared ones included, and count them by SdpStatus;
-    n_failed_alpha counts the samples without finite multipliers and
-    last_error holds the last such error, raised when every sample fails. The
-    eavesdropper solve never raises: without finite multipliers it gives its
-    closed-form bound.
+    eavesdropper solve (none where M_eav is its closed form, as with one
+    eavesdropper), and n_shared the lanes taken from an anchor (alone, the
+    grid lanes); n_iterations and statuses sum the IPM iterations of all the
+    lanes, shared ones included, and count them by SdpStatus; n_failed_alpha
+    counts the samples without finite multipliers and last_error holds the
+    last such error, raised when every sample fails. The eavesdropper solve
+    never raises: without finite multipliers it gives its closed-form bound.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     return _cct_points(ch, p, [r_m], t_alpha, t_g, [rng])[0]
@@ -694,13 +750,15 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     Targets beyond the supportable maximum are reported with feasible=False.
     Grid point i draws from the child generator (seed, i); the wscm floors
     share one, (seed, 0), in a single pass. Results depend only on the seed.
+    r_m_up and M_eav take their closed forms wherever exact (`_aligned`).
     The cct and upper-bound points are one `_cct_points` call: they share
-    one eavesdropper max-min solve, counted in the n_solves of the first
+    one M_eav, its solve (if any) counted in the n_solves of the first
     floored point, which decides every floor's power window before any other
     solve, and each grid power's anchor lane, which higher floors share. Its
-    units of lanes are solved and rounded in groups, one per CPU, each lane
-    once and each group's lanes in at most three batches. A wscm region
-    runs in the calling process. The oracle enumerates the `ORACLE_GRID`.
+    units of lanes are solved and rounded in groups, one per CPU, the first
+    in the calling process, each lane once and each group's lanes in at most
+    three batches. A wscm region runs in the calling process. The oracle
+    enumerates the `ORACLE_GRID`.
     """
     _check_counts(grid_points=grid_points, seed=seed)
     if scheme not in SCHEMES:

@@ -67,11 +67,15 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_leftover_processes():
-    """Fail a test that leaves a multiprocessing child alive; the children are
-    stopped first, so that the next test starts without them."""
+    """Fail a test that leaves a child process alive or unreaped. A
+    multiprocessing child is stopped first, so that the next test starts
+    without it. Any other child, such as one made by a bare os.fork, which
+    multiprocessing does not see, is found by the os.waitpid check of
+    `assert_no_child_left`; one that has exited is reaped by it."""
     yield
     left = multiprocessing.active_children()
     for child in left:
         child.terminate()
         child.join(timeout=10)
     assert not left, f"processes left alive: {left}"
+    assert_no_child_left()

@@ -21,7 +21,8 @@ group of units of lanes per CPU), so every other figure is a time on one CPU:
 * one-lane ms per iteration at N in {30, 60, 100}: the multicast-bound and
   secrecy-covariance programs of `multi_user_scenario(n_users=4)` at
   scenario seeds 0 and 1, with the share of predictor and of corrector step
-  lengths that the screen settles.
+  lengths that the screen settles, and whether each seed's multicast bound
+  took its closed form (`algorithms._aligned`), which solves nothing.
 * us per covariance of `algorithms._best_of_draws`, the Gaussian
   randomization and scoring that both algorithms round with, each with the
   minor page faults per covariance (`resource.getrusage`), which move with
@@ -39,7 +40,9 @@ group of units of lanes per CPU), so every other figure is a time on one CPU:
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
   T_g 1000) at r_m = 0 and at half the multicast upper bound, on every CPU
   (a floored point's units fan out); the floored point's time includes its
-  eavesdropper max-min solve, which `sweep_region` makes once per region.
+  M_eav, which `sweep_region` finds once per region. These rows and the cct
+  region's say whether the multicast bound and M_eav took their closed
+  forms or were solved.
 * ms per cct region on the same scenario (grid 20, T_alpha 80, T_g 1000),
   with the process pinned to one CPU and on every CPU; the region's anchors
   (`algorithms._cct_units`), its points' Charnes-Cooper lanes, taken from
@@ -50,14 +53,18 @@ group of units of lanes per CPU), so every other figure is a time on one CPU:
   at the anchor's `_Lifted.least_snr` s, and over those it refuses, the
   largest (the closest miss), from one more solve of its units in process.
   Then, from one more run on one CPU and on every CPU, one line per call of
-  `algorithms._cct_work` (one per worker process): its units, the lanes it
-  solved and their lane-iterations, its full draws (`sdp._grp_draw` calls
-  that draw normals) and its busy time, from its start to its return.
+  `algorithms._cct_work`, one per group of units (the first in this process,
+  each other in a forked child): its units, the lanes it solved and their
+  lane-iterations, its full draws (`sdp._grp_draw` calls that draw normals)
+  and its busy time, from its start to its return; then the time from the
+  region's start to the first group's start, and from the last group's end
+  to the region's return.
 * ms per wscm region on the same scenario (grid 20, T_lambda 80, T_g 1000),
   pinned to one CPU and on every CPU, with the mean ms per region in its
   three parts: the multicast bound, the secrecy covariance and the blend
-  loop (`algorithms._wscm_points`). A wscm region runs in one process, so
-  the two rows differ only by BLAS threads and the machine's load.
+  loop (`algorithms._wscm_points`), and whether the multicast bound took its
+  closed form. A wscm region runs in one process, so the two rows differ
+  only by BLAS threads and the machine's load.
 
 The file name does not match test_*.py, so pytest does not collect it.
 """
@@ -123,12 +130,13 @@ def region_batch_row(repeats: int) -> None:
 
 def one_lane_rows(repeats: int) -> None:
     for n_elements, (n_y, n_z) in SURFACES.items():
-        batches = []
+        batches, forms = [], []
         for seed in (0, 1):
             config = multi_user_scenario(n_users=4, n_y=n_y, n_z=n_z, seed=seed)
             ch = generate_channels(config)
             batches += recorded_batches(lambda: (algorithms.multicast_upper_bound(ch, P),
                                                  algorithms.secrecy_covariance(ch, P)))
+            forms.append(f"seed {seed} {closed_forms(ch, P)[0]}")
         iterations, calls, _ = screened_solves(batches)
         # one lane screens its predictor lengths in one call, then its corrector ones
         predictor, corrector = sum(calls[0::2], []), sum(calls[1::2], [])
@@ -139,7 +147,19 @@ def one_lane_rows(repeats: int) -> None:
         ms = 1e3 * best_of(repeats, run) / iterations
         print(f"n={n_elements + 1:<4d} L=1   ms per iteration      {ms:8.4f}"
               f"   ({len(batches)} programs, {iterations} iterations; screen settles"
-              f" {share(predictor)} predictor and {share(corrector)} corrector lengths)")
+              f" {share(predictor)} predictor and {share(corrector)} corrector lengths;"
+              f" {', '.join(forms)})")
+
+
+def closed_forms(ch, p) -> list:
+    """How the multicast bound and M_eav of a channel are found: each either
+    "... closed form" (`algorithms._aligned` is exact, nothing is solved) or
+    "... solved"."""
+    ctx, users = algorithms._Lifted(ch, p), np.arange(ch.k)
+    programs = (("multicast bound", users, ctx.p / ctx.sigma2),
+                ("M_eav", users[1:], 1.0 / ctx.sigma2[1:]))
+    return [f"{name} {'solved' if algorithms._aligned(ctx, u, w)[1] is None else 'closed form'}"
+            for name, u, w in programs]
 
 
 def share(flags) -> str:
@@ -201,7 +221,7 @@ def rounding_rows(repeats: int) -> None:
                  blends(np.linspace(0.0, r_up, 20)))
     ctx, r_m = algorithms._Lifted(ch, p), 0.5 * r_up
     powers = [p * t / 79 for t in range(80)]
-    keep = ctx.supports(r_m, powers, algorithms._eavesdropper_snr(ctx))
+    keep = ctx.supports(r_m, powers, algorithms._eavesdropper_snr(ctx)[0])
     grid = [alpha for alpha, ok in zip(powers, keep) if ok]
     lanes = algorithms._solve_lanes(ctx, [r_m] * len(grid), grid)
     certified = [(j, alpha, value[1] / value[2]) for j, (alpha, *_, value) in enumerate(lanes)
@@ -229,7 +249,7 @@ def cct_point_rows(repeats: int) -> None:
                                                   np.random.default_rng(0))]
         ms = 1e3 * best_of(repeats, run)
         print(f"algorithm1_cct N=10 r_m={label:<7s} ms per point {ms:9.1f}"
-              f"   ({point[0].diagnostics['n_solves']} solves)")
+              f"   ({point[0].diagnostics['n_solves']} solves; {', '.join(closed_forms(ch, p))})")
 
 
 WORK = {"log": None, "lanes": 0, "iterations": 0, "draws": 0}   # counts of one process's call
@@ -251,20 +271,21 @@ def counted_grp_draw(z, candidates, rng, work):
 
 def timed_cct_work(ctx, ch, floors, alphas, units, *args):
     """`algorithms._cct_work`, appending to WORK["log"] its process, units,
-    lanes solved, lane-iterations, full draws and busy ms. A module-level
-    function, so that a worker process finds it by name in this module."""
+    lanes solved, lane-iterations, full draws, and its start and end on the
+    `time.perf_counter` clock, which forked children share. A forked child
+    inherits it with the patched module."""
     start = time.perf_counter()
     WORK.update(lanes=0, iterations=0, draws=0)
     records = REAL["_cct_work"](ctx, ch, floors, alphas, units, *args)
     with open(WORK["log"], "a") as fh:
         fh.write(f"{os.getpid()} {len(units)} {WORK['lanes']} {WORK['iterations']} "
-                 f"{WORK['draws']} {1e3 * (time.perf_counter() - start):.1f}\n")
+                 f"{WORK['draws']} {start!r} {time.perf_counter()!r}\n")
     return records
 
 
-def worker_rows(run) -> list:
+def worker_rows(run) -> tuple:
     """One run with `timed_cct_work` in place of `algorithms._cct_work`: its
-    log lines, one per call, as lists of words."""
+    log lines, one per call, as lists of words, and the run's start and end."""
     fakes = {"_cct_work": timed_cct_work, "_solve_lanes": counted_solve_lanes,
              "_grp_draw": counted_grp_draw}
     with tempfile.TemporaryDirectory() as tmp:
@@ -272,12 +293,14 @@ def worker_rows(run) -> list:
         for name, fake in fakes.items():
             setattr(algorithms, name, fake)
         try:
+            start = time.perf_counter()
             run()
+            end = time.perf_counter()
         finally:
             for name in fakes:
                 setattr(algorithms, name, REAL[name])
         with open(WORK["log"]) as fh:
-            return [line.split() for line in fh]
+            return [line.split() for line in fh], start, end
 
 
 def sharing_margins(ctx, floors, alphas, units) -> tuple:
@@ -322,20 +345,27 @@ def cct_region_row(repeats: int) -> None:
         run()
     finally:
         algorithms._cct_units = real_units
+    (alphas, unit_list, _), (ctx, _, floors, *_) = units
     diags = [pt.diagnostics for pt in region[0].points]
-    lanes = sum(d["n_solves"] for d in diags) - 1      # less the eavesdropper solve
+    lanes = sum(d["n_solves"] for d in diags) - algorithms._eavesdropper_snr(ctx)[1]
     shared = sum(d["n_shared"] for d in diags)
     print(f"cct region N=10 grid 20 ms per region {one_cpu:9.1f} on 1 CPU, {all_cpus:9.1f} on"
           f" {len(cpus)}   ({len(units[0][2])} anchors in {len(units[0][1])} units; {lanes} lanes"
-          f" of its points, {shared} shared and {lanes - shared} own)")
-    (alphas, unit_list, _), (ctx, _, floors, *_) = units
+          f" of its points, {shared} shared and {lanes - shared} own;"
+          f" {', '.join(closed_forms(ch, p))})")
     least, closest = sharing_margins(ctx, floors, alphas, unit_list)
     print(f"  sharing rule margins: least shared {least:+.3g}, closest refused {closest:+.3g}"
           f" (relative; the rule's slack is 1e-12)")
-    for on, rows in (("1 CPU", one_work), (f"{len(cpus)} CPUs", all_work)):
-        for pid, n_units, solved, iterations, draws, busy in rows:
-            print(f"  on {on}: process {pid} {n_units} units, {solved} lanes solved in"
-                  f" {iterations} lane-iterations, {draws} full draws, busy {busy} ms")
+    for on, (rows, start, end) in (("1 CPU", one_work), (f"{len(cpus)} CPUs", all_work)):
+        for pid, n_units, solved, iterations, draws, begun, done in rows:
+            whose = "this process" if int(pid) == os.getpid() else f"child {pid}"
+            print(f"  on {on}: {whose} {n_units} units, {solved} lanes solved in"
+                  f" {iterations} lane-iterations, {draws} full draws,"
+                  f" busy {1e3 * (float(done) - float(begun)):.1f} ms")
+        first = min(float(row[5]) for row in rows)
+        last = max(float(row[6]) for row in rows)
+        print(f"  on {on}: {1e3 * (first - start):.1f} ms before the first group starts,"
+              f" {1e3 * (end - last):.1f} ms after the last one ends")
 
 
 def wscm_region_row(repeats: int) -> None:
@@ -375,7 +405,8 @@ def wscm_region_row(repeats: int) -> None:
         for name, func in real.items():
             setattr(algorithms, name, func)
     print(f"wscm region N=10 grid 20 ms per region {one}, {every}   (mean ms per region in the"
-          f" multicast bound/secrecy covariance/blend loop: {one_spent} and {every_spent})")
+          f" multicast bound/secrecy covariance/blend loop: {one_spent} and {every_spent};"
+          f" {closed_forms(ch, p)[0]})")
 
 
 def main() -> None:

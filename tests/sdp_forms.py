@@ -88,6 +88,6 @@ def floored_region_batch(grid: int) -> sdp.SdpBatch:
     ch, p = generate_channels(config), config.total_power_w
     ctx = algorithms._Lifted(ch, p)
     floors = np.linspace(0.0, algorithms.multicast_upper_bound(ch, p)[0], grid)[1:].tolist()
-    alphas, _, _ = algorithms._cct_units(ctx, ch, floors, 80, algorithms._eavesdropper_snr(ctx))
+    alphas, _, _ = algorithms._cct_units(ctx, ch, floors, 80, algorithms._eavesdropper_snr(ctx)[0])
     pairs = [(r_m, alpha) for r_m, own in zip(floors, alphas) for alpha in own]
     return ctx.cct_batch([r_m for r_m, _ in pairs], [alpha for _, alpha in pairs])

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import threading
 import warnings
@@ -22,7 +21,7 @@ from irssec.model import effective_gains, multicast_capacity_from_gains
 
 from conftest import (assert_no_child_left, counting_forks, phase_grid, rand_channelset,
                       twin_channelset)
-from sdp_forms import max_min_lanes
+from sdp_forms import max_min_lanes, recorded_batches
 
 P = 1.0
 
@@ -182,11 +181,11 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     assert pt.diagnostics["n_failed_alpha"] == 0
     assert pt.diagnostics["last_error"] is None
 
-    # with a floor the eavesdropper program, then the in-window samples as
-    # lanes of one batch
+    # with a floor the in-window samples as lanes of one batch; with one
+    # eavesdropper M_eav is its closed form, so no eavesdropper program
     r_m = 0.05 * multicast_upper_bound(ch, P)[0]
     healthy = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
-    assert healthy.diagnostics["n_solves"] == 5
+    assert healthy.diagnostics["n_solves"] == 4
     # a floored point's units fan out: on one CPU every lane is solved in
     # this process, where the patch counts them
     pin_cpus(monkeypatch, 1)
@@ -207,7 +206,7 @@ def test_algorithm1_diagnostics_count_solves_and_skipped_samples(monkeypatch):
     monkeypatch.setattr(algorithms, "solve_batch", failing_second_solve)
     pt = algorithm1_cct(ch, P, r_m, t_alpha=4, t_g=20, rng=np.random.default_rng(0))
     assert pt.feasible
-    assert pt.diagnostics["n_solves"] == 5
+    assert pt.diagnostics["n_solves"] == 4
     assert pt.diagnostics["n_failed_alpha"] == 1
     assert "fractional SDP failed: Breakdown" in pt.diagnostics["last_error"]
 
@@ -328,6 +327,63 @@ def test_max_min_snr_of_a_user_far_weaker_than_the_others(scale):
     aligned = model.aligned_gain(weak.m[2], weak.g, weak.h[2]) ** 2 * P / weak.sigma2[2]
     assert value == pytest.approx(aligned, rel=1e-9, abs=0.0)
     assert z[0, 0] == 1.0 and np.linalg.eigvalsh(z).min() >= -1e-9 * len(z)
+
+
+def test_one_eavesdroppers_snr_is_its_closed_form_without_a_solve(monkeypatch):
+    # with one eavesdropper the aligned closed form is exact: M_eav hands the
+    # solver no batch, and is bitwise what the solved program gives (the
+    # closed form switched off, as before it was taken)
+    real_aligned = algorithms._aligned
+    for seed in range(20):
+        config = two_user_scenario(seed=seed)
+        ctx = algorithms._Lifted(generate_channels(config), config.total_power_w)
+        closed, solved = [], []
+        assert recorded_batches(lambda: closed.extend(algorithms._eavesdropper_snr(ctx))) == []
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms, "_aligned", lambda *args: (real_aligned(*args)[0], None))
+            batches = recorded_batches(lambda: solved.extend(algorithms._eavesdropper_snr(ctx)))
+        assert len(batches) == 1 and closed == [solved[0], 0] and solved[1] == 1
+
+
+@pytest.mark.parametrize("k, seed", [(2, 3), (3, 6)])
+def test_multicast_bound_where_the_aligned_pattern_meets_every_user(k, seed):
+    # the bottleneck user's aligned pattern meets every user, so the bound
+    # is its closed form, unsolved, and Z its rank-one lift: Z[0, 0] == 1, a
+    # unit diagonal, and a pattern whose every user's SNR reaches the value
+    # within the rule's slack; the value bounds the phase grid's optimum
+    ch = rand_channelset(np.random.default_rng(seed), n=3, k=k)
+    bound = []
+    assert recorded_batches(lambda: bound.extend(multicast_upper_bound(ch, P))) == []
+    r_up, z = bound
+    s = 2.0 ** r_up - 1.0
+    assert z[0, 0] == 1.0 and (np.diag(z) == 1.0).all()
+    lam = np.linalg.eigvalsh(z)
+    assert lam[-1] == pytest.approx(ch.n + 1) and np.abs(lam[:-1]).max() < 1e-12
+    snr = P * effective_gains(ch, z[:-1, -1]) / ch.sigma2
+    assert (snr >= s * (1.0 - 1e-12)).all()
+    grid = P * effective_gains(ch, phase_grid(ch.n, 16)) / ch.sigma2
+    assert grid.min(axis=1).max() <= s
+    # tdma's multicast endpoint rounds that Z: its one pattern is the aligned one
+    tdma = baseline_tdma(ch, P, 3, SweepParams(t_alpha=4, t_g=20), np.random.default_rng(0))
+    cap = float(multicast_capacity_from_gains(effective_gains(ch, z[:-1, -1]), ch.sigma2, P))
+    assert tdma.points[-1].r_m_target == pytest.approx(cap, rel=1e-12, abs=0.0)
+
+
+def test_a_max_min_program_whose_aligned_pattern_misses_a_user_is_solved():
+    # K = 3: neither the multicast nor the eavesdroppers' aligned pattern
+    # meets every user, so each program is solved, its value at most s_scale
+    ch = rand_channelset(np.random.default_rng(7), n=3, k=3)
+    ctx = algorithms._Lifted(ch, P)
+    for users, weights in ((np.arange(3), ctx.p / ctx.sigma2),
+                           (np.arange(1, 3), 1.0 / ctx.sigma2[1:])):
+        s_scale, z = algorithms._aligned(ctx, users, weights)
+        assert z is None
+        out = []
+        batches = recorded_batches(lambda: out.extend(
+            algorithms._max_min_snr(ctx, users, weights)))
+        assert [max_min_lanes(batch) for batch in batches] == [1]
+        value, z = out
+        assert 0.0 < value <= s_scale and z[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -645,16 +701,17 @@ def recording_units(monkeypatch):
     return seen
 
 
-def assert_matches_alone(pt, alone, lowest):
+def assert_matches_alone(pt, alone, lowest, eav_solves):
     """A region's point against `algorithm1_cct` at its floor alone: bitwise,
     diagnostics included, at a floor that takes no lane from a lower floor's
     anchor (no floor, or the lowest, which charges the eavesdropper solve as
     alone); else the same lane count, feasibility and alpha, and rate and
-    bound within 1e-7 bits."""
+    bound within 1e-7 bits. eav_solves is that solve's count, 1, or 0 where
+    M_eav is its closed form."""
     if pt.r_m_target <= lowest:
         assert point_bytes(pt) == point_bytes(alone)
         return
-    assert pt.diagnostics["n_solves"] == alone.diagnostics["n_solves"] - 1
+    assert pt.diagnostics["n_solves"] == alone.diagnostics["n_solves"] - eav_solves
     assert (pt.feasible, pt.alpha) == (alone.feasible, alone.alpha)
     if pt.feasible:
         assert pt.r_c_achieved == pytest.approx(alone.r_c_achieved, abs=1e-7)
@@ -698,14 +755,15 @@ def test_sweep_shares_one_eavesdropper_solve(monkeypatch):
         alone = algorithm1_cct(ch, P, r_m, params.t_alpha, params.t_g, substream(2, i))
         # alone, every floored point pays for its own eavesdropper solve
         assert alone.diagnostics["n_solves"] == diags[i]["n_solves"] + (i > 1)
-        assert_matches_alone(pt, alone, region.points[1].r_m_target)
+        assert_matches_alone(pt, alone, region.points[1].r_m_target, 1)
 
 
 def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
-    # a cct or upper-bound sweep hands the solver the multicast bound, the
-    # eavesdropper program, the unfloored lane, then one batch of every anchor
-    # and every floored point's edge lanes, and at most one batch of the grid
-    # lanes that take no anchor's; each point still matches algorithm1_cct
+    # a cct or upper-bound sweep hands the solver the unfloored lane, then one
+    # batch of every anchor and every floored point's edge lanes, and at most
+    # one batch of the grid lanes that take no anchor's; the multicast bound
+    # and the one eavesdropper's program take their closed forms, so no
+    # max-min program is solved. Each point still matches algorithm1_cct
     # alone at its floor on its own stream
     # on one CPU every solve runs in this process, where the patch records it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -725,10 +783,10 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
     regions = [sweep_region(ch, P, scheme, 5, params, seed=2)
                for scheme in ("cct", "upper-bound")]
     monkeypatch.undo()
-    assert len(batches) == 10 and len(units) == 2
-    for sweep, (own, units_of, anchor_set) in ((batches[:5], units[0]), (batches[5:], units[1])):
-        assert [max_min_lanes(batch) for batch in sweep] == [1, 1, 0, 0, 0]
-        unfloored, first, second = sweep[2:]
+    assert len(batches) == 6 and len(units) == 2
+    for sweep, (own, units_of, anchor_set) in ((batches[:3], units[0]), (batches[3:], units[1])):
+        assert [max_min_lanes(batch) for batch in sweep] == [0, 0, 0]
+        unfloored, first, second = sweep
         # one unfloored lane; the floor rows add one row per eavesdropper
         assert len(unfloored.bounds) == 1
         floored_rows = unfloored.rows.shape[1] + ch.k - 1
@@ -749,7 +807,7 @@ def test_cct_region_solves_its_lanes_in_region_wide_batches(monkeypatch):
         alone = algorithm1_cct(ch, P, r_m, params.t_alpha, params.t_g, substream(2, i))
         assert alone.feasible
         cct, bound = regions[0].points[i], regions[1].points[i]
-        assert_matches_alone(cct, alone, regions[0].points[1].r_m_target)
+        assert_matches_alone(cct, alone, regions[0].points[1].r_m_target, 0)
         assert (bound.r_c_achieved, bound.alpha) == (cct.upper_bound, cct.alpha)
         assert bound.phase_vector.tobytes() == cct.phase_vector.tobytes()
         assert bound.diagnostics == cct.diagnostics
@@ -952,8 +1010,9 @@ def test_a_region_solves_each_lane_once_and_draws_each_covariance_once_on_any_cp
                          ids=["two-user", "three-user", "two-user-n10"])
 def test_points_on_worker_processes_match_one_process_bitwise(monkeypatch, tmp_path, config):
     # cct and upper-bound regions on one CPU (every point in this process) and
-    # on two (the units in two forked groups, no lane solved here): every
-    # field of every point is the same bytes, diagnostics included. On each
+    # on two (the units in two groups, the first solved here and the other in
+    # a forked child): every field of every point is the same bytes,
+    # diagnostics included. On each
     # instance a covariance that is not rank one is drawn for more than one
     # floor, so a lane's draws do not depend on which process makes them
     ch, p = generate_channels(config), config.total_power_w
@@ -970,36 +1029,95 @@ def test_points_on_worker_processes_match_one_process_bitwise(monkeypatch, tmp_p
         monkeypatch.undo()
     assert runs[2] == runs[1]
     assert any(pt.feasible for pt in regions[0].points[1:])
-    assert here[1] > 0 and here[2] == 0
+    assert 0 < here[2] < here[1]
     lines = read()
     floors = {h: int(count) for h, count in lines["held"]}
     assert any(floors[h] > 1 for h, in lines["draw"])
 
 
+def failing_in(monkeypatch, name, where, fail):
+    """Patch algorithms.`name` to call fail(pid) in the processes that
+    where(pid) picks, this one or its forked children, which inherit the
+    patch, and to run as before elsewhere."""
+    real = getattr(algorithms, name)
+
+    def patched(*args):
+        if where(os.getpid()):
+            fail(os.getpid())
+        return real(*args)
+
+    monkeypatch.setattr(algorithms, name, patched)
+
+
 def test_no_worker_outlives_a_region(monkeypatch):
-    # workers are joined before sweep_region returns, or raises: a worker's
-    # error reaches the caller with its type and message
+    # on two CPUs a region forks one child, which runs the second group of
+    # units, and reaps it before sweep_region or algorithm1_cct returns, or
+    # raises: an error raised only in the child reaches the caller with its
+    # type and message
     pin_cpus(monkeypatch, 2)
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=6, t_g=50)
+    forks, caller = counting_forks(monkeypatch), os.getpid()
     assert all(pt.feasible for pt in sweep_region(ch, P, "cct", 4, params, seed=1).points)
-    assert multiprocessing.active_children() == []
+    assert algorithm1_cct(ch, P, 0.5 * multicast_upper_bound(ch, P)[0], 6, 50).feasible
+    assert len(forks) == 2
+    assert_no_child_left()
 
-    def failing_round(*args):
-        raise ValueError(f"rounding failed in process {os.getpid()}")
+    def fail(pid):
+        raise ValueError(f"rounding failed in process {pid}")
 
-    monkeypatch.setattr(algorithms, "_best_of_draws", failing_round)  # workers inherit it
+    failing_in(monkeypatch, "_best_of_draws", lambda pid: pid != caller, fail)
     with pytest.raises(ValueError, match=r"^rounding failed in process \d+$") as err:
         sweep_region(ch, P, "cct", 4, params, seed=1)
-    assert int(str(err.value).split()[-1]) != os.getpid()
-    assert multiprocessing.active_children() == []
+    assert int(str(err.value).split()[-1]) == forks[-1] != caller
+    assert_no_child_left()
+
+
+def test_an_error_in_the_callers_own_group_is_raised_and_its_child_reaped(monkeypatch):
+    pin_cpus(monkeypatch, 2)
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    forks, caller = counting_forks(monkeypatch), os.getpid()
+
+    def fail(pid):
+        raise ValueError("rounding failed in the calling process")
+
+    failing_in(monkeypatch, "_best_of_draws", lambda pid: pid == caller, fail)
+    with pytest.raises(ValueError, match="^rounding failed in the calling process$"):
+        sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=1)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_child_that_exits_without_a_result_raises_its_exit_status(monkeypatch):
+    # no partial records and no hang: the call raises, naming the status
+    pin_cpus(monkeypatch, 2)
+    ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+    forks, caller = counting_forks(monkeypatch), os.getpid()
+    failing_in(monkeypatch, "_cct_work", lambda pid: pid != caller, lambda pid: os._exit(3))
+    with pytest.raises(ChildProcessError, match=r"sent no whole result \(exit status 3\)$"):
+        sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=1)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_point_without_two_units_forks_nothing(monkeypatch):
+    # an infinite floor has no lane at all, no floor one lane: neither forks
+    pin_cpus(monkeypatch, 2)
+    config = two_user_scenario(d1=20, n_y=2, n_z=1, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    forks, units = counting_forks(monkeypatch), recording_units(monkeypatch)
+    assert not algorithm1_cct(ch, p, math.inf, 4, 20).feasible
+    assert algorithm1_cct(ch, p, 0.0, 4, 20).feasible
+    assert [len(seen[1]) for seen in units] == [0, 1]
+    assert forks == []
+    assert_no_child_left()
 
 
 def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypatch):
     # two floors whose every solved lane fails, their grid lanes' anchors
-    # included, each with lanes in both groups of units, so the group
-    # submitted first fails lanes of the higher floor too: the sweep raises
-    # the lower floor's error, as it does in one process
+    # included, each with lanes in both groups of units, so the first group
+    # (solved in this process) fails lanes of the higher floor too: the sweep
+    # raises the lower floor's error, as it does in one process
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     floors = np.linspace(0.0, multicast_upper_bound(ch, P)[0], 5).tolist()
@@ -1021,7 +1139,7 @@ def test_fanned_out_region_raises_the_error_of_the_first_failing_floor(monkeypat
         pin_cpus(monkeypatch, cpus)
         with pytest.raises(SdpSolverError, match=r"Breakdown \(gap 7.00e\+00"):
             sweep_region(ch, P, "cct", 5, params, seed=2)
-    assert len(seen) == 2
+    assert len(seen) == 3 and len(seen[2]) == 1
     # in one process: both floors' lanes and their anchors, at the lowest floor
     assert {r_m for r_m, _ in failed} == {floors[1], floors[low], floors[high]}
 
@@ -1037,7 +1155,7 @@ def region_units(config, grid, t_alpha):
     ch, p = generate_channels(config), config.total_power_w
     ctx = algorithms._Lifted(ch, p)
     floors = np.linspace(0.0, multicast_upper_bound(ch, p)[0], grid).tolist()
-    eav_snr = algorithms._eavesdropper_snr(ctx)
+    eav_snr = algorithms._eavesdropper_snr(ctx)[0]
     alphas, units, _ = algorithms._cct_units(ctx, ch, floors, t_alpha, eav_snr)
     return ctx, floors, alphas, units
 
@@ -1115,8 +1233,8 @@ def test_a_floor_solves_each_lane_whose_anchor_has_no_finite_multipliers(config,
 def test_fanned_out_region_balances_the_lanes_it_solves(monkeypatch):
     # on two CPUs the groups of units are balanced by each unit's lanes: the
     # loads are the units' lane counts, which sum to the points' n_solves
-    # less the region's one eavesdropper solve, and the groups' summed loads
-    # differ by no more than the largest load
+    # (the one eavesdropper's M_eav is its closed form, no solve), and the
+    # groups' summed loads differ by no more than the largest load
     ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
     params = SweepParams(t_alpha=12, t_g=60, pareto_filter=False)
     pin_cpus(monkeypatch, 2)
@@ -1131,7 +1249,7 @@ def test_fanned_out_region_balances_the_lanes_it_solves(monkeypatch):
     region = sweep_region(ch, P, "cct", 5, params, seed=2)
     (loads, groups), = seen
     assert loads == [len(unit) for unit in units[0][1]]
-    assert sum(loads) == sum(pt.diagnostics["n_solves"] for pt in region.points) - 1
+    assert sum(loads) == sum(pt.diagnostics["n_solves"] for pt in region.points)
     totals = [sum(loads[u] for u in group) for group in groups]
     assert max(totals) - min(totals) <= max(loads)
 
@@ -1154,10 +1272,10 @@ def test_points_stay_in_process_while_another_thread_runs(monkeypatch):
         other.join(timeout=10)
     assert not other.is_alive()
     # every lane solved here: one anchor per grid unit, and each point's
-    # lanes that took no anchor's; the eavesdropper solve is no lane
+    # lanes that took no anchor's; the one eavesdropper's M_eav takes no solve
     assert len(units) == 1
     assert len(lanes) == (sum(pt.diagnostics["n_solves"] - pt.diagnostics["n_shared"]
-                              for pt in region.points) - 1 + len(units[0][2]))
+                              for pt in region.points) + len(units[0][2]))
 
 
 @pytest.mark.parametrize("config", [two_user_scenario(d1=20, n_y=2, n_z=2, seed=1),

@@ -56,7 +56,14 @@ def test_factored_rows_match_dense_rows(config, runs):
     ch = generate_channels(config)
     lanes = [lanes_of(batch, [lane]) for batch in recorded_batches(lambda: runs(ch))
              for lane in range(len(batch.bounds))]
-    # the multicast bound, and at least one Charnes-Cooper program
+    # the multicast bound, as solved, or where its closed form is exact and
+    # nothing is solved, as `max_min_batch` builds it; and at least one
+    # Charnes-Cooper program
+    if not max_min_lanes(lanes[0]):
+        ctx, users = algorithms._Lifted(ch, P), np.arange(ch.k)
+        s_scale, z = algorithms._aligned(ctx, users, ctx.p / ctx.sigma2)
+        assert z is not None
+        lanes.insert(0, ctx.max_min_batch(users, ctx.p / ctx.sigma2, s_scale))
     assert max_min_lanes(lanes[0]) == 1
     assert any(max_min_lanes(lane) == 0 for lane in lanes)
     for lane in lanes:
