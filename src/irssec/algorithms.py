@@ -38,8 +38,7 @@ import numpy as np
 
 from . import model
 from .channel import ChannelSet
-from .sdp import (SdpBatch, SdpSolverError, SdpStatus, _first_best, _grp_draw, grp_round,
-                  solve_batch, substream)
+from .sdp import SdpBatch, SdpSolverError, SdpStatus, _grp_draws, grp_round, solve_batch, substream
 
 SCHEMES = ("cct", "wscm", "random-irs", "no-irs", "tdma", "upper-bound", "oracle")
 ORACLE_GRID = (64, 201)   # phase levels and power samples of the oracle scheme
@@ -132,9 +131,8 @@ class _Lifted:
         broadcast over (floors, alphas, snr); false for an infinite c. At snr =
         M_eav (`_eavesdropper_snr`) it is a floor's power window; at a Y's
         `least_snr`, whether Y meets the floor rows of lane (r_m, alpha)."""
-        a = np.asarray(alphas, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):       # 2.0 ** r_m may overflow
-            c = np.vectorize(model._floor_factor, otypes=[float])(floors)
+        a, c = np.asarray(alphas, dtype=float), _floor_factors(floors)
+        with np.errstate(over="ignore", invalid="ignore"):       # an infinite c
             return (self.p - a * c) * snr >= (c - 1.0) * (1.0 - 1e-12)
 
     def least_snr(self, ys) -> np.ndarray:
@@ -159,7 +157,7 @@ class _Lifted:
         n1, k, eav, s1 = self.n + 1, self.k, np.arange(1, self.k), self.sigma2[0]
         floored = any(r > 0 for r in floors)
         a = np.asarray(alphas, dtype=float)[:, None]
-        c = np.array([model._floor_factor(r) for r in floors])[:, None]
+        c = _floor_factors(floors)[:, None]
         # The objective, then the rows, each weight affine in alpha.
         m = (k - 1) * (1 + floored) + self.n
         weights = np.zeros((len(a), 1 + m, n1 + k))
@@ -177,19 +175,26 @@ class _Lifted:
         return SdpBatch(self.basis, weights[:, 0], weights[:, 1:], bounds, sense)
 
 
-def _dual_slack(sol, batch: SdpBatch, lane: int):
-    """(A*(y) - C, y) of one lane of a batch at the solver's multipliers y,
-    each first clipped to the sign its row's sense allows (nonnegative for
-    +1, nonpositive for -1); weak duality then needs only the slack's
-    smallest eigenvalue."""
-    ys = np.where(batch.sense * sol.dual < 0, 0.0, sol.dual)
-    w = batch.rows[lane].T @ ys - batch.objective[lane]
-    return (batch.basis * w) @ batch.basis.conj().T, ys
+def _floor_factors(floors) -> np.ndarray:
+    """`model._floor_factor` of every floor, in the shape of floors."""
+    r_m = np.asarray(floors, dtype=float)
+    return np.array([model._floor_factor(r) for r in r_m.ravel().tolist()]).reshape(r_m.shape)
 
 
-def _psd_shift(mat: np.ndarray) -> float:
-    """Smallest t >= 0 with mat + t*I PSD."""
-    return max(0.0, -float(np.linalg.eigvalsh(mat)[0]))
+def _dual_slack(duals: np.ndarray, batch: SdpBatch, lanes: list):
+    """(A*(y) - C, y) of the given lanes of a batch, stacked, at the solver's
+    multipliers y (duals, one row per lane), each first clipped to the sign
+    its row's sense allows (nonnegative for +1, nonpositive for -1); weak
+    duality then needs only each slack's smallest eigenvalue."""
+    ys = np.where(batch.sense * duals < 0, 0.0, duals)
+    w = (ys[:, None, :] @ batch.rows[lanes])[:, 0] - batch.objective[lanes]
+    return (batch.basis * w[:, None, :]) @ batch.basis.conj().T, ys
+
+
+def _psd_shift(mats: np.ndarray) -> np.ndarray:
+    """Smallest t >= 0 with mat + t*I PSD, per matrix of the stack mats."""
+    low = -np.linalg.eigvalsh(mats)[:, 0]
+    return np.where(low > 0.0, low, 0.0)
 
 
 def _aligned(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
@@ -233,10 +238,10 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     sol = solve_batch(batch)[0]
     dual_snr = math.inf
     if np.isfinite(sol.dual).all():
-        slack, y = _dual_slack(sol, batch, 0)
-        dual_obj = -float(batch.bounds[0] @ y)
+        slack, y = _dual_slack(sol.dual[None], batch, [0])
+        dual_obj = -float(batch.bounds[0] @ y[0])
         if dual_obj > 0:
-            dual_snr = s_scale * (1.0 + (ctx.n + 1) * _psd_shift(slack)) / dual_obj
+            dual_snr = s_scale * (1.0 + (ctx.n + 1) * float(_psd_shift(slack)[0])) / dual_obj
     z = np.eye(ctx.n + 1, dtype=complex)
     if np.isfinite(sol.matrix).all() and sol.matrix[0, 0].real > 0:
         z = sol.matrix / sol.matrix[0, 0].real
@@ -265,28 +270,45 @@ def _eavesdropper_snr(ctx: _Lifted) -> tuple:
     return (s_scale, 0) if z is not None else (_max_min_snr(ctx, eav, weights)[0], 1)
 
 
-def _cct_value(ctx: _Lifted, sol, batch: SdpBatch, lane: int):
-    """(c_value, y, xi) of one solved lane of a `_Lifted.cct_batch`, whatever
+def _cct_values(ctx: _Lifted, sols: list, batch: SdpBatch) -> list:
+    """(c_value, y, xi) of each solved lane of a `_Lifted.cct_batch`, whatever
     its status, or None when it is infeasible, xi <= _XI_FLOOR or Y is not
-    finite; multipliers that are not finite raise SdpSolverError. By weak
+    finite, or the SdpSolverError of multipliers that are not finite. By weak
     duality c_value bounds the relaxation from above: it is the dual
     objective divided by beta0, the sum of the normalization-row multipliers.
     A dual slack with smallest eigenvalue -t is made PSD by adding
     t (N+1)/sigma_1^2 to one of them, since every normalization matrix
-    dominates (sigma_1^2/(N+1)) I.
+    dominates (sigma_1^2/(N+1)) I. The lanes are certified together: their
+    dual slacks stacked, and one eigvalsh call for the shifts.
     """
-    if sol.status == SdpStatus.INFEASIBLE:
-        return None
-    if not np.isfinite(sol.dual).all():
-        raise SdpSolverError(f"fractional SDP failed: {sol.status.value} "
-                             f"(gap {sol.duality_gap:.2e}, resid {sol.residuals:.2e})")
-    y = sol.matrix
-    xi = float(np.mean(np.diag(y).real))
-    if not (xi > _XI_FLOOR and np.isfinite(y).all()):
-        return None
-    slack, mult = _dual_slack(sol, batch, lane)
-    c_value = float(mult[:ctx.k - 1].sum()) + _psd_shift(slack) * (ctx.n + 1) / ctx.sigma2[0]
-    return c_value, y, xi
+    values, kept = [None] * len(sols), []
+    for lane, sol in enumerate(sols):
+        if sol.status == SdpStatus.INFEASIBLE:
+            continue
+        if np.isfinite(sol.dual).all():
+            kept.append(lane)
+        else:
+            values[lane] = SdpSolverError(f"fractional SDP failed: {sol.status.value} (gap "
+                                          f"{sol.duality_gap:.2e}, resid {sol.residuals:.2e})")
+    ys = np.array([sols[lane].matrix for lane in kept]).reshape(-1, ctx.n + 1, ctx.n + 1)
+    xi = ys.diagonal(0, -2, -1).real.mean(axis=-1)
+    ok = (xi > _XI_FLOOR) & np.isfinite(ys).all(axis=(1, 2))
+    lanes = [lane for lane, good in zip(kept, ok.tolist()) if good]
+    if lanes:
+        slack, mult = _dual_slack(np.array([sols[lane].dual for lane in lanes]), batch, lanes)
+        c_values = (mult[:, :ctx.k - 1].sum(axis=-1)
+                    + _psd_shift(slack) * (ctx.n + 1) / ctx.sigma2[0])
+        for lane, c_value, x in zip(lanes, c_values, xi[ok].tolist()):
+            values[lane] = c_value, sols[lane].matrix, x
+    return values
+
+
+def _cct_value(ctx: _Lifted, batch: SdpBatch):
+    """`_cct_values` of a one-lane batch, solved here; its SdpSolverError is raised."""
+    value = _cct_values(ctx, solve_batch(batch), batch)[0]
+    if isinstance(value, SdpSolverError):
+        raise value
+    return value
 
 
 def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
@@ -304,7 +326,7 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     if r_m > 0 and not ctx.supports(r_m, alpha, _eavesdropper_snr(ctx)[0]):
         return None
     batch = ctx.cct_batch([r_m], [alpha])   # NaN > 0 is false: a NaN floor raises here
-    res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
+    res = _cct_value(ctx, batch)
     if res is None:
         return None
     c_value, y, xi = res
@@ -312,53 +334,69 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     return c_value, y / scale, xi / scale
 
 
-def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap: float | None, out=None):
+def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap, out=None):
     """Bottleneck power repair of gains x (B, K) at each multicast floor in `floors` (a
-    scalar is one floor): (r_c, alpha, ok), each a (B, F) view of a floor-major array, alpha
+    scalar is one floor), or at 2-D floors as they broadcast against the rows ((1, B): row b
+    at floor b): (r_c, alpha, ok), each the transpose of a floor-major array, so (B, F), alpha
     and r_c made in ``out`` (2, F, B) if given. alpha is the largest power at which the user
     of least gain-to-noise ratio meets the floor, (P x - (c - 1) sigma^2) / (c x) with c the
-    `model._floor_factor`, in [0, P] (P without a floor) and capped by alpha_cap; r_c is the
-    secrecy rate at alpha; ok says the floor holds with all power on multicast. A NaN floor
-    raises ValueError."""
-    r_m = np.atleast_1d(np.asarray(floors, dtype=float))
-    c = np.array([model._floor_factor(r) for r in r_m])[:, None]
+    `model._floor_factor`, in [0, P] (P without a floor) and capped by alpha_cap (None: none;
+    an array broadcasts as 2-D floors do); r_c is the secrecy rate at alpha; ok says the floor
+    holds with all power on multicast. A NaN floor raises ValueError."""
+    r_m = np.asarray(floors, dtype=float)
+    if r_m.ndim < 2:
+        r_m = np.atleast_1d(r_m)[:, None]
+    c = _floor_factors(r_m)
     tau = np.argmin(x / ch.sigma2, axis=-1)
     x_tau, s_tau = x[np.arange(len(x)), tau], ch.sigma2[tau]
-    ok = (r_m - _RM_SLACK)[:, None] <= np.log2(1.0 + p * (x_tau / s_tau))
-    a, r_c = np.empty((2, r_m.size, len(x))) if out is None else out
+    ok = r_m - _RM_SLACK <= np.log2(1.0 + p * (x_tau / s_tau))
+    a, r_c = np.empty((2, *ok.shape)) if out is None else out
     with np.errstate(divide="ignore", invalid="ignore"):
         np.multiply(c - 1.0, s_tau, out=a)
         np.divide(np.subtract(p * x_tau, a, out=a), np.multiply(c, x_tau, out=r_c), out=a)
     np.clip(a, 0.0, p, out=a)
     np.copyto(a, 0.0, where=~(x_tau > 0))
-    np.copyto(a, p, where=~(r_m > 0)[:, None])
+    np.copyto(a, p, where=~(r_m > 0))
     if alpha_cap is not None:
         np.minimum(a, alpha_cap, out=a)
     return model.secrecy_rate_from_gains(x, ch.sigma2, a, out=r_c).T, a.T, ok.T
 
 
-def _best_of_draws(ch: ChannelSet, p: float, floors, covs, caps, t_g: int, rng) -> tuple:
-    """Per multicast floor in `floors`, the first best Gaussian-randomization candidate over
-    the covariances `covs`, drawn in turn on rng (as `sdp._grp_draw` takes it), its covariance's
-    index and its score: (patterns, indices, scores), None, None and -inf where none carries
-    the floor. Each covariance draws t_g candidates into arrays kept for all; a candidate
-    scores its `_repair` secrecy rate, power capped at caps[i] (None: uncapped), -inf where it
-    cannot carry the floor at any power, and a NaN score ranks below every other."""
-    floors = np.atleast_1d(np.asarray(floors, dtype=float))
-    best, rows, work = np.full(floors.size, -np.inf), np.arange(floors.size), {}
-    best_v, best_i = [None] * floors.size, [None] * floors.size
-    for i, (z, cap) in enumerate(zip(covs, caps)):
-        batch = _grp_draw(z, t_g, rng, work)        # views work's arrays, kept by shape
-        if len(batch) not in work:                  # the `_repair` arrays, by batch size
-            work[len(batch)] = np.empty((2, floors.size, len(batch)))
-        r_c, _, ok = _repair(ch, p, floors, model.effective_gains(ch, batch), cap,
-                             work[len(batch)])
-        r_c[~ok] = -np.inf
-        scores = r_c.T                              # floor-major (F, B)
-        top = _first_best(scores)
-        for f in np.flatnonzero(scores[rows, top] > best):
-            best[f], best_v[f], best_i[f] = scores[f, top[f]], batch[top[f]].copy(), i
-    return best_v, best_i, best
+def _best_of_draws(ch: ChannelSet, p: float, held: list, covs, caps: list, t_g: int,
+                   rngs: list) -> list:
+    """Per covariance covs[i], drawn on rngs[i] by `sdp._grp_draws` (in turn), its first best
+    candidate at each multicast floor of held[i], as (patterns, scores), one row each per
+    floor: the score is the `_repair` secrecy rate, power capped at caps[i] (None: uncapped),
+    and -inf (the row meaningless) where no candidate carries the floor; NaN ranks as -inf.
+    Each draw of t_g candidates is scored on its own, in arrays kept for all, and every
+    one-candidate batch (a rank-one pattern) in one `_repair` call, a row per floor."""
+    covs = list(covs)
+    results, singles, kept = [None] * len(covs), [], {}
+    for i, batch in enumerate(_grp_draws(covs, t_g, rngs) if covs else ()):
+        floors = np.asarray(held[i], dtype=float)
+        if len(batch) == 1:                         # a copy: a draw's batch is reused
+            singles.append((i, batch[0].copy()))
+            continue
+        out = kept.get(len(batch))                  # the `_repair` arrays, by batch size
+        if out is None or out.shape[1] < floors.size:
+            out = kept[len(batch)] = np.empty((2, floors.size, len(batch)))
+        r_c, _, ok = _repair(ch, p, floors, model.effective_gains(ch, batch), caps[i],
+                             out[:, :floors.size])
+        scores = np.where(ok & (r_c > -np.inf), r_c, -np.inf).T     # floor-major; NaN as -inf
+        top = scores.argmax(axis=-1)
+        results[i] = batch[top], scores[np.arange(floors.size), top]
+    if singles:
+        index, patterns = zip(*singles)
+        sizes = [len(held[i]) for i in index]
+        rows = np.repeat(np.arange(len(index)), sizes)
+        gains = model.effective_gains(ch, np.array(patterns)[:, None, :])[:, 0]   # each alone
+        r_c, _, ok = _repair(ch, p, np.concatenate([held[i] for i in index])[None], gains[rows],
+                             np.repeat([math.inf if caps[i] is None else caps[i] for i in index],
+                                       sizes)[None])
+        scores = np.where(ok & (r_c > -np.inf), r_c, -np.inf)[:, 0]
+        for i, v, part in zip(index, patterns, np.split(scores, np.cumsum(sizes)[:-1])):
+            results[i] = np.repeat(v[None], part.size, axis=0), part
+    return results
 
 
 def _repair_one(ch: ChannelSet, p: float, r_m: float, x: np.ndarray, alpha_cap: float | None):
@@ -410,18 +448,14 @@ def _cct_units(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
 
 def _solve_lanes(ctx: _Lifted, floors: list, alphas: list) -> list:
     """(alpha, status, iterations, value) of each lane (r_m, alpha) of
-    zip(floors, alphas), solved as one `_Lifted.cct_batch`, if any. value is
-    the lane's `_cct_value`, or the SdpSolverError it raised."""
+    zip(floors, alphas), solved as one `_Lifted.cct_batch`, if any, and
+    certified together: value is the lane's `_cct_values` entry."""
     if not floors:
         return []
-    batch, lanes = ctx.cct_batch(floors, alphas), []
-    for lane, (alpha, sol) in enumerate(zip(alphas, solve_batch(batch))):
-        try:
-            value = _cct_value(ctx, sol, batch, lane)
-        except SdpSolverError as exc:
-            value = exc
-        lanes.append((alpha, sol.status, sol.iterations, value))
-    return lanes
+    batch = ctx.cct_batch(floors, alphas)
+    sols = solve_batch(batch)
+    return [(alpha, sol.status, sol.iterations, value)
+            for alpha, sol, value in zip(alphas, sols, _cct_values(ctx, sols, batch))]
 
 
 def _solve_units(ctx: _Lifted, floors: list, alphas: list, units: list) -> tuple:
@@ -461,22 +495,27 @@ def _cct_work(ctx: _Lifted, ch: ChannelSet, floors: list, alphas: list, units: l
     """Per lane (i, j) of `units`, (lane, by, score, v): the lane it takes
     from lane `by` (`_solve_units`), value cut to c_value where certified, and
     its first best candidate v at floor i with its score, or -inf and None.
-    Each certified solve draws once, on `_lane_rng` of the floor and slot that
-    solved it, made only if the draw takes normals, and its candidates are
-    scored at every floor that takes it (`_best_of_draws`)."""
+    Every certified solve is rounded in one `_best_of_draws` call: drawn
+    once, on `_lane_rng` of the floor and slot that solved it, made only if
+    the draw takes normals, and its candidates scored at every floor that
+    takes it."""
     solved, by = _solve_units(ctx, floors, alphas, units)
     held, records = {}, {}
     for slot, first in by.items():
         held.setdefault(first, []).append(slot)
+    drawn = [first for first in held if isinstance(solved[first][3], tuple)]
+    rounds = dict(zip(drawn, _best_of_draws(
+        ch, ctx.p, [[floors[i] for i, _ in held[first]] for first in drawn],
+        [solved[first][3][1] / solved[first][3][2] for first in drawn],
+        [solved[first][0] for first in drawn], t_g,
+        [partial(_lane_rng, rngs[i], j) for i, j in drawn])))
     for first, slots in held.items():
         alpha, status, iterations, value = solved[first]
-        patterns, scores = [None] * len(slots), [-math.inf] * len(slots)
+        patterns, scores = rounds.get(first, ([None] * len(slots), [-math.inf] * len(slots)))
         if isinstance(value, tuple):
-            patterns, _, scores = _best_of_draws(ch, ctx.p, [floors[i] for i, _ in slots],
-                                                 [value[1] / value[2]], [alpha], t_g,
-                                                 partial(_lane_rng, rngs[first[0]], first[1]))
             value = value[0]
-        records.update((slot, ((alpha, status, iterations, value), first, score, v))
+        records.update((slot, ((alpha, status, iterations, value), first, score,
+                               v if score > -math.inf else None))
                        for slot, score, v in zip(slots, scores, patterns))
     return records
 
@@ -614,7 +653,7 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     closed-form window edge, above the largest of those grid powers: all
     decided before any Charnes-Cooper solve. Without a floor the feasible set
     does not depend on alpha and the objective does not decrease in it: the
-    one sample is alpha = P. Each lane that `_cct_value` certifies, whatever
+    one sample is alpha = P. Each lane that `_cct_values` certifies, whatever
     its status, is rounded by Gaussian randomization, lane j on child j of
     rng's seed sequence (`_lane_rng`); candidates are scored by their
     `_repair` secrecy rate, power capped at the lane's alpha, and dropped if
@@ -639,8 +678,7 @@ def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
     power on the confidential stream and no multicast floor; returns the
     unit-diagonal Z."""
     ctx = _Lifted(ch, p)
-    batch = ctx.cct_batch([0.0], [p])
-    res = _cct_value(ctx, solve_batch(batch)[0], batch, 0)
+    res = _cct_value(ctx, ctx.cct_batch([0.0], [p]))
     if res is None:
         raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
     return res[1] / res[2]
@@ -659,10 +697,15 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
     """
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     lams = [t / (t_lambda - 1) for t in range(t_lambda)]
-    blends = (lam * z_c + (1.0 - lam) * z_m for lam in lams)
-    best_v, best_i, _ = _best_of_draws(ch, p, floors, blends, [None] * t_lambda, t_g, rng)
+    floors = np.asarray(floors, dtype=float)
+    best, best_v, best_i = np.full(floors.size, -np.inf), [None] * len(floors), [None] * len(floors)
+    for i, (patterns, scores) in enumerate(_best_of_draws(
+            ch, p, [floors] * t_lambda, [lam * z_c + (1.0 - lam) * z_m for lam in lams],
+            [None] * t_lambda, t_g, [rng] * t_lambda)):
+        for f in np.flatnonzero(scores > best):
+            best[f], best_v[f], best_i[f] = scores[f], patterns[f], i
     return [_rounded_point(ch, p, r_m, v, "wscm", {"lambda": lams[i]} if v is not None else None)
-            for r_m, v, i in zip(np.asarray(floors, dtype=float).tolist(), best_v, best_i)]
+            for r_m, v, i in zip(floors.tolist(), best_v, best_i)]
 
 
 def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,

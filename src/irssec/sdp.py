@@ -20,14 +20,17 @@ stacked Cholesky test of every matrix of the stack shows which matrices stay
 positive definite up to the step their eigenvalues could bound; only the
 others take `eigvalsh` for their step lengths. No LAPACK call raises: a
 finite matrix that fails its factorization is retried with jitter, and a
-non-finite value ends its lane. Each lane keeps its own step lengths and
-stopping tests, and a lane that stops leaves the stack, so every lane
-follows bitwise the iterates it follows alone. The lanes run in stacks of
+non-finite value ends its lane; each stack runs under one
+np.errstate(all="ignore"), whatever the caller's. Each lane keeps its own
+step lengths and stopping tests, and a lane that stops leaves the stack, so
+every lane follows bitwise the iterates it follows alone. The lanes run in stacks of
 `_stack_width` lanes in the calling process, and a stack's outputs depend
 only on its own lanes. `solve_batch` is the solver's one entry point; the
 library builds its one program shape, a PSD block held to a constant
 diagonal with rows a I + b T_k (the max-min SNR bound and the
-Charnes-Cooper lanes), as batches.
+Charnes-Cooper lanes), as batches. The rounding (`grp_draw`) takes a stack
+of covariances too, `_grp_draws`: one eigendecomposition, each matrix's
+bits as alone, and a draw of its own generator per covariance.
 """
 from __future__ import annotations
 
@@ -150,11 +153,10 @@ class _Basis:
 def _lapack(name: str, mats: np.ndarray) -> np.ndarray:
     """The gufunc under `np.linalg.<name>` (cholesky_lo, inv or eigvalsh_lo)
     on a real or complex stack, without raising: a failed or non-finite
-    matrix gives a non-finite result."""
-    t = "D" if np.iscomplexobj(mats) else "d"
-    out = "d" if name == "eigvalsh_lo" else t
-    with np.errstate(all="ignore"):
-        return getattr(np.linalg._umath_linalg, name)(mats, signature=f"{t}->{out}")
+    matrix gives a non-finite result. It flags the failure as an invalid
+    floating-point operation, which the caller's np.errstate decides on;
+    `_solve_stack` runs the solver under errstate(all="ignore")."""
+    return getattr(np.linalg._umath_linalg, name)(mats)
 
 
 def _definite(mats: np.ndarray) -> np.ndarray:
@@ -167,17 +169,20 @@ def _definite(mats: np.ndarray) -> np.ndarray:
 def _boundary_steps(mats, d, ratio, caps, factors) -> np.ndarray:
     """Fraction-to-boundary lengths min(ratio_j, -1/lambda_min(R_j D_j R_j^H))
     of positive definite M_j along D_j (a lambda_min of at least -1e-13 bounds
-    nothing, a NaN one gives a zero length); factors(need) gives the R_j
-    (R_j M_j R_j^H = I) of the matrices the boolean mask need selects. A
-    matrix with M_j + cap_j D_j positive definite takes an infinite
-    eigenvalue length without its eigenvalues or factor, so only
+    nothing, a NaN one gives a zero length), with factors the R_j
+    (R_j M_j R_j^H = I). A matrix with M_j + cap_j D_j positive definite
+    takes an infinite eigenvalue length without its eigenvalues, so only
     min(cap_j, length) is exact."""
-    lam = np.zeros(len(d))                          # a zero bounds nothing
     need = ~_definite(mats + caps[:, None, None] * d)
-    if need.any():
-        r = factors(need)
-        w_d = r @ d[need] @ r.conj().swapaxes(-1, -2)
-        lam[need] = _lapack("eigvalsh_lo", 0.5 * (w_d + w_d.conj().swapaxes(-1, -2))).min(axis=-1)
+    if not need.any():
+        return ratio                                # min(inf, ratio) is ratio
+    every = need.all()
+    r, d = (factors, d) if every else (factors[need], d[need])
+    w_d = r @ d @ r.conj().swapaxes(-1, -2)
+    low = _lapack("eigvalsh_lo", 0.5 * (w_d + w_d.conj().swapaxes(-1, -2))).min(axis=-1)
+    lam = low if every else np.zeros(len(need))     # a zero bounds nothing
+    if not every:
+        lam[need] = low
     length = np.where(lam < -1e-13, -1.0 / np.minimum(lam, -1e-13), np.inf)
     return np.where(np.isnan(lam), 0.0, np.minimum(length, ratio))
 
@@ -189,6 +194,8 @@ def _inv_factor(mat: np.ndarray) -> np.ndarray:
     if it is finite, else a NaN R (LAPACK inverts diag(1, inf, 1) to diag(1, 0, 1))."""
     c = _lapack("cholesky_lo", mat)
     r = _lapack("inv", c)
+    if np.isfinite(r).all() and np.isfinite(c.diagonal(0, -2, -1)).all():
+        return r
     ok = np.isfinite(c.diagonal(0, -2, -1)).all(axis=-1) & np.isfinite(r).all(axis=(-2, -1))
     for j in np.flatnonzero(~ok).tolist():
         r[j] = _jittered_factor(mat[j]) if np.isfinite(mat[j]).all() else math.nan
@@ -239,7 +246,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
     the smaller length), so its cap is min(1/_STEP_FRACTION, both ratios).
     Every matrix of the stack is first tested at its cap by one stacked
     Cholesky factorization; one that stays positive definite skips the
-    eigenvalues, and X's inverse factor is made only for an X that fails.
+    eigenvalues. The inverse factors of every X and S are made in one call.
     Where the test and the eigenvalue agree, the step is the eigenvalue's
     bitwise.
 
@@ -281,10 +288,12 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
     st = {"xs": start[:, :, None, None] * eye.astype(complex),
           "xsd": start[:, :, None] * np.ones(nd), "y": np.zeros((lanes, m)), "w": w,
           "vecs": vecs, "b": b, "half_c": 0.5 * basis.expand(c_w),
-          "norm_b": np.sqrt(np.vecdot(b, b)), "norm_c": norm_c,
+          "scale_b": 1.0 + np.sqrt(np.vecdot(b, b)), "scale_c": 1.0 + norm_c,
           "relgap": np.full(lanes, np.inf), "resid": np.full(lanes, np.inf)}
     # A lane's status code is its status's position in kinds; -1 runs on.
     live, done, kinds = np.arange(lanes), [None] * lanes, list(SdpStatus)
+    opt, infeas, cap, brk = map(kinds.index, (SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE,
+                                              SdpStatus.MAX_ITERATIONS, SdpStatus.BREAKDOWN))
 
     def freeze(code, it):
         """Record the active lanes with a status code and drop them."""
@@ -305,14 +314,14 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
             "xs", "xsd", "w", "vecs", "rd_mat", "rd_vec", "mu"))
         x, xd, sd = xs[:, 0], xsd[:, 0], xsd[:, 1]
         flat = xs.reshape(-1, n, n)         # X and S of each lane, interleaved
-        # The inverse factors: every S's now, an X's when an X length fails
-        # its screen.
-        r_xs, made = np.empty_like(flat), np.arange(len(flat)) % 2 == 1
-        r_xs[1::2] = _inv_factor(xs[:, 1])
-        s_inv = r_xs[1::2].conj().swapaxes(-1, -2) @ r_xs[1::2]
+        r_xs = _inv_factor(flat)            # their inverse factors
+        x_s_inv = np.empty_like(xs)         # X and S^-1, for one gram call
+        x_s_inv[:, 0] = x
+        s_inv = np.matmul(r_xs[1::2].conj().swapaxes(-1, -2), r_xs[1::2], out=x_s_inv[:, 1])
         sd_inv = 1.0 / sd
+        grams = basis.gram(x_s_inv)
         big_m = 0.5 * (w.swapaxes(-1, -2)
-                       @ (basis.gram(x) * basis.gram(s_inv).swapaxes(-1, -2)).real @ w)
+                       @ (grams[:, 0] * grams[:, 1].swapaxes(-1, -2)).real @ w)
         big_m += (vecs * (xd * sd_inv)[:, None, :]) @ vecs.swapaxes(-1, -2)
         r_m = _inv_factor(0.5 * (big_m + big_m.swapaxes(-1, -2)))
         x_rd = x @ rd_mat
@@ -331,19 +340,12 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
             np.subtract((tm_vec - h_vec - xd * ds_vec) * sd_inv, xd, out=d_vec[:, 0])
             return d_mat, d_vec, dy
 
-        def factors(need):  # the inverse factors of the matrices of flat that need selects
-            new = need & ~made
-            if new.any():
-                r_xs[new] = _inv_factor(flat[new])
-                made[new] = True
-            return r_xs[need]
-
         def max_steps(d_mat, d_vec, caps):
             """The (X, S) fraction-to-boundary lengths, (lanes, 2); caps maps
             the (X, S) vector ratios to the screen caps."""
             ratio = np.where(d_vec < 0, -xsd / d_vec, np.inf).min(axis=-1, initial=np.inf)
             t = _boundary_steps(flat, d_mat.reshape(flat.shape), ratio.ravel(),
-                                caps(ratio).ravel(), factors)
+                                caps(ratio).ravel(), r_xs)
             return t.reshape(ratio.shape)
 
         da_mat, da_vec, _ = direction(np.zeros(len(mu)), 0.0, 0.0)
@@ -374,25 +376,27 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         rd_vec = ys_vec - sd
         pobj = 2.0 * _dot(st["half_c"], x)
         dobj = np.vecdot(b, y)
-        pres = np.sqrt(np.vecdot(rp, rp)) / (1.0 + st["norm_b"])
+        pres = np.sqrt(np.vecdot(rp, rp)) / st["scale_b"]
         dres = (np.sqrt(2.0 * _dot(rd_mat, rd_mat) + np.vecdot(rd_vec, rd_vec))
-                / (1.0 + st["norm_c"]))
-        relgap = np.where(finite, gap / (1.0 + np.abs(pobj) + np.abs(dobj)), np.inf)
-        resid = np.where(finite, np.maximum(pres, dres), np.inf)
+                / st["scale_c"])
+        abs_pobj = np.abs(pobj)
+        relgap = gap / (1.0 + abs_pobj + np.abs(dobj))
+        resid = np.maximum(pres, dres)
+        broken = (gap > 1e100) | (abs_pobj > 1e100)
+        if not finite.all():
+            relgap, resid = np.where(finite, relgap, np.inf), np.where(finite, resid, np.inf)
+            broken |= ~finite
         optimal = (resid <= tol) & (relgap <= tol)
-        broken = ~finite | (gap > 1e100) | (np.abs(pobj) > 1e100)
         # Farkas test: A*(y) >= 0 with b.y < 0 certifies primal infeasibility.
-        farkas = ~optimal & ~broken & (ny > 1e-12) & (dobj / ny < -1e-6)
-        infeasible = np.zeros_like(farkas)
-        if farkas.any():
+        stop = optimal | broken
+        farkas = ~stop & (ny > 1e-12) & (dobj / ny < -1e-6) if (dobj < 0).any() else None
+        if farkas is not None and farkas.any():
             low = np.minimum(_lapack("eigvalsh_lo", ys_mat[farkas]).min(axis=-1),
                              ys_vec[farkas].min(axis=-1, initial=np.inf))
-            infeasible[farkas] = low / ny[farkas] >= -1e-9
-        code = np.select([optimal, broken, infeasible], [kinds.index(kind) for kind in (
-            SdpStatus.OPTIMAL, SdpStatus.BREAKDOWN, SdpStatus.INFEASIBLE)], -1)
+            stop[farkas] = low / ny[farkas] >= -1e-9     # infeasible
         st.update(rd_mat=rd_mat, rd_vec=rd_vec, mu=gap / nu, relgap=relgap, resid=resid)
-        if (code >= 0).any():
-            freeze(code, it)
+        if stop.any():
+            freeze(np.where(optimal, opt, np.where(broken, brk, np.where(stop, infeas, -1))), it)
             if not live.size:
                 break
 
@@ -400,7 +404,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         usable = (np.isfinite(out[0]).all(axis=(1, 2, 3)) & np.isfinite(out[2]).all(axis=1)
                   & ~(out[3] < 1e-10))
         if not usable.all():
-            freeze(np.where(usable, -1, kinds.index(SdpStatus.BREAKDOWN)), it)
+            freeze(np.where(usable, -1, brk), it)
             if not live.size:
                 break
             out = [val[usable] for val in out]
@@ -410,7 +414,7 @@ def _ipm(basis: _Basis, gram2, w, vecs, b, c_w, cfg: SolverConfig) -> list:
         st["xsd"] = st["xsd"] + step[:, None, None] * d_vec
         st["y"] = st["y"] + step[:, None] * dy
     if live.size:
-        freeze(np.full(live.size, kinds.index(SdpStatus.MAX_ITERATIONS)), it)
+        freeze(np.full(live.size, cap), it)
     return done
 
 
@@ -423,7 +427,7 @@ def _solve_stack(basis: _Basis, gram2, cfg: SolverConfig, w, vecs, b, c_w) -> li
     """The SdpSolution of every lane of one stack: rows and objective
     equilibrated, one lockstep `_ipm` call, the scales undone."""
     sols = []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         row_scale = np.maximum(_embedded_norms(gram2, w, vecs), 1e-300)
         c_scale = _embedded_norms(gram2, c_w[:, :, None])[:, 0]
         c_scale[c_scale < 1e-18] = 1.0
@@ -489,53 +493,59 @@ def grp_draw(z_matrix: np.ndarray, candidates: int, rng: np.random.Generator) ->
     covariance, or one whose kept eigenpairs give the lifted coordinate N+1 no
     variance, raises ValueError before any draw: no draw could be normalized.
     """
-    return _grp_draw(z_matrix, candidates, rng, {})
+    return next(_grp_draws(np.asarray(z_matrix)[None], candidates, [rng]))
 
 
-def _grp_draw(z_matrix, candidates: int, rng, work: dict) -> np.ndarray:
-    """`grp_draw` into arrays that ``work`` keeps by (size, rank, candidates);
-    the batch may view them. rng is a Generator or a function that makes one,
-    called only when the draw takes normals."""
+def _grp_draws(zs, candidates: int, rngs):
+    """`grp_draw` of each covariance of the stack zs (L, size, size), as a generator of their
+    batches in order: all checked (ValueError as in `grp_draw`) and eigendecomposed, each
+    bitwise as alone, and the rank-one patterns made, before the first. Covariance l draws on
+    rngs[l], a Generator or a function that makes one, called only when the draw takes
+    normals, into arrays kept by rank: read its batch before the next draw."""
     if candidates < 1:
         raise ValueError("need at least one candidate")
-    z = np.asarray(z_matrix, dtype=complex)
+    z = np.asarray(zs, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError("input covariance must be finite")
-    z = 0.5 * (z + z.conj().T)
-    size = z.shape[0]
+    size = z.shape[-1]
     n_phase = size - 1
-    lam, u = np.linalg.eigh(z)
+    lam, u = np.linalg.eigh(0.5 * (z + z.conj().swapaxes(-1, -2)))
     lam = np.clip(lam, 0.0, None)
-    trace = float(lam.sum())
-    if trace <= 0:
+    trace = lam.sum(axis=-1)
+    if not (trace > 0).all():
         raise ValueError("input covariance has nonpositive trace")
     # eigh sorts ascending, so the kept eigenpairs are a trailing slice; the
     # slice keeps u's layout, and with it a full-rank draw's bits
-    low = int(np.searchsorted(lam, _RANK_TOL * trace, side="right"))
-    factor, rank = u[:, low:] * np.sqrt(lam[low:]), size - low
-    if rank == 1 and size > 1 and abs(factor[n_phase, 0]) > 1e-9 * math.sqrt(trace):
-        return _unit_phase(factor[:n_phase, 0] / factor[n_phase, 0])[None, :]
-    if not factor[n_phase].any():
+    low = (lam <= _RANK_TOL * trace[:, None]).sum(axis=-1).tolist()
+    lead = u[..., -1] * np.sqrt(lam[:, -1:])          # the top eigenpair's factor column
+    one = ((np.array(low) == n_phase) & (size > 1)
+           & (np.abs(lead[:, n_phase]) > 1e-9 * np.sqrt(trace)))
+    patterns = iter(_unit_phase(lead[one, :n_phase] / lead[one, n_phase:]))
+    factors = [None if one[l] else u[l][:, low[l]:] * np.sqrt(lam[l][low[l]:])
+               for l in range(len(z))]
+    if not all(factor[n_phase].any() for factor in factors if factor is not None):
         raise ValueError("input covariance gives the lifted coordinate no variance")
-    if (size, rank, candidates) not in work:
-        work[size, rank, candidates] = (np.empty((2, rank, candidates)),
-                                        np.empty((rank, candidates), dtype=complex),
-                                        np.empty((size, candidates), dtype=complex))
-    normals, draw, zt = work[size, rank, candidates]
-    rng = rng() if callable(rng) else rng
-    draw.real, draw.imag = rng.standard_normal(out=normals)    # a real, then an imaginary draw
-    np.matmul(factor, np.divide(draw, math.sqrt(2.0), out=draw), out=zt)
-    batch = zt[:n_phase]
-    return _unit_phase(np.divide(batch, zt[n_phase], out=batch)).T
+    work = {}
+    for factor, rng in zip(factors, rngs):
+        if factor is None:
+            yield next(patterns)[None, :]
+            continue
+        rank = factor.shape[1]
+        if rank not in work:
+            work[rank] = (np.empty((2, rank, candidates)), np.empty((rank, candidates), complex),
+                          np.empty((size, candidates), complex))
+        normals, draw, zt = work[rank]
+        rng = rng() if callable(rng) else rng
+        draw.real, draw.imag = rng.standard_normal(out=normals)    # a real, then an imaginary draw
+        np.matmul(factor, np.divide(draw, math.sqrt(2.0), out=draw), out=zt)
+        batch = zt[:n_phase]
+        yield _unit_phase(np.divide(batch, zt[n_phase], out=batch)).T
 
 
-def _first_best(scores: np.ndarray) -> np.ndarray:
-    """Per row of scores (rows, B), the index of its first largest entry, NaN ranked lowest."""
-    top = np.argmax(scores, axis=-1)
-    for r in np.flatnonzero(np.isnan(scores[np.arange(len(scores)), top])).tolist():
-        real = np.flatnonzero(~np.isnan(scores[r]))
-        top[r] = real[np.argmax(scores[r, real])] if real.size else 0
-    return top
+def _first_best(scores: np.ndarray) -> int:
+    """The index of the first largest entry of scores, NaN ranked lowest."""
+    real = np.flatnonzero(~np.isnan(scores))
+    return int(real[np.argmax(scores[real])]) if real.size else 0
 
 
 def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Generator):
@@ -546,7 +556,7 @@ def grp_round(z_matrix: np.ndarray, candidates: int, score, rng: np.random.Gener
     scores = np.asarray(score(batch), dtype=float)
     if scores.shape != (len(batch),):
         raise ValueError("score must give one value per candidate")
-    i = int(_first_best(scores[None, :])[0])
+    i = _first_best(scores)
     return batch[i].copy(), float(scores[i])
 
 

@@ -3,7 +3,7 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/layer_timings.py [--repeats R]
 
 Prints the CPUs the process may run on and the lanes per `solve_batch` stack
-at n in {11, 31, 61, 101}, then seven groups of figures, each timing the best of
+at n in {11, 31, 61, 101}, then eight groups of figures, each timing the best of
 R repeats. Only a cct point or region spreads its work over processes (one
 group of units of lanes per CPU), so every other figure is a time on one CPU:
 
@@ -12,6 +12,11 @@ group of units of lanes per CPU), so every other figure is a time on one CPU:
   [0, P] without a floor on `two_user_scenario(d1=20, n_y=5, n_z=2, seed=0)`,
   solved L lanes at a time by `solve_batch`, and the time is divided by the
   summed iterations of the lanes.
+* the lockstep fixed cost: ms per stack-iteration (one lockstep `_ipm`
+  iteration of the whole stack) at n = 11 for L in {1, 7, 42} lanes,
+  slices of the floored lanes below (`sdp_forms.floored_region_batch`),
+  solved L at a time: the time divided by the summed iterations of each
+  stack's slowest lane.
 * ms per lane-iteration on every floored Charnes-Cooper lane of a cct region
   on the same scenario (grid 20, T_alpha 80), none shared, as one batch
   (`sdp_forms.floored_region_batch`); with the share of step lengths at
@@ -33,10 +38,10 @@ group of units of lanes per CPU), so every other figure is a time on one CPU:
     [0, the multicast upper bound], as `algorithms._wscm_points` runs 80
     blends in one call;
   - one cct lane: the certified grid lanes (T_alpha 80) of the floor at half
-    the multicast upper bound, capped at their powers, each rounded in its
-    own call on its `algorithms._lane_rng`, as `algorithms._cct_work` rounds
-    a lane; lanes whose covariance is rank one take the one-pattern shortcut
-    and draw nothing.
+    the multicast upper bound, capped at their powers, rounded in one call,
+    each on its `algorithms._lane_rng`, as `algorithms._cct_work` rounds a
+    worker's lanes; lanes whose covariance is rank one take the one-pattern
+    shortcut and draw nothing.
 * ms per `algorithm1_cct` point on the same scenario (N = 10, T_alpha 80,
   T_g 1000) at r_m = 0 and at half the multicast upper bound, on every CPU
   (a floored point's units fan out); the floored point's time includes its
@@ -54,11 +59,14 @@ group of units of lanes per CPU), so every other figure is a time on one CPU:
   largest (the closest miss), from one more solve of its units in process.
   Then, from one more run on one CPU and on every CPU, one line per call of
   `algorithms._cct_work`, one per group of units (the first in this process,
-  each other in a forked child): its units, the lanes it solved and their
-  lane-iterations, its full draws (`sdp._grp_draw` calls that draw normals)
-  and its busy time, from its start to its return; then the time from the
-  region's start to the first group's start, and from the last group's end
-  to the region's return.
+  each other in a forked child): its units, the lanes it solved, their
+  lane-iterations and the stack-iterations of its `solve_batch` calls, its
+  full draws (`sdp._grp_draws` batches that draw normals) and its busy
+  time, from its start to its return, split into the solve (`solve_batch`),
+  the certificates (`algorithms._cct_values`) and the rounding
+  (`algorithms._best_of_draws`); then the time from the region's start to
+  the first group's start, and from the last group's end to the region's
+  return.
 * ms per wscm region on the same scenario (grid 20, T_lambda 80, T_g 1000),
   pinned to one CPU and on every CPU, with the mean ms per region in its
   three parts: the multicast bound, the secrecy covariance and the blend
@@ -75,6 +83,7 @@ import os
 import resource
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
@@ -85,6 +94,7 @@ from sdp_forms import floored_region_batch, lanes_of, recorded_batches
 
 P = 1.0
 LANES = (1, 20, 80)
+FIXED_LANES = (1, 7, 42)
 STACK_SIZES = (11, 31, 61, 101)
 SURFACES = {30: (5, 6), 60: (10, 6), 100: (10, 10)}       # N: (n_y, n_z)
 
@@ -112,6 +122,29 @@ def lane_rows(repeats: int) -> None:
         ms = 1e3 * best_of(repeats, run) / iterations
         print(f"n=11   L={lanes:<3d} ms per lane-iteration {ms:8.4f}"
               f"   ({count} programs, {iterations} lane-iterations)")
+
+
+def fixed_cost_rows(repeats: int) -> None:
+    batch = floored_region_batch(20)
+    for lanes in FIXED_LANES:
+        stacks = [lanes_of(batch, slice(at, at + lanes)) for at in range(0, 2 * max(FIXED_LANES),
+                                                                           lanes)]
+        iterations = sum(stack_iterations(sdp.solve_batch(stack), 11) for stack in stacks)
+
+        def run(stacks=stacks):
+            for stack in stacks:
+                sdp.solve_batch(stack)
+        ms = 1e3 * best_of(repeats, run) / iterations
+        print(f"n=11   L={lanes:<3d} lockstep fixed cost ms per stack-iteration {ms:8.4f}"
+              f"   ({len(stacks)} stacks, {iterations} stack-iterations)")
+
+
+def stack_iterations(sols, n: int) -> int:
+    """The lockstep iterations of a `solve_batch` call's stacks, each as
+    many as its slowest lane's."""
+    width = sdp._stack_width(n)
+    return sum(max(sol.iterations for sol in sols[at:at + width])
+               for at in range(0, len(sols), width))
 
 
 def region_batch_row(repeats: int) -> None:
@@ -214,8 +247,11 @@ def rounding_rows(repeats: int) -> None:
     assert len(sdp.grp_draw(z, 1000, np.random.default_rng(0))) == 1000     # not rank one
 
     def blends(floors):
-        return lambda: algorithms._best_of_draws(ch, p, floors, [z] * 20, [None] * 20, 1000,
-                                                 np.random.default_rng(0))
+        def run():
+            rng = np.random.default_rng(0)
+            algorithms._best_of_draws(ch, p, [floors] * 20, [z] * 20, [None] * 20, 1000,
+                                      [rng] * 20)
+        return run
     rounding_row(repeats, "best of draws N=10 1 floor", "1000 candidates", 20, blends([0.0]))
     rounding_row(repeats, "wscm blend N=10 20 floors", "blend", 20,
                  blends(np.linspace(0.0, r_up, 20)))
@@ -230,9 +266,10 @@ def rounding_rows(repeats: int) -> None:
 
     def lane_draws():
         floor_rng = np.random.default_rng(0)
-        for j, alpha, z in certified:
-            algorithms._best_of_draws(ch, p, [r_m], [z], [alpha], 1000,
-                                      lambda: algorithms._lane_rng(floor_rng, j))
+        algorithms._best_of_draws(ch, p, [[r_m]] * len(certified), [z for *_, z in certified],
+                                  [alpha for _, alpha, _ in certified], 1000,
+                                  [partial(algorithms._lane_rng, floor_rng, j)
+                                   for j, *_ in certified])
     rounding_row(repeats, f"cct lanes N=10 r_m=r_up/2 ({len(certified)}, {rank_one} rank one)",
                  "lane", len(certified), lane_draws)
 
@@ -252,8 +289,11 @@ def cct_point_rows(repeats: int) -> None:
               f"   ({point[0].diagnostics['n_solves']} solves; {', '.join(closed_forms(ch, p))})")
 
 
-WORK = {"log": None, "lanes": 0, "iterations": 0, "draws": 0}   # counts of one process's call
-REAL = {name: getattr(algorithms, name) for name in ("_cct_work", "_solve_lanes", "_grp_draw")}
+WORK = {"log": None}            # counts and times of one process's `_cct_work` call
+COUNTS = ("lanes", "iterations", "stack_iterations", "draws", "solve", "certify", "round")
+REAL = {name: getattr(algorithms, name)
+        for name in ("_cct_work", "_solve_lanes", "_grp_draws", "solve_batch", "_cct_values",
+                     "_best_of_draws")}
 
 
 def counted_solve_lanes(ctx, floors, alphas):
@@ -263,23 +303,42 @@ def counted_solve_lanes(ctx, floors, alphas):
     return lanes
 
 
-def counted_grp_draw(z, candidates, rng, work):
-    batch = REAL["_grp_draw"](z, candidates, rng, work)
-    WORK["draws"] += len(batch) > 1
-    return batch
+def counted_grp_draws(zs, candidates, rngs):
+    for batch in REAL["_grp_draws"](zs, candidates, rngs):
+        WORK["draws"] += len(batch) > 1
+        yield batch
+
+
+def timed(name, key):
+    """algorithms.`name`, its time added to WORK[key]."""
+    def call(*args):
+        start = time.perf_counter()
+        try:
+            return REAL[name](*args)
+        finally:
+            WORK[key] += time.perf_counter() - start
+    return call
+
+
+def timed_solve_batch(batch, config=None):
+    start = time.perf_counter()
+    sols = REAL["solve_batch"](batch, config)
+    WORK["solve"] += time.perf_counter() - start
+    WORK["stack_iterations"] += stack_iterations(sols, batch.basis.shape[0])
+    return sols
 
 
 def timed_cct_work(ctx, ch, floors, alphas, units, *args):
     """`algorithms._cct_work`, appending to WORK["log"] its process, units,
-    lanes solved, lane-iterations, full draws, and its start and end on the
-    `time.perf_counter` clock, which forked children share. A forked child
-    inherits it with the patched module."""
+    `COUNTS` and its start and end on the `time.perf_counter` clock, which
+    forked children share. A forked child inherits it with the patched
+    module."""
     start = time.perf_counter()
-    WORK.update(lanes=0, iterations=0, draws=0)
+    WORK.update(dict.fromkeys(COUNTS, 0))
     records = REAL["_cct_work"](ctx, ch, floors, alphas, units, *args)
     with open(WORK["log"], "a") as fh:
-        fh.write(f"{os.getpid()} {len(units)} {WORK['lanes']} {WORK['iterations']} "
-                 f"{WORK['draws']} {start!r} {time.perf_counter()!r}\n")
+        fh.write(f"{os.getpid()} {len(units)} {' '.join(repr(WORK[key]) for key in COUNTS)}"
+                 f" {start!r} {time.perf_counter()!r}\n")
     return records
 
 
@@ -287,7 +346,9 @@ def worker_rows(run) -> tuple:
     """One run with `timed_cct_work` in place of `algorithms._cct_work`: its
     log lines, one per call, as lists of words, and the run's start and end."""
     fakes = {"_cct_work": timed_cct_work, "_solve_lanes": counted_solve_lanes,
-             "_grp_draw": counted_grp_draw}
+             "_grp_draws": counted_grp_draws, "solve_batch": timed_solve_batch,
+             "_cct_values": timed("_cct_values", "certify"),
+             "_best_of_draws": timed("_best_of_draws", "round")}
     with tempfile.TemporaryDirectory() as tmp:
         WORK["log"] = os.path.join(tmp, "work.log")
         for name, fake in fakes.items():
@@ -357,13 +418,16 @@ def cct_region_row(repeats: int) -> None:
     print(f"  sharing rule margins: least shared {least:+.3g}, closest refused {closest:+.3g}"
           f" (relative; the rule's slack is 1e-12)")
     for on, (rows, start, end) in (("1 CPU", one_work), (f"{len(cpus)} CPUs", all_work)):
-        for pid, n_units, solved, iterations, draws, begun, done in rows:
+        for pid, n_units, solved, iterations, stacked, draws, *spent, begun, done in rows:
             whose = "this process" if int(pid) == os.getpid() else f"child {pid}"
+            solve, certify, rounding = (1e3 * float(t) for t in spent)
             print(f"  on {on}: {whose} {n_units} units, {solved} lanes solved in"
-                  f" {iterations} lane-iterations, {draws} full draws,"
-                  f" busy {1e3 * (float(done) - float(begun)):.1f} ms")
-        first = min(float(row[5]) for row in rows)
-        last = max(float(row[6]) for row in rows)
+                  f" {iterations} lane-iterations and {stacked} stack-iterations,"
+                  f" {draws} full draws, busy {1e3 * (float(done) - float(begun)):.1f} ms:"
+                  f" solve {solve:.1f}, certify {certify:.1f}, round {rounding:.1f},"
+                  f" certify and round {certify + rounding:.1f} ms")
+        first = min(float(row[-2]) for row in rows)
+        last = max(float(row[-1]) for row in rows)
         print(f"  on {on}: {1e3 * (first - start):.1f} ms before the first group starts,"
               f" {1e3 * (end - last):.1f} ms after the last one ends")
 
@@ -416,6 +480,7 @@ def main() -> None:
     print(f"CPUs {len(os.sched_getaffinity(0))} (a cct region runs one group of units on each)")
     print("lanes per stack " + ", ".join(f"n={n} {sdp._stack_width(n)}" for n in STACK_SIZES))
     lane_rows(repeats)
+    fixed_cost_rows(repeats)
     region_batch_row(repeats)
     one_lane_rows(repeats)
     rounding_rows(repeats)

@@ -936,11 +936,11 @@ def counting_work(monkeypatch, path):
     """Make every process from now on, forked workers included, append a
     line to `path` per lane that `algorithms._solve_lanes` solves ("lane"),
     with the hash of the covariance of each certified one that is not rank
-    one ("cov h"); per full draw of `algorithms._grp_draw`, one that draws
+    one ("cov h"); per full draw of `algorithms._grp_draws`, one that draws
     normals ("draw h"); and per covariance that `algorithms._best_of_draws`
     scores, with the number of floors it scores at ("held h floors").
     Returns a function that reads the lines, as lists of words by kind."""
-    real = {name: getattr(algorithms, name) for name in ("_solve_lanes", "_grp_draw",
+    real = {name: getattr(algorithms, name) for name in ("_solve_lanes", "_grp_draws",
                                                          "_best_of_draws")}
 
     def log(*words):
@@ -957,19 +957,19 @@ def counting_work(monkeypatch, path):
                     log("cov", hash(z.tobytes()))
         return lanes
 
-    def grp_draw(z, candidates, rng, work):
-        batch = real["_grp_draw"](z, candidates, rng, work)
-        if len(batch) > 1:
-            log("draw", hash(z.tobytes()))
-        return batch
+    def grp_draws(zs, candidates, rngs):
+        for z, batch in zip(zs, real["_grp_draws"](zs, candidates, rngs)):
+            if len(batch) > 1:
+                log("draw", hash(np.asarray(z).tobytes()))
+            yield batch
 
-    def best_of_draws(ch, p, floors, covs, *args):
+    def best_of_draws(ch, p, held, covs, *args):
         covs = list(covs)
-        for z in covs:
+        for floors, z in zip(held, covs):
             log("held", hash(z.tobytes()), len(floors))
-        return real["_best_of_draws"](ch, p, floors, covs, *args)
+        return real["_best_of_draws"](ch, p, held, covs, *args)
 
-    for name, fake in (("_solve_lanes", solve_lanes), ("_grp_draw", grp_draw),
+    for name, fake in (("_solve_lanes", solve_lanes), ("_grp_draws", grp_draws),
                        ("_best_of_draws", best_of_draws)):
         monkeypatch.setattr(algorithms, name, fake)
 
@@ -1442,3 +1442,166 @@ def test_sweep_rejects_unknown_scheme(rng):
     ch = rand_channelset(rng)
     with pytest.raises(ValueError):
         sweep_region(ch, P, "nope", 4)
+
+
+def lane_draw(z, t_g, rng):
+    """One covariance's Gaussian randomization as each lane drew it alone:
+    its own eigendecomposition, the rank-one pattern, or t_g candidates from
+    the Generator that rng() makes."""
+    z = np.asarray(z, dtype=complex)
+    z, n_phase = 0.5 * (z + z.conj().T), len(z) - 1
+    lam, u = np.linalg.eigh(z)
+    lam = np.clip(lam, 0.0, None)
+    trace = float(lam.sum())
+    low = int(np.searchsorted(lam, 1e-7 * trace, side="right"))
+    factor, rank = u[:, low:] * np.sqrt(lam[low:]), len(z) - low
+    if rank == 1 and len(z) > 1 and abs(factor[n_phase, 0]) > 1e-9 * math.sqrt(trace):
+        return sdp._unit_phase(factor[:n_phase, 0] / factor[n_phase, 0])[None, :]
+    normals = rng().standard_normal((2, rank, t_g))
+    zt = factor @ ((normals[0] + 1j * normals[1]) / math.sqrt(2.0))
+    return sdp._unit_phase(zt[:n_phase] / zt[n_phase]).T
+
+
+def lane_round(ch, p, floors, z, cap, t_g, rng):
+    """(patterns, scores) of one covariance rounded in its own call: its
+    first best candidate at each floor, None and -inf where none carries it."""
+    batch = lane_draw(z, t_g, rng)
+    r_c, _, ok = algorithms._repair(ch, p, floors, effective_gains(ch, batch), cap)
+    r_c[~ok] = -math.inf
+    patterns, scores = [None] * len(floors), [-math.inf] * len(floors)
+    for f, row in enumerate(r_c.T):
+        real = np.flatnonzero(~np.isnan(row))
+        top = real[np.argmax(row[real])] if real.size else 0
+        if row[top] > -math.inf:
+            patterns[f], scores[f] = batch[top].copy(), row[top]
+    return patterns, scores
+
+
+def lane_value(ctx, sol, batch, lane):
+    """One lane's certificate, made alone: `algorithms._cct_values` of it."""
+    if sol.status is SdpStatus.INFEASIBLE:
+        return None
+    if not np.isfinite(sol.dual).all():
+        return SdpSolverError(f"fractional SDP failed: {sol.status.value} (gap "
+                              f"{sol.duality_gap:.2e}, resid {sol.residuals:.2e})")
+    y = sol.matrix
+    xi = float(np.mean(np.diag(y).real))
+    if not (xi > algorithms._XI_FLOOR and np.isfinite(y).all()):
+        return None
+    mult = np.where(batch.sense * sol.dual < 0, 0.0, sol.dual)
+    w = batch.rows[lane].T @ mult - batch.objective[lane]
+    slack = (batch.basis * w) @ batch.basis.conj().T
+    shift = max(0.0, -float(np.linalg.eigvalsh(slack)[0]))
+    return float(mult[:ctx.k - 1].sum()) + shift * (ctx.n + 1) / ctx.sigma2[0], y, xi
+
+
+def lane_by_lane_work(monkeypatch, ctx, ch, floors, alphas, units, t_g, rngs):
+    """`algorithms._cct_work`, each lane certified and rounded in a call of
+    its own, as a reference for the one certify-and-round pass."""
+    def solve_lanes(ctx, floors, alphas):
+        if not floors:
+            return []
+        batch = ctx.cct_batch(floors, alphas)
+        return [(alpha, sol.status, sol.iterations, lane_value(ctx, sol, batch, lane))
+                for lane, (alpha, sol) in enumerate(zip(alphas, algorithms.solve_batch(batch)))]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "_solve_lanes", solve_lanes)
+        solved, by = algorithms._solve_units(ctx, floors, alphas, units)
+    held, records = {}, {}
+    for slot, first in by.items():
+        held.setdefault(first, []).append(slot)
+    for first, slots in held.items():
+        alpha, status, iterations, value = solved[first]
+        patterns, scores = [None] * len(slots), [-math.inf] * len(slots)
+        if isinstance(value, tuple):
+            patterns, scores = lane_round(ch, ctx.p, [floors[i] for i, _ in slots],
+                                          value[1] / value[2], alpha, t_g,
+                                          lambda: algorithms._lane_rng(rngs[first[0]], first[1]))
+            value = value[0]
+        records.update((slot, ((alpha, status, iterations, value), first, score, v))
+                       for slot, score, v in zip(slots, scores, patterns))
+    return records
+
+
+def record_bytes(record):
+    """A `_cct_work` record with every float and pattern as its bytes."""
+    (alpha, status, iterations, value), by, score, v = record
+    value = (repr(value) if isinstance(value, Exception) else
+             None if value is None else np.float64(value).tobytes())
+    return (np.float64(alpha).tobytes(), status, iterations, value, by,
+            np.float64(score).tobytes(), None if v is None else v.tobytes())
+
+
+@pytest.mark.parametrize("case", ["two-user", "three-user", "nan-multipliers", "nan-score"])
+def test_one_certify_and_round_pass_matches_each_lane_alone(case, monkeypatch):
+    # a worker certifies its lanes together and rounds them in one
+    # _best_of_draws call; each record (its lane's bound, the lane it takes,
+    # score and pattern) is what certifying and rounding that lane alone gives
+    # the three-user channel has a full-rank lane and a rank-two lane, so full draws
+    config = (two_user_scenario(d1=20, n_y=5, n_z=2, seed=0) if case == "two-user" else
+              multi_user_scenario(n_users=3, n_y=2, n_z=2, seed=0))
+    ch, p = generate_channels(config), config.total_power_w
+    ctx = algorithms._Lifted(ch, p)
+    floors = np.linspace(0.0, multicast_upper_bound(ch, p)[0], 6).tolist()
+    alphas, units, _ = algorithms._cct_units(ctx, ch, floors, 10,
+                                             algorithms._eavesdropper_snr(ctx)[0])
+    rngs = [substream(0, i) for i in range(len(floors))]
+    if case == "nan-multipliers":       # the second lane of every batch loses its multipliers
+        real_solve = algorithms.solve_batch
+
+        def solve_batch(batch, config=None):
+            sols = real_solve(batch, config)
+            if len(sols) > 1:
+                sols[1] = replace(sols[1], dual=np.full_like(sols[1].dual, math.nan))
+            return sols
+        monkeypatch.setattr(algorithms, "solve_batch", solve_batch)
+    if case == "nan-score":             # a third of the candidates score NaN, by their gains
+        real_rate = model.secrecy_rate_from_gains
+
+        def secrecy_rate_from_gains(x, sigma2, alpha, out=None):
+            rate = real_rate(x, sigma2, alpha, out)
+            rate[...] = np.where(np.ascontiguousarray(x[..., 0]).view(np.int64) % 3 == 0,
+                                 math.nan, rate)
+            return rate
+        monkeypatch.setattr(model, "secrecy_rate_from_gains", secrecy_rate_from_gains)
+    got = algorithms._cct_work(ctx, ch, floors, alphas, units, 100, rngs)
+    want = lane_by_lane_work(monkeypatch, ctx, ch, floors, alphas, units, 100, rngs)
+    assert got.keys() == want.keys()
+    for slot in want:
+        assert record_bytes(got[slot]) == record_bytes(want[slot]), slot
+    if case == "three-user":
+        solved, _ = algorithms._solve_units(ctx, floors, alphas, units)
+        covs = [value[1] / value[2] for *_, value in solved.values() if isinstance(value, tuple)]
+        ranks = [int((lam > 1e-7 * lam.sum()).sum())
+                 for lam in np.clip(np.linalg.eigvalsh(np.array(covs)), 0.0, None)]
+        assert ch.n + 1 in ranks and 2 in ranks
+    if case == "nan-multipliers":
+        assert any(isinstance(value, SdpSolverError) for (*_, value), *_ in want.values())
+    if case == "nan-score":             # some slots keep a candidate, some lose every one
+        scores = [score for _, _, score, _ in want.values()]
+        assert -math.inf in scores and max(scores) > -math.inf
+
+
+def test_no_floating_point_error_escapes_the_rounding():
+    # under a caller's errstate(all="raise") the rounding raises nothing and
+    # gives the same bytes: rank-one, rank-two and full-rank covariances,
+    # capped and not, at floors no candidate carries, an infinite one included
+    config = multi_user_scenario(n_users=3, n_y=2, n_z=2, seed=0)
+    ch, p = generate_channels(config), config.total_power_w
+    r_up, z_m = multicast_upper_bound(ch, p)
+    z_c = algorithms.secrecy_covariance(ch, p)
+    a = np.random.default_rng(3).standard_normal((ch.n + 1, ch.n + 1)) * (1 + 1j)
+    covs = [z_m, 0.5 * (z_m + z_c), z_c, a @ a.conj().T]
+    held = [[0.0, 0.5 * r_up], [0.0, r_up + 1.0, math.inf], [0.3 * r_up], [0.0, 2000.0]]
+    caps = [None, 0.5 * p, None, 0.1 * p]
+    runs = []
+    for state in ("warn", "raise"):
+        with np.errstate(all=state):
+            runs.append(algorithms._best_of_draws(ch, p, held, covs, caps, 50,
+                                                  [np.random.default_rng(7)] * len(covs)))
+    for (v_a, s_a), (v_b, s_b) in zip(*runs):
+        assert v_a.tobytes() == v_b.tobytes() and s_a.tobytes() == s_b.tobytes()
+    assert any(len(sdp.grp_draw(z, 2, np.random.default_rng(0))) == 1 for z in covs)
+    assert any((s > -np.inf).any() for _, s in runs[0])
+    assert all(s[-1] == -np.inf for s in (runs[0][1][1], runs[0][3][1]))

@@ -230,11 +230,13 @@ def test_inv_factor_falls_back_matrix_by_matrix_in_a_stack():
     # the whole stack in one call, where np.linalg.cholesky raises on it
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(stack)
-    with warnings.catch_warnings():
+    # the solver runs its LAPACK calls under _solve_stack's errstate, which
+    # keeps their failures from warning or raising
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
         factors = sdp._inv_factor(stack)
-    for one, got in zip(stack, factors):
-        assert np.array_equal(got, sdp._inv_factor(one[None])[0])
+        for one, got in zip(stack, factors):
+            assert np.array_equal(got, sdp._inv_factor(one[None])[0])
     assert np.array_equal(factors[0], np.linalg.inv(np.linalg.cholesky(definite)))
     # the rank-one matrix takes a jitter rung: a full-rank factor, no zero row
     assert np.abs(factors[1]).sum(axis=1).all()
@@ -252,7 +254,8 @@ def test_inv_factor_gives_a_non_finite_matrix_no_jitter(monkeypatch):
     stack = np.array([np.eye(3), np.eye(3), np.eye(3)], dtype=complex)
     stack[1, 2, 0] = math.nan
     stack[2, 1, 1] = math.inf
-    factors = sdp._inv_factor(stack)
+    with np.errstate(all="ignore"):
+        factors = sdp._inv_factor(stack)
     assert np.array_equal(factors[0], np.eye(3))
     assert np.isnan(factors[1]).all() and np.isnan(factors[2]).all()
 
@@ -344,17 +347,17 @@ def test_definite_flags_each_matrix_of_a_stack():
     stack[2, n - 1, 0], stack[3, n - 1, 0] = math.nan, math.inf
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(stack)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(all="ignore"):     # as _solve_stack runs it
         warnings.simplefilter("error")
         flags = sdp._definite(stack)
+        for one, flag in zip(stack, flags):
+            assert sdp._definite(one[None]).tolist() == [flag]
     assert flags.tolist() == [True, False, False, False]
     # a non-finite matrix never passes, though np.linalg.cholesky factors a NaN
     assert np.isnan(np.linalg.cholesky(stack[2])).any()
-    for one, flag in zip(stack, flags):
-        assert sdp._definite(one[None]).tolist() == [flag]
     # the other two gufuncs of the step give a non-finite result for a
     # non-finite (or, inv, a singular) matrix, and np.linalg's for the others
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
         inv = sdp._lapack("inv", stack)
         lam = sdp._lapack("eigvalsh_lo", stack)
@@ -408,14 +411,13 @@ def test_screened_step_lengths_give_the_eigenvalue_steps(monkeypatch):
     ratio = np.array([case[1] for case in cases.values()])
     caps = np.array([case[2] for case in cases.values()])
 
-    def factors(js):
-        return np.linalg.inv(np.linalg.cholesky(mats[js]))
-
+    factors = np.linalg.inv(np.linalg.cholesky(mats))
     tests = record_screens(monkeypatch)
-    screened = sdp._boundary_steps(mats, ds, ratio, caps, factors)
-    assert tests == [case[4] for case in cases.values()]
-    screen_off(monkeypatch)
-    plain = sdp._boundary_steps(mats, ds, ratio, caps, factors)
+    with np.errstate(all="ignore"):         # as _solve_stack runs the step searches
+        screened = sdp._boundary_steps(mats, ds, ratio, caps, factors)
+        assert tests == [case[4] for case in cases.values()]
+        screen_off(monkeypatch)
+        plain = sdp._boundary_steps(mats, ds, ratio, caps, factors)
     assert len(tests) == len(cases)
     assert plain == pytest.approx([2.0, 0.5, 0.3, 1.0 / 0.9, 0.5], rel=1e-9)
     for (_, r, _, corrector, passes), got, ref in zip(cases.values(), screened, plain):
@@ -433,8 +435,9 @@ def test_boundary_step_is_zero_along_a_nan_direction():
     mats = np.array([np.eye(3), np.eye(3)], dtype=complex)
     ds = -0.5 * mats
     ds[1, 0, 1] = math.nan
-    steps = sdp._boundary_steps(mats, ds, np.full(2, math.inf), np.full(2, 4.0),
-                                lambda js: np.linalg.inv(np.linalg.cholesky(mats[js])))
+    with np.errstate(all="ignore"):         # as _solve_stack runs the step searches
+        steps = sdp._boundary_steps(mats, ds, np.full(2, math.inf), np.full(2, 4.0),
+                                    np.linalg.inv(np.linalg.cholesky(mats)))
     assert steps.tolist() == [2.0, 0.0]
 
 
@@ -468,3 +471,32 @@ def test_screened_steps_solve_the_four_user_n60_battery_as_eigenvalue_steps(case
         assert got.status is ref.status is SdpStatus.OPTIMAL
         assert abs(got.iterations - ref.iterations) <= 1
         assert got.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
+
+
+def test_no_floating_point_error_escapes_the_solver():
+    # the solver runs under one errstate(all="ignore"), so a caller's
+    # errstate(all="raise") sees no error from its LAPACK calls or its
+    # arithmetic, and every solution is the same bytes: a healthy n = 11
+    # batch, a lane with a NaN bound (a BREAKDOWN at iteration 1) and an
+    # infeasible lane
+    healthy = point_batch()
+    broken = lanes_of(healthy, [0, 1])
+    broken.bounds[1, 0] = np.nan
+    rows = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    infeasible = SdpBatch(np.eye(4), np.array([[3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0]]),
+                          np.array([rows] * 2), np.array([[1.0, 0.5], [1.0, -0.5]]),
+                          np.array([0, 1]))
+    for batch in (healthy, broken, infeasible):
+        with np.errstate(all="warn"):
+            want = solve_batch(batch)
+        with np.errstate(all="raise"):
+            got = solve_batch(batch)
+        for a, b in zip(got, want, strict=True):
+            assert_bitwise_equal(a, b)
+            assert np.array_equal([a.duality_gap, a.residuals], [b.duality_gap, b.residuals],
+                                  equal_nan=True)
+    assert [sol.status for sol in solve_batch(broken)] == [SdpStatus.OPTIMAL,
+                                                           SdpStatus.BREAKDOWN]
+    assert solve_batch(broken)[1].iterations == 1
+    assert [sol.status for sol in solve_batch(infeasible)] == [SdpStatus.OPTIMAL,
+                                                               SdpStatus.INFEASIBLE]
