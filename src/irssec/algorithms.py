@@ -26,13 +26,16 @@ patterns are unaffected by the rescaling.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 import pickle
 import signal
 import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -446,41 +449,53 @@ def _cct_units(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
     return alphas, [*by_power.values(), *singles], {unit[0] for unit in by_power.values()}
 
 
+class _Lane(NamedTuple):
+    """A cct lane from its solve to its point: `value` is its `_cct_values` entry
+    (c_value alone once rounded), `by` the slot whose solve it takes, and
+    `score` and `pattern` its first best candidate (-inf and None: none)."""
+    alpha: float
+    status: SdpStatus
+    iterations: int
+    value: object
+    by: tuple | None = None
+    score: float = -math.inf
+    pattern: np.ndarray | None = None
+
+
 def _solve_lanes(ctx: _Lifted, floors: list, alphas: list) -> list:
-    """(alpha, status, iterations, value) of each lane (r_m, alpha) of
-    zip(floors, alphas), solved as one `_Lifted.cct_batch`, if any, and
-    certified together: value is the lane's `_cct_values` entry."""
+    """The `_Lane` of each lane (r_m, alpha) of zip(floors, alphas), solved as
+    one `_Lifted.cct_batch`, if any, and certified together by `_cct_values`."""
     if not floors:
         return []
     batch = ctx.cct_batch(floors, alphas)
     sols = solve_batch(batch)
-    return [(alpha, sol.status, sol.iterations, value)
+    return [_Lane(alpha, sol.status, sol.iterations, value)
             for alpha, sol, value in zip(alphas, sols, _cct_values(ctx, sols, batch))]
 
 
-def _solve_units(ctx: _Lifted, floors: list, alphas: list, units: list) -> tuple:
-    """(solved, by): the `_solve_lanes` lane of each lane (i, j) solved, and
-    by[i, j], the lane whose solve (i, j) takes: its unit's first (the
-    anchor) where that value is certified and its Y meets floor i's rows
-    (`_Lifted.supports` at the `_Lifted.least_snr` of Y, all pairs in one
-    call), as that program differs only by stricter rows; else itself. Three
-    batches: the first lanes without a floor, those with one, then the rest."""
+def _solve_units(ctx: _Lifted, floors: list, alphas: list, units: list) -> dict:
+    """The `_Lane` of every lane (i, j) of `units`, by the slot whose solve it
+    takes (a shared slot holds that lane): its unit's first (the anchor) where
+    that value is certified and its Y meets floor i's rows (`_Lifted.supports`
+    at the `_Lifted.least_snr` of Y, all pairs in one call), as that program
+    differs only by stricter rows; else itself. Three batches: the first
+    lanes without a floor, those with one, then the rest."""
     solved = {}
 
     def solve(slots):
-        solved.update(zip(slots, _solve_lanes(ctx, [floors[i] for i, _ in slots],
-                                              [alphas[i][j] for i, j in slots])))
+        solved.update((slot, lane._replace(by=slot)) for slot, lane in zip(slots, _solve_lanes(
+            ctx, [floors[i] for i, _ in slots], [alphas[i][j] for i, j in slots])))
 
     solve([unit[0] for unit in units if not floors[unit[0][0]] > 0])
     solve([unit[0] for unit in units if floors[unit[0][0]] > 0])
-    held = [unit for unit in units if len(unit) > 1 and isinstance(solved[unit[0]][3], tuple)]
-    snr = ctx.least_snr([solved[unit[0]][3][1] for unit in held])
+    held = [unit for unit in units if len(unit) > 1 and isinstance(solved[unit[0]].value, tuple)]
+    snr = ctx.least_snr([solved[unit[0]].value[1] for unit in held])
     pairs = [(unit[0], (i, j), s) for unit, s in zip(held, snr) for i, j in unit[1:]]
     met = ctx.supports([floors[i] for _, (i, _), _ in pairs],
                        [alphas[i][j] for _, (i, j), _ in pairs], [s for *_, s in pairs])
     by = {slot: first for (first, slot, _), ok in zip(pairs, met) if ok}
     solve([slot for unit in units for slot in unit[1:] if slot not in by])
-    return solved, {slot: by.get(slot, slot) for unit in units for slot in unit}
+    return {slot: solved[by.get(slot, slot)] for unit in units for slot in unit}
 
 
 def _lane_rng(rng: np.random.Generator, slot: int) -> np.random.Generator:
@@ -492,32 +507,24 @@ def _lane_rng(rng: np.random.Generator, slot: int) -> np.random.Generator:
 
 def _cct_work(ctx: _Lifted, ch: ChannelSet, floors: list, alphas: list, units: list, t_g: int,
               rngs: list) -> dict:
-    """Per lane (i, j) of `units`, (lane, by, score, v): the lane it takes
-    from lane `by` (`_solve_units`), value cut to c_value where certified, and
-    its first best candidate v at floor i with its score, or -inf and None.
-    Every certified solve is rounded in one `_best_of_draws` call: drawn
-    once, on `_lane_rng` of the floor and slot that solved it, made only if
-    the draw takes normals, and its candidates scored at every floor that
-    takes it."""
-    solved, by = _solve_units(ctx, floors, alphas, units)
-    held, records = {}, {}
-    for slot, first in by.items():
-        held.setdefault(first, []).append(slot)
-    drawn = [first for first in held if isinstance(solved[first][3], tuple)]
-    rounds = dict(zip(drawn, _best_of_draws(
-        ch, ctx.p, [[floors[i] for i, _ in held[first]] for first in drawn],
-        [solved[first][3][1] / solved[first][3][2] for first in drawn],
-        [solved[first][0] for first in drawn], t_g,
-        [partial(_lane_rng, rngs[i], j) for i, j in drawn])))
-    for first, slots in held.items():
-        alpha, status, iterations, value = solved[first]
-        patterns, scores = rounds.get(first, ([None] * len(slots), [-math.inf] * len(slots)))
-        if isinstance(value, tuple):
-            value = value[0]
-        records.update((slot, ((alpha, status, iterations, value), first, score,
-                               v if score > -math.inf else None))
-                       for slot, score, v in zip(slots, scores, patterns))
-    return records
+    """The `_solve_units` lanes of `units`, each certified one with its value cut
+    to c_value and its first best candidate at its floor as score and pattern.
+    Every certified solve is rounded in one `_best_of_draws` call: drawn once,
+    on `_lane_rng` of the floor and slot that solved it, made only if the draw
+    takes normals, and its candidates scored at every floor that takes it."""
+    lanes, held = _solve_units(ctx, floors, alphas, units), {}
+    for slot, lane in lanes.items():
+        held.setdefault(lane.by, []).append(slot)
+    drawn = [lanes[first] for first in held if isinstance(lanes[first].value, tuple)]
+    rounds = _best_of_draws(ch, ctx.p, [[floors[i] for i, _ in held[lane.by]] for lane in drawn],
+                            [lane.value[1] / lane.value[2] for lane in drawn],
+                            [lane.alpha for lane in drawn], t_g,
+                            [partial(_lane_rng, rngs[lane.by[0]], lane.by[1]) for lane in drawn])
+    for lane, (patterns, scores) in zip(drawn, rounds):
+        lanes.update((slot, lane._replace(value=lane.value[0], score=score,
+                                          pattern=v if score > -math.inf else None))
+                     for slot, score, v in zip(held[lane.by], scores, patterns))
+    return lanes
 
 
 def _workers(units: int) -> int:
@@ -544,14 +551,40 @@ def _groups(loads: list, count: int) -> list:
     return [sorted(group) for group in groups]
 
 
+@cache
+def _blas_threads() -> tuple:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, by ctypes on
+    the library numpy loaded, or () where that library or either symbol is absent."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return ()
+
+
 def _in_groups(work, groups: list) -> dict:
     """The records of work(group) of every group, merged: the first group's
     here, each other's in a child forked by `os.fork`, which sends its records
     or its exception as one pickle on a pipe and leaves by `os._exit`. Every
     child is reaped before the call returns or raises, and killed first if
     this process raises. Then the first error in group order is raised, a
-    ChildProcessError with the exit status where a child sent no whole result."""
+    ChildProcessError with the exit status where a child sent no whole result.
+    Where it forks, numpy's OpenBLAS (`_blas_threads`) runs one thread from
+    before the first fork to the end of this process's group, here and in each
+    child, which inherits it: there is one group per CPU, so more threads would
+    only contend for the CPUs. The caller's count comes back, also when it
+    raises."""
     children, sent = [], []
+    blas = _blas_threads() if len(groups) > 1 else ()
+    if blas:
+        threads = blas[0]()
+        blas[1](1)
     try:
         for group in groups[1:]:
             read, write = os.pipe()
@@ -574,6 +607,8 @@ def _in_groups(work, groups: list) -> dict:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        if blas:
+            blas[1](threads)
         for pid, read in children:      # read to the end first: a child blocks on a full pipe
             with os.fdopen(read, "rb") as pipe:
                 data = pipe.read()
@@ -589,29 +624,27 @@ def _in_groups(work, groups: list) -> dict:
 
 
 def _cct_point(ch: ChannelSet, p: float, r_m: float, lanes: list, anchors: set):
-    """The `algorithm1_cct` point at floor r_m from its lanes' `_cct_work`
-    records: the first best candidate, repaired with its lane's power as the
-    cap; or the last SdpSolverError when every lane failed."""
-    errors = [value for (*_, value), *_ in lanes if isinstance(value, SdpSolverError)]
-    diagnostics = {"n_solves": len(lanes), "n_shared": sum(by in anchors for _, by, _, _ in lanes),
+    """The `algorithm1_cct` point at floor r_m from its `_cct_work` lanes: the
+    first best candidate (-inf never wins), repaired with its lane's power as
+    the cap. Raises the last SdpSolverError when every lane failed."""
+    errors = [lane.value for lane in lanes if isinstance(lane.value, SdpSolverError)]
+    if errors and len(errors) == len(lanes):
+        raise errors[-1]
+    diagnostics = {"n_solves": len(lanes), "n_shared": sum(lane.by in anchors for lane in lanes),
                    "n_failed_alpha": len(errors),
                    "last_error": repr(errors[-1]) if errors else None,
-                   "n_iterations": sum(iters for (_, _, iters, _), *_ in lanes),
-                   "statuses": {stat.value: sum(status is stat for (_, status, _, _), *_ in lanes)
+                   "n_iterations": sum(lane.iterations for lane in lanes),
+                   "statuses": {stat.value: sum(lane.status is stat for lane in lanes)
                                 for stat in SdpStatus}}
-    best, win = -math.inf, None
-    for lane, _, score, v in lanes:
-        if score > best:
-            best, win = score, (lane, v)
-    if win is not None:
-        (alpha_t, _, _, c_value), v = win
-        r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), alpha_t)
-    if win is None or not ok:
-        return (errors[-1] if errors and len(errors) == len(lanes) else
-                BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics))
-    diagnostics.update(alpha_grid=alpha_t, r_c_unrepaired=model.secrecy_rate(ch, v, alpha_t))
-    return BoundaryPoint(r_m, r_c, alpha, v, max(0.0, math.log2(max(c_value, 1e-300))), True,
-                         "cct", diagnostics)
+    win = max(lanes, key=lambda lane: lane.score, default=None)
+    if ok := win is not None and win.pattern is not None:
+        r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, win.pattern), win.alpha)
+    if not ok:
+        return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics)
+    diagnostics.update(alpha_grid=win.alpha,
+                       r_c_unrepaired=model.secrecy_rate(ch, win.pattern, win.alpha))
+    return BoundaryPoint(r_m, r_c, alpha, win.pattern, max(0.0, math.log2(max(win.value, 1e-300))),
+                         True, "cct", diagnostics)
 
 
 def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list) -> list:
@@ -630,13 +663,10 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     eav_snr, solves = _eavesdropper_snr(ctx) if floored else (math.inf, 0)
     alphas, units, anchors = _cct_units(ctx, ch, floors, t_alpha, eav_snr)
     groups = _groups([len(unit) for unit in units], _workers(len(units)))
-    records = _in_groups(lambda group: _cct_work(ctx, ch, floors, alphas,
-                                                 [units[u] for u in group], t_g, rngs), groups)
-    points = [_cct_point(ch, p, r_m, [records[i, j] for j in range(len(own))], anchors)
+    lanes = _in_groups(lambda group: _cct_work(ctx, ch, floors, alphas,
+                                               [units[u] for u in group], t_g, rngs), groups)
+    points = [_cct_point(ch, p, r_m, [lanes[i, j] for j in range(len(own))], anchors)
               for i, (r_m, own) in enumerate(zip(floors, alphas))]
-    for point in points:
-        if isinstance(point, Exception):
-            raise point
     if floored:
         points[floored[0]].diagnostics["n_solves"] += solves
     return points

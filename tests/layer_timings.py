@@ -260,8 +260,8 @@ def rounding_rows(repeats: int) -> None:
     keep = ctx.supports(r_m, powers, algorithms._eavesdropper_snr(ctx)[0])
     grid = [alpha for alpha, ok in zip(powers, keep) if ok]
     lanes = algorithms._solve_lanes(ctx, [r_m] * len(grid), grid)
-    certified = [(j, alpha, value[1] / value[2]) for j, (alpha, *_, value) in enumerate(lanes)
-                 if isinstance(value, tuple)]
+    certified = [(j, lane.alpha, lane.value[1] / lane.value[2]) for j, lane in enumerate(lanes)
+                 if isinstance(lane.value, tuple)]
     rank_one = sum(len(sdp.grp_draw(z, 2, np.random.default_rng(0))) == 1 for *_, z in certified)
 
     def lane_draws():
@@ -292,15 +292,7 @@ def cct_point_rows(repeats: int) -> None:
 WORK = {"log": None}            # counts and times of one process's `_cct_work` call
 COUNTS = ("lanes", "iterations", "stack_iterations", "draws", "solve", "certify", "round")
 REAL = {name: getattr(algorithms, name)
-        for name in ("_cct_work", "_solve_lanes", "_grp_draws", "solve_batch", "_cct_values",
-                     "_best_of_draws")}
-
-
-def counted_solve_lanes(ctx, floors, alphas):
-    lanes = REAL["_solve_lanes"](ctx, floors, alphas)
-    WORK["lanes"] += len(lanes)
-    WORK["iterations"] += sum(iterations for _, _, iterations, _ in lanes)
-    return lanes
+        for name in ("_cct_work", "_grp_draws", "solve_batch", "_cct_values", "_best_of_draws")}
 
 
 def counted_grp_draws(zs, candidates, rngs):
@@ -331,11 +323,14 @@ def timed_solve_batch(batch, config=None):
 def timed_cct_work(ctx, ch, floors, alphas, units, *args):
     """`algorithms._cct_work`, appending to WORK["log"] its process, units,
     `COUNTS` and its start and end on the `time.perf_counter` clock, which
-    forked children share. A forked child inherits it with the patched
-    module."""
+    forked children share; the lanes it solved and their lane-iterations are
+    read from the lanes it returns, each solved one being its own `by`. A
+    forked child inherits it with the patched module."""
     start = time.perf_counter()
     WORK.update(dict.fromkeys(COUNTS, 0))
     records = REAL["_cct_work"](ctx, ch, floors, alphas, units, *args)
+    solved = [lane for slot, lane in records.items() if lane.by == slot]
+    WORK.update(lanes=len(solved), iterations=sum(lane.iterations for lane in solved))
     with open(WORK["log"], "a") as fh:
         fh.write(f"{os.getpid()} {len(units)} {' '.join(repr(WORK[key]) for key in COUNTS)}"
                  f" {start!r} {time.perf_counter()!r}\n")
@@ -345,8 +340,8 @@ def timed_cct_work(ctx, ch, floors, alphas, units, *args):
 def worker_rows(run) -> tuple:
     """One run with `timed_cct_work` in place of `algorithms._cct_work`: its
     log lines, one per call, as lists of words, and the run's start and end."""
-    fakes = {"_cct_work": timed_cct_work, "_solve_lanes": counted_solve_lanes,
-             "_grp_draws": counted_grp_draws, "solve_batch": timed_solve_batch,
+    fakes = {"_cct_work": timed_cct_work, "_grp_draws": counted_grp_draws,
+             "solve_batch": timed_solve_batch,
              "_cct_values": timed("_cct_values", "certify"),
              "_best_of_draws": timed("_best_of_draws", "round")}
     with tempfile.TemporaryDirectory() as tmp:
@@ -367,16 +362,17 @@ def worker_rows(run) -> tuple:
 def sharing_margins(ctx, floors, alphas, units) -> tuple:
     """(least margin over the shared pairs, largest over the refused) of the
     region's units, as the module docstring defines them; NaN for none."""
-    solved, by = algorithms._solve_units(ctx, floors, alphas, units)
+    lanes = algorithms._solve_units(ctx, floors, alphas, units)
     margins = {True: [], False: []}
     for unit in units:
-        value = solved[unit[0]][3]
+        value = lanes[unit[0]].value
         if len(unit) < 2 or not isinstance(value, tuple):
             continue
         s = float(ctx.least_snr([value[1]])[0])
         for i, j in unit[1:]:
             c = 2.0 ** floors[i]
-            margins[by[i, j] == unit[0]].append((ctx.p - alphas[i][j] * c) * s / (c - 1.0) - 1.0)
+            margins[lanes[i, j].by == unit[0]].append(
+                (ctx.p - alphas[i][j] * c) * s / (c - 1.0) - 1.0)
     return min(margins[True], default=np.nan), max(margins[False], default=np.nan)
 
 

@@ -429,10 +429,10 @@ def lane_by_lane_cct(ch, r_m, lanes, t_g, seed):
     lane's power, the winner repaired again, and a later lane kept only if
     its repaired rate is strictly higher."""
     best = None
-    for slot, (alpha_t, _, _, value) in enumerate(lanes):
-        if not isinstance(value, tuple):
+    for slot, lane in enumerate(lanes):
+        if not isinstance(lane.value, tuple):
             continue
-        c_value, y, xi = value
+        (c_value, y, xi), alpha_t = lane.value, lane.alpha
 
         def score(vb, alpha_t=alpha_t):
             r_c, _, ok = algorithms._repair(ch, P, r_m, effective_gains(ch, vb), alpha_t)
@@ -949,10 +949,10 @@ def counting_work(monkeypatch, path):
 
     def solve_lanes(ctx, floors, alphas):
         lanes = real["_solve_lanes"](ctx, floors, alphas)
-        for *_, value in lanes:
+        for lane in lanes:
             log("lane")
-            if isinstance(value, tuple):
-                z = value[1] / value[2]
+            if isinstance(lane.value, tuple):
+                z = lane.value[1] / lane.value[2]
                 if len(sdp.grp_draw(z, 2, np.random.default_rng(0))) > 1:
                     log("cov", hash(z.tobytes()))
         return lanes
@@ -1100,6 +1100,37 @@ def test_a_child_that_exits_without_a_result_raises_its_exit_status(monkeypatch)
     assert_no_child_left()
 
 
+def test_forked_groups_run_one_blas_thread_and_the_caller_gets_its_count_back(monkeypatch):
+    # where _in_groups forks, every group, the caller's included, runs numpy's
+    # OpenBLAS on one thread; afterwards the caller reads its own count again,
+    # also after a group raises, and after a forked region
+    threads = algorithms._blas_threads()
+    if not threads:
+        pytest.skip("numpy's bundled OpenBLAS thread count is out of reach")
+    get, put = threads
+    pin_cpus(monkeypatch, 2)
+    before = get()
+    put(2)
+    try:
+        assert algorithms._in_groups(lambda group: {group[0]: get()}, [[0], [1]]) == {0: 1, 1: 1}
+        assert get() == 2
+        for failing in ([0], [1]):
+            def work(group, failing=failing):
+                if group == failing:
+                    raise ValueError(f"group {group} fails")
+                return {group[0]: get()}
+            with pytest.raises(ValueError, match=rf"^group \[{failing[0]}\] fails$"):
+                algorithms._in_groups(work, [[0], [1]])
+            assert get() == 2
+        ch = rand_channelset(np.random.default_rng(3), n=2, k=2)
+        forks = counting_forks(monkeypatch)
+        sweep_region(ch, P, "cct", 4, SweepParams(t_alpha=6, t_g=50), seed=1)
+        assert len(forks) == 1 and get() == 2
+    finally:
+        put(before)
+    assert_no_child_left()
+
+
 def test_a_point_without_two_units_forks_nothing(monkeypatch):
     # an infinite floor has no lane at all, no floor one lane: neither forks
     pin_cpus(monkeypatch, 2)
@@ -1170,17 +1201,18 @@ def test_a_floor_takes_an_anchor_lane_only_where_it_is_that_floors_optimum(confi
     # of the anchor's
     ctx, floors, alphas, units = region_units(config, 8, 20)
     recorded = recording_lanes(monkeypatch)
-    solved, by = algorithms._solve_units(ctx, floors, alphas, units)
+    lanes = algorithms._solve_units(ctx, floors, alphas, units)
     monkeypatch.undo()
-    assert len(recorded) == len(solved) == len(set(by.values())) <= sum(map(len, alphas))
+    assert len(recorded) == len({lane.by for lane in lanes.values()}) <= sum(map(len, alphas))
     taken = []
     for unit in units:
         assert all(floors[i] >= floors[unit[0][0]] for i, _ in unit)
         for i, j in unit:
-            assert by[i, j] in ((i, j), unit[0])
-            if floors[i] > floors[by[i, j][0]]:
-                taken.append((i, j, solved[by[i, j]]))
-    for i, j, (alpha, _, _, (_, y, _)) in taken:
+            assert lanes[i, j].by in ((i, j), unit[0])
+            if floors[i] > floors[lanes[i, j].by[0]]:
+                taken.append((i, j, lanes[i, j]))
+    for i, j, anchor in taken:
+        alpha, (_, y, _) = anchor.alpha, anchor.value
         assert alpha == alphas[i][j]
         batch = ctx.cct_batch([floors[i]], [alpha])
         for row in batch.rows[0][batch.sense == -1]:
@@ -1188,10 +1220,10 @@ def test_a_floor_takes_an_anchor_lane_only_where_it_is_that_floors_optimum(confi
             assert np.trace(a @ y).real >= 0.0
     assert taken
     direct = algorithms._solve_lanes(ctx, [floors[i] for i, _, _ in taken],
-                                     [anchor[0] for _, _, anchor in taken])
+                                     [anchor.alpha for _, _, anchor in taken])
     for (_, _, anchor), lane in zip(taken, direct, strict=True):
-        assert isinstance(lane[3], tuple)
-        assert lane[3][0] == pytest.approx(anchor[3][0], rel=1e-6)
+        assert isinstance(lane.value, tuple)
+        assert lane.value[0] == pytest.approx(anchor.value[0], rel=1e-6)
 
 
 @pytest.mark.parametrize("config", SHARING_SET.values(), ids=SHARING_SET.keys())
@@ -1200,12 +1232,12 @@ def test_a_floor_solves_its_own_lane_only_where_the_anchor_misses_its_rows(confi
     # its unit's anchor has an anchor whose Y misses some floor row of that
     # floor's lane, Tr(A Y) < 0 (every anchor here is certified)
     ctx, floors, alphas, units = region_units(config, 8, 20)
-    solved, by = algorithms._solve_units(ctx, floors, alphas, units)
+    lanes = algorithms._solve_units(ctx, floors, alphas, units)
     for unit in units:
         for i, j in unit[1:]:
-            if by[i, j] != (i, j):
+            if lanes[i, j].by != (i, j):
                 continue
-            _, y, _ = solved[unit[0]][3]
+            _, y, _ = lanes[unit[0]].value
             batch = ctx.cct_batch([floors[i]], [alphas[i][j]])
             traces = [np.trace((ctx.basis * row) @ ctx.basis.conj().T @ y).real
                       for row in batch.rows[0][batch.sense == -1]]
@@ -1221,12 +1253,12 @@ def test_a_floor_solves_each_lane_whose_anchor_has_no_finite_multipliers(config,
     ctx, floors, alphas, units = region_units(config, 8, 20)
     failing_lanes(monkeypatch, {floors[1]: 7.0})
     recorded = recording_lanes(monkeypatch)
-    solved, by = algorithms._solve_units(ctx, floors, alphas, units)
+    lanes = algorithms._solve_units(ctx, floors, alphas, units)
     monkeypatch.undo()
-    assert len(recorded) == len(solved) == sum(map(len, alphas))
-    assert all(by[slot] == slot for slot in solved)
-    for (i, _), (*_, value) in solved.items():
-        assert isinstance(value, SdpSolverError) == (i == 1)
+    assert len(recorded) == len({lane.by for lane in lanes.values()}) == sum(map(len, alphas))
+    assert all(lane.by == slot for slot, lane in lanes.items())
+    for (i, _), lane in lanes.items():
+        assert isinstance(lane.value, SdpSolverError) == (i == 1)
     assert any(len(unit) > 1 for unit in units)
 
 
@@ -1502,35 +1534,36 @@ def lane_by_lane_work(monkeypatch, ctx, ch, floors, alphas, units, t_g, rngs):
         if not floors:
             return []
         batch = ctx.cct_batch(floors, alphas)
-        return [(alpha, sol.status, sol.iterations, lane_value(ctx, sol, batch, lane))
+        return [algorithms._Lane(alpha, sol.status, sol.iterations,
+                                 lane_value(ctx, sol, batch, lane))
                 for lane, (alpha, sol) in enumerate(zip(alphas, algorithms.solve_batch(batch)))]
 
     with monkeypatch.context() as patch:
         patch.setattr(algorithms, "_solve_lanes", solve_lanes)
-        solved, by = algorithms._solve_units(ctx, floors, alphas, units)
+        lanes = algorithms._solve_units(ctx, floors, alphas, units)
     held, records = {}, {}
-    for slot, first in by.items():
-        held.setdefault(first, []).append(slot)
+    for slot, lane in lanes.items():
+        held.setdefault(lane.by, []).append(slot)
     for first, slots in held.items():
-        alpha, status, iterations, value = solved[first]
+        lane = lanes[first]
         patterns, scores = [None] * len(slots), [-math.inf] * len(slots)
-        if isinstance(value, tuple):
+        if isinstance(lane.value, tuple):
             patterns, scores = lane_round(ch, ctx.p, [floors[i] for i, _ in slots],
-                                          value[1] / value[2], alpha, t_g,
+                                          lane.value[1] / lane.value[2], lane.alpha, t_g,
                                           lambda: algorithms._lane_rng(rngs[first[0]], first[1]))
-            value = value[0]
-        records.update((slot, ((alpha, status, iterations, value), first, score, v))
+            lane = lane._replace(value=lane.value[0])
+        records.update((slot, lane._replace(score=score, pattern=v))
                        for slot, score, v in zip(slots, scores, patterns))
     return records
 
 
 def record_bytes(record):
-    """A `_cct_work` record with every float and pattern as its bytes."""
-    (alpha, status, iterations, value), by, score, v = record
-    value = (repr(value) if isinstance(value, Exception) else
-             None if value is None else np.float64(value).tobytes())
-    return (np.float64(alpha).tobytes(), status, iterations, value, by,
-            np.float64(score).tobytes(), None if v is None else v.tobytes())
+    """A `_cct_work` lane with every float and pattern as its bytes."""
+    value = (repr(record.value) if isinstance(record.value, Exception) else
+             None if record.value is None else np.float64(record.value).tobytes())
+    return (np.float64(record.alpha).tobytes(), record.status, record.iterations, value,
+            record.by, np.float64(record.score).tobytes(),
+            None if record.pattern is None else record.pattern.tobytes())
 
 
 @pytest.mark.parametrize("case", ["two-user", "three-user", "nan-multipliers", "nan-score"])
@@ -1571,15 +1604,16 @@ def test_one_certify_and_round_pass_matches_each_lane_alone(case, monkeypatch):
     for slot in want:
         assert record_bytes(got[slot]) == record_bytes(want[slot]), slot
     if case == "three-user":
-        solved, _ = algorithms._solve_units(ctx, floors, alphas, units)
-        covs = [value[1] / value[2] for *_, value in solved.values() if isinstance(value, tuple)]
+        lanes = algorithms._solve_units(ctx, floors, alphas, units)
+        covs = [lane.value[1] / lane.value[2] for slot, lane in lanes.items()
+                if lane.by == slot and isinstance(lane.value, tuple)]
         ranks = [int((lam > 1e-7 * lam.sum()).sum())
                  for lam in np.clip(np.linalg.eigvalsh(np.array(covs)), 0.0, None)]
         assert ch.n + 1 in ranks and 2 in ranks
     if case == "nan-multipliers":
-        assert any(isinstance(value, SdpSolverError) for (*_, value), *_ in want.values())
+        assert any(isinstance(lane.value, SdpSolverError) for lane in want.values())
     if case == "nan-score":             # some slots keep a candidate, some lose every one
-        scores = [score for _, _, score, _ in want.values()]
+        scores = [lane.score for lane in want.values()]
         assert -math.inf in scores and max(scores) > -math.inf
 
 
