@@ -33,6 +33,7 @@ import os
 import pickle
 import signal
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from typing import NamedTuple
@@ -220,10 +221,10 @@ def _aligned(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
 
 def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     """Max over unit-diagonal PSD Z of min over `users` of weights_k Tr(Z T_k)
-    in ctx units, as (value, Z): the `_aligned` closed form where it is exact,
-    else solved as `_Lifted.max_min_batch`, Z = Y / Y_11 of the primal Y and
-    value the smaller of two certified upper bounds, so it never lies below
-    the relaxed maximum:
+    in ctx units, as (value, Z, solved): the `_aligned` closed form where it
+    is exact (solved False), else solved as `_Lifted.max_min_batch`, Z = Y /
+    Y_11 of the primal Y and value the smaller of two certified upper bounds,
+    so it never lies below the relaxed maximum:
 
     * the dual: multipliers mu_k >= 0 on the user rows, whose bounds are b,
       and t lifting the dual slack to PSD give every feasible Y the diagonal
@@ -236,7 +237,7 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     """
     s_scale, z = _aligned(ctx, users, weights)
     if z is not None:
-        return s_scale, z
+        return s_scale, z, False
     batch = ctx.max_min_batch(users, weights, s_scale)
     sol = solve_batch(batch)[0]
     dual_snr = math.inf
@@ -248,7 +249,7 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     z = np.eye(ctx.n + 1, dtype=complex)
     if np.isfinite(sol.matrix).all() and sol.matrix[0, 0].real > 0:
         z = sol.matrix / sol.matrix[0, 0].real
-    return max(min(dual_snr, s_scale), 0.0), z
+    return max(min(dual_snr, s_scale), 0.0), z, True
 
 
 def multicast_upper_bound(ch: ChannelSet, p: float):
@@ -257,7 +258,7 @@ def multicast_upper_bound(ch: ChannelSet, p: float):
     `_max_min_snr` of every user under weights P / sigma_k^2, unsolved and Z
     rank one where the `_aligned` closed form is exact."""
     ctx = _Lifted(ch, p)
-    s, z = _max_min_snr(ctx, np.arange(ctx.k), ctx.p / ctx.sigma2)
+    s, z, _ = _max_min_snr(ctx, np.arange(ctx.k), ctx.p / ctx.sigma2)
     return math.log2(1.0 + s), z
 
 
@@ -267,10 +268,8 @@ def _eavesdropper_snr(ctx: _Lifted) -> tuple:
     (always with one eavesdropper). Eavesdropper k needs Tr(Z T_k) / sigma_k^2
     >= (c - 1) / (P - alpha c), c = 2^r_m, so this one constant decides every
     (r_m, alpha) of a channel; like every `_max_min_snr`, it never raises."""
-    eav = np.arange(1, ctx.k)
-    weights = 1.0 / ctx.sigma2[eav]
-    s_scale, z = _aligned(ctx, eav, weights)
-    return (s_scale, 0) if z is not None else (_max_min_snr(ctx, eav, weights)[0], 1)
+    value, _, solved = _max_min_snr(ctx, np.arange(1, ctx.k), 1.0 / ctx.sigma2[1:])
+    return value, int(solved)
 
 
 def _cct_values(ctx: _Lifted, sols: list, batch: SdpBatch) -> list:
@@ -306,14 +305,6 @@ def _cct_values(ctx: _Lifted, sols: list, batch: SdpBatch) -> list:
     return values
 
 
-def _cct_value(ctx: _Lifted, batch: SdpBatch):
-    """`_cct_values` of a one-lane batch, solved here; its SdpSolverError is raised."""
-    value = _cct_values(ctx, solve_batch(batch), batch)[0]
-    if isinstance(value, SdpSolverError):
-        raise value
-    return value
-
-
 def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     """Secrecy-objective relaxation bound at a fixed confidential power.
 
@@ -329,7 +320,9 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     if r_m > 0 and not ctx.supports(r_m, alpha, _eavesdropper_snr(ctx)[0]):
         return None
     batch = ctx.cct_batch([r_m], [alpha])   # NaN > 0 is false: a NaN floor raises here
-    res = _cct_value(ctx, batch)
+    res = _cct_values(ctx, solve_batch(batch), batch)[0]
+    if isinstance(res, SdpSolverError):
+        raise res
     if res is None:
         return None
     c_value, y, xi = res
@@ -368,55 +361,44 @@ def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap, out=None
 def _best_of_draws(ch: ChannelSet, p: float, held: list, covs, caps: list, t_g: int,
                    rngs: list) -> list:
     """Per covariance covs[i], drawn on rngs[i] by `sdp._grp_draws` (in turn), its first best
-    candidate at each multicast floor of held[i], as (patterns, scores), one row each per
-    floor: the score is the `_repair` secrecy rate, power capped at caps[i] (None: uncapped),
-    and -inf (the row meaningless) where no candidate carries the floor; NaN ranks as -inf.
-    Each draw of t_g candidates is scored on its own, in arrays kept for all, and every
-    one-candidate batch (a rank-one pattern) in one `_repair` call, a row per floor."""
+    candidate at each multicast floor of held[i], as (patterns, scores, powers), a row each per
+    floor: the `_repair` secrecy rate and power, capped at caps[i] (None: uncapped), the score
+    -inf (the row meaningless) where no candidate carries the floor; NaN ranks as -inf. Each
+    draw of t_g candidates is scored on its own, in one `_repair` array grown to the most
+    floors, and every one-candidate batch (a rank-one pattern) in one call, a row per floor."""
     covs = list(covs)
-    results, singles, kept = [None] * len(covs), [], {}
+    results, singles, out = [None] * len(covs), [], np.empty((2, 0, t_g))
     for i, batch in enumerate(_grp_draws(covs, t_g, rngs) if covs else ()):
         floors = np.asarray(held[i], dtype=float)
         if len(batch) == 1:                         # a copy: a draw's batch is reused
             singles.append((i, batch[0].copy()))
             continue
-        out = kept.get(len(batch))                  # the `_repair` arrays, by batch size
-        if out is None or out.shape[1] < floors.size:
-            out = kept[len(batch)] = np.empty((2, floors.size, len(batch)))
-        r_c, _, ok = _repair(ch, p, floors, model.effective_gains(ch, batch), caps[i],
-                             out[:, :floors.size])
+        if out.shape[1] < floors.size:
+            out = np.empty((2, floors.size, t_g))
+        r_c, alpha, ok = _repair(ch, p, floors, model.effective_gains(ch, batch), caps[i],
+                                 out[:, :floors.size])
         scores = np.where(ok & (r_c > -np.inf), r_c, -np.inf).T     # floor-major; NaN as -inf
-        top = scores.argmax(axis=-1)
-        results[i] = batch[top], scores[np.arange(floors.size), top]
+        top, rows = scores.argmax(axis=-1), np.arange(floors.size)
+        results[i] = batch[top], scores[rows, top], alpha.T[rows, top]
     if singles:
         index, patterns = zip(*singles)
         sizes = [len(held[i]) for i in index]
         rows = np.repeat(np.arange(len(index)), sizes)
         gains = model.effective_gains(ch, np.array(patterns)[:, None, :])[:, 0]   # each alone
-        r_c, _, ok = _repair(ch, p, np.concatenate([held[i] for i in index])[None], gains[rows],
-                             np.repeat([math.inf if caps[i] is None else caps[i] for i in index],
-                                       sizes)[None])
+        r_c, alpha, ok = _repair(ch, p, np.concatenate([held[i] for i in index])[None],
+                                 gains[rows], np.repeat([math.inf if caps[i] is None else caps[i]
+                                                         for i in index], sizes)[None])
         scores = np.where(ok & (r_c > -np.inf), r_c, -np.inf)[:, 0]
-        for i, v, part in zip(index, patterns, np.split(scores, np.cumsum(sizes)[:-1])):
-            results[i] = np.repeat(v[None], part.size, axis=0), part
+        splits = (np.split(row, np.cumsum(sizes)[:-1]) for row in (scores, alpha[:, 0]))
+        for i, v, part, power in zip(index, patterns, *splits):
+            results[i] = np.repeat(v[None], part.size, axis=0), part, power
     return results
 
 
-def _repair_one(ch: ChannelSet, p: float, r_m: float, x: np.ndarray, alpha_cap: float | None):
-    """`_repair` of one pattern's gains x (K,) at one floor, as Python scalars."""
-    r_c, alpha, ok = _repair(ch, p, r_m, x[None, :], alpha_cap)
+def _repair_one(ch: ChannelSet, p: float, r_m: float, x: np.ndarray):
+    """`_repair` of one pattern's gains x (K,) at one floor, uncapped, as Python scalars."""
+    r_c, alpha, ok = _repair(ch, p, r_m, x[None, :], None)
     return float(r_c[0, 0]), float(alpha[0, 0]), bool(ok[0, 0])
-
-
-def _rounded_point(ch: ChannelSet, p: float, r_m: float, v: np.ndarray | None,
-                   scheme: str, diagnostics: dict | None = None) -> BoundaryPoint:
-    """Boundary point of pattern v at its repaired power split; infeasible
-    when v is None or cannot carry the multicast floor r_m."""
-    if v is not None:
-        r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v), None)
-        if ok:
-            return BoundaryPoint(r_m, r_c, alpha, v, math.nan, True, scheme, diagnostics or {})
-    return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, scheme)
 
 
 def _cct_units(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
@@ -452,7 +434,8 @@ def _cct_units(ctx: _Lifted, ch: ChannelSet, floors: list, t_alpha: int,
 class _Lane(NamedTuple):
     """A cct lane from its solve to its point: `value` is its `_cct_values` entry
     (c_value alone once rounded), `by` the slot whose solve it takes, and
-    `score` and `pattern` its first best candidate (-inf and None: none)."""
+    `score` and `pattern` its first best candidate (-inf and None: none) and
+    `power` the repaired power that candidate scored at."""
     alpha: float
     status: SdpStatus
     iterations: int
@@ -460,6 +443,7 @@ class _Lane(NamedTuple):
     by: tuple | None = None
     score: float = -math.inf
     pattern: np.ndarray | None = None
+    power: float = math.nan
 
 
 def _solve_lanes(ctx: _Lifted, floors: list, alphas: list) -> list:
@@ -508,7 +492,8 @@ def _lane_rng(rng: np.random.Generator, slot: int) -> np.random.Generator:
 def _cct_work(ctx: _Lifted, ch: ChannelSet, floors: list, alphas: list, units: list, t_g: int,
               rngs: list) -> dict:
     """The `_solve_units` lanes of `units`, each certified one with its value cut
-    to c_value and its first best candidate at its floor as score and pattern.
+    to c_value and its first best candidate at its floor as score, pattern and
+    power, the power capped at the lane's alpha: here alone is that cap set.
     Every certified solve is rounded in one `_best_of_draws` call: drawn once,
     on `_lane_rng` of the floor and slot that solved it, made only if the draw
     takes normals, and its candidates scored at every floor that takes it."""
@@ -520,10 +505,10 @@ def _cct_work(ctx: _Lifted, ch: ChannelSet, floors: list, alphas: list, units: l
                             [lane.value[1] / lane.value[2] for lane in drawn],
                             [lane.alpha for lane in drawn], t_g,
                             [partial(_lane_rng, rngs[lane.by[0]], lane.by[1]) for lane in drawn])
-    for lane, (patterns, scores) in zip(drawn, rounds):
-        lanes.update((slot, lane._replace(value=lane.value[0], score=score,
+    for lane, (patterns, scores, powers) in zip(drawn, rounds):
+        lanes.update((slot, lane._replace(value=lane.value[0], score=score, power=power,
                                           pattern=v if score > -math.inf else None))
-                     for slot, score, v in zip(held[lane.by], scores, patterns))
+                     for slot, score, v, power in zip(held[lane.by], scores, patterns, powers))
     return lanes
 
 
@@ -568,6 +553,23 @@ def _blas_threads() -> tuple:
     return ()
 
 
+@contextmanager
+def _one_blas_thread(hold: bool):
+    """Where hold, numpy's OpenBLAS (`_blas_threads`, where in reach) runs one
+    thread inside, and the caller's count comes back after, also when the
+    body raises. The count is the process's: hold it only while no other
+    thread runs, as every `_workers` fork does."""
+    blas = _blas_threads() if hold else ()
+    threads = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if blas:
+            blas[1](threads)
+
+
 def _in_groups(work, groups: list) -> dict:
     """The records of work(group) of every group, merged: the first group's
     here, each other's in a child forked by `os.fork`, which sends its records
@@ -575,44 +577,37 @@ def _in_groups(work, groups: list) -> dict:
     child is reaped before the call returns or raises, and killed first if
     this process raises. Then the first error in group order is raised, a
     ChildProcessError with the exit status where a child sent no whole result.
-    Where it forks, numpy's OpenBLAS (`_blas_threads`) runs one thread from
-    before the first fork to the end of this process's group, here and in each
-    child, which inherits it: there is one group per CPU, so more threads would
-    only contend for the CPUs. The caller's count comes back, also when it
-    raises."""
+    Where it forks, numpy's OpenBLAS runs one thread (`_one_blas_thread`) here
+    and in each child, which inherits it: there is one group per CPU, so more
+    threads would only contend for the CPUs."""
     children, sent = [], []
-    blas = _blas_threads() if len(groups) > 1 else ()
-    if blas:
-        threads = blas[0]()
-        blas[1](1)
-    try:
-        for group in groups[1:]:
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:                 # the child: one pickle, then out
-                try:
+    with _one_blas_thread(len(groups) > 1):
+        try:
+            for group in groups[1:]:
+                read, write = os.pipe()
+                if (pid := os.fork()) == 0:                 # the child: one pickle, then out
                     try:
-                        result = work(group)
-                    except BaseException as exc:        # raised again by the caller
-                        result = exc
-                    with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(result, pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write)
-            children.append((pid, read))
-        records = work(groups[0]) if groups else {}
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        if blas:
-            blas[1](threads)
-        for pid, read in children:      # read to the end first: a child blocks on a full pipe
-            with os.fdopen(read, "rb") as pipe:
-                data = pipe.read()
-            sent.append((pid, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+                        try:
+                            result = work(group)
+                        except BaseException as exc:        # raised again by the caller
+                            result = exc
+                        with os.fdopen(write, "wb") as pipe:
+                            pickle.dump(result, pipe)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write)
+                children.append((pid, read))
+            records = work(groups[0]) if groups else {}
+        except BaseException:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, read in children:  # read to the end first: a child blocks on a full pipe
+                with os.fdopen(read, "rb") as pipe:
+                    data = pipe.read()
+                sent.append((pid, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
     for pid, data, status in sent:
         if status != 0:
             raise ChildProcessError(f"worker {pid} sent no whole result (exit status {status})")
@@ -623,10 +618,10 @@ def _in_groups(work, groups: list) -> dict:
     return records
 
 
-def _cct_point(ch: ChannelSet, p: float, r_m: float, lanes: list, anchors: set):
+def _cct_point(ch: ChannelSet, r_m: float, lanes: list, anchors: set):
     """The `algorithm1_cct` point at floor r_m from its `_cct_work` lanes: the
-    first best candidate (-inf never wins), repaired with its lane's power as
-    the cap. Raises the last SdpSolverError when every lane failed."""
+    first best candidate (-inf never wins) at the rate and power it scored.
+    Raises the last SdpSolverError when every lane failed."""
     errors = [lane.value for lane in lanes if isinstance(lane.value, SdpSolverError)]
     if errors and len(errors) == len(lanes):
         raise errors[-1]
@@ -637,14 +632,12 @@ def _cct_point(ch: ChannelSet, p: float, r_m: float, lanes: list, anchors: set):
                    "statuses": {stat.value: sum(lane.status is stat for lane in lanes)
                                 for stat in SdpStatus}}
     win = max(lanes, key=lambda lane: lane.score, default=None)
-    if ok := win is not None and win.pattern is not None:
-        r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, win.pattern), win.alpha)
-    if not ok:
+    if win is None or win.pattern is None:
         return BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "cct", diagnostics)
     diagnostics.update(alpha_grid=win.alpha,
                        r_c_unrepaired=model.secrecy_rate(ch, win.pattern, win.alpha))
-    return BoundaryPoint(r_m, r_c, alpha, win.pattern, max(0.0, math.log2(max(win.value, 1e-300))),
-                         True, "cct", diagnostics)
+    return BoundaryPoint(r_m, float(win.score), float(win.power), win.pattern,
+                         max(0.0, math.log2(max(win.value, 1e-300))), True, "cct", diagnostics)
 
 
 def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: list) -> list:
@@ -665,7 +658,7 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     groups = _groups([len(unit) for unit in units], _workers(len(units)))
     lanes = _in_groups(lambda group: _cct_work(ctx, ch, floors, alphas,
                                                [units[u] for u in group], t_g, rngs), groups)
-    points = [_cct_point(ch, p, r_m, [lanes[i, j] for j in range(len(own))], anchors)
+    points = [_cct_point(ch, r_m, [lanes[i, j] for j in range(len(own))], anchors)
               for i, (r_m, own) in enumerate(zip(floors, alphas))]
     if floored:
         points[floored[0]].diagnostics["n_solves"] += solves
@@ -688,7 +681,8 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     rng's seed sequence (`_lane_rng`); candidates are scored by their
     `_repair` secrecy rate, power capped at the lane's alpha, and dropped if
     they cannot carry the floor; the first best over the lanes (grid before
-    edges) wins. The point records the relaxation bound at the winning sample.
+    edges) wins, at the rate and power it scored. The point records the
+    relaxation bound at the winning sample.
 
     diagnostics: n_solves counts the Charnes-Cooper lanes plus any
     eavesdropper solve (none where M_eav is its closed form, as with one
@@ -704,14 +698,14 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
 
 
 def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
-    """Secrecy-optimal lifted covariance: the Charnes-Cooper program with all
-    power on the confidential stream and no multicast floor; returns the
-    unit-diagonal Z."""
-    ctx = _Lifted(ch, p)
-    res = _cct_value(ctx, ctx.cct_batch([0.0], [p]))
-    if res is None:
-        raise SdpSolverError("secrecy covariance program unexpectedly infeasible")
-    return res[1] / res[2]
+    """Secrecy-optimal lifted covariance: the Charnes-Cooper lane with all
+    power on the confidential stream and no multicast floor, solved and
+    certified by `_solve_lanes`; returns the unit-diagonal Z. Raises the
+    lane's SdpSolverError, or one where it is infeasible."""
+    value = _solve_lanes(_Lifted(ch, p), [0.0], [p])[0].value
+    if not isinstance(value, tuple):
+        raise value or SdpSolverError("secrecy covariance program unexpectedly infeasible")
+    return value[1] / value[2]
 
 
 def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
@@ -720,22 +714,24 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
 
     Each blend lam z_c + (1 - lam) z_m of a uniform weight grid draws its T_g
     candidates once from rng, scored against every floor (`_best_of_draws`).
-    Each floor keeps its best candidate (ties go to the first blend) and sets
-    the confidential power by the bottleneck closed form. z_m and z_c are the
+    Each floor keeps its best candidate (ties go to the first blend) with the
+    rate and the bottleneck closed-form confidential power it scored at, and
+    is infeasible where no candidate carries it. z_m and z_c are the
     multicast and secrecy covariances; rng is the Generator every blend
     draws from in turn.
     """
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     lams = [t / (t_lambda - 1) for t in range(t_lambda)]
     floors = np.asarray(floors, dtype=float)
-    best, best_v, best_i = np.full(floors.size, -np.inf), [None] * len(floors), [None] * len(floors)
-    for i, (patterns, scores) in enumerate(_best_of_draws(
+    best, wins = np.full(floors.size, -np.inf), [None] * floors.size
+    for lam, (patterns, scores, powers) in zip(lams, _best_of_draws(
             ch, p, [floors] * t_lambda, [lam * z_c + (1.0 - lam) * z_m for lam in lams],
             [None] * t_lambda, t_g, [rng] * t_lambda)):
         for f in np.flatnonzero(scores > best):
-            best[f], best_v[f], best_i[f] = scores[f], patterns[f], i
-    return [_rounded_point(ch, p, r_m, v, "wscm", {"lambda": lams[i]} if v is not None else None)
-            for r_m, v, i in zip(floors.tolist(), best_v, best_i)]
+            best[f], wins[f] = scores[f], (patterns[f], float(powers[f]), lam)
+    return [BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "wscm") if win is None else
+            BoundaryPoint(r_m, r_c, win[1], win[0], math.nan, True, "wscm", {"lambda": win[2]})
+            for r_m, r_c, win in zip(floors.tolist(), best.tolist(), wins)]
 
 
 def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
@@ -754,12 +750,15 @@ def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
 def baseline_random_irs(ch: ChannelSet, p: float, r_m: float,
                         rng: np.random.Generator) -> BoundaryPoint:
     """Uniform random phases with the closed-form power split."""
-    return _rounded_point(ch, p, r_m, np.exp(2j * np.pi * rng.random(ch.n)), "random-irs")
+    v = np.exp(2j * np.pi * rng.random(ch.n))
+    r_c, alpha, ok = _repair_one(ch, p, r_m, model.effective_gains(ch, v))
+    return BoundaryPoint(r_m, r_c if ok else 0.0, alpha if ok else 0.0, v if ok else None,
+                         math.nan, ok, "random-irs")
 
 
 def baseline_no_irs(ch: ChannelSet, p: float, r_m: float) -> BoundaryPoint:
     """Direct channels only; power split from the bottleneck closed form."""
-    r_c, alpha, ok = _repair_one(ch, p, r_m, np.abs(ch.h) ** 2, None)
+    r_c, alpha, ok = _repair_one(ch, p, r_m, np.abs(ch.h) ** 2)
     return BoundaryPoint(r_m, r_c if ok else 0.0, alpha if ok else 0.0, None, math.nan, ok,
                          "no-irs")
 
@@ -831,16 +830,19 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     units of lanes are solved and rounded in groups, one per CPU, the first
     in the calling process, each lane once and each group's lanes in at most
     three batches. A wscm region runs in the calling process. The oracle
-    enumerates the `ORACLE_GRID`.
+    enumerates the `ORACLE_GRID`. While no other thread runs, the whole
+    region runs numpy's OpenBLAS on one thread (`_one_blas_thread`), so its
+    bytes do not depend on the caller's thread count.
     """
     _check_counts(grid_points=grid_points, seed=seed)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     params = params or SweepParams()
-    if scheme == "tdma":
-        region = baseline_tdma(ch, p, grid_points, params, substream(seed, 0))
-    else:
-        region = RegionBoundary(_region_points(ch, p, scheme, grid_points, params, seed))
+    with _one_blas_thread(threading.active_count() == 1):
+        if scheme == "tdma":
+            region = baseline_tdma(ch, p, grid_points, params, substream(seed, 0))
+        else:
+            region = RegionBoundary(_region_points(ch, p, scheme, grid_points, params, seed))
     return pareto_filter(region) if params.pareto_filter else region
 
 
@@ -853,12 +855,9 @@ def _region_points(ch: ChannelSet, p: float, scheme: str, grid_points: int, para
     if model.feasibility_check(ch) is model.Feasibility.INFEASIBLE:
         # No pattern can give user 1 the lead: the region degenerates to the
         # multicast axis, so only the multicast problem remains.
-        v_m, _ = grp_round(z_m, params.t_g, _multicast_score(ch, p), substream(seed, 0))
-        cap = float(model.multicast_capacity_from_gains(
-            model.effective_gains(ch, v_m), ch.sigma2, p))
+        v_m, cap = grp_round(z_m, params.t_g, _multicast_score(ch, p), substream(seed, 0))
         return [BoundaryPoint(float(rm), 0.0, 0.0, v_m if cap >= rm - _RM_SLACK else None,
-                              math.nan, cap >= rm - _RM_SLACK, scheme,
-                              diagnostics={"degenerate": True})
+                              math.nan, cap >= rm - _RM_SLACK, scheme, {"degenerate": True})
                 for rm in targets]
 
     def eval_point(idx: int) -> BoundaryPoint:

@@ -255,7 +255,7 @@ def test_repair_matches_scalar_closed_form():
 def eavesdropper_snr(ch):
     ctx = algorithms._Lifted(ch, P)
     eav = np.arange(1, ch.k)
-    value, _ = algorithms._max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav])
+    value, _, _ = algorithms._max_min_snr(ctx, eav, 1.0 / ctx.sigma2[eav])
     return value
 
 
@@ -323,7 +323,7 @@ def test_max_min_snr_of_a_user_far_weaker_than_the_others(scale):
     weak = ChannelSet(g=ch.g, m=ch.m * [[1.0], [1.0], [scale]], h=ch.h * [1.0, 1.0, scale],
                       sigma2=ch.sigma2)
     ctx = algorithms._Lifted(weak, P)
-    value, z = algorithms._max_min_snr(ctx, np.arange(3), ctx.p / ctx.sigma2)
+    value, z, _ = algorithms._max_min_snr(ctx, np.arange(3), ctx.p / ctx.sigma2)
     aligned = model.aligned_gain(weak.m[2], weak.g, weak.h[2]) ** 2 * P / weak.sigma2[2]
     assert value == pytest.approx(aligned, rel=1e-9, abs=0.0)
     assert z[0, 0] == 1.0 and np.linalg.eigvalsh(z).min() >= -1e-9 * len(z)
@@ -382,7 +382,7 @@ def test_a_max_min_program_whose_aligned_pattern_misses_a_user_is_solved():
         batches = recorded_batches(lambda: out.extend(
             algorithms._max_min_snr(ctx, users, weights)))
         assert [max_min_lanes(batch) for batch in batches] == [1]
-        value, z = out
+        value, z, _ = out
         assert 0.0 < value <= s_scale and z[0, 0] == 1.0
 
 
@@ -426,23 +426,26 @@ def lane_by_lane_cct(ch, r_m, lanes, t_g, seed):
     lane at a time, or None: lane j's `grp_round` on its own generator,
     child j of the floor's seed sequence (`substream(seed, j)` for the floor
     generator default_rng(seed)), with its `_repair` score capped at the
-    lane's power, the winner repaired again, and a later lane kept only if
-    its repaired rate is strictly higher."""
+    lane's power, the winner at the rate and power of the `_repair` call
+    that scored it, and a later lane kept only if its rate is strictly
+    higher."""
     best = None
     for slot, lane in enumerate(lanes):
         if not isinstance(lane.value, tuple):
             continue
         (c_value, y, xi), alpha_t = lane.value, lane.alpha
+        scored = []
 
         def score(vb, alpha_t=alpha_t):
-            r_c, _, ok = algorithms._repair(ch, P, r_m, effective_gains(ch, vb), alpha_t)
-            return np.where(ok, r_c, -np.inf)[:, 0]
+            r_c, alpha, ok = algorithms._repair(ch, P, r_m, effective_gains(ch, vb), alpha_t)
+            scored[:] = np.where(ok, r_c, -np.inf)[:, 0], alpha[:, 0]
+            return scored[0]
         v, sc = sdp.grp_round(y / xi, t_g, score, substream(seed, slot))
         if not np.isfinite(sc):
             continue
-        r_c, alpha, ok = algorithms._repair_one(ch, P, r_m, effective_gains(ch, v), alpha_t)
-        if ok and (best is None or r_c > best[0]):
-            best = (r_c, alpha, v, max(0.0, math.log2(max(c_value, 1e-300))), alpha_t)
+        alpha = float(scored[1][sdp._first_best(scored[0])])     # grp_round's pick
+        if best is None or sc > best[0]:
+            best = (sc, alpha, v, max(0.0, math.log2(max(c_value, 1e-300))), alpha_t)
     return best
 
 
@@ -1131,6 +1134,46 @@ def test_forked_groups_run_one_blas_thread_and_the_caller_gets_its_count_back(mo
     assert_no_child_left()
 
 
+def test_a_region_runs_one_blas_thread_and_the_caller_gets_its_count_back(monkeypatch):
+    # a region's bytes must not depend on the caller's BLAS thread count: on
+    # one CPU, where nothing forks, every solve of a cct and of a wscm region,
+    # the solved multicast bound and M_eav included, runs numpy's OpenBLAS on
+    # one thread, and the caller reads its own count again afterwards, also
+    # after the region raises
+    threads = algorithms._blas_threads()
+    if not threads:
+        pytest.skip("numpy's bundled OpenBLAS thread count is out of reach")
+    get, put = threads
+    pin_cpus(monkeypatch, 1)
+    real_solve, seen = algorithms.solve_batch, []
+
+    def recording(batch, config=None):
+        seen.append((get(), max_min_lanes(batch)))
+        return real_solve(batch, config)
+
+    def failing(batch, config=None):
+        seen.append((get(), max_min_lanes(batch)))
+        raise ValueError("solve failed")
+
+    ch = rand_channelset(np.random.default_rng(7), n=3, k=3)    # both max-min programs solved
+    params = SweepParams(t_alpha=6, t_lambda=4, t_g=50)
+    before = get()
+    put(2)
+    try:
+        monkeypatch.setattr(algorithms, "solve_batch", recording)
+        for scheme in ("cct", "wscm"):
+            sweep_region(ch, P, scheme, 4, params, seed=1)
+            assert get() == 2
+        monkeypatch.setattr(algorithms, "solve_batch", failing)
+        with pytest.raises(ValueError, match="^solve failed$"):
+            sweep_region(ch, P, "cct", 4, params, seed=1)
+        assert get() == 2
+    finally:
+        put(before)
+    assert {count for count, _ in seen} == {1}
+    assert sum(lanes for _, lanes in seen) == 4 and len(seen) > 4
+
+
 def test_a_point_without_two_units_forks_nothing(monkeypatch):
     # an infinite floor has no lane at all, no floor one lane: neither forks
     pin_cpus(monkeypatch, 2)
@@ -1634,8 +1677,39 @@ def test_no_floating_point_error_escapes_the_rounding():
         with np.errstate(all=state):
             runs.append(algorithms._best_of_draws(ch, p, held, covs, caps, 50,
                                                   [np.random.default_rng(7)] * len(covs)))
-    for (v_a, s_a), (v_b, s_b) in zip(*runs):
+    for (v_a, s_a, a_a), (v_b, s_b, a_b) in zip(*runs):
         assert v_a.tobytes() == v_b.tobytes() and s_a.tobytes() == s_b.tobytes()
+        assert a_a.tobytes() == a_b.tobytes()
     assert any(len(sdp.grp_draw(z, 2, np.random.default_rng(0))) == 1 for z in covs)
-    assert any((s > -np.inf).any() for _, s in runs[0])
+    assert any((s > -np.inf).any() for _, s, _ in runs[0])
     assert all(s[-1] == -np.inf for s in (runs[0][1][1], runs[0][3][1]))
+
+
+def test_a_wscm_point_reports_the_rate_and_power_that_won_its_floor():
+    # each floor's point is its first best candidate over the blends, at the
+    # rate and power that scored it, bit for bit: the region replayed blend
+    # by blend on its generator, each batch scored by one _repair call per floor
+    config = two_user_scenario(seed=0)
+    ch, p = generate_channels(config, substream(0, 0)), config.total_power_w
+    region = sweep_region(ch, p, "wscm", 20, SweepParams(t_lambda=80, t_g=1000,
+                                                         pareto_filter=False), seed=0)
+    r_up, z_m = multicast_upper_bound(ch, p)
+    z_c = secrecy_covariance(ch, p)
+    floors = np.linspace(0.0, r_up, 20)
+    blends = [t / 79 * z_c + (1.0 - t / 79) * z_m for t in range(80)]
+    best = [(-math.inf, None, None)] * len(floors)
+    rng = substream(0, 0)
+    for batch in sdp._grp_draws(blends, 1000, [rng] * len(blends)):
+        x = effective_gains(ch, batch)
+        for f, r_m in enumerate(floors):
+            r_c, alpha, ok = algorithms._repair(ch, p, r_m, x, None)
+            scores = np.where(ok, r_c, -np.inf)[:, 0]
+            top = sdp._first_best(scores)
+            if scores[top] > best[f][0]:
+                best[f] = (scores[top], alpha[top, 0], batch[top].copy())
+    assert sum(v is not None for *_, v in best) > 10
+    for pt, (r_c, alpha, v) in zip(region.points, best):
+        assert pt.feasible == (v is not None)
+        if v is not None:
+            assert (pt.r_c_achieved, pt.alpha) == (r_c, alpha), pt.r_m_target
+            assert pt.phase_vector.tobytes() == v.tobytes()
