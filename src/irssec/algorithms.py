@@ -91,6 +91,41 @@ def _check_counts(**counts) -> None:
             raise ValueError(f"{name} must be an integer of at least {least}")
 
 
+@cache
+def _blas_threads() -> tuple:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, by ctypes on
+    the library numpy loaded, or () where that library or either symbol is absent."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return ()
+
+
+@contextmanager
+def _one_blas_thread():
+    """While no other thread runs (as whenever `_workers` may fork), numpy's
+    OpenBLAS (`_blas_threads`, where in reach) runs one thread inside and the
+    caller's count comes back after, also when the body raises; the count is
+    the process's, so no other thread's is taken. Every public solving entry
+    holds it, so its bytes depend on neither the caller's count nor the CPUs."""
+    blas = _blas_threads() if threading.active_count() == 1 else ()
+    threads = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if blas:
+            blas[1](threads)
+
+
 class _Lifted:
     """Gain-normalized lifted data and the library's one program shape,
     built as `SdpBatch` arrays: PSD Y with a constant diagonal (the tie rows
@@ -252,11 +287,12 @@ def _max_min_snr(ctx: _Lifted, users: np.ndarray, weights: np.ndarray):
     return max(min(dual_snr, s_scale), 0.0), z, True
 
 
+@_one_blas_thread()
 def multicast_upper_bound(ch: ChannelSet, p: float):
     """Certified upper bound on the largest supportable multicast floor, all
     power on the multicast stream: (log2(1 + s), Z) with (s, Z) the
     `_max_min_snr` of every user under weights P / sigma_k^2, unsolved and Z
-    rank one where the `_aligned` closed form is exact."""
+    rank one where the `_aligned` closed form is exact; at one BLAS thread."""
     ctx = _Lifted(ch, p)
     s, z, _ = _max_min_snr(ctx, np.arange(ctx.k), ctx.p / ctx.sigma2)
     return math.log2(1.0 + s), z
@@ -305,6 +341,7 @@ def _cct_values(ctx: _Lifted, sols: list, batch: SdpBatch) -> list:
     return values
 
 
+@_one_blas_thread()
 def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     """Secrecy-objective relaxation bound at a fixed confidential power.
 
@@ -312,7 +349,7 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     rate achievable under the multicast floor at this power split, or None
     when the floor is unsupportable, as its power window (`_Lifted.supports`)
     tells before any solve. y and xi are expressed against the raw channel
-    units (normalization bound equal to one).
+    units (normalization bound equal to one). It runs at one BLAS thread.
     """
     if not (-1e-12 <= alpha <= p + 1e-12):
         raise ValueError("confidential power must lie in [0, P]")
@@ -330,19 +367,16 @@ def cct_fixed_alpha(ch: ChannelSet, p: float, r_m: float, alpha: float):
     return c_value, y / scale, xi / scale
 
 
-def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap, out=None):
+def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, cap, out=None):
     """Bottleneck power repair of gains x (B, K) at each multicast floor in `floors` (a
-    scalar is one floor), or at 2-D floors as they broadcast against the rows ((1, B): row b
-    at floor b): (r_c, alpha, ok), each the transpose of a floor-major array, so (B, F), alpha
-    and r_c made in ``out`` (2, F, B) if given. alpha is the largest power at which the user
-    of least gain-to-noise ratio meets the floor, (P x - (c - 1) sigma^2) / (c x) with c the
-    `model._floor_factor`, in [0, P] (P without a floor) and capped by alpha_cap (None: none;
-    an array broadcasts as 2-D floors do); r_c is the secrecy rate at alpha; ok says the floor
-    holds with all power on multicast. A NaN floor raises ValueError."""
-    r_m = np.asarray(floors, dtype=float)
-    if r_m.ndim < 2:
-        r_m = np.atleast_1d(r_m)[:, None]
-    c = _floor_factors(r_m)
+    scalar is one floor): (r_c, alpha, ok), each the transpose of a floor-major array, so
+    (B, F), alpha and r_c made in ``out`` (2, F, B) if given. alpha is the largest power at
+    which the user of least gain-to-noise ratio meets the floor, (P x - (c - 1) sigma^2) /
+    (c x) with c the `model._floor_factor`, in [0, min(P, cap)] (the top without a floor),
+    cap a scalar or one per candidate (B,); r_c is the secrecy rate at alpha; ok says the
+    floor holds with all power on multicast. A NaN floor raises ValueError."""
+    r_m = np.atleast_1d(np.asarray(floors, dtype=float))[:, None]
+    c, top = _floor_factors(r_m), np.minimum(p, cap)
     tau = np.argmin(x / ch.sigma2, axis=-1)
     x_tau, s_tau = x[np.arange(len(x)), tau], ch.sigma2[tau]
     ok = r_m - _RM_SLACK <= np.log2(1.0 + p * (x_tau / s_tau))
@@ -350,11 +384,9 @@ def _repair(ch: ChannelSet, p: float, floors, x: np.ndarray, alpha_cap, out=None
     with np.errstate(divide="ignore", invalid="ignore"):
         np.multiply(c - 1.0, s_tau, out=a)
         np.divide(np.subtract(p * x_tau, a, out=a), np.multiply(c, x_tau, out=r_c), out=a)
-    np.clip(a, 0.0, p, out=a)
+    np.clip(a, 0.0, top, out=a)
     np.copyto(a, 0.0, where=~(x_tau > 0))
-    np.copyto(a, p, where=~(r_m > 0))
-    if alpha_cap is not None:
-        np.minimum(a, alpha_cap, out=a)
+    np.copyto(a, top, where=~(r_m > 0))
     return model.secrecy_rate_from_gains(x, ch.sigma2, a, out=r_c).T, a.T, ok.T
 
 
@@ -362,10 +394,11 @@ def _best_of_draws(ch: ChannelSet, p: float, held: list, covs, caps: list, t_g: 
                    rngs: list) -> list:
     """Per covariance covs[i], drawn on rngs[i] by `sdp._grp_draws` (in turn), its first best
     candidate at each multicast floor of held[i], as (patterns, scores, powers), a row each per
-    floor: the `_repair` secrecy rate and power, capped at caps[i] (None: uncapped), the score
-    -inf (the row meaningless) where no candidate carries the floor; NaN ranks as -inf. Each
-    draw of t_g candidates is scored on its own, in one `_repair` array grown to the most
-    floors, and every one-candidate batch (a rank-one pattern) in one call, a row per floor."""
+    floor: the `_repair` secrecy rate and power, capped at caps[i], the score -inf (the row
+    meaningless) where no candidate carries the floor; NaN ranks as -inf. Each draw of t_g
+    candidates is scored on its own, in one `_repair` array grown to the most floors, and every
+    one-candidate batch (a rank-one pattern) in one call at the sorted union of their floors,
+    from which each pattern reads its own floors back."""
     covs = list(covs)
     results, singles, out = [None] * len(covs), [], np.empty((2, 0, t_g))
     for i, batch in enumerate(_grp_draws(covs, t_g, rngs) if covs else ()):
@@ -382,22 +415,20 @@ def _best_of_draws(ch: ChannelSet, p: float, held: list, covs, caps: list, t_g: 
         results[i] = batch[top], scores[rows, top], alpha.T[rows, top]
     if singles:
         index, patterns = zip(*singles)
-        sizes = [len(held[i]) for i in index]
-        rows = np.repeat(np.arange(len(index)), sizes)
+        # a set, not np.unique, whose first call imports numpy.ma: 1.5 MB of peak RSS
+        union = np.array(sorted({*np.concatenate([held[i] for i in index]).tolist()}))
         gains = model.effective_gains(ch, np.array(patterns)[:, None, :])[:, 0]   # each alone
-        r_c, alpha, ok = _repair(ch, p, np.concatenate([held[i] for i in index])[None],
-                                 gains[rows], np.repeat([math.inf if caps[i] is None else caps[i]
-                                                         for i in index], sizes)[None])
-        scores = np.where(ok & (r_c > -np.inf), r_c, -np.inf)[:, 0]
-        splits = (np.split(row, np.cumsum(sizes)[:-1]) for row in (scores, alpha[:, 0]))
-        for i, v, part, power in zip(index, patterns, *splits):
-            results[i] = np.repeat(v[None], part.size, axis=0), part, power
+        r_c, alpha, ok = _repair(ch, p, union, gains, np.array([caps[i] for i in index]))
+        scores = np.where(ok & (r_c > -np.inf), r_c, -np.inf)
+        for s, (i, v) in enumerate(singles):
+            own = np.searchsorted(union, held[i])
+            results[i] = np.repeat(v[None], own.size, axis=0), scores[s, own], alpha[s, own]
     return results
 
 
 def _repair_one(ch: ChannelSet, p: float, r_m: float, x: np.ndarray):
-    """`_repair` of one pattern's gains x (K,) at one floor, uncapped, as Python scalars."""
-    r_c, alpha, ok = _repair(ch, p, r_m, x[None, :], None)
+    """`_repair` of one pattern's gains x (K,) at one floor, capped at P, as Python scalars."""
+    r_c, alpha, ok = _repair(ch, p, r_m, x[None, :], p)
     return float(r_c[0, 0]), float(alpha[0, 0]), bool(ok[0, 0])
 
 
@@ -493,7 +524,7 @@ def _cct_work(ctx: _Lifted, ch: ChannelSet, floors: list, alphas: list, units: l
               rngs: list) -> dict:
     """The `_solve_units` lanes of `units`, each certified one with its value cut
     to c_value and its first best candidate at its floor as score, pattern and
-    power, the power capped at the lane's alpha: here alone is that cap set.
+    power, the power capped at the lane's alpha: here alone is a cap below P set.
     Every certified solve is rounded in one `_best_of_draws` call: drawn once,
     on `_lane_rng` of the floor and slot that solved it, made only if the draw
     takes normals, and its candidates scored at every floor that takes it."""
@@ -536,40 +567,6 @@ def _groups(loads: list, count: int) -> list:
     return [sorted(group) for group in groups]
 
 
-@cache
-def _blas_threads() -> tuple:
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, by ctypes on
-    the library numpy loaded, or () where that library or either symbol is absent."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                       "libscipy_openblas*.so")):
-        try:
-            lib = ctypes.CDLL(path)
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return ()
-
-
-@contextmanager
-def _one_blas_thread(hold: bool):
-    """Where hold, numpy's OpenBLAS (`_blas_threads`, where in reach) runs one
-    thread inside, and the caller's count comes back after, also when the
-    body raises. The count is the process's: hold it only while no other
-    thread runs, as every `_workers` fork does."""
-    blas = _blas_threads() if hold else ()
-    threads = blas[0]() if blas else None
-    if blas:
-        blas[1](1)
-    try:
-        yield
-    finally:
-        if blas:
-            blas[1](threads)
-
-
 def _in_groups(work, groups: list) -> dict:
     """The records of work(group) of every group, merged: the first group's
     here, each other's in a child forked by `os.fork`, which sends its records
@@ -577,11 +574,12 @@ def _in_groups(work, groups: list) -> dict:
     child is reaped before the call returns or raises, and killed first if
     this process raises. Then the first error in group order is raised, a
     ChildProcessError with the exit status where a child sent no whole result.
-    Where it forks, numpy's OpenBLAS runs one thread (`_one_blas_thread`) here
-    and in each child, which inherits it: there is one group per CPU, so more
-    threads would only contend for the CPUs."""
+    For one group as for several, numpy's OpenBLAS runs one thread
+    (`_one_blas_thread`) here and in each child, which inherits it: there is
+    one group per CPU, so more threads would only contend for the CPUs, and
+    the bytes stay the same on any CPU count."""
     children, sent = [], []
-    with _one_blas_thread(len(groups) > 1):
+    with _one_blas_thread():
         try:
             for group in groups[1:]:
                 read, write = os.pipe()
@@ -665,10 +663,12 @@ def _cct_points(ch: ChannelSet, p: float, floors, t_alpha: int, t_g: int, rngs: 
     return points
 
 
+@_one_blas_thread()
 def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
                    t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
-    """Algorithm 1: a 1-D search over the confidential power alpha, the
-    one-floor case of `_cct_points`, whose lanes fan out as a region's.
+    """Algorithm 1 at one BLAS thread: a 1-D search over the confidential
+    power alpha, the one-floor case of `_cct_points`, whose lanes fan out
+    as a region's.
 
     With a floor r_m > 0 the samples are the t_alpha uniform powers over
     [0, P] in the power window that the eavesdropper program
@@ -697,11 +697,12 @@ def algorithm1_cct(ch: ChannelSet, p: float, r_m: float, t_alpha: int = 80,
     return _cct_points(ch, p, [r_m], t_alpha, t_g, [rng])[0]
 
 
+@_one_blas_thread()
 def secrecy_covariance(ch: ChannelSet, p: float) -> np.ndarray:
     """Secrecy-optimal lifted covariance: the Charnes-Cooper lane with all
     power on the confidential stream and no multicast floor, solved and
-    certified by `_solve_lanes`; returns the unit-diagonal Z. Raises the
-    lane's SdpSolverError, or one where it is infeasible."""
+    certified by `_solve_lanes` at one BLAS thread; returns the unit-diagonal
+    Z. Raises the lane's SdpSolverError, or one where it is infeasible."""
     value = _solve_lanes(_Lifted(ch, p), [0.0], [p])[0].value
     if not isinstance(value, tuple):
         raise value or SdpSolverError("secrecy covariance program unexpectedly infeasible")
@@ -715,10 +716,10 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
     Each blend lam z_c + (1 - lam) z_m of a uniform weight grid draws its T_g
     candidates once from rng, scored against every floor (`_best_of_draws`).
     Each floor keeps its best candidate (ties go to the first blend) with the
-    rate and the bottleneck closed-form confidential power it scored at, and
-    is infeasible where no candidate carries it. z_m and z_c are the
-    multicast and secrecy covariances; rng is the Generator every blend
-    draws from in turn.
+    rate and the bottleneck closed-form confidential power it scored at (the
+    cap is P), and is infeasible where no candidate carries it. z_m and z_c
+    are the multicast and secrecy covariances; rng is the Generator every
+    blend draws from in turn.
     """
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     lams = [t / (t_lambda - 1) for t in range(t_lambda)]
@@ -726,7 +727,7 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
     best, wins = np.full(floors.size, -np.inf), [None] * floors.size
     for lam, (patterns, scores, powers) in zip(lams, _best_of_draws(
             ch, p, [floors] * t_lambda, [lam * z_c + (1.0 - lam) * z_m for lam in lams],
-            [None] * t_lambda, t_g, [rng] * t_lambda)):
+            [p] * t_lambda, t_g, [rng] * t_lambda)):
         for f in np.flatnonzero(scores > best):
             best[f], wins[f] = scores[f], (patterns[f], float(powers[f]), lam)
     return [BoundaryPoint(r_m, 0.0, 0.0, None, math.nan, False, "wscm") if win is None else
@@ -734,12 +735,13 @@ def _wscm_points(ch: ChannelSet, p: float, floors, t_lambda: int, t_g: int,
             for r_m, r_c, win in zip(floors.tolist(), best.tolist(), wins)]
 
 
+@_one_blas_thread()
 def algorithm2_wscm(ch: ChannelSet, p: float, r_m: float, t_lambda: int = 80,
                     t_g: int = 1000, rng: np.random.Generator | None = None) -> BoundaryPoint:
     """`_wscm_points` at the single floor r_m, with the multicast and secrecy
-    covariances solved here; a NaN floor raises ValueError before either.
-    Each blend is rank two at most, and its draws ignore the eigenvalues
-    below `sdp._RANK_TOL` times its trace (`sdp.grp_draw`)."""
+    covariances solved here at one BLAS thread; a NaN floor raises ValueError
+    before either. Each blend is rank two at most, and its draws ignore the
+    eigenvalues below `sdp._RANK_TOL` times its trace (`sdp.grp_draw`)."""
     _check_counts(t_lambda=t_lambda, t_g=t_g)
     model._floor_factor(r_m)                        # rejects a NaN floor
     rng = np.random.default_rng(0) if rng is None else rng
@@ -770,13 +772,14 @@ def _multicast_score(ch: ChannelSet, p: float):
     return score
 
 
+@_one_blas_thread()
 def baseline_tdma(ch: ChannelSet, p: float, grid_points: int,
                   params: SweepParams, rng: np.random.Generator) -> RegionBoundary:
     """Orthogonal time sharing between the confidential and multicast services.
 
     Endpoint rates come from the unconstrained secrecy run and a feasible
     rounding of the multicast-optimal covariance; the region is the segment
-    between them.
+    between them. It runs at one BLAS thread.
     """
     head = algorithm1_cct(ch, p, 0.0, params.t_alpha, params.t_g, rng)
     r_c_max = head.r_c_achieved
@@ -815,6 +818,7 @@ def pareto_filter(region: RegionBoundary) -> RegionBoundary:
     return RegionBoundary(out, pareto_filtered=True)
 
 
+@_one_blas_thread()
 def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
                  params: SweepParams | None = None, seed: int = 0) -> RegionBoundary:
     """Evaluate one scheme on uniform multicast targets over [0, r_m_up].
@@ -838,11 +842,10 @@ def sweep_region(ch: ChannelSet, p: float, scheme: str, grid_points: int,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     params = params or SweepParams()
-    with _one_blas_thread(threading.active_count() == 1):
-        if scheme == "tdma":
-            region = baseline_tdma(ch, p, grid_points, params, substream(seed, 0))
-        else:
-            region = RegionBoundary(_region_points(ch, p, scheme, grid_points, params, seed))
+    if scheme == "tdma":
+        region = baseline_tdma(ch, p, grid_points, params, substream(seed, 0))
+    else:
+        region = RegionBoundary(_region_points(ch, p, scheme, grid_points, params, seed))
     return pareto_filter(region) if params.pareto_filter else region
 
 

@@ -157,13 +157,10 @@ def cmd_analyze(args) -> dict:
     classification = e_factors = eta = None
     if verdict is not model.Feasibility.INFEASIBLE and ch.k == 2:
         v = _load_v_source(args, ch, p)
-        try:
-            report = analysis.enhancement_analysis(ch, v, alpha, p=p)
-            classification = report.classification.value
-            e_factors = report.e_factors
-            eta = report.eta
-        except ValueError:
-            classification = None  # surface-free secrecy precondition violated
+        report = analysis.enhancement_analysis(ch, v, alpha, p=p)
+        classification = report.classification.value
+        e_factors = report.e_factors
+        eta = report.eta
 
     tr_t1 = float(np.trace(model.build_tk(ch.m[0], ch.g, ch.h[0])).real)
     gap_args = (p, ch.n, tr_t1, float(ch.sigma2[0]), args.t_alpha)

@@ -249,7 +249,7 @@ def rounding_rows(repeats: int) -> None:
     def blends(floors):
         def run():
             rng = np.random.default_rng(0)
-            algorithms._best_of_draws(ch, p, [floors] * 20, [z] * 20, [None] * 20, 1000,
+            algorithms._best_of_draws(ch, p, [floors] * 20, [z] * 20, [p] * 20, 1000,
                                       [rng] * 20)
         return run
     rounding_row(repeats, "best of draws N=10 1 floor", "1000 candidates", 20, blends([0.0]))

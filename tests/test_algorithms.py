@@ -236,7 +236,7 @@ def test_repair_matches_scalar_closed_form():
     x = np.random.default_rng(5).exponential(size=(40, 3))
     x[:4, 1] = 0.0                      # a bottleneck user without gain
     floors = [0.0, 0.3, 1.2, 3.0]
-    for cap in (None, 0.4):
+    for cap in (P, 0.4):
         r_c, alpha, ok = algorithms._repair(ch, P, floors, x, cap)
         assert r_c.shape == alpha.shape == ok.shape == (len(x), len(floors))
         for b, row in enumerate(x):
@@ -657,7 +657,7 @@ def test_every_rounding_rejects_a_nan_floor(monkeypatch):
     monkeypatch.undo()
     for run in (lambda: baseline_no_irs(ch, p, math.nan),
                 lambda: baseline_random_irs(ch, p, math.nan, np.random.default_rng(0)),
-                lambda: algorithms._repair(ch, p, [0.0, math.nan], np.ones((3, ch.k)), None),
+                lambda: algorithms._repair(ch, p, [0.0, math.nan], np.ones((3, ch.k)), p),
                 lambda: brute_force_oracle(ch, 1.0, math.nan, 4, 4)):
         with pytest.raises(ValueError, match="^multicast floor must not be NaN$"):
             run()
@@ -1174,6 +1174,55 @@ def test_a_region_runs_one_blas_thread_and_the_caller_gets_its_count_back(monkey
     assert sum(lanes for _, lanes in seen) == 4 and len(seen) > 4
 
 
+def test_every_public_solving_entry_runs_one_blas_thread_and_the_caller_gets_its_count_back(
+        monkeypatch):
+    # a direct call's bytes must not depend on the caller's BLAS thread count
+    # either: on one CPU, where nothing forks, every solve of each public
+    # solving entry, the solved multicast bound and M_eav included, runs
+    # numpy's OpenBLAS on one thread, and the caller reads its own count
+    # again afterwards, also after a solve raises
+    threads = algorithms._blas_threads()
+    if not threads:
+        pytest.skip("numpy's bundled OpenBLAS thread count is out of reach")
+    get, put = threads
+    pin_cpus(monkeypatch, 1)
+    ch = rand_channelset(np.random.default_rng(7), n=3, k=3)    # both max-min programs solved
+    r_m = 0.5 * multicast_upper_bound(ch, P)[0]
+    params = SweepParams(t_alpha=6, t_g=50)
+    entries = {"multicast_upper_bound": lambda: multicast_upper_bound(ch, P),
+               "secrecy_covariance": lambda: secrecy_covariance(ch, P),
+               "cct_fixed_alpha": lambda: cct_fixed_alpha(ch, P, r_m, 0.1 * P),
+               "algorithm1_cct": lambda: algorithm1_cct(ch, P, r_m, 6, 50),
+               "algorithm2_wscm": lambda: algorithm2_wscm(ch, P, r_m, 4, 50),
+               "baseline_tdma": lambda: baseline_tdma(ch, P, 3, params, np.random.default_rng(0))}
+    real_solve, seen = algorithms.solve_batch, {name: [] for name in entries}
+
+    def failing(batch, config=None):
+        raise ValueError("solve failed")
+
+    before = get()
+    put(2)
+    try:
+        for name, run in entries.items():
+            def recording(batch, config=None, records=seen[name]):
+                records.append((get(), max_min_lanes(batch)))
+                return real_solve(batch, config)
+            monkeypatch.setattr(algorithms, "solve_batch", recording)
+            run()
+            assert get() == 2, name
+            monkeypatch.setattr(algorithms, "solve_batch", failing)
+            with pytest.raises(ValueError, match="^solve failed$"):
+                run()
+            assert get() == 2, name
+    finally:
+        put(before)
+    assert {name: {count for count, _ in records} for name, records in seen.items()} == {
+        name: {1} for name in entries}
+    max_min = {name: sum(lanes for _, lanes in records) for name, records in seen.items()}
+    assert max_min == {"multicast_upper_bound": 1, "secrecy_covariance": 0, "cct_fixed_alpha": 1,
+                       "algorithm1_cct": 1, "algorithm2_wscm": 1, "baseline_tdma": 1}
+
+
 def test_a_point_without_two_units_forks_nothing(monkeypatch):
     # an infinite floor has no lane at all, no floor one lane: neither forks
     pin_cpus(monkeypatch, 2)
@@ -1671,7 +1720,7 @@ def test_no_floating_point_error_escapes_the_rounding():
     a = np.random.default_rng(3).standard_normal((ch.n + 1, ch.n + 1)) * (1 + 1j)
     covs = [z_m, 0.5 * (z_m + z_c), z_c, a @ a.conj().T]
     held = [[0.0, 0.5 * r_up], [0.0, r_up + 1.0, math.inf], [0.3 * r_up], [0.0, 2000.0]]
-    caps = [None, 0.5 * p, None, 0.1 * p]
+    caps = [p, 0.5 * p, p, 0.1 * p]
     runs = []
     for state in ("warn", "raise"):
         with np.errstate(all=state):
@@ -1702,7 +1751,7 @@ def test_a_wscm_point_reports_the_rate_and_power_that_won_its_floor():
     for batch in sdp._grp_draws(blends, 1000, [rng] * len(blends)):
         x = effective_gains(ch, batch)
         for f, r_m in enumerate(floors):
-            r_c, alpha, ok = algorithms._repair(ch, p, r_m, x, None)
+            r_c, alpha, ok = algorithms._repair(ch, p, r_m, x, p)
             scores = np.where(ok, r_c, -np.inf)[:, 0]
             top = sdp._first_best(scores)
             if scores[top] > best[f][0]:

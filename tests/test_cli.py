@@ -182,6 +182,13 @@ def test_region_exit_1_for_bad_config(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: --t-")
     assert main(["analyze", "--scenario", scn, "--t-alpha", "1"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: --t-alpha")
+    assert main(["analyze", "--scenario", scn, "--alpha", "2"]) == EXIT_CONFIG    # a 1 W scenario
+    assert capsys.readouterr().err == "error: --alpha must lie in [0, 1.0]\n"
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["region", "--scenario", scn, "--scheme", "no-irs", "--grid", "2",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert not out.parent.exists()
 
 
 def test_region_exit_1_for_malformed_scenario_values(tmp_path, capsys):
@@ -422,13 +429,19 @@ def test_sweep_power_at_the_scenario_power_writes_the_region_files(tmp_path, sch
     assert swept_phases == region_phases == {"scheme": scheme, "seed": 5}
 
 
-def test_sweep_power_rejects_empty_and_negative(tmp_path):
+def test_sweep_power_rejects_empty_and_negative(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     out = str(tmp_path / "p.csv")
     assert main(["sweep-power", "--scenario", scn, "--powers", "",
                  "--out", out]) == EXIT_CONFIG
     assert main(["sweep-power", "--scenario", scn, "--powers", "-1",
                  "--out", out]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert main(["sweep-power", "--scenario", scn, "--powers", "1,abc",
+                 "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: bad --powers value: could not convert string to float: 'abc'\n")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("powers", ["nan", "inf", "1,nan", "1,-inf"])
